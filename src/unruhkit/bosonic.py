@@ -11,10 +11,17 @@ r = artanh(e^{-pi Omega_a / a}).
 Two evaluation routes are provided:
 
 * ``dense``: truncate every Rindler factor at occupation ``n_max``,
-  renormalize, eigensolve the partial transpose.  Convergence is accepted
-  when the squeezed-vacuum tail sum_{n > n_max} f^2 = tanh^{2(n_max+1)} r
-  is below ``tail_tol`` and the negativity moves by less than ``delta_tol``
-  between the n_max and n_max + 5 runs.
+  renormalize, eigensolve the partial transpose.  The partial transpose
+  splits by the parity of (Alice's occupation + the kept wedge's) into two
+  real (n_max+1)-dimensional sectors of bandwidth 2, whose entries follow
+  from f(n) in O(n_max); each sector goes to a banded symmetric eigensolver
+  (LAPACK ``dsbevd`` through ``scipy.linalg.eig_banded``), so the joint
+  ket, the reduced density and the dense partial transpose are never built.
+  Convergence is accepted when the squeezed-vacuum tail
+  sum_{n > n_max} f^2 = tanh^{2(n_max+1)} r is below ``tail_tol`` and the
+  negativity moves by less than ``delta_tol`` between the n_max and
+  n_max + 5 runs.  The labelled-tensor route (``qops``) over the joint ket
+  is kept as the test oracle of the sector engine.
 
 * ``blocks``: for the extremal weights |q_R| in {0, 1} the partial
   transpose is block diagonal in 2x2 sectors and the negativity is an
@@ -36,7 +43,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError
-from .qops import DensityOperator, FockKet, TensorSpace, negativity, reduced_density
+from .qops import (
+    DensityOperator,
+    FockKet,
+    TensorSpace,
+    negativity,
+    negativity_from_eigenvalues,
+    reduced_density,
+)
 from .weights import UnruhWeights
 
 DEFAULT_N_MAX = 30
@@ -251,7 +265,66 @@ class NegativityPair:
     report: ConvergenceReport
 
 
+def _sector_bands(r: float, abs_r: float, abs_l: float, n_max: int) -> tuple[np.ndarray, float]:
+    """Parity sectors of the Alice-Rob partial transpose in lower band storage.
+
+    The partial transpose couples |a, m> with |a', m'> (a Alice's occupation,
+    m region I's) only when a + m = a' + m' (mod 2).  Sector p holds the
+    states |a_i, i> with a_i = (p + i) mod 2, i = 0..n_max, in occupation
+    order, and is a real band matrix of bandwidth 2.  With
+    b_i = f(i) sqrt(i+1)/cosh(r) (and b_{-1} = b_{n_max} = 0) its entries,
+    in units of 1/(2 raw_norm^2) of ``joint_state``, are
+
+        diagonal  f_i^2                               a_i = 0
+                  |q_R|^2 b_{i-1}^2 + |q_L|^2 b_i^2   a_i = 1
+        offset 1  |q_L| f_{i+1} b_i                   a_i = 0
+                  |q_R| f_i b_i                       a_i = 1
+        offset 2  |q_L| |q_R| b_i b_{i+1}             a_i = 1 (0 where a_i = 0)
+
+    Local phases on M, I and II remove the phases of the weights exactly,
+    so only their magnitudes enter.  Returns the (2, 3, n_max + 1) bands
+    and the unit 2 raw_norm^2.
+    """
+    d = n_max + 1
+    i = np.arange(d)
+    f = vacuum_coefficients(r, n_max).f
+    # b[k + 1] = b_k, so the padding gives b_{-1} = b_{n_max} = b_{n_max+1} = 0
+    b = np.zeros(d + 2)
+    b[1:d] = f[:n_max] * np.sqrt(i[:n_max] + 1.0) / math.cosh(r)
+    b_prev, b_i, b_next = b[:d], b[1 : d + 1], b[2:]
+    f_next = np.append(f[1:], 0.0)
+    empty = np.stack([f * f, abs_l * f_next * b_i, np.zeros(d)])
+    occupied = np.stack([
+        abs_r**2 * b_prev**2 + abs_l**2 * b_i**2,
+        abs_r * f * b_i,
+        abs_l * abs_r * b_i * b_next,
+    ])
+    odd = i % 2 == 1
+    bands = np.stack([np.where(odd, occupied, empty), np.where(odd, empty, occupied)])
+    norm = float(f @ f) + (abs_r**2 + abs_l**2) * float(b_i @ b_i)
+    return bands, norm
+
+
+def _sector_negativity(r: float, abs_r: float, abs_l: float, n_max: int) -> float:
+    # imported here so that importing the package does not load scipy.linalg
+    from scipy.linalg import eig_banded
+
+    bands, norm = _sector_bands(r, abs_r, abs_l, n_max)
+    eigs = np.concatenate([eig_banded(band, lower=True, eigvals_only=True) for band in bands])
+    return negativity_from_eigenvalues(eigs / norm).value
+
+
 def _dense_pair(scenario: BosonScenario, n_max: int) -> tuple[float, float]:
+    # Alice-AntiRob is Alice-Rob with the weights exchanged (I <-> II relabeling)
+    r, weights = scenario.squeezing.r, scenario.weights
+    return (
+        _sector_negativity(r, weights.abs_r, weights.abs_l, n_max),
+        _sector_negativity(r, weights.abs_l, weights.abs_r, n_max),
+    )
+
+
+def _qops_pair(scenario: BosonScenario, n_max: int) -> tuple[float, float]:
+    """``_dense_pair`` by the general tensor route; the test oracle of the sector engine."""
     sc = replace(scenario, truncation=BosonTruncation(n_max))
     ket = joint_state(sc).ket
     n_ar = negativity(reduced_density(ket, (ALICE, REGION_I)), ALICE).value
@@ -270,7 +343,7 @@ def _block_series(r: float, rel_tol: float = 1e-12) -> tuple[float, float, int, 
 
     whose determinant is negative for every n, so each sector contributes
     exactly one negative eigenvalue.  The remainder past N terms is bounded
-    by T^{N+2} / (2(N+1)) with T = tanh^2(r), which is used as the stopping
+    by T^{N+1} / (2N) with T = tanh^2(r), which is used as the stopping
     rule.  Returns (value, remainder_bound, terms_used, last_five_sum).
     """
     t = math.tanh(r)

@@ -244,9 +244,16 @@ def fermionic_negativity_pair(
     raise ValueError(f"method must be 'blocks' or 'full', got {method!r}")
 
 
-def method_agreement_residual(scenario: FermionScenario) -> float:
-    """Largest |blocks - full| discrepancy over the two bipartitions."""
-    blocks = fermionic_negativity_pair(scenario, method="blocks")
+def method_agreement_residual(
+    scenario: FermionScenario, blocks: FermionNegativityPair | None = None
+) -> float:
+    """Largest |blocks - full| discrepancy over the two bipartitions.
+
+    ``blocks`` is the scenario's "blocks" pair when the caller already has
+    it; otherwise it is computed here.
+    """
+    if blocks is None:
+        blocks = fermionic_negativity_pair(scenario, method="blocks")
     full = fermionic_negativity_pair(scenario, method="full")
     return max(abs(blocks.n_ar - full.n_ar), abs(blocks.n_aar - full.n_aar))
 
@@ -275,7 +282,7 @@ def fermionic_curve(q_abs: float, r_grid, *, method_tol: float = METHOD_TOL) -> 
     for r in r_grid:
         scenario = FermionScenario(FermionSqueezing(float(r)), weights)
         pair = fermionic_negativity_pair(scenario, method="blocks")
-        residual = method_agreement_residual(scenario)
+        residual = method_agreement_residual(scenario, pair)
         if residual > method_tol:
             raise MethodDisagreementError(
                 f"blocks/full negativities differ by {residual:.3e} at "

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma as _gamma_function, k0 as _bessel_k0
 
 from .errors import GridError
 
@@ -217,8 +216,12 @@ def _log_gaussian_weight(params: LogGaussianParams) -> Callable[[np.ndarray], np
 
 
 def _gamma_weight(params: LogGaussianParams) -> Callable[[np.ndarray], np.ndarray]:
+    # imported here so that importing the package does not load scipy.special;
+    # math.gamma is not a substitute, it differs by an ulp (e.g. at 0.6)
+    from scipy.special import gamma
+
     lam, mu, x0 = params.lam, params.mu, math.log(params.omega0)
-    norm = math.sqrt(_gamma_function(2.0 * lam))
+    norm = math.sqrt(gamma(2.0 * lam))
 
     def weight(x):
         u = np.exp(x - x0)
@@ -228,8 +231,10 @@ def _gamma_weight(params: LogGaussianParams) -> Callable[[np.ndarray], np.ndarra
 
 
 def _bessel_weight(params: LogGaussianParams) -> Callable[[np.ndarray], np.ndarray]:
+    from scipy.special import k0
+
     lam, mu, x0 = params.lam, params.mu, math.log(params.omega0)
-    norm = math.sqrt(2.0 * _bessel_k0(2.0 * lam))
+    norm = math.sqrt(2.0 * k0(2.0 * lam))
 
     def weight(x):
         u = np.exp(x - x0)

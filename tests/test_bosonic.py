@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unruhkit.bosonic import (
     BosonScenario,
@@ -18,6 +19,9 @@ from unruhkit.bosonic import (
     unruh_excitation_ket,
     unruh_vacuum_ket,
     vacuum_coefficients,
+    _dense_pair,
+    _qops_pair,
+    _sector_bands,
 )
 from unruhkit.errors import ConvergenceError
 from unruhkit.qops import partial_transpose
@@ -386,8 +390,6 @@ class TestNegativityPair:
         assert abs(pair.n_aar - mirror.n_ar) < 1e-12
 
     def test_truncation_deltas_shrink(self):
-        from unruhkit.bosonic import _dense_pair
-
         sc = scenario(1.0, 0.8)
         deltas = []
         for n in (15, 25, 35):
@@ -423,3 +425,86 @@ class TestCurve:
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
             bosonic_curve(1.2, [0.0])
+
+
+def sector_order(n_max, parity):
+    """Flat (M, I) indices of the parity sector: |a_i, i> with a_i = (parity + i) mod 2."""
+    d = n_max + 1
+    return [((parity + i) % 2) * d + i for i in range(d)]
+
+
+class TestParitySectors:
+    def test_qops_partial_transpose_splits_into_banded_parity_sectors(self):
+        # the dense qops partial transpose, with complex weights, has no entry
+        # between sectors of different parity of (n_M + n_I), and inside each
+        # sector (occupation order) nothing beyond the second off-diagonal
+        n_max = 14
+        sc = BosonScenario(
+            BosonSqueezing(0.9),
+            UnruhWeights(0.7 * np.exp(0.4j), math.sqrt(0.51) * np.exp(-1.2j)),
+            BosonTruncation(n_max),
+        )
+        d = n_max + 1
+        parity = np.add.outer(np.arange(2), np.arange(d)).ravel() % 2
+        offset = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+        for rho in (rho_alice_rob(sc), rho_alice_antirob(sc)):
+            sigma = partial_transpose(rho, "M").matrix
+            assert np.max(np.abs(sigma[np.not_equal.outer(parity, parity)])) == 0.0
+            for p in (0, 1):
+                idx = sector_order(n_max, p)
+                block = sigma[np.ix_(idx, idx)]
+                assert np.max(np.abs(block[offset > 2])) == 0.0
+                assert np.max(np.abs(block[offset == 2])) > 0.0
+
+    @pytest.mark.parametrize("r,q_abs,phase,n_max", [(0.0, 0.8, 0.0, 3), (0.9, 0.7, 1.1, 14),
+                                                     (1.7, 0.35, -2.0, 40), (0.6, 1.0, 0.5, 9)])
+    def test_band_entries_match_qops_partial_transpose(self, r, q_abs, phase, n_max):
+        # oracle: the qops partial transpose reordered into the two sectors;
+        # the weight phases only move the phases of its entries
+        sc = scenario(r, q_abs, n_max, phase)
+        bands, norm = _sector_bands(r, sc.weights.abs_r, sc.weights.abs_l, n_max)
+        sigma = partial_transpose(rho_alice_rob(sc), "M").matrix
+        d = n_max + 1
+        for p, band in enumerate(bands):
+            idx = sector_order(n_max, p)
+            block = np.abs(sigma[np.ix_(idx, idx)])
+            for k in range(3):
+                assert np.max(np.abs(band[k, : d - k] / norm - np.diagonal(block, -k))) < 1e-15
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    q_abs=st.floats(0.0, 1.0),
+    r=st.floats(0.0, 3.0),
+    phase_r=st.floats(-math.pi, math.pi),
+    phase_l=st.floats(-math.pi, math.pi),
+    n_max=st.integers(1, 125),
+)
+def test_sector_engine_matches_qops_route(q_abs, r, phase_r, phase_l, n_max):
+    weights = UnruhWeights(
+        q_abs * np.exp(1j * phase_r), math.sqrt(1.0 - q_abs * q_abs) * np.exp(1j * phase_l)
+    )
+    sc = BosonScenario(BosonSqueezing(r), weights, BosonTruncation(n_max))
+    fast, oracle = _dense_pair(sc, n_max), _qops_pair(sc, n_max)
+    assert abs(fast[0] - oracle[0]) <= 1e-12
+    assert abs(fast[1] - oracle[1]) <= 1e-12
+    # swap rule: exchanging the weights exchanges the bipartitions, here
+    # checked against the oracle's own Alice-AntiRob trace
+    swapped = BosonScenario(BosonSqueezing(r), weights.swapped(), BosonTruncation(n_max))
+    mirror = _dense_pair(swapped, n_max)
+    assert abs(mirror[0] - oracle[1]) <= 1e-12
+    assert abs(mirror[1] - oracle[0]) <= 1e-12
+    for value in fast:
+        assert 0.0 <= value <= 0.5
+
+
+@settings(max_examples=30, deadline=None)
+@given(q_abs=st.floats(0.0, 1.0), r=st.floats(0.0, 3.0), phase=st.floats(-math.pi, math.pi))
+def test_pair_swap_rule_and_range(q_abs, r, phase):
+    weights = UnruhWeights.from_abs(q_abs, phase)
+    pair = bosonic_negativity_pair(BosonScenario(BosonSqueezing(r), weights))
+    mirror = bosonic_negativity_pair(BosonScenario(BosonSqueezing(r), weights.swapped()))
+    assert abs(pair.n_ar - mirror.n_aar) <= 1e-12
+    assert abs(pair.n_aar - mirror.n_ar) <= 1e-12
+    assert 0.0 <= pair.n_ar <= 0.5
+    assert 0.0 <= pair.n_aar <= 0.5

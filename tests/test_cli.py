@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,3 +192,15 @@ class TestPacketCommand:
 
     def test_partial_grid_flags_rejected(self):
         assert main(["packet", "--x-min", "-5"]) == EXIT_USAGE
+
+
+def test_import_loads_no_scipy_special_or_linalg():
+    # both cost a noticeable share of every CLI call; they load on first use
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = ("import sys, unruhkit.cli; "
+            "print(sorted({'scipy.special', 'scipy.linalg'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

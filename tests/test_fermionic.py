@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import unruhkit.fermionic as fermionic
 from unruhkit.fermionic import (
     FermionScenario,
     FermionSqueezing,
@@ -258,3 +259,17 @@ class TestCurve:
     def test_residual_column(self):
         rows = fermionic_curve(0.9, np.linspace(0.0, R_MAX, 5))
         assert all(row.residual < 1e-12 for row in rows)
+
+    def test_residual_reuses_the_blocks_pair(self, monkeypatch):
+        calls = []
+
+        def counting(scenario, bipartition):
+            calls.append(bipartition)
+            return pt_blocks(scenario, bipartition)
+
+        monkeypatch.setattr(fermionic, "pt_blocks", counting)
+        rows = fermionic_curve(0.8, np.linspace(0.0, R_MAX, 10))
+        assert len(calls) == 2 * len(rows)
+        sc = scenario(0.4, 0.8)
+        pair = fermionic_negativity_pair(sc)
+        assert method_agreement_residual(sc, pair) == method_agreement_residual(sc)
