@@ -16,13 +16,11 @@ from .bosonic import (
     ConvergenceReport,
     NegativityPair,
     TruncatedKet,
-    VacuumCoefficients,
     bosonic_curve,
     bosonic_negativity_pair,
     joint_state,
     rho_alice_antirob,
     rho_alice_rob,
-    squeezing_from_acceleration,
     unruh_excitation_ket,
     unruh_vacuum_ket,
     vacuum_coefficients,
@@ -42,7 +40,6 @@ from .fermionic import (
     GRASSMANN_SPACE,
     PTBlocks,
     fermion_joint_state,
-    fermion_squeezing_from_acceleration,
     fermionic_curve,
     fermionic_negativity_pair,
     grassmann_one_particle,

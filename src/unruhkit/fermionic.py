@@ -89,10 +89,6 @@ class FermionSqueezing:
         return cls(math.atan(math.exp(-math.pi * energy)))
 
 
-def fermion_squeezing_from_acceleration(omega_a: float, a: float) -> FermionSqueezing:
-    return FermionSqueezing.from_acceleration(omega_a, a)
-
-
 @dataclass(frozen=True)
 class FermionScenario:
     squeezing: FermionSqueezing

@@ -182,9 +182,6 @@ class UnruhSmearingPair:
         nr, nl = self.sector_norms()
         return nr + nl
 
-    def scaled(self, factor: complex) -> "UnruhSmearingPair":
-        return UnruhSmearingPair(self.omega_grid, factor * self.g_r, factor * self.g_l)
-
 
 # ---------------------------------------------------------------------------
 # packet families
@@ -401,6 +398,18 @@ def _default_omega_grid(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return np.linspace(0.0, omega_max, n)
 
 
+def _explicit_omega_grid(omega_grid, dx: float) -> np.ndarray:
+    """A caller's frequency grid: uniform, from Omega = 0, and within the Nyquist limit pi/dx."""
+    omega_grid = _check_uniform(np.asarray(omega_grid, dtype=float))
+    if omega_grid[0] != 0.0:
+        raise GridError("the Unruh frequency grid must start at Omega = 0")
+    if omega_grid[-1] > math.pi / dx:
+        raise GridError(
+            f"frequency window extends past the Nyquist limit pi/dx = {math.pi / dx:.2f}"
+        )
+    return omega_grid
+
+
 def _check_aliasing(pair: UnruhSmearingPair) -> None:
     density = np.abs(pair.g_r) ** 2 + np.abs(pair.g_l) ** 2
     peak = float(density.max())
@@ -427,13 +436,7 @@ def g_from_f(
     if omega_grid is None:
         omega_grid = _default_omega_grid(f.x, weight)
     else:
-        omega_grid = _check_uniform(np.asarray(omega_grid, dtype=float))
-        if omega_grid[0] != 0.0:
-            raise GridError("the Unruh frequency grid must start at Omega = 0")
-        if omega_grid[-1] > math.pi / f.dx:
-            raise GridError(
-                f"frequency window extends past the Nyquist limit pi/dx = {math.pi / f.dx:.2f}"
-            )
+        omega_grid = _explicit_omega_grid(omega_grid, f.dx)
     g_r, g_l = _forward_transform(
         f.x, weight, omega_grid, kernel.epsilon, math.log(kernel.length_scale)
     )
@@ -704,9 +707,7 @@ def massive_g_from_f(f: MassiveSmearing, omega_grid=None) -> UnruhSmearingPair:
     if omega_grid is None:
         omega_grid = _default_omega_grid(f.x, weight)
     else:
-        omega_grid = _check_uniform(np.asarray(omega_grid, dtype=float))
-        if omega_grid[0] != 0.0:
-            raise GridError("the Unruh frequency grid must start at Omega = 0")
+        omega_grid = _explicit_omega_grid(omega_grid, f.dx)
     g_r, g_l = _forward_transform(f.x, weight, omega_grid, 1, 0.0)
     pair = UnruhSmearingPair(omega_grid, g_r, g_l)
     _check_aliasing(pair)

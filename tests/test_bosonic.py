@@ -1,12 +1,15 @@
 """Bosonic Minkowski-Unruh state construction and negativity engine."""
 
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from unruhkit.bosonic import (
+    EXTREMAL_TOL,
     BosonScenario,
     BosonSqueezing,
     BosonTruncation,
@@ -15,10 +18,10 @@ from unruhkit.bosonic import (
     joint_state,
     rho_alice_antirob,
     rho_alice_rob,
-    squeezing_from_acceleration,
     unruh_excitation_ket,
     unruh_vacuum_ket,
     vacuum_coefficients,
+    _block_series,
     _dense_pair,
     _qops_pair,
     _sector_bands,
@@ -68,22 +71,22 @@ class TestUnruhWeights:
 class TestSqueezing:
     def test_derived_value(self):
         # oracle: direct scalar evaluation of artanh(e^{-pi})
-        sq = squeezing_from_acceleration(1.0, 1.0)
+        sq = BosonSqueezing.from_acceleration(1.0, 1.0)
         assert abs(sq.r - math.atanh(math.exp(-math.pi))) < 1e-15
         assert not sq.capped
 
     def test_small_acceleration_limit(self):
-        assert squeezing_from_acceleration(1.0, 1e-3).r < 1e-100
+        assert BosonSqueezing.from_acceleration(1.0, 1e-3).r < 1e-100
 
     def test_large_acceleration_caps(self):
-        sq = squeezing_from_acceleration(1.0, 1e9)
+        sq = BosonSqueezing.from_acceleration(1.0, 1e9)
         assert sq.capped
         assert sq.r == 10.0
 
     @pytest.mark.parametrize("omega_a,a", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
     def test_nonpositive_inputs_rejected(self, omega_a, a):
         with pytest.raises(ValueError):
-            squeezing_from_acceleration(omega_a, a)
+            BosonSqueezing.from_acceleration(omega_a, a)
 
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
@@ -92,20 +95,20 @@ class TestSqueezing:
 
 class TestVacuumCoefficients:
     def test_zero_squeezing(self):
-        f = vacuum_coefficients(0.0, 6).f
+        f = vacuum_coefficients(0.0, 6)
         assert f[0] == 1.0
         assert np.all(f[1:] == 0.0)
 
     def test_geometric_sum_tends_to_one(self):
-        f = vacuum_coefficients(0.8, 200).f
+        f = vacuum_coefficients(0.8, 200)
         assert abs(np.sum(f**2) - 1.0) < 1e-12
 
     def test_scalar_value(self):
-        f = vacuum_coefficients(1.0, 4).f
+        f = vacuum_coefficients(1.0, 4)
         assert abs(f[2] - math.tanh(1.0) ** 2 / math.cosh(1.0)) < 1e-15
 
     def test_monotone_decreasing(self):
-        f = vacuum_coefficients(0.6, 40).f
+        f = vacuum_coefficients(0.6, 40)
         assert np.all(np.diff(f) < 0.0)
 
     def test_tail_weight_matches_brute_force(self):
@@ -125,7 +128,7 @@ class TestStateBuilders:
 
     def test_vacuum_schmidt_coefficients(self):
         built = unruh_vacuum_ket(0.7, 12)
-        f = vacuum_coefficients(0.7, 12).f
+        f = vacuum_coefficients(0.7, 12)
         amp = built.ket.amplitudes.reshape(13, 13)
         assert np.allclose(np.diag(amp).real, f / np.linalg.norm(f), atol=1e-14)
         assert abs(built.ket.norm() - 1.0) < 1e-12
@@ -167,7 +170,7 @@ class TestStateBuilders:
         r, q_abs, phase = 0.6, 0.8, 0.9
         built = joint_state(scenario(r, q_abs, n_max=20, phase=phase))
         amp = built.ket.amplitudes.reshape(2, 21, 21) * built.raw_norm
-        f = vacuum_coefficients(r, 20).f
+        f = vacuum_coefficients(r, 20)
         q_r = q_abs * np.exp(1j * phase)
         for n in (0, 3, 7):
             expected = q_r * f[n] * math.sqrt(n + 1.0) / (math.sqrt(2.0) * math.cosh(r))
@@ -202,7 +205,7 @@ class TestReducedMatrices:
         built = joint_state(scenario(r, q_abs, n_max))
         rho = rho_alice_rob(scenario(r, q_abs, n_max))
         mat = rho.matrix * built.raw_norm**2
-        f = vacuum_coefficients(r, n_max).f
+        f = vacuum_coefficients(r, n_max)
         ql2 = 1.0 - q_abs * q_abs
         cosh2 = math.cosh(r) ** 2
         d = n_max + 1
@@ -218,7 +221,7 @@ class TestReducedMatrices:
         r, n_max = 0.7, 25
         built = joint_state(scenario(r, 1.0, n_max))
         mat = rho_alice_rob(scenario(r, 1.0, n_max)).matrix * built.raw_norm**2
-        f = vacuum_coefficients(r, n_max).f
+        f = vacuum_coefficients(r, n_max)
         d = n_max + 1
         for n in (0, 4, 9):
             expected = f[n] ** 2 * (n + 1) / (2.0 * math.cosh(r) ** 2)
@@ -260,7 +263,7 @@ class TestReducedMatrices:
         actual = rho_alice_rob(sc).matrix * built.raw_norm**2
 
         d = n_max + 1
-        f = vacuum_coefficients(r, n_max).f
+        f = vacuum_coefficients(r, n_max)
         c, t = math.cosh(r), math.tanh(r)
         oracle = np.zeros((2 * d, 2 * d), dtype=complex)
 
@@ -427,6 +430,92 @@ class TestCurve:
             bosonic_curve(1.2, [0.0])
 
 
+def block_terms(r, n):
+    """-lambda_min of the n-th 2x2 sector for q_R = 1, straight from its entries.
+
+    The sector [[a, b], [b, d]] (units of the 1/2 prefactor) has determinant
+    -T^{2n} / (4 cosh^6 r); dividing it by the larger eigenvalue avoids the
+    cancellation in (a + d)/2 - sqrt(((a - d)/2)^2 + b^2).  T^n is taken as
+    e^{-kn} with k = -ln tanh^2 r = 2 ln((1 + u)/(1 - u)), u = e^{-2r}.
+    """
+    u = math.exp(-2.0 * r)
+    k = 2.0 * (math.log1p(u) - math.log1p(-u))
+    c = math.cosh(r)
+    n = np.asarray(n, dtype=float)
+    t_n = np.exp(-k * n)
+    a = t_n * math.exp(-k) / (2.0 * c**2)
+    b = t_n * np.sqrt(n + 1.0) / (2.0 * c**3)
+    d = n * t_n * math.exp(k) / (2.0 * c**4)
+    lam_max = 0.5 * (a + d) + np.sqrt(0.25 * (a - d) ** 2 + b * b)
+    return t_n * t_n / (4.0 * c**6 * lam_max), k
+
+
+def long_sum_reference(r, head=1 << 16, steps=1 << 16):
+    """Block series as a direct sum of ``head`` terms plus a trapezoid tail.
+
+    The tail sum_{n >= M} h(n) is int_M^inf h + h(M)/2 - h'(M)/12 (M = head),
+    with h' by central differences; the integral runs over t = ln(x/M) until
+    e^{-kx} < e^-80 with the trapezoid rule at two step sizes, extrapolated.
+    """
+    terms, k = block_terms(r, np.arange(head))
+    t_max = math.log(max(80.0 / (k * head), 2.0))
+
+    def trapezoid(n):
+        t = np.linspace(0.0, t_max, n + 1)
+        x = head * np.exp(t)
+        y = block_terms(r, x)[0] * x
+        return (t_max / n) * (math.fsum(y) - 0.5 * (y[0] + y[-1]))
+
+    integral = (4.0 * trapezoid(2 * steps) - trapezoid(steps)) / 3.0
+    h_m, h_lo, h_hi = block_terms(r, [head, head - 1, head + 1])[0]
+    return math.fsum(terms) + integral + 0.5 * h_m - (h_hi - h_lo) / 24.0
+
+
+class TestBlockSeries:
+    @pytest.mark.parametrize("r", [0.5, 3.0, 5.0])
+    def test_matches_direct_sum(self, r):
+        # far enough that the dropped terms sit below 1e-35 of the first
+        _, k = block_terms(r, 0)
+        direct = math.fsum(block_terms(r, np.arange(math.ceil(80.0 / k)))[0])
+        value = _block_series(r)[0]
+        assert abs(value - direct) <= 1e-14 * direct
+
+    @pytest.mark.parametrize("r", [6.0, 8.0, 10.0])
+    def test_bound_covers_long_sum_reference(self, r):
+        value, bound, n_used, _ = _block_series(r)
+        reference = long_sum_reference(r)
+        assert n_used <= 4096
+        assert abs(value - reference) <= bound
+        assert bound <= 1e-6 * value
+
+    @pytest.mark.parametrize("r", [0.0, 1e-300])
+    def test_vanishing_squeezing_gives_one_half(self, r):
+        assert math.tanh(r) ** 2 == 0.0  # at r = 1e-300 it underflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = bosonic_negativity_pair(scenario(r, 1.0))
+        assert pair.n_ar == 0.5 and pair.n_aar == 0.0
+        assert pair.report.method == "blocks" and pair.report.converged
+
+    def test_converged_means_bound_within_relative_tolerance(self):
+        pair = bosonic_negativity_pair(scenario(5.0, 1.0))
+        rep = pair.report
+        assert rep.converged and 0.0 < rep.tail_weight <= 1e-6 * pair.n_ar
+        tight = 0.5 * rep.tail_weight / pair.n_ar
+        loose = bosonic_negativity_pair(scenario(5.0, 1.0), delta_tol=tight)
+        assert loose.n_ar == pair.n_ar
+        assert not loose.report.converged
+        with pytest.raises(ConvergenceError):
+            bosonic_negativity_pair(scenario(5.0, 1.0), delta_tol=tight, strict=True)
+
+    def test_left_weight_mirrors_the_pair(self):
+        right = bosonic_negativity_pair(scenario(7.0, 1.0))
+        left = bosonic_negativity_pair(scenario(7.0, 0.0))
+        assert (left.n_ar, left.n_aar) == (right.n_aar, right.n_ar)
+        assert (left.report.delta_ar, left.report.delta_aar) == (
+            right.report.delta_aar, right.report.delta_ar)
+
+
 def sector_order(n_max, parity):
     """Flat (M, I) indices of the parity sector: |a_i, i> with a_i = (parity + i) mod 2."""
     d = n_max + 1
@@ -508,3 +597,25 @@ def test_pair_swap_rule_and_range(q_abs, r, phase):
     assert abs(pair.n_aar - mirror.n_ar) <= 1e-12
     assert 0.0 <= pair.n_ar <= 0.5
     assert 0.0 <= pair.n_aar <= 0.5
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    q_abs=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+    r=st.floats(0.0, 3.0),
+    phase_r=st.floats(-math.pi, math.pi),
+    phase_l=st.floats(-math.pi, math.pi),
+)
+def test_pair_phase_invariance(q_abs, r, phase_r, phase_l):
+    # random local phases on both weights leave the pair unchanged, on the
+    # dense route for every weight and on the blocks route for extremal ones
+    plain = UnruhWeights.from_abs(q_abs)
+    turned = UnruhWeights(plain.q_r * cmath.exp(1j * phase_r), plain.q_l * cmath.exp(1j * phase_l))
+    methods = ["dense"] + (["blocks"] if plain.minor_weight() <= EXTREMAL_TOL else [])
+    for method in methods:
+        base = bosonic_negativity_pair(BosonScenario(BosonSqueezing(r), plain), method=method)
+        rotated = bosonic_negativity_pair(BosonScenario(BosonSqueezing(r), turned), method=method)
+        assert abs(rotated.n_ar - base.n_ar) <= 1e-12
+        assert abs(rotated.n_aar - base.n_aar) <= 1e-12
+        assert rotated.report.method == method
+        assert rotated.report.converged == base.report.converged

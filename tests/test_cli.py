@@ -41,6 +41,16 @@ class TestBosonCommand:
         assert float(rows[0]["n_aar"]) == 0.0
         assert rows[0]["converged"] == "true"
 
+    def test_deep_extremal_rows_are_certified(self, tmp_path):
+        # the block series reaches r = 10 with its bound below 1e-6 of the value
+        out = tmp_path / "deep.csv"
+        code = main(["boson", "--q", "1", "--r-min", "4", "--r-max", "10", "--steps", "7",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        _, rows = read_csv(out)
+        assert len(rows) == 7
+        assert all(row["converged"] == "true" for row in rows)
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "boson.json"
         code = main(
@@ -195,12 +205,14 @@ class TestPacketCommand:
 
 
 def test_import_loads_no_scipy_special_or_linalg():
-    # both cost a noticeable share of every CLI call; they load on first use
+    # scipy and the quadrature nodes of numpy.polynomial cost a noticeable
+    # share of every CLI call; they load on first use
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     code = ("import sys, unruhkit.cli; "
-            "print(sorted({'scipy.special', 'scipy.linalg'} & set(sys.modules)))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m.startswith('numpy.polynomial')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=60, check=True)
     assert out.stdout.strip() == "[]"

@@ -11,7 +11,6 @@ from unruhkit.fermionic import (
     FermionSqueezing,
     R_MAX,
     fermion_joint_state,
-    fermion_squeezing_from_acceleration,
     fermionic_curve,
     fermionic_negativity_pair,
     grassmann_one_particle,
@@ -32,14 +31,14 @@ def scenario(r, q_abs, phase=0.0):
 
 class TestSqueezing:
     def test_derived_value(self):
-        sq = fermion_squeezing_from_acceleration(1.0, 1.0)
+        sq = FermionSqueezing.from_acceleration(1.0, 1.0)
         assert abs(sq.r - math.atan(math.exp(-math.pi))) < 1e-15
 
     def test_small_acceleration(self):
-        assert fermion_squeezing_from_acceleration(1.0, 1e-3).r < 1e-100
+        assert FermionSqueezing.from_acceleration(1.0, 1e-3).r < 1e-100
 
     def test_infinite_acceleration_is_bounded(self):
-        r = fermion_squeezing_from_acceleration(1.0, 1e12).r
+        r = FermionSqueezing.from_acceleration(1.0, 1e12).r
         assert abs(r - R_MAX) < 1e-10
 
     def test_rindler_energy_parameterization(self):
@@ -51,7 +50,7 @@ class TestSqueezing:
         with pytest.raises(ValueError):
             FermionSqueezing(1.0)
         with pytest.raises(ValueError):
-            fermion_squeezing_from_acceleration(-1.0, 1.0)
+            FermionSqueezing.from_acceleration(-1.0, 1.0)
 
 
 class TestStates:

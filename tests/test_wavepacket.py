@@ -352,3 +352,18 @@ class TestGridValidation:
         beyond = math.pi / f.dx * 1.5
         with pytest.raises(GridError):
             g_from_f(f, omega_grid=np.linspace(0.0, beyond, 512))
+
+    def test_nyquist_guard_on_both_forward_paths(self):
+        # the massless and the massive transform reject a window 3x past pi/dx
+        # with the same message
+        massless = f_log_gaussian(LogGaussianParams(1.0, 2.0))
+        massive = rapidity_gaussian(1.0, 2.0, MassiveKernel(1.0))
+        messages = []
+        for transform, f in ((g_from_f, massless), (massive_g_from_f, massive)):
+            grid = np.linspace(0.0, 3.0 * math.pi / f.dx, 512)
+            with pytest.raises(GridError, match="Nyquist limit") as err:
+                transform(f, omega_grid=grid)
+            messages.append(str(err.value))
+        # the two profiles share their grid, so the messages must agree
+        assert massless.dx == massive.dx
+        assert messages[0] == messages[1]
