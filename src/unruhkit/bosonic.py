@@ -20,8 +20,10 @@ Two evaluation routes are provided:
   Convergence is accepted when the squeezed-vacuum tail
   sum_{n > n_max} f^2 = tanh^{2(n_max+1)} r is below ``tail_tol`` and the
   negativity moves by less than ``delta_tol`` between the n_max and
-  n_max + 5 runs.  The labelled-tensor route (``qops``) over the joint ket
-  is kept as the test oracle of the sector engine.
+  n_max + 5 runs.  Once tanh r rounds to 1 (r > 19.06) the cut keeps no
+  representable share of the state, so the route reports 0 unconverged
+  without evaluating it.  The labelled-tensor route (``qops``) over the
+  joint ket is kept as the test oracle of the sector engine.
 
 * ``blocks``: for the extremal weights |q_R| in {0, 1} the partial
   transpose is block diagonal in 2x2 sectors and the negativity is an
@@ -432,14 +434,20 @@ def bosonic_negativity_pair(
         n = min(max(scenario.truncation.n_max, 1), n_max_cap)
         while BosonTruncation(n).tail_weight(r) > tail_tol and n < n_max_cap:
             n = min(2 * n, n_max_cap)
-        n_ar_1, n_aar_1 = _dense_pair(scenario, n)
-        n_ar_2, n_aar_2 = _dense_pair(scenario, n + 5)
-        delta_ar = abs(n_ar_2 - n_ar_1)
-        delta_aar = abs(n_aar_2 - n_aar_1)
         tail = BosonTruncation(n).tail_weight(r)
-        converged = tail <= tail_tol and delta_ar < delta_tol and delta_aar < delta_tol
-        report = ConvergenceReport("dense", n, tail, delta_ar, delta_aar, converged)
-        pair = NegativityPair(n_ar_1, n_aar_1, report)
+        if tail >= 1.0:
+            # tanh r rounds to 1 (r > 19.06): the cut keeps no representable share
+            # of the state, and past r ~ 355 its entries underflow or overflow
+            report = ConvergenceReport("dense", n, tail, 0.0, 0.0, False)
+            pair = NegativityPair(0.0, 0.0, report)
+        else:
+            n_ar_1, n_aar_1 = _dense_pair(scenario, n)
+            n_ar_2, n_aar_2 = _dense_pair(scenario, n + 5)
+            delta_ar = abs(n_ar_2 - n_ar_1)
+            delta_aar = abs(n_aar_2 - n_aar_1)
+            converged = tail <= tail_tol and delta_ar < delta_tol and delta_aar < delta_tol
+            report = ConvergenceReport("dense", n, tail, delta_ar, delta_aar, converged)
+            pair = NegativityPair(n_ar_1, n_aar_1, report)
     if strict and not pair.report.converged:
         rep = pair.report
         raise ConvergenceError(

@@ -19,6 +19,13 @@ Massive packets transform the same way with the Minkowski rapidity
 arcsinh(k/m) = ln[(omega_k + k)/m] in place of ln(omega l); right- and
 left-movers no longer decouple, so there is no eps index.
 
+Both grids are uniform, so each transform is a chirp-z transform
+(Rabiner, Schafer & Rader, 1969): Bluestein's identity turns the
+N_x x N_Omega sum into one FFT convolution of length about N_x + N_Omega,
+at O((N_x + N_Omega) log(N_x + N_Omega)) cost and O(N_x + N_Omega)
+memory.  No grid size is capped: the default grids follow from the
+profile's spread and resolution alone.
+
 The single-mode approximation is quantified by ``peaking_report``: a packet
 behaves like one Unruh mode of sharp frequency when its Unruh image is
 peaked (uncertainty product near the Fourier bound 1/2) and essentially
@@ -40,7 +47,6 @@ DEFAULT_LEAKAGE_THRESHOLD = 1e-2
 _EDGE_DENSITY_TOL = 1e-24
 #: norm deficit that marks a user grid as too narrow
 _NORM_DEFICIT_TOL = 1e-10
-_TRANSFORM_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -247,6 +253,12 @@ def _auto_x_grid(weight, center: float, half: float, dx: float) -> np.ndarray:
         x = np.linspace(center - half, center + half, n)
         values = np.abs(weight(x)) ** 2
         total = float(values.sum())
+        if not math.isfinite(total):
+            # widening cannot mend an overflow, and each step costs 1.5x the memory
+            raise GridError(
+                f"the profile is not finite on [{x[0]:.3f}, {x[-1]:.3f}]; "
+                "its parameters leave the floating-point range"
+            )
         if total > 0.0:
             edge = float(values[:3].sum() + values[-3:].sum())
             if edge <= _EDGE_DENSITY_TOL * total:
@@ -263,20 +275,30 @@ def _default_dx(params: LogGaussianParams) -> float:
     return min(sigma_x / 8.0, math.pi / (2.0 * omega_reach))
 
 
+def _gaussian_window(params: LogGaussianParams) -> tuple[float, float]:
+    """Starting half-width and spacing of the grid of a Gaussian in x."""
+    return max(14.0 * (2.0 * params.lam) ** -0.5, 10.0), _default_dx(params)
+
+
+def _check_unit_norm(f):
+    """Reject a sampled profile that misses part of its unit norm or is not finite."""
+    norm = f.norm_squared()
+    if not abs(1.0 - norm) <= _NORM_DEFICIT_TOL:  # so that a NaN norm fails too
+        why = (
+            f"holds only {norm:.12f} of the unit norm; widen the bounds or refine the spacing"
+            if math.isfinite(norm)  # else omega = e^x or m cosh x left the float range
+            else "gives a profile that is not finite; its frequencies overflow or underflow"
+        )
+        raise GridError(f"grid [{float(f.x[0]):.3f}, {float(f.x[-1]):.3f}] {why}")
+    return f
+
+
 def _packet_from_weight(weight, x_grid, center, half, dx) -> MinkowskiSmearing:
     if x_grid is None:
         x = _auto_x_grid(weight, center, half, dx)
     else:
         x = _check_uniform(np.asarray(x_grid, dtype=float))
-    f = MinkowskiSmearing(x, weight(x) / np.sqrt(np.exp(x)))
-    deficit = abs(1.0 - f.norm_squared())
-    if deficit > _NORM_DEFICIT_TOL:
-        lo, hi = float(x[0]), float(x[-1])
-        raise GridError(
-            f"grid [{lo:.3f}, {hi:.3f}] holds only {f.norm_squared():.12f} of the unit norm; "
-            "widen the bounds or refine the spacing"
-        )
-    return f
+    return _check_unit_norm(MinkowskiSmearing(x, weight(x) / np.sqrt(np.exp(x))))
 
 
 def f_log_gaussian(params: LogGaussianParams, x_grid=None) -> MinkowskiSmearing:
@@ -289,14 +311,8 @@ def f_log_gaussian(params: LogGaussianParams, x_grid=None) -> MinkowskiSmearing:
     spread is (2 lambda)^(-1/2).  With no explicit grid the bounds are
     auto-widened until the discarded tail is negligible.
     """
-    sigma_x = (2.0 * params.lam) ** -0.5
-    return _packet_from_weight(
-        _log_gaussian_weight(params),
-        x_grid,
-        center=math.log(params.omega0),
-        half=max(14.0 * sigma_x, 10.0),
-        dx=_default_dx(params),
-    )
+    center = math.log(params.omega0)
+    return _packet_from_weight(_log_gaussian_weight(params), x_grid, center, *_gaussian_window(params))
 
 
 def mixed_log_gaussian(params: LogGaussianParams, mixing_angle: float, x_grid=None) -> MinkowskiSmearing:
@@ -311,15 +327,8 @@ def mixed_log_gaussian(params: LogGaussianParams, mixing_angle: float, x_grid=No
         v = base(x)
         return math.cos(mixing_angle) * v + math.sin(mixing_angle) * np.conj(v)
 
-    sigma_x = (2.0 * params.lam) ** -0.5
-    f = _packet_from_weight(
-        weight,
-        x_grid,
-        center=math.log(params.omega0),
-        half=max(14.0 * sigma_x, 10.0),
-        dx=_default_dx(params),
-    )
-    return f.normalized()
+    center = math.log(params.omega0)
+    return _packet_from_weight(weight, x_grid, center, *_gaussian_window(params)).normalized()
 
 
 def alternate_packets(kind: str, params: LogGaussianParams, x_grid=None) -> MinkowskiSmearing:
@@ -352,34 +361,47 @@ def alternate_packets(kind: str, params: LogGaussianParams, x_grid=None) -> Mink
 # the transform pair
 
 
+def _step(grid: np.ndarray) -> float:
+    # the mean spacing; grid[1] - grid[0] would carry the rounding of grid[0]
+    # into every phase, growing with the index
+    return float(grid[-1] - grid[0]) / (grid.size - 1)
+
+
+def _chirp_z(v, t0, dt, w0, dw, m, sign):
+    """sum_j v_j exp(i sign (w0 + k dw)(t0 + j dt)) for k = 0..m-1.
+
+    Bluestein's identity k j = (k^2 + j^2 - (k - j)^2) / 2 turns the sum
+    into a convolution with the chirp exp(-i theta n^2 / 2), theta =
+    sign dw dt, which one zero-padded FFT product evaluates.  n^2 is formed
+    in integers, so each chirp phase carries the rounding of theta and of
+    one product only.
+    """
+    # imported here so that importing the package does not load numpy.fft
+    from numpy import fft
+
+    n = v.size
+    size = 1 << (n + m - 2).bit_length()  # the first power of two >= n + m - 1
+    j = np.arange(max(n, m), dtype=np.int64)
+    chirp = np.exp(0.5j * (sign * dw * dt) * (j * j))
+    a = v * chirp[:n] * np.exp(1j * sign * w0 * dt * j[:n])
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = chirp[:m].conj()
+    kernel[size - n + 1 :] = chirp[n - 1 : 0 : -1].conj()
+    conv = fft.ifft(fft.fft(a, size) * fft.fft(kernel))[:m]
+    return conv * chirp[:m] * np.exp(1j * sign * t0 * (w0 + dw * j[:m]))
+
+
 def _forward_transform(x, weight, omega_grid, eps, log_l):
-    dx = float(x[1] - x[0])
-    g_r = np.empty(omega_grid.size, dtype=complex)
-    g_l = np.empty(omega_grid.size, dtype=complex)
-    for lo in range(0, omega_grid.size, _TRANSFORM_CHUNK):
-        sl = slice(lo, lo + _TRANSFORM_CHUNK)
-        phases = np.exp(1j * eps * np.outer(omega_grid[sl], x))
-        g_r[sl] = phases @ weight
-        g_l[sl] = phases.conj() @ weight
-    scale = dx / math.sqrt(2.0 * math.pi)
-    if log_l != 0.0:
-        g_r *= np.exp(1j * eps * omega_grid * log_l)
-        g_l *= np.exp(-1j * eps * omega_grid * log_l)
-    return g_r * scale, g_l * scale
+    # the rectangle weight is the dx of ``norm_squared``, so Parseval compares like with like
+    scale = float(x[1] - x[0]) / math.sqrt(2.0 * math.pi)
+    args = (x[0] + log_l, _step(x), 0.0, _step(omega_grid), omega_grid.size)
+    return tuple(_chirp_z(weight, *args, sign) * scale for sign in (eps, -eps))
 
 
 def _inverse_transform(x, pair: UnruhSmearingPair, eps, log_l):
     w = pair.quadrature_weights()
-    a = w * pair.g_r
-    b = w * pair.g_l
-    if log_l != 0.0:
-        a = a * np.exp(-1j * eps * pair.omega_grid * log_l)
-        b = b * np.exp(1j * eps * pair.omega_grid * log_l)
-    out = np.empty(x.size, dtype=complex)
-    for lo in range(0, x.size, _TRANSFORM_CHUNK):
-        sl = slice(lo, lo + _TRANSFORM_CHUNK)
-        phases = np.exp(-1j * eps * np.outer(x[sl], pair.omega_grid))
-        out[sl] = phases @ a + phases.conj() @ b
+    args = (0.0, _step(pair.omega_grid), x[0] + log_l, _step(x), x.size)
+    out = _chirp_z(w * pair.g_r, *args, -eps) + _chirp_z(w * pair.g_l, *args, eps)
     return out / math.sqrt(2.0 * math.pi)
 
 
@@ -394,8 +416,7 @@ def _default_omega_grid(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     omega_max = math.pi / (2.0 * dx)
     d_omega = 1.0 / (24.0 * sigma)
     n = int(math.ceil(omega_max / d_omega)) + 1
-    n = min(max(n, 64), 20_000)
-    return np.linspace(0.0, omega_max, n)
+    return np.linspace(0.0, omega_max, max(n, 64))
 
 
 def _explicit_omega_grid(omega_grid, dx: float) -> np.ndarray:
@@ -410,7 +431,14 @@ def _explicit_omega_grid(omega_grid, dx: float) -> np.ndarray:
     return omega_grid
 
 
-def _check_aliasing(pair: UnruhSmearingPair) -> None:
+def _unruh_images(f, omega_grid, eps, log_l) -> UnruhSmearingPair:
+    """Forward transform of a sampled profile, rejecting spectral mass at the window edge."""
+    weight = f.weight_x()
+    if omega_grid is None:
+        omega_grid = _default_omega_grid(f.x, weight)
+    else:
+        omega_grid = _explicit_omega_grid(omega_grid, f.dx)
+    pair = UnruhSmearingPair(omega_grid, *_forward_transform(f.x, weight, omega_grid, eps, log_l))
     density = np.abs(pair.g_r) ** 2 + np.abs(pair.g_l) ** 2
     peak = float(density.max())
     if peak > 0.0 and float(density[-1]) > 1e-10 * peak:
@@ -419,6 +447,7 @@ def _check_aliasing(pair: UnruhSmearingPair) -> None:
             f"spectral mass at the Omega = {edge:.2f} grid edge; the profile is not "
             "resolved, increase the frequency window or refine the x grid"
         )
+    return pair
 
 
 def g_from_f(
@@ -432,17 +461,7 @@ def g_from_f(
     Raises ``GridError`` when spectral mass piles up at the edge of the
     frequency window (aliasing).
     """
-    weight = f.weight_x()
-    if omega_grid is None:
-        omega_grid = _default_omega_grid(f.x, weight)
-    else:
-        omega_grid = _explicit_omega_grid(omega_grid, f.dx)
-    g_r, g_l = _forward_transform(
-        f.x, weight, omega_grid, kernel.epsilon, math.log(kernel.length_scale)
-    )
-    pair = UnruhSmearingPair(omega_grid, g_r, g_l)
-    _check_aliasing(pair)
-    return pair
+    return _unruh_images(f, omega_grid, kernel.epsilon, math.log(kernel.length_scale))
 
 
 def f_from_g(
@@ -457,7 +476,7 @@ def f_from_g(
         dx = math.pi / (2.0 * float(pair.omega_grid[-1]))
         half = math.pi / (2.0 * pair.d_omega) * 0.5
         n = int(math.ceil(2.0 * half / dx)) + 1
-        x_grid = np.linspace(-half, half, min(max(n, 64), 60_000))
+        x_grid = np.linspace(-half, half, max(n, 64))
     else:
         x_grid = _check_uniform(np.asarray(x_grid, dtype=float))
     weight = _inverse_transform(x_grid, pair, kernel.epsilon, math.log(kernel.length_scale))
@@ -549,12 +568,16 @@ def _signed_moments(pair: UnruhSmearingPair, eps: int) -> tuple[float, float]:
 
 
 def peaking_report_from_pair(
-    f: MinkowskiSmearing,
+    f: MinkowskiSmearing | MassiveSmearing,
     pair: UnruhSmearingPair,
     kernel: BogoliubovKernel = BogoliubovKernel(),
     leakage_threshold: float = DEFAULT_LEAKAGE_THRESHOLD,
 ) -> PeakingReport:
-    """Peaking diagnostics for an already-computed Unruh image."""
+    """Peaking diagnostics for an already-computed Unruh image.
+
+    A massive packet takes the default kernel: its x is the rapidity, with
+    no length shift and the sign of eps = +1.
+    """
     _, delta_omega = _signed_moments(pair, kernel.epsilon)
     density_x = np.abs(f.weight_x()) ** 2
     total_x = float(density_x.sum()) * f.dx
@@ -690,28 +713,16 @@ def rapidity_gaussian(
         return (lam / math.pi) ** 0.25 * np.exp(-0.5 * lam * y * y) * np.exp(-1j * mu * y)
 
     if x_grid is None:
-        sigma_x = (2.0 * lam) ** -0.5
-        x = _auto_x_grid(weight, center, max(14.0 * sigma_x, 10.0), _default_dx(params))
+        x = _auto_x_grid(weight, center, *_gaussian_window(params))
     else:
         x = _check_uniform(np.asarray(x_grid, dtype=float))
     omega = kernel.mass * np.cosh(x)
-    f = MassiveSmearing(x, weight(x) / np.sqrt(omega), kernel.mass)
-    if abs(1.0 - f.norm_squared()) > _NORM_DEFICIT_TOL:
-        raise GridError("rapidity grid too narrow to hold the unit norm; widen the bounds")
-    return f
+    return _check_unit_norm(MassiveSmearing(x, weight(x) / np.sqrt(omega), kernel.mass))
 
 
 def massive_g_from_f(f: MassiveSmearing, omega_grid=None) -> UnruhSmearingPair:
     """Unruh images of a massive packet; no mover index in the massive case."""
-    weight = f.weight_x()
-    if omega_grid is None:
-        omega_grid = _default_omega_grid(f.x, weight)
-    else:
-        omega_grid = _explicit_omega_grid(omega_grid, f.dx)
-    g_r, g_l = _forward_transform(f.x, weight, omega_grid, 1, 0.0)
-    pair = UnruhSmearingPair(omega_grid, g_r, g_l)
-    _check_aliasing(pair)
-    return pair
+    return _unruh_images(f, omega_grid, 1, 0.0)
 
 
 def massive_f_from_g(pair: UnruhSmearingPair, kernel: MassiveKernel, x_grid) -> MassiveSmearing:
@@ -728,22 +739,6 @@ def massive_peaking_report(
     leakage_threshold: float = DEFAULT_LEAKAGE_THRESHOLD,
 ) -> PeakingReport:
     """Peaking diagnostics of a massive packet (rapidity spread vs Unruh spread)."""
-    pair = massive_g_from_f(f, omega_grid)
-    _, delta_omega = _signed_moments(pair, 1)
-    density_x = np.abs(f.weight_x()) ** 2
-    total_x = float(density_x.sum()) * f.dx
-    mean_x = float(np.sum(f.x * density_x) * f.dx / total_x)
-    delta_x = math.sqrt(max(float(np.sum((f.x - mean_x) ** 2 * density_x) * f.dx / total_x), 0.0))
-    norm_r, norm_l = pair.sector_norms()
-    total = norm_r + norm_l
-    leakage = min(norm_r, norm_l) / total
-    major = pair.g_r if norm_r >= norm_l else pair.g_l
-    peak = float(pair.omega_grid[int(np.argmax(np.abs(major)))])
-    return PeakingReport(
-        peak_omega=peak,
-        delta_omega=delta_omega,
-        delta_log_omega=delta_x,
-        uncertainty_product=delta_omega * delta_x,
-        leakage=leakage,
-        sma_valid=bool(leakage < leakage_threshold),
+    return peaking_report_from_pair(
+        f, massive_g_from_f(f, omega_grid), BogoliubovKernel(), leakage_threshold
     )

@@ -372,6 +372,17 @@ class TestNegativityPair:
         with pytest.raises(ConvergenceError):
             bosonic_negativity_pair(scenario(2.0, 0.8), n_max_cap=40, strict=True)
 
+    @pytest.mark.parametrize("r", [400.0, 800.0, 1e4])
+    def test_dense_route_at_extreme_squeezing_is_clean_and_unconverged(self, r):
+        # cosh r overflows past r ~ 710 and the state's entries underflow past
+        # r ~ 355; the route must flag the row, not raise or warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = bosonic_negativity_pair(scenario(r, 0.8))
+        assert (pair.n_ar, pair.n_aar) == (0.0, 0.0)
+        assert pair.report.method == "dense"
+        assert not pair.report.converged
+
     def test_phase_invariance(self):
         for r in (0.2, 0.7):
             base = bosonic_negativity_pair(scenario(r, 0.8))

@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -73,6 +75,19 @@ class TestBosonCommand:
         assert code == EXIT_NUMERIC
         _, rows = read_csv(out)
         assert rows[0]["converged"] == "false"
+
+    @pytest.mark.parametrize("r_min, r_max", [("399", "400"), ("799", "800")])
+    def test_extreme_squeezing_rows_flagged_without_warnings(self, r_min, r_max, tmp_path):
+        # the sector entries underflow at r = 400 and cosh r overflows at r = 800;
+        # the rows are flagged without a warning or an exception
+        out = tmp_path / "extreme.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["boson", "--q", "0.8", "--r-min", r_min, "--r-max", r_max,
+                         "--steps", "2", "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        _, rows = read_csv(out)
+        assert [row["converged"] for row in rows] == ["false", "false"]
 
     def test_ordering_across_weights_at_fixed_squeezing(self, tmp_path):
         out = tmp_path / "order.csv"
@@ -203,16 +218,43 @@ class TestPacketCommand:
     def test_partial_grid_flags_rejected(self):
         assert main(["packet", "--x-min", "-5"]) == EXIT_USAGE
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("family", ["log-gaussian", "rapidity-gaussian"])
+    def test_profile_past_the_float_range_is_numeric_failure(self, family, capsys):
+        # at lambda = 1e-4 the automatic grid reaches |x| ~ 990, where e^x and
+        # cosh x overflow; the NaN norm must stop there as a grid error
+        assert main(["packet", "--family", family, "--lam", "1e-4"]) == EXIT_NUMERIC
+        assert "not finite" in capsys.readouterr().err
 
-def test_import_loads_no_scipy_special_or_linalg():
-    # scipy and the quadrature nodes of numpy.polynomial cost a noticeable
-    # share of every CLI call; they load on first use
+    def test_gamma_past_the_float_range_fails_at_once(self):
+        # widening the gamma grid around its NaN density would cost 1.5x the
+        # memory per step; capping the child's address space at 1 GiB (it needs
+        # about 0.35) turns such a relapse into a MemoryError
+        limit = 1 << 30
+        code = ("from unruhkit.cli import main; "
+                "raise SystemExit(main(['packet', '--family', 'gamma', '--lam', '1e-4']))")
+        out = subprocess.run(
+            [sys.executable, "-W", "ignore", "-c", code], env=src_env(), capture_output=True,
+            text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert out.returncode == EXIT_NUMERIC, out.stderr
+        assert "not finite" in out.stderr
+
+
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH, for child interpreters."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+
+
+def test_import_loads_no_scipy_special_or_linalg():
+    # scipy, the quadrature nodes of numpy.polynomial and numpy.fft cost a
+    # noticeable share of every CLI call; they load on first use
     code = ("import sys, unruhkit.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
-            "or m.startswith('numpy.polynomial')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=60, check=True)
+            "or m.startswith(('numpy.polynomial', 'numpy.fft'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                         text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from unruhkit.errors import GridError
 from unruhkit.wavepacket import (
@@ -29,7 +30,15 @@ from unruhkit.wavepacket import (
     peaking_report_from_pair,
     rapidity_gaussian,
     round_trip_error,
+    _auto_x_grid,
+    _forward_transform,
+    _inverse_transform,
 )
+
+
+def direct_sum(v, t, w, sign):
+    """sum_j v_j exp(i sign w_k t_j) by the O(N_t N_w) definition: the chirp-z oracle."""
+    return np.exp(1j * sign * np.outer(w, t)) @ v
 
 
 class TestAlphaCoefficients:
@@ -163,6 +172,56 @@ class TestTransformPair:
         f = f_log_gaussian(LogGaussianParams(1.0, 5.0))
         with pytest.raises(GridError):
             g_from_f(f, omega_grid=np.linspace(1.0, 20.0, 400))
+
+
+class TestChirpZ:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_x=st.integers(16, 400),
+        n_omega=st.integers(16, 400),
+        x0=st.floats(-50.0, 50.0).filter(lambda v: abs(v) > 0.1),
+        span=st.floats(1.0, 40.0),
+        reach=st.floats(0.1, 1.0),
+        eps=st.sampled_from([-1, 1]),
+        length=st.floats(0.05, 20.0).filter(lambda v: abs(v - 1.0) > 1e-3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # the rounding of x[1] - x[0], taken as the step, would shift the last
+    # phase by n_x ulp(x0) pi/dx, here about 1e-9
+    @example(n_x=400, n_omega=399, x0=48.3, span=1.7, reach=1.0, eps=1, length=2.0, seed=0)
+    def test_forward_and_inverse_match_direct_sum(
+        self, n_x, n_omega, x0, span, reach, eps, length, seed
+    ):
+        rng = np.random.default_rng(seed)
+        x = np.linspace(x0, x0 + span, n_x)
+        omega = np.linspace(0.0, reach * math.pi * (n_x - 1) / span, n_omega)
+        t = x + math.log(length)
+        weight = rng.normal(size=n_x) + 1j * rng.normal(size=n_x)
+        g_r, g_l = _forward_transform(x, weight, omega, eps, math.log(length))
+        scale = (x[1] - x[0]) / math.sqrt(2.0 * math.pi)
+        for got, sign in ((g_r, eps), (g_l, -eps)):
+            ref = scale * direct_sum(weight, t, omega, sign)
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+        g = rng.normal(size=(2, n_omega)) + 1j * rng.normal(size=(2, n_omega))
+        pair = UnruhSmearingPair(omega, *g)
+        w = pair.quadrature_weights()
+        ref = direct_sum(w * pair.g_r, omega, t, -eps) + direct_sum(w * pair.g_l, omega, t, eps)
+        got = _inverse_transform(x, pair, eps, math.log(length)) * math.sqrt(2.0 * math.pi)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_large_grids_are_not_capped(self):
+        # 48001 x points call for about 1.07e5 frequencies; neither grid is capped
+        params = LogGaussianParams(0.01, 8.0)
+        f = f_log_gaussian(params, x_grid=np.linspace(-60.0, 60.0, 48001))
+        pair = g_from_f(f)
+        assert pair.omega_grid.size > 100_000
+        assert parseval_residual(f, pair) < 1e-6
+        assert f_from_g(pair).x.size == pair.omega_grid.size
+        # the packet's content, |Omega - 8| < 1, against the direct sum
+        rows = np.flatnonzero(np.abs(pair.omega_grid - 8.0) < 1.0)[::4]
+        ref = direct_sum(f.weight_x(), f.x, pair.omega_grid[rows], 1) * f.dx / math.sqrt(2.0 * math.pi)
+        assert np.max(np.abs(pair.g_r[rows] - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 class TestClosedFormProperties:
@@ -367,3 +426,31 @@ class TestGridValidation:
         # the two profiles share their grid, so the messages must agree
         assert massless.dx == massive.dx
         assert messages[0] == messages[1]
+
+    def test_auto_grid_rejects_a_non_finite_density_at_once(self):
+        # widening cannot mend an overflow and costs 1.5x the memory per step,
+        # so a second call fails the test before memory runs out
+        calls = []
+
+        def weight(x):
+            calls.append(x.size)
+            assert len(calls) == 1, "the grid was widened around a non-finite profile"
+            return np.full(x.size, np.nan)
+
+        with pytest.raises(GridError, match="not finite"):
+            _auto_x_grid(weight, 0.0, 10.0, 0.1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: f_log_gaussian(LogGaussianParams(1e-4, 8.0)),
+            lambda: alternate_packets("bessel", LogGaussianParams(0.04, 8.0)),
+            lambda: rapidity_gaussian(1e-4, 8.0, MassiveKernel(1.0)),
+        ],
+        ids=["log-gaussian", "bessel", "rapidity-gaussian"],
+    )
+    def test_profiles_past_the_float_range_raise_grid_error(self, build):
+        # e^x or cosh x overflows or underflows on the automatic grid, so the
+        # norm is NaN, which a plain "deficit > tol" lets through
+        with np.errstate(all="ignore"), pytest.raises(GridError, match="not finite"):
+            build()
