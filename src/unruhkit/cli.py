@@ -33,14 +33,13 @@ from .wavepacket import (
     f_from_g,
     f_log_gaussian,
     g_from_f,
-    massive_f_from_g,
-    massive_g_from_f,
+    parseval_residual,
     peaking_report_from_pair,
     rapidity_gaussian,
     DEFAULT_LEAKAGE_THRESHOLD,
 )
-# not called here: the benchmark tracer (perfbench/tracer.py) wraps it under this module's name
-from .wavepacket import massive_peaking_report  # noqa: F401
+# not called here: the benchmark tracer (perfbench/tracer.py) wraps them under this module's names
+from .wavepacket import massive_f_from_g, massive_g_from_f, massive_peaking_report  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -127,7 +126,7 @@ class PacketSpec:
             raise ValueError(f"lam must be > 0, got {self.lam}")
         if self.omega0 <= 0.0:
             raise ValueError(f"omega0 must be > 0, got {self.omega0}")
-        if self.mass <= 0.0:
+        if not self.mass > 0.0:  # so that a NaN mass fails too
             raise ValueError(f"mass must be > 0, got {self.mass}")
         if self.epsilon not in (-1, 1):
             raise ValueError(f"epsilon must be -1 or 1, got {self.epsilon}")
@@ -320,11 +319,8 @@ def cmd_fermion(spec: SweepSpec) -> int:
 
 def _packet_pipeline(spec: PacketSpec):
     if spec.family == "rapidity-gaussian":
-        mass = MassiveKernel(spec.mass)
-        f = rapidity_gaussian(spec.lam, spec.mu, mass, x_grid=spec.x_grid())
-        pair = massive_g_from_f(f, omega_grid=spec.omega_grid())
-        back = massive_f_from_g(pair, mass, f.x)
-        kernel = BogoliubovKernel()  # x is the rapidity: no length shift, eps = +1
+        kernel = MassiveKernel(spec.mass)  # x is the rapidity: no length shift, eps = +1
+        f = rapidity_gaussian(spec.lam, spec.mu, kernel, x_grid=spec.x_grid())
     else:
         kernel = BogoliubovKernel(epsilon=spec.epsilon)
         params = LogGaussianParams(spec.lam, spec.mu, spec.omega0)
@@ -332,12 +328,10 @@ def _packet_pipeline(spec: PacketSpec):
             f = f_log_gaussian(params, x_grid=spec.x_grid())
         else:
             f = alternate_packets(spec.family, params, x_grid=spec.x_grid())
-        pair = g_from_f(f, kernel, omega_grid=spec.omega_grid())
-        back = f_from_g(pair, kernel, x_grid=f.x)
+    pair = g_from_f(f, kernel, omega_grid=spec.omega_grid())
+    back = f_from_g(pair, kernel, x_grid=f.x)
     report = peaking_report_from_pair(f, pair, kernel, spec.leakage_threshold)
-    parseval = abs(f.norm_squared() - pair.norm_squared())
-    round_trip = f.l2_distance(back)
-    return f, pair, report, parseval, round_trip
+    return f, pair, report, parseval_residual(f, pair), f.l2_distance(back)
 
 
 def _decimate(n: int, count: int = 33) -> np.ndarray:

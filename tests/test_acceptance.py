@@ -31,7 +31,6 @@ from unruhkit.wavepacket import (
     closed_form_g,
     f_log_gaussian,
     g_from_f,
-    massive_g_from_f,
     parseval_residual,
     peaking_report_from_pair,
     rapidity_gaussian,
@@ -226,7 +225,7 @@ def test_criterion_10_alternate_and_massive_packets():
     massless = f_log_gaussian(LogGaussianParams(1.0, 5.0, omega0=1.0))
     massive = rapidity_gaussian(1.0, 5.0, MassiveKernel(1.0))
     pair_a = g_from_f(massless, BogoliubovKernel(epsilon=1))
-    pair_b = massive_g_from_f(massive, omega_grid=pair_a.omega_grid)
+    pair_b = g_from_f(massive, MassiveKernel(1.0), omega_grid=pair_a.omega_grid)
     gap = max(
         float(np.max(np.abs(pair_a.g_r - pair_b.g_r))),
         float(np.max(np.abs(pair_a.g_l - pair_b.g_l))),

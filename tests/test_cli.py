@@ -218,28 +218,51 @@ class TestPacketCommand:
     def test_partial_grid_flags_rejected(self):
         assert main(["packet", "--x-min", "-5"]) == EXIT_USAGE
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("family", ["log-gaussian", "rapidity-gaussian"])
     def test_profile_past_the_float_range_is_numeric_failure(self, family, capsys):
         # at lambda = 1e-4 the automatic grid reaches |x| ~ 990, where e^x and
-        # cosh x overflow; the NaN norm must stop there as a grid error
-        assert main(["packet", "--family", family, "--lam", "1e-4"]) == EXIT_NUMERIC
+        # cosh x overflow; the NaN norm must stop there as a grid error, and
+        # no numpy warning may come first (under -W error it would exit 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["packet", "--family", family, "--lam", "1e-4"]) == EXIT_NUMERIC
         assert "not finite" in capsys.readouterr().err
 
     def test_gamma_past_the_float_range_fails_at_once(self):
         # widening the gamma grid around its NaN density would cost 1.5x the
-        # memory per step; capping the child's address space at 1 GiB (it needs
-        # about 0.35) turns such a relapse into a MemoryError
-        limit = 1 << 30
-        code = ("from unruhkit.cli import main; "
-                "raise SystemExit(main(['packet', '--family', 'gamma', '--lam', '1e-4']))")
-        out = subprocess.run(
-            [sys.executable, "-W", "ignore", "-c", code], env=src_env(), capture_output=True,
-            text=True, timeout=120,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
+        # memory per step; the capped child turns such a relapse into a MemoryError
+        out = capped_packet_run("gamma")
         assert out.returncode == EXIT_NUMERIC, out.stderr
         assert "not finite" in out.stderr
+        assert "Warning" not in out.stderr
+
+    def test_bessel_past_the_float_range_is_not_a_uniformity_error(self):
+        # the automatic grid spans +-3e5 in 5.4M steps of 0.111, whose rounding
+        # once failed the uniformity check; the real fault is the profile
+        out = capped_packet_run("bessel")
+        assert out.returncode == EXIT_NUMERIC, out.stderr
+        assert "not finite" in out.stderr
+        assert "uniformly spaced" not in out.stderr
+        assert "Warning" not in out.stderr
+
+    def test_nan_mass_is_a_usage_error(self, capsys):
+        assert main(["packet", "--family", "rapidity-gaussian", "--mass", "nan"]) == EXIT_USAGE
+        assert "mass must be > 0" in capsys.readouterr().err
+
+
+def capped_packet_run(family):
+    """``packet --lam 1e-4`` in a child with warnings as errors and 1 GiB of address space.
+
+    Both the gamma and the Bessel run need about 0.35 GiB, so the cap turns a
+    grid that keeps growing into a MemoryError instead of exhausting memory.
+    """
+    limit = 1 << 30
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "unruhkit.cli", "packet", "--family", family,
+         "--lam", "1e-4"],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
 
 
 def src_env():

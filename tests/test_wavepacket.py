@@ -1,6 +1,7 @@
 """Smearing-function transform pair, packet families and peaking diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,9 +22,6 @@ from unruhkit.wavepacket import (
     f_log_gaussian,
     g_from_f,
     massive_alpha,
-    massive_f_from_g,
-    massive_g_from_f,
-    massive_peaking_report,
     mixed_log_gaussian,
     parseval_residual,
     peaking_report,
@@ -31,6 +29,7 @@ from unruhkit.wavepacket import (
     rapidity_gaussian,
     round_trip_error,
     _auto_x_grid,
+    _check_uniform,
     _forward_transform,
     _inverse_transform,
 )
@@ -368,25 +367,26 @@ class TestMassive:
         massive = rapidity_gaussian(lam, mu, MassiveKernel(1.0))
         assert np.allclose(massless.x, massive.x)
         pair_a = g_from_f(massless, BogoliubovKernel(epsilon=1))
-        pair_b = massive_g_from_f(massive, omega_grid=pair_a.omega_grid)
+        pair_b = g_from_f(massive, MassiveKernel(1.0), omega_grid=pair_a.omega_grid)
         assert np.max(np.abs(pair_a.g_r - pair_b.g_r)) < 1e-6
         assert np.max(np.abs(pair_a.g_l - pair_b.g_l)) < 1e-6
 
     def test_parseval_and_round_trip(self):
         kernel = MassiveKernel(2.0)
         f = rapidity_gaussian(1.0, 4.0, kernel)
-        pair = massive_g_from_f(f)
+        pair = g_from_f(f, kernel)
         assert abs(f.norm_squared() - pair.norm_squared()) < 1e-6
-        back = massive_f_from_g(pair, kernel, f.x)
+        back = f_from_g(pair, kernel, f.x)
         assert f.l2_distance(back) < 1e-6
 
     def test_peaked_at_chirp_frequency(self):
-        report = massive_peaking_report(rapidity_gaussian(1.0, 6.0, MassiveKernel(1.0)))
+        kernel = MassiveKernel(1.0)
+        report = peaking_report(rapidity_gaussian(1.0, 6.0, kernel), kernel)
         assert abs(report.peak_omega - 6.0) < 0.1
         assert report.sma_valid
 
     def test_no_chirp_symmetry(self):
-        pair = massive_g_from_f(rapidity_gaussian(1.0, 0.0, MassiveKernel(1.0)))
+        pair = g_from_f(rapidity_gaussian(1.0, 0.0, MassiveKernel(1.0)))
         assert np.max(np.abs(np.abs(pair.g_r) - np.abs(pair.g_l))) < 1e-12
 
     def test_momentum_and_frequency_grids(self):
@@ -394,12 +394,54 @@ class TestMassive:
         assert np.allclose(f.omega, np.hypot(2.0, f.momentum))
         assert f.omega.min() >= 2.0
 
+    def test_massless_profile_has_no_momentum(self):
+        f = f_log_gaussian(LogGaussianParams(1.0, 0.0))
+        assert f.mass is None
+        assert not hasattr(f, "momentum")
+
+    def test_normalized_keeps_the_mass(self):
+        f = rapidity_gaussian(1.0, 3.0, MassiveKernel(2.5))
+        back = MinkowskiSmearing(f.x, 3.0 * f.samples, f.mass).normalized()
+        assert f.normalized().mass == back.mass == 2.5
+        assert np.array_equal(back.omega, f.omega)
+        assert abs(back.norm_squared() - 1.0) < 1e-12
+
+    def test_inverse_takes_the_mass_of_the_kernel(self):
+        # without the kernel's mass the inverse would divide by sqrt(e^x),
+        # not sqrt(m cosh x), and miss the profile by far more than 1e-6
+        kernel = MassiveKernel(1.7)
+        f = rapidity_gaussian(1.0, 4.0, kernel)
+        back = f_from_g(g_from_f(f, kernel), kernel, x_grid=f.x)
+        assert back.mass == 1.7
+        assert np.allclose(back.omega, np.hypot(1.7, back.momentum), rtol=1e-14, atol=0.0)
+        assert np.max(np.abs(back.samples - f.samples)) < 1e-6
+
+    @pytest.mark.parametrize("mass", [0.0, -1.0, float("nan")])
+    def test_profile_rejects_a_bad_mass(self, mass):
+        x = np.linspace(-3.0, 3.0, 32)
+        with pytest.raises(ValueError, match="mass must be > 0"):
+            MinkowskiSmearing(x, np.ones_like(x, dtype=complex), mass)
+        with pytest.raises(ValueError, match="mass must be > 0"):
+            MassiveKernel(mass)
+
 
 class TestGridValidation:
     def test_nonuniform_grid_rejected(self):
         x = np.concatenate([np.linspace(-5, 0, 50), np.linspace(0.1, 5, 60)])
         with pytest.raises(GridError):
             MinkowskiSmearing(x, np.zeros_like(x, dtype=complex))
+
+    def test_fine_grid_far_from_zero_is_uniform(self):
+        # at |x| ~ 3e5 the steps of a linspace differ by up to 2 ulp(3e5) ~ 1.2e-10,
+        # far more than rtol dx = 1e-12; the grid is uniform all the same
+        for x in (np.linspace(3e5, 3e5 + 0.05, 51), np.linspace(-3e5 - 0.05, -3e5, 51)):
+            steps = np.diff(x)
+            assert np.ptp(steps) > 1e-9 * steps[0]
+            _check_uniform(x)
+        bent = np.linspace(3e5, 3e5 + 0.05, 51)
+        bent[25] += 1e-6
+        with pytest.raises(GridError, match="uniformly spaced"):
+            _check_uniform(bent)
 
     def test_pair_grid_must_start_at_zero(self):
         grid = np.linspace(1.0, 5.0, 64)
@@ -418,10 +460,10 @@ class TestGridValidation:
         massless = f_log_gaussian(LogGaussianParams(1.0, 2.0))
         massive = rapidity_gaussian(1.0, 2.0, MassiveKernel(1.0))
         messages = []
-        for transform, f in ((g_from_f, massless), (massive_g_from_f, massive)):
+        for kernel, f in ((BogoliubovKernel(), massless), (MassiveKernel(1.0), massive)):
             grid = np.linspace(0.0, 3.0 * math.pi / f.dx, 512)
             with pytest.raises(GridError, match="Nyquist limit") as err:
-                transform(f, omega_grid=grid)
+                g_from_f(f, kernel, omega_grid=grid)
             messages.append(str(err.value))
         # the two profiles share their grid, so the messages must agree
         assert massless.dx == massive.dx
@@ -451,6 +493,9 @@ class TestGridValidation:
     )
     def test_profiles_past_the_float_range_raise_grid_error(self, build):
         # e^x or cosh x overflows or underflows on the automatic grid, so the
-        # norm is NaN, which a plain "deficit > tol" lets through
-        with np.errstate(all="ignore"), pytest.raises(GridError, match="not finite"):
-            build()
+        # norm is NaN, which a plain "deficit > tol" lets through; numpy must
+        # not warn on the way there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError, match="not finite"):
+                build()
