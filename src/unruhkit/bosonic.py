@@ -10,20 +10,17 @@ r = artanh(e^{-pi Omega_a / a}).
 
 Two evaluation routes are provided:
 
-* ``dense``: truncate every Rindler factor at occupation ``n_max``,
-  renormalize, eigensolve the partial transpose.  The partial transpose
-  splits by the parity of (Alice's occupation + the kept wedge's) into two
-  real (n_max+1)-dimensional sectors of bandwidth 2, whose entries follow
-  from f(n) in O(n_max); each sector goes to a banded symmetric eigensolver
-  (LAPACK ``dsbevd`` through ``scipy.linalg.eig_banded``), so the joint
-  ket, the reduced density and the dense partial transpose are never built.
-  Convergence is accepted when the squeezed-vacuum tail
-  sum_{n > n_max} f^2 = tanh^{2(n_max+1)} r is below ``tail_tol`` and the
-  negativity moves by less than ``delta_tol`` between the n_max and
-  n_max + 5 runs.  Once tanh r rounds to 1 (r > 19.06) the cut keeps no
-  representable share of the state, so the route reports 0 unconverged
-  without evaluating it.  The labelled-tensor route (``qops``) over the
-  joint ket is kept as the test oracle of the sector engine.
+* ``dense``: a certified bracket.  The untruncated partial transpose splits
+  by parity into two real bandwidth-2 sectors built from f(n)
+  (``_sector_bands``); one ``scipy.linalg.eig_banded`` solve of each
+  leading (n_max+1)-level block gives a lower bound, and on the minor side
+  a sector that ``cholesky_banded`` factors adds exactly 0 unsolved.  A
+  closed form bounds what the cut leaves out (``_bracket_width``).  A point
+  is converged when each width is at most delta_tol * max(N, 0.1), so an
+  exact 0 is certified to 1e-7.  n_max doubles until the squeezed-vacuum
+  tail tanh^{2(n_max+1)} r is below ``tail_tol`` or reaches ``n_max_cap``;
+  past r = 19.06 (tanh r = 1) the route reports 0 unconverged unevaluated.
+  The labelled-tensor route (``qops``) is the sector engine's test oracle.
 
 * ``blocks``: for the extremal weights |q_R| in {0, 1} the partial
   transpose is block diagonal in 2x2 sectors and the negativity is an
@@ -41,6 +38,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cache
 
@@ -155,13 +153,7 @@ class TruncatedKet:
 
 
 def rindler_space(n_max: int) -> TensorSpace:
-    d = n_max + 1
-    return TensorSpace(((REGION_I, d), (REGION_II, d)))
-
-
-def joint_space(n_max: int) -> TensorSpace:
-    d = n_max + 1
-    return TensorSpace(((ALICE, ALICE_DIM), (REGION_I, d), (REGION_II, d)))
+    return TensorSpace(((REGION_I, n_max + 1), (REGION_II, n_max + 1)))
 
 
 def unruh_vacuum_ket(r: float, n_max: int) -> TruncatedKet:
@@ -200,11 +192,11 @@ def joint_state(scenario: BosonScenario) -> TruncatedKet:
     d = n_max + 1
     f = vacuum_coefficients(r, n_max)
     psi = np.zeros((ALICE_DIM, d, d), dtype=complex)
-    idx = np.arange(d)
-    psi[0, idx, idx] = f / math.sqrt(2.0)
+    psi[0] = np.diag(f) / math.sqrt(2.0)
     psi[1] = _excitation_amplitudes(r, scenario.weights, n_max) / math.sqrt(2.0)
     raw = float(np.linalg.norm(psi))
-    return TruncatedKet(FockKet(joint_space(n_max), psi.ravel() / raw), raw)
+    space = TensorSpace(((ALICE, ALICE_DIM),) + rindler_space(n_max).factors)
+    return TruncatedKet(FockKet(space, psi.ravel() / raw), raw)
 
 
 def rho_alice_rob(scenario: BosonScenario) -> DensityOperator:
@@ -227,10 +219,11 @@ class ConvergenceReport:
     """How a negativity pair was obtained and how well it converged.
 
     For the dense method ``tail_weight`` is the discarded squeezed-vacuum
-    weight at ``n_max_used`` and the deltas compare the n_max and n_max + 5
-    runs.  For the block series ``n_max_used`` is the number of terms
-    summed exactly, ``tail_weight`` the bound on the error of the value and
-    the deltas the integral tail added beyond them.
+    weight at ``n_max_used``, each negativity is the lower end of a
+    certified bracket and its delta the bracket's width, so the exact value
+    lies in [N, N + delta].  For the block series ``n_max_used`` is the
+    number of terms summed exactly, ``tail_weight`` the bound on the error
+    of the value and the deltas the integral tail added beyond them.
     """
 
     method: str
@@ -248,15 +241,15 @@ class NegativityPair:
     report: ConvergenceReport
 
 
-def _sector_bands(r: float, abs_r: float, abs_l: float, n_max: int) -> tuple[np.ndarray, float]:
+def _sector_bands(r: float, abs_r: float, abs_l: float, n_max: int) -> np.ndarray:
     """Parity sectors of the Alice-Rob partial transpose in lower band storage.
 
     The partial transpose couples |a, m> with |a', m'> (a Alice's occupation,
     m region I's) only when a + m = a' + m' (mod 2).  Sector p holds the
     states |a_i, i> with a_i = (p + i) mod 2, i = 0..n_max, in occupation
     order, and is a real band matrix of bandwidth 2.  With
-    b_i = f(i) sqrt(i+1)/cosh(r) (and b_{-1} = b_{n_max} = 0) its entries,
-    in units of 1/(2 raw_norm^2) of ``joint_state``, are
+    b_i = f(i) sqrt(i+1)/cosh(r) (and b_{-1} = 0) its entries, in units of
+    the state's 1/2, are
 
         diagonal  f_i^2                               a_i = 0
                   |q_R|^2 b_{i-1}^2 + |q_L|^2 b_i^2   a_i = 1
@@ -264,18 +257,19 @@ def _sector_bands(r: float, abs_r: float, abs_l: float, n_max: int) -> tuple[np.
                   |q_R| f_i b_i                       a_i = 1
         offset 2  |q_L| |q_R| b_i b_{i+1}             a_i = 1 (0 where a_i = 0)
 
-    Local phases on M, I and II remove the phases of the weights exactly,
-    so only their magnitudes enter.  Returns the (2, 3, n_max + 1) bands
-    and the unit 2 raw_norm^2.
+    These are the entries of the untruncated partial transpose (sum f^2 =
+    sum b^2 = 1), so the (2, 3, n_max + 1) bands are its exact leading
+    principal block, with b_{n_max} on the diagonal.  Local phases on M, I
+    and II remove the phases of the weights exactly, so only their
+    magnitudes enter.
     """
     d = n_max + 1
     i = np.arange(d)
-    f = vacuum_coefficients(r, n_max)
-    # b[k + 1] = b_k, so the padding gives b_{-1} = b_{n_max} = b_{n_max+1} = 0
-    b = np.zeros(d + 2)
-    b[1:d] = f[:n_max] * np.sqrt(i[:n_max] + 1.0) / math.cosh(r)
+    f_all = vacuum_coefficients(r, n_max + 1)
+    f, f_next = f_all[:d], f_all[1:]
+    # b[k + 1] = b_k for k = -1..n_max + 1, with b_{-1} = 0
+    b = np.append(0.0, f_all * np.sqrt(np.arange(d + 1) + 1.0) / math.cosh(r))
     b_prev, b_i, b_next = b[:d], b[1 : d + 1], b[2:]
-    f_next = np.append(f[1:], 0.0)
     empty = np.stack([f * f, abs_l * f_next * b_i, np.zeros(d)])
     occupied = np.stack([
         abs_r**2 * b_prev**2 + abs_l**2 * b_i**2,
@@ -283,18 +277,41 @@ def _sector_bands(r: float, abs_r: float, abs_l: float, n_max: int) -> tuple[np.
         abs_l * abs_r * b_i * b_next,
     ])
     odd = i % 2 == 1
-    bands = np.stack([np.where(odd, occupied, empty), np.where(odd, empty, occupied)])
-    norm = float(f @ f) + (abs_r**2 + abs_l**2) * float(b_i @ b_i)
-    return bands, norm
+    # LAPACK never reads the band padding past the block
+    return 0.5 * np.stack([np.where(odd, occupied, empty), np.where(odd, empty, occupied)])
 
 
 def _sector_negativity(r: float, abs_r: float, abs_l: float, n_max: int) -> float:
+    """Principal-block negativity, one solve per sector; minor-side sectors try Cholesky first."""
     # imported here so that importing the package does not load scipy.linalg
-    from scipy.linalg import eig_banded
+    from scipy.linalg import cholesky_banded, eig_banded
 
-    bands, norm = _sector_bands(r, abs_r, abs_l, n_max)
-    eigs = np.concatenate([eig_banded(band, lower=True, eigvals_only=True) for band in bands])
-    return negativity_from_eigenvalues(eigs / norm).value
+    eigs = [np.zeros(0)]
+    for band in _sector_bands(r, abs_r, abs_l, n_max):
+        if abs_r < abs_l:
+            with suppress(np.linalg.LinAlgError):
+                cholesky_banded(band, lower=True)
+                continue  # positive definite: the sector adds 0
+        eigs.append(eig_banded(band, lower=True, eigvals_only=True))
+    return negativity_from_eigenvalues(np.concatenate(eigs)).value
+
+
+def _bracket_width(r: float, abs_r: float, abs_l: float, n_max: int) -> float:
+    """Bound on the untruncated Alice-Rob negativity minus the principal block's.
+
+    S(A) = -min tr(XA) over 0 <= X <= I (the sum of |negative eigenvalues|)
+    is subadditive, and the untruncated sector is diag(P, 0) plus the tail
+    diagonal (>= 0) plus a symmetric zero-diagonal O of the entries past
+    the cut, with S(O) = ||O||_1 / 2 <= sum_{i<j} |o_ij|.  Over both sectors
+    (x = |q_R|, y = |q_L|, t = tanh r, T = t^2, c = cosh r) those are
+    (x + y t) T^i sqrt(i+1) / c^3 for i >= n and x y t T^i sqrt((i+1)(i+2))
+    / c^4 for i >= n - 1.  Cauchy-Schwarz, sqrt((i+1)(i+2)) <= i + 3/2 and
+    sum_{i>=m} T^i = T^m c^2 close them in O(1), in units of the state's 1/2.
+    """
+    t, c, s2 = math.tanh(r), math.cosh(r), math.sinh(r) ** 2
+    edge = t ** (2 * n_max) * math.sqrt(n_max + 1.0 + s2) / c
+    second = t ** (2 * n_max - 1) * (n_max + 0.5 + s2) / (c * c)
+    return 0.5 * ((abs_r + abs_l * t) * edge + abs_r * abs_l * second)
 
 
 def _dense_pair(scenario: BosonScenario, n_max: int) -> tuple[float, float]:
@@ -307,12 +324,22 @@ def _dense_pair(scenario: BosonScenario, n_max: int) -> tuple[float, float]:
 
 
 def _qops_pair(scenario: BosonScenario, n_max: int) -> tuple[float, float]:
-    """``_dense_pair`` by the general tensor route; the test oracle of the sector engine."""
-    sc = replace(scenario, truncation=BosonTruncation(n_max))
-    ket = joint_state(sc).ket
-    n_ar = negativity(reduced_density(ket, (ALICE, REGION_I)), ALICE).value
-    n_aar = negativity(reduced_density(ket, (ALICE, REGION_II)), ALICE).value
-    return n_ar, n_aar
+    """``_dense_pair`` by the general tensor route, the sector engine's test oracle.
+
+    The raw joint amplitudes at truncation n_max + 1 hold every term that
+    reaches kept-wedge levels <= n_max.  Sliced to those levels (which
+    commutes with transposing M), their reduction has the exact principal
+    block as its partial transpose.
+    """
+    built = joint_state(replace(scenario, truncation=BosonTruncation(n_max + 1)))
+    ket = FockKet(built.ket.space, built.ket.amplitudes * built.raw_norm)
+    keep = np.add.outer(np.arange(ALICE_DIM) * (n_max + 2), np.arange(n_max + 1)).ravel()
+    pair = []
+    for wedge in (REGION_I, REGION_II):
+        block = reduced_density(ket, (ALICE, wedge)).matrix[np.ix_(keep, keep)]
+        space = TensorSpace(((ALICE, ALICE_DIM), (wedge, n_max + 1)))
+        pair.append(negativity(DensityOperator(space, block), ALICE).value)
+    return pair[0], pair[1]
 
 
 @cache
@@ -417,6 +444,9 @@ def bosonic_negativity_pair(
         Upper limit for the dense truncation; the starting n_max doubles
         until the squeezed-vacuum tail drops below ``tail_tol`` or the cap
         is hit.
+    delta_tol
+        Bound on each dense bracket width relative to max(value, 0.1), and
+        on the block series bound relative to the value.
     strict
         Raise ``ConvergenceError`` instead of returning an unconverged pair.
     """
@@ -441,13 +471,13 @@ def bosonic_negativity_pair(
             report = ConvergenceReport("dense", n, tail, 0.0, 0.0, False)
             pair = NegativityPair(0.0, 0.0, report)
         else:
-            n_ar_1, n_aar_1 = _dense_pair(scenario, n)
-            n_ar_2, n_aar_2 = _dense_pair(scenario, n + 5)
-            delta_ar = abs(n_ar_2 - n_ar_1)
-            delta_aar = abs(n_aar_2 - n_aar_1)
-            converged = tail <= tail_tol and delta_ar < delta_tol and delta_aar < delta_tol
-            report = ConvergenceReport("dense", n, tail, delta_ar, delta_aar, converged)
-            pair = NegativityPair(n_ar_1, n_aar_1, report)
+            values = _dense_pair(scenario, n)
+            widths = (_bracket_width(r, weights.abs_r, weights.abs_l, n),
+                      _bracket_width(r, weights.abs_l, weights.abs_r, n))
+            # relative, and absolute below 0.1: a certified 0 has width <= 1e-7
+            converged = all(w <= delta_tol * max(v, 0.1) for v, w in zip(values, widths))
+            report = ConvergenceReport("dense", n, tail, *widths, converged)
+            pair = NegativityPair(*values, report)
     if strict and not pair.report.converged:
         rep = pair.report
         raise ConvergenceError(
@@ -492,14 +522,7 @@ def bosonic_curve(
         pair = bosonic_negativity_pair(
             scenario, method=method, n_max_cap=n_max_cap, delta_tol=delta_tol, tail_tol=tail_tol
         )
-        rows.append(
-            BosonCurveRow(
-                q_abs=float(q_abs),
-                r=float(r),
-                n_ar=pair.n_ar,
-                n_aar=pair.n_aar,
-                n_max_used=pair.report.n_max_used,
-                converged=pair.report.converged,
-            )
-        )
+        rep = pair.report
+        rows.append(BosonCurveRow(float(q_abs), float(r), pair.n_ar, pair.n_aar,
+                                  rep.n_max_used, rep.converged))
     return rows

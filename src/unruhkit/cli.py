@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -122,12 +123,12 @@ class PacketSpec:
     def validate(self) -> None:
         if self.family not in PACKET_FAMILIES:
             raise ValueError(f"family must be one of {PACKET_FAMILIES}, got {self.family!r}")
-        if self.lam <= 0.0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
-        if self.omega0 <= 0.0:
-            raise ValueError(f"omega0 must be > 0, got {self.omega0}")
-        if not self.mass > 0.0:  # so that a NaN mass fails too
-            raise ValueError(f"mass must be > 0, got {self.mass}")
+        for flag, value in (("lam", self.lam), ("omega0", self.omega0), ("mass", self.mass)):
+            if not 0.0 < value < math.inf:  # so that NaN fails too
+                raise ValueError(f"{flag} must be > 0 and finite, got {value}")
+        for flag, value in (("mu", self.mu), ("leakage-threshold", self.leakage_threshold)):
+            if not math.isfinite(value):
+                raise ValueError(f"{flag} must be finite, got {value}")
         if self.epsilon not in (-1, 1):
             raise ValueError(f"epsilon must be -1 or 1, got {self.epsilon}")
         grid_flags = (self.x_min, self.x_max, self.x_points)

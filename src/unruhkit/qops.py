@@ -63,9 +63,6 @@ class TensorSpace:
                 return i
         raise LabelError(f"unknown factor label {label!r}; have {self.labels}")
 
-    def dim_of(self, label: str) -> int:
-        return self.factors[self.axis(label)][1]
-
     def subspace(self, labels: Sequence[str]) -> "TensorSpace":
         """Space made of the named factors, in the order given."""
         return TensorSpace(tuple(self.factors[self.axis(lab)] for lab in labels))
@@ -146,26 +143,6 @@ class DensityOperator:
 
 
 @dataclass(frozen=True, eq=False)
-class PartialTransposeMatrix:
-    """Result of transposing one factor of a density operator.
-
-    The partial transpose preserves Hermiticity and trace but generally
-    not positivity; its negative spectrum witnesses entanglement.
-    """
-
-    space: TensorSpace
-    transposed_factor: str
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", _lock(mat))
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-
-@dataclass(frozen=True, eq=False)
 class NegativityValue:
     """Negativity together with the partial-transpose spectrum it came from."""
 
@@ -239,15 +216,15 @@ def reduced_density(ket: FockKet, keep: Iterable[str]) -> DensityOperator:
     return DensityOperator(sub, m @ m.conj().T)
 
 
-def partial_transpose(rho: DensityOperator, factor: str) -> PartialTransposeMatrix:
-    """Transpose the indices of one named factor."""
+def partial_transpose(rho: DensityOperator, factor: str) -> np.ndarray:
+    """Read-only matrix with the indices of one named factor transposed."""
     space = rho.space
     a = space.axis(factor)
     n = len(space.factors)
     tensor = rho.matrix.reshape(space.dims + space.dims)
     swapped = np.swapaxes(tensor, a, n + a)
     d = space.dim
-    return PartialTransposeMatrix(space, factor, np.ascontiguousarray(swapped).reshape(d, d))
+    return _lock(np.ascontiguousarray(swapped).reshape(d, d))
 
 
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
@@ -275,5 +252,4 @@ def negativity(rho: DensityOperator, factor: str) -> NegativityValue:
     the partial transpose, i.e. minus the sum of its negative eigenvalues.
     A maximally entangled qubit pair gives 1/2.
     """
-    sigma = partial_transpose(rho, factor)
-    return negativity_from_eigenvalues(hermitian_eigenvalues(sigma.matrix))
+    return negativity_from_eigenvalues(hermitian_eigenvalues(partial_transpose(rho, factor)))

@@ -1,6 +1,7 @@
 """Bosonic Minkowski-Unruh state construction and negativity engine."""
 
 import cmath
+import functools
 import math
 import warnings
 
@@ -9,7 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unruhkit.bosonic import (
+    ALICE,
     EXTREMAL_TOL,
+    N_MAX_CAP,
+    REGION_I,
     BosonScenario,
     BosonSqueezing,
     BosonTruncation,
@@ -22,12 +26,13 @@ from unruhkit.bosonic import (
     unruh_vacuum_ket,
     vacuum_coefficients,
     _block_series,
+    _bracket_width,
     _dense_pair,
     _qops_pair,
     _sector_bands,
 )
 from unruhkit.errors import ConvergenceError
-from unruhkit.qops import partial_transpose
+from unruhkit.qops import FockKet, partial_transpose, reduced_density
 from unruhkit.weights import UnruhWeights
 
 
@@ -292,7 +297,7 @@ class TestBlockStructure:
         # for q_R = 1 the only off-diagonal couplings of the Alice-Rob partial
         # transpose connect |0, n+1> with |1, n>; {|0, 0>} sits alone
         n_max = 12
-        sigma = partial_transpose(rho_alice_rob(scenario(0.8, 1.0, n_max)), "M").matrix
+        sigma = partial_transpose(rho_alice_rob(scenario(0.8, 1.0, n_max)), "M")
         d = n_max + 1
 
         def block_id(i, n):
@@ -309,7 +314,7 @@ class TestBlockStructure:
         # the Alice-AntiRob partial transpose at q_R = 1 has the mirrored
         # pairing {|0, n>, |1, n+1>} (it equals the Alice-Rob matrix at q_L = 1)
         n_max = 12
-        sigma = partial_transpose(rho_alice_antirob(scenario(0.8, 1.0, n_max)), "M").matrix
+        sigma = partial_transpose(rho_alice_antirob(scenario(0.8, 1.0, n_max)), "M")
         d = n_max + 1
 
         def block_id(i, n):
@@ -548,7 +553,7 @@ class TestParitySectors:
         parity = np.add.outer(np.arange(2), np.arange(d)).ravel() % 2
         offset = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
         for rho in (rho_alice_rob(sc), rho_alice_antirob(sc)):
-            sigma = partial_transpose(rho, "M").matrix
+            sigma = partial_transpose(rho, "M")
             assert np.max(np.abs(sigma[np.not_equal.outer(parity, parity)])) == 0.0
             for p in (0, 1):
                 idx = sector_order(n_max, p)
@@ -559,17 +564,162 @@ class TestParitySectors:
     @pytest.mark.parametrize("r,q_abs,phase,n_max", [(0.0, 0.8, 0.0, 3), (0.9, 0.7, 1.1, 14),
                                                      (1.7, 0.35, -2.0, 40), (0.6, 1.0, 0.5, 9)])
     def test_band_entries_match_qops_partial_transpose(self, r, q_abs, phase, n_max):
-        # oracle: the qops partial transpose reordered into the two sectors;
-        # the weight phases only move the phases of its entries
+        # oracle: the exact principal block of the qops partial transpose,
+        # reordered into the two sectors; the weight phases only move the
+        # phases of its entries
         sc = scenario(r, q_abs, n_max, phase)
-        bands, norm = _sector_bands(r, sc.weights.abs_r, sc.weights.abs_l, n_max)
-        sigma = partial_transpose(rho_alice_rob(sc), "M").matrix
+        bands = _sector_bands(r, sc.weights.abs_r, sc.weights.abs_l, n_max)
+        sigma = principal_block(sc, n_max)
         d = n_max + 1
         for p, band in enumerate(bands):
             idx = sector_order(n_max, p)
             block = np.abs(sigma[np.ix_(idx, idx)])
             for k in range(3):
-                assert np.max(np.abs(band[k, : d - k] / norm - np.diagonal(block, -k))) < 1e-15
+                assert np.max(np.abs(band[k, : d - k] - np.diagonal(block, -k))) < 1e-15
+
+
+def principal_block(sc, n_max):
+    """Leading block of the untruncated Alice-Rob partial transpose, region-I levels <= n_max.
+
+    The raw (unrenormalised) joint amplitudes at truncation n_max + 1 carry
+    every term that reaches those levels; the partial transpose of their
+    reduction is sliced to them.
+    """
+    built = joint_state(BosonScenario(sc.squeezing, sc.weights, BosonTruncation(n_max + 1)))
+    ket = FockKet(built.ket.space, built.ket.amplitudes * built.raw_norm)
+    sigma = partial_transpose(reduced_density(ket, (ALICE, REGION_I)), ALICE)
+    keep = [a * (n_max + 2) + i for a in range(2) for i in range(n_max + 1)]
+    return sigma[np.ix_(keep, keep)]
+
+
+@functools.cache
+def deep_reference(r, q_abs):
+    """(N_AR, N_AAR) of the d = 8000 principal block: a lower bound within 1e-15 at r <= 3."""
+    return _dense_pair(scenario(r, q_abs), 7999)
+
+
+def dense_report(r, q_abs, n_max, **kwargs):
+    sc = scenario(r, q_abs, n_max)
+    return bosonic_negativity_pair(sc, method="dense", n_max_cap=n_max, **kwargs)
+
+
+class EigCounter:
+    """Records the sizes of scipy's banded eigensolves and Cholesky attempts (size, success)."""
+
+    def __init__(self, monkeypatch):
+        import scipy.linalg
+
+        self.eig, self.cholesky = [], []
+        eig_banded, cholesky_banded = scipy.linalg.eig_banded, scipy.linalg.cholesky_banded
+
+        def eig(band, *args, **kwargs):
+            self.eig.append(band.shape[1])
+            return eig_banded(band, *args, **kwargs)
+
+        def cholesky(band, *args, **kwargs):
+            try:
+                factor = cholesky_banded(band, *args, **kwargs)
+            except np.linalg.LinAlgError:
+                self.cholesky.append((band.shape[1], False))
+                raise
+            self.cholesky.append((band.shape[1], True))
+            return factor
+
+        monkeypatch.setattr(scipy.linalg, "eig_banded", eig)
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded", cholesky)
+
+
+class TestPrincipalBlockBracket:
+    @pytest.mark.parametrize("q_abs", [0.4, 0.8, 0.95])
+    @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
+    def test_bracket_holds_against_deep_reference(self, r, q_abs):
+        # the reported value is the lower end and value + delta the upper end
+        ref = deep_reference(r, q_abs)
+        for n in (30, 60, 120):
+            pair = dense_report(r, q_abs, n)
+            rep = pair.report
+            assert rep.n_max_used == n
+            sides = ((pair.n_ar, rep.delta_ar, ref[0]), (pair.n_aar, rep.delta_aar, ref[1]))
+            for value, width, exact in sides:
+                assert value <= exact + 1e-14
+                assert exact <= value + width + 1e-14
+
+    @pytest.mark.parametrize("q_abs", [0.0, 0.4, 0.95, 1.0])
+    @pytest.mark.parametrize("r,n", [(0.05, 1), (0.5, 10), (1.5, 60), (3.0, 1), (3.0, 120)])
+    def test_width_is_the_closed_form_of_the_entries_past_the_cut(self, r, q_abs, n):
+        # direct sum of |entry| over the upper triangle entries that reach a
+        # level past n, read off bands 6000 levels longer (T^6000 < e^-60);
+        # the closed form may only exceed it by its Cauchy-Schwarz slack
+        w = UnruhWeights.from_abs(q_abs)
+        bands = _sector_bands(r, w.abs_r, w.abs_l, n + 6000)
+        direct = sum(np.abs(band[1, n:]).sum() + np.abs(band[2, n - 1 :]).sum() for band in bands)
+        assert direct <= _bracket_width(r, w.abs_r, w.abs_l, n) <= 1.15 * direct
+
+    def test_deep_reference_is_itself_certified(self):
+        for q_abs in (0.4, 0.8, 0.95):
+            w = UnruhWeights.from_abs(q_abs)
+            assert _bracket_width(3.0, w.abs_r, w.abs_l, 7999) < 1e-15
+            assert _bracket_width(3.0, w.abs_l, w.abs_r, 7999) < 1e-15
+
+    def test_lower_bound_rises_monotonically_in_n(self):
+        # a principal compression can only lower the sum of negative eigenvalues
+        for q_abs in (0.4, 0.9):
+            values = np.array([_dense_pair(scenario(3.0, q_abs), n) for n in range(4, 200, 7)])
+            assert np.all(np.diff(values, axis=0) >= 0.0)
+            assert np.all(np.diff(values.max(axis=1)) > 0.0)
+
+    @pytest.mark.parametrize("r", [1.5, 3.0])
+    def test_minor_side_is_certified_zero_by_cholesky(self, r, monkeypatch):
+        counter = EigCounter(monkeypatch)
+        pair = bosonic_negativity_pair(scenario(r, 0.9))
+        d = pair.report.n_max_used + 1
+        assert pair.n_aar == 0.0 and pair.n_ar > 0.0
+        # both minor-side sectors factor, so only the two major-side sectors
+        # are eigensolved, once each and at n_max_used only
+        assert counter.cholesky == [(d, True), (d, True)]
+        assert counter.eig == [d, d]
+
+    def test_one_solve_per_sector_at_n_max_used(self, monkeypatch):
+        counter = EigCounter(monkeypatch)
+        pair = bosonic_negativity_pair(scenario(0.2, 0.6))  # both sides entangled at small r
+        d = pair.report.n_max_used + 1
+        assert pair.n_ar > 0.0 and pair.n_aar > 0.0
+        # the minor side (|q_R| < |q_L|) is entangled here: both its Cholesky
+        # attempts fail and each sector falls back to one eigensolve
+        assert counter.cholesky == [(d, False), (d, False)]
+        assert counter.eig == [d] * 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(q_abs=st.floats(0.01, 0.99), r=st.floats(0.0, 3.0), n_max=st.integers(1, 125))
+    def test_converged_implies_width_within_tolerance(self, q_abs, r, n_max):
+        pair = dense_report(r, q_abs, n_max)
+        rep = pair.report
+        sides = ((pair.n_ar, rep.delta_ar), (pair.n_aar, rep.delta_aar))
+        within = all(w <= 1e-6 * max(v, 0.1) for v, w in sides)
+        assert rep.converged == within
+        assert rep.delta_ar >= 0.0 and rep.delta_aar >= 0.0
+
+    def test_converged_zero_is_certified_by_the_absolute_floor(self):
+        pair = bosonic_negativity_pair(scenario(1.5, 0.9))
+        rep = pair.report
+        assert rep.converged and pair.n_aar == 0.0
+        assert 0.0 < rep.delta_aar <= 1e-7
+        tight = dense_report(1.5, 0.9, rep.n_max_used, delta_tol=0.5 * rep.delta_aar / 0.1)
+        assert (tight.n_ar, tight.n_aar) == (pair.n_ar, pair.n_aar)
+        assert not tight.report.converged
+
+    @pytest.mark.parametrize("r", [5.0, 10.0, 18.0])
+    def test_deep_dense_rows_are_prompt_and_unconverged(self, r, monkeypatch):
+        counter = EigCounter(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = bosonic_negativity_pair(scenario(r, 0.8))
+        rep = pair.report
+        assert not rep.converged
+        assert rep.n_max_used == N_MAX_CAP
+        assert max(counter.eig + [size for size, _ in counter.cholesky]) == N_MAX_CAP + 1
+        assert 0.0 <= pair.n_ar <= 0.5 and 0.0 <= pair.n_aar <= 0.5
+        assert math.isfinite(rep.delta_ar) and math.isfinite(rep.delta_aar)
 
 
 @settings(max_examples=30, deadline=None)

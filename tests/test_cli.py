@@ -249,6 +249,20 @@ class TestPacketCommand:
         assert main(["packet", "--family", "rapidity-gaussian", "--mass", "nan"]) == EXIT_USAGE
         assert "mass must be > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", ["log-gaussian", "rapidity-gaussian"])
+    @pytest.mark.parametrize("flag, value", [
+        ("lam", "nan"), ("lam", "inf"), ("mu", "nan"), ("mu", "inf"), ("mu", "-inf"),
+        ("leakage-threshold", "nan"), ("leakage-threshold", "inf"), ("omega0", "nan"),
+        ("mass", "inf"),
+    ])
+    def test_non_finite_packet_flags_are_usage_errors(self, flag, value, family, capsys):
+        # past validation these raise deep in the grid code or pass silently
+        # (a NaN threshold makes every packet fail the SMA test)
+        assert main(["packet", "--family", family, f"--{flag}={value}"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{flag} must be" in err and f"got {value}" in err
+        assert "Traceback" not in err
+
 
 def capped_packet_run(family):
     """``packet --lam 1e-4`` in a child with warnings as errors and 1 GiB of address space.

@@ -168,7 +168,7 @@ class TestBlocks:
                 rng.uniform(0, R_MAX), rng.uniform(0, 1), rng.uniform(0, 2 * math.pi)
             )
             full = np.sort(
-                hermitian_eigenvalues(partial_transpose(builder(sc), "M").matrix)
+                hermitian_eigenvalues(partial_transpose(builder(sc), "M"))
             )
             blocks = pt_blocks(sc, bipartition)
             for mat in (blocks.first, blocks.second):

@@ -141,11 +141,11 @@ class TestPartialTranspose:
         rho = DensityOperator(TensorSpace((("A", 2),)), random_density(rng, 2))
         sig = DensityOperator(TensorSpace((("B", 3),)), random_density(rng, 3))
         pt = partial_transpose(tensor_product(rho, sig), "A")
-        assert np.linalg.eigvalsh(pt.matrix).min() >= -1e-12
+        assert np.linalg.eigvalsh(pt).min() >= -1e-12
 
     def test_bell_spectrum(self):
         pt = partial_transpose(bell_ket().density(), "A")
-        eigs = np.sort(np.linalg.eigvalsh(pt.matrix))
+        eigs = np.sort(np.linalg.eigvalsh(pt))
         assert np.allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-14)
 
     def test_involution(self):
@@ -153,17 +153,17 @@ class TestPartialTranspose:
         space = TensorSpace((("A", 2), ("B", 3)))
         rho = DensityOperator(space, random_density(rng, 6))
         twice = partial_transpose(
-            DensityOperator(space, partial_transpose(rho, "B").matrix), "B"
+            DensityOperator(space, partial_transpose(rho, "B")), "B"
         )
-        assert np.max(np.abs(twice.matrix - rho.matrix)) < 1e-14
+        assert np.max(np.abs(twice - rho.matrix)) < 1e-14
 
     def test_preserves_trace_and_hermiticity(self):
         rng = np.random.default_rng(10)
         space = TensorSpace((("A", 3), ("B", 2)))
         rho = DensityOperator(space, random_density(rng, 6))
         pt = partial_transpose(rho, "A")
-        assert abs(pt.trace() - 1.0) < 1e-12
-        assert np.max(np.abs(pt.matrix - pt.matrix.conj().T)) < 1e-12
+        assert abs(np.trace(pt).real - 1.0) < 1e-12
+        assert np.max(np.abs(pt - pt.conj().T)) < 1e-12
 
 
 class TestNegativity:
