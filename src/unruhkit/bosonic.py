@@ -153,7 +153,13 @@ class TruncatedKet:
 
 
 def rindler_space(n_max: int) -> TensorSpace:
-    return TensorSpace(((REGION_I, n_max + 1), (REGION_II, n_max + 1)))
+    d = n_max + 1
+    return TensorSpace(((REGION_I, d), (REGION_II, d)))
+
+
+def joint_space(n_max: int) -> TensorSpace:
+    d = n_max + 1
+    return TensorSpace(((ALICE, ALICE_DIM), (REGION_I, d), (REGION_II, d)))
 
 
 def unruh_vacuum_ket(r: float, n_max: int) -> TruncatedKet:
@@ -192,11 +198,11 @@ def joint_state(scenario: BosonScenario) -> TruncatedKet:
     d = n_max + 1
     f = vacuum_coefficients(r, n_max)
     psi = np.zeros((ALICE_DIM, d, d), dtype=complex)
-    psi[0] = np.diag(f) / math.sqrt(2.0)
+    idx = np.arange(d)
+    psi[0, idx, idx] = f / math.sqrt(2.0)
     psi[1] = _excitation_amplitudes(r, scenario.weights, n_max) / math.sqrt(2.0)
     raw = float(np.linalg.norm(psi))
-    space = TensorSpace(((ALICE, ALICE_DIM),) + rindler_space(n_max).factors)
-    return TruncatedKet(FockKet(space, psi.ravel() / raw), raw)
+    return TruncatedKet(FockKet(joint_space(n_max), psi.ravel() / raw), raw)
 
 
 def rho_alice_rob(scenario: BosonScenario) -> DensityOperator:
@@ -282,7 +288,11 @@ def _sector_bands(r: float, abs_r: float, abs_l: float, n_max: int) -> np.ndarra
 
 
 def _sector_negativity(r: float, abs_r: float, abs_l: float, n_max: int) -> float:
-    """Principal-block negativity, one solve per sector; minor-side sectors try Cholesky first."""
+    """Principal-block negativity, one solve per sector; minor-side sectors try Cholesky first.
+
+    A factored sector is positive definite and adds the same 0 its
+    eigensolve would, at O(n) instead of a banded eigensolve's cost.
+    """
     # imported here so that importing the package does not load scipy.linalg
     from scipy.linalg import cholesky_banded, eig_banded
 
@@ -323,22 +333,31 @@ def _dense_pair(scenario: BosonScenario, n_max: int) -> tuple[float, float]:
     )
 
 
-def _qops_pair(scenario: BosonScenario, n_max: int) -> tuple[float, float]:
-    """``_dense_pair`` by the general tensor route, the sector engine's test oracle.
+def _principal_block(
+    scenario: BosonScenario, n_max: int, wedge: str
+) -> tuple[float, DensityOperator]:
+    """Untruncated Alice-``wedge`` state on wedge levels <= n_max, as (weight, normalized state).
 
-    The raw joint amplitudes at truncation n_max + 1 hold every term that
-    reaches kept-wedge levels <= n_max.  Sliced to those levels (which
-    commutes with transposing M), their reduction has the exact principal
-    block as its partial transpose.
+    The joint state at truncation n_max + 1 holds every term that reaches
+    those levels.  Its reduction, sliced to them and scaled back by
+    raw_norm^2, is a block of trace ``weight`` < 1 whose partial transpose
+    on M (slicing commutes with it) is the exact leading principal block of
+    the untruncated one; the state is that block over ``weight``.
     """
     built = joint_state(replace(scenario, truncation=BosonTruncation(n_max + 1)))
-    ket = FockKet(built.ket.space, built.ket.amplitudes * built.raw_norm)
     keep = np.add.outer(np.arange(ALICE_DIM) * (n_max + 2), np.arange(n_max + 1)).ravel()
+    block = reduced_density(built.ket, (ALICE, wedge)).matrix[np.ix_(keep, keep)]
+    trace = float(np.trace(block).real)
+    space = TensorSpace(((ALICE, ALICE_DIM), (wedge, n_max + 1)))
+    return built.raw_norm**2 * trace, DensityOperator(space, block / trace)
+
+
+def _qops_pair(scenario: BosonScenario, n_max: int) -> tuple[float, float]:
+    """``_dense_pair`` by the general tensor route, the sector engine's test oracle."""
     pair = []
     for wedge in (REGION_I, REGION_II):
-        block = reduced_density(ket, (ALICE, wedge)).matrix[np.ix_(keep, keep)]
-        space = TensorSpace(((ALICE, ALICE_DIM), (wedge, n_max + 1)))
-        pair.append(negativity(DensityOperator(space, block), ALICE).value)
+        weight, rho = _principal_block(scenario, n_max, wedge)
+        pair.append(weight * negativity(rho, ALICE).value)
     return pair[0], pair[1]
 
 
@@ -522,7 +541,14 @@ def bosonic_curve(
         pair = bosonic_negativity_pair(
             scenario, method=method, n_max_cap=n_max_cap, delta_tol=delta_tol, tail_tol=tail_tol
         )
-        rep = pair.report
-        rows.append(BosonCurveRow(float(q_abs), float(r), pair.n_ar, pair.n_aar,
-                                  rep.n_max_used, rep.converged))
+        rows.append(
+            BosonCurveRow(
+                q_abs=float(q_abs),
+                r=float(r),
+                n_ar=pair.n_ar,
+                n_aar=pair.n_aar,
+                n_max_used=pair.report.n_max_used,
+                converged=pair.report.converged,
+            )
+        )
     return rows

@@ -252,4 +252,5 @@ def negativity(rho: DensityOperator, factor: str) -> NegativityValue:
     the partial transpose, i.e. minus the sum of its negative eigenvalues.
     A maximally entangled qubit pair gives 1/2.
     """
-    return negativity_from_eigenvalues(hermitian_eigenvalues(partial_transpose(rho, factor)))
+    sigma = partial_transpose(rho, factor)
+    return negativity_from_eigenvalues(hermitian_eigenvalues(sigma))

@@ -28,11 +28,12 @@ from unruhkit.bosonic import (
     _block_series,
     _bracket_width,
     _dense_pair,
+    _principal_block,
     _qops_pair,
     _sector_bands,
 )
 from unruhkit.errors import ConvergenceError
-from unruhkit.qops import FockKet, partial_transpose, reduced_density
+from unruhkit.qops import partial_transpose
 from unruhkit.weights import UnruhWeights
 
 
@@ -569,27 +570,14 @@ class TestParitySectors:
         # phases of its entries
         sc = scenario(r, q_abs, n_max, phase)
         bands = _sector_bands(r, sc.weights.abs_r, sc.weights.abs_l, n_max)
-        sigma = principal_block(sc, n_max)
+        weight, rho = _principal_block(sc, n_max, REGION_I)
+        sigma = weight * partial_transpose(rho, ALICE)
         d = n_max + 1
         for p, band in enumerate(bands):
             idx = sector_order(n_max, p)
             block = np.abs(sigma[np.ix_(idx, idx)])
             for k in range(3):
                 assert np.max(np.abs(band[k, : d - k] - np.diagonal(block, -k))) < 1e-15
-
-
-def principal_block(sc, n_max):
-    """Leading block of the untruncated Alice-Rob partial transpose, region-I levels <= n_max.
-
-    The raw (unrenormalised) joint amplitudes at truncation n_max + 1 carry
-    every term that reaches those levels; the partial transpose of their
-    reduction is sliced to them.
-    """
-    built = joint_state(BosonScenario(sc.squeezing, sc.weights, BosonTruncation(n_max + 1)))
-    ket = FockKet(built.ket.space, built.ket.amplitudes * built.raw_norm)
-    sigma = partial_transpose(reduced_density(ket, (ALICE, REGION_I)), ALICE)
-    keep = [a * (n_max + 2) + i for a in range(2) for i in range(n_max + 1)]
-    return sigma[np.ix_(keep, keep)]
 
 
 @functools.cache
@@ -691,13 +679,19 @@ class TestPrincipalBlockBracket:
 
     @settings(max_examples=40, deadline=None)
     @given(q_abs=st.floats(0.01, 0.99), r=st.floats(0.0, 3.0), n_max=st.integers(1, 125))
-    def test_converged_implies_width_within_tolerance(self, q_abs, r, n_max):
+    def test_bracket_contains_a_deeper_principal_block(self, q_abs, r, n_max):
+        # the block 200 levels deeper lies between the value and the exact
+        # negativity, so it must fall inside [N, N + delta]; a converged
+        # point must also be within the tolerance of it
         pair = dense_report(r, q_abs, n_max)
         rep = pair.report
-        sides = ((pair.n_ar, rep.delta_ar), (pair.n_aar, rep.delta_aar))
-        within = all(w <= 1e-6 * max(v, 0.1) for v, w in sides)
-        assert rep.converged == within
-        assert rep.delta_ar >= 0.0 and rep.delta_aar >= 0.0
+        deeper = _dense_pair(scenario(r, q_abs), n_max + 200)
+        sides = zip((pair.n_ar, pair.n_aar), (rep.delta_ar, rep.delta_aar), deeper)
+        for value, width, deep in sides:
+            assert value <= deep + 1e-14
+            assert deep <= value + width + 1e-14
+            if rep.converged:
+                assert deep - value <= 1e-6 * max(value, 0.1) + 1e-14
 
     def test_converged_zero_is_certified_by_the_absolute_floor(self):
         pair = bosonic_negativity_pair(scenario(1.5, 0.9))
