@@ -12,15 +12,16 @@ Two evaluation routes are provided:
 
 * ``dense``: a certified bracket.  The untruncated partial transpose splits
   by parity into two real bandwidth-2 sectors built from f(n)
-  (``_sector_bands``); one ``scipy.linalg.eig_banded`` solve of each
-  leading (n_max+1)-level block gives a lower bound, and on the minor side
-  a sector that ``cholesky_banded`` factors adds exactly 0 unsolved.  A
-  closed form bounds what the cut leaves out (``_bracket_width``).  A point
-  is converged when each width is at most delta_tol * max(N, 0.1), so an
-  exact 0 is certified to 1e-7.  n_max doubles until the squeezed-vacuum
+  (``_sector_bands``); one LAPACK ?sbevd solve of each leading
+  (n_max+1)-level block gives a lower bound, and on the minor side a sector
+  that the banded Cholesky routine ?pbtrf factors adds exactly 0 unsolved.
+  A closed form bounds what the cut leaves out (``_bracket_width``).  A
+  point is converged when each width is at most delta_tol * max(N, 0.1), so
+  an exact 0 is certified to 1e-7.  n_max doubles until the squeezed-vacuum
   tail tanh^{2(n_max+1)} r is below ``tail_tol`` or reaches ``n_max_cap``;
   past r = 19.06 (tanh r = 1) the route reports 0 unconverged unevaluated.
-  The labelled-tensor route (``qops``) is the sector engine's test oracle.
+  A curve is solved in one vectorised batch per n_max, a point as a curve
+  of one.  The labelled-tensor route (``qops``) is the engine's test oracle.
 
 * ``blocks``: for the extremal weights |q_R| in {0, 1} the partial
   transpose is block diagonal in 2x2 sectors and the negativity is an
@@ -38,9 +39,9 @@ from __future__ import annotations
 
 import math
 import sys
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cache
+from typing import Iterator
 
 import numpy as np
 
@@ -75,6 +76,9 @@ ALICE_DIM = 2
 _SERIES_HEAD = 4096
 #: its head and tail follow the terms down to e^-60 < 1e-26 of the first
 _SERIES_DECAY = 60.0
+
+#: rows x levels per band build: at most 0.8 MB of bands, however many points
+_CHUNK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -121,10 +125,11 @@ class BosonTruncation:
         return math.tanh(r) ** (2 * (self.n_max + 1))
 
 
-def vacuum_coefficients(r: float, n_max: int) -> np.ndarray:
-    """f[n] = tanh^n(r)/cosh(r) for n = 0..n_max; sum of squares tends to 1 as n_max grows."""
-    if r < 0.0:
-        raise ValueError(f"squeezing parameter must be >= 0, got {r}")
+def vacuum_coefficients(r: float | np.ndarray, n_max: int) -> np.ndarray:
+    """f[..., n] = tanh^n(r)/cosh(r) for n = 0..n_max; sum of squares tends to 1 as n_max grows."""
+    r = np.asarray(r, dtype=float)[..., None]
+    if np.any(r < 0.0):
+        raise ValueError(f"squeezing parameter must be >= 0, got {np.min(r)}")
     n = np.arange(n_max + 1)
     return np.tanh(r) ** n / np.cosh(r)
 
@@ -247,7 +252,7 @@ class NegativityPair:
     report: ConvergenceReport
 
 
-def _sector_bands(r: float, abs_r: float, abs_l: float, n_max: int) -> np.ndarray:
+def _sector_bands(r: float | np.ndarray, abs_r: float, abs_l: float, n_max: int) -> np.ndarray:
     """Parity sectors of the Alice-Rob partial transpose in lower band storage.
 
     The partial transpose couples |a, m> with |a', m'> (a Alice's occupation,
@@ -267,43 +272,67 @@ def _sector_bands(r: float, abs_r: float, abs_l: float, n_max: int) -> np.ndarra
     sum b^2 = 1), so the (2, 3, n_max + 1) bands are its exact leading
     principal block, with b_{n_max} on the diagonal.  Local phases on M, I
     and II remove the phases of the weights exactly, so only their
-    magnitudes enter.
+    magnitudes enter.  An array of m squeezing values gives shape
+    (m, 2, 3, n_max + 1).
     """
     d = n_max + 1
-    i = np.arange(d)
     f_all = vacuum_coefficients(r, n_max + 1)
-    f, f_next = f_all[:d], f_all[1:]
-    # b[k + 1] = b_k for k = -1..n_max + 1, with b_{-1} = 0
-    b = np.append(0.0, f_all * np.sqrt(np.arange(d + 1) + 1.0) / math.cosh(r))
-    b_prev, b_i, b_next = b[:d], b[1 : d + 1], b[2:]
-    empty = np.stack([f * f, abs_l * f_next * b_i, np.zeros(d)])
+    f, f_next = f_all[..., :d], f_all[..., 1:]
+    # math.cosh, not np.cosh: the two differ in the last bit for some r
+    cosh = np.reshape([math.cosh(x) for x in np.ravel(r)], np.shape(r) + (1,))
+    # b[..., k + 1] = b_k for k = -1..n_max + 1, with b_{-1} = 0
+    b = np.concatenate([np.zeros_like(cosh), f_all * np.sqrt(np.arange(d + 1) + 1.0) / cosh],
+                       axis=-1)
+    b_prev, b_i, b_next = b[..., :d], b[..., 1 : d + 1], b[..., 2:]
+    empty = np.stack([f * f, abs_l * f_next * b_i, np.zeros_like(f)], axis=-2)
     occupied = np.stack([
         abs_r**2 * b_prev**2 + abs_l**2 * b_i**2,
         abs_r * f * b_i,
         abs_l * abs_r * b_i * b_next,
-    ])
-    odd = i % 2 == 1
+    ], axis=-2)
+    odd = np.arange(d) % 2 == 1
     # LAPACK never reads the band padding past the block
-    return 0.5 * np.stack([np.where(odd, occupied, empty), np.where(odd, empty, occupied)])
+    return 0.5 * np.stack([np.where(odd, occupied, empty), np.where(odd, empty, occupied)], axis=-3)
 
 
-def _sector_negativity(r: float, abs_r: float, abs_l: float, n_max: int) -> float:
-    """Principal-block negativity, one solve per sector; minor-side sectors try Cholesky first.
+@cache
+def _lapack() -> tuple:
+    # imported on first dense use, so that importing the package does not load scipy.linalg
+    from scipy.linalg import get_lapack_funcs
+    return get_lapack_funcs(("pbtrf", "sbevd"), dtype=np.float64)
 
-    A factored sector is positive definite and adds the same 0 its
-    eigensolve would, at O(n) instead of a banded eigensolve's cost.
+
+def _principal_negativities(r: np.ndarray, abs_r: float, abs_l: float, n_max: int) -> np.ndarray:
+    """(N_AR, N_AAR) of the leading (n_max + 1)-level blocks, one row per r.
+
+    Each sector gets one LAPACK ?sbevd solve, with the checks scipy's banded
+    wrappers make.  A minor-side sector that ?pbtrf factors is positive
+    definite and adds 0 at O(n), without an eigensolve.
     """
-    # imported here so that importing the package does not load scipy.linalg
-    from scipy.linalg import cholesky_banded, eig_banded
-
-    eigs = [np.zeros(0)]
-    for band in _sector_bands(r, abs_r, abs_l, n_max):
-        if abs_r < abs_l:
-            with suppress(np.linalg.LinAlgError):
-                cholesky_banded(band, lower=True)
-                continue  # positive definite: the sector adds 0
-        eigs.append(eig_banded(band, lower=True, eigvals_only=True))
-    return negativity_from_eigenvalues(np.concatenate(eigs)).value
+    pbtrf, sbevd = _lapack()
+    values = np.zeros((r.size, 2))
+    step = max(1, _CHUNK_ELEMENTS // (n_max + 1))
+    for start in range(0, r.size, step):
+        # Alice-AntiRob is Alice-Rob with the weights exchanged (I <-> II relabeling)
+        for side, (x, y) in enumerate(((abs_r, abs_l), (abs_l, abs_r))):
+            bands = _sector_bands(r[start : start + step], x, y, n_max)
+            if not np.isfinite(bands).all():
+                raise ValueError("array must not contain infs or NaNs")
+            for row, sectors in enumerate(bands, start):
+                eigs = [np.zeros(0)]
+                for band in sectors:
+                    if x < y:
+                        info = pbtrf(band, lower=1)[1]
+                        if info < 0:
+                            raise ValueError(f"illegal value in argument {-info} of pbtrf")
+                        if info == 0:
+                            continue  # positive definite: the sector adds 0
+                    w, _, info = sbevd(band, compute_v=0, lower=1)
+                    if info != 0:
+                        raise np.linalg.LinAlgError(f"sbevd failed with info={info}")
+                    eigs.append(w)
+                values[row, side] = negativity_from_eigenvalues(np.concatenate(eigs)).value
+    return values
 
 
 def _bracket_width(r: float, abs_r: float, abs_l: float, n_max: int) -> float:
@@ -324,13 +353,37 @@ def _bracket_width(r: float, abs_r: float, abs_l: float, n_max: int) -> float:
     return 0.5 * ((abs_r + abs_l * t) * edge + abs_r * abs_l * second)
 
 
+def _dense_pairs(r: np.ndarray, weights: UnruhWeights, n_max: int, n_max_cap: int,
+                 delta_tol: float, tail_tol: float) -> Iterator[NegativityPair]:
+    """The dense route on a squeezing grid, one batch of solves per truncation level."""
+    abs_r, abs_l = weights.abs_r, weights.abs_l
+    levels = []
+    for x in r.tolist():
+        n = min(max(n_max, 1), n_max_cap)
+        while BosonTruncation(n).tail_weight(x) > tail_tol and n < n_max_cap:
+            n = min(2 * n, n_max_cap)
+        levels.append((n, BosonTruncation(n).tail_weight(x)))
+    values = np.zeros((r.size, 2))
+    for n in {n for n, tail in levels if tail < 1.0}:
+        rows = [i for i, (m, tail) in enumerate(levels) if m == n and tail < 1.0]
+        values[rows] = _principal_negativities(r[rows], abs_r, abs_l, n)
+    for x, (n, tail), (n_ar, n_aar) in zip(r.tolist(), levels, values.tolist()):
+        if tail >= 1.0:
+            # tanh r rounds to 1 (r > 19.06): the cut keeps no representable share
+            # of the state, and past r ~ 355 its entries underflow or overflow
+            report = ConvergenceReport("dense", n, tail, 0.0, 0.0, False)
+        else:
+            widths = (_bracket_width(x, abs_r, abs_l, n), _bracket_width(x, abs_l, abs_r, n))
+            # relative, and absolute below 0.1: a certified 0 has width <= 1e-7
+            converged = all(w <= delta_tol * max(v, 0.1) for v, w in zip((n_ar, n_aar), widths))
+            report = ConvergenceReport("dense", n, tail, *widths, converged)
+        yield NegativityPair(n_ar, n_aar, report)
+
+
 def _dense_pair(scenario: BosonScenario, n_max: int) -> tuple[float, float]:
-    # Alice-AntiRob is Alice-Rob with the weights exchanged (I <-> II relabeling)
-    r, weights = scenario.squeezing.r, scenario.weights
-    return (
-        _sector_negativity(r, weights.abs_r, weights.abs_l, n_max),
-        _sector_negativity(r, weights.abs_l, weights.abs_r, n_max),
-    )
+    """Principal-block pair at exactly n_max levels: the dense engine on a one-point grid."""
+    r, w = scenario.squeezing.r, scenario.weights
+    return tuple(_principal_negativities(np.array([r]), w.abs_r, w.abs_l, n_max)[0].tolist())
 
 
 def _principal_block(
@@ -443,6 +496,17 @@ def _pair_blocks(scenario: BosonScenario, delta_tol: float) -> NegativityPair:
     return NegativityPair(n_ar, n_aar, report)
 
 
+def _route(weights: UnruhWeights, method: str) -> str:
+    """Resolve ``method`` to "dense" or "blocks"; "auto" picks "blocks" when one weight vanishes."""
+    if method not in ("auto", "dense", "blocks"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "auto":
+        return "blocks" if weights.minor_weight() <= EXTREMAL_TOL else "dense"
+    if method == "blocks" and weights.minor_weight() > EXTREMAL_TOL:
+        raise ValueError("blocks method requires an extremal weight (|q_R| in {0, 1})")
+    return method
+
+
 def bosonic_negativity_pair(
     scenario: BosonScenario,
     *,
@@ -469,34 +533,12 @@ def bosonic_negativity_pair(
     strict
         Raise ``ConvergenceError`` instead of returning an unconverged pair.
     """
-    if method not in ("auto", "dense", "blocks"):
-        raise ValueError(f"unknown method {method!r}")
     weights = scenario.weights
-    if method == "auto":
-        method = "blocks" if weights.minor_weight() <= EXTREMAL_TOL else "dense"
-    if method == "blocks":
-        if weights.minor_weight() > EXTREMAL_TOL:
-            raise ValueError("blocks method requires an extremal weight (|q_R| in {0, 1})")
+    if _route(weights, method) == "blocks":
         pair = _pair_blocks(scenario, delta_tol)
     else:
-        r = scenario.squeezing.r
-        n = min(max(scenario.truncation.n_max, 1), n_max_cap)
-        while BosonTruncation(n).tail_weight(r) > tail_tol and n < n_max_cap:
-            n = min(2 * n, n_max_cap)
-        tail = BosonTruncation(n).tail_weight(r)
-        if tail >= 1.0:
-            # tanh r rounds to 1 (r > 19.06): the cut keeps no representable share
-            # of the state, and past r ~ 355 its entries underflow or overflow
-            report = ConvergenceReport("dense", n, tail, 0.0, 0.0, False)
-            pair = NegativityPair(0.0, 0.0, report)
-        else:
-            values = _dense_pair(scenario, n)
-            widths = (_bracket_width(r, weights.abs_r, weights.abs_l, n),
-                      _bracket_width(r, weights.abs_l, weights.abs_r, n))
-            # relative, and absolute below 0.1: a certified 0 has width <= 1e-7
-            converged = all(w <= delta_tol * max(v, 0.1) for v, w in zip(values, widths))
-            report = ConvergenceReport("dense", n, tail, *widths, converged)
-            pair = NegativityPair(*values, report)
+        pair = next(_dense_pairs(np.array([scenario.squeezing.r]), weights,
+                                 scenario.truncation.n_max, n_max_cap, delta_tol, tail_tol))
     if strict and not pair.report.converged:
         rep = pair.report
         raise ConvergenceError(
@@ -533,22 +575,27 @@ def bosonic_curve(
     the negativities are phase invariant so this loses no generality.
     """
     weights = UnruhWeights.from_abs(q_abs)
-    rows = []
-    for r in r_grid:
-        if r < 0.0:
-            raise ValueError(f"grid squeezing values must be >= 0, got {r}")
-        scenario = BosonScenario(BosonSqueezing(float(r)), weights, BosonTruncation(n_max))
-        pair = bosonic_negativity_pair(
-            scenario, method=method, n_max_cap=n_max_cap, delta_tol=delta_tol, tail_tol=tail_tol
+    truncation = BosonTruncation(n_max)  # checks n_max
+    r = np.asarray(r_grid, dtype=float).ravel()
+    bad = ~(r >= 0.0)
+    if bad.any():
+        raise ValueError(f"grid squeezing values must be >= 0, got {r[bad][0]}")
+    if _route(weights, method) == "dense":
+        pairs = _dense_pairs(r, weights, n_max, n_max_cap, delta_tol, tail_tol)
+    else:
+        pairs = [
+            bosonic_negativity_pair(BosonScenario(BosonSqueezing(x), weights, truncation),
+                                    method=method, delta_tol=delta_tol)
+            for x in r.tolist()
+        ]
+    return [
+        BosonCurveRow(
+            q_abs=float(q_abs),
+            r=x,
+            n_ar=pair.n_ar,
+            n_aar=pair.n_aar,
+            n_max_used=pair.report.n_max_used,
+            converged=pair.report.converged,
         )
-        rows.append(
-            BosonCurveRow(
-                q_abs=float(q_abs),
-                r=float(r),
-                n_ar=pair.n_ar,
-                n_aar=pair.n_aar,
-                n_max_used=pair.report.n_max_used,
-                converged=pair.report.converged,
-            )
-        )
-    return rows
+        for x, pair in zip(r.tolist(), pairs)
+    ]

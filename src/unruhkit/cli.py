@@ -15,6 +15,7 @@ method disagreement, inadequate grid).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -87,7 +88,9 @@ class SweepSpec:
                 raise ValueError(f"q values must lie in [0, 1], got {q}")
         if not self.q_abs:
             raise ValueError("at least one q value is required")
-        if self.r_min < 0.0 or self.r_max < self.r_min:
+        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
+            raise ValueError(f"r-min/r-max must be finite, got {self.r_min}, {self.r_max}")
+        if not 0.0 <= self.r_min <= self.r_max:
             raise ValueError(f"invalid r range [{self.r_min}, {self.r_max}]")
         if self.model == "fermion" and self.r_max > R_MAX + 1e-12:
             raise ValueError(f"fermionic r range must stay within [0, pi/4 = {R_MAX:.6f}]")
@@ -179,6 +182,8 @@ def _resolve(args, config: dict[str, str], key: str, default, cast):
     return default
 
 
+# argparse looks up sys.stdout, sys.stderr and the terminal width only when it prints
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="unruhkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -3,12 +3,14 @@
 import cmath
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unruhkit import bosonic
 from unruhkit.bosonic import (
     ALICE,
     EXTREMAL_TOL,
@@ -446,6 +448,40 @@ class TestCurve:
         with pytest.raises(ValueError):
             bosonic_curve(1.2, [0.0])
 
+    @pytest.mark.parametrize("q_abs", [0.3, 0.9])
+    @pytest.mark.parametrize("chunk", [bosonic._CHUNK_ELEMENTS, 100])
+    def test_batched_rows_equal_single_point_pairs(self, q_abs, chunk, monkeypatch):
+        # the curve solves its rows in one batch per truncation level (and,
+        # with a 100-element budget, one row per chunk at n = 120); every
+        # field must have the same bits as a point evaluated on its own
+        monkeypatch.setattr(bosonic, "_CHUNK_ELEMENTS", chunk)
+        grid = np.append(np.linspace(0.0, 3.0, 25), 25.0)
+        rows = bosonic_curve(q_abs, grid)
+        assert {row.n_max_used for row in rows} == {30, 60, 120}
+        for x, row in zip(grid, rows):
+            pair = bosonic_negativity_pair(scenario(float(x), q_abs))
+            assert (row.r, row.n_ar, row.n_aar) == (float(x), pair.n_ar, pair.n_aar)
+            assert (row.n_max_used, row.converged) == (pair.report.n_max_used, pair.report.converged)
+        # tanh 25 rounds to 1: returned unevaluated
+        assert (rows[-1].n_ar, rows[-1].n_aar, rows[-1].converged) == (0.0, 0.0, False)
+
+    def test_long_curve_builds_its_bands_in_chunks(self, monkeypatch):
+        # 4000 rows at n = 120 would need 23 MB for one side's bands at once.
+        # LAPACK is stubbed out: the memory in question is the band build's.
+        monkeypatch.setattr(bosonic, "_lapack", lambda: (
+            lambda band, **kwargs: (band, 0),
+            lambda band, **kwargs: (np.zeros(band.shape[1]), None, 0),
+        ))
+        grid = np.linspace(1.0, 3.0, 4000)
+        tracemalloc.start()
+        try:
+            rows = bosonic_curve(0.9, grid, n_max=120)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 4000 and {row.n_max_used for row in rows} == {120}
+        assert peak < 10e6
+
 
 def block_terms(r, n):
     """-lambda_min of the n-th 2x2 sector for q_R = 1, straight from its entries.
@@ -580,6 +616,14 @@ class TestParitySectors:
                 assert np.max(np.abs(band[k, : d - k] - np.diagonal(block, -k))) < 1e-15
 
 
+    def test_band_build_broadcasts_over_r_with_the_same_bits(self):
+        grid = np.array([0.0, 0.3, 1.1, 2.9, 19.0])
+        bands = _sector_bands(grid, 0.6, 0.8, 40)
+        assert bands.shape == (5, 2, 3, 41)
+        for x, band in zip(grid, bands):
+            assert np.array_equal(band, _sector_bands(x, 0.6, 0.8, 40))
+
+
 @functools.cache
 def deep_reference(r, q_abs):
     """(N_AR, N_AAR) of the d = 8000 principal block: a lower bound within 1e-15 at r <= 3."""
@@ -592,29 +636,25 @@ def dense_report(r, q_abs, n_max, **kwargs):
 
 
 class EigCounter:
-    """Records the sizes of scipy's banded eigensolves and Cholesky attempts (size, success)."""
+    """Records the sizes of the banded eigensolves and Cholesky attempts (size, success).
+
+    It wraps the LAPACK routines the dense engine gets from ``bosonic._lapack``.
+    """
 
     def __init__(self, monkeypatch):
-        import scipy.linalg
-
         self.eig, self.cholesky = [], []
-        eig_banded, cholesky_banded = scipy.linalg.eig_banded, scipy.linalg.cholesky_banded
+        pbtrf, sbevd = bosonic._lapack()
+
+        def cholesky(band, *args, **kwargs):
+            factor, info = pbtrf(band, *args, **kwargs)
+            self.cholesky.append((band.shape[1], info == 0))
+            return factor, info
 
         def eig(band, *args, **kwargs):
             self.eig.append(band.shape[1])
-            return eig_banded(band, *args, **kwargs)
+            return sbevd(band, *args, **kwargs)
 
-        def cholesky(band, *args, **kwargs):
-            try:
-                factor = cholesky_banded(band, *args, **kwargs)
-            except np.linalg.LinAlgError:
-                self.cholesky.append((band.shape[1], False))
-                raise
-            self.cholesky.append((band.shape[1], True))
-            return factor
-
-        monkeypatch.setattr(scipy.linalg, "eig_banded", eig)
-        monkeypatch.setattr(scipy.linalg, "cholesky_banded", cholesky)
+        monkeypatch.setattr(bosonic, "_lapack", lambda: (cholesky, eig))
 
 
 class TestPrincipalBlockBracket:

@@ -264,6 +264,58 @@ class TestPacketCommand:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("model, flag, value", [
+    ("boson", "r-max", "inf"), ("boson", "r-max", "nan"), ("boson", "r-max", "-inf"),
+    ("boson", "r-min", "nan"), ("boson", "r-min", "inf"), ("fermion", "r-min", "nan"),
+    ("fermion", "r-max", "nan"),
+])
+def test_non_finite_r_flags_are_usage_errors(model, flag, value, tmp_path, monkeypatch, capsys):
+    # NaN passes every ordered comparison as false, so it used to reach the
+    # squeezing validation and end in a traceback
+    monkeypatch.chdir(tmp_path)
+    assert main([model, f"--{flag}={value}", "--out", "x.csv"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "r-min/r-max must be finite" in err and value in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+#: boson, a usage error, packet, boson and help: each writes to stdout, stderr or a file
+SEQUENCE = (
+    ["boson", "--q", "0.9,1", "--r-max", "2", "--steps", "5", "--out", "a.csv"],
+    ["boson", "--q", "1.4", "--out", "bad.csv"],
+    ["packet", "--family", "log-gaussian", "--lam", "0.5", "--out", "p.json"],
+    ["boson", "--q", "0.3", "--r-max", "1", "--steps", "4", "--format", "json", "--out", "b.json"],
+    ["fermion", "--help"],
+)
+
+
+def test_in_process_calls_match_separate_runs(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process: later calls must not see any
+    # state of earlier ones
+    monkeypatch.setenv("COLUMNS", "80")
+    separate, together = tmp_path / "separate", tmp_path / "together"
+    separate.mkdir()
+    together.mkdir()
+    expected = []
+    for argv in SEQUENCE:
+        out = subprocess.run([sys.executable, "-m", "unruhkit.cli", *argv], cwd=separate,
+                             env=src_env(), capture_output=True, text=True, timeout=60)
+        expected.append((out.returncode, out.stdout, out.stderr))
+    monkeypatch.chdir(together)
+    for argv, want in zip(SEQUENCE, expected):
+        code = main(list(argv))
+        got = capsys.readouterr()
+        assert (code, got.out, got.err) == want
+    codes = [code for code, _, _ in expected]
+    assert codes == [EXIT_NUMERIC, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK]
+    files = sorted(path.name for path in separate.iterdir())
+    assert files == ["a.csv", "b.json", "p.json"]
+    assert sorted(path.name for path in together.iterdir()) == files
+    for name in files:
+        assert (together / name).read_bytes() == (separate / name).read_bytes()
+
+
 def capped_packet_run(family):
     """``packet --lam 1e-4`` in a child with warnings as errors and 1 GiB of address space.
 
