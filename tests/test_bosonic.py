@@ -615,7 +615,6 @@ class TestParitySectors:
             for k in range(3):
                 assert np.max(np.abs(band[k, : d - k] - np.diagonal(block, -k))) < 1e-15
 
-
     def test_band_build_broadcasts_over_r_with_the_same_bits(self):
         grid = np.array([0.0, 0.3, 1.1, 2.9, 19.0])
         bands = _sector_bands(grid, 0.6, 0.8, 40)
