@@ -4,8 +4,8 @@ The Unruh vacuum at squeezing r is a two-mode squeezed state of Rindler
 excitations, sum_n f(n) |n>_I |n>_II with f(n) = tanh^n(r)/cosh(r), and the
 general single-particle Unruh excitation carries weights (q_R, q_L) on the
 right/left Unruh creators.  This module builds the maximally entangled
-Minkowski-Unruh state, the Alice-Rob and Alice-AntiRob reductions obtained
-by tracing out one Rindler wedge, and their negativities as functions of
+Minkowski-Unruh state and the negativities of its Alice-Rob and
+Alice-AntiRob reductions (one Rindler wedge traced out) as functions of
 r = artanh(e^{-pi Omega_a / a}).
 
 Two evaluation routes are provided:
@@ -16,12 +16,13 @@ Two evaluation routes are provided:
   (n_max+1)-level block gives a lower bound, and on the minor side a sector
   that the banded Cholesky routine ?pbtrf factors adds exactly 0 unsolved.
   A closed form bounds what the cut leaves out (``_bracket_width``).  A
-  point is converged when each width is at most delta_tol * max(N, 0.1), so
+  point is converged when each width is at most DELTA_TOL * max(N, 0.1), so
   an exact 0 is certified to 1e-7.  n_max doubles until the squeezed-vacuum
-  tail tanh^{2(n_max+1)} r is below ``tail_tol`` or reaches ``n_max_cap``;
+  tail tanh^{2(n_max+1)} r is below TAIL_TOL or n_max reaches N_MAX_CAP;
   past r = 19.06 (tanh r = 1) the route reports 0 unconverged unevaluated.
   A curve is solved in one vectorised batch per n_max, a point as a curve
-  of one.  The labelled-tensor route (``qops``) is the engine's test oracle.
+  of one.  The labelled-tensor route (``qops``) on the raw ``joint_state``,
+  ``_qops_pair``, is the engine's test oracle.
 
 * ``blocks``: for the extremal weights |q_R| in {0, 1} the partial
   transpose is block diagonal in 2x2 sectors and the negativity is an
@@ -38,6 +39,7 @@ on their common domain.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
 from functools import cache
@@ -93,8 +95,8 @@ class BosonSqueezing:
             raise ValueError(f"squeezing parameter must be >= 0, got {self.r}")
 
     @classmethod
-    def from_acceleration(cls, omega_a: float, a: float, r_cap: float = R_CAP) -> "BosonSqueezing":
-        """r = artanh(e^{-pi omega_a / a}); capped at ``r_cap`` with a flag.
+    def from_acceleration(cls, omega_a: float, a: float) -> "BosonSqueezing":
+        """r = artanh(e^{-pi omega_a / a}); capped at ``R_CAP`` with a flag.
 
         ``capped=True`` marks an effectively infinite acceleration: the exact
         r exceeds the cap, where the negativities are numerically zero anyway.
@@ -102,8 +104,8 @@ class BosonSqueezing:
         if omega_a <= 0.0 or a <= 0.0:
             raise ValueError(f"omega_a and a must be > 0, got {omega_a}, {a}")
         x = math.exp(-math.pi * omega_a / a)
-        if x >= math.tanh(r_cap):
-            return cls(r_cap, capped=True)
+        if x >= math.tanh(R_CAP):
+            return cls(R_CAP, capped=True)
         return cls(math.atanh(x))
 
 
@@ -114,7 +116,11 @@ class BosonTruncation:
     n_max: int
 
     def __post_init__(self):
-        if self.n_max < 1:
+        try:
+            n_max = operator.index(self.n_max)
+        except TypeError:
+            raise TypeError(f"n_max must be an integer, got {self.n_max!r}") from None
+        if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
 
     def tail_weight(self, r: float) -> float:
@@ -141,62 +147,18 @@ class BosonScenario:
     truncation: BosonTruncation = BosonTruncation(DEFAULT_N_MAX)
 
 
-@dataclass(frozen=True)
-class TruncatedKet:
-    """Renormalized ket plus the norm its coefficients had before renormalization.
-
-    ``raw_norm`` tends to 1 as the truncation grows; 1 - raw_norm^2 is the
-    weight lost to the cut.
-    """
-
-    ket: FockKet
-    raw_norm: float
-
-    @property
-    def deficit(self) -> float:
-        return 1.0 - self.raw_norm**2
-
-
-def rindler_space(n_max: int) -> TensorSpace:
-    d = n_max + 1
-    return TensorSpace(((REGION_I, d), (REGION_II, d)))
-
-
 def joint_space(n_max: int) -> TensorSpace:
     d = n_max + 1
     return TensorSpace(((ALICE, ALICE_DIM), (REGION_I, d), (REGION_II, d)))
 
 
-def unruh_vacuum_ket(r: float, n_max: int) -> TruncatedKet:
-    """Truncated two-mode squeezed vacuum sum_n f(n)|n>_I |n>_II, renormalized."""
-    f = vacuum_coefficients(r, n_max)
-    amp = np.diag(f.astype(complex))
-    raw = float(np.linalg.norm(f))
-    return TruncatedKet(FockKet(rindler_space(n_max), amp.ravel() / raw), raw)
+def joint_state(scenario: BosonScenario) -> FockKet:
+    """(|0>_M |vac> + |1>_M |excitation>)/sqrt(2) on (M, I, II), cut at n_max.
 
-
-def _excitation_amplitudes(r: float, weights: UnruhWeights, n_max: int) -> np.ndarray:
-    # sum_n f(n) sqrt(n+1)/cosh(r) (q_L |n, n+1> + q_R |n+1, n>); the n+1
-    # occupation caps the sum at n = n_max - 1 on the truncated space
-    f = vacuum_coefficients(r, n_max)
-    base = f[:n_max] * np.sqrt(np.arange(n_max) + 1.0) / math.cosh(r)
-    return np.diag(weights.q_l * base, 1) + np.diag(weights.q_r * base, -1)
-
-
-def unruh_excitation_ket(scenario: BosonScenario) -> TruncatedKet:
-    """Truncated single Unruh excitation on the squeezed vacuum, renormalized."""
-    n_max = scenario.truncation.n_max
-    amp = _excitation_amplitudes(scenario.squeezing.r, scenario.weights, n_max)
-    raw = float(np.linalg.norm(amp))
-    return TruncatedKet(FockKet(rindler_space(n_max), amp.ravel() / raw), raw)
-
-
-def joint_state(scenario: BosonScenario) -> TruncatedKet:
-    """(|0>_M |vac> + |1>_M |excitation>)/sqrt(2) on (M, I, II), renormalized.
-
-    The two branches enter with their exact (untruncated-state) weights and a
-    single global renormalization is applied afterwards, so raw amplitudes can
-    be recovered by multiplying with ``raw_norm``.
+    Every amplitude is that of the untruncated state, so the ket is not
+    renormalised: its squared norm falls short of 1 by the weight the cut
+    discards.  The excitation sum_n f(n) sqrt(n+1)/cosh(r) (q_L |n, n+1> +
+    q_R |n+1, n>) stops at n = n_max - 1, where n + 1 reaches the cut.
     """
     r = scenario.squeezing.r
     n_max = scenario.truncation.n_max
@@ -205,24 +167,10 @@ def joint_state(scenario: BosonScenario) -> TruncatedKet:
     psi = np.zeros((ALICE_DIM, d, d), dtype=complex)
     idx = np.arange(d)
     psi[0, idx, idx] = f / math.sqrt(2.0)
-    psi[1] = _excitation_amplitudes(r, scenario.weights, n_max) / math.sqrt(2.0)
-    raw = float(np.linalg.norm(psi))
-    return TruncatedKet(FockKet(joint_space(n_max), psi.ravel() / raw), raw)
-
-
-def rho_alice_rob(scenario: BosonScenario) -> DensityOperator:
-    """Reduced state on (M, I) after tracing out the region-II factor."""
-    return reduced_density(joint_state(scenario).ket, (ALICE, REGION_I))
-
-
-def rho_alice_antirob(scenario: BosonScenario) -> DensityOperator:
-    """Reduced state on (M, II) after tracing out the region-I factor.
-
-    Equals ``rho_alice_rob`` with q_R and q_L exchanged, up to the I <-> II
-    relabeling; computed here by an independent trace so the swap rule can be
-    cross-checked.
-    """
-    return reduced_density(joint_state(scenario).ket, (ALICE, REGION_II))
+    base = f[:n_max] * np.sqrt(np.arange(n_max) + 1.0) / math.cosh(r)
+    weights = scenario.weights
+    psi[1] = (np.diag(weights.q_l * base, 1) + np.diag(weights.q_r * base, -1)) / math.sqrt(2.0)
+    return FockKet(joint_space(n_max), psi.ravel())
 
 
 @dataclass(frozen=True)
@@ -354,13 +302,13 @@ def _bracket_width(r: float, abs_r: float, abs_l: float, n_max: int) -> float:
 
 
 def _dense_pairs(r: np.ndarray, weights: UnruhWeights, n_max: int, n_max_cap: int,
-                 delta_tol: float, tail_tol: float) -> Iterator[NegativityPair]:
+                 delta_tol: float) -> Iterator[NegativityPair]:
     """The dense route on a squeezing grid, one batch of solves per truncation level."""
     abs_r, abs_l = weights.abs_r, weights.abs_l
     levels = []
     for x in r.tolist():
         n = min(max(n_max, 1), n_max_cap)
-        while BosonTruncation(n).tail_weight(x) > tail_tol and n < n_max_cap:
+        while BosonTruncation(n).tail_weight(x) > TAIL_TOL and n < n_max_cap:
             n = min(2 * n, n_max_cap)
         levels.append((n, BosonTruncation(n).tail_weight(x)))
     values = np.zeros((r.size, 2))
@@ -391,18 +339,18 @@ def _principal_block(
 ) -> tuple[float, DensityOperator]:
     """Untruncated Alice-``wedge`` state on wedge levels <= n_max, as (weight, normalized state).
 
-    The joint state at truncation n_max + 1 holds every term that reaches
-    those levels.  Its reduction, sliced to them and scaled back by
-    raw_norm^2, is a block of trace ``weight`` < 1 whose partial transpose
-    on M (slicing commutes with it) is the exact leading principal block of
-    the untruncated one; the state is that block over ``weight``.
+    The raw joint state at truncation n_max + 1 holds every term that
+    reaches those levels.  Its reduction, sliced to them, is a block of
+    trace ``weight`` < 1 whose partial transpose on M (slicing commutes with
+    it) is the exact leading principal block of the untruncated one; the
+    state is that block over ``weight``.
     """
-    built = joint_state(replace(scenario, truncation=BosonTruncation(n_max + 1)))
+    ket = joint_state(replace(scenario, truncation=BosonTruncation(n_max + 1)))
     keep = np.add.outer(np.arange(ALICE_DIM) * (n_max + 2), np.arange(n_max + 1)).ravel()
-    block = reduced_density(built.ket, (ALICE, wedge)).matrix[np.ix_(keep, keep)]
-    trace = float(np.trace(block).real)
+    block = reduced_density(ket, (ALICE, wedge)).matrix[np.ix_(keep, keep)]
+    weight = float(np.trace(block).real)
     space = TensorSpace(((ALICE, ALICE_DIM), (wedge, n_max + 1)))
-    return built.raw_norm**2 * trace, DensityOperator(space, block / trace)
+    return weight, DensityOperator(space, block / weight)
 
 
 def _qops_pair(scenario: BosonScenario, n_max: int) -> tuple[float, float]:
@@ -513,7 +461,6 @@ def bosonic_negativity_pair(
     method: str = "auto",
     n_max_cap: int = N_MAX_CAP,
     delta_tol: float = DELTA_TOL,
-    tail_tol: float = TAIL_TOL,
     strict: bool = False,
 ) -> NegativityPair:
     """Alice-Rob and Alice-AntiRob negativities with a convergence report.
@@ -525,7 +472,7 @@ def bosonic_negativity_pair(
         "blocks" when one weight vanishes and "dense" otherwise.
     n_max_cap
         Upper limit for the dense truncation; the starting n_max doubles
-        until the squeezed-vacuum tail drops below ``tail_tol`` or the cap
+        until the squeezed-vacuum tail drops below ``TAIL_TOL`` or the cap
         is hit.
     delta_tol
         Bound on each dense bracket width relative to max(value, 0.1), and
@@ -538,7 +485,7 @@ def bosonic_negativity_pair(
         pair = _pair_blocks(scenario, delta_tol)
     else:
         pair = next(_dense_pairs(np.array([scenario.squeezing.r]), weights,
-                                 scenario.truncation.n_max, n_max_cap, delta_tol, tail_tol))
+                                 scenario.truncation.n_max, n_max_cap, delta_tol))
     if strict and not pair.report.converged:
         rep = pair.report
         raise ConvergenceError(
@@ -559,16 +506,7 @@ class BosonCurveRow:
     converged: bool
 
 
-def bosonic_curve(
-    q_abs: float,
-    r_grid,
-    n_max: int = DEFAULT_N_MAX,
-    *,
-    method: str = "auto",
-    n_max_cap: int = N_MAX_CAP,
-    delta_tol: float = DELTA_TOL,
-    tail_tol: float = TAIL_TOL,
-) -> list[BosonCurveRow]:
+def bosonic_curve(q_abs: float, r_grid, n_max: int = DEFAULT_N_MAX) -> list[BosonCurveRow]:
     """Negativity pair along a squeezing grid at fixed |q_R|.
 
     The weights are taken real, q_R = q_abs and q_L = sqrt(1 - q_abs^2);
@@ -580,12 +518,11 @@ def bosonic_curve(
     bad = ~(r >= 0.0)
     if bad.any():
         raise ValueError(f"grid squeezing values must be >= 0, got {r[bad][0]}")
-    if _route(weights, method) == "dense":
-        pairs = _dense_pairs(r, weights, n_max, n_max_cap, delta_tol, tail_tol)
+    if _route(weights, "auto") == "dense":
+        pairs = _dense_pairs(r, weights, n_max, N_MAX_CAP, DELTA_TOL)
     else:
         pairs = [
-            bosonic_negativity_pair(BosonScenario(BosonSqueezing(x), weights, truncation),
-                                    method=method, delta_tol=delta_tol)
+            bosonic_negativity_pair(BosonScenario(BosonSqueezing(x), weights, truncation))
             for x in r.tolist()
         ]
     return [

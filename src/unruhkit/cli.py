@@ -26,7 +26,7 @@ import numpy as np
 
 from .bosonic import DEFAULT_N_MAX, bosonic_curve
 from .errors import ConvergenceError, GridError, MethodDisagreementError
-from .fermionic import R_MAX, fermionic_curve
+from .fermionic import R_MAX, R_MAX_TOL, fermionic_curve
 from .wavepacket import (
     BogoliubovKernel,
     LogGaussianParams,
@@ -92,7 +92,7 @@ class SweepSpec:
             raise ValueError(f"r-min/r-max must be finite, got {self.r_min}, {self.r_max}")
         if not 0.0 <= self.r_min <= self.r_max:
             raise ValueError(f"invalid r range [{self.r_min}, {self.r_max}]")
-        if self.model == "fermion" and self.r_max > R_MAX + 1e-12:
+        if self.model == "fermion" and self.r_max > R_MAX + R_MAX_TOL:
             raise ValueError(f"fermionic r range must stay within [0, pi/4 = {R_MAX:.6f}]")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")

@@ -40,6 +40,8 @@ from .qops import (
 from .weights import UnruhWeights
 
 R_MAX = math.pi / 4
+#: rounding slack past R_MAX that the squeezing and the CLI range both accept
+R_MAX_TOL = 1e-12
 METHOD_TOL = 1e-10
 #: below this |q_R| the Alice-Rob / Alice-AntiRob roles are exchanged
 SWAP_POINT = 1.0 / math.sqrt(2.0)
@@ -67,7 +69,7 @@ class FermionSqueezing:
     r: float
 
     def __post_init__(self):
-        if not 0.0 <= self.r <= R_MAX + 1e-15:
+        if not 0.0 <= self.r <= R_MAX + R_MAX_TOL:
             raise ValueError(f"fermionic squeezing must lie in [0, pi/4], got {self.r}")
 
     @classmethod
@@ -145,29 +147,14 @@ def rho_alice_antirob_fermi(scenario: FermionScenario) -> DensityOperator:
     return reduced_density(fermion_joint_state(scenario), (ALICE, SLOT_II_ANTI, SLOT_II_PART))
 
 
-@dataclass(frozen=True, eq=False)
-class PTBlocks:
-    """The two 3x3 partial-transpose blocks that can carry negative eigenvalues.
+def pt_blocks(scenario: FermionScenario, bipartition: str) -> tuple[np.ndarray, np.ndarray]:
+    """The two 3x3 partial-transpose blocks of bipartition "AR" or "AAR" that can go negative.
 
-    Basis labels are occupation strings ijk in the bipartition's reduced
-    basis.  Entries are polynomial in C = cos r, S = sin r, q_R, q_L.
+    Entries are polynomial in C = cos r, S = sin r, q_R, q_L.  Their bases,
+    as occupation strings ijk of the bipartition's reduced basis, are
+    (100, 010, 111) and (000, 101, 011) for "AR", (111, 001, 100) and
+    (011, 110, 000) for "AAR".
     """
-
-    bipartition: str
-    first: np.ndarray
-    first_basis: tuple[str, str, str]
-    second: np.ndarray
-    second_basis: tuple[str, str, str]
-
-    def __post_init__(self):
-        for name in ("first", "second"):
-            arr = np.array(getattr(self, name), dtype=complex)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def pt_blocks(scenario: FermionScenario, bipartition: str) -> PTBlocks:
-    """Explicit negativity-carrying blocks for bipartition "AR" or "AAR"."""
     c, s = math.cos(scenario.squeezing.r), math.sin(scenario.squeezing.r)
     q_r, q_l = scenario.weights.q_r, scenario.weights.q_l
     if bipartition == "AR":
@@ -185,7 +172,7 @@ def pt_blocks(scenario: FermionScenario, bipartition: str) -> PTBlocks:
                 [0.0, q_r * s**2 * c, s**4],
             ]
         )
-        return PTBlocks("AR", first, ("100", "010", "111"), second, ("000", "101", "011"))
+        return first, second
     if bipartition == "AAR":
         first = 0.5 * np.array(
             [
@@ -201,7 +188,7 @@ def pt_blocks(scenario: FermionScenario, bipartition: str) -> PTBlocks:
                 [0.0, q_r * c**2 * s, c**4],
             ]
         )
-        return PTBlocks("AAR", first, ("111", "001", "100"), second, ("011", "110", "000"))
+        return first, second
     raise ValueError(f"bipartition must be 'AR' or 'AAR', got {bipartition!r}")
 
 
@@ -211,9 +198,9 @@ class FermionNegativityPair:
     n_aar: float
 
 
-def _blocks_negativity(blocks: PTBlocks) -> float:
+def _blocks_negativity(blocks: tuple[np.ndarray, np.ndarray]) -> float:
     total = 0.0
-    for matrix in (blocks.first, blocks.second):
+    for matrix in blocks:
         total += negativity_from_eigenvalues(hermitian_eigenvalues(matrix)).value
     return total
 
@@ -264,13 +251,13 @@ class FermionCurveRow:
     swap_equivalent: bool
 
 
-def fermionic_curve(q_abs: float, r_grid, *, method_tol: float = METHOD_TOL) -> list[FermionCurveRow]:
+def fermionic_curve(q_abs: float, r_grid) -> list[FermionCurveRow]:
     """Negativity pair along a squeezing grid at fixed |q_R|.
 
     The physically distinct range is |q_R| >= 1/sqrt(2); smaller values are
     admitted but flagged ``swap_equivalent`` since they reproduce the
     mirrored bipartition.  Each row carries the blocks-vs-full residual and
-    the sweep aborts if any residual exceeds ``method_tol``.
+    the sweep aborts if any residual exceeds ``METHOD_TOL``.
     """
     weights = UnruhWeights.from_abs(q_abs)
     swap_equivalent = q_abs < SWAP_POINT
@@ -279,10 +266,10 @@ def fermionic_curve(q_abs: float, r_grid, *, method_tol: float = METHOD_TOL) -> 
         scenario = FermionScenario(FermionSqueezing(float(r)), weights)
         pair = fermionic_negativity_pair(scenario, method="blocks")
         residual = method_agreement_residual(scenario, pair)
-        if residual > method_tol:
+        if residual > METHOD_TOL:
             raise MethodDisagreementError(
                 f"blocks/full negativities differ by {residual:.3e} at "
-                f"(q_abs={q_abs}, r={r}); tolerance {method_tol}"
+                f"(q_abs={q_abs}, r={r}); tolerance {METHOD_TOL}"
             )
         rows.append(
             FermionCurveRow(

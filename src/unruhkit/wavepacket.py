@@ -62,8 +62,8 @@ class BogoliubovKernel:
     def __post_init__(self):
         if self.epsilon not in (-1, 1):
             raise ValueError(f"epsilon must be +1 or -1, got {self.epsilon}")
-        if self.length_scale <= 0.0:
-            raise ValueError(f"length scale must be > 0, got {self.length_scale}")
+        if not 0.0 < self.length_scale < math.inf:  # so that NaN fails too
+            raise ValueError(f"length scale must be > 0 and finite, got {self.length_scale}")
 
 
 def alpha_r(omega, big_omega, kernel: BogoliubovKernel = BogoliubovKernel()):
@@ -224,10 +224,12 @@ class LogGaussianParams:
     omega0: float = 1.0
 
     def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ValueError(f"lambda must be > 0, got {self.lam}")
-        if self.omega0 <= 0.0:
-            raise ValueError(f"omega0 must be > 0, got {self.omega0}")
+        if not 0.0 < self.lam < math.inf:  # so that NaN fails too
+            raise ValueError(f"lambda must be > 0 and finite, got {self.lam}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
+        if not 0.0 < self.omega0 < math.inf:
+            raise ValueError(f"omega0 must be > 0 and finite, got {self.omega0}")
 
 
 def _log_gaussian_weight(params: LogGaussianParams, x0: float) -> Callable[[np.ndarray], np.ndarray]:

@@ -16,16 +16,13 @@ from unruhkit.bosonic import (
     EXTREMAL_TOL,
     N_MAX_CAP,
     REGION_I,
+    REGION_II,
     BosonScenario,
     BosonSqueezing,
     BosonTruncation,
     bosonic_curve,
     bosonic_negativity_pair,
     joint_state,
-    rho_alice_antirob,
-    rho_alice_rob,
-    unruh_excitation_ket,
-    unruh_vacuum_ket,
     vacuum_coefficients,
     _block_series,
     _bracket_width,
@@ -35,7 +32,7 @@ from unruhkit.bosonic import (
     _sector_bands,
 )
 from unruhkit.errors import ConvergenceError
-from unruhkit.qops import partial_transpose
+from unruhkit.qops import negativity, partial_transpose, reduced_density
 from unruhkit.weights import UnruhWeights
 
 
@@ -127,57 +124,72 @@ class TestVacuumCoefficients:
         assert abs(tail - brute) < 1e-14
 
 
+def branches(sc):
+    """Vacuum (|0>_M) and excitation (|1>_M) amplitude tables of the raw joint state.
+
+    Each is scaled by sqrt(2), which undoes the 1/sqrt(2) of the superposition.
+    """
+    d = sc.truncation.n_max + 1
+    amp = joint_state(sc).amplitudes.reshape(2, d, d) * math.sqrt(2.0)
+    return amp[0], amp[1]
+
+
+def reduced(sc, wedge=REGION_I):
+    """Alice-``wedge`` reduction of the raw joint state."""
+    return reduced_density(joint_state(sc), (ALICE, wedge))
+
+
 class TestStateBuilders:
     def test_vacuum_at_zero_squeezing(self):
-        built = unruh_vacuum_ket(0.0, 8)
-        assert built.ket.amplitudes[0] == 1.0
-        assert np.count_nonzero(built.ket.amplitudes) == 1
-        assert built.raw_norm == 1.0
+        vac = branches(scenario(0.0, 1.0, n_max=8))[0]
+        assert vac[0, 0] == 1.0
+        assert np.count_nonzero(vac) == 1
+        assert np.linalg.norm(vac) == 1.0
 
     def test_vacuum_schmidt_coefficients(self):
-        built = unruh_vacuum_ket(0.7, 12)
+        vac = branches(scenario(0.7, 1.0, n_max=12))[0]
         f = vacuum_coefficients(0.7, 12)
-        amp = built.ket.amplitudes.reshape(13, 13)
-        assert np.allclose(np.diag(amp).real, f / np.linalg.norm(f), atol=1e-14)
-        assert abs(built.ket.norm() - 1.0) < 1e-12
+        assert np.allclose(np.diag(vac).real, f, atol=1e-14)
+        # the raw branch keeps the untruncated coefficients: its norm^2 misses the tail
+        tail = BosonTruncation(12).tail_weight(0.7)
+        assert abs(np.linalg.norm(vac) ** 2 - (1.0 - tail)) < 1e-12
 
     def test_vacuum_truncation_deficit(self):
-        built = unruh_vacuum_ket(0.5, 20)
-        assert built.deficit < 1e-6
+        vac = branches(scenario(0.5, 1.0, n_max=20))[0]
+        assert 1.0 - np.linalg.norm(vac) ** 2 < 1e-6
 
     def test_excitation_at_zero_squeezing(self):
-        built = unruh_excitation_ket(scenario(0.0, 1.0))
-        amp = built.ket.amplitudes.reshape(31, 31)
-        assert abs(amp[1, 0] - 1.0) < 1e-14
+        exc = branches(scenario(0.0, 1.0))[1]
+        assert abs(exc[1, 0] - 1.0) < 1e-14
 
     def test_excitation_general_weights_at_zero_squeezing(self):
         sc = BosonScenario(
             BosonSqueezing(0.0), UnruhWeights(0.6j, 0.8), BosonTruncation(10)
         )
-        amp = unruh_excitation_ket(sc).ket.amplitudes.reshape(11, 11)
-        assert abs(amp[1, 0] - 0.6j) < 1e-14  # q_R |1>_I |0>_II
-        assert abs(amp[0, 1] - 0.8) < 1e-14   # q_L |0>_I |1>_II
+        exc = branches(sc)[1]
+        assert abs(exc[1, 0] - 0.6j) < 1e-14  # q_R |1>_I |0>_II
+        assert abs(exc[0, 1] - 0.8) < 1e-14   # q_L |0>_I |1>_II
 
     def test_excitation_raw_norm_deficit(self):
-        built = unruh_excitation_ket(scenario(0.5, 0.8, n_max=40))
-        assert abs(1.0 - built.raw_norm**2) < 1e-8
+        exc = branches(scenario(0.5, 0.8, n_max=40))[1]
+        assert abs(1.0 - np.linalg.norm(exc) ** 2) < 1e-8
 
     def test_joint_state_is_bell_at_zero_squeezing(self):
-        built = joint_state(scenario(0.0, 1.0, n_max=5))
-        amp = built.ket.amplitudes.reshape(2, 6, 6)
+        amp = joint_state(scenario(0.0, 1.0, n_max=5)).amplitudes.reshape(2, 6, 6)
         assert abs(amp[0, 0, 0] - 1.0 / math.sqrt(2.0)) < 1e-14
         assert abs(amp[1, 1, 0] - 1.0 / math.sqrt(2.0)) < 1e-14
         assert np.count_nonzero(amp) == 2
 
     def test_joint_state_normalized(self):
-        assert abs(joint_state(scenario(0.9, 0.8)).ket.norm() - 1.0) < 1e-12
+        # the raw state is normalised once the cut holds it: short of 1 by the
+        # cut's weight at n_max = 30, within 1e-12 of 1 at n_max = 120
+        assert joint_state(scenario(0.9, 0.8)).norm() < 1.0 - 1e-9
+        assert abs(joint_state(scenario(0.9, 0.8, n_max=120)).norm() - 1.0) < 1e-12
 
     def test_joint_raw_amplitude_coefficient(self):
         # amplitude at (M=1, I=n+1, II=n) is q_R f(n) sqrt(n+1) / (sqrt(2) cosh r)
-        # before renormalization
         r, q_abs, phase = 0.6, 0.8, 0.9
-        built = joint_state(scenario(r, q_abs, n_max=20, phase=phase))
-        amp = built.ket.amplitudes.reshape(2, 21, 21) * built.raw_norm
+        amp = joint_state(scenario(r, q_abs, n_max=20, phase=phase)).amplitudes.reshape(2, 21, 21)
         f = vacuum_coefficients(r, 20)
         q_r = q_abs * np.exp(1j * phase)
         for n in (0, 3, 7):
@@ -187,15 +199,13 @@ class TestStateBuilders:
 
 class TestReducedMatrices:
     def test_bell_density_at_zero_squeezing(self):
-        rho = rho_alice_rob(scenario(0.0, 1.0, n_max=4))
-        from unruhkit.qops import negativity
-
+        rho = reduced(scenario(0.0, 1.0, n_max=4))
         assert abs(negativity(rho, "M").value - 0.5) < 1e-12
 
     def test_hand_traced_two_term_state(self):
         # at r = 0 the joint state has two branches; tracing region II by hand
         # gives (1/2)[|00><00| + 0.64 |11><11| + 0.36 |10><10| + (q_R |11><00| + h.c.)]
-        rho = rho_alice_rob(scenario(0.0, 0.8, n_max=3)).matrix
+        rho = reduced(scenario(0.0, 0.8, n_max=3)).matrix
         d = 4
         expected = np.zeros((8, 8))
         expected[0, 0] = 0.5
@@ -210,9 +220,7 @@ class TestReducedMatrices:
         # on |1, n+1><1, n+1| and f(n)^2 (n+1) |q_L|^2 / (2 cosh^2 r) on
         # |1, n><1, n|; a diagonal element at occupation m collects both
         r, q_abs, n_max = 0.7, 0.9, 25
-        built = joint_state(scenario(r, q_abs, n_max))
-        rho = rho_alice_rob(scenario(r, q_abs, n_max))
-        mat = rho.matrix * built.raw_norm**2
+        mat = reduced(scenario(r, q_abs, n_max)).matrix
         f = vacuum_coefficients(r, n_max)
         ql2 = 1.0 - q_abs * q_abs
         cosh2 = math.cosh(r) ** 2
@@ -227,8 +235,7 @@ class TestReducedMatrices:
     def test_diagonal_coefficient_pure_right_weight(self):
         # with q_L = 0 the |1, n+1> diagonal is exactly the single read-off term
         r, n_max = 0.7, 25
-        built = joint_state(scenario(r, 1.0, n_max))
-        mat = rho_alice_rob(scenario(r, 1.0, n_max)).matrix * built.raw_norm**2
+        mat = reduced(scenario(r, 1.0, n_max)).matrix
         f = vacuum_coefficients(r, n_max)
         d = n_max + 1
         for n in (0, 4, 9):
@@ -236,13 +243,12 @@ class TestReducedMatrices:
             assert abs(mat[d + n + 1, d + n + 1] - expected) < 1e-14
 
     def test_traces_are_unit(self):
-        for builder in (rho_alice_rob, rho_alice_antirob):
-            assert abs(builder(scenario(0.5, 0.7)).trace() - 1.0) < 1e-10
+        for wedge in (REGION_I, REGION_II):
+            rho = _principal_block(scenario(0.5, 0.7), 30, wedge)[1]
+            assert abs(rho.trace() - 1.0) < 1e-10
 
     def test_antirob_is_product_at_extremal_weights(self):
-        from unruhkit.qops import negativity
-
-        rho = rho_alice_antirob(scenario(0.0, 1.0, n_max=4))
+        rho = reduced(scenario(0.0, 1.0, n_max=4), REGION_II)
         assert negativity(rho, "M").value < 1e-14
 
     def test_swap_rule(self):
@@ -251,10 +257,11 @@ class TestReducedMatrices:
         swapped = BosonScenario(
             BosonSqueezing(0.8), UnruhWeights(q_l, q_r), BosonTruncation(25)
         )
-        assert np.max(np.abs(rho_alice_antirob(sc).matrix - rho_alice_rob(swapped).matrix)) < 1e-12
+        assert np.max(np.abs(reduced(sc, REGION_II).matrix - reduced(swapped).matrix)) < 1e-12
 
     def test_positivity(self):
-        rho_alice_rob(scenario(0.9, 0.75)).validate()
+        for wedge in (REGION_I, REGION_II):
+            _principal_block(scenario(0.9, 0.75), 30, wedge)[1].validate()
 
     def test_full_matrix_against_term_series_oracle(self):
         # independent oracle: assemble rho_AR from its explicit term-by-term
@@ -267,8 +274,7 @@ class TestReducedMatrices:
         q_r = 0.8 * np.exp(0.4j)
         q_l = 0.6 * np.exp(-1.3j)
         sc = BosonScenario(BosonSqueezing(r), UnruhWeights(q_r, q_l), BosonTruncation(n_max))
-        built = joint_state(sc)
-        actual = rho_alice_rob(sc).matrix * built.raw_norm**2
+        actual = reduced(sc).matrix
 
         d = n_max + 1
         f = vacuum_coefficients(r, n_max)
@@ -300,7 +306,7 @@ class TestBlockStructure:
         # for q_R = 1 the only off-diagonal couplings of the Alice-Rob partial
         # transpose connect |0, n+1> with |1, n>; {|0, 0>} sits alone
         n_max = 12
-        sigma = partial_transpose(rho_alice_rob(scenario(0.8, 1.0, n_max)), "M")
+        sigma = partial_transpose(reduced(scenario(0.8, 1.0, n_max)), "M")
         d = n_max + 1
 
         def block_id(i, n):
@@ -317,7 +323,7 @@ class TestBlockStructure:
         # the Alice-AntiRob partial transpose at q_R = 1 has the mirrored
         # pairing {|0, n>, |1, n+1>} (it equals the Alice-Rob matrix at q_L = 1)
         n_max = 12
-        sigma = partial_transpose(rho_alice_antirob(scenario(0.8, 1.0, n_max)), "M")
+        sigma = partial_transpose(reduced(scenario(0.8, 1.0, n_max), REGION_II), "M")
         d = n_max + 1
 
         def block_id(i, n):
@@ -447,6 +453,14 @@ class TestCurve:
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
             bosonic_curve(1.2, [0.0])
+
+    @pytest.mark.parametrize("q_abs", [0.9, 1.0])
+    def test_rejects_a_float_truncation(self, q_abs):
+        # a float n_max used to pass BosonTruncation and fail in the solver's
+        # chunk loop (dense rows) or go unnoticed (block-series rows)
+        with pytest.raises(TypeError, match="n_max must be an integer"):
+            bosonic_curve(q_abs, [0.1], n_max=30.0)
+        assert bosonic_curve(q_abs, [0.1], n_max=np.int64(30))[0].converged
 
     @pytest.mark.parametrize("q_abs", [0.3, 0.9])
     @pytest.mark.parametrize("chunk", [bosonic._CHUNK_ELEMENTS, 100])
@@ -589,7 +603,7 @@ class TestParitySectors:
         d = n_max + 1
         parity = np.add.outer(np.arange(2), np.arange(d)).ravel() % 2
         offset = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
-        for rho in (rho_alice_rob(sc), rho_alice_antirob(sc)):
+        for rho in (reduced(sc), reduced(sc, REGION_II)):
             sigma = partial_transpose(rho, "M")
             assert np.max(np.abs(sigma[np.not_equal.outer(parity, parity)])) == 0.0
             for p in (0, 1):

@@ -175,6 +175,21 @@ class TestFermionCommand:
         out = tmp_path / "bad.csv"
         assert main(["fermion", "--q", "1", "--r-max", "1.0", "--out", str(out)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("r_max, code", [
+        ("0.7853981633975", EXIT_OK), ("0.785398163399", EXIT_USAGE),
+    ])
+    def test_r_max_past_pi_over_4_by_rounding(self, r_max, code, tmp_path, capsys):
+        # 5e-14 and 1.6e-12 past pi/4: the CLI range check and the squeezing
+        # share one tolerance, so the first used to pass the check and then
+        # end in a ValueError traceback from FermionSqueezing
+        out = tmp_path / "f.csv"
+        assert main(["fermion", "--q", "1", "--r-max", r_max, "--steps", "2",
+                     "--out", str(out)]) == code
+        if code == EXIT_OK:
+            assert read_csv(out)[1][-1]["r"] == "0.785398163398"
+        else:
+            assert "fermionic r range must stay within" in capsys.readouterr().err
+
 
 class TestPacketCommand:
     def test_peaked_packet_report(self, tmp_path, capsys):

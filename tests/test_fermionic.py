@@ -144,17 +144,27 @@ class TestBlocks:
         r, q_abs = 0.5, 0.8
         c, s = math.cos(r), math.sin(r)
         ql2 = 1.0 - q_abs**2
-        ar = pt_blocks(scenario(r, q_abs), "AR")
-        assert abs(ar.first[0, 0] - c**2 * ql2 / 2.0) < 1e-15
-        aar = pt_blocks(scenario(r, q_abs), "AAR")
-        assert abs(aar.second[2, 2] - c**4 / 2.0) < 1e-15
-        assert ar.first_basis == ("100", "010", "111")
-        assert aar.second_basis == ("011", "110", "000")
+        ar_first = pt_blocks(scenario(r, q_abs), "AR")[0]
+        assert abs(ar_first[0, 0] - c**2 * ql2 / 2.0) < 1e-15
+        aar_second = pt_blocks(scenario(r, q_abs), "AAR")[1]
+        assert abs(aar_second[2, 2] - c**4 / 2.0) < 1e-15
 
     def test_blocks_are_hermitian(self):
-        blocks = pt_blocks(scenario(0.7, 0.6, phase=0.9), "AR")
-        for mat in (blocks.first, blocks.second):
+        for mat in pt_blocks(scenario(0.7, 0.6, phase=0.9), "AR"):
             assert np.max(np.abs(mat - mat.conj().T)) < 1e-14
+
+    @pytest.mark.parametrize("bipartition,builder,bases", [
+        ("AR", rho_alice_rob_fermi, (("100", "010", "111"), ("000", "101", "011"))),
+        ("AAR", rho_alice_antirob_fermi, (("111", "001", "100"), ("011", "110", "000"))),
+    ])
+    def test_blocks_are_the_partial_transpose_on_their_bases(self, bipartition, builder, bases):
+        # the bases named in the pt_blocks docstring, checked against the
+        # full 8x8 partial transpose of the reduced state
+        sc = scenario(0.6, 0.7, phase=1.1)
+        sigma = partial_transpose(builder(sc), "M")
+        for mat, basis in zip(pt_blocks(sc, bipartition), bases):
+            idx = [int(label, 2) for label in basis]
+            assert np.max(np.abs(sigma[np.ix_(idx, idx)] - mat)) < 1e-15
 
     @pytest.mark.parametrize("bipartition,builder", [
         ("AR", rho_alice_rob_fermi),
@@ -170,8 +180,7 @@ class TestBlocks:
             full = np.sort(
                 hermitian_eigenvalues(partial_transpose(builder(sc), "M"))
             )
-            blocks = pt_blocks(sc, bipartition)
-            for mat in (blocks.first, blocks.second):
+            for mat in pt_blocks(sc, bipartition):
                 for eig in hermitian_eigenvalues(mat):
                     assert np.min(np.abs(full - eig)) < 1e-12
 

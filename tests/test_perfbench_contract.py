@@ -1,21 +1,33 @@
-"""The benchmark's outside-in tracer still fits the package.
+"""The benchmark's tracer and output checker still fit the package.
 
 ``perfbench/tracer.py`` replaces named functions in named modules, and
 refuses to run if a module no longer imports a function by that name.
-Renaming or un-importing one would break only the traced benchmark run;
-this test makes it fail here instead.
+``perfbench/checks.py`` builds its references partly from package names
+(``qops`` for the dense bosonic oracle, the closed-form packet images).
+Renaming or deleting one would break only the benchmark run; these tests
+make it fail here instead.  Both files are only loaded, never changed.
 """
 
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+import numpy as np
+
+from unruhkit.bosonic import BosonScenario, BosonSqueezing, bosonic_negativity_pair
+from unruhkit.cli import main
+from unruhkit.fermionic import R_MAX, fermionic_curve
+from unruhkit.weights import UnruhWeights
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
@@ -33,7 +45,7 @@ def attributes(tracer):
 
 
 def test_install_wraps_and_uninstall_restores():
-    tracing = load_tracer()
+    tracing = load("tracer")
     targets = attributes(tracing)
     originals = [vars(owner)[attr] for owner, attr in targets]
     tracer = tracing.Tracer()
@@ -44,3 +56,28 @@ def test_install_wraps_and_uninstall_restores():
     finally:
         tracer.uninstall()
     assert all(vars(owner)[attr] is original for (owner, attr), original in zip(targets, originals))
+
+
+def test_checker_references_accept_the_package():
+    checks = load("checks")
+    # dense bosonic oracle on one small case, judged as the checker judges a row
+    n_ar, n_aar, slack = checks.dense_oracle(0.8, 0.5, 40)
+    pair = bosonic_negativity_pair(BosonScenario(BosonSqueezing(0.5), UnruhWeights.from_abs(0.8)))
+    for got, ref in ((pair.n_ar, n_ar), (pair.n_aar, n_aar)):
+        assert checks._close(got, ref, checks.REL_TOL, checks.ABS_FLOOR + slack)
+    # batched fermion reference on a short grid
+    grid = np.linspace(0.0, R_MAX, 5)
+    ref_ar, ref_aar = checks.fermion_reference(0.8, grid)
+    for row, e_ar, e_aar in zip(fermionic_curve(0.8, grid), ref_ar, ref_aar):
+        assert checks._close(row.n_ar, e_ar, checks.FERMION_REL_TOL, checks.ABS_FLOOR)
+        assert checks._close(row.n_aar, e_aar, checks.FERMION_REL_TOL, checks.ABS_FLOOR)
+
+
+def test_checker_closed_form_accepts_a_packet_table(tmp_path):
+    checks = load("checks")
+    out = tmp_path / "report.json"
+    assert main(["packet", "--family", "log-gaussian", "--lam", "1", "--mu", "8",
+                 "--out", str(out)]) == 0
+    table = json.loads(out.read_text())["table"]
+    assert table
+    assert checks._closed_form_problem({"lam": 1.0, "mu": 8.0}, table) == ""

@@ -67,6 +67,12 @@ class TestAlphaCoefficients:
         with pytest.raises(ValueError):
             BogoliubovKernel(epsilon=2)
 
+    @pytest.mark.parametrize("length_scale", [math.nan, math.inf])
+    def test_non_finite_length_scale_rejected(self, length_scale):
+        # a NaN length scale used to pass, and g_from_f then gave all-NaN images
+        with pytest.raises(ValueError, match="length scale must be > 0 and finite"):
+            BogoliubovKernel(1, length_scale)
+
 
 class TestLogGaussian:
     def test_normalized(self):
@@ -99,6 +105,18 @@ class TestLogGaussian:
     def test_narrow_explicit_grid_rejected(self):
         with pytest.raises(GridError):
             f_log_gaussian(LogGaussianParams(1.0, 0.0), x_grid=np.linspace(-1.0, 1.0, 64))
+
+    @pytest.mark.parametrize("args, message", [
+        ((math.nan, 1.0), "lambda must be > 0 and finite"),
+        ((math.inf, 1.0), "lambda must be > 0 and finite"),
+        ((1.0, math.nan), "mu must be finite"),
+        ((1.0, 1.0, math.nan), "omega0 must be > 0 and finite"),
+    ])
+    def test_non_finite_parameters_rejected(self, args, message):
+        # these used to pass construction and end in a NaN-to-integer error
+        # or a ZeroDivisionError in the grid code, or in NaN profiles
+        with pytest.raises(ValueError, match=message):
+            LogGaussianParams(*args)
 
 
 class TestTransformPair:
