@@ -15,14 +15,14 @@ Two evaluation routes are provided:
   (``_sector_bands``); one LAPACK ?sbevd solve of each leading
   (n_max+1)-level block gives a lower bound, and on the minor side a sector
   that the banded Cholesky routine ?pbtrf factors adds exactly 0 unsolved.
-  A closed form bounds what the cut leaves out (``_bracket_width``).  A
+  A closed form bounds what the cut leaves out (``_bracket_widths``).  A
   point is converged when each width is at most DELTA_TOL * max(N, 0.1), so
-  an exact 0 is certified to 1e-7.  n_max doubles until the squeezed-vacuum
-  tail tanh^{2(n_max+1)} r is below TAIL_TOL or n_max reaches N_MAX_CAP;
-  past r = 19.06 (tanh r = 1) the route reports 0 unconverged unevaluated.
-  A curve is solved in one vectorised batch per n_max, a point as a curve
-  of one.  The labelled-tensor route (``qops``) on the raw ``joint_state``,
-  ``_qops_pair``, is the engine's test oracle.
+  an exact 0 is certified to 1e-7.  That floor also picks n_max: the first
+  level of the ladder 1, 2, 4, ..., N_MAX_CAP at which both widths meet
+  0.1 DELTA_TOL, or the cap; past r = 19.06 (tanh r = 1) the route reports
+  0 unconverged unevaluated.  A curve is solved in one vectorised batch per
+  n_max, a point as a curve of one.  The labelled-tensor route (``qops``)
+  on the raw ``joint_state``, ``_qops_pair``, is the engine's test oracle.
 
 * ``blocks``: for the extremal weights |q_R| in {0, 1} the partial
   transpose is block diagonal in 2x2 sectors and the negativity is an
@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
 
@@ -58,12 +58,8 @@ from .qops import (
 )
 from .weights import UnruhWeights
 
-DEFAULT_N_MAX = 30
 N_MAX_CAP = 120
-TAIL_TOL = 1e-8
 DELTA_TOL = 1e-6
-#: artanh diverges with acceleration; negativity at r = 10 is already < 1e-8
-R_CAP = 10.0
 #: a weight this close to 0 switches the pair evaluation to the block series
 EXTREMAL_TOL = 1e-12
 
@@ -88,7 +84,6 @@ class BosonSqueezing:
     """Squeezing parameter r >= 0, optionally derived from an acceleration."""
 
     r: float
-    capped: bool = False
 
     def __post_init__(self):
         if not self.r >= 0.0:
@@ -96,39 +91,19 @@ class BosonSqueezing:
 
     @classmethod
     def from_acceleration(cls, omega_a: float, a: float) -> "BosonSqueezing":
-        """r = artanh(e^{-pi omega_a / a}); capped at ``R_CAP`` with a flag.
+        """r = artanh(e^{-2z}) = -ln(tanh z) / 2 with z = pi omega_a / (2a).
 
-        ``capped=True`` marks an effectively infinite acceleration: the exact
-        r exceeds the cap, where the negativities are numerically zero anyway.
+        artanh is exact while e^{-2z} is small; below z = 1 the tanh form
+        keeps the digits that 1 - e^{-2z} would lose.  r is infinite once
+        z underflows to 0.
         """
         if omega_a <= 0.0 or a <= 0.0:
             raise ValueError(f"omega_a and a must be > 0, got {omega_a}, {a}")
-        x = math.exp(-math.pi * omega_a / a)
-        if x >= math.tanh(R_CAP):
-            return cls(R_CAP, capped=True)
-        return cls(math.atanh(x))
-
-
-@dataclass(frozen=True)
-class BosonTruncation:
-    """Highest Rindler occupation retained in each wedge factor."""
-
-    n_max: int
-
-    def __post_init__(self):
-        try:
-            n_max = operator.index(self.n_max)
-        except TypeError:
-            raise TypeError(f"n_max must be an integer, got {self.n_max!r}") from None
-        if n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-
-    def tail_weight(self, r: float) -> float:
-        """Discarded squeezed-vacuum weight sum_{n > n_max} f(n)^2.
-
-        The sum is geometric and evaluates exactly to tanh^{2(n_max+1)} r.
-        """
-        return math.tanh(r) ** (2 * (self.n_max + 1))
+        z = math.pi * omega_a / (2.0 * a)
+        if z >= 1.0:
+            return cls(math.atanh(math.exp(-2.0 * z)))
+        t = math.tanh(z)
+        return cls(-0.5 * math.log(t) if t > 0.0 else math.inf)
 
 
 def vacuum_coefficients(r: float | np.ndarray, n_max: int) -> np.ndarray:
@@ -144,7 +119,6 @@ def vacuum_coefficients(r: float | np.ndarray, n_max: int) -> np.ndarray:
 class BosonScenario:
     squeezing: BosonSqueezing
     weights: UnruhWeights
-    truncation: BosonTruncation = BosonTruncation(DEFAULT_N_MAX)
 
 
 def joint_space(n_max: int) -> TensorSpace:
@@ -152,7 +126,7 @@ def joint_space(n_max: int) -> TensorSpace:
     return TensorSpace(((ALICE, ALICE_DIM), (REGION_I, d), (REGION_II, d)))
 
 
-def joint_state(scenario: BosonScenario) -> FockKet:
+def joint_state(scenario: BosonScenario, n_max: int) -> FockKet:
     """(|0>_M |vac> + |1>_M |excitation>)/sqrt(2) on (M, I, II), cut at n_max.
 
     Every amplitude is that of the untruncated state, so the ket is not
@@ -160,8 +134,13 @@ def joint_state(scenario: BosonScenario) -> FockKet:
     discards.  The excitation sum_n f(n) sqrt(n+1)/cosh(r) (q_L |n, n+1> +
     q_R |n+1, n>) stops at n = n_max - 1, where n + 1 reaches the cut.
     """
+    try:
+        n_max = operator.index(n_max)
+    except TypeError:
+        raise TypeError(f"n_max must be an integer, got {n_max!r}") from None
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     r = scenario.squeezing.r
-    n_max = scenario.truncation.n_max
     d = n_max + 1
     f = vacuum_coefficients(r, n_max)
     psi = np.zeros((ALICE_DIM, d, d), dtype=complex)
@@ -177,8 +156,9 @@ def joint_state(scenario: BosonScenario) -> FockKet:
 class ConvergenceReport:
     """How a negativity pair was obtained and how well it converged.
 
-    For the dense method ``tail_weight`` is the discarded squeezed-vacuum
-    weight at ``n_max_used``, each negativity is the lower end of a
+    For the dense method ``n_max_used`` is the level the widths picked (see
+    ``_dense_pairs``), ``tail_weight`` the squeezed-vacuum weight
+    tanh^{2(n_max_used+1)} r past it, each negativity the lower end of a
     certified bracket and its delta the bracket's width, so the exact value
     lies in [N, N + delta].  For the block series ``n_max_used`` is the
     number of terms summed exactly, ``tail_weight`` the bound on the error
@@ -283,8 +263,8 @@ def _principal_negativities(r: np.ndarray, abs_r: float, abs_l: float, n_max: in
     return values
 
 
-def _bracket_width(r: float, abs_r: float, abs_l: float, n_max: int) -> float:
-    """Bound on the untruncated Alice-Rob negativity minus the principal block's.
+def _bracket_widths(r: float, abs_r: float, abs_l: float, n_max: int) -> tuple[float, float]:
+    """Bounds on the untruncated (N_AR, N_AAR) minus the principal blocks'.
 
     S(A) = -min tr(XA) over 0 <= X <= I (the sum of |negative eigenvalues|)
     is subadditive, and the untruncated sector is diag(P, 0) plus the tail
@@ -294,37 +274,48 @@ def _bracket_width(r: float, abs_r: float, abs_l: float, n_max: int) -> float:
     (x + y t) T^i sqrt(i+1) / c^3 for i >= n and x y t T^i sqrt((i+1)(i+2))
     / c^4 for i >= n - 1.  Cauchy-Schwarz, sqrt((i+1)(i+2)) <= i + 3/2 and
     sum_{i>=m} T^i = T^m c^2 close them in O(1), in units of the state's 1/2.
+    Alice-AntiRob is the same with x and y exchanged.
     """
     t, c, s2 = math.tanh(r), math.cosh(r), math.sinh(r) ** 2
     edge = t ** (2 * n_max) * math.sqrt(n_max + 1.0 + s2) / c
     second = t ** (2 * n_max - 1) * (n_max + 0.5 + s2) / (c * c)
-    return 0.5 * ((abs_r + abs_l * t) * edge + abs_r * abs_l * second)
+    both = abs_r * abs_l * second
+    return 0.5 * ((abs_r + abs_l * t) * edge + both), 0.5 * ((abs_l + abs_r * t) * edge + both)
 
 
-def _dense_pairs(r: np.ndarray, weights: UnruhWeights, n_max: int, n_max_cap: int,
-                 delta_tol: float) -> Iterator[NegativityPair]:
-    """The dense route on a squeezing grid, one batch of solves per truncation level."""
+def _dense_pairs(r: np.ndarray, weights: UnruhWeights, delta_tol: float) -> Iterator[NegativityPair]:
+    """The dense route on a squeezing grid, one batch of solves per truncation level.
+
+    Each row takes the first n of the ladder 1, 2, 4, ..., N_MAX_CAP at which
+    both bracket widths are at most 0.1 delta_tol, the floor that certifies
+    any value, 0 included; rows that reach the cap keep its widths.
+    """
     abs_r, abs_l = weights.abs_r, weights.abs_l
     levels = []
     for x in r.tolist():
-        n = min(max(n_max, 1), n_max_cap)
-        while BosonTruncation(n).tail_weight(x) > TAIL_TOL and n < n_max_cap:
-            n = min(2 * n, n_max_cap)
-        levels.append((n, BosonTruncation(n).tail_weight(x)))
+        if math.tanh(x) == 1.0:
+            # r > 19.06: the cut keeps no representable share of the state,
+            # and past r ~ 710 cosh r overflows, so no width is formed
+            levels.append((N_MAX_CAP, None))
+            continue
+        n = 1
+        while True:
+            widths = _bracket_widths(x, abs_r, abs_l, n)
+            if n == N_MAX_CAP or max(widths) <= 0.1 * delta_tol:
+                break
+            n = min(2 * n, N_MAX_CAP)
+        levels.append((n, widths))
     values = np.zeros((r.size, 2))
-    for n in {n for n, tail in levels if tail < 1.0}:
-        rows = [i for i, (m, tail) in enumerate(levels) if m == n and tail < 1.0]
+    for n in {n for n, widths in levels if widths is not None}:
+        rows = [i for i, (m, widths) in enumerate(levels) if m == n and widths is not None]
         values[rows] = _principal_negativities(r[rows], abs_r, abs_l, n)
-    for x, (n, tail), (n_ar, n_aar) in zip(r.tolist(), levels, values.tolist()):
-        if tail >= 1.0:
-            # tanh r rounds to 1 (r > 19.06): the cut keeps no representable share
-            # of the state, and past r ~ 355 its entries underflow or overflow
-            report = ConvergenceReport("dense", n, tail, 0.0, 0.0, False)
+    for x, (n, widths), (n_ar, n_aar) in zip(r.tolist(), levels, values.tolist()):
+        if widths is None:
+            report = ConvergenceReport("dense", n, 1.0, 0.0, 0.0, False)
         else:
-            widths = (_bracket_width(x, abs_r, abs_l, n), _bracket_width(x, abs_l, abs_r, n))
             # relative, and absolute below 0.1: a certified 0 has width <= 1e-7
             converged = all(w <= delta_tol * max(v, 0.1) for v, w in zip((n_ar, n_aar), widths))
-            report = ConvergenceReport("dense", n, tail, *widths, converged)
+            report = ConvergenceReport("dense", n, math.tanh(x) ** (2 * (n + 1)), *widths, converged)
         yield NegativityPair(n_ar, n_aar, report)
 
 
@@ -345,7 +336,7 @@ def _principal_block(
     it) is the exact leading principal block of the untruncated one; the
     state is that block over ``weight``.
     """
-    ket = joint_state(replace(scenario, truncation=BosonTruncation(n_max + 1)))
+    ket = joint_state(scenario, n_max + 1)
     keep = np.add.outer(np.arange(ALICE_DIM) * (n_max + 2), np.arange(n_max + 1)).ravel()
     block = reduced_density(ket, (ALICE, wedge)).matrix[np.ix_(keep, keep)]
     weight = float(np.trace(block).real)
@@ -459,7 +450,6 @@ def bosonic_negativity_pair(
     scenario: BosonScenario,
     *,
     method: str = "auto",
-    n_max_cap: int = N_MAX_CAP,
     delta_tol: float = DELTA_TOL,
     strict: bool = False,
 ) -> NegativityPair:
@@ -470,13 +460,11 @@ def bosonic_negativity_pair(
     method
         "dense", "blocks" (extremal weights only) or "auto", which picks
         "blocks" when one weight vanishes and "dense" otherwise.
-    n_max_cap
-        Upper limit for the dense truncation; the starting n_max doubles
-        until the squeezed-vacuum tail drops below ``TAIL_TOL`` or the cap
-        is hit.
     delta_tol
         Bound on each dense bracket width relative to max(value, 0.1), and
-        on the block series bound relative to the value.
+        on the block series bound relative to the value.  The dense
+        truncation is the first level of 1, 2, 4, ..., ``N_MAX_CAP`` whose
+        widths meet the absolute floor 0.1 delta_tol.
     strict
         Raise ``ConvergenceError`` instead of returning an unconverged pair.
     """
@@ -484,8 +472,7 @@ def bosonic_negativity_pair(
     if _route(weights, method) == "blocks":
         pair = _pair_blocks(scenario, delta_tol)
     else:
-        pair = next(_dense_pairs(np.array([scenario.squeezing.r]), weights,
-                                 scenario.truncation.n_max, n_max_cap, delta_tol))
+        pair = next(_dense_pairs(np.array([scenario.squeezing.r]), weights, delta_tol))
     if strict and not pair.report.converged:
         rep = pair.report
         raise ConvergenceError(
@@ -506,25 +493,21 @@ class BosonCurveRow:
     converged: bool
 
 
-def bosonic_curve(q_abs: float, r_grid, n_max: int = DEFAULT_N_MAX) -> list[BosonCurveRow]:
+def bosonic_curve(q_abs: float, r_grid) -> list[BosonCurveRow]:
     """Negativity pair along a squeezing grid at fixed |q_R|.
 
     The weights are taken real, q_R = q_abs and q_L = sqrt(1 - q_abs^2);
     the negativities are phase invariant so this loses no generality.
     """
     weights = UnruhWeights.from_abs(q_abs)
-    truncation = BosonTruncation(n_max)  # checks n_max
     r = np.asarray(r_grid, dtype=float).ravel()
     bad = ~(r >= 0.0)
     if bad.any():
         raise ValueError(f"grid squeezing values must be >= 0, got {r[bad][0]}")
     if _route(weights, "auto") == "dense":
-        pairs = _dense_pairs(r, weights, n_max, N_MAX_CAP, DELTA_TOL)
+        pairs = _dense_pairs(r, weights, DELTA_TOL)
     else:
-        pairs = [
-            bosonic_negativity_pair(BosonScenario(BosonSqueezing(x), weights, truncation))
-            for x in r.tolist()
-        ]
+        pairs = [bosonic_negativity_pair(BosonScenario(BosonSqueezing(x), weights)) for x in r.tolist()]
     return [
         BosonCurveRow(
             q_abs=float(q_abs),

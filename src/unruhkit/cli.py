@@ -5,8 +5,9 @@ at fixed |q_R| values and write CSV or JSON tables; ``packet`` prints the
 peaking diagnostics of one wave packet as human-readable text plus an
 optional JSON report.  Output is deterministic for a fixed spec: stable row
 order and 12-significant-digit float formatting, so a rerun is
-byte-identical.  A ``key = value`` config file can pre-fill any flag;
-explicit flags win.
+byte-identical.  A ``key = value`` config file can pre-fill any flag of
+its subcommand, and a key that names none is a usage error; explicit
+flags win.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure (non-convergence,
 method disagreement, inadequate grid).
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bosonic import DEFAULT_N_MAX, bosonic_curve
+from .bosonic import bosonic_curve
 from .errors import ConvergenceError, GridError, MethodDisagreementError
 from .fermionic import R_MAX, R_MAX_TOL, fermionic_curve
 from .wavepacket import (
@@ -78,7 +79,6 @@ class SweepSpec:
     r_min: float
     r_max: float
     steps: int
-    n_max: int
     out: str
     format: str
 
@@ -96,8 +96,6 @@ class SweepSpec:
             raise ValueError(f"fermionic r range must stay within [0, pi/4 = {R_MAX:.6f}]")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
-        if self.n_max < 1:
-            raise ValueError(f"n-max must be >= 1, got {self.n_max}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format}")
         if not self.out:
@@ -152,7 +150,12 @@ class PacketSpec:
         return np.linspace(0.0, self.omega_max, self.omega_points)
 
 
-def _read_config(path: str) -> dict[str, str]:
+def _read_config(args) -> dict[str, str]:
+    """The ``--config`` file's values; each key must name a flag of the subcommand."""
+    if not args.config:
+        return {}
+    path = args.config
+    flags = vars(args).keys() - {"command", "config"}
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -162,7 +165,11 @@ def _read_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value, got {raw.rstrip()!r}")
             key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in flags:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}: "
+                                 f"{args.command} has no flag --{key.replace('_', '-')}")
+            values[key] = value.strip()
     return values
 
 
@@ -194,8 +201,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--r-min", type=float, default=None)
         p.add_argument("--r-max", type=float, default=None, help=f"default {r_default:g}")
         p.add_argument("--steps", type=int, default=None)
-        if model == "boson":
-            p.add_argument("--n-max", type=int, default=None, help="starting Fock truncation")
         p.add_argument("--format", type=str, choices=("csv", "json"), default=None)
         p.add_argument("--out", type=str, default=None, help="output file path")
         p.add_argument("--config", type=str, default=None, help="key = value config file")
@@ -219,7 +224,7 @@ def _build_parser() -> _Parser:
 
 
 def _sweep_spec(args, model: str) -> SweepSpec:
-    config = _read_config(args.config) if args.config else {}
+    config = _read_config(args)
     r_max_default = DEFAULT_BOSON_R_MAX if model == "boson" else R_MAX
     q_raw = _resolve(args, config, "q", None, str)
     spec = SweepSpec(
@@ -228,7 +233,6 @@ def _sweep_spec(args, model: str) -> SweepSpec:
         r_min=_resolve(args, config, "r_min", 0.0, float),
         r_max=_resolve(args, config, "r_max", r_max_default, float),
         steps=_resolve(args, config, "steps", 30, int),
-        n_max=_resolve(args, config, "n_max", DEFAULT_N_MAX, int) if model == "boson" else 1,
         out=_resolve(args, config, "out", "", str),
         format=_resolve(args, config, "format", "csv", str),
     )
@@ -237,7 +241,7 @@ def _sweep_spec(args, model: str) -> SweepSpec:
 
 
 def _packet_spec(args) -> PacketSpec:
-    config = _read_config(args.config) if args.config else {}
+    config = _read_config(args)
     spec = PacketSpec(
         family=_resolve(args, config, "family", "log-gaussian", str),
         lam=_resolve(args, config, "lam", 1.0, float),
@@ -291,7 +295,7 @@ def cmd_boson(spec: SweepSpec) -> int:
     rows = []
     all_converged = True
     for q in spec.q_abs:
-        for row in bosonic_curve(q, spec.r_grid(), n_max=spec.n_max):
+        for row in bosonic_curve(q, spec.r_grid()):
             rows.append([row.q_abs, row.r, row.n_ar, row.n_aar, row.n_max_used, row.converged])
             all_converged = all_converged and row.converged
     _write_table(spec, header, rows)

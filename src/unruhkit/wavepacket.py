@@ -25,8 +25,8 @@ Both grids are uniform, so each transform is a chirp-z transform
 (Rabiner, Schafer & Rader, 1969): Bluestein's identity turns the
 N_x x N_Omega sum into one FFT convolution of length about N_x + N_Omega,
 at O((N_x + N_Omega) log(N_x + N_Omega)) cost and O(N_x + N_Omega)
-memory.  No grid size is capped: the default grids follow from the
-profile's spread and resolution alone.
+memory.  Grid sizes have no upper limit: the default grids follow from
+the profile's spread and resolution alone.
 
 The single-mode approximation is quantified by ``peaking_report``: a packet
 behaves like one Unruh mode of sharp frequency when its Unruh image is

@@ -19,13 +19,12 @@ from unruhkit.bosonic import (
     REGION_II,
     BosonScenario,
     BosonSqueezing,
-    BosonTruncation,
     bosonic_curve,
     bosonic_negativity_pair,
     joint_state,
     vacuum_coefficients,
     _block_series,
-    _bracket_width,
+    _bracket_widths,
     _dense_pair,
     _principal_block,
     _qops_pair,
@@ -36,10 +35,8 @@ from unruhkit.qops import negativity, partial_transpose, reduced_density
 from unruhkit.weights import UnruhWeights
 
 
-def scenario(r, q_abs, n_max=30, phase=0.0):
-    return BosonScenario(
-        BosonSqueezing(r), UnruhWeights.from_abs(q_abs, phase), BosonTruncation(n_max)
-    )
+def scenario(r, q_abs, phase=0.0):
+    return BosonScenario(BosonSqueezing(r), UnruhWeights.from_abs(q_abs, phase))
 
 
 def closed_form_r0(q_abs):
@@ -78,15 +75,30 @@ class TestSqueezing:
         # oracle: direct scalar evaluation of artanh(e^{-pi})
         sq = BosonSqueezing.from_acceleration(1.0, 1.0)
         assert abs(sq.r - math.atanh(math.exp(-math.pi))) < 1e-15
-        assert not sq.capped
 
     def test_small_acceleration_limit(self):
         assert BosonSqueezing.from_acceleration(1.0, 1e-3).r < 1e-100
 
-    def test_large_acceleration_caps(self):
-        sq = BosonSqueezing.from_acceleration(1.0, 1e9)
-        assert sq.capped
-        assert sq.r == 10.0
+    @pytest.mark.parametrize("a,r", [(1e12, 13.589719205319547), (1e15, 17.043596844810615)])
+    def test_large_acceleration_matches_mpmath(self, a, r):
+        # artanh(e^{-pi/a}) to 50 digits (mpmath), rounded to double; no cap
+        assert BosonSqueezing.from_acceleration(1.0, a).r == r
+
+    def test_large_acceleration_pair_is_that_of_the_exact_r(self):
+        # the r = 10 cap used to report 2.458e-9 here, 1312 times the value
+        weights = UnruhWeights.from_abs(1.0)
+        pair = bosonic_negativity_pair(
+            BosonScenario(BosonSqueezing.from_acceleration(1.0, 1e12), weights))
+        exact = bosonic_negativity_pair(BosonScenario(BosonSqueezing(13.589719205319547), weights))
+        assert pair == exact
+        assert pair.report.converged and 1.8e-12 < pair.n_ar < 1.9e-12
+
+    def test_infinite_acceleration_is_infinite_squeezing(self):
+        # pi omega_a / (2a) underflows to 0; the block series returns 0 there
+        sq = BosonSqueezing.from_acceleration(1e-300, 1e300)
+        assert sq.r == math.inf
+        pair = bosonic_negativity_pair(BosonScenario(sq, UnruhWeights.from_abs(1.0)))
+        assert (pair.n_ar, pair.n_aar) == (0.0, 0.0)
 
     @pytest.mark.parametrize("omega_a,a", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
     def test_nonpositive_inputs_rejected(self, omega_a, a):
@@ -117,65 +129,64 @@ class TestVacuumCoefficients:
         assert np.all(np.diff(f) < 0.0)
 
     def test_tail_weight_matches_brute_force(self):
-        r, n_max = 0.9, 25
-        tail = BosonTruncation(n_max).tail_weight(r)
-        n = np.arange(n_max + 1, n_max + 4000)
+        # the dense report's tail weight is the squeezed-vacuum weight past its level
+        r = 0.9
+        rep = bosonic_negativity_pair(scenario(r, 0.8)).report
+        n = np.arange(rep.n_max_used + 1, rep.n_max_used + 4000)
         brute = np.sum(np.tanh(r) ** (2 * n) / math.cosh(r) ** 2)
-        assert abs(tail - brute) < 1e-14
+        assert abs(rep.tail_weight - brute) < 1e-12 * brute
 
 
-def branches(sc):
+def branches(sc, n_max):
     """Vacuum (|0>_M) and excitation (|1>_M) amplitude tables of the raw joint state.
 
     Each is scaled by sqrt(2), which undoes the 1/sqrt(2) of the superposition.
     """
-    d = sc.truncation.n_max + 1
-    amp = joint_state(sc).amplitudes.reshape(2, d, d) * math.sqrt(2.0)
+    d = n_max + 1
+    amp = joint_state(sc, n_max).amplitudes.reshape(2, d, d) * math.sqrt(2.0)
     return amp[0], amp[1]
 
 
-def reduced(sc, wedge=REGION_I):
-    """Alice-``wedge`` reduction of the raw joint state."""
-    return reduced_density(joint_state(sc), (ALICE, wedge))
+def reduced(sc, n_max, wedge=REGION_I):
+    """Alice-``wedge`` reduction of the raw joint state cut at n_max."""
+    return reduced_density(joint_state(sc, n_max), (ALICE, wedge))
 
 
 class TestStateBuilders:
     def test_vacuum_at_zero_squeezing(self):
-        vac = branches(scenario(0.0, 1.0, n_max=8))[0]
+        vac = branches(scenario(0.0, 1.0), 8)[0]
         assert vac[0, 0] == 1.0
         assert np.count_nonzero(vac) == 1
         assert np.linalg.norm(vac) == 1.0
 
     def test_vacuum_schmidt_coefficients(self):
-        vac = branches(scenario(0.7, 1.0, n_max=12))[0]
+        vac = branches(scenario(0.7, 1.0), 12)[0]
         f = vacuum_coefficients(0.7, 12)
         assert np.allclose(np.diag(vac).real, f, atol=1e-14)
         # the raw branch keeps the untruncated coefficients: its norm^2 misses the tail
-        tail = BosonTruncation(12).tail_weight(0.7)
+        tail = math.tanh(0.7) ** (2 * 13)
         assert abs(np.linalg.norm(vac) ** 2 - (1.0 - tail)) < 1e-12
 
     def test_vacuum_truncation_deficit(self):
-        vac = branches(scenario(0.5, 1.0, n_max=20))[0]
+        vac = branches(scenario(0.5, 1.0), 20)[0]
         assert 1.0 - np.linalg.norm(vac) ** 2 < 1e-6
 
     def test_excitation_at_zero_squeezing(self):
-        exc = branches(scenario(0.0, 1.0))[1]
+        exc = branches(scenario(0.0, 1.0), 30)[1]
         assert abs(exc[1, 0] - 1.0) < 1e-14
 
     def test_excitation_general_weights_at_zero_squeezing(self):
-        sc = BosonScenario(
-            BosonSqueezing(0.0), UnruhWeights(0.6j, 0.8), BosonTruncation(10)
-        )
-        exc = branches(sc)[1]
+        sc = BosonScenario(BosonSqueezing(0.0), UnruhWeights(0.6j, 0.8))
+        exc = branches(sc, 10)[1]
         assert abs(exc[1, 0] - 0.6j) < 1e-14  # q_R |1>_I |0>_II
         assert abs(exc[0, 1] - 0.8) < 1e-14   # q_L |0>_I |1>_II
 
     def test_excitation_raw_norm_deficit(self):
-        exc = branches(scenario(0.5, 0.8, n_max=40))[1]
+        exc = branches(scenario(0.5, 0.8), 40)[1]
         assert abs(1.0 - np.linalg.norm(exc) ** 2) < 1e-8
 
     def test_joint_state_is_bell_at_zero_squeezing(self):
-        amp = joint_state(scenario(0.0, 1.0, n_max=5)).amplitudes.reshape(2, 6, 6)
+        amp = joint_state(scenario(0.0, 1.0), 5).amplitudes.reshape(2, 6, 6)
         assert abs(amp[0, 0, 0] - 1.0 / math.sqrt(2.0)) < 1e-14
         assert abs(amp[1, 1, 0] - 1.0 / math.sqrt(2.0)) < 1e-14
         assert np.count_nonzero(amp) == 2
@@ -183,13 +194,22 @@ class TestStateBuilders:
     def test_joint_state_normalized(self):
         # the raw state is normalised once the cut holds it: short of 1 by the
         # cut's weight at n_max = 30, within 1e-12 of 1 at n_max = 120
-        assert joint_state(scenario(0.9, 0.8)).norm() < 1.0 - 1e-9
-        assert abs(joint_state(scenario(0.9, 0.8, n_max=120)).norm() - 1.0) < 1e-12
+        assert joint_state(scenario(0.9, 0.8), 30).norm() < 1.0 - 1e-9
+        assert abs(joint_state(scenario(0.9, 0.8), 120).norm() - 1.0) < 1e-12
+
+    def test_joint_state_checks_its_cut(self):
+        # the cut is an integer >= 1; a float one would index the amplitude table
+        sc = scenario(0.1, 0.9)
+        with pytest.raises(TypeError, match="n_max must be an integer"):
+            joint_state(sc, 30.0)
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            joint_state(sc, 0)
+        assert np.array_equal(joint_state(sc, np.int64(30)).amplitudes, joint_state(sc, 30).amplitudes)
 
     def test_joint_raw_amplitude_coefficient(self):
         # amplitude at (M=1, I=n+1, II=n) is q_R f(n) sqrt(n+1) / (sqrt(2) cosh r)
         r, q_abs, phase = 0.6, 0.8, 0.9
-        amp = joint_state(scenario(r, q_abs, n_max=20, phase=phase)).amplitudes.reshape(2, 21, 21)
+        amp = joint_state(scenario(r, q_abs, phase), 20).amplitudes.reshape(2, 21, 21)
         f = vacuum_coefficients(r, 20)
         q_r = q_abs * np.exp(1j * phase)
         for n in (0, 3, 7):
@@ -199,13 +219,13 @@ class TestStateBuilders:
 
 class TestReducedMatrices:
     def test_bell_density_at_zero_squeezing(self):
-        rho = reduced(scenario(0.0, 1.0, n_max=4))
+        rho = reduced(scenario(0.0, 1.0), 4)
         assert abs(negativity(rho, "M").value - 0.5) < 1e-12
 
     def test_hand_traced_two_term_state(self):
         # at r = 0 the joint state has two branches; tracing region II by hand
         # gives (1/2)[|00><00| + 0.64 |11><11| + 0.36 |10><10| + (q_R |11><00| + h.c.)]
-        rho = reduced(scenario(0.0, 0.8, n_max=3)).matrix
+        rho = reduced(scenario(0.0, 0.8), 3).matrix
         d = 4
         expected = np.zeros((8, 8))
         expected[0, 0] = 0.5
@@ -220,7 +240,7 @@ class TestReducedMatrices:
         # on |1, n+1><1, n+1| and f(n)^2 (n+1) |q_L|^2 / (2 cosh^2 r) on
         # |1, n><1, n|; a diagonal element at occupation m collects both
         r, q_abs, n_max = 0.7, 0.9, 25
-        mat = reduced(scenario(r, q_abs, n_max)).matrix
+        mat = reduced(scenario(r, q_abs), n_max).matrix
         f = vacuum_coefficients(r, n_max)
         ql2 = 1.0 - q_abs * q_abs
         cosh2 = math.cosh(r) ** 2
@@ -235,7 +255,7 @@ class TestReducedMatrices:
     def test_diagonal_coefficient_pure_right_weight(self):
         # with q_L = 0 the |1, n+1> diagonal is exactly the single read-off term
         r, n_max = 0.7, 25
-        mat = reduced(scenario(r, 1.0, n_max)).matrix
+        mat = reduced(scenario(r, 1.0), n_max).matrix
         f = vacuum_coefficients(r, n_max)
         d = n_max + 1
         for n in (0, 4, 9):
@@ -248,16 +268,14 @@ class TestReducedMatrices:
             assert abs(rho.trace() - 1.0) < 1e-10
 
     def test_antirob_is_product_at_extremal_weights(self):
-        rho = reduced(scenario(0.0, 1.0, n_max=4), REGION_II)
+        rho = reduced(scenario(0.0, 1.0), 4, REGION_II)
         assert negativity(rho, "M").value < 1e-14
 
     def test_swap_rule(self):
         q_r, q_l = 0.6 * np.exp(0.3j), math.sqrt(1 - 0.36) * np.exp(-1.1j)
-        sc = BosonScenario(BosonSqueezing(0.8), UnruhWeights(q_r, q_l), BosonTruncation(25))
-        swapped = BosonScenario(
-            BosonSqueezing(0.8), UnruhWeights(q_l, q_r), BosonTruncation(25)
-        )
-        assert np.max(np.abs(reduced(sc, REGION_II).matrix - reduced(swapped).matrix)) < 1e-12
+        sc = BosonScenario(BosonSqueezing(0.8), UnruhWeights(q_r, q_l))
+        swapped = BosonScenario(BosonSqueezing(0.8), UnruhWeights(q_l, q_r))
+        assert np.max(np.abs(reduced(sc, 25, REGION_II).matrix - reduced(swapped, 25).matrix)) < 1e-12
 
     def test_positivity(self):
         for wedge in (REGION_I, REGION_II):
@@ -273,8 +291,8 @@ class TestReducedMatrices:
         r, n_max = 0.65, 9
         q_r = 0.8 * np.exp(0.4j)
         q_l = 0.6 * np.exp(-1.3j)
-        sc = BosonScenario(BosonSqueezing(r), UnruhWeights(q_r, q_l), BosonTruncation(n_max))
-        actual = reduced(sc).matrix
+        sc = BosonScenario(BosonSqueezing(r), UnruhWeights(q_r, q_l))
+        actual = reduced(sc, n_max).matrix
 
         d = n_max + 1
         f = vacuum_coefficients(r, n_max)
@@ -306,7 +324,7 @@ class TestBlockStructure:
         # for q_R = 1 the only off-diagonal couplings of the Alice-Rob partial
         # transpose connect |0, n+1> with |1, n>; {|0, 0>} sits alone
         n_max = 12
-        sigma = partial_transpose(reduced(scenario(0.8, 1.0, n_max)), "M")
+        sigma = partial_transpose(reduced(scenario(0.8, 1.0), n_max), "M")
         d = n_max + 1
 
         def block_id(i, n):
@@ -323,7 +341,7 @@ class TestBlockStructure:
         # the Alice-AntiRob partial transpose at q_R = 1 has the mirrored
         # pairing {|0, n>, |1, n+1>} (it equals the Alice-Rob matrix at q_L = 1)
         n_max = 12
-        sigma = partial_transpose(reduced(scenario(0.8, 1.0, n_max), REGION_II), "M")
+        sigma = partial_transpose(reduced(scenario(0.8, 1.0), n_max, REGION_II), "M")
         d = n_max + 1
 
         def block_id(i, n):
@@ -379,12 +397,12 @@ class TestNegativityPair:
         assert rep.method == "dense"
         assert rep.converged
         assert rep.tail_weight < 1e-8
-        assert rep.delta_ar < 1e-6 and rep.delta_aar < 1e-6
+        assert rep.delta_ar <= 1e-7 and rep.delta_aar <= 1e-7
 
     def test_strict_raises_on_unconverged(self):
-        # the tail bound cannot be met at this cap for r = 2
+        # at r = 2 the widths cannot be met within N_MAX_CAP levels
         with pytest.raises(ConvergenceError):
-            bosonic_negativity_pair(scenario(2.0, 0.8), n_max_cap=40, strict=True)
+            bosonic_negativity_pair(scenario(2.0, 0.8), strict=True)
 
     @pytest.mark.parametrize("r", [400.0, 800.0, 1e4])
     def test_dense_route_at_extreme_squeezing_is_clean_and_unconverged(self, r):
@@ -406,12 +424,8 @@ class TestNegativityPair:
                 assert abs(rotated.n_aar - base.n_aar) < 1e-10
 
     def test_swap_symmetry_of_pair(self):
-        sc = BosonScenario(
-            BosonSqueezing(0.6), UnruhWeights.from_abs(0.8), BosonTruncation(30)
-        )
-        swapped = BosonScenario(
-            BosonSqueezing(0.6), UnruhWeights.from_abs(0.6), BosonTruncation(30)
-        )
+        sc = BosonScenario(BosonSqueezing(0.6), UnruhWeights.from_abs(0.8))
+        swapped = BosonScenario(BosonSqueezing(0.6), UnruhWeights.from_abs(0.6))
         pair = bosonic_negativity_pair(sc)
         mirror = bosonic_negativity_pair(swapped)
         assert abs(pair.n_ar - mirror.n_aar) < 1e-12
@@ -454,24 +468,16 @@ class TestCurve:
         with pytest.raises(ValueError):
             bosonic_curve(1.2, [0.0])
 
-    @pytest.mark.parametrize("q_abs", [0.9, 1.0])
-    def test_rejects_a_float_truncation(self, q_abs):
-        # a float n_max used to pass BosonTruncation and fail in the solver's
-        # chunk loop (dense rows) or go unnoticed (block-series rows)
-        with pytest.raises(TypeError, match="n_max must be an integer"):
-            bosonic_curve(q_abs, [0.1], n_max=30.0)
-        assert bosonic_curve(q_abs, [0.1], n_max=np.int64(30))[0].converged
-
     @pytest.mark.parametrize("q_abs", [0.3, 0.9])
     @pytest.mark.parametrize("chunk", [bosonic._CHUNK_ELEMENTS, 100])
     def test_batched_rows_equal_single_point_pairs(self, q_abs, chunk, monkeypatch):
         # the curve solves its rows in one batch per truncation level (and,
-        # with a 100-element budget, one row per chunk at n = 120); every
-        # field must have the same bits as a point evaluated on its own
+        # with a 100-element budget, one row per chunk at n = 64 and 120);
+        # every field must have the same bits as a point evaluated on its own
         monkeypatch.setattr(bosonic, "_CHUNK_ELEMENTS", chunk)
         grid = np.append(np.linspace(0.0, 3.0, 25), 25.0)
         rows = bosonic_curve(q_abs, grid)
-        assert {row.n_max_used for row in rows} == {30, 60, 120}
+        assert {row.n_max_used for row in rows} == {1, 8, 16, 32, 64, 120}
         for x, row in zip(grid, rows):
             pair = bosonic_negativity_pair(scenario(float(x), q_abs))
             assert (row.r, row.n_ar, row.n_aar) == (float(x), pair.n_ar, pair.n_aar)
@@ -480,16 +486,17 @@ class TestCurve:
         assert (rows[-1].n_ar, rows[-1].n_aar, rows[-1].converged) == (0.0, 0.0, False)
 
     def test_long_curve_builds_its_bands_in_chunks(self, monkeypatch):
-        # 4000 rows at n = 120 would need 23 MB for one side's bands at once.
+        # 4000 rows at n = 120 would need 23 MB for one side's bands at once;
+        # past r ~ 1.35 every row of q = 0.9 reaches the cap.
         # LAPACK is stubbed out: the memory in question is the band build's.
         monkeypatch.setattr(bosonic, "_lapack", lambda: (
             lambda band, **kwargs: (band, 0),
             lambda band, **kwargs: (np.zeros(band.shape[1]), None, 0),
         ))
-        grid = np.linspace(1.0, 3.0, 4000)
+        grid = np.linspace(1.5, 3.0, 4000)
         tracemalloc.start()
         try:
-            rows = bosonic_curve(0.9, grid, n_max=120)
+            rows = bosonic_curve(0.9, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -598,12 +605,11 @@ class TestParitySectors:
         sc = BosonScenario(
             BosonSqueezing(0.9),
             UnruhWeights(0.7 * np.exp(0.4j), math.sqrt(0.51) * np.exp(-1.2j)),
-            BosonTruncation(n_max),
         )
         d = n_max + 1
         parity = np.add.outer(np.arange(2), np.arange(d)).ravel() % 2
         offset = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
-        for rho in (reduced(sc), reduced(sc, REGION_II)):
+        for rho in (reduced(sc, n_max), reduced(sc, n_max, REGION_II)):
             sigma = partial_transpose(rho, "M")
             assert np.max(np.abs(sigma[np.not_equal.outer(parity, parity)])) == 0.0
             for p in (0, 1):
@@ -618,7 +624,7 @@ class TestParitySectors:
         # oracle: the exact principal block of the qops partial transpose,
         # reordered into the two sectors; the weight phases only move the
         # phases of its entries
-        sc = scenario(r, q_abs, n_max, phase)
+        sc = scenario(r, q_abs, phase)
         bands = _sector_bands(r, sc.weights.abs_r, sc.weights.abs_l, n_max)
         weight, rho = _principal_block(sc, n_max, REGION_I)
         sigma = weight * partial_transpose(rho, ALICE)
@@ -643,9 +649,10 @@ def deep_reference(r, q_abs):
     return _dense_pair(scenario(r, q_abs), 7999)
 
 
-def dense_report(r, q_abs, n_max, **kwargs):
-    sc = scenario(r, q_abs, n_max)
-    return bosonic_negativity_pair(sc, method="dense", n_max_cap=n_max, **kwargs)
+def bracket(r, q_abs, n_max):
+    """(N_AR, N_AAR) of the principal block at n_max, and the two widths past it."""
+    w = UnruhWeights.from_abs(q_abs)
+    return _dense_pair(scenario(r, q_abs), n_max), _bracket_widths(r, w.abs_r, w.abs_l, n_max)
 
 
 class EigCounter:
@@ -677,11 +684,8 @@ class TestPrincipalBlockBracket:
         # the reported value is the lower end and value + delta the upper end
         ref = deep_reference(r, q_abs)
         for n in (30, 60, 120):
-            pair = dense_report(r, q_abs, n)
-            rep = pair.report
-            assert rep.n_max_used == n
-            sides = ((pair.n_ar, rep.delta_ar, ref[0]), (pair.n_aar, rep.delta_aar, ref[1]))
-            for value, width, exact in sides:
+            values, widths = bracket(r, q_abs, n)
+            for value, width, exact in zip(values, widths, ref):
                 assert value <= exact + 1e-14
                 assert exact <= value + width + 1e-14
 
@@ -692,15 +696,16 @@ class TestPrincipalBlockBracket:
         # level past n, read off bands 6000 levels longer (T^6000 < e^-60);
         # the closed form may only exceed it by its Cauchy-Schwarz slack
         w = UnruhWeights.from_abs(q_abs)
-        bands = _sector_bands(r, w.abs_r, w.abs_l, n + 6000)
-        direct = sum(np.abs(band[1, n:]).sum() + np.abs(band[2, n - 1 :]).sum() for band in bands)
-        assert direct <= _bracket_width(r, w.abs_r, w.abs_l, n) <= 1.15 * direct
+        widths = _bracket_widths(r, w.abs_r, w.abs_l, n)
+        for width, (x, y) in zip(widths, ((w.abs_r, w.abs_l), (w.abs_l, w.abs_r))):
+            bands = _sector_bands(r, x, y, n + 6000)
+            direct = sum(np.abs(band[1, n:]).sum() + np.abs(band[2, n - 1 :]).sum() for band in bands)
+            assert direct <= width <= 1.15 * direct
 
     def test_deep_reference_is_itself_certified(self):
         for q_abs in (0.4, 0.8, 0.95):
             w = UnruhWeights.from_abs(q_abs)
-            assert _bracket_width(3.0, w.abs_r, w.abs_l, 7999) < 1e-15
-            assert _bracket_width(3.0, w.abs_l, w.abs_r, 7999) < 1e-15
+            assert max(_bracket_widths(3.0, w.abs_r, w.abs_l, 7999)) < 1e-15
 
     def test_lower_bound_rises_monotonically_in_n(self):
         # a principal compression can only lower the sum of negative eigenvalues
@@ -734,24 +739,42 @@ class TestPrincipalBlockBracket:
     @given(q_abs=st.floats(0.01, 0.99), r=st.floats(0.0, 3.0), n_max=st.integers(1, 125))
     def test_bracket_contains_a_deeper_principal_block(self, q_abs, r, n_max):
         # the block 200 levels deeper lies between the value and the exact
-        # negativity, so it must fall inside [N, N + delta]; a converged
-        # point must also be within the tolerance of it
-        pair = dense_report(r, q_abs, n_max)
-        rep = pair.report
+        # negativity, so it must fall inside [N, N + delta]
+        values, widths = bracket(r, q_abs, n_max)
         deeper = _dense_pair(scenario(r, q_abs), n_max + 200)
-        sides = zip((pair.n_ar, pair.n_aar), (rep.delta_ar, rep.delta_aar), deeper)
-        for value, width, deep in sides:
+        for value, width, deep in zip(values, widths, deeper):
             assert value <= deep + 1e-14
             assert deep <= value + width + 1e-14
-            if rep.converged:
-                assert deep - value <= 1e-6 * max(value, 0.1) + 1e-14
+
+    @pytest.mark.parametrize("q_abs", [0.01, 0.4, 0.9, 0.99])
+    def test_level_is_the_first_on_the_ladder_whose_widths_meet_the_floor(self, q_abs):
+        # n_max_used is the cap, or the first of 1, 2, 4, ... whose two widths
+        # are <= 1e-7; every level before it fails that.  The report carries
+        # that level's widths, and converged judges them against the values.
+        ladder = (1, 2, 4, 8, 16, 32, 64, N_MAX_CAP)
+        levels = set()
+        for r in np.linspace(0.0, 3.0, 61):
+            pair = bosonic_negativity_pair(scenario(r, q_abs))
+            rep = pair.report
+            n = rep.n_max_used
+            levels.add(n)
+            assert all(max(bracket(r, q_abs, m)[1]) > 1e-7 for m in ladder[: ladder.index(n)])
+            widths = bracket(r, q_abs, n)[1]
+            assert n == N_MAX_CAP or max(widths) <= 1e-7
+            assert (rep.delta_ar, rep.delta_aar) == widths
+            assert rep.converged == all(
+                w <= 1e-6 * max(v, 0.1) for v, w in zip((pair.n_ar, pair.n_aar), widths))
+        assert {1, N_MAX_CAP} < levels
 
     def test_converged_zero_is_certified_by_the_absolute_floor(self):
         pair = bosonic_negativity_pair(scenario(1.5, 0.9))
         rep = pair.report
         assert rep.converged and pair.n_aar == 0.0
         assert 0.0 < rep.delta_aar <= 1e-7
-        tight = dense_report(1.5, 0.9, rep.n_max_used, delta_tol=0.5 * rep.delta_aar / 0.1)
+        # the point sits at the cap, so a tighter floor buys no deeper level:
+        # the same 0 is judged against it and fails
+        assert rep.n_max_used == N_MAX_CAP
+        tight = bosonic_negativity_pair(scenario(1.5, 0.9), delta_tol=0.5 * rep.delta_aar / 0.1)
         assert (tight.n_ar, tight.n_aar) == (pair.n_ar, pair.n_aar)
         assert not tight.report.converged
 
@@ -781,13 +804,13 @@ def test_sector_engine_matches_qops_route(q_abs, r, phase_r, phase_l, n_max):
     weights = UnruhWeights(
         q_abs * np.exp(1j * phase_r), math.sqrt(1.0 - q_abs * q_abs) * np.exp(1j * phase_l)
     )
-    sc = BosonScenario(BosonSqueezing(r), weights, BosonTruncation(n_max))
+    sc = BosonScenario(BosonSqueezing(r), weights)
     fast, oracle = _dense_pair(sc, n_max), _qops_pair(sc, n_max)
     assert abs(fast[0] - oracle[0]) <= 1e-12
     assert abs(fast[1] - oracle[1]) <= 1e-12
     # swap rule: exchanging the weights exchanges the bipartitions, here
     # checked against the oracle's own Alice-AntiRob trace
-    swapped = BosonScenario(BosonSqueezing(r), weights.swapped(), BosonTruncation(n_max))
+    swapped = BosonScenario(BosonSqueezing(r), weights.swapped())
     mirror = _dense_pair(swapped, n_max)
     assert abs(mirror[0] - oracle[1]) <= 1e-12
     assert abs(mirror[1] - oracle[0]) <= 1e-12

@@ -130,6 +130,16 @@ class TestBosonCommand:
         monkeypatch.chdir(tmp_path)
         assert main(args) == EXIT_USAGE
 
+    def test_retired_n_max_flag_and_key(self, tmp_path, monkeypatch, capsys):
+        # the truncation comes from the bracket widths; a start level is no input
+        monkeypatch.chdir(tmp_path)
+        assert main(["boson", "--n-max", "30", "--out", "x.csv"]) == EXIT_USAGE
+        assert "--n-max" in capsys.readouterr().err
+        (tmp_path / "sweep.cfg").write_text("q = 0.9\nn_max = 30\n")
+        assert main(["boson", "--config", "sweep.cfg", "--out", "x.csv"]) == EXIT_USAGE
+        assert "'n_max'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_flag(self):
         assert main(["boson", "--frequency", "1"]) == EXIT_USAGE
 
@@ -351,6 +361,20 @@ def src_env():
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+
+
+@pytest.mark.parametrize("command, key", [
+    ("boson", "n_maxx"), ("boson", "family"), ("fermion", "n-max"), ("fermion", "config"),
+    ("packet", "steps"), ("packet", "lamda"),
+])
+def test_config_keys_without_a_flag_are_usage_errors(command, key, tmp_path, monkeypatch, capsys):
+    # a misspelt or foreign key used to be dropped without a word
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(f"out = x.out\n{key} = 5\n")
+    assert main([command, "--config", "run.cfg"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"run.cfg:2: unknown key {key.replace('-', '_')!r}" in err and "Traceback" not in err
+    assert not (tmp_path / "x.out").exists()
 
 
 def test_import_loads_no_scipy_special_or_linalg():

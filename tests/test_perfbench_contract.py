@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from unruhkit.bosonic import BosonScenario, BosonSqueezing, bosonic_negativity_pair
+from unruhkit.bosonic import BosonScenario, BosonSqueezing, bosonic_curve, bosonic_negativity_pair
 from unruhkit.cli import main
 from unruhkit.fermionic import R_MAX, fermionic_curve
 from unruhkit.weights import UnruhWeights
@@ -65,6 +65,19 @@ def test_checker_references_accept_the_package():
     pair = bosonic_negativity_pair(BosonScenario(BosonSqueezing(0.5), UnruhWeights.from_abs(0.8)))
     for got, ref in ((pair.n_ar, n_ar), (pair.n_aar, n_aar)):
         assert checks._close(got, ref, checks.REL_TOL, checks.ABS_FLOOR + slack)
+    # converged curve rows on the smallest levels (r = 0 and 0.005 take n = 1
+    # and 2) up to the cap, judged as the checker judges a boson row
+    grid = np.append([0.0, 0.005], np.linspace(0.05, 1.6, 12))
+    levels = set()
+    for q in (0.4, 0.9):
+        for row in bosonic_curve(q, grid):
+            assert row.converged
+            levels.add(row.n_max_used)
+            ref_ar, ref_aar, slack = checks.dense_oracle(
+                q, row.r, row.n_max_used + checks.ORACLE_EXTRA_LEVELS)
+            for got, ref in ((row.n_ar, ref_ar), (row.n_aar, ref_aar)):
+                assert checks._close(got, ref, checks.REL_TOL, checks.ABS_FLOOR + slack)
+    assert {1, 2, 120} <= levels
     # batched fermion reference on a short grid
     grid = np.linspace(0.0, R_MAX, 5)
     ref_ar, ref_aar = checks.fermion_reference(0.8, grid)
