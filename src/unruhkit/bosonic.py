@@ -223,11 +223,32 @@ def _sector_bands(r: float | np.ndarray, abs_r: float, abs_l: float, n_max: int)
     return 0.5 * np.stack([np.where(odd, occupied, empty), np.where(odd, empty, occupied)], axis=-3)
 
 
+def _flapack_path() -> str | None:
+    """The file of scipy.linalg's f2py LAPACK extension, found without importing scipy."""
+    import os
+    from importlib import machinery, util
+    spec = util.find_spec("scipy")
+    paths = (os.path.join(root, "linalg", "_flapack" + suffix)
+             for root in (spec.submodule_search_locations if spec else ())
+             for suffix in machinery.EXTENSION_SUFFIXES)
+    return next(filter(os.path.isfile, paths), None)
+
+
 @cache
 def _lapack() -> tuple:
-    # imported on first dense use, so that importing the package does not load scipy.linalg
-    from scipy.linalg import get_lapack_funcs
-    return get_lapack_funcs(("pbtrf", "sbevd"), dtype=np.float64)
+    # ?pbtrf and ?sbevd of that extension, loaded by file path on first dense
+    # use: the objects get_lapack_funcs returns, without importing scipy.linalg
+    from importlib import util
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        path = _flapack_path()
+        if path is None:
+            from scipy.linalg import get_lapack_funcs
+            return get_lapack_funcs(("pbtrf", "sbevd"), dtype=np.float64)
+        spec = util.spec_from_file_location(name, path)
+        sys.modules[name] = util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name].dpbtrf, sys.modules[name].dsbevd
 
 
 def _principal_negativities(r: np.ndarray, abs_r: float, abs_l: float, n_max: int) -> np.ndarray:
@@ -413,8 +434,8 @@ def _block_series(r: float) -> tuple[float, float, int, float]:
     w = math.hypot(0.5 * (s * s - n_head), s * math.sqrt(n_head + 1.0))
     h_n = float(terms(float(n_head)))
     slope = h_n * (k + (0.5 + 0.25 * (s * s + n_head) / w) / (0.5 * (s * s + n_head) + w))
-    tail = math.fsum(h.ravel()) + 0.5 * h_n + slope / 12.0
-    total = math.fsum(np.append(terms(np.arange(n_head, dtype=float)), tail))
+    tail = math.fsum(h.ravel().tolist()) + 0.5 * h_n + slope / 12.0
+    total = math.fsum(terms(np.arange(n_head, dtype=float)).tolist() + [tail])
     # divided one factor at a time, so that no intermediate overflows
     value, tail, bound = (x / (2.0 * s) / c / c / c for x in (
         total, tail, slope / 12.0 + float(terms(edges[-1])) / k))

@@ -138,6 +138,9 @@ class PacketSpec:
         omega_flags = (self.omega_max, self.omega_points)
         if any(v is not None for v in omega_flags) and not all(v is not None for v in omega_flags):
             raise ValueError("omega-max and omega-points must be given together")
+        for flag, value in (("x-points", self.x_points), ("omega-points", self.omega_points)):
+            if value is not None and value < 16:  # the fewest points a grid may have
+                raise ValueError(f"{flag} must be >= 16, got {value}")
 
     def x_grid(self):
         if self.x_min is None:
@@ -420,10 +423,7 @@ def main(argv=None) -> int:
         if args.command == "fermion":
             return cmd_fermion(spec)
         return cmd_packet(spec)
-    except (ConvergenceError, MethodDisagreementError, GridError) as exc:
-        sys.stderr.write(f"unruhkit {args.command}: {exc}\n")
-        return EXIT_NUMERIC
-    except OSError as exc:
+    except (ConvergenceError, MethodDisagreementError, GridError, OSError) as exc:
         sys.stderr.write(f"unruhkit {args.command}: {exc}\n")
         return EXIT_NUMERIC
 

@@ -3,8 +3,12 @@
 import cmath
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -675,6 +679,54 @@ class EigCounter:
             return sbevd(band, *args, **kwargs)
 
         monkeypatch.setattr(bosonic, "_lapack", lambda: (cholesky, eig))
+
+
+def lapack_results(pbtrf, sbevd):
+    """Cholesky factors and eigenvalues of random bands of sizes 3, 121 and 500."""
+    rng = np.random.default_rng(12)
+    out = {}
+    for d in (3, 121, 500):
+        band = rng.standard_normal((3, d))
+        # the raw band is indefinite (pbtrf fails), the shifted one positive definite
+        for name, b in (("raw", band), ("shifted", band + [[8.0], [0.0], [0.0]])):
+            factor, info = pbtrf(b, lower=1)
+            w, _, eig_info = sbevd(b, compute_v=0, lower=1)
+            out[f"{name}{d}"] = np.concatenate([factor.ravel(), w, [info, eig_info]])
+    return out
+
+
+class TestLapackLoader:
+    def test_path_loaded_routines_match_get_lapack_funcs(self, tmp_path):
+        # a child loads the extension by path before anything imports scipy.linalg
+        code = ("import sys, numpy as np, test_bosonic as t; from unruhkit import bosonic; "
+                "funcs = bosonic._lapack(); assert 'scipy.linalg' not in sys.modules; "
+                f"np.savez({str(tmp_path / 'path.npz')!r}, **t.lapack_results(*funcs))")
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                             os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+        subprocess.run([sys.executable, "-c", code], env=env, timeout=60, check=True)
+        from scipy.linalg import get_lapack_funcs
+
+        expected = lapack_results(*get_lapack_funcs(("pbtrf", "sbevd"), dtype=np.float64))
+        with np.load(tmp_path / "path.npz") as loaded:
+            assert sorted(loaded) == sorted(expected)
+            for key, value in expected.items():
+                assert np.array_equal(loaded[key], value), key
+
+    def test_missing_extension_file_falls_back_to_get_lapack_funcs(self, monkeypatch):
+        from scipy.linalg import get_lapack_funcs
+
+        lookups = []
+        monkeypatch.setattr(bosonic, "_flapack_path", lambda: lookups.append(1))
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        bosonic._lapack.cache_clear()
+        try:
+            pbtrf, sbevd = bosonic._lapack()
+        finally:
+            bosonic._lapack.cache_clear()
+        scipy_pbtrf, scipy_sbevd = get_lapack_funcs(("pbtrf", "sbevd"), dtype=np.float64)
+        assert pbtrf is scipy_pbtrf and sbevd is scipy_sbevd and lookups == [1]
 
 
 class TestPrincipalBlockBracket:

@@ -270,6 +270,35 @@ class TestPacketCommand:
         assert "uniformly spaced" not in out.stderr
         assert "Warning" not in out.stderr
 
+    @pytest.mark.parametrize("flags, value", [
+        (("--x-min", "-5", "--x-max", "5", "--x-points"), "-3"),
+        (("--x-min", "-5", "--x-max", "5", "--x-points"), "0"),
+        (("--x-min", "-5", "--x-max", "5", "--x-points"), "15"),
+        (("--omega-max", "5", "--omega-points"), "-5"),
+        (("--omega-max", "5", "--omega-points"), "1"),
+        (("--omega-max", "5", "--omega-points"), "15"),
+    ])
+    def test_grid_counts_below_16_are_usage_errors(self, flags, value, capsys):
+        # a negative count used to end in a numpy traceback, and 1-15 in a
+        # grid error (exit 2) after the profile was built
+        assert main(["packet", *flags, value]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{flags[-1][2:]} must be >= 16, got {value}" in err
+        assert "Traceback" not in err
+
+    def test_bessel_at_large_lambda_passes_parseval(self, tmp_path):
+        # K_0(300) ~ 3.7e-132 sets the norm; the trapezoid step shrinks with 1/sqrt(z)
+        out = tmp_path / "report.json"
+        assert main(["packet", "--family", "bessel", "--lam", "150", "--out", str(out)]) == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["parseval_residual"] < 1e-6
+
+    def test_gamma_past_the_gamma_function_range_is_numeric_failure(self, capsys):
+        # Gamma(300) overflows: math.gamma raises, where scipy returned inf
+        assert main(["packet", "--family", "gamma", "--lam", "150"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "not finite" in err and "Traceback" not in err
+
     def test_nan_mass_is_a_usage_error(self, capsys):
         assert main(["packet", "--family", "rapidity-gaussian", "--mass", "nan"]) == EXIT_USAGE
         assert "mass must be > 0" in capsys.readouterr().err
@@ -386,3 +415,20 @@ def test_import_loads_no_scipy_special_or_linalg():
     out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("calls, expected", [
+    # the dense engine loads scipy.linalg's LAPACK extension by file path, alone
+    ([["boson", "--q", "0.8", "--steps", "3", "--out", "b.csv"],
+      ["packet", "--family", "gamma"], ["packet", "--family", "bessel"]],
+     ["scipy.linalg._flapack"]),
+    ([["fermion", "--steps", "3", "--out", "f.csv"], ["packet", "--family", "log-gaussian"],
+      ["boson", "--q", "1", "--steps", "3", "--out", "b.csv"]], []),
+], ids=["dense-gamma-bessel", "fermion-log-gaussian-blocks"])
+def test_cli_calls_load_no_scipy_package(calls, expected, tmp_path):
+    # importing scipy.linalg or scipy.special costs ~0.25 s and ~26-28 MB each
+    code = (f"import sys, unruhkit.cli; print([unruhkit.cli.main(a) for a in {calls!r}], "
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), cwd=tmp_path,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.splitlines()[-1] == f"{[EXIT_OK] * len(calls)} {expected}"

@@ -32,6 +32,7 @@ from unruhkit.wavepacket import (
     _check_uniform,
     _forward_transform,
     _inverse_transform,
+    _k0,
 )
 
 
@@ -303,6 +304,32 @@ class TestAlternatePackets:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             alternate_packets("lorentz", LogGaussianParams(1.0, 0.0))
+
+
+class TestSpecialFunctions:
+    """The packet norms Gamma(2 lambda) and K_0(2 lambda) against scipy.special."""
+
+    def test_k0_matches_scipy(self):
+        from scipy.special import k0
+
+        z = np.geomspace(1e-8, 700.0, 2001)
+        ours = np.array([_k0(float(x)) for x in z])
+        assert np.max(np.abs(ours - k0(z)) / k0(z)) <= 2e-15
+
+    @pytest.mark.parametrize("z", [745.2, 746.0, 800.0, 1e10])
+    def test_k0_underflows_to_zero_as_scipy(self, z):
+        from scipy.special import k0
+
+        assert _k0(z) == k0(z) == 0.0
+
+    def test_math_gamma_matches_scipy(self):
+        # the two differ by up to 9 ulp (1.2e-15 relative) on a 4e5-point grid;
+        # each is within about 6 ulp of the exact value
+        from scipy.special import gamma
+
+        x = 2.0 * np.geomspace(0.01, 50.0, 2001)
+        ours = np.array([math.gamma(float(v)) for v in x])
+        assert np.max(np.abs(ours - gamma(x)) / gamma(x)) <= 2e-15
 
 
 class TestPeakingReport:
