@@ -31,9 +31,10 @@ Two evaluation routes are provided:
   integral tail, O(1) work at any squeezing, with a bound on the error
   (from the convexity of the terms) that is checked relative to the value.
 
-The ``auto`` method routes extremal weights to the series and everything
-else to the dense engine; the test suite pins agreement between the two
-on their common domain.
+``bosonic_negativity_pair`` and ``bosonic_curve`` take no options: an
+extremal weight (the smaller of |q_R|, |q_L| at most ``EXTREMAL_TOL``)
+goes to the series and every other weight to the dense engine.  The test
+suite calls both engines on their common domain and pins their agreement.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .qops import (
     DensityOperator,
     FockKet,
@@ -304,11 +304,11 @@ def _bracket_widths(r: float, abs_r: float, abs_l: float, n_max: int) -> tuple[f
     return 0.5 * ((abs_r + abs_l * t) * edge + both), 0.5 * ((abs_l + abs_r * t) * edge + both)
 
 
-def _dense_pairs(r: np.ndarray, weights: UnruhWeights, delta_tol: float) -> Iterator[NegativityPair]:
+def _dense_pairs(r: np.ndarray, weights: UnruhWeights) -> Iterator[NegativityPair]:
     """The dense route on a squeezing grid, one batch of solves per truncation level.
 
     Each row takes the first n of the ladder 1, 2, 4, ..., N_MAX_CAP at which
-    both bracket widths are at most 0.1 delta_tol, the floor that certifies
+    both bracket widths are at most 0.1 DELTA_TOL, the floor that certifies
     any value, 0 included; rows that reach the cap keep its widths.
     """
     abs_r, abs_l = weights.abs_r, weights.abs_l
@@ -322,7 +322,7 @@ def _dense_pairs(r: np.ndarray, weights: UnruhWeights, delta_tol: float) -> Iter
         n = 1
         while True:
             widths = _bracket_widths(x, abs_r, abs_l, n)
-            if n == N_MAX_CAP or max(widths) <= 0.1 * delta_tol:
+            if n == N_MAX_CAP or max(widths) <= 0.1 * DELTA_TOL:
                 break
             n = min(2 * n, N_MAX_CAP)
         levels.append((n, widths))
@@ -335,7 +335,7 @@ def _dense_pairs(r: np.ndarray, weights: UnruhWeights, delta_tol: float) -> Iter
             report = ConvergenceReport("dense", n, 1.0, 0.0, 0.0, False)
         else:
             # relative, and absolute below 0.1: a certified 0 has width <= 1e-7
-            converged = all(w <= delta_tol * max(v, 0.1) for v, w in zip((n_ar, n_aar), widths))
+            converged = all(w <= DELTA_TOL * max(v, 0.1) for v, w in zip((n_ar, n_aar), widths))
             report = ConvergenceReport("dense", n, math.tanh(x) ** (2 * (n + 1)), *widths, converged)
         yield NegativityPair(n_ar, n_aar, report)
 
@@ -443,12 +443,12 @@ def _block_series(r: float) -> tuple[float, float, int, float]:
     return value, bound, n_head, tail
 
 
-def _pair_blocks(scenario: BosonScenario, delta_tol: float) -> NegativityPair:
+def _pair_blocks(scenario: BosonScenario) -> NegativityPair:
     # For q_R = 1 the Alice-AntiRob partial transpose splits into 2x2 sectors
     # with positive determinant and trace, so that side is exactly 0; the swap
     # rule maps the q_L = 1 case onto the same pair reversed.
     value, bound, n_used, tail = _block_series(scenario.squeezing.r)
-    converged = bound <= delta_tol * max(value, 1e-15)  # absolute once the value underflows
+    converged = bound <= DELTA_TOL * max(value, 1e-15)  # absolute once the value underflows
     rob_side = scenario.weights.abs_l <= EXTREMAL_TOL
     n_ar, n_aar = (value, 0.0) if rob_side else (0.0, value)
     delta_ar, delta_aar = (tail, 0.0) if rob_side else (0.0, tail)
@@ -456,52 +456,19 @@ def _pair_blocks(scenario: BosonScenario, delta_tol: float) -> NegativityPair:
     return NegativityPair(n_ar, n_aar, report)
 
 
-def _route(weights: UnruhWeights, method: str) -> str:
-    """Resolve ``method`` to "dense" or "blocks"; "auto" picks "blocks" when one weight vanishes."""
-    if method not in ("auto", "dense", "blocks"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        return "blocks" if weights.minor_weight() <= EXTREMAL_TOL else "dense"
-    if method == "blocks" and weights.minor_weight() > EXTREMAL_TOL:
-        raise ValueError("blocks method requires an extremal weight (|q_R| in {0, 1})")
-    return method
-
-
-def bosonic_negativity_pair(
-    scenario: BosonScenario,
-    *,
-    method: str = "auto",
-    delta_tol: float = DELTA_TOL,
-    strict: bool = False,
-) -> NegativityPair:
+def bosonic_negativity_pair(scenario: BosonScenario) -> NegativityPair:
     """Alice-Rob and Alice-AntiRob negativities with a convergence report.
 
-    Parameters
-    ----------
-    method
-        "dense", "blocks" (extremal weights only) or "auto", which picks
-        "blocks" when one weight vanishes and "dense" otherwise.
-    delta_tol
-        Bound on each dense bracket width relative to max(value, 0.1), and
-        on the block series bound relative to the value.  The dense
-        truncation is the first level of 1, 2, 4, ..., ``N_MAX_CAP`` whose
-        widths meet the absolute floor 0.1 delta_tol.
-    strict
-        Raise ``ConvergenceError`` instead of returning an unconverged pair.
+    An extremal weight takes the block series, whose bound is judged
+    relative to the value; any other weight takes the dense engine, whose
+    truncation is the first level of 1, 2, 4, ..., ``N_MAX_CAP`` with both
+    bracket widths at most 0.1 ``DELTA_TOL``, each width then judged
+    against ``DELTA_TOL`` max(value, 0.1).  An unconverged pair is returned
+    with ``report.converged`` false.
     """
-    weights = scenario.weights
-    if _route(weights, method) == "blocks":
-        pair = _pair_blocks(scenario, delta_tol)
-    else:
-        pair = next(_dense_pairs(np.array([scenario.squeezing.r]), weights, delta_tol))
-    if strict and not pair.report.converged:
-        rep = pair.report
-        raise ConvergenceError(
-            f"negativity not converged at r={scenario.squeezing.r}: method={rep.method}, "
-            f"n_max_used={rep.n_max_used}, tail={rep.tail_weight:.3e}, "
-            f"deltas=({rep.delta_ar:.3e}, {rep.delta_aar:.3e})"
-        )
-    return pair
+    if scenario.weights.minor_weight() <= EXTREMAL_TOL:
+        return _pair_blocks(scenario)
+    return next(_dense_pairs(np.array([scenario.squeezing.r]), scenario.weights))
 
 
 @dataclass(frozen=True)
@@ -525,8 +492,8 @@ def bosonic_curve(q_abs: float, r_grid) -> list[BosonCurveRow]:
     bad = ~(r >= 0.0)
     if bad.any():
         raise ValueError(f"grid squeezing values must be >= 0, got {r[bad][0]}")
-    if _route(weights, "auto") == "dense":
-        pairs = _dense_pairs(r, weights, DELTA_TOL)
+    if weights.minor_weight() > EXTREMAL_TOL:
+        pairs = _dense_pairs(r, weights)
     else:
         pairs = [bosonic_negativity_pair(BosonScenario(BosonSqueezing(x), weights)) for x in r.tolist()]
     return [

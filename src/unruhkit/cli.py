@@ -124,17 +124,21 @@ class PacketSpec:
     def validate(self) -> None:
         if self.family not in PACKET_FAMILIES:
             raise ValueError(f"family must be one of {PACKET_FAMILIES}, got {self.family!r}")
-        for flag, value in (("lam", self.lam), ("omega0", self.omega0), ("mass", self.mass)):
-            if not 0.0 < value < math.inf:  # so that NaN fails too
+        for flag, value in (("lam", self.lam), ("omega0", self.omega0), ("mass", self.mass),
+                            ("omega-max", self.omega_max)):
+            if value is not None and not 0.0 < value < math.inf:  # so that NaN fails too
                 raise ValueError(f"{flag} must be > 0 and finite, got {value}")
-        for flag, value in (("mu", self.mu), ("leakage-threshold", self.leakage_threshold)):
-            if not math.isfinite(value):
+        for flag, value in (("mu", self.mu), ("leakage-threshold", self.leakage_threshold),
+                            ("x-min", self.x_min), ("x-max", self.x_max)):
+            if value is not None and not math.isfinite(value):
                 raise ValueError(f"{flag} must be finite, got {value}")
         if self.epsilon not in (-1, 1):
             raise ValueError(f"epsilon must be -1 or 1, got {self.epsilon}")
         grid_flags = (self.x_min, self.x_max, self.x_points)
         if any(v is not None for v in grid_flags) and not all(v is not None for v in grid_flags):
             raise ValueError("x-min, x-max and x-points must be given together")
+        if self.x_min is not None and not self.x_max > self.x_min:
+            raise ValueError(f"x-max must be > x-min, got {self.x_max} <= {self.x_min}")
         omega_flags = (self.omega_max, self.omega_points)
         if any(v is not None for v in omega_flags) and not all(v is not None for v in omega_flags):
             raise ValueError("omega-max and omega-points must be given together")

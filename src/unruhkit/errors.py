@@ -10,7 +10,10 @@ class EigensolverError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Truncated evaluation did not converge within the configured cap."""
+    """A fermion sweep row breaks 0 <= N or N_AR + N_AAR <= 1/2.
+
+    An unconverged bosonic point is a row with ``converged`` false, not an error.
+    """
 
 
 class MethodDisagreementError(RuntimeError):

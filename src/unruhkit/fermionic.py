@@ -79,17 +79,6 @@ class FermionSqueezing:
             raise ValueError(f"omega_a and a must be > 0, got {omega_a}, {a}")
         return cls(math.atan(math.exp(-math.pi * omega_a / a)))
 
-    @classmethod
-    def from_rindler_energy(cls, energy: float) -> "FermionSqueezing":
-        """Massive-mode parameterization tan r = e^{-pi E} with E >= 0.
-
-        Unit interpretation of E is left to the caller; the massless case
-        corresponds to E = omega_a / a.
-        """
-        if energy < 0.0:
-            raise ValueError(f"mode energy must be >= 0, got {energy}")
-        return cls(math.atan(math.exp(-math.pi * energy)))
-
 
 @dataclass(frozen=True)
 class FermionScenario:

@@ -16,17 +16,21 @@ uniform Omega >= 0 grid whose trapezoid endpoint weights at Omega = 0 fold
 the two half-lines back together exactly.
 
 Massive packets transform the same way with the Minkowski rapidity
-arcsinh(k/m) = ln[(omega_k + k)/m] in place of ln(omega l); right- and
-left-movers no longer decouple, so there is no eps index.  So one profile
-type serves both fields: it carries its map omega(x), e^x without a mass
-and m cosh x with one, and the same transforms take either kernel.
+arcsinh(k/m) = ln[(omega_k + k)/m] in place of ln(omega l),
+
+    alpha_R, alpha_L = (2 pi omega_k)^(-1/2) ((omega_k + k)/m)^(+-i Omega);
+
+right- and left-movers no longer decouple, so there is no eps index.  So
+one profile type serves both fields: it carries its map omega(x), e^x
+without a mass and m cosh x with one, and the same transforms take either
+kernel.
 
 Both grids are uniform, so each transform is a chirp-z transform
 (Rabiner, Schafer & Rader, 1969): Bluestein's identity turns the
 N_x x N_Omega sum into one FFT convolution of length about N_x + N_Omega,
 at O((N_x + N_Omega) log(N_x + N_Omega)) cost and O(N_x + N_Omega)
 memory.  Grid sizes have no upper limit: the default grids follow from
-the profile's spread and resolution alone.
+the profile's spread, window and resolution alone.
 
 The single-mode approximation is quantified by ``peaking_report``: a packet
 behaves like one Unruh mode of sharp frequency when its Unruh image is
@@ -66,21 +70,6 @@ class BogoliubovKernel:
             raise ValueError(f"epsilon must be +1 or -1, got {self.epsilon}")
         if not 0.0 < self.length_scale < math.inf:  # so that NaN fails too
             raise ValueError(f"length scale must be > 0 and finite, got {self.length_scale}")
-
-
-def alpha_r(omega, big_omega, kernel: BogoliubovKernel = BogoliubovKernel()):
-    """(2 pi omega)^(-1/2) (omega l)^(+i eps Omega); unit-modulus phase over sqrt."""
-    omega = np.asarray(omega, dtype=float)
-    big_omega = np.asarray(big_omega, dtype=float)
-    if np.any(omega <= 0.0) or np.any(big_omega <= 0.0):
-        raise ValueError("alpha coefficients need omega > 0 and Omega > 0")
-    phase = np.exp(1j * kernel.epsilon * big_omega * np.log(omega * kernel.length_scale))
-    return phase / np.sqrt(2.0 * math.pi * omega)
-
-
-def alpha_l(omega, big_omega, kernel: BogoliubovKernel = BogoliubovKernel()):
-    """(2 pi omega)^(-1/2) (omega l)^(-i eps Omega)."""
-    return np.conj(alpha_r(omega, big_omega, kernel))
 
 
 # ---------------------------------------------------------------------------
@@ -252,20 +241,29 @@ def _k0(z: float) -> float:
     min(0.1, 0.5/sqrt z) keeps its error below rounding at any z.  As
     e^{-z} e^{-2z sinh^2(t/2)} each exponent is small where the terms count,
     and so is its rounding.  The sum stops where e^{-z cosh t} underflows.
+    Below z = 1e-8, where the count of terms overflows from z ~ 4e-306 on,
+    it is -ln(z/2) - gamma_Euler, exact to rounding (the rest is O(z^2 ln z)).
     """
     if z >= _EXP_UNDERFLOW:  # K_0(z) < e^-z underflows to 0, as in scipy
         return 0.0
+    if z < 1e-8:
+        return -math.log(0.5 * z) - 0.5772156649015329
     h = min(0.1, 0.5 / math.sqrt(z))
     terms = [math.exp(-2.0 * z * math.sinh(0.5 * k * h) ** 2)
              for k in range(1, math.ceil(math.acosh(_EXP_UNDERFLOW / z) / h) + 1)]
     return math.exp(-z) * (h * math.fsum([0.5, *terms]))
 
 
-def _auto_x_grid(weight, center: float, half: float, dx: float) -> np.ndarray:
+def _auto_x_grid(weight, center: float, half: float, dx: float, mass) -> np.ndarray:
     """Widen [center - half, center + half] until the edge density is negligible."""
     for _ in range(60):
-        n = int(math.ceil(2.0 * half / dx)) + 1
-        x = np.linspace(center - half, center + half, n)
+        # no profile is finite where omega(x) over- or underflows: fail before allocating
+        ends = _omega(np.array([center - half, center + half]), mass)
+        if not (np.isfinite(ends).all() and ends.min() > 0.0):
+            raise GridError(f"the grid on [{center - half:.4g}, {center + half:.4g}] needs "
+                            f"{2.0 * half / dx + 1.0:.3g} points of spacing {dx:.3g}, and omega(x) "
+                            "leaves the floating-point range on it: the profile is not finite there")
+        x = np.linspace(center - half, center + half, int(math.ceil(2.0 * half / dx)) + 1)
         values = np.abs(weight(x)) ** 2
         total = float(values.sum())
         if not math.isfinite(total):
@@ -313,7 +311,7 @@ def _packet_from_weight(weight, x_grid, center, half, dx, mass=None) -> Minkowsk
     # finiteness checks turn that into a GridError, so numpy need not warn first
     with np.errstate(all="ignore"):
         if x_grid is None:
-            x = _auto_x_grid(weight, center, half, dx)
+            x = _auto_x_grid(weight, center, half, dx, mass)
         else:
             x = _check_uniform(np.asarray(x_grid, dtype=float))
         return _check_unit_norm(MinkowskiSmearing(x, weight(x) / np.sqrt(_omega(x, mass)), mass))
@@ -440,7 +438,10 @@ def _default_omega_grid(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     mean = float(np.sum(x * density) / total)
     sigma = math.sqrt(max(float(np.sum((x - mean) ** 2 * density) / total), dx * dx))
     omega_max = math.pi / (2.0 * dx)
-    d_omega = 1.0 / (24.0 * sigma)
+    # the inverse transform repeats with period 2 pi / d_omega in x: keep the
+    # copies of the packet at least 8 sigma past both ends of the window
+    reach = max(mean - float(x[0]), float(x[-1]) - mean)
+    d_omega = min(1.0 / (24.0 * sigma), 2.0 * math.pi / (reach + 8.0 * sigma))
     n = int(math.ceil(omega_max / d_omega)) + 1
     return np.linspace(0.0, omega_max, max(n, 64))
 
@@ -489,23 +490,13 @@ def g_from_f(
 
 
 def f_from_g(
-    pair: UnruhSmearingPair,
-    kernel: BogoliubovKernel | MassiveKernel = BogoliubovKernel(),
-    x_grid=None,
+    pair: UnruhSmearingPair, kernel: BogoliubovKernel | MassiveKernel, x_grid
 ) -> MinkowskiSmearing:
-    """Inverse transform f = int [alpha_R* g_R + alpha_L* g_L] dOmega.
+    """Inverse transform f = int [alpha_R* g_R + alpha_L* g_L] dOmega on a uniform x grid.
 
     The profile takes the kernel's ``mass`` and with it the map omega(x).
     """
-    if x_grid is None:
-        # mirror the forward defaults: resolve the finest oscillation the pair
-        # can produce and span enough x to hold its Fourier image
-        dx = math.pi / (2.0 * float(pair.omega_grid[-1]))
-        half = math.pi / (2.0 * pair.d_omega) * 0.5
-        n = int(math.ceil(2.0 * half / dx)) + 1
-        x_grid = np.linspace(-half, half, max(n, 64))
-    else:
-        x_grid = _check_uniform(np.asarray(x_grid, dtype=float))
+    x_grid = _check_uniform(np.asarray(x_grid, dtype=float))
     weight = _inverse_transform(x_grid, pair, kernel.epsilon, math.log(kernel.length_scale))
     return MinkowskiSmearing(x_grid, weight / np.sqrt(_omega(x_grid, kernel.mass)), kernel.mass)
 
@@ -658,30 +649,11 @@ class MassiveKernel:
             raise ValueError(f"mass must be > 0, got {self.mass}")
 
 
-def massive_alpha(k, big_omega, kernel: MassiveKernel):
-    """Pair (alpha_R, alpha_L) = (2 pi omega_k)^(-1/2) ((omega_k + k)/m)^(+-i Omega).
-
-    The exponent variable is the Minkowski rapidity arcsinh(k/m), evaluated
-    in that form to stay accurate for large negative k.
-    """
-    k = np.asarray(k, dtype=float)
-    big_omega = np.asarray(big_omega, dtype=float)
-    if np.any(big_omega <= 0.0):
-        raise ValueError("massive alpha coefficients need Omega > 0")
-    omega = np.hypot(kernel.mass, k)
-    rapidity = np.arcsinh(k / kernel.mass)
-    phase = np.exp(1j * big_omega * rapidity)
-    root = np.sqrt(2.0 * math.pi * omega)
-    return phase / root, np.conj(phase) / root
-
-
-def rapidity_gaussian(
-    lam: float, mu: float, kernel: MassiveKernel, x_grid=None, center: float = 0.0
-) -> MinkowskiSmearing:
-    """Packet Gaussian in rapidity with chirp phase e^{-i mu x}, centred on k = m sinh(center)."""
+def rapidity_gaussian(lam: float, mu: float, kernel: MassiveKernel, x_grid=None) -> MinkowskiSmearing:
+    """Packet Gaussian in rapidity with chirp phase e^{-i mu x}, centred on k = 0."""
     params = LogGaussianParams(lam, mu)
-    weight = _log_gaussian_weight(params, center)
-    return _packet_from_weight(weight, x_grid, center, *_gaussian_window(params), mass=kernel.mass)
+    weight = _log_gaussian_weight(params, 0.0)
+    return _packet_from_weight(weight, x_grid, 0.0, *_gaussian_window(params), mass=kernel.mass)
 
 
 # The benchmark's tracer (perfbench/tracer.py) wraps the names of the massive

@@ -12,6 +12,7 @@ from unruhkit.bosonic import (
     BosonScenario,
     BosonSqueezing,
     bosonic_negativity_pair,
+    _dense_pairs,
 )
 from unruhkit.cli import main
 from unruhkit.fermionic import (
@@ -158,7 +159,7 @@ def test_criterion_7_bosonic_truncation_convergence():
     worst_delta = 0.0
     for q in (1.0, 0.9, 0.8, 0.7):
         for r in np.linspace(0.0, 1.5, 7):
-            pair = bosonic_negativity_pair(boson(float(r), q), method="dense")
+            pair = next(_dense_pairs(np.array([r]), UnruhWeights.from_abs(q)))
             rep = pair.report
             assert rep.converged, f"not converged at (q={q}, r={r})"
             worst_delta = max(worst_delta, rep.delta_ar, rep.delta_aar)

@@ -34,13 +34,17 @@ from unruhkit.bosonic import (
     _qops_pair,
     _sector_bands,
 )
-from unruhkit.errors import ConvergenceError
 from unruhkit.qops import negativity, partial_transpose, reduced_density
 from unruhkit.weights import UnruhWeights
 
 
 def scenario(r, q_abs, phase=0.0):
     return BosonScenario(BosonSqueezing(r), UnruhWeights.from_abs(q_abs, phase))
+
+
+def dense_pair(sc):
+    """The dense engine on one point, whatever the weight."""
+    return next(bosonic._dense_pairs(np.array([sc.squeezing.r]), sc.weights))
 
 
 def closed_form_r0(q_abs):
@@ -378,8 +382,8 @@ class TestNegativityPair:
 
     def test_blocks_agree_with_dense_engine(self):
         for r in (0.3, 0.8, 1.2):
-            blocks = bosonic_negativity_pair(scenario(r, 1.0), method="blocks")
-            dense = bosonic_negativity_pair(scenario(r, 1.0), method="dense")
+            blocks = bosonic._pair_blocks(scenario(r, 1.0))
+            dense = dense_pair(scenario(r, 1.0))
             assert dense.report.converged
             assert abs(blocks.n_ar - dense.n_ar) < 1e-7
             assert dense.n_aar < 1e-7  # exactly zero up to truncation noise
@@ -391,10 +395,6 @@ class TestNegativityPair:
         assert pair.n_ar < 0.01
         assert pair.n_ar > 0.001
 
-    def test_blocks_method_rejects_generic_weights(self):
-        with pytest.raises(ValueError):
-            bosonic_negativity_pair(scenario(0.5, 0.8), method="blocks")
-
     def test_dense_convergence_report(self):
         pair = bosonic_negativity_pair(scenario(1.2, 0.8))
         rep = pair.report
@@ -402,11 +402,6 @@ class TestNegativityPair:
         assert rep.converged
         assert rep.tail_weight < 1e-8
         assert rep.delta_ar <= 1e-7 and rep.delta_aar <= 1e-7
-
-    def test_strict_raises_on_unconverged(self):
-        # at r = 2 the widths cannot be met within N_MAX_CAP levels
-        with pytest.raises(ConvergenceError):
-            bosonic_negativity_pair(scenario(2.0, 0.8), strict=True)
 
     @pytest.mark.parametrize("r", [400.0, 800.0, 1e4])
     def test_dense_route_at_extreme_squeezing_is_clean_and_unconverged(self, r):
@@ -575,16 +570,14 @@ class TestBlockSeries:
         assert pair.n_ar == 0.5 and pair.n_aar == 0.0
         assert pair.report.method == "blocks" and pair.report.converged
 
-    def test_converged_means_bound_within_relative_tolerance(self):
+    def test_converged_means_bound_within_relative_tolerance(self, monkeypatch):
         pair = bosonic_negativity_pair(scenario(5.0, 1.0))
         rep = pair.report
         assert rep.converged and 0.0 < rep.tail_weight <= 1e-6 * pair.n_ar
-        tight = 0.5 * rep.tail_weight / pair.n_ar
-        loose = bosonic_negativity_pair(scenario(5.0, 1.0), delta_tol=tight)
+        monkeypatch.setattr(bosonic, "DELTA_TOL", 0.5 * rep.tail_weight / pair.n_ar)
+        loose = bosonic_negativity_pair(scenario(5.0, 1.0))
         assert loose.n_ar == pair.n_ar
         assert not loose.report.converged
-        with pytest.raises(ConvergenceError):
-            bosonic_negativity_pair(scenario(5.0, 1.0), delta_tol=tight, strict=True)
 
     def test_left_weight_mirrors_the_pair(self):
         right = bosonic_negativity_pair(scenario(7.0, 1.0))
@@ -818,7 +811,7 @@ class TestPrincipalBlockBracket:
                 w <= 1e-6 * max(v, 0.1) for v, w in zip((pair.n_ar, pair.n_aar), widths))
         assert {1, N_MAX_CAP} < levels
 
-    def test_converged_zero_is_certified_by_the_absolute_floor(self):
+    def test_converged_zero_is_certified_by_the_absolute_floor(self, monkeypatch):
         pair = bosonic_negativity_pair(scenario(1.5, 0.9))
         rep = pair.report
         assert rep.converged and pair.n_aar == 0.0
@@ -826,7 +819,8 @@ class TestPrincipalBlockBracket:
         # the point sits at the cap, so a tighter floor buys no deeper level:
         # the same 0 is judged against it and fails
         assert rep.n_max_used == N_MAX_CAP
-        tight = bosonic_negativity_pair(scenario(1.5, 0.9), delta_tol=0.5 * rep.delta_aar / 0.1)
+        monkeypatch.setattr(bosonic, "DELTA_TOL", 0.5 * rep.delta_aar / 0.1)
+        tight = bosonic_negativity_pair(scenario(1.5, 0.9))
         assert (tight.n_ar, tight.n_aar) == (pair.n_ar, pair.n_aar)
         assert not tight.report.converged
 
@@ -891,13 +885,15 @@ def test_pair_swap_rule_and_range(q_abs, r, phase):
 )
 def test_pair_phase_invariance(q_abs, r, phase_r, phase_l):
     # random local phases on both weights leave the pair unchanged, on the
-    # dense route for every weight and on the blocks route for extremal ones
+    # dense engine for every weight and on the block series for extremal ones
     plain = UnruhWeights.from_abs(q_abs)
     turned = UnruhWeights(plain.q_r * cmath.exp(1j * phase_r), plain.q_l * cmath.exp(1j * phase_l))
-    methods = ["dense"] + (["blocks"] if plain.minor_weight() <= EXTREMAL_TOL else [])
-    for method in methods:
-        base = bosonic_negativity_pair(BosonScenario(BosonSqueezing(r), plain), method=method)
-        rotated = bosonic_negativity_pair(BosonScenario(BosonSqueezing(r), turned), method=method)
+    engines = {"dense": dense_pair}
+    if plain.minor_weight() <= EXTREMAL_TOL:
+        engines["blocks"] = bosonic._pair_blocks
+    for method, engine in engines.items():
+        base = engine(BosonScenario(BosonSqueezing(r), plain))
+        rotated = engine(BosonScenario(BosonSqueezing(r), turned))
         assert abs(rotated.n_ar - base.n_ar) <= 1e-12
         assert abs(rotated.n_aar - base.n_aar) <= 1e-12
         assert rotated.report.method == method

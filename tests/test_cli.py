@@ -243,15 +243,21 @@ class TestPacketCommand:
     def test_partial_grid_flags_rejected(self):
         assert main(["packet", "--x-min", "-5"]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("family", ["log-gaussian", "rapidity-gaussian"])
-    def test_profile_past_the_float_range_is_numeric_failure(self, family, capsys):
+    @pytest.mark.parametrize("family, lam", [
+        ("log-gaussian", "1e-4"), ("rapidity-gaussian", "1e-4"), ("log-gaussian", "1e-300"),
+        ("gamma", "1e-300"), ("bessel", "1e-300"), ("bessel", "1e-310"),
+    ])
+    def test_profile_past_the_float_range_is_numeric_failure(self, family, lam, capsys):
         # at lambda = 1e-4 the automatic grid reaches |x| ~ 990, where e^x and
-        # cosh x overflow; the NaN norm must stop there as a grid error, and
-        # no numpy warning may come first (under -W error it would exit 1)
+        # cosh x overflow; that window must be a grid error, and no numpy
+        # warning may come first (under -W error it would exit 1).  At 1e-300
+        # the window needs more points than numpy can index, and at 1e-310 an
+        # infinite number: these ended in a ValueError or an OverflowError.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["packet", "--family", family, "--lam", "1e-4"]) == EXIT_NUMERIC
-        assert "not finite" in capsys.readouterr().err
+            assert main(["packet", "--family", family, "--lam", lam]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "not finite" in err and " points of spacing " in err
 
     def test_gamma_past_the_float_range_fails_at_once(self):
         # widening the gamma grid around its NaN density would cost 1.5x the
@@ -286,12 +292,20 @@ class TestPacketCommand:
         assert f"{flags[-1][2:]} must be >= 16, got {value}" in err
         assert "Traceback" not in err
 
-    def test_bessel_at_large_lambda_passes_parseval(self, tmp_path):
-        # K_0(300) ~ 3.7e-132 sets the norm; the trapezoid step shrinks with 1/sqrt(z)
+    @pytest.mark.parametrize("family, lam", [
+        ("bessel", "114"), ("bessel", "150"), ("bessel", "300"), ("log-gaussian", "114"),
+        ("log-gaussian", "150"), ("log-gaussian", "300"), ("log-gaussian", "1000"),
+    ])
+    def test_large_lambda_passes_parseval_and_round_trip(self, family, lam, tmp_path):
+        # K_0(300) ~ 3.7e-132 sets the Bessel norm at lambda = 150; the trapezoid
+        # step shrinks with 1/sqrt(z).  Past lambda ~ 100 the x window, not the
+        # packet width, bounds d_omega: a Fourier period 2 pi / d_omega inside
+        # the window once folded the packet onto itself (round trip sqrt 2).
         out = tmp_path / "report.json"
-        assert main(["packet", "--family", "bessel", "--lam", "150", "--out", str(out)]) == EXIT_OK
+        assert main(["packet", "--family", family, "--lam", lam, "--out", str(out)]) == EXIT_OK
         payload = json.loads(out.read_text())
         assert payload["parseval_residual"] < 1e-6
+        assert payload["round_trip_error"] < 1e-6
 
     def test_gamma_past_the_gamma_function_range_is_numeric_failure(self, capsys):
         # Gamma(300) overflows: math.gamma raises, where scipy returned inf
@@ -307,12 +321,19 @@ class TestPacketCommand:
     @pytest.mark.parametrize("flag, value", [
         ("lam", "nan"), ("lam", "inf"), ("mu", "nan"), ("mu", "inf"), ("mu", "-inf"),
         ("leakage-threshold", "nan"), ("leakage-threshold", "inf"), ("omega0", "nan"),
-        ("mass", "inf"),
+        ("mass", "inf"), ("x-min", "nan"), ("x-min", "-inf"), ("x-max", "inf"),
+        ("omega-max", "inf"), ("omega-max", "nan"), ("omega-max", "-5"), ("omega-max", "0"),
+        ("x-max", "-10"),
     ])
     def test_non_finite_packet_flags_are_usage_errors(self, flag, value, family, capsys):
-        # past validation these raise deep in the grid code or pass silently
-        # (a NaN threshold makes every packet fail the SMA test)
-        assert main(["packet", "--family", family, f"--{flag}={value}"]) == EXIT_USAGE
+        # past validation these raise deep in the grid code, after numpy
+        # warnings, blame the wrong thing or pass silently (a NaN threshold
+        # makes every packet fail the SMA test); x-max = -10 meets x-min = 10
+        companions = ["--x-min=10", "--x-points=2000"] if (flag, value) == ("x-max", "-10") else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["packet", "--family", family, f"--{flag}={value}", *companions])
+        assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"{flag} must be" in err and f"got {value}" in err
         assert "Traceback" not in err
@@ -373,8 +394,9 @@ def test_in_process_calls_match_separate_runs(tmp_path, monkeypatch, capsys):
 def capped_packet_run(family):
     """``packet --lam 1e-4`` in a child with warnings as errors and 1 GiB of address space.
 
-    Both the gamma and the Bessel run need about 0.35 GiB, so the cap turns a
-    grid that keeps growing into a MemoryError instead of exhausting memory.
+    Both the gamma and the Bessel window leave the float range of omega(x)
+    and fail before they are sampled; the cap turns a relapse into a grid
+    that keeps growing into a MemoryError instead of exhausting memory.
     """
     limit = 1 << 30
     return subprocess.run(

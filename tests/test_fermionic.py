@@ -42,9 +42,11 @@ class TestSqueezing:
         assert abs(r - R_MAX) < 1e-10
 
     def test_rindler_energy_parameterization(self):
-        sq = FermionSqueezing.from_rindler_energy(1.0)
-        assert abs(math.tan(sq.r) - math.exp(-math.pi)) < 1e-15
-        assert FermionSqueezing.from_rindler_energy(0.0).r == pytest.approx(R_MAX)
+        # at a = 1, omega_a is the Rindler energy E: tan r = e^{-pi E}
+        for energy in (0.3, 2.5):
+            sq = FermionSqueezing.from_acceleration(energy, 1.0)
+            assert abs(math.tan(sq.r) - math.exp(-math.pi * energy)) < 1e-15
+        assert FermionSqueezing.from_acceleration(1e-300, 1.0).r == pytest.approx(R_MAX)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
