@@ -53,8 +53,7 @@ SLOT_I_ANTI = "I-"
 SLOT_II_PART = "II+"
 SLOTS = (SLOT_I_PART, SLOT_II_ANTI, SLOT_I_ANTI, SLOT_II_PART)
 
-GRASSMANN_SPACE = TensorSpace(tuple((slot, 2) for slot in SLOTS))
-JOINT_SPACE = TensorSpace(((ALICE, 2),) + GRASSMANN_SPACE.factors)
+JOINT_SPACE = TensorSpace(((ALICE, 2),) + tuple((slot, 2) for slot in SLOTS))
 
 
 def occupation_index(n: int, n1: int, n2: int, n3: int) -> int:
@@ -86,8 +85,8 @@ class FermionScenario:
     weights: UnruhWeights
 
 
-def grassmann_vacuum(r: float) -> FockKet:
-    """Vacuum of one Unruh frequency in the Rindler slot basis.
+def grassmann_vacuum(r: float) -> np.ndarray:
+    """Amplitudes of the vacuum of one Unruh frequency in the Rindler slot basis:
 
     cos^2 r |0000> - sin r cos r |0011> + sin r cos r |1100> - sin^2 r |1111>,
     with exactly these signs; the norm is cos^4 + 2 sin^2 cos^2 + sin^4 = 1.
@@ -98,11 +97,11 @@ def grassmann_vacuum(r: float) -> FockKet:
     amp[occupation_index(0, 0, 1, 1)] = -s * c
     amp[occupation_index(1, 1, 0, 0)] = s * c
     amp[occupation_index(1, 1, 1, 1)] = -s * s
-    return FockKet(GRASSMANN_SPACE, amp)
+    return amp
 
 
-def grassmann_one_particle(r: float, weights: UnruhWeights) -> FockKet:
-    """General one-particle Unruh state:
+def grassmann_one_particle(r: float, weights: UnruhWeights) -> np.ndarray:
+    """Amplitudes of the general one-particle Unruh state in the Rindler slot basis:
 
     q_R [cos r |1000> - sin r |1011>] + q_L [sin r |1101> + cos r |0001>].
 
@@ -114,26 +113,26 @@ def grassmann_one_particle(r: float, weights: UnruhWeights) -> FockKet:
     amp[occupation_index(1, 0, 1, 1)] += -weights.q_r * s
     amp[occupation_index(1, 1, 0, 1)] += weights.q_l * s
     amp[occupation_index(0, 0, 0, 1)] += weights.q_l * c
-    return FockKet(GRASSMANN_SPACE, amp)
+    return amp
 
 
 def fermion_joint_state(scenario: FermionScenario) -> FockKet:
     """(|0>_M |vacuum> + |1>_M |one-particle>)/sqrt(2), dimension 32."""
     r = scenario.squeezing.r
     amp = np.zeros(32, dtype=complex)
-    amp[:16] = grassmann_vacuum(r).amplitudes / math.sqrt(2.0)
-    amp[16:] = grassmann_one_particle(r, scenario.weights).amplitudes / math.sqrt(2.0)
+    amp[:16] = grassmann_vacuum(r) / math.sqrt(2.0)
+    amp[16:] = grassmann_one_particle(r, scenario.weights) / math.sqrt(2.0)
     return FockKet(JOINT_SPACE, amp)
 
 
-def rho_alice_rob_fermi(scenario: FermionScenario) -> DensityOperator:
-    """Trace out region II; basis |ijk> = |i>_M |j>_I+ |k>_I-."""
-    return reduced_density(fermion_joint_state(scenario), (ALICE, SLOT_I_PART, SLOT_I_ANTI))
+def rho_alice_rob_fermi(joint: FockKet) -> DensityOperator:
+    """Trace region II out of the joint state; basis |ijk> = |i>_M |j>_I+ |k>_I-."""
+    return reduced_density(joint, (ALICE, SLOT_I_PART, SLOT_I_ANTI))
 
 
-def rho_alice_antirob_fermi(scenario: FermionScenario) -> DensityOperator:
-    """Trace out region I; basis |ijk> = |i>_M |j>_II- |k>_II+."""
-    return reduced_density(fermion_joint_state(scenario), (ALICE, SLOT_II_ANTI, SLOT_II_PART))
+def rho_alice_antirob_fermi(joint: FockKet) -> DensityOperator:
+    """Trace region I out of the joint state; basis |ijk> = |i>_M |j>_II- |k>_II+."""
+    return reduced_density(joint, (ALICE, SLOT_II_ANTI, SLOT_II_PART))
 
 
 def pt_blocks(scenario: FermionScenario, bipartition: str) -> tuple[np.ndarray, np.ndarray]:
@@ -209,9 +208,10 @@ def fermionic_negativity_pair(
             _blocks_negativity(pt_blocks(scenario, "AAR")),
         )
     if method == "full":
+        joint = fermion_joint_state(scenario)
         return FermionNegativityPair(
-            negativity(rho_alice_rob_fermi(scenario), ALICE).value,
-            negativity(rho_alice_antirob_fermi(scenario), ALICE).value,
+            negativity(rho_alice_rob_fermi(joint), ALICE).value,
+            negativity(rho_alice_antirob_fermi(joint), ALICE).value,
         )
     raise ValueError(f"method must be 'blocks' or 'full', got {method!r}")
 

@@ -257,14 +257,18 @@ def _k0(z: float) -> float:
 def _auto_x_grid(weight, center: float, half: float, dx: float, mass) -> np.ndarray:
     """Widen [center - half, center + half] until the edge density is negligible."""
     for _ in range(60):
+        grid = (f"the grid on [{center - half:.4g}, {center + half:.4g}] needs "
+                f"{2.0 * half / dx + 1.0:.3g} points of spacing {dx:.3g}")
         # no profile is finite where omega(x) over- or underflows: fail before allocating
         ends = _omega(np.array([center - half, center + half]), mass)
         if not (np.isfinite(ends).all() and ends.min() > 0.0):
-            raise GridError(f"the grid on [{center - half:.4g}, {center + half:.4g}] needs "
-                            f"{2.0 * half / dx + 1.0:.3g} points of spacing {dx:.3g}, and omega(x) "
-                            "leaves the floating-point range on it: the profile is not finite there")
-        x = np.linspace(center - half, center + half, int(math.ceil(2.0 * half / dx)) + 1)
-        values = np.abs(weight(x)) ** 2
+            raise GridError(f"{grid}, and omega(x) leaves the floating-point range on it: "
+                            "the profile is not finite there")
+        try:  # nor is a count past what numpy can index or allocate
+            x = np.linspace(center - half, center + half, math.ceil(2.0 * half / dx) + 1)
+            values = np.abs(weight(x)) ** 2
+        except (OverflowError, ValueError, MemoryError) as exc:
+            raise GridError(f"{grid}, more than can be allocated") from exc
         total = float(values.sum())
         if not math.isfinite(total):
             # widening cannot mend an overflow, and each step costs 1.5x the memory
@@ -285,7 +289,8 @@ def _default_dx(params: LogGaussianParams) -> float:
     # the Unruh-side content around |mu| + a few sqrt(lambda)
     sigma_x = (2.0 * params.lam) ** -0.5
     omega_reach = abs(params.mu) + 14.0 * math.sqrt(params.lam / 2.0) + 6.0
-    return min(sigma_x / 8.0, math.pi / (2.0 * omega_reach))
+    # 0.5 pi / reach, unlike pi / (2 reach), stays > 0 when 2 reach overflows
+    return min(sigma_x / 8.0, 0.5 * math.pi / omega_reach)
 
 
 def _gaussian_window(params: LogGaussianParams) -> tuple[float, float]:

@@ -26,7 +26,7 @@ class UnruhWeights:
         object.__setattr__(self, "q_r", q_r)
         object.__setattr__(self, "q_l", q_l)
         norm = abs(q_r) ** 2 + abs(q_l) ** 2
-        if abs(norm - 1.0) > NORMALIZATION_TOL:
+        if not abs(norm - 1.0) <= NORMALIZATION_TOL:  # so that a NaN weight fails too
             raise ValueError(f"|q_R|^2 + |q_L|^2 = {norm!r} is not 1 within {NORMALIZATION_TOL}")
 
     @classmethod

@@ -261,8 +261,10 @@ class TestPacketCommand:
 
     def test_gamma_past_the_float_range_fails_at_once(self):
         # widening the gamma grid around its NaN density would cost 1.5x the
-        # memory per step; the capped child turns such a relapse into a MemoryError
-        out = capped_packet_run("gamma")
+        # memory per step; the gamma and the Bessel window both leave the float
+        # range of omega(x) and must fail before they are sampled.  Under the
+        # cap a relapse ends in a failed allocation, not "not finite"
+        out = capped_packet_run("--family", "gamma", "--lam", "1e-4")
         assert out.returncode == EXIT_NUMERIC, out.stderr
         assert "not finite" in out.stderr
         assert "Warning" not in out.stderr
@@ -270,11 +272,24 @@ class TestPacketCommand:
     def test_bessel_past_the_float_range_is_not_a_uniformity_error(self):
         # the automatic grid spans +-3e5 in 5.4M steps of 0.111, whose rounding
         # once failed the uniformity check; the real fault is the profile
-        out = capped_packet_run("bessel")
+        out = capped_packet_run("--family", "bessel", "--lam", "1e-4")
         assert out.returncode == EXIT_NUMERIC, out.stderr
         assert "not finite" in out.stderr
         assert "uniformly spaced" not in out.stderr
         assert "Warning" not in out.stderr
+
+    @pytest.mark.parametrize("flags", [
+        ("--mu", "1e300"), ("--mu", "1e12"), ("--lam", "1e20"), ("--mu", "1.7e308"),
+        ("--family", "gamma", "--lam", "1e20"), ("--family", "rapidity-gaussian", "--mu", "1e300"),
+    ])
+    def test_grid_count_past_the_memory_is_numeric_failure(self, flags):
+        # the spacing shrinks as 1/|mu| and 1/sqrt(lambda) on a window that stays
+        # finite; a count numpy cannot index or allocate (or an infinite one, once
+        # 2 |mu| overflows) must be a grid error naming the count and the spacing
+        out = capped_packet_run(*flags, limit=2 << 30)
+        assert out.returncode == EXIT_NUMERIC, out.stderr
+        assert " points of spacing " in out.stderr and "more than can be allocated" in out.stderr
+        assert "Traceback" not in out.stderr and "Warning" not in out.stderr
 
     @pytest.mark.parametrize("flags, value", [
         (("--x-min", "-5", "--x-max", "5", "--x-points"), "-3"),
@@ -391,17 +406,15 @@ def test_in_process_calls_match_separate_runs(tmp_path, monkeypatch, capsys):
         assert (together / name).read_bytes() == (separate / name).read_bytes()
 
 
-def capped_packet_run(family):
-    """``packet --lam 1e-4`` in a child with warnings as errors and 1 GiB of address space.
+def capped_packet_run(*flags, limit=1 << 30):
+    """``packet`` in a child with warnings as errors and ``limit`` bytes of address space.
 
-    Both the gamma and the Bessel window leave the float range of omega(x)
-    and fail before they are sampled; the cap turns a relapse into a grid
-    that keeps growing into a MemoryError instead of exhausting memory.
+    The cap makes any large allocation fail at once instead of succeeding
+    lazily and exhausting memory later: a grid that keeps growing, or one
+    whose point count has no bound.
     """
-    limit = 1 << 30
     return subprocess.run(
-        [sys.executable, "-W", "error", "-m", "unruhkit.cli", "packet", "--family", family,
-         "--lam", "1e-4"],
+        [sys.executable, "-W", "error", "-m", "unruhkit.cli", "packet", *flags],
         env=src_env(), capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )

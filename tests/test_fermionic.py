@@ -57,41 +57,40 @@ class TestSqueezing:
 
 class TestStates:
     def test_vacuum_at_zero_squeezing(self):
-        amp = grassmann_vacuum(0.0).amplitudes
+        amp = grassmann_vacuum(0.0)
         assert amp[0] == 1.0
         assert np.count_nonzero(amp) == 1
 
     @pytest.mark.parametrize("r", np.linspace(0.0, R_MAX, 7))
     def test_vacuum_norm_is_exactly_one(self, r):
-        assert abs(grassmann_vacuum(r).norm() - 1.0) < 1e-15
+        assert abs(np.linalg.norm(grassmann_vacuum(r)) - 1.0) < 1e-15
 
     def test_vacuum_amplitudes_at_maximal_squeezing(self):
-        amp = grassmann_vacuum(R_MAX).amplitudes
+        amp = grassmann_vacuum(R_MAX)
         assert abs(amp[occupation_index(0, 0, 0, 0)] - 0.5) < 1e-15
         assert abs(amp[occupation_index(0, 0, 1, 1)] + 0.5) < 1e-15
         assert abs(amp[occupation_index(1, 1, 0, 0)] - 0.5) < 1e-15
         assert abs(amp[occupation_index(1, 1, 1, 1)] + 0.5) < 1e-15
 
     def test_one_particle_at_zero_squeezing(self):
-        amp = grassmann_one_particle(0.0, UnruhWeights.from_abs(1.0)).amplitudes
+        amp = grassmann_one_particle(0.0, UnruhWeights.from_abs(1.0))
         assert amp[occupation_index(1, 0, 0, 0)] == 1.0
         assert np.count_nonzero(amp) == 1
 
     @pytest.mark.parametrize("r", np.linspace(0.0, R_MAX, 5))
     def test_one_particle_norm(self, r):
-        ket = grassmann_one_particle(r, UnruhWeights.from_abs(0.8, 0.4))
-        assert abs(ket.norm() - 1.0) < 1e-15
+        amp = grassmann_one_particle(r, UnruhWeights.from_abs(0.8, 0.4))
+        assert abs(np.linalg.norm(amp) - 1.0) < 1e-15
 
     @pytest.mark.parametrize("r", np.linspace(0.0, R_MAX, 9))
     def test_one_particle_orthogonal_to_vacuum(self, r):
         vac = grassmann_vacuum(r)
         one = grassmann_one_particle(r, UnruhWeights.from_abs(0.7, 1.2))
-        assert abs(vac.overlap(one)) < 1e-14
+        assert abs(np.vdot(vac, one)) < 1e-14
 
     def test_joint_state_norm_and_bell_limit(self):
-        ket = fermion_joint_state(scenario(0.0, 1.0))
-        assert abs(ket.norm() - 1.0) < 1e-15
-        amp = ket.amplitudes
+        amp = fermion_joint_state(scenario(0.0, 1.0)).amplitudes
+        assert abs(np.linalg.norm(amp) - 1.0) < 1e-15
         root_half = 1.0 / math.sqrt(2.0)
         assert abs(amp[0] - root_half) < 1e-15                    # |0>_M |0000>
         assert abs(amp[16 + occupation_index(1, 0, 0, 0)] - root_half) < 1e-15
@@ -109,13 +108,13 @@ class TestReducedMatrices:
     def test_rho_ar_vacuum_diagonal(self):
         r = 0.6
         c = math.cos(r)
-        rho = rho_alice_rob_fermi(scenario(r, 0.8)).matrix
+        rho = rho_alice_rob_fermi(fermion_joint_state(scenario(r, 0.8))).matrix
         assert abs(rho[0, 0] - c**4 / 2.0) < 1e-15
 
     def test_rho_ar_off_diagonal_coefficient(self):
         # <000| rho |110> = q_R^* C^3 / 2 in the (M, I+, I-) basis
         r, q_abs, phase = 0.6, 0.8, 1.1
-        rho = rho_alice_rob_fermi(scenario(r, q_abs, phase)).matrix
+        rho = rho_alice_rob_fermi(fermion_joint_state(scenario(r, q_abs, phase))).matrix
         q_r = q_abs * np.exp(1j * phase)
         expected = np.conj(q_r) * math.cos(r) ** 3 / 2.0
         assert abs(rho[0b000, 0b110] - expected) < 1e-15
@@ -124,7 +123,7 @@ class TestReducedMatrices:
         # |101><101| carries (|q_R|^2 S^2 + |q_L|^2 C^2)/2 in the (M, II-, II+) basis
         r, q_abs = 0.45, 0.75
         c, s = math.cos(r), math.sin(r)
-        rho = rho_alice_antirob_fermi(scenario(r, q_abs)).matrix
+        rho = rho_alice_antirob_fermi(fermion_joint_state(scenario(r, q_abs))).matrix
         expected = (q_abs**2 * s**2 + (1 - q_abs**2) * c**2) / 2.0
         assert abs(rho[0b101, 0b101] - expected) < 1e-15
 
@@ -132,12 +131,14 @@ class TestReducedMatrices:
     def test_traces_and_validity(self, seed):
         rng = np.random.default_rng(seed)
         sc = scenario(rng.uniform(0, R_MAX), rng.uniform(0, 1), rng.uniform(0, 2 * math.pi))
-        for rho in (rho_alice_rob_fermi(sc), rho_alice_antirob_fermi(sc)):
-            assert abs(rho.trace() - 1.0) < 1e-14
-            rho.validate()
+        joint = fermion_joint_state(sc)
+        for rho in (rho_alice_rob_fermi(joint).matrix, rho_alice_antirob_fermi(joint).matrix):
+            assert abs(np.trace(rho) - 1.0) < 1e-14
+            assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+            assert np.linalg.eigvalsh(rho).min() > -1e-10
 
     def test_antirob_pure_product_at_zero_squeezing(self):
-        rho = rho_alice_antirob_fermi(scenario(0.0, 1.0))
+        rho = rho_alice_antirob_fermi(fermion_joint_state(scenario(0.0, 1.0)))
         assert negativity(rho, "M").value == 0.0
 
 
@@ -163,7 +164,7 @@ class TestBlocks:
         # the bases named in the pt_blocks docstring, checked against the
         # full 8x8 partial transpose of the reduced state
         sc = scenario(0.6, 0.7, phase=1.1)
-        sigma = partial_transpose(builder(sc), "M")
+        sigma = partial_transpose(builder(fermion_joint_state(sc)), "M")
         for mat, basis in zip(pt_blocks(sc, bipartition), bases):
             idx = [int(label, 2) for label in basis]
             assert np.max(np.abs(sigma[np.ix_(idx, idx)] - mat)) < 1e-15
@@ -180,7 +181,7 @@ class TestBlocks:
                 rng.uniform(0, R_MAX), rng.uniform(0, 1), rng.uniform(0, 2 * math.pi)
             )
             full = np.sort(
-                hermitian_eigenvalues(partial_transpose(builder(sc), "M"))
+                hermitian_eigenvalues(partial_transpose(builder(fermion_joint_state(sc)), "M"))
             )
             for mat in pt_blocks(sc, bipartition):
                 for eig in hermitian_eigenvalues(mat):
@@ -283,3 +284,15 @@ class TestCurve:
         sc = scenario(0.4, 0.8)
         pair = fermionic_negativity_pair(sc)
         assert method_agreement_residual(sc, pair) == method_agreement_residual(sc)
+
+    def test_full_route_builds_one_joint_state_per_row(self, monkeypatch):
+        # both bipartitions are reductions of the same 32-amplitude state
+        calls = []
+
+        def counting(scenario):
+            calls.append(scenario)
+            return fermion_joint_state(scenario)
+
+        monkeypatch.setattr(fermionic, "fermion_joint_state", counting)
+        rows = fermionic_curve(0.8, np.linspace(0.0, R_MAX, 10))
+        assert len(calls) == len(rows)

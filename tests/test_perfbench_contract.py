@@ -5,7 +5,9 @@ refuses to run if a module no longer imports a function by that name.
 ``perfbench/checks.py`` builds its references partly from package names
 (``qops`` for the dense bosonic oracle, the closed-form packet images).
 Renaming or deleting one would break only the benchmark run; these tests
-make it fail here instead.  Both files are only loaded, never changed.
+make it fail here instead.  A smoke test runs each workload's argv
+(``perfbench/workloads.py``) through the CLI and the checker.  The
+benchmark's files are only loaded, never changed.
 """
 
 import importlib
@@ -94,3 +96,20 @@ def test_checker_closed_form_accepts_a_packet_table(tmp_path):
     table = json.loads(out.read_text())["table"]
     assert table
     assert checks._closed_form_problem({"lam": 1.0, "mu": 8.0}, table) == ""
+
+
+def test_every_workload_passes_its_checker(tmp_path):
+    # seed 1 of each workload through the CLI, judged op by op as the benchmark
+    # judges a pass; only the failures the checker calls known may remain
+    # (boson-sweep's unconverged rows past r ~ 1.63)
+    workloads, checks = load("workloads"), load("checks")
+    for name in workloads.WORKLOADS:
+        calls = workloads.build(name, 1, tmp_path / name)
+        (tmp_path / name).mkdir()
+        for i, call in enumerate(calls):
+            code = main(list(call.argv))
+            data = call.out.read_bytes() if call.out.is_file() else None
+            ops = checks.classify(i, call, code, data)
+            assert len(ops) == call.ops
+            unexpected = [op for op in ops if not op.ok and not op.known]
+            assert not unexpected, (name, call.argv, unexpected[0].detail)
