@@ -36,10 +36,6 @@ class UnruhWeights:
             raise ValueError(f"q_abs must lie in [0, 1], got {q_abs}")
         return cls(q_abs * cmath.exp(1j * phase), math.sqrt(max(0.0, 1.0 - q_abs * q_abs)))
 
-    def swapped(self) -> "UnruhWeights":
-        """Exchange the right and left weights (region I <-> region II)."""
-        return UnruhWeights(self.q_l, self.q_r)
-
     @property
     def abs_r(self) -> float:
         return abs(self.q_r)

@@ -80,9 +80,8 @@ class TestUnruhWeights:
         assert abs(w.q_r - 0.8 * np.exp(0.5j)) < 1e-15
         assert abs(w.q_l - 0.6) < 1e-15
 
-    def test_swapped_and_minor_weight(self):
+    def test_minor_weight(self):
         w = UnruhWeights.from_abs(0.8)
-        assert w.swapped().abs_r == w.abs_l
         assert abs(w.minor_weight() - 0.6) < 1e-15
         assert UnruhWeights.from_abs(1.0).minor_weight() == 0.0
 
@@ -868,7 +867,7 @@ def test_sector_engine_matches_qops_route(q_abs, r, phase_r, phase_l, n_max):
     assert abs(fast[1] - oracle[1]) <= 1e-12
     # swap rule: exchanging the weights exchanges the bipartitions, here
     # checked against the oracle's own Alice-AntiRob trace
-    swapped = BosonScenario(BosonSqueezing(r), weights.swapped())
+    swapped = BosonScenario(BosonSqueezing(r), UnruhWeights(weights.q_l, weights.q_r))
     mirror = _dense_pair(swapped, n_max)
     assert abs(mirror[0] - oracle[1]) <= 1e-12
     assert abs(mirror[1] - oracle[0]) <= 1e-12
@@ -881,7 +880,8 @@ def test_sector_engine_matches_qops_route(q_abs, r, phase_r, phase_l, n_max):
 def test_pair_swap_rule_and_range(q_abs, r, phase):
     weights = UnruhWeights.from_abs(q_abs, phase)
     pair = bosonic_negativity_pair(BosonScenario(BosonSqueezing(r), weights))
-    mirror = bosonic_negativity_pair(BosonScenario(BosonSqueezing(r), weights.swapped()))
+    swapped = UnruhWeights(weights.q_l, weights.q_r)
+    mirror = bosonic_negativity_pair(BosonScenario(BosonSqueezing(r), swapped))
     assert abs(pair.n_ar - mirror.n_aar) <= 1e-12
     assert abs(pair.n_aar - mirror.n_ar) <= 1e-12
     assert 0.0 <= pair.n_ar <= 0.5

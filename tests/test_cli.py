@@ -14,6 +14,13 @@ import pytest
 from unruhkit.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 
+#: one value per config key that its flag rejects
+BAD_CONFIG_VALUES = {"steps": "abc", "format": "yaml", "epsilon": "2", "family": "sinc"}
+
+#: grid counts past memory: numpy fails to allocate the first and to index the second
+EXCESSIVE_COUNTS = ("1000000000000", "100000000000000000000")
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     assert lines[0] == "# schema=1"
@@ -115,6 +122,12 @@ class TestBosonCommand:
         ) == EXIT_OK
         _, rows = read_csv(out_b)
         assert rows[-1]["r"] == "0.1"
+        # packet: a negative value in exponent form, and a flag over a key
+        report = tmp_path / "p.json"
+        cfg.write_text(f"family = gamma\nlam = 2\nmu = -1e2\nout = {report}\n")
+        assert main(["packet", "--config", str(cfg), "--lam", "0.5"]) == EXIT_OK
+        spec = json.loads(report.read_text())["spec"]
+        assert (spec["family"], spec["lam"], spec["mu"]) == ("gamma", 0.5, -100.0)
 
     @pytest.mark.parametrize(
         "args",
@@ -124,11 +137,20 @@ class TestBosonCommand:
             ["boson", "--q", "1", "--r-min", "-0.5", "--out", "x.csv"],
             ["boson", "--q", "1"],
             ["boson", "--format", "yaml", "--out", "x.csv"],
+            ["boson", "--config", "steps.cfg"],
+            ["boson", "--config", "format.cfg"],
+            ["packet", "--config", "epsilon.cfg"],
+            ["packet", "--config", "family.cfg"],
         ],
     )
-    def test_usage_errors(self, args, tmp_path, monkeypatch):
+    def test_usage_errors(self, args, tmp_path, monkeypatch, capsys):
+        # a config value is typed and checked like the flag it names
         monkeypatch.chdir(tmp_path)
+        for key, value in BAD_CONFIG_VALUES.items():
+            (tmp_path / f"{key}.cfg").write_text(f"out = x.out\n{key} = {value}\n")
         assert main(args) == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "x.out").exists()
 
     def test_retired_n_max_flag_and_key(self, tmp_path, monkeypatch, capsys):
         # the truncation comes from the bracket widths; a start level is no input
@@ -264,7 +286,7 @@ class TestPacketCommand:
         # memory per step; the gamma and the Bessel window both leave the float
         # range of omega(x) and must fail before they are sampled.  Under the
         # cap a relapse ends in a failed allocation, not "not finite"
-        out = capped_packet_run("--family", "gamma", "--lam", "1e-4")
+        out = capped_run("packet", "--family", "gamma", "--lam", "1e-4")
         assert out.returncode == EXIT_NUMERIC, out.stderr
         assert "not finite" in out.stderr
         assert "Warning" not in out.stderr
@@ -272,24 +294,34 @@ class TestPacketCommand:
     def test_bessel_past_the_float_range_is_not_a_uniformity_error(self):
         # the automatic grid spans +-3e5 in 5.4M steps of 0.111, whose rounding
         # once failed the uniformity check; the real fault is the profile
-        out = capped_packet_run("--family", "bessel", "--lam", "1e-4")
+        out = capped_run("packet", "--family", "bessel", "--lam", "1e-4")
         assert out.returncode == EXIT_NUMERIC, out.stderr
         assert "not finite" in out.stderr
         assert "uniformly spaced" not in out.stderr
         assert "Warning" not in out.stderr
 
-    @pytest.mark.parametrize("flags", [
-        ("--mu", "1e300"), ("--mu", "1e12"), ("--lam", "1e20"), ("--mu", "1.7e308"),
-        ("--family", "gamma", "--lam", "1e20"), ("--family", "rapidity-gaussian", "--mu", "1e300"),
+    @pytest.mark.parametrize("argv", [
+        ("packet", "--mu", "1e300"), ("packet", "--mu", "1e12"), ("packet", "--lam", "1e20"),
+        ("packet", "--mu", "1.7e308"), ("packet", "--family", "gamma", "--lam", "1e20"),
+        ("packet", "--family", "rapidity-gaussian", "--mu", "1e300"),
+        *[(command, "--out", "x.csv", "--steps", count)
+          for command in ("boson", "fermion") for count in EXCESSIVE_COUNTS],
+        *[("packet", "--x-min", "-5", "--x-max", "5", "--x-points", count)
+          for count in EXCESSIVE_COUNTS],
+        *[("packet", "--omega-max", "5", "--omega-points", count) for count in EXCESSIVE_COUNTS],
     ])
-    def test_grid_count_past_the_memory_is_numeric_failure(self, flags):
+    def test_grid_count_past_the_memory_is_numeric_failure(self, argv, tmp_path):
         # the spacing shrinks as 1/|mu| and 1/sqrt(lambda) on a window that stays
         # finite; a count numpy cannot index or allocate (or an infinite one, once
-        # 2 |mu| overflows) must be a grid error naming the count and the spacing
-        out = capped_packet_run(*flags, limit=2 << 30)
+        # 2 |mu| overflows) must be a grid error naming the count and the spacing,
+        # and so must an explicit count
+        out = capped_run(*argv, limit=2 << 30, cwd=tmp_path)
         assert out.returncode == EXIT_NUMERIC, out.stderr
         assert " points of spacing " in out.stderr and "more than can be allocated" in out.stderr
         assert "Traceback" not in out.stderr and "Warning" not in out.stderr
+        if argv[-1] in EXCESSIVE_COUNTS:
+            assert f"{argv[-2]} {argv[-1]}: " in out.stderr
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("flags, value", [
         (("--x-min", "-5", "--x-max", "5", "--x-points"), "-3"),
@@ -354,6 +386,23 @@ class TestPacketCommand:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, code, text", [
+    (["packet", "--mu", "-1e2"], EXIT_OK, "mu=-100"),
+    (["packet", "--mu", "-1E-3"], EXIT_OK, "mu=-0.001"),
+    (["packet", "--mu", "-.5e1"], EXIT_OK, "mu=-5"),
+    (["packet", "--x-min", "-1e1", "--x-max", "10", "--x-points", "1000"], EXIT_OK, "mu=8"),
+    (["boson", "--r-min", "-1e-3", "--out", "x.csv"], EXIT_USAGE, "invalid r range [-0.001, 1.5]"),
+])
+def test_negative_values_in_exponent_form(argv, code, text, tmp_path, monkeypatch, capsys):
+    # unless told otherwise, argparse reads -1e2 as an unknown flag, not as a value:
+    # "argument --mu: expected one argument"
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    got = capsys.readouterr()
+    assert text in got.out + got.err
+    assert "expected one argument" not in got.err
+
+
 @pytest.mark.parametrize("model, flag, value", [
     ("boson", "r-max", "inf"), ("boson", "r-max", "nan"), ("boson", "r-max", "-inf"),
     ("boson", "r-min", "nan"), ("boson", "r-min", "inf"), ("fermion", "r-min", "nan"),
@@ -406,16 +455,16 @@ def test_in_process_calls_match_separate_runs(tmp_path, monkeypatch, capsys):
         assert (together / name).read_bytes() == (separate / name).read_bytes()
 
 
-def capped_packet_run(*flags, limit=1 << 30):
-    """``packet`` in a child with warnings as errors and ``limit`` bytes of address space.
+def capped_run(*argv, limit=1 << 30, cwd=None):
+    """The CLI on ``argv`` in a child with warnings as errors and ``limit`` bytes of address space.
 
     The cap makes any large allocation fail at once instead of succeeding
     lazily and exhausting memory later: a grid that keeps growing, or one
     whose point count has no bound.
     """
     return subprocess.run(
-        [sys.executable, "-W", "error", "-m", "unruhkit.cli", "packet", *flags],
-        env=src_env(), capture_output=True, text=True, timeout=120,
+        [sys.executable, "-W", "error", "-m", "unruhkit.cli", *argv],
+        env=src_env(), cwd=cwd, capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
 
