@@ -64,9 +64,9 @@ def _round12(x: float) -> float:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse takes -1 and -1.5 as values but -1e2 as an unknown flag;
-        # no flag starts with a digit, so any "-<digit>" or "-.<digit>" is a value
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # argparse takes -1e2 and -inf for unknown flags; no flag starts with a digit or is
+        # named inf, infinity or nan, so "-<digit>", "-.<digit>" and those (any case) are values
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
 
     # argparse exits with status 2 on usage errors; the documented contract
     # reserves 2 for numeric failures, so remap to 1
@@ -180,14 +180,17 @@ def _check_packet(args) -> None:
             raise ValueError(f"{flag} must be >= 16, got {value}")
 
 
-def _grid(start: float, stop: float, count: int, flag: str) -> np.ndarray:
+def _too_large(count: int, start: float, stop: float, flag: str) -> GridError:
+    return GridError(f"--{flag} {count}: the grid on [{start:.4g}, {stop:.4g}] needs {count} points "
+                     f"of spacing {(stop - start) / (count - 1):.3g}, more than can be allocated")
+
+
+def _grid(count: int, start: float, stop: float, flag: str) -> np.ndarray:
     """``np.linspace``, with a count past what numpy can index or allocate as a grid error."""
     try:
         return np.linspace(start, stop, count)
     except (OverflowError, ValueError, MemoryError) as exc:
-        raise GridError(f"--{flag} {count}: the grid on [{start:.4g}, {stop:.4g}] needs {count} "
-                        f"points of spacing {(stop - start) / (count - 1):.3g}, "
-                        "more than can be allocated") from exc
+        raise _too_large(count, start, stop, flag) from exc
 
 
 def _bool(value: bool) -> str:
@@ -219,7 +222,7 @@ def _write_table(args, header: Sequence[str], rows: list[list]) -> None:
 
 def cmd_boson(args) -> int:
     header = ("q_abs", "r", "n_ar", "n_aar", "n_max_used", "converged")
-    r_grid = _grid(args.r_min, args.r_max, args.steps, "steps")
+    r_grid = _grid(args.steps, args.r_min, args.r_max, "steps")
     rows = []
     all_converged = True
     for q in args.q:
@@ -235,7 +238,7 @@ def cmd_boson(args) -> int:
 
 def cmd_fermion(args) -> int:
     header = ("q_abs", "r", "n_ar", "n_aar", "method_agreement_residual")
-    r_grid = _grid(args.r_min, args.r_max, args.steps, "steps")
+    r_grid = _grid(args.steps, args.r_min, args.r_max, "steps")
     rows = []
     flagged = False
     for q in args.q:
@@ -257,27 +260,28 @@ def cmd_fermion(args) -> int:
 
 
 def _packet_pipeline(args):
-    x_grid = None if args.x_min is None else _grid(args.x_min, args.x_max, args.x_points, "x-points")
-    omega_grid = (None if args.omega_max is None
-                  else _grid(0.0, args.omega_max, args.omega_points, "omega-points"))
-    if args.family == "rapidity-gaussian":
-        kernel = MassiveKernel(args.mass)  # x is the rapidity: no length shift, eps = +1
-        f = rapidity_gaussian(args.lam, args.mu, kernel, x_grid=x_grid)
-    else:
-        kernel = BogoliubovKernel(epsilon=args.epsilon)
-        params = LogGaussianParams(args.lam, args.mu, args.omega0)
-        if args.family == "log-gaussian":
-            f = f_log_gaussian(params, x_grid=x_grid)
+    grids = [(args.x_points, args.x_min, args.x_max, "x-points"),
+             (args.omega_points, 0.0, args.omega_max, "omega-points")]
+    x_grid, omega_grid = (None if grid[0] is None else _grid(*grid) for grid in grids)
+    try:
+        if args.family == "rapidity-gaussian":
+            kernel = MassiveKernel(args.mass)  # x is the rapidity: no length shift, eps = +1
+            f = rapidity_gaussian(args.lam, args.mu, kernel, x_grid=x_grid)
         else:
-            f = alternate_packets(args.family, params, x_grid=x_grid)
-    pair = g_from_f(f, kernel, omega_grid=omega_grid)
-    back = f_from_g(pair, kernel, x_grid=f.x)
+            kernel = BogoliubovKernel(epsilon=args.epsilon)
+            params = LogGaussianParams(args.lam, args.mu, args.omega0)
+            if args.family == "log-gaussian":
+                f = f_log_gaussian(params, x_grid=x_grid)
+            else:
+                f = alternate_packets(args.family, params, x_grid=x_grid)
+        pair = g_from_f(f, kernel, omega_grid=omega_grid)
+        back = f_from_g(pair, kernel, x_grid=f.x)
+    except MemoryError as exc:
+        if x_grid is None and omega_grid is None:  # else a given grid fit, the work on it did not
+            raise
+        raise _too_large(*max(grid for grid in grids if grid[0] is not None)) from exc
     report = peaking_report_from_pair(f, pair, kernel, args.leakage_threshold)
     return f, pair, report, parseval_residual(f, pair), f.l2_distance(back)
-
-
-def _decimate(n: int, count: int = 33) -> np.ndarray:
-    return np.unique(np.linspace(0, n - 1, min(count, n)).astype(int))
 
 
 def cmd_packet(args) -> int:
@@ -295,13 +299,13 @@ def cmd_packet(args) -> int:
     print(f"  {'sma_valid':<21} = {_bool(report.sma_valid)}")
     print(f"  {'parseval_residual':<21} = {_fmt(parseval)}")
     print(f"  {'round_trip_error':<21} = {_fmt(round_trip)}")
-    idx = _decimate(pair.omega_grid.size)
+    size = pair.omega_grid.size
+    idx = np.unique(np.linspace(0, size - 1, min(33, size)).astype(int))
+    table = [[_fmt(v) for v in row] for row in zip(
+        pair.omega_grid[idx].tolist(), np.abs(pair.g_r[idx]).tolist(), np.abs(pair.g_l[idx]).tolist())]
     print("  Omega        |g_R|        |g_L|")
-    for i in idx:
-        print(
-            f"  {_fmt(pair.omega_grid[i]):<12} {_fmt(abs(pair.g_r[i])):<12} "
-            f"{_fmt(abs(pair.g_l[i]))}"
-        )
+    for omega, g_r, g_l in table:
+        print(f"  {omega:<12} {g_r:<12} {g_l}")
     if args.out:
         payload = {
             "schema": SCHEMA,
@@ -318,14 +322,8 @@ def cmd_packet(args) -> int:
             | {"sma_valid": report.sma_valid},
             "parseval_residual": _round12(parseval),
             "round_trip_error": _round12(round_trip),
-            "table": [
-                {
-                    "omega": _round12(float(pair.omega_grid[i])),
-                    "abs_g_r": _round12(float(abs(pair.g_r[i]))),
-                    "abs_g_l": _round12(float(abs(pair.g_l[i]))),
-                }
-                for i in idx
-            ],
+            # _round12 of a value is float of its _fmt text
+            "table": [dict(zip(("omega", "abs_g_r", "abs_g_l"), map(float, row))) for row in table],
         }
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(json.dumps(payload, indent=2) + "\n")

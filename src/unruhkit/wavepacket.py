@@ -29,8 +29,9 @@ Both grids are uniform, so each transform is a chirp-z transform
 (Rabiner, Schafer & Rader, 1969): Bluestein's identity turns the
 N_x x N_Omega sum into one FFT convolution of length about N_x + N_Omega,
 at O((N_x + N_Omega) log(N_x + N_Omega)) cost and O(N_x + N_Omega)
-memory.  Grid sizes have no upper limit: the default grids follow from
-the profile's spread, window and resolution alone.
+memory.  Both signs of a direction share one plan, so a forward plus an
+inverse transform takes 10 FFTs.  Grid sizes have no upper limit: the
+default grids follow from the profile's spread, window and resolution alone.
 
 The single-mode approximation is quantified by ``peaking_report``: a packet
 behaves like one Unruh mode of sharp frequency when its Unruh image is
@@ -76,15 +77,19 @@ class BogoliubovKernel:
 # sampled profiles
 
 
+def _close(a, b, x: np.ndarray) -> bool:
+    """``np.allclose(a, b, rtol=1e-9, atol=4 ulp(max |x|))`` as one vector test; NaN fails it."""
+    slack = 4.0 * np.spacing(max(abs(x[0]), abs(x[-1])))  # a grid step rounds by up to 2 ulp(max |x|)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails as it should
+        return bool((np.abs(a - b) <= slack + 1e-9 * np.abs(b)).all())
+
+
 def _check_uniform(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 16:
         raise GridError(f"grid must be a 1-d array with at least 16 points, got shape {x.shape}")
     steps = np.diff(x)
-    # each step carries the rounding of both its ends, up to 2 ulp(max |x|),
-    # which outgrows rtol dx on fine grids far from x = 0
-    slack = 4.0 * np.spacing(max(abs(x[0]), abs(x[-1])))
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=slack):
+    if not _close(steps, steps[0], x):
         raise GridError("grid must be uniformly spaced")
     return x
 
@@ -103,7 +108,7 @@ class MinkowskiSmearing:
     ``x`` is the rapidity arcsinh(k/m), so omega_k = m cosh x and the
     profile has a ``momentum`` k = m sinh x.  Either way the measure is
     omega dx, so the L2 weight in the Fourier variable is ``weight_x`` =
-    sqrt(omega) f, and norms and moments in x use the plain rectangle rule.
+    sqrt(omega) f, formed once; norms and moments in x use the rectangle rule.
     """
 
     x: np.ndarray
@@ -117,10 +122,10 @@ class MinkowskiSmearing:
         samples = np.array(self.samples, dtype=complex)
         if samples.shape != x.shape:
             raise GridError("samples and grid must have matching shapes")
-        x.setflags(write=False)
-        samples.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "samples", samples)
+        weight = np.sqrt(_omega(x, self.mass)) * samples
+        for name, arr in (("x", x), ("samples", samples), ("_weight", weight)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dx(self) -> float:
@@ -137,7 +142,7 @@ class MinkowskiSmearing:
         return self.mass * np.sinh(self.x)
 
     def weight_x(self) -> np.ndarray:
-        return np.sqrt(self.omega) * self.samples
+        return self._weight
 
     def norm_squared(self) -> float:
         """int |f|^2 domega (or dk) evaluated as int |F|^2 dx."""
@@ -150,7 +155,7 @@ class MinkowskiSmearing:
         return MinkowskiSmearing(self.x, self.samples / math.sqrt(n2), self.mass)
 
     def l2_distance(self, other: "MinkowskiSmearing") -> float:
-        if other.x.shape != self.x.shape or not np.allclose(other.x, self.x):
+        if other.x.shape != self.x.shape or not _close(other.x, self.x, self.x):
             raise GridError("L2 distance requires identical grids")
         diff = self.weight_x() - other.weight_x()
         return float(math.sqrt(np.sum(np.abs(diff) ** 2) * self.dx))
@@ -172,11 +177,9 @@ class UnruhSmearingPair:
         g_l = np.array(self.g_l, dtype=complex)
         if g_r.shape != grid.shape or g_l.shape != grid.shape:
             raise GridError("g_R, g_L and the grid must have matching shapes")
-        for arr in (grid, g_r, g_l):
+        for name, arr in (("omega_grid", grid), ("g_r", g_r), ("g_l", g_l)):
             arr.setflags(write=False)
-        object.__setattr__(self, "omega_grid", grid)
-        object.__setattr__(self, "g_r", g_r)
-        object.__setattr__(self, "g_l", g_l)
+            object.__setattr__(self, name, arr)
 
     @property
     def d_omega(self) -> float:
@@ -254,8 +257,9 @@ def _k0(z: float) -> float:
     return math.exp(-z) * (h * math.fsum([0.5, *terms]))
 
 
-def _auto_x_grid(weight, center: float, half: float, dx: float, mass) -> np.ndarray:
-    """Widen [center - half, center + half] until the edge density is negligible."""
+def _auto_x_grid(weight, center: float, half: float, dx: float, mass) -> tuple[np.ndarray, np.ndarray]:
+    """Widen [center - half, center + half] until the edge density is negligible;
+    return the grid and the weight sampled on it."""
     for _ in range(60):
         grid = (f"the grid on [{center - half:.4g}, {center + half:.4g}] needs "
                 f"{2.0 * half / dx + 1.0:.3g} points of spacing {dx:.3g}")
@@ -266,7 +270,8 @@ def _auto_x_grid(weight, center: float, half: float, dx: float, mass) -> np.ndar
                             "the profile is not finite there")
         try:  # nor is a count past what numpy can index or allocate
             x = np.linspace(center - half, center + half, math.ceil(2.0 * half / dx) + 1)
-            values = np.abs(weight(x)) ** 2
+            samples = weight(x)
+            values = np.abs(samples) ** 2
         except (OverflowError, ValueError, MemoryError) as exc:
             raise GridError(f"{grid}, more than can be allocated") from exc
         total = float(values.sum())
@@ -279,7 +284,7 @@ def _auto_x_grid(weight, center: float, half: float, dx: float, mass) -> np.ndar
         if total > 0.0:
             edge = float(values[:3].sum() + values[-3:].sum())
             if edge <= _EDGE_DENSITY_TOL * total:
-                return x
+                return x, samples
         half *= 1.5
     raise GridError("could not find a wide enough grid for the requested profile")
 
@@ -316,10 +321,11 @@ def _packet_from_weight(weight, x_grid, center, half, dx, mass=None) -> Minkowsk
     # finiteness checks turn that into a GridError, so numpy need not warn first
     with np.errstate(all="ignore"):
         if x_grid is None:
-            x = _auto_x_grid(weight, center, half, dx, mass)
+            x, samples = _auto_x_grid(weight, center, half, dx, mass)
         else:
             x = _check_uniform(np.asarray(x_grid, dtype=float))
-        return _check_unit_norm(MinkowskiSmearing(x, weight(x) / np.sqrt(_omega(x, mass)), mass))
+            samples = weight(x)
+        return _check_unit_norm(MinkowskiSmearing(x, samples / np.sqrt(_omega(x, mass)), mass))
 
 
 def f_log_gaussian(params: LogGaussianParams, x_grid=None) -> MinkowskiSmearing:
@@ -396,42 +402,48 @@ def _step(grid: np.ndarray) -> float:
     return float(grid[-1] - grid[0]) / (grid.size - 1)
 
 
-def _chirp_z(v, t0, dt, w0, dw, m, sign):
-    """sum_j v_j exp(i sign (w0 + k dw)(t0 + j dt)) for k = 0..m-1.
+def _chirp_z(rows, t0, dt, w0, dw, m, sign):
+    """sum_j v_j exp(i s (w0 + k dw)(t0 + j dt)), k < m, for (v, s) = (rows[0], sign), (rows[1], -sign).
 
     Bluestein's identity k j = (k^2 + j^2 - (k - j)^2) / 2 turns the sum
     into a convolution with the chirp exp(-i theta n^2 / 2), theta =
     sign dw dt, which one zero-padded FFT product evaluates.  n^2 is formed
     in integers, so each chirp phase carries the rounding of theta and of
-    one product only.
+    one product only.  The sum at -sign is the conjugate of the sum at sign
+    over conjugate data, so both rows share one plan (chirp, phase, kernel
+    FFT): 5 FFTs in all.  A phase whose offset w0 or t0 is 0 is 1 and left out.
     """
     # imported here so that importing the package does not load numpy.fft
     from numpy import fft
 
-    n = v.size
+    n = rows[0].size
     size = 1 << (n + m - 2).bit_length()  # the first power of two >= n + m - 1
     j = np.arange(max(n, m), dtype=np.int64)
     chirp = np.exp(0.5j * (sign * dw * dt) * (j * j))
-    a = v * chirp[:n] * np.exp(1j * sign * w0 * dt * j[:n])
+    head = chirp[:n] * np.exp(1j * sign * w0 * dt * j[:n]) if w0 else chirp[:n]
     kernel = np.zeros(size, dtype=complex)
     kernel[:m] = chirp[:m].conj()
     kernel[size - n + 1 :] = chirp[n - 1 : 0 : -1].conj()
-    conv = fft.ifft(fft.fft(a, size) * fft.fft(kernel))[:m]
-    return conv * chirp[:m] * np.exp(1j * sign * t0 * (w0 + dw * j[:m]))
+    kernel = fft.fft(kernel)  # its spectrum from here on, so that one array of this size is kept
+    out = np.array([fft.ifft(fft.fft(v * head, size) * kernel)[:m] * chirp[:m]
+                    for v in (rows[0], rows[1].conj())])
+    if t0:
+        out *= np.exp(1j * sign * t0 * (w0 + dw * j[:m]))
+    out[1] = out[1].conj()
+    return out
 
 
 def _forward_transform(x, weight, omega_grid, eps, log_l):
     # the rectangle weight is the dx of ``norm_squared``, so Parseval compares like with like
     scale = float(x[1] - x[0]) / math.sqrt(2.0 * math.pi)
-    args = (x[0] + log_l, _step(x), 0.0, _step(omega_grid), omega_grid.size)
-    return tuple(_chirp_z(weight, *args, sign) * scale for sign in (eps, -eps))
+    args = (x[0] + log_l, _step(x), 0.0, _step(omega_grid), omega_grid.size, eps)
+    return _chirp_z((weight, weight), *args) * scale
 
 
 def _inverse_transform(x, pair: UnruhSmearingPair, eps, log_l):
     w = pair.quadrature_weights()
-    args = (0.0, _step(pair.omega_grid), x[0] + log_l, _step(x), x.size)
-    out = _chirp_z(w * pair.g_r, *args, -eps) + _chirp_z(w * pair.g_l, *args, eps)
-    return out / math.sqrt(2.0 * math.pi)
+    args = (0.0, _step(pair.omega_grid), x[0] + log_l, _step(x), x.size, -eps)
+    return _chirp_z((w * pair.g_r, w * pair.g_l), *args).sum(axis=0) / math.sqrt(2.0 * math.pi)
 
 
 def _default_omega_grid(x: np.ndarray, weight: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from unruhkit import wavepacket
 from unruhkit.errors import GridError
 from unruhkit.wavepacket import (
     BogoliubovKernel,
@@ -214,6 +215,24 @@ class TestChirpZ:
         rows = np.flatnonzero(np.abs(pair.omega_grid - 8.0) < 1.0)[::4]
         ref = direct_sum(f.weight_x(), f.x, pair.omega_grid[rows], 1) * f.dx / math.sqrt(2.0 * math.pi)
         assert np.max(np.abs(pair.g_r[rows] - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_a_round_trip_takes_ten_ffts(self, monkeypatch):
+        # each direction shares one plan between its two signs: the kernel's
+        # FFT plus one FFT and one inverse FFT per sign
+        from numpy import fft
+
+        transforms = []
+        for name in ("fft", "ifft"):
+            def counted(a, *args, _transform=getattr(fft, name), **kwargs):
+                transforms.append(np.size(a) // np.shape(a)[-1])  # the 1-d transforms of the call
+                return _transform(a, *args, **kwargs)
+
+            monkeypatch.setattr(fft, name, counted)
+        for f, kernel in ((f_log_gaussian(LogGaussianParams(1.0, 8.0)), BogoliubovKernel()),
+                          (rapidity_gaussian(1.0, 5.0, MassiveKernel(1.0)), MassiveKernel(1.0))):
+            transforms.clear()
+            f_from_g(g_from_f(f, kernel), kernel, f.x)
+            assert sum(transforms) == 10
 
 
 class TestClosedFormProperties:
@@ -503,6 +522,49 @@ class TestGridValidation:
         # the caller, _packet_from_weight, silences the overflow as here
         with np.errstate(all="ignore"), pytest.raises(GridError, match=r"needs 1\.6e\+04 points"):
             _auto_x_grid(weight, 0.0, 800.0, 0.1, mass)
+
+    @pytest.mark.parametrize("build, steps", [
+        (lambda: f_log_gaussian(LogGaussianParams(1.0, 8.0)), 1),
+        (lambda: alternate_packets("gamma", LogGaussianParams(0.3, 8.0)), 3),
+        (lambda: alternate_packets("bessel", LogGaussianParams(0.2, 8.0)), 1),
+        (lambda: mixed_log_gaussian(LogGaussianParams(1.0, 6.0), 0.6), 1),
+        (lambda: rapidity_gaussian(0.05, 5.0, MassiveKernel(1.0)), 1),
+    ], ids=["log-gaussian", "gamma", "bessel", "mixed", "rapidity-gaussian"])
+    def test_auto_grid_samples_the_profile_once_per_step(self, build, steps, monkeypatch):
+        # each widening step samples a wider window, and the packet keeps the
+        # samples of the last one instead of taking them again
+        sizes = []
+        build_packet = wavepacket._packet_from_weight
+
+        def counting(weight, *args, **kwargs):
+            def counted(x):
+                sizes.append(x.size)
+                return weight(x)
+
+            return build_packet(counted, *args, **kwargs)
+
+        monkeypatch.setattr(wavepacket, "_packet_from_weight", counting)
+        f = build()
+        assert len(sizes) == steps
+        assert sizes == sorted(set(sizes)) and sizes[-1] == f.x.size
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_point_rejected(self, bad):
+        # np.allclose warned of a NaN tolerance where an end of the grid was not finite
+        for i in (0, 20, -1):
+            x = np.linspace(-5.0, 5.0, 64)
+            x[i] = bad
+            with pytest.raises(GridError, match="uniformly spaced"):
+                _check_uniform(x)
+
+    def test_l2_distance_needs_the_same_grid_to_rounding(self):
+        # a grid 1e-7 off in its spacing once passed as "identical" (np.allclose's
+        # default rtol 1e-5), and the distance compared samples at different x
+        f = f_log_gaussian(LogGaussianParams(1.0, 8.0))
+        assert f.l2_distance(MinkowskiSmearing(f.x.copy(), f.samples)) == 0.0
+        moved = MinkowskiSmearing(f.x * (1.0 + 1e-7), f.samples)
+        with pytest.raises(GridError, match="identical grids"):
+            f.l2_distance(moved)
 
     @pytest.mark.parametrize(
         "build",
