@@ -97,7 +97,7 @@ class BosonSqueezing:
         keeps the digits that 1 - e^{-2z} would lose.  r is infinite once
         z underflows to 0.
         """
-        if omega_a <= 0.0 or a <= 0.0:
+        if not (omega_a > 0.0 and a > 0.0):  # so that a NaN fails too
             raise ValueError(f"omega_a and a must be > 0, got {omega_a}, {a}")
         z = math.pi * omega_a / (2.0 * a)
         if z >= 1.0:

@@ -17,7 +17,9 @@ Negativities for the Alice-Rob and Alice-AntiRob bipartitions come in two
 independently coded routes that must agree to ~1e-10: the two explicit
 3x3 blocks of the partial transpose that can carry negative eigenvalues
 ("blocks", exact and O(1)) and the dense eigensolve of the full 8x8
-partial transpose of the traced-out state ("full").
+partial transpose of the traced-out state ("full").  A curve stacks the
+blocks of its whole grid as (steps, 2, 2, 3, 3) and solves them in one
+call; "full" still runs row by row, as the curve's runtime oracle.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from .errors import MethodDisagreementError
 from .qops import (
     DensityOperator,
     FockKet,
+    NEGATIVITY_CUTOFF,
     TensorSpace,
     hermitian_eigenvalues,
     negativity,
-    negativity_from_eigenvalues,
     reduced_density,
 )
 from .weights import UnruhWeights
@@ -74,7 +76,7 @@ class FermionSqueezing:
     @classmethod
     def from_acceleration(cls, omega_a: float, a: float) -> "FermionSqueezing":
         """Massless parameterization r = arctan(e^{-pi omega_a / a})."""
-        if omega_a <= 0.0 or a <= 0.0:
+        if not (omega_a > 0.0 and a > 0.0):  # so that a NaN fails too
             raise ValueError(f"omega_a and a must be > 0, got {omega_a}, {a}")
         return cls(math.atan(math.exp(-math.pi * omega_a / a)))
 
@@ -135,49 +137,45 @@ def rho_alice_antirob_fermi(joint: FockKet) -> DensityOperator:
     return reduced_density(joint, (ALICE, SLOT_II_ANTI, SLOT_II_PART))
 
 
-def pt_blocks(scenario: FermionScenario, bipartition: str) -> tuple[np.ndarray, np.ndarray]:
+def pt_blocks(r, weights: UnruhWeights, bipartition: str) -> np.ndarray:
     """The two 3x3 partial-transpose blocks of bipartition "AR" or "AAR" that can go negative.
 
-    Entries are polynomial in C = cos r, S = sin r, q_R, q_L.  Their bases,
-    as occupation strings ijk of the bipartition's reduced basis, are
+    ``r`` is one squeezing value or a 1-d grid of them; the result has shape
+    ``np.shape(r) + (2, 3, 3)``, the two blocks stacked.  Entries are
+    polynomial in C = cos r, S = sin r, q_R, q_L.  Their bases, as
+    occupation strings ijk of the bipartition's reduced basis, are
     (100, 010, 111) and (000, 101, 011) for "AR", (111, 001, 100) and
     (011, 110, 000) for "AAR".
     """
-    c, s = math.cos(scenario.squeezing.r), math.sin(scenario.squeezing.r)
-    q_r, q_l = scenario.weights.q_r, scenario.weights.q_l
+    r_list = np.asarray(r, dtype=float).reshape(-1).tolist()
+    cos_r, sin_r = [math.cos(v) for v in r_list], [math.sin(v) for v in r_list]
+    # Python's float ** rather than numpy's array power, which rounds differently
+    c, c2, c3, c4 = (np.array([v**k for v in cos_r]) for k in (1, 2, 3, 4))
+    s, s2, s3, s4 = (np.array([v**k for v in sin_r]) for k in (1, 2, 3, 4))
+    zero = np.zeros(len(r_list))
+    q_r, q_l = weights.q_r, weights.q_l
     if bipartition == "AR":
-        first = 0.5 * np.array(
-            [
-                [c**2 * abs(q_l) ** 2, c**3 * q_r.conjugate(), -q_r.conjugate() * q_l * s * c],
-                [c**3 * q_r, s**2 * c**2, -q_l * s**3],
-                [-q_r * q_l.conjugate() * s * c, -q_l.conjugate() * s**3, abs(q_r) ** 2 * s**2],
-            ]
-        )
-        second = 0.5 * np.array(
-            [
-                [c**4, -q_l * c**2 * s, 0.0],
-                [-q_l.conjugate() * c**2 * s, 0.0, q_r.conjugate() * s**2 * c],
-                [0.0, q_r * s**2 * c, s**4],
-            ]
-        )
-        return first, second
-    if bipartition == "AAR":
-        first = 0.5 * np.array(
-            [
-                [s**2 * abs(q_l) ** 2, s**3 * q_r.conjugate(), q_r.conjugate() * q_l * s * c],
-                [s**3 * q_r, c**2 * s**2, q_l * c**3],
-                [q_r * q_l.conjugate() * s * c, q_l.conjugate() * c**3, abs(q_r) ** 2 * c**2],
-            ]
-        )
-        second = 0.5 * np.array(
-            [
-                [s**4, q_l * s**2 * c, 0.0],
-                [q_l.conjugate() * s**2 * c, 0.0, q_r.conjugate() * c**2 * s],
-                [0.0, q_r * c**2 * s, c**4],
-            ]
-        )
-        return first, second
-    raise ValueError(f"bipartition must be 'AR' or 'AAR', got {bipartition!r}")
+        blocks = [
+            [[c2 * abs(q_l) ** 2, c3 * q_r.conjugate(), -q_r.conjugate() * q_l * s * c],
+             [c3 * q_r, s2 * c2, -q_l * s3],
+             [-q_r * q_l.conjugate() * s * c, -q_l.conjugate() * s3, abs(q_r) ** 2 * s2]],
+            [[c4, -q_l * c2 * s, zero],
+             [-q_l.conjugate() * c2 * s, zero, q_r.conjugate() * s2 * c],
+             [zero, q_r * s2 * c, s4]],
+        ]
+    elif bipartition == "AAR":
+        blocks = [
+            [[s2 * abs(q_l) ** 2, s3 * q_r.conjugate(), q_r.conjugate() * q_l * s * c],
+             [s3 * q_r, c2 * s2, q_l * c3],
+             [q_r * q_l.conjugate() * s * c, q_l.conjugate() * c3, abs(q_r) ** 2 * c2]],
+            [[s4, q_l * s2 * c, zero],
+             [q_l.conjugate() * s2 * c, zero, q_r.conjugate() * c2 * s],
+             [zero, q_r * c2 * s, c4]],
+        ]
+    else:
+        raise ValueError(f"bipartition must be 'AR' or 'AAR', got {bipartition!r}")
+    stack = 0.5 * np.moveaxis(np.array(blocks, dtype=complex), -1, 0)
+    return stack.reshape(np.shape(r) + (2, 3, 3))
 
 
 @dataclass(frozen=True)
@@ -186,11 +184,13 @@ class FermionNegativityPair:
     n_aar: float
 
 
-def _blocks_negativity(blocks: tuple[np.ndarray, np.ndarray]) -> float:
-    total = 0.0
-    for matrix in blocks:
-        total += negativity_from_eigenvalues(hermitian_eigenvalues(matrix)).value
-    return total
+def _blocks_negativities(r, weights: UnruhWeights) -> np.ndarray:
+    """(N_AR, N_AAR) on the last axis, at one r or at each r of a 1-d grid, from one eigensolve."""
+    stack = np.stack([pt_blocks(r, weights, "AR"), pt_blocks(r, weights, "AAR")], axis=-4)
+    eigs = hermitian_eigenvalues(stack)  # (..., bipartition, block, 3)
+    # a block with no negative eigenvalue gives -0.0 before the + 0.0, and 0.0 after it
+    per_block = -np.where(eigs < NEGATIVITY_CUTOFF, eigs, 0.0).sum(axis=-1) + 0.0
+    return per_block[..., 0] + per_block[..., 1]
 
 
 def fermionic_negativity_pair(
@@ -203,10 +203,8 @@ def fermionic_negativity_pair(
     The two must agree within ~1e-10 (see ``method_agreement_residual``).
     """
     if method == "blocks":
-        return FermionNegativityPair(
-            _blocks_negativity(pt_blocks(scenario, "AR")),
-            _blocks_negativity(pt_blocks(scenario, "AAR")),
-        )
+        pair = _blocks_negativities(scenario.squeezing.r, scenario.weights)
+        return FermionNegativityPair(*pair.tolist())
     if method == "full":
         joint = fermion_joint_state(scenario)
         return FermionNegativityPair(
@@ -245,27 +243,29 @@ def fermionic_curve(q_abs: float, r_grid) -> list[FermionCurveRow]:
 
     The physically distinct range is |q_R| >= 1/sqrt(2); smaller values are
     admitted but flagged ``swap_equivalent`` since they reproduce the
-    mirrored bipartition.  Each row carries the blocks-vs-full residual and
-    the sweep aborts if any residual exceeds ``METHOD_TOL``.
+    mirrored bipartition.  The whole grid is checked first; then the blocks
+    of every row go through one stacked eigensolve.  Each row carries the
+    blocks-vs-full residual and the sweep aborts if any residual exceeds
+    ``METHOD_TOL``.
     """
     weights = UnruhWeights.from_abs(q_abs)
     swap_equivalent = q_abs < SWAP_POINT
+    scenarios = [FermionScenario(FermionSqueezing(float(r)), weights) for r in r_grid]
+    r_list = [sc.squeezing.r for sc in scenarios]
     rows = []
-    for r in r_grid:
-        scenario = FermionScenario(FermionSqueezing(float(r)), weights)
-        pair = fermionic_negativity_pair(scenario, method="blocks")
-        residual = method_agreement_residual(scenario, pair)
+    for sc, (n_ar, n_aar) in zip(scenarios, _blocks_negativities(r_list, weights).tolist()):
+        residual = method_agreement_residual(sc, FermionNegativityPair(n_ar, n_aar))
         if residual > METHOD_TOL:
             raise MethodDisagreementError(
                 f"blocks/full negativities differ by {residual:.3e} at "
-                f"(q_abs={q_abs}, r={r}); tolerance {METHOD_TOL}"
+                f"(q_abs={q_abs}, r={sc.squeezing.r}); tolerance {METHOD_TOL}"
             )
         rows.append(
             FermionCurveRow(
                 q_abs=float(q_abs),
-                r=float(r),
-                n_ar=pair.n_ar,
-                n_aar=pair.n_aar,
+                r=sc.squeezing.r,
+                n_ar=n_ar,
+                n_aar=n_aar,
                 residual=residual,
                 swap_equivalent=swap_equivalent,
             )

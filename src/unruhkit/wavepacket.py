@@ -129,7 +129,7 @@ class MinkowskiSmearing:
 
     @property
     def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
+        return _step(self.x)
 
     @property
     def omega(self) -> np.ndarray:
@@ -435,9 +435,9 @@ def _chirp_z(rows, t0, dt, w0, dw, m, sign):
 
 def _forward_transform(x, weight, omega_grid, eps, log_l):
     # the rectangle weight is the dx of ``norm_squared``, so Parseval compares like with like
-    scale = float(x[1] - x[0]) / math.sqrt(2.0 * math.pi)
-    args = (x[0] + log_l, _step(x), 0.0, _step(omega_grid), omega_grid.size, eps)
-    return _chirp_z((weight, weight), *args) * scale
+    dx = _step(x)
+    args = (x[0] + log_l, dx, 0.0, _step(omega_grid), omega_grid.size, eps)
+    return _chirp_z((weight, weight), *args) * (dx / math.sqrt(2.0 * math.pi))
 
 
 def _inverse_transform(x, pair: UnruhSmearingPair, eps, log_l):

@@ -116,9 +116,12 @@ class TestSqueezing:
         pair = bosonic_negativity_pair(BosonScenario(sq, UnruhWeights.from_abs(1.0)))
         assert (pair.n_ar, pair.n_aar) == (0.0, 0.0)
 
-    @pytest.mark.parametrize("omega_a,a", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+    @pytest.mark.parametrize("omega_a,a", [
+        (0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (math.nan, 1.0), (1.0, math.nan), (math.nan, -1.0),
+    ])
     def test_nonpositive_inputs_rejected(self, omega_a, a):
-        with pytest.raises(ValueError):
+        # a NaN input used to pass the check and come back as r = inf
+        with pytest.raises(ValueError, match="omega_a and a must be > 0"):
             BosonSqueezing.from_acceleration(omega_a, a)
 
     def test_negative_r_rejected(self):

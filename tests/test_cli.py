@@ -222,6 +222,22 @@ class TestFermionCommand:
         else:
             assert "fermionic r range must stay within" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("r_min, r_max, code, text", [
+        ("0", "0", EXIT_OK, ""),
+        ("0.7853981633984", "0.7853981633984", EXIT_OK, ""),  # 9.5e-13 past pi/4
+        ("-0.1", "0.5", EXIT_USAGE, "invalid r range [-0.1, 0.5]"),
+        ("0.5", "0.2", EXIT_USAGE, "invalid r range [0.5, 0.2]"),
+    ])
+    def test_r_range_exit_codes(self, r_min, r_max, code, text, tmp_path, capsys):
+        # the curve checks its whole grid before it solves; the CLI's own range
+        # check comes first, so every grid it passes on is valid
+        out = tmp_path / "f.csv"
+        assert main(["fermion", "--q", "0.8,0.5", "--r-min", r_min, "--r-max", r_max,
+                     "--steps", "3", "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert text in err and "Traceback" not in err
+        assert out.exists() == (code == EXIT_OK)
+
 
 class TestPacketCommand:
     def test_peaked_packet_report(self, tmp_path, capsys):

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import unruhkit.fermionic as fermionic
 from unruhkit.fermionic import (
     FermionScenario,
     FermionSqueezing,
     R_MAX,
+    R_MAX_TOL,
     fermion_joint_state,
     fermionic_curve,
     fermionic_negativity_pair,
@@ -53,6 +55,13 @@ class TestSqueezing:
             FermionSqueezing(1.0)
         with pytest.raises(ValueError):
             FermionSqueezing.from_acceleration(-1.0, 1.0)
+
+    @pytest.mark.parametrize("omega_a,a", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+    def test_nan_inputs_blame_the_inputs(self, omega_a, a):
+        # NaN fails every ordered comparison, so it used to pass the input
+        # check and fail later as an out-of-range squeezing
+        with pytest.raises(ValueError, match="omega_a and a must be > 0"):
+            FermionSqueezing.from_acceleration(omega_a, a)
 
 
 class TestStates:
@@ -142,19 +151,37 @@ class TestReducedMatrices:
         assert negativity(rho, "M").value == 0.0
 
 
+def sc_blocks(sc, bipartition):
+    return pt_blocks(sc.squeezing.r, sc.weights, bipartition)
+
+
 class TestBlocks:
     def test_printed_entries(self):
         r, q_abs = 0.5, 0.8
         c, s = math.cos(r), math.sin(r)
         ql2 = 1.0 - q_abs**2
-        ar_first = pt_blocks(scenario(r, q_abs), "AR")[0]
+        ar_first = sc_blocks(scenario(r, q_abs), "AR")[0]
         assert abs(ar_first[0, 0] - c**2 * ql2 / 2.0) < 1e-15
-        aar_second = pt_blocks(scenario(r, q_abs), "AAR")[1]
+        aar_second = sc_blocks(scenario(r, q_abs), "AAR")[1]
         assert abs(aar_second[2, 2] - c**4 / 2.0) < 1e-15
 
     def test_blocks_are_hermitian(self):
-        for mat in pt_blocks(scenario(0.7, 0.6, phase=0.9), "AR"):
+        for mat in sc_blocks(scenario(0.7, 0.6, phase=0.9), "AR"):
             assert np.max(np.abs(mat - mat.conj().T)) < 1e-14
+
+    @pytest.mark.parametrize("bipartition", ["AR", "AAR"])
+    @pytest.mark.parametrize("q_abs,phase", [(0.8, 0.9), (0.3, -2.2), (1.0, 1.0), (0.0, 0.4)])
+    def test_stacked_blocks_equal_the_scalar_blocks(self, bipartition, q_abs, phase):
+        weights = UnruhWeights.from_abs(q_abs, phase)
+        grid = np.concatenate([[0.0, R_MAX], np.linspace(1e-3, R_MAX - 1e-3, 37)])
+        stack = pt_blocks(grid, weights, bipartition)
+        assert stack.shape == (grid.size, 2, 3, 3)
+        looped = np.stack([pt_blocks(float(r), weights, bipartition) for r in grid])
+        assert np.array_equal(stack, looped)
+
+    def test_unknown_bipartition_rejected(self):
+        with pytest.raises(ValueError, match="bipartition"):
+            pt_blocks(0.1, UnruhWeights.from_abs(1.0), "AB")
 
     @pytest.mark.parametrize("bipartition,builder,bases", [
         ("AR", rho_alice_rob_fermi, (("100", "010", "111"), ("000", "101", "011"))),
@@ -165,7 +192,7 @@ class TestBlocks:
         # full 8x8 partial transpose of the reduced state
         sc = scenario(0.6, 0.7, phase=1.1)
         sigma = partial_transpose(builder(fermion_joint_state(sc)), "M")
-        for mat, basis in zip(pt_blocks(sc, bipartition), bases):
+        for mat, basis in zip(sc_blocks(sc, bipartition), bases):
             idx = [int(label, 2) for label in basis]
             assert np.max(np.abs(sigma[np.ix_(idx, idx)] - mat)) < 1e-15
 
@@ -183,7 +210,7 @@ class TestBlocks:
             full = np.sort(
                 hermitian_eigenvalues(partial_transpose(builder(fermion_joint_state(sc)), "M"))
             )
-            for mat in pt_blocks(sc, bipartition):
+            for mat in sc_blocks(sc, bipartition):
                 for eig in hermitian_eigenvalues(mat):
                     assert np.min(np.abs(full - eig)) < 1e-12
 
@@ -272,15 +299,16 @@ class TestCurve:
         assert all(row.residual < 1e-12 for row in rows)
 
     def test_residual_reuses_the_blocks_pair(self, monkeypatch):
+        # one stack per bipartition covers the whole grid, and the residual reuses its rows
         calls = []
 
-        def counting(scenario, bipartition):
-            calls.append(bipartition)
-            return pt_blocks(scenario, bipartition)
+        def counting(r, weights, bipartition):
+            calls.append((np.shape(r), bipartition))
+            return pt_blocks(r, weights, bipartition)
 
         monkeypatch.setattr(fermionic, "pt_blocks", counting)
         rows = fermionic_curve(0.8, np.linspace(0.0, R_MAX, 10))
-        assert len(calls) == 2 * len(rows)
+        assert calls == [((len(rows),), "AR"), ((len(rows),), "AAR")]
         sc = scenario(0.4, 0.8)
         pair = fermionic_negativity_pair(sc)
         assert method_agreement_residual(sc, pair) == method_agreement_residual(sc)
@@ -296,3 +324,53 @@ class TestCurve:
         monkeypatch.setattr(fermionic, "fermion_joint_state", counting)
         rows = fermionic_curve(0.8, np.linspace(0.0, R_MAX, 10))
         assert len(calls) == len(rows)
+
+    def test_one_eigensolve_per_curve(self, monkeypatch):
+        calls = []
+
+        def counting(matrix):
+            calls.append(np.shape(matrix))
+            return hermitian_eigenvalues(matrix)
+
+        monkeypatch.setattr(fermionic, "hermitian_eigenvalues", counting)
+        # the 8x8 oracle solves through qops.negativity, which does not use this binding
+        rows = fermionic_curve(0.9, np.linspace(0.0, R_MAX, 7))
+        assert calls == [(7, 2, 2, 3, 3)]
+        assert len(rows) == 7
+
+    def test_empty_grid(self):
+        assert fermionic_curve(0.8, []) == []
+        assert fermionic_curve(0.8, np.array([])) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-300, -0.1, R_MAX + 2 * R_MAX_TOL, 1.0, math.inf])
+    @pytest.mark.parametrize("where", [0, 5, -1])
+    def test_bad_grid_point_rejected_before_any_eigensolve(self, bad, where, monkeypatch):
+        def failing(matrix):
+            raise AssertionError("eigensolve before the grid check")
+
+        monkeypatch.setattr(fermionic, "hermitian_eigenvalues", failing)
+        grid = np.linspace(0.0, R_MAX, 9)
+        grid[where] = bad
+        with pytest.raises(ValueError, match=r"fermionic squeezing must lie in \[0, pi/4\]"):
+            fermionic_curve(0.8, grid)
+
+    def test_grid_edges_within_rounding_accepted(self):
+        rows = fermionic_curve(1.0, [0.0, R_MAX + R_MAX_TOL])
+        assert [row.r for row in rows] == [0.0, R_MAX + R_MAX_TOL]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q_abs=st.floats(0.0, 1.0),
+    grid=st.lists(st.floats(0.0, R_MAX), min_size=1, max_size=12),
+)
+@example(q_abs=0.0, grid=[0.0, R_MAX])
+@example(q_abs=1 / math.sqrt(2), grid=[0.0, R_MAX])
+@example(q_abs=1.0, grid=[0.0, R_MAX, 0.3])
+def test_curve_rows_equal_the_scalar_blocks_pairs(q_abs, grid):
+    # the stacked eigensolve of the curve against one scalar call per row
+    rows = fermionic_curve(q_abs, grid)
+    weights = UnruhWeights.from_abs(q_abs)
+    for row, r in zip(rows, grid, strict=True):
+        pair = fermionic_negativity_pair(FermionScenario(FermionSqueezing(r), weights), "blocks")
+        assert (row.r, row.n_ar, row.n_aar) == (r, pair.n_ar, pair.n_aar)

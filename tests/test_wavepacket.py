@@ -56,6 +56,18 @@ class TestLogGaussian:
         f = f_log_gaussian(LogGaussianParams(1.0, 5.0))
         assert abs(f.norm_squared() - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("points", [20001, 200001])
+    def test_unit_norm_on_a_fine_grid_far_from_zero(self, points):
+        # the rectangle weight is the mean step; the first step x[1] - x[0]
+        # carries the rounding of x[0], 1.6e-10 of the step at 200001 points
+        # here, which failed the unit-norm check
+        center = 300.0
+        x = np.linspace(center - 12.0, center + 12.0, points)
+        f = f_log_gaussian(LogGaussianParams(1.0, 3.0, omega0=math.exp(center)), x_grid=x)
+        assert abs(f.norm_squared() - 1.0) < 1e-14
+        if points == 20001:  # and the forward transform's weight is the same step
+            assert abs(g_from_f(f).norm_squared() - 1.0) < 1e-13
+
     def test_log_frequency_moments(self):
         # <ln(omega l)> = ln(omega0 l) and spread (2 lambda)^(-1/2)
         lam, omega0 = 2.5, 3.0
