@@ -97,8 +97,8 @@ class BosonSqueezing:
         keeps the digits that 1 - e^{-2z} would lose.  r is infinite once
         z underflows to 0.
         """
-        if not (omega_a > 0.0 and a > 0.0):  # so that a NaN fails too
-            raise ValueError(f"omega_a and a must be > 0, got {omega_a}, {a}")
+        if not (omega_a > 0.0 and a > 0.0) or omega_a == a == math.inf:  # NaN and inf/inf fail
+            raise ValueError(f"omega_a and a must be > 0 and not both inf, got {omega_a}, {a}")
         z = math.pi * omega_a / (2.0 * a)
         if z >= 1.0:
             return cls(math.atanh(math.exp(-2.0 * z)))

@@ -7,13 +7,17 @@ basis element (i, j) at flat index ``i * d2 + j``.
 
 This is the general route that the bosonic and fermionic engines are
 checked against: reduce a ket to the named factors, partially transpose
-one factor and sum the negative eigenvalues.  Containers take their
-arrays as given, without copying them.
+one factor and sum the negative eigenvalues.  It is the 8x8 "full" route
+behind every fermion row's blocks-vs-full residual, and the bosonic test
+and benchmark reference.  Containers take their arrays as given, without
+copying them.  A space derives its dimensions and label lookup once, and
+a reduction plan is made once per (space, kept labels).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 from math import prod
 from typing import Iterable
 
@@ -31,6 +35,10 @@ class TensorSpace:
     """Ordered list of labelled factors, e.g. (("M", 2), ("I", 31), ("II", 31))."""
 
     factors: tuple[tuple[str, int], ...]
+    # derived from ``factors`` once; not part of equality, hash or repr
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
+    _axes: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         factors = tuple((str(lab), int(dim)) for lab, dim in self.factors)
@@ -40,21 +48,15 @@ class TensorSpace:
         if any(dim < 1 for _, dim in factors):
             raise ValueError(f"factor dimensions must be >= 1, got {factors}")
         object.__setattr__(self, "factors", factors)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.factors)
-
-    @property
-    def dim(self) -> int:
-        return prod(self.dims)
+        object.__setattr__(self, "dims", tuple(dim for _, dim in factors))
+        object.__setattr__(self, "dim", prod(self.dims))
+        object.__setattr__(self, "_axes", {lab: i for i, lab in enumerate(labels)})
 
     def axis(self, label: str) -> int:
-        for i, (lab, _) in enumerate(self.factors):
-            if lab == label:
-                return i
-        labels = tuple(lab for lab, _ in self.factors)
-        raise LabelError(f"unknown factor label {label!r}; have {labels}")
+        try:
+            return self._axes[label]
+        except KeyError:
+            raise LabelError(f"unknown factor label {label!r}; have {tuple(self._axes)}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,11 +104,18 @@ def reduced_density(ket: FockKet, keep: Iterable[str]) -> DensityOperator:
     Fock factors push the joint dimension into the tens of thousands.
     """
     space = ket.space
+    sub, order = _reduction_plan(space, tuple(keep))
+    m = ket.amplitudes.reshape(space.dims).transpose(order).reshape(sub.dim, -1)
+    return DensityOperator(sub, m @ m.conj().T)
+
+
+@cache
+def _reduction_plan(space: TensorSpace, keep: tuple[str, ...]) -> tuple[TensorSpace, tuple[int, ...]]:
+    """Kept space and axis order (kept, then traced) of a reduction; a label error is not cached."""
     axes = [space.axis(lab) for lab in keep]
     sub = TensorSpace(tuple(space.factors[a] for a in axes))  # rejects a repeated label
     traced = [i for i in range(len(space.factors)) if i not in axes]
-    m = ket.amplitudes.reshape(space.dims).transpose(axes + traced).reshape(sub.dim, -1)
-    return DensityOperator(sub, m @ m.conj().T)
+    return sub, tuple(axes + traced)
 
 
 def partial_transpose(rho: DensityOperator, factor: str) -> np.ndarray:

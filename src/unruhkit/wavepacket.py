@@ -343,22 +343,6 @@ def f_log_gaussian(params: LogGaussianParams, x_grid=None) -> MinkowskiSmearing:
     return _packet_from_weight(weight, x_grid, center, *_gaussian_window(params))
 
 
-def mixed_log_gaussian(params: LogGaussianParams, mixing_angle: float, x_grid=None) -> MinkowskiSmearing:
-    """Normalized combination cos(theta) f + sin(theta) f* of the log-Gaussian.
-
-    The conjugate packet peaks in the opposite Unruh sector, so the mixing
-    angle dials in comparable right and left weights.
-    """
-    center = math.log(params.omega0)
-    base = _log_gaussian_weight(params, center)
-
-    def weight(x):
-        v = base(x)
-        return math.cos(mixing_angle) * v + math.sin(mixing_angle) * np.conj(v)
-
-    return _packet_from_weight(weight, x_grid, center, *_gaussian_window(params)).normalized()
-
-
 def alternate_packets(kind: str, params: LogGaussianParams, x_grid=None) -> MinkowskiSmearing:
     """Non-Gaussian packet families with the same chirp phase.
 

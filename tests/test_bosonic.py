@@ -118,11 +118,16 @@ class TestSqueezing:
 
     @pytest.mark.parametrize("omega_a,a", [
         (0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (math.nan, 1.0), (1.0, math.nan), (math.nan, -1.0),
+        (math.inf, math.inf),
     ])
     def test_nonpositive_inputs_rejected(self, omega_a, a):
-        # a NaN input used to pass the check and come back as r = inf
+        # a NaN input, or inf / inf = NaN, used to pass the check and come back as r = inf
         with pytest.raises(ValueError, match="omega_a and a must be > 0"):
             BosonSqueezing.from_acceleration(omega_a, a)
+
+    def test_one_sided_infinite_limits(self):
+        assert BosonSqueezing.from_acceleration(1.0, math.inf).r == math.inf
+        assert BosonSqueezing.from_acceleration(math.inf, 1.0).r == 0.0
 
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):

@@ -56,12 +56,18 @@ class TestSqueezing:
         with pytest.raises(ValueError):
             FermionSqueezing.from_acceleration(-1.0, 1.0)
 
-    @pytest.mark.parametrize("omega_a,a", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+    @pytest.mark.parametrize("omega_a,a", [
+        (math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan), (math.inf, math.inf),
+    ])
     def test_nan_inputs_blame_the_inputs(self, omega_a, a):
-        # NaN fails every ordered comparison, so it used to pass the input
-        # check and fail later as an out-of-range squeezing
+        # NaN, and inf / inf = NaN, fail every ordered comparison, so they used
+        # to pass the input check and fail later as an out-of-range squeezing
         with pytest.raises(ValueError, match="omega_a and a must be > 0"):
             FermionSqueezing.from_acceleration(omega_a, a)
+
+    def test_one_sided_infinite_limits(self):
+        assert FermionSqueezing.from_acceleration(1.0, math.inf).r == R_MAX
+        assert FermionSqueezing.from_acceleration(math.inf, 1.0).r == 0.0
 
 
 class TestStates:

@@ -122,13 +122,44 @@ class TestReducedDensity:
         space = TensorSpace((("A", 2), ("B", 3)))
         ket = FockKet(space, random_pure(rng, space.dim))
         ab = reduced_density(ket, ["A", "B"]).matrix
-        ba = reduced_density(ket, ["B", "A"]).matrix
+        ba = reduced_density(ket, ["B", "A"])
         perm = ab.reshape(2, 3, 2, 3).transpose(1, 0, 3, 2).reshape(6, 6)
-        assert np.allclose(ba, perm, atol=1e-14)
+        assert np.allclose(ba.matrix, perm, atol=1e-14)
+        # a second call takes the cached plan and must keep the order as well
+        again = reduced_density(ket, ("B", "A"))
+        assert again.space == ba.space == TensorSpace((("B", 3), ("A", 2)))
+        assert np.array_equal(again.matrix, ba.matrix)
 
     def test_repeated_label_rejected(self):
         with pytest.raises(LabelError):
             reduced_density(bell_ket(), ["A", "A"])
+
+
+class TestComputedOnce:
+    """A space's shape data and each reduction plan are computed once; the checks are not."""
+
+    def test_equal_spaces_stay_equal(self):
+        a = TensorSpace((("A", 2), ("B", 3)))
+        b = TensorSpace([["A", 2.0], ("B", 3)])
+        reduced_density(FockKet(a, np.ones(6)), ["B"])
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) == "TensorSpace(factors=(('A', 2), ('B', 3)))"
+        assert a != TensorSpace((("B", 3), ("A", 2)))
+        assert (a.dims, a.dim, b.axis("B")) == ((2, 3), 6, 1)
+
+    def test_bad_labels_raise_after_a_good_reduction(self):
+        ket = bell_ket()
+        rho = reduced_density(ket, ["A", "B"])
+        negativity(rho, "A")
+        for _ in range(2):
+            for keep in (["A", "A"], ["B", "B"], ["C"], ["A", "C"]):
+                with pytest.raises(LabelError):
+                    reduced_density(ket, keep)
+            with pytest.raises(LabelError):
+                partial_transpose(rho, "C")
+            with pytest.raises(LabelError):
+                negativity(rho, "C")
+        assert np.array_equal(reduced_density(ket, ["A", "B"]).matrix, rho.matrix)
 
 
 class TestPartialTranspose:

@@ -20,7 +20,6 @@ from unruhkit.wavepacket import (
     f_from_g,
     f_log_gaussian,
     g_from_f,
-    mixed_log_gaussian,
     parseval_residual,
     peaking_report,
     peaking_report_from_pair,
@@ -355,7 +354,6 @@ class TestPeakingReport:
             f_log_gaussian(LogGaussianParams(2.0, 0.0)),
             alternate_packets("gamma", LogGaussianParams(1.0, 5.0)),
             alternate_packets("bessel", LogGaussianParams(1.0, 5.0)),
-            mixed_log_gaussian(LogGaussianParams(1.0, 6.0), 0.6),
         ],
     )
     def test_uncertainty_bound(self, packet):
@@ -380,20 +378,6 @@ class TestPeakingReport:
         report = peaking_report_from_pair(back, clipped, kernel)
         assert report.uncertainty_product > 0.5 + 1e-3
         assert report.leakage == 0.0
-
-    def test_mixed_packet_splits_weight(self):
-        angle = 0.6
-        f = mixed_log_gaussian(LogGaussianParams(1.0, 6.0), angle)
-        pair = g_from_f(f)
-        norm_r, norm_l = pair.sector_norms()
-        assert abs(norm_r - math.cos(angle) ** 2) < 1e-6
-        assert abs(norm_l - math.sin(angle) ** 2) < 1e-6
-
-    def test_mixed_packet_transform_suite(self):
-        f = mixed_log_gaussian(LogGaussianParams(1.0, 6.0), 0.8)
-        pair = g_from_f(f)
-        assert parseval_residual(f, pair) < 1e-6
-        assert round_trip_error(f) < 1e-6
 
 
 class TestMassive:
@@ -539,9 +523,8 @@ class TestGridValidation:
         (lambda: f_log_gaussian(LogGaussianParams(1.0, 8.0)), 1),
         (lambda: alternate_packets("gamma", LogGaussianParams(0.3, 8.0)), 3),
         (lambda: alternate_packets("bessel", LogGaussianParams(0.2, 8.0)), 1),
-        (lambda: mixed_log_gaussian(LogGaussianParams(1.0, 6.0), 0.6), 1),
         (lambda: rapidity_gaussian(0.05, 5.0, MassiveKernel(1.0)), 1),
-    ], ids=["log-gaussian", "gamma", "bessel", "mixed", "rapidity-gaussian"])
+    ], ids=["log-gaussian", "gamma", "bessel", "rapidity-gaussian"])
     def test_auto_grid_samples_the_profile_once_per_step(self, build, steps, monkeypatch):
         # each widening step samples a wider window, and the packet keeps the
         # samples of the last one instead of taking them again
