@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
+from itertools import starmap
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
@@ -197,27 +198,62 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, joined from strings in one recursive pass.
+
+    ``json`` formats an indented document with its pure-Python generator
+    encoder.  This writer takes the same scalar forms (``float.__repr__``,
+    NaN, Infinity and -Infinity, ASCII-escaped strings) for the types the CLI
+    writes: dicts with str keys, lists, str, bool, int and float.  A finite
+    float member, the common case, is written in place.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ",\n".join([
+            f"{inner}{encode_basestring_ascii(key)}: "
+            f"{float.__repr__(item) if type(item) is float and math.isfinite(item) else _json_text(item, inner)}"
+            for key, item in value.items()])
+        return f"{{\n{items}\n{indent}}}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = ",\n".join([
+            inner + (float.__repr__(item) if type(item) is float and math.isfinite(item) else _json_text(item, inner))
+            for item in value])
+        return f"[\n{items}\n{indent}]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else (
+            "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity"))
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
+
+
 def _write_table(args, header: Sequence[str], rows: list[list]) -> None:
     if args.format == "csv":
-        lines = [f"# schema={SCHEMA}", ",".join(header)]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    _bool(v) if isinstance(v, bool) else (_fmt(v) if isinstance(v, float) else str(v))
-                    for v in row
-                )
-            )
-        text = "\n".join(lines) + "\n"
+        # one format per column, picked from the first row: a float to 12 significant
+        # digits, a bool as true/false, anything else (int, str) as str
+        first = rows[0] if rows else ()
+        template = ",".join("{:.12g}" if isinstance(v, float) else "{}" for v in first)
+        for i in [i for i, v in enumerate(first) if isinstance(v, bool)]:
+            for row in rows:
+                row[i] = _bool(row[i])
+        text = "\n".join([f"# schema={SCHEMA}", ",".join(header), *starmap(template.format, rows)])
     else:
-        objects = []
-        for row in rows:
-            obj = {"schema": SCHEMA}
-            for key, value in zip(header, row):
-                obj[key] = _round12(value) if isinstance(value, float) else value
-            objects.append(obj)
-        text = json.dumps(objects, indent=2) + "\n"
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+        text = _json_text([{"schema": SCHEMA} | {key: _round12(v) if isinstance(v, float) else v
+                                                 for key, v in zip(header, row)} for row in rows])
+    _write(args.out, text + "\n")
 
 
 def cmd_boson(args) -> int:
@@ -293,19 +329,19 @@ def cmd_packet(args) -> int:
         ("uncertainty_product", report.uncertainty_product),
         ("leakage", report.leakage),
     ]
-    print(f"packet family={args.family} lam={_fmt(args.lam)} mu={_fmt(args.mu)}")
-    for name, value in fields:
-        print(f"  {name:<21} = {_fmt(value)}")
-    print(f"  {'sma_valid':<21} = {_bool(report.sma_valid)}")
-    print(f"  {'parseval_residual':<21} = {_fmt(parseval)}")
-    print(f"  {'round_trip_error':<21} = {_fmt(round_trip)}")
     size = pair.omega_grid.size
     idx = np.unique(np.linspace(0, size - 1, min(33, size)).astype(int))
     table = [[_fmt(v) for v in row] for row in zip(
         pair.omega_grid[idx].tolist(), np.abs(pair.g_r[idx]).tolist(), np.abs(pair.g_l[idx]).tolist())]
-    print("  Omega        |g_R|        |g_L|")
-    for omega, g_r, g_l in table:
-        print(f"  {omega:<12} {g_r:<12} {g_l}")
+    sys.stdout.write("\n".join([
+        f"packet family={args.family} lam={_fmt(args.lam)} mu={_fmt(args.mu)}",
+        *[f"  {name:<21} = {_fmt(value)}" for name, value in fields],
+        f"  {'sma_valid':<21} = {_bool(report.sma_valid)}",
+        f"  {'parseval_residual':<21} = {_fmt(parseval)}",
+        f"  {'round_trip_error':<21} = {_fmt(round_trip)}",
+        "  Omega        |g_R|        |g_L|",
+        *[f"  {omega:<12} {g_r:<12} {g_l}" for omega, g_r, g_l in table],
+    ]) + "\n")
     if args.out:
         payload = {
             "schema": SCHEMA,
@@ -325,8 +361,7 @@ def cmd_packet(args) -> int:
             # _round12 of a value is float of its _fmt text
             "table": [dict(zip(("omega", "abs_g_r", "abs_g_l"), map(float, row))) for row in table],
         }
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(json.dumps(payload, indent=2) + "\n")
+        _write(args.out, _json_text(payload) + "\n")
     return EXIT_OK
 
 

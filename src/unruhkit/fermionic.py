@@ -20,11 +20,21 @@ independently coded routes that must agree to ~1e-10: the two explicit
 partial transpose of the traced-out state ("full").  A curve stacks the
 blocks of its whole grid as (steps, 2, 2, 3, 3) and solves them in one
 call; "full" still runs row by row, as the curve's runtime oracle.
+
+Below r = sqrt(eps) ~ 1.5e-8, where sin^2 r < eps, the "full" route
+flushes joint-state amplitudes below eps times the largest one to zero.
+Without the flush, tiny r (about 1e-300 to 1e-40) gives partial-transpose
+entries whose squares underflow, and LAPACK's Hermitian eigensolvers then
+lose up to ~3e-3 (every driver, real or complex).  The flush perturbs the
+state by O(eps), so by Weyl's inequality the eigenvalues move by O(eps)
+too.  A tiny weight at larger r needs no flush: |q| in [1e-300, 1e-8]
+agrees to 3e-16.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +55,10 @@ R_MAX = math.pi / 4
 #: rounding slack past R_MAX that the squeezing and the CLI range both accept
 R_MAX_TOL = 1e-12
 METHOD_TOL = 1e-10
+#: below r = sqrt(FLUSH), the 8x8 route sets joint-state amplitudes below this fraction of
+#: the largest one to 0
+FLUSH = sys.float_info.epsilon
+_FLUSH_R = math.sqrt(FLUSH)
 #: below this |q_R| the Alice-Rob / Alice-AntiRob roles are exchanged
 SWAP_POINT = 1.0 / math.sqrt(2.0)
 
@@ -119,11 +133,18 @@ def grassmann_one_particle(r: float, weights: UnruhWeights) -> np.ndarray:
 
 
 def fermion_joint_state(scenario: FermionScenario) -> FockKet:
-    """(|0>_M |vacuum> + |1>_M |one-particle>)/sqrt(2), dimension 32."""
+    """(|0>_M |vacuum> + |1>_M |one-particle>)/sqrt(2), dimension 32.
+
+    Below r = sqrt(FLUSH), amplitudes below ``FLUSH`` times the largest one
+    are flushed to 0 (see the module docstring).
+    """
     r = scenario.squeezing.r
     amp = np.zeros(32, dtype=complex)
     amp[:16] = grassmann_vacuum(r) / math.sqrt(2.0)
     amp[16:] = grassmann_one_particle(r, scenario.weights) / math.sqrt(2.0)
+    if 0.0 < r < _FLUSH_R:  # sin^2 r < eps: this covers every r whose entries' squares underflow
+        size = np.abs(amp)
+        amp[size < FLUSH * size.max()] = 0.0
     return FockKet(JOINT_SPACE, amp)
 
 

@@ -8,10 +8,13 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from unruhkit.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from unruhkit.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _json_text, _write_table, main
 
 
 #: one value per config key that its flag rejects
@@ -197,6 +200,15 @@ class TestFermionCommand:
         _, rows = read_csv(out)
         for row in rows:
             assert float(row["n_ar"]) == pytest.approx(float(row["n_aar"]), abs=1e-9)
+
+    def test_tiny_squeezing_rows_pass_the_method_check(self, tmp_path, capsys):
+        # the 8x8 route lost ~1e-5 here before its tiny amplitudes were flushed
+        out = tmp_path / "f.csv"
+        code = main(["fermion", "--q", "0.75", "--r-min", "1e-80", "--r-max", "2e-80", "--steps", "2",
+                     "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (EXIT_OK, "")
+        _, rows = read_csv(out)
+        assert all(float(row["method_agreement_residual"]) <= 1e-15 for row in rows)
 
     def test_swap_equivalent_warning(self, tmp_path, capsys):
         out = tmp_path / "swap.csv"
@@ -539,3 +551,85 @@ def test_cli_calls_load_no_scipy_package(calls, expected, tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=src_env(), cwd=tmp_path,
                          capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.splitlines()[-1] == f"{[EXIT_OK] * len(calls)} {expected}"
+
+
+def old_csv_cell(value):
+    # the per-cell rule the CSV writer had before it picked one format per column
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
+CELLS = {
+    "float": st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([-0.0, math.nan, -math.inf]),
+    "int": st.integers(),
+    "str": st.text(st.characters(blacklist_characters=",\n\r"), max_size=8),
+    "bool": st.booleans(),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), kinds=st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=6))
+def test_csv_rows_match_the_per_cell_rule(data, kinds, tmp_path_factory):
+    rows = data.draw(st.lists(st.tuples(*[CELLS[kind] for kind in kinds]).map(list), min_size=1, max_size=6))
+    header = [f"c{i}" for i in range(len(kinds))]
+    want = ["# schema=1", ",".join(header)] + [",".join(map(old_csv_cell, row)) for row in rows]
+    out = tmp_path_factory.mktemp("csv") / "t.csv"
+    _write_table(SimpleNamespace(format="csv", out=str(out)), header, [list(row) for row in rows])
+    assert out.read_text() == "\n".join(want) + "\n"
+
+
+def test_csv_special_floats(tmp_path):
+    rows = [[math.nan, 1, "a", True], [math.inf, -2, "b", False], [-math.inf, 0, "", True], [-0.0, 3, "c", False]]
+    want = [",".join(map(old_csv_cell, row)) for row in rows]
+    out = tmp_path / "t.csv"
+    _write_table(SimpleNamespace(format="csv", out=str(out)), ["f", "i", "s", "b"], [list(row) for row in rows])
+    assert out.read_text().splitlines()[2:] == want == ["nan,1,a,true", "inf,-2,b,false", "-inf,0,,true", "-0,3,c,false"]
+
+
+JSON_VALUES = st.recursive(
+    st.booleans() | st.integers() | st.floats(allow_nan=True, allow_infinity=True) | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=JSON_VALUES)
+def test_json_text_matches_the_indent_encoder(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_special_values():
+    payload = {
+        "floats": [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, 1.7976931348623157e308, 0.1],
+        "numpy": [np.float64(2.5), np.float64(math.nan), np.float64(-math.inf)],
+        "ints": [0, -1, 2**70], "flags": [True, False],
+        "escape": 'quote " backslash \\ newline \n tab \t nul \x00 e\u0301 snowman \u2603 clef \U0001d11e',
+        "empty": [{}, []], "nested": {"a": {"b": [[], {"c": math.nan}]}},
+    }
+    assert _json_text(payload) == json.dumps(payload, indent=2)
+    assert [_json_text(v) for v in (math.nan, -math.inf, "\u00e9", 7, True)] == \
+        [json.dumps(v, indent=2) for v in (math.nan, -math.inf, "\u00e9", 7, True)]
+
+
+@pytest.mark.parametrize("value", [np.int64(3), {1, 2}, [np.bool_(True)], {"k": b"bytes"}, {1: "non-str key"},
+                                   None, (1.5, "x")])
+def test_json_text_rejects_what_it_cannot_write(value):
+    # a type outside the writer's set fails loudly rather than being written some other way
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["packet", "--family", "log-gaussian", "--lam", "1", "--mu", "8"],
+    ["packet", "--family", "rapidity-gaussian", "--lam", "0.05", "--mu", "5"],
+    ["packet", "--family", "gamma", "--lam", "0.3", "--mu", "-2", "--leakage-threshold", "1e-300"],
+    ["boson", "--q", "1,0.8", "--r-max", "2", "--steps", "6", "--format", "json"],
+    ["fermion", "--q", "0.9,0.5", "--steps", "7", "--format", "json"],
+], ids=["log-gaussian", "rapidity-gaussian", "gamma", "boson", "fermion"])
+def test_written_json_is_the_indent_encoders_text(argv, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) in (EXIT_OK, EXIT_NUMERIC)
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"

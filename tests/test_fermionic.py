@@ -373,6 +373,7 @@ class TestCurve:
 @example(q_abs=0.0, grid=[0.0, R_MAX])
 @example(q_abs=1 / math.sqrt(2), grid=[0.0, R_MAX])
 @example(q_abs=1.0, grid=[0.0, R_MAX, 0.3])
+@example(q_abs=0.75, grid=[6.3481234552695825e-80])  # squares of the 8x8 entries underflow
 def test_curve_rows_equal_the_scalar_blocks_pairs(q_abs, grid):
     # the stacked eigensolve of the curve against one scalar call per row
     rows = fermionic_curve(q_abs, grid)
@@ -380,3 +381,42 @@ def test_curve_rows_equal_the_scalar_blocks_pairs(q_abs, grid):
     for row, r in zip(rows, grid, strict=True):
         pair = fermionic_negativity_pair(FermionScenario(FermionSqueezing(r), weights), "blocks")
         assert (row.r, row.n_ar, row.n_aar) == (r, pair.n_ar, pair.n_aar)
+
+
+@pytest.mark.parametrize("q_abs, phase", [(0.75, 0.0), (0.9, 0.0), (0.3, 0.0), (0.75, 0.7)])
+def test_tiny_squeezing_routes_agree(q_abs, phase):
+    # below r ~ 1e-40 squares of the 8x8 partial-transpose entries underflow, and without
+    # the flush of tiny joint-state amplitudes the 8x8 eigensolve lost up to ~3e-3
+    weights = UnruhWeights.from_abs(q_abs, phase)
+    worst = max(method_agreement_residual(FermionScenario(FermionSqueezing(r), weights))
+                for r in np.geomspace(1e-300, 1e-40, 1001).tolist())
+    assert worst <= 1e-10
+
+
+def test_tiny_weights_need_no_flush():
+    # the flush acts only at tiny r; a tiny weight at larger r gives no underflow trouble
+    for q in np.geomspace(1e-300, 1e-8, 40).tolist():
+        for weights in (UnruhWeights.from_abs(q), UnruhWeights(1.0, q)):
+            for r in (1e-3, 0.3, 0.7):
+                assert method_agreement_residual(FermionScenario(FermionSqueezing(r), weights)) <= 1e-10
+
+
+def test_flush_leaves_ordinary_joint_states_alone():
+    # r = 0, r >= sqrt(eps) and tiny weights keep every amplitude, with its bits
+    for r, q_abs, phase in ((0.0, 0.8, 0.0), (1.5e-8, 0.9, 0.0), (0.3, 0.8, 0.7), (R_MAX, 1e-9, 0.0),
+                            (0.0, 1e-9, 0.3)):
+        sc = scenario(r, q_abs, phase)
+        amp = np.zeros(32, dtype=complex)
+        amp[:16] = grassmann_vacuum(r) / math.sqrt(2.0)
+        amp[16:] = grassmann_one_particle(r, sc.weights) / math.sqrt(2.0)
+        assert fermion_joint_state(sc).amplitudes.tobytes() == amp.tobytes()
+
+
+def test_flush_zeroes_only_amplitudes_below_eps_times_the_largest():
+    sc = scenario(1e-80, 0.75)
+    amp = fermion_joint_state(sc).amplitudes
+    exact = np.concatenate([grassmann_vacuum(1e-80), grassmann_one_particle(1e-80, sc.weights)]) / math.sqrt(2.0)
+    size = np.abs(exact)
+    tiny = (size > 0.0) & (size < fermionic.FLUSH * size.max())
+    assert tiny.sum() == 5  # every nonzero amplitude with a factor sin r
+    assert np.array_equal(amp, np.where(tiny, 0.0, exact))

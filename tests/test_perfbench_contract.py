@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from unruhkit.bosonic import BosonScenario, BosonSqueezing, bosonic_curve, bosonic_negativity_pair
+import unruhkit.cli as cli
 from unruhkit.cli import main
 from unruhkit.fermionic import R_MAX, fermionic_curve
 from unruhkit.weights import UnruhWeights
@@ -58,6 +59,48 @@ def test_install_wraps_and_uninstall_restores():
     finally:
         tracer.uninstall()
     assert all(vars(owner)[attr] is original for (owner, attr), original in zip(targets, originals))
+
+
+#: one call per subcommand: dense boson rows, a fermion curve, a packet with its report
+TRACED_CALLS = (
+    ["boson", "--q", "0.9", "--r-max", "1", "--steps", "4", "--out", "b.csv"],
+    ["fermion", "--q", "0.8", "--steps", "5", "--format", "json", "--out", "f.json"],
+    ["packet", "--family", "log-gaussian", "--lam", "1", "--mu", "8", "--out", "p.json"],
+)
+
+
+def run_calls(directory, capsys):
+    """Exit code, stdout, stderr and written bytes of each of ``TRACED_CALLS`` run in ``directory``."""
+    results = []
+    for argv in TRACED_CALLS:
+        out = directory / argv[-1]
+        code = cli.main([*argv[:-1], str(out)])  # through the module, as the benchmark calls it
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err, out.read_bytes()))
+    return results
+
+
+def test_traced_calls_match_untraced_ones(tmp_path, capsys):
+    # every wrapper is called, not just installed: a wrapped name that breaks only
+    # when it runs would otherwise show only in a traced benchmark run
+    tracing = load("tracer")
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "traced").mkdir()
+    plain = run_calls(tmp_path / "plain", capsys)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.enabled = True
+        traced = run_calls(tmp_path / "traced", capsys)
+    finally:
+        tracer.uninstall()
+    assert [code for code, *_ in plain] == [0, 0, 0]
+    assert traced == plain
+    names = {span[2] for span in tracer.spans}
+    assert {"cli.main", "cli.cmd", "bosonic.curve", "fermionic.curve", "fermionic.residual",
+            "qops.eigvalsh", "wavepacket.forward", "wavepacket.inverse", "wavepacket.norm"} <= names
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["fermionic.pair_full.calls"] == 5 and metrics["wavepacket.packets"] == 1
 
 
 def test_checker_references_accept_the_package():
