@@ -12,7 +12,10 @@ placed before the explicit ones, so explicit flags win, and a key that
 names no flag is a usage error.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure (non-convergence,
-method disagreement, inadequate grid).
+method disagreement, inadequate grid).  An ``--out`` path that names a
+directory, or whose directory does not exist, is a usage error found
+before any computation; a write that fails anyway (permissions, a
+directory removed meanwhile) exits 2.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 from itertools import starmap
@@ -179,6 +183,18 @@ def _check_packet(args) -> None:
     for flag, value in (("x-points", args.x_points), ("omega-points", args.omega_points)):
         if value is not None and value < 16:  # the fewest points a grid may have
             raise ValueError(f"{flag} must be >= 16, got {value}")
+
+
+def _check_out(path: str | None) -> None:
+    """An ``--out`` path must name a file in an existing directory."""
+    if not path:
+        return
+    # os.access raises nothing for a missing path, the usual case, where os.stat would
+    if os.access(path, os.F_OK) and os.path.isdir(path):
+        raise ValueError(f"--out {path}: is a directory")
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"--out {path}: {directory} is not an existing directory")
 
 
 def _too_large(count: int, start: float, stop: float, flag: str) -> GridError:
@@ -376,6 +392,7 @@ def main(argv=None) -> int:
             _check_packet(args)
         else:
             _check_sweep(args)
+        _check_out(args.out)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     except (ValueError, OSError) as exc:

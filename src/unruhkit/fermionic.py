@@ -19,7 +19,9 @@ independently coded routes that must agree to ~1e-10: the two explicit
 ("blocks", exact and O(1)) and the dense eigensolve of the full 8x8
 partial transpose of the traced-out state ("full").  A curve stacks the
 blocks of its whole grid as (steps, 2, 2, 3, 3) and solves them in one
-call; "full" still runs row by row, as the curve's runtime oracle.
+call.  Its runtime oracle, "full", builds each row's joint state and its
+two reduced 8x8 partial transposes through ``qops``, writes them into one
+(steps, 2, 8, 8) stack and solves that in one call too.
 
 Below r = sqrt(eps) ~ 1.5e-8, where sin^2 r < eps, the "full" route
 flushes joint-state amplitudes below eps times the largest one to zero.
@@ -39,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import qops  # partial_transpose through the module, where a trace of qops sees it
 from .errors import MethodDisagreementError
 from .qops import (
     DensityOperator,
@@ -46,9 +49,10 @@ from .qops import (
     NEGATIVITY_CUTOFF,
     TensorSpace,
     hermitian_eigenvalues,
-    negativity,
     reduced_density,
 )
+# not called here: the benchmark tracer (perfbench/tracer.py) wraps it under this module's name
+from .qops import negativity  # noqa: F401
 from .weights import UnruhWeights
 
 R_MAX = math.pi / 4
@@ -205,19 +209,36 @@ class FermionNegativityPair:
     n_aar: float
 
 
+def _negativities(eigs: np.ndarray) -> np.ndarray:
+    """Minus the sum of the eigenvalues below ``NEGATIVITY_CUTOFF``, per spectrum on the last axis."""
+    # a spectrum with no negative eigenvalue gives -0.0 before the + 0.0, and 0.0 after it
+    return -np.where(eigs < NEGATIVITY_CUTOFF, eigs, 0.0).sum(axis=-1) + 0.0
+
+
 def _blocks_negativities(r, weights: UnruhWeights) -> np.ndarray:
     """(N_AR, N_AAR) on the last axis, at one r or at each r of a 1-d grid, from one eigensolve."""
     stack = np.stack([pt_blocks(r, weights, "AR"), pt_blocks(r, weights, "AAR")], axis=-4)
-    eigs = hermitian_eigenvalues(stack)  # (..., bipartition, block, 3)
-    # a block with no negative eigenvalue gives -0.0 before the + 0.0, and 0.0 after it
-    per_block = -np.where(eigs < NEGATIVITY_CUTOFF, eigs, 0.0).sum(axis=-1) + 0.0
+    per_block = _negativities(hermitian_eigenvalues(stack))  # (..., bipartition, block)
     return per_block[..., 0] + per_block[..., 1]
+
+
+def _full_negativities(scenarios: list[FermionScenario]) -> np.ndarray:
+    """(N_AR, N_AAR) of each scenario from one eigensolve of its stacked 8x8 partial transposes.
+
+    Each has at most two negative eigenvalues, so their sum rounds once, as in ``qops.negativity``.
+    """
+    stack = np.empty((len(scenarios), 2, 8, 8), dtype=complex)
+    for pts, sc in zip(stack, scenarios):
+        joint = fermion_joint_state(sc)
+        pts[0] = qops.partial_transpose(rho_alice_rob_fermi(joint), ALICE)
+        pts[1] = qops.partial_transpose(rho_alice_antirob_fermi(joint), ALICE)
+    return _negativities(hermitian_eigenvalues(stack))
 
 
 def fermionic_negativity_pair(
     scenario: FermionScenario, method: str = "blocks"
 ) -> FermionNegativityPair:
-    """Negativities of both bipartitions.
+    """Negativities of both bipartitions; the curve's two routes at one r.
 
     "blocks" sums the negative eigenvalues of the explicit 3x3 blocks;
     "full" eigensolves the 8x8 partial transposes of the reduced states.
@@ -225,26 +246,16 @@ def fermionic_negativity_pair(
     """
     if method == "blocks":
         pair = _blocks_negativities(scenario.squeezing.r, scenario.weights)
-        return FermionNegativityPair(*pair.tolist())
-    if method == "full":
-        joint = fermion_joint_state(scenario)
-        return FermionNegativityPair(
-            negativity(rho_alice_rob_fermi(joint), ALICE).value,
-            negativity(rho_alice_antirob_fermi(joint), ALICE).value,
-        )
-    raise ValueError(f"method must be 'blocks' or 'full', got {method!r}")
+    elif method == "full":
+        pair = _full_negativities([scenario])[0]
+    else:
+        raise ValueError(f"method must be 'blocks' or 'full', got {method!r}")
+    return FermionNegativityPair(*pair.tolist())
 
 
-def method_agreement_residual(
-    scenario: FermionScenario, blocks: FermionNegativityPair | None = None
-) -> float:
-    """Largest |blocks - full| discrepancy over the two bipartitions.
-
-    ``blocks`` is the scenario's "blocks" pair when the caller already has
-    it; otherwise it is computed here.
-    """
-    if blocks is None:
-        blocks = fermionic_negativity_pair(scenario, method="blocks")
+def method_agreement_residual(scenario: FermionScenario) -> float:
+    """Largest |blocks - full| discrepancy over the two bipartitions."""
+    blocks = fermionic_negativity_pair(scenario, method="blocks")
     full = fermionic_negativity_pair(scenario, method="full")
     return max(abs(blocks.n_ar - full.n_ar), abs(blocks.n_aar - full.n_aar))
 
@@ -264,8 +275,8 @@ def fermionic_curve(q_abs: float, r_grid) -> list[FermionCurveRow]:
 
     The physically distinct range is |q_R| >= 1/sqrt(2); smaller values are
     admitted but flagged ``swap_equivalent`` since they reproduce the
-    mirrored bipartition.  The whole grid is checked first; then the blocks
-    of every row go through one stacked eigensolve.  Each row carries the
+    mirrored bipartition.  The whole grid is checked first; then each route
+    solves the stack of every row in one eigensolve.  Each row carries the
     blocks-vs-full residual and the sweep aborts if any residual exceeds
     ``METHOD_TOL``.
     """
@@ -273,18 +284,19 @@ def fermionic_curve(q_abs: float, r_grid) -> list[FermionCurveRow]:
     swap_equivalent = q_abs < SWAP_POINT
     scenarios = [FermionScenario(FermionSqueezing(float(r)), weights) for r in r_grid]
     r_list = [sc.squeezing.r for sc in scenarios]
+    blocks = _blocks_negativities(r_list, weights)
+    residuals = np.abs(blocks - _full_negativities(scenarios)).max(axis=-1)
     rows = []
-    for sc, (n_ar, n_aar) in zip(scenarios, _blocks_negativities(r_list, weights).tolist()):
-        residual = method_agreement_residual(sc, FermionNegativityPair(n_ar, n_aar))
+    for r, (n_ar, n_aar), residual in zip(r_list, blocks.tolist(), residuals.tolist()):
         if residual > METHOD_TOL:
             raise MethodDisagreementError(
                 f"blocks/full negativities differ by {residual:.3e} at "
-                f"(q_abs={q_abs}, r={sc.squeezing.r}); tolerance {METHOD_TOL}"
+                f"(q_abs={q_abs}, r={r}); tolerance {METHOD_TOL}"
             )
         rows.append(
             FermionCurveRow(
                 q_abs=float(q_abs),
-                r=sc.squeezing.r,
+                r=r,
                 n_ar=n_ar,
                 n_aar=n_aar,
                 residual=residual,

@@ -236,25 +236,24 @@ def _log_gaussian_weight(params: LogGaussianParams, x0: float) -> Callable[[np.n
     return weight
 
 
-def _k0(z: float) -> float:
-    """K_0(z) = int_0^inf e^{-z cosh t} dt, z > 0, by the trapezoid rule.
+def _k0e(z: float) -> float:
+    """e^z K_0(z) = int_0^inf e^{-2z sinh^2(t/2)} dt, z > 0, by the trapezoid rule.
 
     The integrand decays double-exponentially, so the rule converges
     geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014); the step
-    min(0.1, 0.5/sqrt z) keeps its error below rounding at any z.  As
-    e^{-z} e^{-2z sinh^2(t/2)} each exponent is small where the terms count,
-    and so is its rounding.  The sum stops where e^{-z cosh t} underflows.
-    Below z = 1e-8, where the count of terms overflows from z ~ 4e-306 on,
-    it is -ln(z/2) - gamma_Euler, exact to rounding (the rest is O(z^2 ln z)).
+    min(0.1, 0.5/sqrt z) keeps its error below rounding at any z.  Each
+    exponent is small where the terms count, and so is its rounding.  The
+    sum stops where its terms underflow, at 2z sinh^2(t/2) = 745.2, so it
+    has at most 78 terms from z = 25 on.  Below z = 1e-8, where the
+    count of terms overflows from z ~ 4e-306 on, it is
+    e^z (-ln(z/2) - gamma_Euler), exact to rounding (the rest is O(z^2 ln z)).
     """
-    if z >= _EXP_UNDERFLOW:  # K_0(z) < e^-z underflows to 0, as in scipy
-        return 0.0
     if z < 1e-8:
-        return -math.log(0.5 * z) - 0.5772156649015329
+        return math.exp(z) * (-math.log(0.5 * z) - 0.5772156649015329)
     h = min(0.1, 0.5 / math.sqrt(z))
-    terms = [math.exp(-2.0 * z * math.sinh(0.5 * k * h) ** 2)
-             for k in range(1, math.ceil(math.acosh(_EXP_UNDERFLOW / z) / h) + 1)]
-    return math.exp(-z) * (h * math.fsum([0.5, *terms]))
+    t_max = 2.0 * math.asinh(math.sqrt(0.5 * _EXP_UNDERFLOW / z))
+    terms = [math.exp(-2.0 * z * math.sinh(0.5 * k * h) ** 2) for k in range(1, math.ceil(t_max / h) + 1)]
+    return h * math.fsum([0.5, *terms])
 
 
 def _auto_x_grid(weight, center: float, half: float, dx: float, mass) -> tuple[np.ndarray, np.ndarray]:
@@ -353,25 +352,30 @@ def alternate_packets(kind: str, params: LogGaussianParams, x_grid=None) -> Mink
                   / sqrt(2 omega K_0(2 lambda)).
 
     Both are analytically normalized; the grid default accounts for the slow
-    exponential left tail of the gamma family.
+    exponential left tail of the gamma family.  Each L2 weight sqrt(omega) f
+    is one exponential of its logarithm, in y = ln(omega/omega0), so no
+    factor over- or underflows where the weight does not: u^lambda, Gamma(2
+    lambda) and K_0(2 lambda) each leave the float range at large lambda.
+    The gamma norm comes from ``math.lgamma``; the Bessel exponent
+    -(lambda/2)(u + 1/u) - ln K_0(2 lambda)/2 is written as
+    -2 lambda sinh^2(y/2) - ln(e^(2 lambda) K_0(2 lambda))/2.
     """
     lam, mu, x0 = params.lam, params.mu, math.log(params.omega0)
     if kind == "gamma":
-        # math.gamma raises where Gamma(2 lam) overflows; an infinite norm fails the profile check
-        norm = math.sqrt(math.gamma(2.0 * lam)) if lam < 85.8 else math.inf
+        log_norm = lam * math.log(2.0) - 0.5 * math.lgamma(2.0 * lam)
         center = x0 + math.log(max(lam, 0.25))
         half = max(30.0 / (2.0 * lam) + 6.0, 12.0)
     elif kind == "bessel":
-        norm = math.sqrt(2.0 * _k0(2.0 * lam))
+        log_norm = -0.5 * math.log(2.0 * _k0e(2.0 * lam))
         center = x0
         half = max(30.0 / lam, 10.0)
     else:
         raise ValueError(f"kind must be 'gamma' or 'bessel', got {kind!r}")
 
     def weight(x):
-        u = np.exp(x - x0)
-        shape = 2.0**lam * u**lam * np.exp(-u) if kind == "gamma" else np.exp(-0.5 * lam * (u + 1.0 / u))
-        return shape * np.exp(-1j * mu * (x - x0)) / norm
+        y = x - x0
+        log_shape = lam * y - np.exp(y) if kind == "gamma" else -2.0 * lam * np.sinh(0.5 * y) ** 2
+        return np.exp(log_norm + log_shape - 1j * mu * y)
 
     return _packet_from_weight(weight, x_grid, center=center, half=half, dx=_default_dx(params))
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import unruhkit.cli as cli
 from unruhkit.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _json_text, _write_table, main
 
 
@@ -373,23 +374,22 @@ class TestPacketCommand:
     @pytest.mark.parametrize("family, lam", [
         ("bessel", "114"), ("bessel", "150"), ("bessel", "300"), ("log-gaussian", "114"),
         ("log-gaussian", "150"), ("log-gaussian", "300"), ("log-gaussian", "1000"),
+        ("gamma", "44"), ("gamma", "150"), ("bessel", "365"), ("bessel", "1000"),
     ])
     def test_large_lambda_passes_parseval_and_round_trip(self, family, lam, tmp_path):
         # K_0(300) ~ 3.7e-132 sets the Bessel norm at lambda = 150; the trapezoid
         # step shrinks with 1/sqrt(z).  Past lambda ~ 100 the x window, not the
         # packet width, bounds d_omega: a Fourier period 2 pi / d_omega inside
         # the window once folded the packet onto itself (round trip sqrt 2).
+        # From gamma lambda = 44 on, u^lambda overflowed where e^-u was 0, and
+        # past lambda = 85.8 so did Gamma(2 lambda); from Bessel lambda ~ 360 on,
+        # K_0(2 lambda) went subnormal, then 0.  Each weight is now one
+        # exponential of its logarithm, so these packets are finite.
         out = tmp_path / "report.json"
         assert main(["packet", "--family", family, "--lam", lam, "--out", str(out)]) == EXIT_OK
         payload = json.loads(out.read_text())
         assert payload["parseval_residual"] < 1e-6
         assert payload["round_trip_error"] < 1e-6
-
-    def test_gamma_past_the_gamma_function_range_is_numeric_failure(self, capsys):
-        # Gamma(300) overflows: math.gamma raises, where scipy returned inf
-        assert main(["packet", "--family", "gamma", "--lam", "150"]) == EXIT_NUMERIC
-        err = capsys.readouterr().err
-        assert "not finite" in err and "Traceback" not in err
 
     def test_nan_mass_is_a_usage_error(self, capsys):
         assert main(["packet", "--family", "rapidity-gaussian", "--mass", "nan"]) == EXIT_USAGE
@@ -633,3 +633,36 @@ def test_written_json_is_the_indent_encoders_text(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(out)]) in (EXIT_OK, EXIT_NUMERIC)
     text = out.read_text()
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["boson", "--q", "0.9", "--steps", "3"], "bosonic_curve"),
+    (["fermion", "--q", "0.9", "--steps", "3"], "fermionic_curve"),
+    (["packet", "--lam", "1"], "_packet_pipeline"),
+])
+@pytest.mark.parametrize("where", ["missing directory", "directory", "file as directory"])
+def test_unusable_out_is_a_usage_error_before_any_work(argv, work, where, tmp_path, monkeypatch, capsys):
+    # such a path used to fail only when the finished table or report was written
+    # (exit 2), after the whole sweep, and a packet printed its report first
+    def failing(*args, **kwargs):
+        raise AssertionError("computation began before --out was checked")
+
+    monkeypatch.setattr(cli, work, failing)
+    (tmp_path / "file").write_text("")
+    out = {"missing directory": tmp_path / "missing" / "x.out", "directory": tmp_path,
+           "file as directory": tmp_path / "file" / "x.out"}[where]
+    assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    expected = "is a directory" if where == "directory" else f"{out.parent} is not an existing directory"
+    assert captured.out == "" and f"--out {out}: " in captured.err and expected in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["file"] and (tmp_path / "file").read_text() == ""
+
+
+def test_write_failure_the_check_cannot_see_stays_a_numeric_failure(tmp_path, monkeypatch, capsys):
+    def refused(path, text):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "_write", refused)
+    out = tmp_path / "x.csv"
+    assert main(["fermion", "--q", "0.9", "--steps", "3", "--out", str(out)]) == EXIT_NUMERIC
+    assert "Permission denied" in capsys.readouterr().err

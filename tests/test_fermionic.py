@@ -313,11 +313,11 @@ class TestCurve:
             return pt_blocks(r, weights, bipartition)
 
         monkeypatch.setattr(fermionic, "pt_blocks", counting)
-        rows = fermionic_curve(0.8, np.linspace(0.0, R_MAX, 10))
+        grid = np.linspace(0.0, R_MAX, 10)
+        rows = fermionic_curve(0.8, grid)
         assert calls == [((len(rows),), "AR"), ((len(rows),), "AAR")]
-        sc = scenario(0.4, 0.8)
-        pair = fermionic_negativity_pair(sc)
-        assert method_agreement_residual(sc, pair) == method_agreement_residual(sc)
+        assert [row.residual for row in rows] == [
+            method_agreement_residual(scenario(float(r), 0.8)) for r in grid]
 
     def test_full_route_builds_one_joint_state_per_row(self, monkeypatch):
         # both bipartitions are reductions of the same 32-amplitude state
@@ -339,9 +339,8 @@ class TestCurve:
             return hermitian_eigenvalues(matrix)
 
         monkeypatch.setattr(fermionic, "hermitian_eigenvalues", counting)
-        # the 8x8 oracle solves through qops.negativity, which does not use this binding
         rows = fermionic_curve(0.9, np.linspace(0.0, R_MAX, 7))
-        assert calls == [(7, 2, 2, 3, 3)]
+        assert calls == [(7, 2, 2, 3, 3), (7, 2, 8, 8)]
         assert len(rows) == 7
 
     def test_empty_grid(self):
@@ -381,6 +380,52 @@ def test_curve_rows_equal_the_scalar_blocks_pairs(q_abs, grid):
     for row, r in zip(rows, grid, strict=True):
         pair = fermionic_negativity_pair(FermionScenario(FermionSqueezing(r), weights), "blocks")
         assert (row.r, row.n_ar, row.n_aar) == (r, pair.n_ar, pair.n_aar)
+
+
+#: r = 0, the top of the range, and tiny r, where the flush acts
+EDGE_GRID = [0.0, R_MAX, 1e-300, 6.3481234552695825e-80]
+
+
+def qops_full_pair(sc):
+    """The 8x8 pair as a scalar ``qops.negativity`` of each reduced state."""
+    joint = fermion_joint_state(sc)
+    return (negativity(rho_alice_rob_fermi(joint), "M").value,
+            negativity(rho_alice_antirob_fermi(joint), "M").value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q_abs=st.floats(0.0, 1.0),
+    phase=st.floats(-math.pi, math.pi),
+    grid=st.lists(st.floats(0.0, R_MAX), min_size=1, max_size=12),
+)
+@example(q_abs=0.75, phase=0.0, grid=EDGE_GRID)
+@example(q_abs=1 / math.sqrt(2), phase=0.0, grid=EDGE_GRID)
+@example(q_abs=1.0, phase=0.0, grid=EDGE_GRID)
+@example(q_abs=0.0, phase=0.0, grid=EDGE_GRID)
+@example(q_abs=0.9, phase=1.3, grid=EDGE_GRID)
+def test_stacked_full_rows_equal_qops_negativity(q_abs, phase, grid):
+    # one (rows, 2, 8, 8) eigensolve against one qops.negativity per reduced state, bit for bit
+    weights = UnruhWeights.from_abs(q_abs, phase)
+    scenarios = [FermionScenario(FermionSqueezing(r), weights) for r in grid]
+    expected = [qops_full_pair(sc) for sc in scenarios]
+    stacked = fermionic._full_negativities(scenarios).tolist()
+    assert [[v.hex() for v in pair] for pair in stacked] == [[v.hex() for v in pair] for pair in expected]
+    # the curve's residual column is the distance of its blocks pair from that pair
+    rows = fermionic_curve(q_abs, grid) if phase == 0.0 else []
+    for row, (e_ar, e_aar) in zip(rows, expected):
+        assert row.residual.hex() == max(abs(row.n_ar - e_ar), abs(row.n_aar - e_aar)).hex()
+
+
+@pytest.mark.parametrize("q_abs, phase", [(0.8, 0.0), (1 / math.sqrt(2), 1.1), (1.0, -2.0), (0.0, 0.4)])
+def test_scalar_full_pair_is_the_curve_row(q_abs, phase):
+    # fermionic_negativity_pair(sc, "full") is the curve's stacked route at one r
+    weights = UnruhWeights.from_abs(q_abs, phase)
+    scenarios = [FermionScenario(FermionSqueezing(r), weights) for r in EDGE_GRID + [1e-9, 0.3]]
+    stacked = fermionic._full_negativities(scenarios).tolist()
+    for sc, (n_ar, n_aar) in zip(scenarios, stacked, strict=True):
+        pair = fermionic_negativity_pair(sc, "full")
+        assert (pair.n_ar.hex(), pair.n_aar.hex()) == (n_ar.hex(), n_aar.hex())
 
 
 @pytest.mark.parametrize("q_abs, phase", [(0.75, 0.0), (0.9, 0.0), (0.3, 0.0), (0.75, 0.7)])

@@ -29,7 +29,7 @@ from unruhkit.wavepacket import (
     _check_uniform,
     _forward_transform,
     _inverse_transform,
-    _k0,
+    _k0e,
 )
 
 
@@ -311,32 +311,27 @@ class TestAlternatePackets:
 
 
 class TestSpecialFunctions:
-    """The packet norms Gamma(2 lambda) and K_0(2 lambda) against scipy.special."""
+    """The packet norms ln Gamma(2 lambda) and e^z K_0(z) at z = 2 lambda against scipy.special."""
 
-    def test_k0_matches_scipy(self):
-        from scipy.special import k0
+    def test_scaled_k0_matches_scipy(self):
+        from scipy.special import k0e
 
         # below 1e-8 the log limit, down to the subnormal 2e-310 where the
-        # trapezoid's term count would overflow
+        # trapezoid's term count would overflow; past 745, where K_0 itself
+        # underflows, e^z K_0(z) stays representable, out to z = 1e20
         z = np.concatenate([[2e-310], np.geomspace(1e-307, 1e-8, 400, endpoint=False),
-                            np.geomspace(1e-8, 700.0, 2001)])
-        ours = np.array([_k0(float(x)) for x in z])
-        assert np.max(np.abs(ours - k0(z)) / k0(z)) <= 2e-15
+                            np.geomspace(1e-8, 700.0, 2001), np.geomspace(745.2, 1e20, 200)])
+        ours = np.array([_k0e(float(x)) for x in z])
+        assert np.max(np.abs(ours - k0e(z)) / k0e(z)) <= 2e-15
 
-    @pytest.mark.parametrize("z", [745.2, 746.0, 800.0, 1e10])
-    def test_k0_underflows_to_zero_as_scipy(self, z):
-        from scipy.special import k0
+    def test_math_lgamma_matches_scipy(self):
+        # the log norm enters the exponent, so its absolute error is the weight's
+        # relative one; relative to max(1, |ln Gamma|) the two differ by <= 5.6e-16
+        from scipy.special import gammaln
 
-        assert _k0(z) == k0(z) == 0.0
-
-    def test_math_gamma_matches_scipy(self):
-        # the two differ by up to 9 ulp (1.2e-15 relative) on a 4e5-point grid;
-        # each is within about 6 ulp of the exact value
-        from scipy.special import gamma
-
-        x = 2.0 * np.geomspace(0.01, 50.0, 2001)
-        ours = np.array([math.gamma(float(v)) for v in x])
-        assert np.max(np.abs(ours - gamma(x)) / gamma(x)) <= 2e-15
+        x = 2.0 * np.geomspace(1e-300, 1e6, 4001)
+        ours = np.array([math.lgamma(float(v)) for v in x])
+        assert np.max(np.abs(ours - gammaln(x)) / np.maximum(np.abs(gammaln(x)), 1.0)) <= 2e-15
 
 
 class TestPeakingReport:
