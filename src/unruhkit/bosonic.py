@@ -44,7 +44,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -115,8 +115,7 @@ def vacuum_coefficients(r: float | np.ndarray, n_max: int) -> np.ndarray:
     return np.tanh(r) ** n / np.cosh(r)
 
 
-@dataclass(frozen=True)
-class BosonScenario:
+class BosonScenario(NamedTuple):
     squeezing: BosonSqueezing
     weights: UnruhWeights
 
@@ -152,8 +151,7 @@ def joint_state(scenario: BosonScenario, n_max: int) -> FockKet:
     return FockKet(joint_space(n_max), psi.ravel())
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """How a negativity pair was obtained and how well it converged.
 
     For the dense method ``n_max_used`` is the level the widths picked (see
@@ -173,8 +171,7 @@ class ConvergenceReport:
     converged: bool
 
 
-@dataclass(frozen=True)
-class NegativityPair:
+class NegativityPair(NamedTuple):
     n_ar: float
     n_aar: float
     report: ConvergenceReport
@@ -471,8 +468,7 @@ def bosonic_negativity_pair(scenario: BosonScenario) -> NegativityPair:
     return next(_dense_pairs(np.array([scenario.squeezing.r]), scenario.weights))
 
 
-@dataclass(frozen=True)
-class BosonCurveRow:
+class BosonCurveRow(NamedTuple):
     q_abs: float
     r: float
     n_ar: float
@@ -496,14 +492,6 @@ def bosonic_curve(q_abs: float, r_grid) -> list[BosonCurveRow]:
         pairs = _dense_pairs(r, weights)
     else:
         pairs = [bosonic_negativity_pair(BosonScenario(BosonSqueezing(x), weights)) for x in r.tolist()]
-    return [
-        BosonCurveRow(
-            q_abs=float(q_abs),
-            r=x,
-            n_ar=pair.n_ar,
-            n_aar=pair.n_aar,
-            n_max_used=pair.report.n_max_used,
-            converged=pair.report.converged,
-        )
-        for x, pair in zip(r.tolist(), pairs)
-    ]
+    q_abs = float(q_abs)
+    return [BosonCurveRow(q_abs, x, pair.n_ar, pair.n_aar, pair.report.n_max_used, pair.report.converged)
+            for x, pair in zip(r.tolist(), pairs)]

@@ -17,11 +17,13 @@ Negativities for the Alice-Rob and Alice-AntiRob bipartitions come in two
 independently coded routes that must agree to ~1e-10: the two explicit
 3x3 blocks of the partial transpose that can carry negative eigenvalues
 ("blocks", exact and O(1)) and the dense eigensolve of the full 8x8
-partial transpose of the traced-out state ("full").  A curve stacks the
-blocks of its whole grid as (steps, 2, 2, 3, 3) and solves them in one
-call.  Its runtime oracle, "full", builds each row's joint state and its
-two reduced 8x8 partial transposes through ``qops``, writes them into one
-(steps, 2, 8, 8) stack and solves that in one call too.
+partial transpose of the traced-out state ("full").  A curve checks its
+grid once and hands plain r values to both routes.  It stacks the blocks
+of its whole grid as (steps, 2, 2, 3, 3), from one table of cos r, sin r
+and their powers, and solves them in one call.  Its runtime oracle,
+"full", builds each row's joint state (from its own cos r and sin r) and
+its two reduced 8x8 partial transposes through ``qops``, writes them into
+one (steps, 2, 8, 8) stack and solves that in one call too.
 
 Below r = sqrt(eps) ~ 1.5e-8, where sin^2 r < eps, the "full" route
 flushes joint-state amplitudes below eps times the largest one to zero.
@@ -38,6 +40,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,8 +102,7 @@ class FermionSqueezing:
         return cls(math.atan(math.exp(-math.pi * omega_a / a)))
 
 
-@dataclass(frozen=True)
-class FermionScenario:
+class FermionScenario(NamedTuple):
     squeezing: FermionSqueezing
     weights: UnruhWeights
 
@@ -142,10 +144,13 @@ def fermion_joint_state(scenario: FermionScenario) -> FockKet:
     Below r = sqrt(FLUSH), amplitudes below ``FLUSH`` times the largest one
     are flushed to 0 (see the module docstring).
     """
-    r = scenario.squeezing.r
+    return _joint_state(scenario.squeezing.r, scenario.weights)
+
+
+def _joint_state(r: float, weights: UnruhWeights) -> FockKet:
     amp = np.zeros(32, dtype=complex)
     amp[:16] = grassmann_vacuum(r) / math.sqrt(2.0)
-    amp[16:] = grassmann_one_particle(r, scenario.weights) / math.sqrt(2.0)
+    amp[16:] = grassmann_one_particle(r, weights) / math.sqrt(2.0)
     if 0.0 < r < _FLUSH_R:  # sin^2 r < eps: this covers every r whose entries' squares underflow
         size = np.abs(amp)
         amp[size < FLUSH * size.max()] = 0.0
@@ -172,6 +177,13 @@ def pt_blocks(r, weights: UnruhWeights, bipartition: str) -> np.ndarray:
     (100, 010, 111) and (000, 101, 011) for "AR", (111, 001, 100) and
     (011, 110, 000) for "AAR".
     """
+    if bipartition not in ("AR", "AAR"):
+        raise ValueError(f"bipartition must be 'AR' or 'AAR', got {bipartition!r}")
+    return _pt_stack(r, weights)[..., int(bipartition == "AAR"), :, :, :]
+
+
+def _pt_stack(r, weights: UnruhWeights) -> np.ndarray:
+    """``pt_blocks`` of both bipartitions, shape ``np.shape(r) + (2, 2, 3, 3)``, from one power table."""
     r_list = np.asarray(r, dtype=float).reshape(-1).tolist()
     cos_r, sin_r = [math.cos(v) for v in r_list], [math.sin(v) for v in r_list]
     # Python's float ** rather than numpy's array power, which rounds differently
@@ -179,32 +191,29 @@ def pt_blocks(r, weights: UnruhWeights, bipartition: str) -> np.ndarray:
     s, s2, s3, s4 = (np.array([v**k for v in sin_r]) for k in (1, 2, 3, 4))
     zero = np.zeros(len(r_list))
     q_r, q_l = weights.q_r, weights.q_l
-    if bipartition == "AR":
-        blocks = [
+    blocks = [
+        [  # AR
             [[c2 * abs(q_l) ** 2, c3 * q_r.conjugate(), -q_r.conjugate() * q_l * s * c],
              [c3 * q_r, s2 * c2, -q_l * s3],
              [-q_r * q_l.conjugate() * s * c, -q_l.conjugate() * s3, abs(q_r) ** 2 * s2]],
             [[c4, -q_l * c2 * s, zero],
              [-q_l.conjugate() * c2 * s, zero, q_r.conjugate() * s2 * c],
              [zero, q_r * s2 * c, s4]],
-        ]
-    elif bipartition == "AAR":
-        blocks = [
+        ],
+        [  # AAR
             [[s2 * abs(q_l) ** 2, s3 * q_r.conjugate(), q_r.conjugate() * q_l * s * c],
              [s3 * q_r, c2 * s2, q_l * c3],
              [q_r * q_l.conjugate() * s * c, q_l.conjugate() * c3, abs(q_r) ** 2 * c2]],
             [[s4, q_l * s2 * c, zero],
              [q_l.conjugate() * s2 * c, zero, q_r.conjugate() * c2 * s],
              [zero, q_r * c2 * s, c4]],
-        ]
-    else:
-        raise ValueError(f"bipartition must be 'AR' or 'AAR', got {bipartition!r}")
+        ],
+    ]
     stack = 0.5 * np.moveaxis(np.array(blocks, dtype=complex), -1, 0)
-    return stack.reshape(np.shape(r) + (2, 3, 3))
+    return stack.reshape(np.shape(r) + (2, 2, 3, 3))
 
 
-@dataclass(frozen=True)
-class FermionNegativityPair:
+class FermionNegativityPair(NamedTuple):
     n_ar: float
     n_aar: float
 
@@ -217,19 +226,18 @@ def _negativities(eigs: np.ndarray) -> np.ndarray:
 
 def _blocks_negativities(r, weights: UnruhWeights) -> np.ndarray:
     """(N_AR, N_AAR) on the last axis, at one r or at each r of a 1-d grid, from one eigensolve."""
-    stack = np.stack([pt_blocks(r, weights, "AR"), pt_blocks(r, weights, "AAR")], axis=-4)
-    per_block = _negativities(hermitian_eigenvalues(stack))  # (..., bipartition, block)
+    per_block = _negativities(hermitian_eigenvalues(_pt_stack(r, weights)))  # (..., bipartition, block)
     return per_block[..., 0] + per_block[..., 1]
 
 
-def _full_negativities(scenarios: list[FermionScenario]) -> np.ndarray:
-    """(N_AR, N_AAR) of each scenario from one eigensolve of its stacked 8x8 partial transposes.
+def _full_negativities(r_list: list[float], weights: UnruhWeights) -> np.ndarray:
+    """(N_AR, N_AAR) at each r from one eigensolve of the stacked 8x8 partial transposes.
 
     Each has at most two negative eigenvalues, so their sum rounds once, as in ``qops.negativity``.
     """
-    stack = np.empty((len(scenarios), 2, 8, 8), dtype=complex)
-    for pts, sc in zip(stack, scenarios):
-        joint = fermion_joint_state(sc)
+    stack = np.empty((len(r_list), 2, 8, 8), dtype=complex)
+    for pts, r in zip(stack, r_list):
+        joint = _joint_state(r, weights)
         pts[0] = qops.partial_transpose(rho_alice_rob_fermi(joint), ALICE)
         pts[1] = qops.partial_transpose(rho_alice_antirob_fermi(joint), ALICE)
     return _negativities(hermitian_eigenvalues(stack))
@@ -247,7 +255,7 @@ def fermionic_negativity_pair(
     if method == "blocks":
         pair = _blocks_negativities(scenario.squeezing.r, scenario.weights)
     elif method == "full":
-        pair = _full_negativities([scenario])[0]
+        pair = _full_negativities([scenario.squeezing.r], scenario.weights)[0]
     else:
         raise ValueError(f"method must be 'blocks' or 'full', got {method!r}")
     return FermionNegativityPair(*pair.tolist())
@@ -260,8 +268,7 @@ def method_agreement_residual(scenario: FermionScenario) -> float:
     return max(abs(blocks.n_ar - full.n_ar), abs(blocks.n_aar - full.n_aar))
 
 
-@dataclass(frozen=True)
-class FermionCurveRow:
+class FermionCurveRow(NamedTuple):
     q_abs: float
     r: float
     n_ar: float
@@ -281,26 +288,18 @@ def fermionic_curve(q_abs: float, r_grid) -> list[FermionCurveRow]:
     ``METHOD_TOL``.
     """
     weights = UnruhWeights.from_abs(q_abs)
-    swap_equivalent = q_abs < SWAP_POINT
-    scenarios = [FermionScenario(FermionSqueezing(float(r)), weights) for r in r_grid]
-    r_list = [sc.squeezing.r for sc in scenarios]
-    blocks = _blocks_negativities(r_list, weights)
-    residuals = np.abs(blocks - _full_negativities(scenarios)).max(axis=-1)
-    rows = []
-    for r, (n_ar, n_aar), residual in zip(r_list, blocks.tolist(), residuals.tolist()):
-        if residual > METHOD_TOL:
-            raise MethodDisagreementError(
-                f"blocks/full negativities differ by {residual:.3e} at "
-                f"(q_abs={q_abs}, r={r}); tolerance {METHOD_TOL}"
-            )
-        rows.append(
-            FermionCurveRow(
-                q_abs=float(q_abs),
-                r=r,
-                n_ar=n_ar,
-                n_aar=n_aar,
-                residual=residual,
-                swap_equivalent=swap_equivalent,
-            )
-        )
-    return rows
+    r = np.asarray(r_grid, dtype=float).ravel()
+    bad = ~((r >= 0.0) & (r <= R_MAX + R_MAX_TOL))
+    if bad.any():
+        FermionSqueezing(float(r[bad][0]))  # raises the squeezing's range error
+    r_list = r.tolist()
+    blocks = _blocks_negativities(r, weights)
+    residuals = np.abs(blocks - _full_negativities(r_list, weights)).max(axis=-1)
+    over = residuals > METHOD_TOL
+    if over.any():
+        i = int(over.argmax())  # the first row over the tolerance
+        raise MethodDisagreementError(f"blocks/full negativities differ by {residuals[i]:.3e} at "
+                                      f"(q_abs={q_abs}, r={r_list[i]}); tolerance {METHOD_TOL}")
+    q_abs, swap_equivalent = float(q_abs), q_abs < SWAP_POINT
+    return [FermionCurveRow(q_abs, x, n_ar, n_aar, residual, swap_equivalent)
+            for x, (n_ar, n_aar), residual in zip(r_list, blocks.tolist(), residuals.tolist())]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from math import prod
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -90,8 +90,7 @@ class DensityOperator:
         object.__setattr__(self, "matrix", mat)
 
 
-@dataclass(frozen=True)
-class NegativityValue:
+class NegativityValue(NamedTuple):
     value: float
 
 

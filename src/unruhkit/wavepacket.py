@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -356,13 +356,21 @@ def alternate_packets(kind: str, params: LogGaussianParams, x_grid=None) -> Mink
     is one exponential of its logarithm, in y = ln(omega/omega0), so no
     factor over- or underflows where the weight does not: u^lambda, Gamma(2
     lambda) and K_0(2 lambda) each leave the float range at large lambda.
-    The gamma norm comes from ``math.lgamma``; the Bessel exponent
+    The gamma exponent is written around its peak y = ln lambda as
+    K - lambda (e^t - 1 - t), t = y - ln lambda, with K = lambda ln(2 lambda)
+    - lambda - ln Gamma(2 lambda)/2 = O(ln lambda): from ``math.lgamma``
+    below lambda = 20 and from its Stirling series above, where the direct
+    form cancels terms of size lambda ln lambda.  The Bessel exponent
     -(lambda/2)(u + 1/u) - ln K_0(2 lambda)/2 is written as
     -2 lambda sinh^2(y/2) - ln(e^(2 lambda) K_0(2 lambda))/2.
     """
     lam, mu, x0 = params.lam, params.mu, math.log(params.omega0)
     if kind == "gamma":
-        log_norm = lam * math.log(2.0) - 0.5 * math.lgamma(2.0 * lam)
+        if lam < 20.0:  # K, the exponent at the peak
+            log_norm = lam * math.log(2.0 * lam) - lam - 0.5 * math.lgamma(2.0 * lam)
+        else:  # its Stirling series, exact to rounding here: the next term is below 2e-15
+            inv2 = 1.0 / (lam * lam)
+            log_norm = 0.25 * math.log(lam / math.pi) - (1 / 48 - (1 / 5760 - inv2 / 80640) * inv2) / lam
         center = x0 + math.log(max(lam, 0.25))
         half = max(30.0 / (2.0 * lam) + 6.0, 12.0)
     elif kind == "bessel":
@@ -374,7 +382,11 @@ def alternate_packets(kind: str, params: LogGaussianParams, x_grid=None) -> Mink
 
     def weight(x):
         y = x - x0
-        log_shape = lam * y - np.exp(y) if kind == "gamma" else -2.0 * lam * np.sinh(0.5 * y) ** 2
+        if kind == "gamma":
+            t = y - math.log(lam)
+            log_shape = -lam * (np.expm1(t) - t)
+        else:
+            log_shape = -2.0 * lam * np.sinh(0.5 * y) ** 2
         return np.exp(log_norm + log_shape - 1j * mu * y)
 
     return _packet_from_weight(weight, x_grid, center=center, half=half, dx=_default_dx(params))
@@ -556,8 +568,7 @@ def round_trip_error(
 # peaking diagnostics
 
 
-@dataclass(frozen=True)
-class PeakingReport:
+class PeakingReport(NamedTuple):
     """How sharply a packet selects one Unruh frequency and one sector.
 
     ``delta_omega`` is the spread of the signed Unruh variable (+Omega for

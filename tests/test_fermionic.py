@@ -1,12 +1,15 @@
 """Grassmann-scalar states, reduced matrices, blocks and negativity curves."""
 
+import collections
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import unruhkit.fermionic as fermionic
+from unruhkit.errors import MethodDisagreementError
 from unruhkit.fermionic import (
     FermionScenario,
     FermionSqueezing,
@@ -305,31 +308,74 @@ class TestCurve:
         assert all(row.residual < 1e-12 for row in rows)
 
     def test_residual_reuses_the_blocks_pair(self, monkeypatch):
-        # one stack per bipartition covers the whole grid, and the residual reuses its rows
+        # one stack of both bipartitions covers the whole grid, and the residual reuses its rows
         calls = []
+        pt_stack = fermionic._pt_stack
 
-        def counting(r, weights, bipartition):
-            calls.append((np.shape(r), bipartition))
-            return pt_blocks(r, weights, bipartition)
+        def counting(r, weights):
+            calls.append(np.shape(r))
+            return pt_stack(r, weights)
 
-        monkeypatch.setattr(fermionic, "pt_blocks", counting)
+        monkeypatch.setattr(fermionic, "_pt_stack", counting)
         grid = np.linspace(0.0, R_MAX, 10)
         rows = fermionic_curve(0.8, grid)
-        assert calls == [((len(rows),), "AR"), ((len(rows),), "AAR")]
+        assert calls == [(len(rows),)]
         assert [row.residual for row in rows] == [
             method_agreement_residual(scenario(float(r), 0.8)) for r in grid]
 
     def test_full_route_builds_one_joint_state_per_row(self, monkeypatch):
         # both bipartitions are reductions of the same 32-amplitude state
         calls = []
+        joint_state = fermionic._joint_state
 
-        def counting(scenario):
-            calls.append(scenario)
-            return fermion_joint_state(scenario)
+        def counting(r, weights):
+            calls.append(r)
+            return joint_state(r, weights)
 
-        monkeypatch.setattr(fermionic, "fermion_joint_state", counting)
+        monkeypatch.setattr(fermionic, "_joint_state", counting)
         rows = fermionic_curve(0.8, np.linspace(0.0, R_MAX, 10))
         assert len(calls) == len(rows)
+
+    def test_one_trig_table_per_curve(self, monkeypatch):
+        # the blocks take cos r and sin r once per row for both bipartitions, not once per
+        # bipartition; the oracle takes its own, once in the vacuum and once in the
+        # one-particle amplitudes
+        calls = collections.Counter()
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def cos(self, x):
+                calls["cos"] += 1
+                return math.cos(x)
+
+            def sin(self, x):
+                calls["sin"] += 1
+                return math.sin(x)
+
+        monkeypatch.setattr(fermionic, "math", CountingMath())
+        weights = UnruhWeights.from_abs(0.8)
+        grid = np.linspace(0.0, R_MAX, 9)
+        fermionic._blocks_negativities(grid, weights)
+        assert calls == {"cos": 9, "sin": 9}
+        calls.clear()
+        rows = fermionic_curve(0.8, grid)
+        assert calls == {"cos": 3 * len(rows), "sin": 3 * len(rows)}
+
+    def test_disagreeing_routes_abort_at_the_first_row_over_tolerance(self, monkeypatch):
+        full = fermionic._full_negativities
+
+        def shifted(r_list, weights):
+            pairs = full(r_list, weights)
+            pairs[[2, 4], 1] += 1e-9
+            return pairs
+
+        monkeypatch.setattr(fermionic, "_full_negativities", shifted)
+        grid = np.linspace(0.0, R_MAX, 6)
+        message = f"differ by 1.000e-09 at (q_abs=0.8, r={float(grid[2])}); tolerance 1e-10"
+        with pytest.raises(MethodDisagreementError, match=re.escape(message)):
+            fermionic_curve(0.8, grid)
 
     def test_one_eigensolve_per_curve(self, monkeypatch):
         calls = []
@@ -407,9 +453,8 @@ def qops_full_pair(sc):
 def test_stacked_full_rows_equal_qops_negativity(q_abs, phase, grid):
     # one (rows, 2, 8, 8) eigensolve against one qops.negativity per reduced state, bit for bit
     weights = UnruhWeights.from_abs(q_abs, phase)
-    scenarios = [FermionScenario(FermionSqueezing(r), weights) for r in grid]
-    expected = [qops_full_pair(sc) for sc in scenarios]
-    stacked = fermionic._full_negativities(scenarios).tolist()
+    expected = [qops_full_pair(FermionScenario(FermionSqueezing(r), weights)) for r in grid]
+    stacked = fermionic._full_negativities(grid, weights).tolist()
     assert [[v.hex() for v in pair] for pair in stacked] == [[v.hex() for v in pair] for pair in expected]
     # the curve's residual column is the distance of its blocks pair from that pair
     rows = fermionic_curve(q_abs, grid) if phase == 0.0 else []
@@ -422,7 +467,7 @@ def test_scalar_full_pair_is_the_curve_row(q_abs, phase):
     # fermionic_negativity_pair(sc, "full") is the curve's stacked route at one r
     weights = UnruhWeights.from_abs(q_abs, phase)
     scenarios = [FermionScenario(FermionSqueezing(r), weights) for r in EDGE_GRID + [1e-9, 0.3]]
-    stacked = fermionic._full_negativities(scenarios).tolist()
+    stacked = fermionic._full_negativities([sc.squeezing.r for sc in scenarios], weights).tolist()
     for sc, (n_ar, n_aar) in zip(scenarios, stacked, strict=True):
         pair = fermionic_negativity_pair(sc, "full")
         assert (pair.n_ar.hex(), pair.n_aar.hex()) == (n_ar.hex(), n_aar.hex())
