@@ -21,12 +21,12 @@ partial transpose of the traced-out state ("full").  A curve checks its
 grid once and hands plain r values to both routes.  It stacks the blocks
 of its whole grid as (steps, 2, 2, 3, 3), from one table of cos r, sin r
 and their powers, and solves them in one call.  Its runtime oracle,
-"full", builds each row's joint state (from its own cos r and sin r) and
-its two reduced 8x8 partial transposes through ``qops``, writes them into
-one (steps, 2, 8, 8) stack and solves that in one call too.
+"full", builds the grid's joint states as one (steps, 32) table from its
+own cos r and sin r, reduces and partially transposes each row through
+``qops`` into one (steps, 2, 8, 8) stack, and solves that in one call too.
 
 Below r = sqrt(eps) ~ 1.5e-8, where sin^2 r < eps, the "full" route
-flushes joint-state amplitudes below eps times the largest one to zero.
+flushes each row's joint-state amplitudes below eps times its largest to 0.
 Without the flush, tiny r (about 1e-300 to 1e-40) gives partial-transpose
 entries whose squares underflow, and LAPACK's Hermitian eigensolvers then
 lose up to ~3e-3 (every driver, real or complex).  The flush perturbs the
@@ -62,8 +62,7 @@ R_MAX = math.pi / 4
 #: rounding slack past R_MAX that the squeezing and the CLI range both accept
 R_MAX_TOL = 1e-12
 METHOD_TOL = 1e-10
-#: below r = sqrt(FLUSH), the 8x8 route sets joint-state amplitudes below this fraction of
-#: the largest one to 0
+#: below r = sqrt(FLUSH), the 8x8 route zeroes each row's amplitudes below this fraction of its largest
 FLUSH = sys.float_info.epsilon
 _FLUSH_R = math.sqrt(FLUSH)
 #: below this |q_R| the Alice-Rob / Alice-AntiRob roles are exchanged
@@ -113,48 +112,46 @@ def grassmann_vacuum(r: float) -> np.ndarray:
     cos^2 r |0000> - sin r cos r |0011> + sin r cos r |1100> - sin^2 r |1111>,
     with exactly these signs; the norm is cos^4 + 2 sin^2 cos^2 + sin^4 = 1.
     """
-    c, s = math.cos(r), math.sin(r)
-    amp = np.zeros(16, dtype=complex)
-    amp[occupation_index(0, 0, 0, 0)] = c * c
-    amp[occupation_index(0, 0, 1, 1)] = -s * c
-    amp[occupation_index(1, 1, 0, 0)] = s * c
-    amp[occupation_index(1, 1, 1, 1)] = -s * s
-    return amp
+    return _amplitude_table([r], 0.0, 0.0)[0, :16]
 
 
 def grassmann_one_particle(r: float, weights: UnruhWeights) -> np.ndarray:
     """Amplitudes of the general one-particle Unruh state in the Rindler slot basis:
 
-    q_R [cos r |1000> - sin r |1011>] + q_L [sin r |1101> + cos r |0001>].
-
-    Unit norm for all r and orthogonal to the vacuum.
+    q_R [cos r |1000> - sin r |1011>] + q_L [sin r |1101> + cos r |0001>],
+    of unit norm for all r and orthogonal to the vacuum.
     """
-    c, s = math.cos(r), math.sin(r)
-    amp = np.zeros(16, dtype=complex)
-    amp[occupation_index(1, 0, 0, 0)] += weights.q_r * c
-    amp[occupation_index(1, 0, 1, 1)] += -weights.q_r * s
-    amp[occupation_index(1, 1, 0, 1)] += weights.q_l * s
-    amp[occupation_index(0, 0, 0, 1)] += weights.q_l * c
-    return amp
+    return _amplitude_table([r], weights.q_r, weights.q_l)[0, 16:]
 
 
 def fermion_joint_state(scenario: FermionScenario) -> FockKet:
-    """(|0>_M |vacuum> + |1>_M |one-particle>)/sqrt(2), dimension 32.
-
-    Below r = sqrt(FLUSH), amplitudes below ``FLUSH`` times the largest one
-    are flushed to 0 (see the module docstring).
-    """
-    return _joint_state(scenario.squeezing.r, scenario.weights)
+    """(|0>_M |vacuum> + |1>_M |one-particle>)/sqrt(2), dimension 32; one row of ``_joint_table``."""
+    return FockKet(JOINT_SPACE, _joint_table([scenario.squeezing.r], scenario.weights)[0])
 
 
-def _joint_state(r: float, weights: UnruhWeights) -> FockKet:
-    amp = np.zeros(32, dtype=complex)
-    amp[:16] = grassmann_vacuum(r) / math.sqrt(2.0)
-    amp[16:] = grassmann_one_particle(r, weights) / math.sqrt(2.0)
-    if 0.0 < r < _FLUSH_R:  # sin^2 r < eps: this covers every r whose entries' squares underflow
-        size = np.abs(amp)
-        amp[size < FLUSH * size.max()] = 0.0
-    return FockKet(JOINT_SPACE, amp)
+def _amplitude_table(r_list: list[float], q_r: complex, q_l: complex) -> np.ndarray:
+    """Vacuum (columns :16) and one-particle (16:) amplitudes, one row per r, from one cos/sin table."""
+    c, s = np.array([math.cos(v) for v in r_list]), np.array([math.sin(v) for v in r_list])
+    amp = np.zeros((len(r_list), 32), dtype=complex)
+    amp[:, occupation_index(0, 0, 0, 0)] = c * c
+    amp[:, occupation_index(0, 0, 1, 1)] = -s * c
+    amp[:, occupation_index(1, 1, 0, 0)] = s * c
+    amp[:, occupation_index(1, 1, 1, 1)] = -s * s
+    # the one-particle block, from column 16; added to 0, which stores a product's -0.0 as 0.0
+    amp[:, 16 + occupation_index(1, 0, 0, 0)] += q_r * c
+    amp[:, 16 + occupation_index(1, 0, 1, 1)] += -q_r * s
+    amp[:, 16 + occupation_index(1, 1, 0, 1)] += q_l * s
+    amp[:, 16 + occupation_index(0, 0, 0, 1)] += q_l * c
+    return amp
+
+
+def _joint_table(r_list: list[float], weights: UnruhWeights) -> np.ndarray:
+    """Joint-state amplitudes, shape (len(r_list), 32); tiny-r rows are flushed (module docstring)."""
+    amp = _amplitude_table(r_list, weights.q_r, weights.q_l) / math.sqrt(2.0)
+    tiny = np.array([0.0 < v < _FLUSH_R for v in r_list], dtype=bool)
+    size = np.abs(amp[tiny])
+    amp[tiny] = np.where(size < FLUSH * size.max(axis=1, keepdims=True), 0.0, amp[tiny])
+    return amp
 
 
 def rho_alice_rob_fermi(joint: FockKet) -> DensityOperator:
@@ -233,19 +230,18 @@ def _blocks_negativities(r, weights: UnruhWeights) -> np.ndarray:
 def _full_negativities(r_list: list[float], weights: UnruhWeights) -> np.ndarray:
     """(N_AR, N_AAR) at each r from one eigensolve of the stacked 8x8 partial transposes.
 
-    Each has at most two negative eigenvalues, so their sum rounds once, as in ``qops.negativity``.
+    Rows of one joint-state table, each reduced and partially transposed by ``qops``.  Each
+    transpose has at most two negative eigenvalues, so their sum rounds once, as in ``qops.negativity``.
     """
     stack = np.empty((len(r_list), 2, 8, 8), dtype=complex)
-    for pts, r in zip(stack, r_list):
-        joint = _joint_state(r, weights)
+    for pts, amp in zip(stack, _joint_table(r_list, weights)):
+        joint = FockKet(JOINT_SPACE, amp)
         pts[0] = qops.partial_transpose(rho_alice_rob_fermi(joint), ALICE)
         pts[1] = qops.partial_transpose(rho_alice_antirob_fermi(joint), ALICE)
     return _negativities(hermitian_eigenvalues(stack))
 
 
-def fermionic_negativity_pair(
-    scenario: FermionScenario, method: str = "blocks"
-) -> FermionNegativityPair:
+def fermionic_negativity_pair(scenario: FermionScenario, method: str = "blocks") -> FermionNegativityPair:
     """Negativities of both bipartitions; the curve's two routes at one r.
 
     "blocks" sums the negative eigenvalues of the explicit 3x3 blocks;

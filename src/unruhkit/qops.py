@@ -10,8 +10,8 @@ checked against: reduce a ket to the named factors, partially transpose
 one factor and sum the negative eigenvalues.  It is the 8x8 "full" route
 behind every fermion row's blocks-vs-full residual, and the bosonic test
 and benchmark reference.  Containers take their arrays as given, without
-copying them.  A space derives its dimensions and label lookup once, and
-a reduction plan is made once per (space, kept labels).
+copying them.  A space derives its dimensions, label lookup and hash once,
+and a reduction plan is made once per (space, kept labels).
 """
 
 from __future__ import annotations
@@ -51,6 +51,10 @@ class TensorSpace:
         object.__setattr__(self, "dims", tuple(dim for _, dim in factors))
         object.__setattr__(self, "dim", prod(self.dims))
         object.__setattr__(self, "_axes", {lab: i for i, lab in enumerate(labels)})
+        object.__setattr__(self, "_hash", hash(self.dims))  # not the labels: str hashes vary by process
+
+    def __hash__(self):
+        return self._hash
 
     def axis(self, label: str) -> int:
         try:

@@ -323,23 +323,22 @@ class TestCurve:
         assert [row.residual for row in rows] == [
             method_agreement_residual(scenario(float(r), 0.8)) for r in grid]
 
-    def test_full_route_builds_one_joint_state_per_row(self, monkeypatch):
-        # both bipartitions are reductions of the same 32-amplitude state
+    def test_full_route_builds_one_joint_table_per_curve(self, monkeypatch):
+        # every row's 32 amplitudes come from one table; both bipartitions reduce the same row
         calls = []
-        joint_state = fermionic._joint_state
+        joint_table = fermionic._joint_table
 
-        def counting(r, weights):
-            calls.append(r)
-            return joint_state(r, weights)
+        def counting(r_list, weights):
+            calls.append(len(r_list))
+            return joint_table(r_list, weights)
 
-        monkeypatch.setattr(fermionic, "_joint_state", counting)
+        monkeypatch.setattr(fermionic, "_joint_table", counting)
         rows = fermionic_curve(0.8, np.linspace(0.0, R_MAX, 10))
-        assert len(calls) == len(rows)
+        assert calls == [len(rows)] == [10]
 
     def test_one_trig_table_per_curve(self, monkeypatch):
         # the blocks take cos r and sin r once per row for both bipartitions, not once per
-        # bipartition; the oracle takes its own, once in the vacuum and once in the
-        # one-particle amplitudes
+        # bipartition; the oracle takes its own, once per row for the joint-state table
         calls = collections.Counter()
 
         class CountingMath:
@@ -360,8 +359,11 @@ class TestCurve:
         fermionic._blocks_negativities(grid, weights)
         assert calls == {"cos": 9, "sin": 9}
         calls.clear()
+        fermionic._full_negativities(grid.tolist(), weights)
+        assert calls == {"cos": 9, "sin": 9}
+        calls.clear()
         rows = fermionic_curve(0.8, grid)
-        assert calls == {"cos": 3 * len(rows), "sin": 3 * len(rows)}
+        assert calls == {"cos": 2 * len(rows), "sin": 2 * len(rows)}
 
     def test_disagreeing_routes_abort_at_the_first_row_over_tolerance(self, monkeypatch):
         full = fermionic._full_negativities
@@ -510,3 +512,53 @@ def test_flush_zeroes_only_amplitudes_below_eps_times_the_largest():
     tiny = (size > 0.0) & (size < fermionic.FLUSH * size.max())
     assert tiny.sum() == 5  # every nonzero amplitude with a factor sin r
     assert np.array_equal(amp, np.where(tiny, 0.0, exact))
+
+
+def per_row_amplitudes(r, weights):
+    """One row of the joint state built slot by slot from scalar products, as the table must match."""
+    c, s = math.cos(r), math.sin(r)
+    vac, one = np.zeros(16, dtype=complex), np.zeros(16, dtype=complex)
+    vac[occupation_index(0, 0, 0, 0)] = c * c
+    vac[occupation_index(0, 0, 1, 1)] = -s * c
+    vac[occupation_index(1, 1, 0, 0)] = s * c
+    vac[occupation_index(1, 1, 1, 1)] = -s * s
+    one[occupation_index(1, 0, 0, 0)] += weights.q_r * c
+    one[occupation_index(1, 0, 1, 1)] += -weights.q_r * s
+    one[occupation_index(1, 1, 0, 1)] += weights.q_l * s
+    one[occupation_index(0, 0, 0, 1)] += weights.q_l * c
+    joint = np.concatenate([vac / math.sqrt(2.0), one / math.sqrt(2.0)])
+    if 0.0 < r < math.sqrt(fermionic.FLUSH):
+        size = np.abs(joint)
+        joint[size < fermionic.FLUSH * size.max()] = 0.0
+    return vac, one, joint
+
+
+#: r = 0, pi/4, the flush range and its edge (sqrt(eps) ~ 1.49e-8), and an ordinary value
+TABLE_R = [0.0, R_MAX, 1e-300, 5e-324, 1.4e-8, 1.6e-8, 0.3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q_abs=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 1e-300, 1e-100, 1e-8, 0.1])),
+    phase=st.floats(-math.pi, math.pi),
+    grid=st.lists(st.one_of(st.floats(0.0, R_MAX), st.floats(0.0, 1e-7), st.sampled_from(TABLE_R)),
+                  min_size=1, max_size=12),
+)
+@example(q_abs=0.0, phase=0.0, grid=TABLE_R)
+@example(q_abs=1.0, phase=0.0, grid=TABLE_R)
+@example(q_abs=1e-300, phase=0.0, grid=TABLE_R)
+@example(q_abs=0.1, phase=1.3, grid=TABLE_R)
+@example(q_abs=0.75, phase=-2.9, grid=TABLE_R)
+@example(q_abs=1 / math.sqrt(2), phase=math.pi, grid=TABLE_R)
+def test_joint_table_rows_equal_the_per_row_build(q_abs, phase, grid):
+    # bit for bit, signed zeros included: the table is the per-row build of every row at once
+    weights = UnruhWeights.from_abs(q_abs, phase)
+    table = fermionic._joint_table(grid, weights)
+    assert table.shape == (len(grid), 32)
+    for row, r in zip(table, grid, strict=True):
+        vac, one, joint = per_row_amplitudes(r, weights)
+        assert np.array_equal(row.view(np.uint64), joint.view(np.uint64))
+        public = fermion_joint_state(scenario(r, q_abs, phase)).amplitudes
+        assert np.array_equal(public.view(np.uint64), joint.view(np.uint64))
+        assert np.array_equal(grassmann_vacuum(r).view(np.uint64), vac.view(np.uint64))
+        assert np.array_equal(grassmann_one_particle(r, weights).view(np.uint64), one.view(np.uint64))

@@ -1,11 +1,17 @@
 """Pure-state reduction, partial transpose and negativity against inline numpy oracles."""
 
+import os
+import pickle
+import subprocess
+import sys
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unruhkit import qops
 from unruhkit.errors import LabelError
 from unruhkit.qops import (
     DensityOperator,
@@ -146,6 +152,41 @@ class TestComputedOnce:
         assert repr(a) == repr(b) == "TensorSpace(factors=(('A', 2), ('B', 3)))"
         assert a != TensorSpace((("B", 3), ("A", 2)))
         assert (a.dims, a.dim, b.axis("B")) == ((2, 3), 6, 1)
+
+    def test_hash_is_taken_once_and_equal_spaces_share_it(self):
+        a = TensorSpace((("A", 2), ("B", 3)))
+        b = TensorSpace([["A", 2.0], ("B", 3)])
+        relabelled = TensorSpace((("A", 2), ("C", 3)))  # same hash, told apart by equality
+        assert hash(a) == hash(b) == hash(relabelled) == hash((2, 3))
+        assert {a: 1}[b] == 1 and len({a, b, relabelled, TensorSpace((("B", 3), ("A", 2)))}) == 3
+        object.__setattr__(a, "factors", [["A", 2], ["B", 3]])  # unhashable now: hashing a must not look
+        assert hash(a) == hash(b)
+
+    def test_space_pickled_in_another_process_finds_its_plan(self):
+        # string hashes differ between processes, so a stored hash must not depend on the labels
+        code = ("import pickle, sys; from unruhkit.qops import TensorSpace; "
+                "sys.stdout.write(pickle.dumps(TensorSpace((('A', 2), ('B', 3)))).hex())")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONHASHSEED="12345",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             timeout=60, check=True)
+        space = pickle.loads(bytes.fromhex(out.stdout))
+        fresh = TensorSpace((("A", 2), ("B", 3)))
+        assert space == fresh and {fresh: 1}[space] == 1
+        reduced = reduced_density(FockKet(space, np.ones(6)), ["B"])
+        assert np.array_equal(reduced.matrix, reduced_density(FockKet(fresh, np.ones(6)), ["B"]).matrix)
+
+    def test_repeated_reduction_is_a_cache_hit(self):
+        space = TensorSpace((("A", 2), ("B", 3), ("C", 2)))
+        ket = FockKet(space, np.ones(12))
+        first = reduced_density(ket, ["C", "A"])
+        info = qops._reduction_plan.cache_info()
+        # an equal space built anew finds the same plan
+        again = reduced_density(FockKet(TensorSpace((("A", 2), ("B", 3), ("C", 2))), np.ones(12)), ("C", "A"))
+        after = qops._reduction_plan.cache_info()
+        assert (after.hits, after.misses) == (info.hits + 1, info.misses)
+        assert again.space is first.space and np.array_equal(again.matrix, first.matrix)
 
     def test_bad_labels_raise_after_a_good_reduction(self):
         ket = bell_ket()
