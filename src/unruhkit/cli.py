@@ -38,7 +38,6 @@ from .fermionic import R_MAX, R_MAX_TOL, fermionic_curve
 from .wavepacket import (
     BogoliubovKernel,
     LogGaussianParams,
-    MassiveKernel,
     alternate_packets,
     f_from_g,
     f_log_gaussian,
@@ -133,7 +132,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--mu", type=float, default=8.0, help="chirp / peak Unruh frequency")
     p.add_argument("--omega0", type=float, default=1.0, help="frequency scale (massless families)")
     p.add_argument("--mass", type=float, default=1.0, help="field mass (rapidity-gaussian)")
-    p.add_argument("--epsilon", type=int, choices=(-1, 1), default=1)
+    p.add_argument("--epsilon", type=int, choices=(-1, 1), default=1,
+                   help="mover index, +1 right or -1 left (massless families)")
     p.add_argument("--leakage-threshold", type=float, default=DEFAULT_LEAKAGE_THRESHOLD)
     p.add_argument("--x-min", type=float, default=None)
     p.add_argument("--x-max", type=float, default=None)
@@ -180,6 +180,8 @@ def _check_packet(args) -> None:
     omega_flags = (args.omega_max, args.omega_points)
     if any(v is not None for v in omega_flags) and not all(v is not None for v in omega_flags):
         raise ValueError("omega-max and omega-points must be given together")
+    if args.family == "rapidity-gaussian" and args.epsilon != 1:
+        raise ValueError("epsilon applies to the massless families: a massive field has no mover index")
     for flag, value in (("x-points", args.x_points), ("omega-points", args.omega_points)):
         if value is not None and value < 16:  # the fewest points a grid may have
             raise ValueError(f"{flag} must be >= 16, got {value}")
@@ -315,17 +317,15 @@ def _packet_pipeline(args):
     grids = [(args.x_points, args.x_min, args.x_max, "x-points"),
              (args.omega_points, 0.0, args.omega_max, "omega-points")]
     x_grid, omega_grid = (None if grid[0] is None else _grid(*grid) for grid in grids)
+    kernel = BogoliubovKernel(epsilon=args.epsilon)  # +1 for the massive family
+    params = LogGaussianParams(args.lam, args.mu, args.omega0)
     try:
         if args.family == "rapidity-gaussian":
-            kernel = MassiveKernel(args.mass)  # x is the rapidity: no length shift, eps = +1
-            f = rapidity_gaussian(args.lam, args.mu, kernel, x_grid=x_grid)
+            f = rapidity_gaussian(args.lam, args.mu, args.mass, x_grid=x_grid)
+        elif args.family == "log-gaussian":
+            f = f_log_gaussian(params, x_grid=x_grid)
         else:
-            kernel = BogoliubovKernel(epsilon=args.epsilon)
-            params = LogGaussianParams(args.lam, args.mu, args.omega0)
-            if args.family == "log-gaussian":
-                f = f_log_gaussian(params, x_grid=x_grid)
-            else:
-                f = alternate_packets(args.family, params, x_grid=x_grid)
+            f = alternate_packets(args.family, params, x_grid=x_grid)
         pair = g_from_f(f, kernel, omega_grid=omega_grid)
         back = f_from_g(pair, kernel, x_grid=f.x)
     except MemoryError as exc:

@@ -9,8 +9,9 @@ phase convention fixed so that the Bogoliubov coefficients are pure phases,
 
 the relation is exactly a Fourier transform between x = ln(omega l) on the
 Minkowski side and the signed variable +-Omega on the Unruh side: the real
-frequency line splits into Omega > 0 plus the R/L index.  All transforms
-here therefore work with the L2(dx) weight F(x) = sqrt(omega) f(omega) on a
+frequency line splits into Omega > 0 plus the R/L index.  A length l != 1
+only multiplies g_R, g_L by phases no diagnostic sees, so here l = 1.  All
+transforms work with the L2(dx) weight F(x) = sqrt(omega) f(omega) on a
 uniform x grid, where the rectangle rule is spectrally accurate, and with a
 uniform Omega >= 0 grid whose trapezoid endpoint weights at Omega = 0 fold
 the two half-lines back together exactly.
@@ -20,10 +21,11 @@ arcsinh(k/m) = ln[(omega_k + k)/m] in place of ln(omega l),
 
     alpha_R, alpha_L = (2 pi omega_k)^(-1/2) ((omega_k + k)/m)^(+-i Omega);
 
-right- and left-movers no longer decouple, so there is no eps index.  So
-one profile type serves both fields: it carries its map omega(x), e^x
-without a mass and m cosh x with one, and the same transforms take either
-kernel.
+right- and left-movers no longer decouple, so there is no eps index: a
+massive field takes eps = +1.  The mass travels with the data: a profile
+carries its map omega(x), e^x without a mass and m cosh x with one, and
+``g_from_f`` hands it on to the Unruh pair, from which ``f_from_g`` takes
+it.  So one kernel, the mover index alone, serves both fields.
 
 Both grids are uniform, so each transform is a chirp-z transform
 (Rabiner, Schafer & Rader, 1969): Bluestein's identity turns the
@@ -60,17 +62,19 @@ _EXP_UNDERFLOW = 745.2
 
 @dataclass(frozen=True)
 class BogoliubovKernel:
-    """Mover index eps (+1 right, -1 left) and the length convention l."""
+    """Mover index eps of a massless field: +1 right, -1 left; a massive one takes +1."""
 
     epsilon: int = 1
-    length_scale: float = 1.0
-    mass = None  # a massless field: x = ln(omega)
 
     def __post_init__(self):
         if self.epsilon not in (-1, 1):
             raise ValueError(f"epsilon must be +1 or -1, got {self.epsilon}")
-        if not 0.0 < self.length_scale < math.inf:  # so that NaN fails too
-            raise ValueError(f"length scale must be > 0 and finite, got {self.length_scale}")
+
+
+def _mover_index(kernel: BogoliubovKernel, mass) -> int:
+    if mass is not None and kernel.epsilon != 1:
+        raise ValueError("a massive field has no mover index: its kernel takes epsilon = +1")
+    return kernel.epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +107,7 @@ def _omega(x, mass):
 class MinkowskiSmearing:
     """Profile f sampled on a uniform grid in x, with its map omega(x).
 
-    Massless (``mass`` None): ``x`` holds ln(omega) (the l = 1 convention; a
-    kernel with l != 1 only shifts phases inside the transforms).  Massive:
+    Massless (``mass`` None): ``x`` holds ln(omega), with l = 1.  Massive:
     ``x`` is the rapidity arcsinh(k/m), so omega_k = m cosh x and the
     profile has a ``momentum`` k = m sinh x.  Either way the measure is
     omega dx, so the L2 weight in the Fourier variable is ``weight_x`` =
@@ -163,11 +166,12 @@ class MinkowskiSmearing:
 
 @dataclass(frozen=True, eq=False)
 class UnruhSmearingPair:
-    """Right/left Unruh profiles on a uniform Omega >= 0 grid starting at 0."""
+    """Right/left Unruh profiles on a uniform Omega >= 0 grid from 0, with the mass of their profile."""
 
     omega_grid: np.ndarray
     g_r: np.ndarray
     g_l: np.ndarray
+    mass: float | None = None
 
     def __post_init__(self):
         grid = np.array(_check_uniform(self.omega_grid), dtype=float)
@@ -181,14 +185,10 @@ class UnruhSmearingPair:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def d_omega(self) -> float:
-        return float(self.omega_grid[1] - self.omega_grid[0])
-
     def quadrature_weights(self) -> np.ndarray:
         # trapezoid: the half weight at Omega = 0 is exactly right once the
         # R and L half-lines are folded onto the same endpoint
-        w = np.full(self.omega_grid.size, self.d_omega)
+        w = np.full(self.omega_grid.size, _step(self.omega_grid))
         w[0] *= 0.5
         w[-1] *= 0.5
         return w
@@ -277,7 +277,7 @@ def _auto_x_grid(weight, center: float, half: float, dx: float, mass) -> tuple[n
         if not math.isfinite(total):
             # widening cannot mend an overflow, and each step costs 1.5x the memory
             raise GridError(
-                f"the profile is not finite on [{x[0]:.3f}, {x[-1]:.3f}]; "
+                f"the profile is not finite on [{x[0]:.4g}, {x[-1]:.4g}]; "
                 "its parameters leave the floating-point range"
             )
         if total > 0.0:
@@ -311,7 +311,7 @@ def _check_unit_norm(f):
             if math.isfinite(norm)  # else omega = e^x or m cosh x left the float range
             else "gives a profile that is not finite; its frequencies overflow or underflow"
         )
-        raise GridError(f"grid [{float(f.x[0]):.3f}, {float(f.x[-1]):.3f}] {why}")
+        raise GridError(f"grid [{float(f.x[0]):.4g}, {float(f.x[-1]):.4g}] {why}")
     return f
 
 
@@ -333,7 +333,7 @@ def f_log_gaussian(params: LogGaussianParams, x_grid=None) -> MinkowskiSmearing:
     f(omega) = (lambda / (pi omega^2))^(1/4)
                exp(-lambda ln^2(omega/omega0) / 2) (omega/omega0)^(-i mu).
 
-    Normalized analytically; mean of ln(omega l) is ln(omega0 l) and its
+    Normalized analytically; mean of ln(omega) is ln(omega0) and its
     spread is (2 lambda)^(-1/2).  With no explicit grid the bounds are
     auto-widened until the discarded tail is negligible.
     """
@@ -433,16 +433,16 @@ def _chirp_z(rows, t0, dt, w0, dw, m, sign):
     return out
 
 
-def _forward_transform(x, weight, omega_grid, eps, log_l):
+def _forward_transform(x, weight, omega_grid, eps):
     # the rectangle weight is the dx of ``norm_squared``, so Parseval compares like with like
     dx = _step(x)
-    args = (x[0] + log_l, dx, 0.0, _step(omega_grid), omega_grid.size, eps)
+    args = (x[0], dx, 0.0, _step(omega_grid), omega_grid.size, eps)
     return _chirp_z((weight, weight), *args) * (dx / math.sqrt(2.0 * math.pi))
 
 
-def _inverse_transform(x, pair: UnruhSmearingPair, eps, log_l):
+def _inverse_transform(x, pair: UnruhSmearingPair, eps):
     w = pair.quadrature_weights()
-    args = (0.0, _step(pair.omega_grid), x[0] + log_l, _step(x), x.size, -eps)
+    args = (0.0, _step(pair.omega_grid), x[0], _step(x), x.size, -eps)
     return _chirp_z((w * pair.g_r, w * pair.g_l), *args).sum(axis=0) / math.sqrt(2.0 * math.pi)
 
 
@@ -477,24 +477,24 @@ def _explicit_omega_grid(omega_grid, dx: float) -> np.ndarray:
 
 def g_from_f(
     f: MinkowskiSmearing,
-    kernel: BogoliubovKernel | MassiveKernel = BogoliubovKernel(),
+    kernel: BogoliubovKernel = BogoliubovKernel(),
     omega_grid=None,
 ) -> UnruhSmearingPair:
     """Unruh images g_R(Omega) = int alpha_R f domega and likewise g_L.
 
     Evaluated as the Fourier transform of F(x) = sqrt(omega) f at +-Omega.
-    A massive packet takes its ``MassiveKernel`` or the default kernel: the
-    rapidity has no mover index and no length shift.  Raises ``GridError``
-    when spectral mass piles up at the edge of the frequency window
-    (aliasing).
+    The pair takes the profile's ``mass``.  A massive profile has no mover
+    index, so its kernel must have eps = +1, the default.  Raises
+    ``GridError`` when spectral mass piles up at the edge of the frequency
+    window (aliasing).
     """
+    eps = _mover_index(kernel, f.mass)
     weight = f.weight_x()
     if omega_grid is None:
         omega_grid = _default_omega_grid(f.x, weight)
     else:
         omega_grid = _explicit_omega_grid(omega_grid, f.dx)
-    images = _forward_transform(f.x, weight, omega_grid, kernel.epsilon, math.log(kernel.length_scale))
-    pair = UnruhSmearingPair(omega_grid, *images)
+    pair = UnruhSmearingPair(omega_grid, *_forward_transform(f.x, weight, omega_grid, eps), f.mass)
     density = np.abs(pair.g_r) ** 2 + np.abs(pair.g_l) ** 2
     peak = float(density.max())
     if peak > 0.0 and float(density[-1]) > 1e-10 * peak:
@@ -506,16 +506,16 @@ def g_from_f(
     return pair
 
 
-def f_from_g(
-    pair: UnruhSmearingPair, kernel: BogoliubovKernel | MassiveKernel, x_grid
-) -> MinkowskiSmearing:
+def f_from_g(pair: UnruhSmearingPair, kernel: BogoliubovKernel, x_grid) -> MinkowskiSmearing:
     """Inverse transform f = int [alpha_R* g_R + alpha_L* g_L] dOmega on a uniform x grid.
 
-    The profile takes the kernel's ``mass`` and with it the map omega(x).
+    The profile takes the pair's ``mass`` and with it the map omega(x); a
+    massive pair needs a kernel with eps = +1.
     """
+    eps = _mover_index(kernel, pair.mass)
     x_grid = _check_uniform(np.asarray(x_grid, dtype=float))
-    weight = _inverse_transform(x_grid, pair, kernel.epsilon, math.log(kernel.length_scale))
-    return MinkowskiSmearing(x_grid, weight / np.sqrt(_omega(x_grid, kernel.mass)), kernel.mass)
+    weight = _inverse_transform(x_grid, pair, eps)
+    return MinkowskiSmearing(x_grid, weight / np.sqrt(_omega(x_grid, pair.mass)), pair.mass)
 
 
 def closed_form_g(
@@ -525,8 +525,8 @@ def closed_form_g(
 ) -> UnruhSmearingPair:
     """Cropped-Gaussian Unruh images of the log-Gaussian packet.
 
-    g_R = (pi lambda)^(-1/4) exp[-(Omega - eps mu)^2 / (2 lambda)] (omega0 l)^(+i eps Omega),
-    g_L = (pi lambda)^(-1/4) exp[-(Omega + eps mu)^2 / (2 lambda)] (omega0 l)^(-i eps Omega).
+    g_R = (pi lambda)^(-1/4) exp[-(Omega - eps mu)^2 / (2 lambda)] omega0^(+i eps Omega),
+    g_L = (pi lambda)^(-1/4) exp[-(Omega + eps mu)^2 / (2 lambda)] omega0^(-i eps Omega).
 
     For eps mu >> sqrt(lambda) the left image is exponentially small and the
     right one peaks at Omega = eps mu with spread sqrt(lambda/2).
@@ -537,13 +537,13 @@ def closed_form_g(
     else:
         omega_grid = _check_uniform(np.asarray(omega_grid, dtype=float))
     lam, mu, eps = params.lam, params.mu, kernel.epsilon
-    log_w0l = math.log(params.omega0 * kernel.length_scale)
+    log_w0 = math.log(params.omega0)
     amp = (math.pi * lam) ** -0.25
     g_r = amp * np.exp(-((omega_grid - eps * mu) ** 2) / (2.0 * lam)) * np.exp(
-        1j * eps * omega_grid * log_w0l
+        1j * eps * omega_grid * log_w0
     )
     g_l = amp * np.exp(-((omega_grid + eps * mu) ** 2) / (2.0 * lam)) * np.exp(
-        -1j * eps * omega_grid * log_w0l
+        -1j * eps * omega_grid * log_w0
     )
     return UnruhSmearingPair(omega_grid, g_r, g_l)
 
@@ -573,7 +573,7 @@ class PeakingReport(NamedTuple):
 
     ``delta_omega`` is the spread of the signed Unruh variable (+Omega for
     the sector carrying e^{+i eps Omega x}, -Omega for the other), which is
-    the Fourier conjugate of x = ln(omega l); ``uncertainty_product`` is its
+    the Fourier conjugate of x = ln omega or the rapidity; ``uncertainty_product`` is its
     product with ``delta_log_omega`` and satisfies the >= 1/2 bound up to
     quadrature error.  ``leakage`` is the norm fraction in the minor sector;
     the single-mode approximation is declared valid when the leakage stays
@@ -604,20 +604,19 @@ def _signed_moments(pair: UnruhSmearingPair, eps: int) -> tuple[float, float]:
 def peaking_report_from_pair(
     f: MinkowskiSmearing,
     pair: UnruhSmearingPair,
-    kernel: BogoliubovKernel | MassiveKernel = BogoliubovKernel(),
+    kernel: BogoliubovKernel = BogoliubovKernel(),
     leakage_threshold: float = DEFAULT_LEAKAGE_THRESHOLD,
 ) -> PeakingReport:
     """Peaking diagnostics for an already-computed Unruh image.
 
-    A massive packet takes its ``MassiveKernel`` or the default kernel: its
-    x is the rapidity, with no length shift and the sign of eps = +1.
+    The spread in x is that of ``f.x``: ln omega, or the rapidity of a
+    massive packet, whose kernel is the default one with eps = +1.
     """
     _, delta_omega = _signed_moments(pair, kernel.epsilon)
     density_x = np.abs(f.weight_x()) ** 2
     total_x = float(density_x.sum()) * f.dx
-    xl = f.x + math.log(kernel.length_scale)
-    mean_x = float(np.sum(xl * density_x) * f.dx / total_x)
-    delta_x = math.sqrt(max(float(np.sum((xl - mean_x) ** 2 * density_x) * f.dx / total_x), 0.0))
+    mean_x = float(np.sum(f.x * density_x) * f.dx / total_x)
+    delta_x = math.sqrt(max(float(np.sum((f.x - mean_x) ** 2 * density_x) * f.dx / total_x), 0.0))
     norm_r, norm_l = pair.sector_norms()
     total = norm_r + norm_l
     leakage = min(norm_r, norm_l) / total
@@ -635,7 +634,7 @@ def peaking_report_from_pair(
 
 def peaking_report(
     f: MinkowskiSmearing,
-    kernel: BogoliubovKernel | MassiveKernel = BogoliubovKernel(),
+    kernel: BogoliubovKernel = BogoliubovKernel(),
     omega_grid=None,
     leakage_threshold: float = DEFAULT_LEAKAGE_THRESHOLD,
 ) -> PeakingReport:
@@ -648,28 +647,13 @@ def peaking_report(
 # massive scalar field: rapidity replaces ln(omega l)
 
 
-@dataclass(frozen=True)
-class MassiveKernel:
-    """Mass scale of the field; omega_k = sqrt(m^2 + k^2) >= m.
-
-    The rapidity has no mover index and no length shift, so the transforms
-    see eps = +1 and l = 1, as with the default ``BogoliubovKernel``.
-    """
-
-    mass: float
-    epsilon = 1
-    length_scale = 1.0
-
-    def __post_init__(self):
-        if not self.mass > 0.0:  # so that a NaN mass fails too
-            raise ValueError(f"mass must be > 0, got {self.mass}")
-
-
-def rapidity_gaussian(lam: float, mu: float, kernel: MassiveKernel, x_grid=None) -> MinkowskiSmearing:
-    """Packet Gaussian in rapidity with chirp phase e^{-i mu x}, centred on k = 0."""
+def rapidity_gaussian(lam: float, mu: float, mass: float, x_grid=None) -> MinkowskiSmearing:
+    """Packet Gaussian in rapidity with chirp phase e^{-i mu x}, centred on k = 0; omega_k = m cosh x."""
+    if not mass > 0.0:  # NaN too, before sampling: the grid search would misreport it
+        raise ValueError(f"mass must be > 0, got {mass}")
     params = LogGaussianParams(lam, mu)
     weight = _log_gaussian_weight(params, 0.0)
-    return _packet_from_weight(weight, x_grid, 0.0, *_gaussian_window(params), mass=kernel.mass)
+    return _packet_from_weight(weight, x_grid, 0.0, *_gaussian_window(params), mass=mass)
 
 
 # The benchmark's tracer (perfbench/tracer.py) wraps the names of the massive

@@ -26,7 +26,6 @@ from unruhkit.fermionic import (
 from unruhkit.wavepacket import (
     BogoliubovKernel,
     LogGaussianParams,
-    MassiveKernel,
     alternate_packets,
     closed_form_g,
     f_log_gaussian,
@@ -215,9 +214,9 @@ def test_criterion_10_alternate_and_massive_packets():
         assert parseval_residual(f, pair) < 1e-6
         assert round_trip_error(f) < 1e-6
     massless = f_log_gaussian(LogGaussianParams(1.0, 5.0, omega0=1.0))
-    massive = rapidity_gaussian(1.0, 5.0, MassiveKernel(1.0))
+    massive = rapidity_gaussian(1.0, 5.0, 1.0)
     pair_a = g_from_f(massless, BogoliubovKernel(epsilon=1))
-    pair_b = g_from_f(massive, MassiveKernel(1.0), omega_grid=pair_a.omega_grid)
+    pair_b = g_from_f(massive, omega_grid=pair_a.omega_grid)
     gap = max(
         float(np.max(np.abs(pair_a.g_r - pair_b.g_r))),
         float(np.max(np.abs(pair_a.g_l - pair_b.g_l))),

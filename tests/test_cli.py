@@ -398,6 +398,20 @@ class TestPacketCommand:
         assert main(["packet", "--family", "rapidity-gaussian", "--mass", "nan"]) == EXIT_USAGE
         assert "mass must be > 0" in capsys.readouterr().err
 
+    def test_the_massive_family_takes_no_left_mover_index(self, tmp_path, capsys):
+        # --epsilon -1 was computed as +1 and reported as -1
+        out = tmp_path / "report.json"
+        argv = ["packet", "--family", "rapidity-gaussian", "--epsilon", "-1", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert "a massive field has no mover index" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_ends_in_messages_are_short(self, capsys):
+        # written with .3f, each end of this window took 300 digits
+        assert main(["packet", "--x-min", "-1e300", "--x-max", "1e300", "--x-points", "16"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "grid [-1e+300, 1e+300] " in err and len(err) < 200
+
     @pytest.mark.parametrize("family", ["log-gaussian", "rapidity-gaussian"])
     @pytest.mark.parametrize("flag, value", [
         ("lam", "nan"), ("lam", "inf"), ("mu", "nan"), ("mu", "inf"), ("mu", "-inf"),

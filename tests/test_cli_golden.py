@@ -1,11 +1,14 @@
 """CLI output bytes against golden files in tests/data.
 
-Each file holds what one command wrote with ``--out``.  An optimisation must
-leave every byte in place.  A change that moves outputs on purpose rewrites
-the files with ``python tests/test_cli_golden.py`` and lists every moved
-field.
+Each sweep file holds what one command wrote with ``--out``; each packet
+case holds its stdout (``.txt``) and its ``--out`` report (``.json``).  An
+optimisation must leave every byte in place.  A change that moves outputs on
+purpose rewrites the files with ``python tests/test_cli_golden.py`` and
+lists every moved field.
 """
 
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -31,6 +34,20 @@ CASES = {
     "boson_extremal.csv": (["boson", "--q", "1,0", "--r-min", "4", "--r-max", "10", "--steps", "4"], ""),
 }
 
+#: golden stem -> packet argv without --out; <stem>.txt is its stdout, <stem>.json its report
+PACKET_CASES = {
+    "packet_readme": ["packet", "--family", "log-gaussian", "--lam", "1", "--mu", "8"],
+    "packet_left_mover": ["packet", "--family", "log-gaussian", "--lam", "1.7", "--mu", "3",
+                          "--omega0", "2", "--epsilon", "-1"],
+    "packet_gamma": ["packet", "--family", "gamma", "--lam", "0.3", "--mu", "8"],
+    "packet_bessel": ["packet", "--family", "bessel", "--lam", "0.2", "--mu", "8"],
+    "packet_rapidity": ["packet", "--family", "rapidity-gaussian", "--lam", "0.05", "--mu", "5",
+                        "--mass", "2.5"],
+    "packet_explicit_grids": ["packet", "--family", "log-gaussian", "--lam", "1", "--mu", "8",
+                              "--x-min", "-6", "--x-max", "6", "--x-points", "3000",
+                              "--omega-max", "40", "--omega-points", "2000"],
+}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes_match_the_golden_file(name, tmp_path, capsys):
@@ -41,7 +58,24 @@ def test_output_bytes_match_the_golden_file(name, tmp_path, capsys):
     assert out.read_bytes() == (DATA / name).read_bytes()
 
 
+@pytest.mark.parametrize("stem", sorted(PACKET_CASES))
+def test_packet_bytes_match_the_golden_files(stem, tmp_path, capsys):
+    out = tmp_path / f"{stem}.json"
+    assert main(PACKET_CASES[stem] + ["--out", str(out)]) == EXIT_OK
+    stdout, stderr = capsys.readouterr()
+    assert stderr == ""
+    assert stdout.encode() == (DATA / f"{stem}.txt").read_bytes()
+    assert out.read_bytes() == (DATA / f"{stem}.json").read_bytes()
+
+
 if __name__ == "__main__":
     for name, (argv, _) in CASES.items():
         if main(argv + ["--out", str(DATA / name)]) != EXIT_OK:
             sys.exit(f"{name}: the command failed")
+    for stem, argv in PACKET_CASES.items():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            status = main(argv + ["--out", str(DATA / f"{stem}.json")])
+        if status != EXIT_OK:
+            sys.exit(f"{stem}: the command failed")
+        (DATA / f"{stem}.txt").write_bytes(stdout.getvalue().encode())

@@ -12,7 +12,6 @@ from unruhkit.errors import GridError
 from unruhkit.wavepacket import (
     BogoliubovKernel,
     LogGaussianParams,
-    MassiveKernel,
     MinkowskiSmearing,
     UnruhSmearingPair,
     alternate_packets,
@@ -39,15 +38,18 @@ def direct_sum(v, t, w, sign):
 
 
 class TestBogoliubovKernel:
-    @pytest.mark.parametrize("epsilon, length_scale, message", [
-        (1, math.nan, "length scale must be > 0 and finite"),
-        (1, math.inf, "length scale must be > 0 and finite"),
-        (2, 1.0, "epsilon must be"),
-    ])
-    def test_bad_epsilon_or_length_scale_rejected(self, epsilon, length_scale, message):
-        # a NaN length scale used to pass, and g_from_f then gave all-NaN images
-        with pytest.raises(ValueError, match=message):
-            BogoliubovKernel(epsilon, length_scale)
+    @pytest.mark.parametrize("epsilon", [2, 0])
+    def test_bad_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be"):
+            BogoliubovKernel(epsilon)
+
+    def test_a_massive_packet_has_no_mover_index(self):
+        f = rapidity_gaussian(1.0, 4.0, 1.0)
+        left = BogoliubovKernel(epsilon=-1)
+        with pytest.raises(ValueError, match="no mover index"):
+            g_from_f(f, left)
+        with pytest.raises(ValueError, match="no mover index"):
+            f_from_g(g_from_f(f), left, x_grid=f.x)
 
 
 class TestLogGaussian:
@@ -119,7 +121,7 @@ class TestTransformPair:
 
     def test_closed_form_with_nontrivial_scales(self):
         params = LogGaussianParams(1.7, 3.0, omega0=2.0)
-        kernel = BogoliubovKernel(epsilon=-1, length_scale=1.5)
+        kernel = BogoliubovKernel(epsilon=-1)
         f = f_log_gaussian(params)
         pair = g_from_f(f, kernel)
         exact = closed_form_g(params, kernel, omega_grid=pair.omega_grid)
@@ -188,31 +190,27 @@ class TestChirpZ:
         span=st.floats(1.0, 40.0),
         reach=st.floats(0.1, 1.0),
         eps=st.sampled_from([-1, 1]),
-        length=st.floats(0.05, 20.0).filter(lambda v: abs(v - 1.0) > 1e-3),
         seed=st.integers(0, 2**32 - 1),
     )
     # the rounding of x[1] - x[0], taken as the step, would shift the last
     # phase by n_x ulp(x0) pi/dx, here about 1e-9
-    @example(n_x=400, n_omega=399, x0=48.3, span=1.7, reach=1.0, eps=1, length=2.0, seed=0)
-    def test_forward_and_inverse_match_direct_sum(
-        self, n_x, n_omega, x0, span, reach, eps, length, seed
-    ):
+    @example(n_x=400, n_omega=399, x0=48.3, span=1.7, reach=1.0, eps=1, seed=0)
+    def test_forward_and_inverse_match_direct_sum(self, n_x, n_omega, x0, span, reach, eps, seed):
         rng = np.random.default_rng(seed)
         x = np.linspace(x0, x0 + span, n_x)
         omega = np.linspace(0.0, reach * math.pi * (n_x - 1) / span, n_omega)
-        t = x + math.log(length)
         weight = rng.normal(size=n_x) + 1j * rng.normal(size=n_x)
-        g_r, g_l = _forward_transform(x, weight, omega, eps, math.log(length))
+        g_r, g_l = _forward_transform(x, weight, omega, eps)
         scale = (x[1] - x[0]) / math.sqrt(2.0 * math.pi)
         for got, sign in ((g_r, eps), (g_l, -eps)):
-            ref = scale * direct_sum(weight, t, omega, sign)
+            ref = scale * direct_sum(weight, x, omega, sign)
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
         g = rng.normal(size=(2, n_omega)) + 1j * rng.normal(size=(2, n_omega))
         pair = UnruhSmearingPair(omega, *g)
         w = pair.quadrature_weights()
-        ref = direct_sum(w * pair.g_r, omega, t, -eps) + direct_sum(w * pair.g_l, omega, t, eps)
-        got = _inverse_transform(x, pair, eps, math.log(length)) * math.sqrt(2.0 * math.pi)
+        ref = direct_sum(w * pair.g_r, omega, x, -eps) + direct_sum(w * pair.g_l, omega, x, eps)
+        got = _inverse_transform(x, pair, eps) * math.sqrt(2.0 * math.pi)
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_large_grids_are_not_capped(self):
@@ -239,10 +237,9 @@ class TestChirpZ:
                 return _transform(a, *args, **kwargs)
 
             monkeypatch.setattr(fft, name, counted)
-        for f, kernel in ((f_log_gaussian(LogGaussianParams(1.0, 8.0)), BogoliubovKernel()),
-                          (rapidity_gaussian(1.0, 5.0, MassiveKernel(1.0)), MassiveKernel(1.0))):
+        for f in (f_log_gaussian(LogGaussianParams(1.0, 8.0)), rapidity_gaussian(1.0, 5.0, 1.0)):
             transforms.clear()
-            f_from_g(g_from_f(f, kernel), kernel, f.x)
+            f_from_g(g_from_f(f), BogoliubovKernel(), f.x)
             assert sum(transforms) == 10
 
 
@@ -377,7 +374,7 @@ class TestPeakingReport:
 
 class TestMassive:
     def test_rapidity_gaussian_normalized(self):
-        f = rapidity_gaussian(1.0, 5.0, MassiveKernel(1.0))
+        f = rapidity_gaussian(1.0, 5.0, 1.0)
         assert abs(f.norm_squared() - 1.0) < 1e-12
 
     def test_matches_massless_pipeline_under_variable_map(self):
@@ -385,33 +382,31 @@ class TestMassive:
         # Unruh images; this is the content of the massless -> massive map
         lam, mu = 1.0, 5.0
         massless = f_log_gaussian(LogGaussianParams(lam, mu, omega0=1.0))
-        massive = rapidity_gaussian(lam, mu, MassiveKernel(1.0))
+        massive = rapidity_gaussian(lam, mu, 1.0)
         assert np.allclose(massless.x, massive.x)
         pair_a = g_from_f(massless, BogoliubovKernel(epsilon=1))
-        pair_b = g_from_f(massive, MassiveKernel(1.0), omega_grid=pair_a.omega_grid)
+        pair_b = g_from_f(massive, omega_grid=pair_a.omega_grid)
         assert np.max(np.abs(pair_a.g_r - pair_b.g_r)) < 1e-6
         assert np.max(np.abs(pair_a.g_l - pair_b.g_l)) < 1e-6
 
     def test_parseval_and_round_trip(self):
-        kernel = MassiveKernel(2.0)
-        f = rapidity_gaussian(1.0, 4.0, kernel)
-        pair = g_from_f(f, kernel)
+        f = rapidity_gaussian(1.0, 4.0, 2.0)
+        pair = g_from_f(f)
         assert abs(f.norm_squared() - pair.norm_squared()) < 1e-6
-        back = f_from_g(pair, kernel, f.x)
+        back = f_from_g(pair, BogoliubovKernel(), f.x)
         assert f.l2_distance(back) < 1e-6
 
     def test_peaked_at_chirp_frequency(self):
-        kernel = MassiveKernel(1.0)
-        report = peaking_report(rapidity_gaussian(1.0, 6.0, kernel), kernel)
+        report = peaking_report(rapidity_gaussian(1.0, 6.0, 1.0))
         assert abs(report.peak_omega - 6.0) < 0.1
         assert report.sma_valid
 
     def test_no_chirp_symmetry(self):
-        pair = g_from_f(rapidity_gaussian(1.0, 0.0, MassiveKernel(1.0)))
+        pair = g_from_f(rapidity_gaussian(1.0, 0.0, 1.0))
         assert np.max(np.abs(np.abs(pair.g_r) - np.abs(pair.g_l))) < 1e-12
 
     def test_momentum_and_frequency_grids(self):
-        f = rapidity_gaussian(1.0, 0.0, MassiveKernel(2.0))
+        f = rapidity_gaussian(1.0, 0.0, 2.0)
         assert np.allclose(f.omega, np.hypot(2.0, f.momentum))
         assert f.omega.min() >= 2.0
 
@@ -421,18 +416,20 @@ class TestMassive:
         assert not hasattr(f, "momentum")
 
     def test_normalized_keeps_the_mass(self):
-        f = rapidity_gaussian(1.0, 3.0, MassiveKernel(2.5))
+        f = rapidity_gaussian(1.0, 3.0, 2.5)
         back = MinkowskiSmearing(f.x, 3.0 * f.samples, f.mass).normalized()
         assert f.normalized().mass == back.mass == 2.5
         assert np.array_equal(back.omega, f.omega)
         assert abs(back.norm_squared() - 1.0) < 1e-12
 
-    def test_inverse_takes_the_mass_of_the_kernel(self):
-        # without the kernel's mass the inverse would divide by sqrt(e^x),
-        # not sqrt(m cosh x), and miss the profile by far more than 1e-6
-        kernel = MassiveKernel(1.7)
-        f = rapidity_gaussian(1.0, 4.0, kernel)
-        back = f_from_g(g_from_f(f, kernel), kernel, x_grid=f.x)
+    def test_inverse_takes_the_mass_of_the_pair(self):
+        # without the pair's mass the inverse would divide by sqrt(e^x), not
+        # sqrt(m cosh x), and miss the profile by 0.47 while its L2 weight,
+        # and so the round-trip distance, still matched
+        f = rapidity_gaussian(1.0, 4.0, 1.7)
+        pair = g_from_f(f)
+        assert pair.mass == 1.7
+        back = f_from_g(pair, BogoliubovKernel(), x_grid=f.x)
         assert back.mass == 1.7
         assert np.allclose(back.omega, np.hypot(1.7, back.momentum), rtol=1e-14, atol=0.0)
         assert np.max(np.abs(back.samples - f.samples)) < 1e-6
@@ -443,7 +440,30 @@ class TestMassive:
         with pytest.raises(ValueError, match="mass must be > 0"):
             MinkowskiSmearing(x, np.ones_like(x, dtype=complex), mass)
         with pytest.raises(ValueError, match="mass must be > 0"):
-            MassiveKernel(mass)
+            rapidity_gaussian(1.0, 5.0, mass)
+
+    @pytest.mark.parametrize("mass", [0.0, -1.0, float("nan")])
+    def test_rapidity_gaussian_rejects_a_bad_mass_before_sampling(self, mass, monkeypatch):
+        # sampled, a bad mass was misreported as "omega(x) leaves the floating-point range"
+        def sample(*args, **kwargs):
+            raise AssertionError("the profile was sampled")
+
+        monkeypatch.setattr(wavepacket, "_packet_from_weight", sample)
+        with pytest.raises(ValueError, match="mass must be > 0"):
+            rapidity_gaussian(1.0, 5.0, mass)
+
+    def test_inverse_of_a_hand_built_massive_pair(self):
+        # one inverse transform, two maps omega(x): the L2 weights agree and the
+        # samples differ by sqrt(omega)
+        grid = np.linspace(0.0, 8.0, 400)
+        g_r = np.exp(-((grid - 3.0) ** 2)).astype(complex)
+        x = np.linspace(-4.0, 4.0, 200)
+        massless = f_from_g(UnruhSmearingPair(grid, g_r, 0.0 * g_r), BogoliubovKernel(), x)
+        massive = f_from_g(UnruhSmearingPair(grid, g_r, 0.0 * g_r, 2.0), BogoliubovKernel(), x)
+        assert massless.mass is None and massive.mass == 2.0
+        assert np.allclose(massive.weight_x(), massless.weight_x(), rtol=1e-14, atol=0.0)
+        ratio = np.sqrt(np.exp(x) / (2.0 * np.cosh(x)))
+        assert np.allclose(massive.samples, ratio * massless.samples, rtol=1e-14, atol=0.0)
 
 
 class TestGridValidation:
@@ -479,12 +499,12 @@ class TestGridValidation:
         # the massless and the massive transform reject a window 3x past pi/dx
         # with the same message
         massless = f_log_gaussian(LogGaussianParams(1.0, 2.0))
-        massive = rapidity_gaussian(1.0, 2.0, MassiveKernel(1.0))
+        massive = rapidity_gaussian(1.0, 2.0, 1.0)
         messages = []
-        for kernel, f in ((BogoliubovKernel(), massless), (MassiveKernel(1.0), massive)):
+        for f in (massless, massive):
             grid = np.linspace(0.0, 3.0 * math.pi / f.dx, 512)
             with pytest.raises(GridError, match="Nyquist limit") as err:
-                g_from_f(f, kernel, omega_grid=grid)
+                g_from_f(f, omega_grid=grid)
             messages.append(str(err.value))
         # the two profiles share their grid, so the messages must agree
         assert massless.dx == massive.dx
@@ -500,7 +520,7 @@ class TestGridValidation:
             assert len(calls) == 1, "the grid was widened around a non-finite profile"
             return np.full(x.size, np.nan)
 
-        with pytest.raises(GridError, match="not finite"):
+        with pytest.raises(GridError, match=r"not finite on \[-10, 10\]"):
             _auto_x_grid(weight, 0.0, 10.0, 0.1, None)
 
     @pytest.mark.parametrize("mass", [None, 1.0])
@@ -518,7 +538,7 @@ class TestGridValidation:
         (lambda: f_log_gaussian(LogGaussianParams(1.0, 8.0)), 1),
         (lambda: alternate_packets("gamma", LogGaussianParams(0.3, 8.0)), 3),
         (lambda: alternate_packets("bessel", LogGaussianParams(0.2, 8.0)), 1),
-        (lambda: rapidity_gaussian(0.05, 5.0, MassiveKernel(1.0)), 1),
+        (lambda: rapidity_gaussian(0.05, 5.0, 1.0), 1),
     ], ids=["log-gaussian", "gamma", "bessel", "rapidity-gaussian"])
     def test_auto_grid_samples_the_profile_once_per_step(self, build, steps, monkeypatch):
         # each widening step samples a wider window, and the packet keeps the
@@ -561,7 +581,7 @@ class TestGridValidation:
         [
             lambda: f_log_gaussian(LogGaussianParams(1e-4, 8.0)),
             lambda: alternate_packets("bessel", LogGaussianParams(0.04, 8.0)),
-            lambda: rapidity_gaussian(1e-4, 8.0, MassiveKernel(1.0)),
+            lambda: rapidity_gaussian(1e-4, 8.0, 1.0),
         ],
         ids=["log-gaussian", "bessel", "rapidity-gaussian"],
     )
