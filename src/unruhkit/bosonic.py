@@ -20,9 +20,10 @@ Two evaluation routes are provided:
   an exact 0 is certified to 1e-7.  That floor also picks n_max: the first
   level of the ladder 1, 2, 4, ..., N_MAX_CAP at which both widths meet
   0.1 DELTA_TOL, or the cap; past r = 19.06 (tanh r = 1) the route reports
-  0 unconverged unevaluated.  A curve is solved in one vectorised batch per
-  n_max, a point as a curve of one.  The labelled-tensor route (``qops``)
-  on the raw ``joint_state``, ``_qops_pair``, is the engine's test oracle.
+  0 unconverged unevaluated.  A curve builds both sides' bands once per
+  memory chunk, at its top n_max, and solves each row at its own; a point
+  is a curve of one.  The labelled-tensor route (``qops``) on the raw
+  ``joint_state``, ``_qops_pair``, is the engine's independent test oracle.
 
 * ``blocks``: for the extremal weights |q_R| in {0, 1} the partial
   transpose is block diagonal in 2x2 sectors and the negativity is an
@@ -48,14 +49,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .qops import (
-    DensityOperator,
-    FockKet,
-    TensorSpace,
-    negativity,
-    negativity_from_eigenvalues,
-    reduced_density,
-)
+from .qops import NEGATIVITY_CUTOFF, DensityOperator, FockKet, TensorSpace, negativity, reduced_density
 from .weights import UnruhWeights
 
 N_MAX_CAP = 120
@@ -75,8 +69,8 @@ _SERIES_HEAD = 4096
 #: its head and tail follow the terms down to e^-60 < 1e-26 of the first
 _SERIES_DECAY = 60.0
 
-#: rows x levels per band build: at most 0.8 MB of bands, however many points
-_CHUNK_ELEMENTS = 1 << 14
+#: rows x levels per band build of both sides: at most 0.8 MB of bands, however many points
+_CHUNK_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,7 @@ class BosonSqueezing:
         """
         if not (omega_a > 0.0 and a > 0.0) or omega_a == a == math.inf:  # NaN and inf/inf fail
             raise ValueError(f"omega_a and a must be > 0 and not both inf, got {omega_a}, {a}")
-        z = math.pi * omega_a / (2.0 * a)
+        z = omega_a / a * (0.5 * math.pi)  # the ratio first: pi omega_a may overflow or underflow
         if z >= 1.0:
             return cls(math.atanh(math.exp(-2.0 * z)))
         t = math.tanh(z)
@@ -178,7 +172,7 @@ class NegativityPair(NamedTuple):
 
 
 def _sector_bands(r: float | np.ndarray, abs_r: float, abs_l: float, n_max: int) -> np.ndarray:
-    """Parity sectors of the Alice-Rob partial transpose in lower band storage.
+    """Parity sectors of the Alice-Rob and Alice-AntiRob partial transposes in lower band storage.
 
     The partial transpose couples |a, m> with |a', m'> (a Alice's occupation,
     m region I's) only when a + m = a' + m' (mod 2).  Sector p holds the
@@ -194,27 +188,29 @@ def _sector_bands(r: float | np.ndarray, abs_r: float, abs_l: float, n_max: int)
         offset 2  |q_L| |q_R| b_i b_{i+1}             a_i = 1 (0 where a_i = 0)
 
     These are the entries of the untruncated partial transpose (sum f^2 =
-    sum b^2 = 1), so the (2, 3, n_max + 1) bands are its exact leading
-    principal block, with b_{n_max} on the diagonal.  Local phases on M, I
-    and II remove the phases of the weights exactly, so only their
-    magnitudes enter.  An array of m squeezing values gives shape
-    (m, 2, 3, n_max + 1).
+    sum b^2 = 1), so the first n + 1 columns of the (2, 3, n_max + 1) bands
+    are its exact leading principal block at any level n <= n_max, with b_n
+    on the diagonal.  Local phases on M, I and II remove the phases of the
+    weights exactly, so only their magnitudes enter.  Alice-AntiRob is
+    Alice-Rob with the weights exchanged (I <-> II relabeling); an array of
+    m squeezing values gives shape (m, 2, 2, 3, n_max + 1): row, side,
+    sector, band, level.
     """
     d = n_max + 1
     f_all = vacuum_coefficients(r, n_max + 1)
-    f, f_next = f_all[..., :d], f_all[..., 1:]
     # math.cosh, not np.cosh: the two differ in the last bit for some r
     cosh = np.reshape([math.cosh(x) for x in np.ravel(r)], np.shape(r) + (1,))
     # b[..., k + 1] = b_k for k = -1..n_max + 1, with b_{-1} = 0
     b = np.concatenate([np.zeros_like(cosh), f_all * np.sqrt(np.arange(d + 1) + 1.0) / cosh],
                        axis=-1)
-    b_prev, b_i, b_next = b[..., :d], b[..., 1 : d + 1], b[..., 2:]
-    empty = np.stack([f * f, abs_l * f_next * b_i, np.zeros_like(f)], axis=-2)
-    occupied = np.stack([
-        abs_r**2 * b_prev**2 + abs_l**2 * b_i**2,
-        abs_r * f * b_i,
-        abs_l * abs_r * b_i * b_next,
-    ], axis=-2)
+    # a side axis, on which the weights (x, y) are (|q_R|, |q_L|) and then (|q_L|, |q_R|)
+    f, f_next = f_all[..., None, :d], f_all[..., None, 1:]
+    b_prev, b_i, b_next = b[..., None, :d], b[..., None, 1 : d + 1], b[..., None, 2:]
+    x, x2 = np.array([[abs_r], [abs_l]]), np.array([[abs_r**2], [abs_l**2]])
+    y, y2 = x[::-1], x2[::-1]
+    empty = np.stack(np.broadcast_arrays(f * f, y * f_next * b_i, 0.0), axis=-2)
+    occupied = np.stack(np.broadcast_arrays(
+        x2 * b_prev**2 + y2 * b_i**2, x * f * b_i, abs_l * abs_r * b_i * b_next), axis=-2)
     odd = np.arange(d) % 2 == 1
     # LAPACK never reads the band padding past the block
     return 0.5 * np.stack([np.where(odd, occupied, empty), np.where(odd, empty, occupied)], axis=-3)
@@ -248,26 +244,29 @@ def _lapack() -> tuple:
     return sys.modules[name].dpbtrf, sys.modules[name].dsbevd
 
 
-def _principal_negativities(r: np.ndarray, abs_r: float, abs_l: float, n_max: int) -> np.ndarray:
-    """(N_AR, N_AAR) of the leading (n_max + 1)-level blocks, one row per r.
+def _principal_negativities(r: np.ndarray, n_max: list[int], abs_r: float, abs_l: float) -> np.ndarray:
+    """(N_AR, N_AAR) of the leading (n_max + 1)-level blocks, one row per r and its n_max.
 
-    Each sector gets one LAPACK ?sbevd solve, with the checks scipy's banded
-    wrappers make.  A minor-side sector that ?pbtrf factors is positive
-    definite and adds 0 at O(n), without an eigensolve.
+    A chunk of rows shares one band build at its top level; each row is
+    solved on its leading n_max + 1 columns, each sector by one LAPACK ?sbevd
+    with the checks scipy's banded wrappers make.  A minor-side sector that
+    ?pbtrf factors is positive definite and adds 0 at O(n), without an
+    eigensolve.  N is minus the sum of the eigenvalues below NEGATIVITY_CUTOFF.
     """
     pbtrf, sbevd = _lapack()
     values = np.zeros((r.size, 2))
-    step = max(1, _CHUNK_ELEMENTS // (n_max + 1))
+    minor = (abs_r < abs_l, abs_l < abs_r)
+    step = max(1, _CHUNK_ELEMENTS // (max(n_max, default=0) + 1))
     for start in range(0, r.size, step):
-        # Alice-AntiRob is Alice-Rob with the weights exchanged (I <-> II relabeling)
-        for side, (x, y) in enumerate(((abs_r, abs_l), (abs_l, abs_r))):
-            bands = _sector_bands(r[start : start + step], x, y, n_max)
-            if not np.isfinite(bands).all():
-                raise ValueError("array must not contain infs or NaNs")
-            for row, sectors in enumerate(bands, start):
+        levels = n_max[start : start + step]
+        bands = _sector_bands(r[start : start + step], abs_r, abs_l, max(levels))
+        if not np.isfinite(bands).all():
+            raise ValueError("array must not contain infs or NaNs")
+        for row, n, sides in zip(range(start, r.size), levels, bands):
+            for side, sectors in enumerate(sides):
                 eigs = [np.zeros(0)]
-                for band in sectors:
-                    if x < y:
+                for band in sectors[..., : n + 1]:
+                    if minor[side]:
                         info = pbtrf(band, lower=1)[1]
                         if info < 0:
                             raise ValueError(f"illegal value in argument {-info} of pbtrf")
@@ -277,7 +276,8 @@ def _principal_negativities(r: np.ndarray, abs_r: float, abs_l: float, n_max: in
                     if info != 0:
                         raise np.linalg.LinAlgError(f"sbevd failed with info={info}")
                     eigs.append(w)
-                values[row, side] = negativity_from_eigenvalues(np.concatenate(eigs)).value
+                spectrum = np.concatenate(eigs)
+                values[row, side] = float(-spectrum[spectrum < NEGATIVITY_CUTOFF].sum()) + 0.0  # not -0.0
     return values
 
 
@@ -302,7 +302,7 @@ def _bracket_widths(r: float, abs_r: float, abs_l: float, n_max: int) -> tuple[f
 
 
 def _dense_pairs(r: np.ndarray, weights: UnruhWeights) -> Iterator[NegativityPair]:
-    """The dense route on a squeezing grid, one batch of solves per truncation level.
+    """The dense route on a squeezing grid, each row solved at its own truncation level.
 
     Each row takes the first n of the ladder 1, 2, 4, ..., N_MAX_CAP at which
     both bracket widths are at most 0.1 DELTA_TOL, the floor that certifies
@@ -323,10 +323,9 @@ def _dense_pairs(r: np.ndarray, weights: UnruhWeights) -> Iterator[NegativityPai
                 break
             n = min(2 * n, N_MAX_CAP)
         levels.append((n, widths))
+    rows = [i for i, (_, widths) in enumerate(levels) if widths is not None]
     values = np.zeros((r.size, 2))
-    for n in {n for n, widths in levels if widths is not None}:
-        rows = [i for i, (m, widths) in enumerate(levels) if m == n and widths is not None]
-        values[rows] = _principal_negativities(r[rows], abs_r, abs_l, n)
+    values[rows] = _principal_negativities(r[rows], [levels[i][0] for i in rows], abs_r, abs_l)
     for x, (n, widths), (n_ar, n_aar) in zip(r.tolist(), levels, values.tolist()):
         if widths is None:
             report = ConvergenceReport("dense", n, 1.0, 0.0, 0.0, False)
@@ -340,7 +339,7 @@ def _dense_pairs(r: np.ndarray, weights: UnruhWeights) -> Iterator[NegativityPai
 def _dense_pair(scenario: BosonScenario, n_max: int) -> tuple[float, float]:
     """Principal-block pair at exactly n_max levels: the dense engine on a one-point grid."""
     r, w = scenario.squeezing.r, scenario.weights
-    return tuple(_principal_negativities(np.array([r]), w.abs_r, w.abs_l, n_max)[0].tolist())
+    return tuple(_principal_negativities(np.array([r]), [n_max], w.abs_r, w.abs_l)[0].tolist())
 
 
 def _principal_block(

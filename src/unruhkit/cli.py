@@ -182,6 +182,10 @@ def _check_packet(args) -> None:
         raise ValueError("omega-max and omega-points must be given together")
     if args.family == "rapidity-gaussian" and args.epsilon != 1:
         raise ValueError("epsilon applies to the massless families: a massive field has no mover index")
+    if args.family == "rapidity-gaussian" and args.omega0 != 1.0:
+        raise ValueError("omega0 applies to the massless families: rapidity-gaussian takes --mass")
+    if args.family != "rapidity-gaussian" and args.mass != 1.0:
+        raise ValueError(f"mass applies to rapidity-gaussian: a {args.family} packet is massless")
     for flag, value in (("x-points", args.x_points), ("omega-points", args.omega_points)):
         if value is not None and value < 16:  # the fewest points a grid may have
             raise ValueError(f"{flag} must be >= 16, got {value}")

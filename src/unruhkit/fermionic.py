@@ -98,7 +98,8 @@ class FermionSqueezing:
         """Massless parameterization r = arctan(e^{-pi omega_a / a})."""
         if not (omega_a > 0.0 and a > 0.0) or omega_a == a == math.inf:  # NaN and inf/inf fail
             raise ValueError(f"omega_a and a must be > 0 and not both inf, got {omega_a}, {a}")
-        return cls(math.atan(math.exp(-math.pi * omega_a / a)))
+        # the ratio first: pi omega_a may overflow, or lose digits below the normals
+        return cls(math.atan(math.exp(-math.pi * (omega_a / a))))
 
 
 class FermionScenario(NamedTuple):

@@ -140,13 +140,6 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def negativity_from_eigenvalues(eigenvalues: np.ndarray) -> NegativityValue:
-    eigs = np.asarray(eigenvalues, dtype=float)
-    neg = eigs[eigs < NEGATIVITY_CUTOFF]
-    # the + 0.0 turns an empty sum's -0.0 into a plain 0.0
-    return NegativityValue(float(-neg.sum()) + 0.0)
-
-
 def negativity(rho: DensityOperator, factor: str) -> NegativityValue:
     """Negativity of ``rho`` for the bipartition singled out by ``factor``.
 
@@ -154,5 +147,6 @@ def negativity(rho: DensityOperator, factor: str) -> NegativityValue:
     the partial transpose, i.e. minus the sum of its negative eigenvalues.
     A maximally entangled qubit pair gives 1/2.
     """
-    sigma = partial_transpose(rho, factor)
-    return negativity_from_eigenvalues(hermitian_eigenvalues(sigma))
+    eigs = hermitian_eigenvalues(partial_transpose(rho, factor))
+    # the + 0.0 turns an empty sum's -0.0 into a plain 0.0
+    return NegativityValue(float(-eigs[eigs < NEGATIVITY_CUTOFF].sum()) + 0.0)

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -128,6 +129,16 @@ class TestSqueezing:
     def test_one_sided_infinite_limits(self):
         assert BosonSqueezing.from_acceleration(1.0, math.inf).r == math.inf
         assert BosonSqueezing.from_acceleration(math.inf, 1.0).r == 0.0
+
+    @pytest.mark.parametrize("omega_a,a,ratio", [(1e308, 1e308, 1.0), (5e-324, 5e-324, 1.0),
+                                                  (1.7e308, 1e308, 1.7)])
+    def test_extreme_inputs_take_their_ratio(self, omega_a, a, ratio):
+        # pi omega_a was formed first: it overflowed to r = inf at 1e308 and
+        # lost digits below the normals (r = 0.0498 at 5e-324)
+        r = BosonSqueezing.from_acceleration(omega_a, a).r
+        assert r == pytest.approx(BosonSqueezing.from_acceleration(ratio, 1.0).r, rel=1e-14)
+        if ratio == 1.0:
+            assert r == pytest.approx(0.0432408, abs=1e-7)
 
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
@@ -487,11 +498,11 @@ class TestCurve:
             bosonic_curve(1.2, [0.0])
 
     @pytest.mark.parametrize("q_abs", [0.3, 0.9])
-    @pytest.mark.parametrize("chunk", [bosonic._CHUNK_ELEMENTS, 100])
+    @pytest.mark.parametrize("chunk", [bosonic._CHUNK_ELEMENTS, 100, 7])
     def test_batched_rows_equal_single_point_pairs(self, q_abs, chunk, monkeypatch):
-        # the curve solves its rows in one batch per truncation level (and,
-        # with a 100-element budget, one row per chunk at n = 64 and 120);
-        # every field must have the same bits as a point evaluated on its own
+        # the curve builds its bands once per chunk of rows at the chunk's top
+        # level (with a budget of 100 or 7 elements, one row per chunk); every
+        # field must have the same bits as a point evaluated on its own
         monkeypatch.setattr(bosonic, "_CHUNK_ELEMENTS", chunk)
         grid = np.append(np.linspace(0.0, 3.0, 25), 25.0)
         rows = bosonic_curve(q_abs, grid)
@@ -504,7 +515,7 @@ class TestCurve:
         assert (rows[-1].n_ar, rows[-1].n_aar, rows[-1].converged) == (0.0, 0.0, False)
 
     def test_long_curve_builds_its_bands_in_chunks(self, monkeypatch):
-        # 4000 rows at n = 120 would need 23 MB for one side's bands at once;
+        # 4000 rows at n = 120 would need 46 MB for both sides' bands at once;
         # past r ~ 1.35 every row of q = 0.9 reaches the cap.
         # LAPACK is stubbed out: the memory in question is the band build's.
         monkeypatch.setattr(bosonic, "_lapack", lambda: (
@@ -520,6 +531,47 @@ class TestCurve:
             tracemalloc.stop()
         assert len(rows) == 4000 and {row.n_max_used for row in rows} == {120}
         assert peak < 10e6
+
+    def test_a_curve_builds_its_bands_once_per_chunk(self, monkeypatch):
+        # 150 rows at levels 1 to the cap, the last 36 past tanh r = 1 and left
+        # unevaluated: one engine call for the curve, and one band build per
+        # chunk of rows, at the chunk's top level and of at most 0.8 MB
+        builds, engine_calls = [], []
+        sector_bands, principal_negativities = bosonic._sector_bands, bosonic._principal_negativities
+
+        def bands(r, abs_r, abs_l, n_max):
+            out = sector_bands(r, abs_r, abs_l, n_max)
+            builds.append((r.size, n_max, out.nbytes))
+            return out
+
+        def engine(r, n_max, abs_r, abs_l):
+            engine_calls.append(n_max)
+            return principal_negativities(r, n_max, abs_r, abs_l)
+
+        monkeypatch.setattr(bosonic, "_sector_bands", bands)
+        monkeypatch.setattr(bosonic, "_principal_negativities", engine)
+        rows = bosonic_curve(0.4, np.linspace(0.0, 25.0, 150))
+        solved = [row.n_max_used for row in rows if math.tanh(row.r) < 1.0]
+        assert len(solved) == 114 and engine_calls == [solved]
+        step = bosonic._CHUNK_ELEMENTS // (N_MAX_CAP + 1)
+        chunks = [solved[i : i + step] for i in range(0, len(solved), step)]
+        assert [(size, n) for size, n, _ in builds] == [(len(c), max(c)) for c in chunks]
+        assert len(builds) == 2 and max(nbytes for *_, nbytes in builds) <= 0.8e6
+
+    @pytest.mark.parametrize("chunk", [bosonic._CHUNK_ELEMENTS, 100, 1])
+    @settings(max_examples=25, deadline=None)
+    @given(q_abs=st.floats(0.01, 0.99),
+           rows=st.lists(st.tuples(st.floats(0.0, 4.0), st.integers(1, N_MAX_CAP)), min_size=1, max_size=12))
+    def test_rows_at_their_own_levels_have_the_bits_of_one_level_solves(self, chunk, q_abs, rows):
+        # a chunk solves each row on the leading columns of bands built at the
+        # chunk's top level; each row must match a build at exactly its level
+        w = UnruhWeights.from_abs(q_abs)
+        r, levels = np.array([x for x, _ in rows]), [n for _, n in rows]
+        with mock.patch.object(bosonic, "_CHUNK_ELEMENTS", chunk):
+            values = bosonic._principal_negativities(r, levels, w.abs_r, w.abs_l).tolist()
+        for x, n, pair in zip(r, levels, values):
+            alone = bosonic._principal_negativities(np.array([x]), [n], w.abs_r, w.abs_l)[0].tolist()
+            assert [v.hex() for v in pair] == [v.hex() for v in alone]
 
 
 def block_terms(r, n):
@@ -641,7 +693,7 @@ class TestParitySectors:
         # reordered into the two sectors; the weight phases only move the
         # phases of its entries
         sc = scenario(r, q_abs, phase)
-        bands = _sector_bands(r, sc.weights.abs_r, sc.weights.abs_l, n_max)
+        bands = _sector_bands(r, sc.weights.abs_r, sc.weights.abs_l, n_max)[0]  # Alice-Rob
         weight, rho = _principal_block(sc, n_max, REGION_I)
         sigma = weight * partial_transpose(rho, ALICE)
         d = n_max + 1
@@ -653,10 +705,10 @@ class TestParitySectors:
 
     def test_band_build_broadcasts_over_r_with_the_same_bits(self):
         grid = np.array([0.0, 0.3, 1.1, 2.9, 19.0])
-        bands = _sector_bands(grid, 0.6, 0.8, 40)
+        bands = _sector_bands(grid, 0.6, 0.8, 40)[:, 0]
         assert bands.shape == (5, 2, 3, 41)
         for x, band in zip(grid, bands):
-            assert np.array_equal(band, _sector_bands(x, 0.6, 0.8, 40))
+            assert np.array_equal(band, _sector_bands(x, 0.6, 0.8, 40)[0])
 
 
 @functools.cache
@@ -761,8 +813,7 @@ class TestPrincipalBlockBracket:
         # the closed form may only exceed it by its Cauchy-Schwarz slack
         w = UnruhWeights.from_abs(q_abs)
         widths = _bracket_widths(r, w.abs_r, w.abs_l, n)
-        for width, (x, y) in zip(widths, ((w.abs_r, w.abs_l), (w.abs_l, w.abs_r))):
-            bands = _sector_bands(r, x, y, n + 6000)
+        for width, bands in zip(widths, _sector_bands(r, w.abs_r, w.abs_l, n + 6000)):
             direct = sum(np.abs(band[1, n:]).sum() + np.abs(band[2, n - 1 :]).sum() for band in bands)
             assert direct <= width <= 1.15 * direct
 

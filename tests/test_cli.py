@@ -406,6 +406,21 @@ class TestPacketCommand:
         assert "a massive field has no mover index" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_massless_family_takes_no_mass(self, tmp_path, capsys):
+        # --mass 7 was ignored and reported as "mass": 7.0
+        out = tmp_path / "report.json"
+        assert main(["packet", "--family", "bessel", "--mass", "7", "--out", str(out)]) == EXIT_USAGE
+        assert "a bessel packet is massless" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_the_massive_family_takes_no_frequency_scale(self, tmp_path, capsys):
+        # --omega0 3 was ignored and reported as "omega0": 3.0
+        out = tmp_path / "report.json"
+        argv = ["packet", "--family", "rapidity-gaussian", "--omega0", "3", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert "rapidity-gaussian takes --mass" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_ends_in_messages_are_short(self, capsys):
         # written with .3f, each end of this window took 300 digits
         assert main(["packet", "--x-min", "-1e300", "--x-max", "1e300", "--x-points", "16"]) == EXIT_NUMERIC

@@ -72,6 +72,16 @@ class TestSqueezing:
         assert FermionSqueezing.from_acceleration(1.0, math.inf).r == R_MAX
         assert FermionSqueezing.from_acceleration(math.inf, 1.0).r == 0.0
 
+    @pytest.mark.parametrize("omega_a,a,ratio", [(1e308, 1e308, 1.0), (5e-324, 5e-324, 1.0),
+                                                  (1.7e308, 1e308, 1.7)])
+    def test_extreme_inputs_take_their_ratio(self, omega_a, a, ratio):
+        # pi omega_a was formed first: it overflowed to r = 0 at 1e308 and
+        # lost digits below the normals (r = 0.0497 at 5e-324)
+        r = FermionSqueezing.from_acceleration(omega_a, a).r
+        assert r == pytest.approx(FermionSqueezing.from_acceleration(ratio, 1.0).r, rel=1e-14)
+        if ratio == 1.0:
+            assert r == pytest.approx(0.0431870, abs=1e-7)
+
 
 class TestStates:
     def test_vacuum_at_zero_squeezing(self):
