@@ -32,10 +32,13 @@ Two evaluation routes are provided:
   integral tail, O(1) work at any squeezing, with a bound on the error
   (from the convexity of the terms) that is checked relative to the value.
 
-``bosonic_negativity_pair`` and ``bosonic_curve`` take no options: an
-extremal weight (the smaller of |q_R|, |q_L| at most ``EXTREMAL_TOL``)
-goes to the series and every other weight to the dense engine.  The test
-suite calls both engines on their common domain and pins their agreement.
+Every function takes the squeezing r (``squeezing_from_acceleration``
+gives it from Omega_a and a) and the ``UnruhWeights``;
+``bosonic_negativity_pair`` (one r) and ``bosonic_curve`` (a grid) take no
+options: an extremal weight (the smaller of |q_R|, |q_L| at most
+``EXTREMAL_TOL``) goes to the series and every other weight to the dense
+engine.  The test suite calls both engines on their common domain and pins
+their agreement.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterator, NamedTuple
 
@@ -73,53 +75,40 @@ _SERIES_DECAY = 60.0
 _CHUNK_ELEMENTS = 1 << 13
 
 
-@dataclass(frozen=True)
-class BosonSqueezing:
-    """Squeezing parameter r >= 0, optionally derived from an acceleration."""
+def squeezing_from_acceleration(omega_a: float, a: float) -> float:
+    """r = artanh(e^{-2z}) = -ln(tanh z) / 2 with z = pi omega_a / (2a).
 
-    r: float
+    artanh is exact while e^{-2z} is small; below z = 1 the tanh form
+    keeps the digits that 1 - e^{-2z} would lose.  r is infinite once
+    z underflows to 0.
+    """
+    if not (omega_a > 0.0 and a > 0.0) or omega_a == a == math.inf:  # NaN and inf/inf fail
+        raise ValueError(f"omega_a and a must be > 0 and not both inf, got {omega_a}, {a}")
+    z = omega_a / a * (0.5 * math.pi)  # the ratio first: pi omega_a may overflow or underflow
+    if z >= 1.0:
+        return math.atanh(math.exp(-2.0 * z))
+    t = math.tanh(z)
+    return -0.5 * math.log(t) if t > 0.0 else math.inf
 
-    def __post_init__(self):
-        if not self.r >= 0.0:
-            raise ValueError(f"squeezing parameter must be >= 0, got {self.r}")
 
-    @classmethod
-    def from_acceleration(cls, omega_a: float, a: float) -> "BosonSqueezing":
-        """r = artanh(e^{-2z}) = -ln(tanh z) / 2 with z = pi omega_a / (2a).
-
-        artanh is exact while e^{-2z} is small; below z = 1 the tanh form
-        keeps the digits that 1 - e^{-2z} would lose.  r is infinite once
-        z underflows to 0.
-        """
-        if not (omega_a > 0.0 and a > 0.0) or omega_a == a == math.inf:  # NaN and inf/inf fail
-            raise ValueError(f"omega_a and a must be > 0 and not both inf, got {omega_a}, {a}")
-        z = omega_a / a * (0.5 * math.pi)  # the ratio first: pi omega_a may overflow or underflow
-        if z >= 1.0:
-            return cls(math.atanh(math.exp(-2.0 * z)))
-        t = math.tanh(z)
-        return cls(-0.5 * math.log(t) if t > 0.0 else math.inf)
+def _check_r(r) -> np.ndarray:
+    """r (one value or a grid) as a flat float array; NaN and negative r raise."""
+    r = np.asarray(r, dtype=float).ravel()
+    bad = ~(r >= 0.0)
+    if bad.any():
+        raise ValueError(f"squeezing parameter must be >= 0, got {r[bad][0]}")
+    return r
 
 
 def vacuum_coefficients(r: float | np.ndarray, n_max: int) -> np.ndarray:
     """f[..., n] = tanh^n(r)/cosh(r) for n = 0..n_max; sum of squares tends to 1 as n_max grows."""
+    _check_r(r)
     r = np.asarray(r, dtype=float)[..., None]
-    if np.any(r < 0.0):
-        raise ValueError(f"squeezing parameter must be >= 0, got {np.min(r)}")
     n = np.arange(n_max + 1)
     return np.tanh(r) ** n / np.cosh(r)
 
 
-class BosonScenario(NamedTuple):
-    squeezing: BosonSqueezing
-    weights: UnruhWeights
-
-
-def joint_space(n_max: int) -> TensorSpace:
-    d = n_max + 1
-    return TensorSpace(((ALICE, ALICE_DIM), (REGION_I, d), (REGION_II, d)))
-
-
-def joint_state(scenario: BosonScenario, n_max: int) -> FockKet:
+def joint_state(r: float, weights: UnruhWeights, n_max: int) -> FockKet:
     """(|0>_M |vac> + |1>_M |excitation>)/sqrt(2) on (M, I, II), cut at n_max.
 
     Every amplitude is that of the untruncated state, so the ket is not
@@ -133,16 +122,14 @@ def joint_state(scenario: BosonScenario, n_max: int) -> FockKet:
         raise TypeError(f"n_max must be an integer, got {n_max!r}") from None
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    r = scenario.squeezing.r
     d = n_max + 1
     f = vacuum_coefficients(r, n_max)
     psi = np.zeros((ALICE_DIM, d, d), dtype=complex)
     idx = np.arange(d)
     psi[0, idx, idx] = f / math.sqrt(2.0)
     base = f[:n_max] * np.sqrt(np.arange(n_max) + 1.0) / math.cosh(r)
-    weights = scenario.weights
     psi[1] = (np.diag(weights.q_l * base, 1) + np.diag(weights.q_r * base, -1)) / math.sqrt(2.0)
-    return FockKet(joint_space(n_max), psi.ravel())
+    return FockKet(TensorSpace(((ALICE, ALICE_DIM), (REGION_I, d), (REGION_II, d))), psi.ravel())
 
 
 class ConvergenceReport(NamedTuple):
@@ -336,14 +323,13 @@ def _dense_pairs(r: np.ndarray, weights: UnruhWeights) -> Iterator[NegativityPai
         yield NegativityPair(n_ar, n_aar, report)
 
 
-def _dense_pair(scenario: BosonScenario, n_max: int) -> tuple[float, float]:
+def _dense_pair(r: float, weights: UnruhWeights, n_max: int) -> tuple[float, float]:
     """Principal-block pair at exactly n_max levels: the dense engine on a one-point grid."""
-    r, w = scenario.squeezing.r, scenario.weights
-    return tuple(_principal_negativities(np.array([r]), [n_max], w.abs_r, w.abs_l)[0].tolist())
+    return tuple(_principal_negativities(np.array([r]), [n_max], weights.abs_r, weights.abs_l)[0].tolist())
 
 
 def _principal_block(
-    scenario: BosonScenario, n_max: int, wedge: str
+    r: float, weights: UnruhWeights, n_max: int, wedge: str
 ) -> tuple[float, DensityOperator]:
     """Untruncated Alice-``wedge`` state on wedge levels <= n_max, as (weight, normalized state).
 
@@ -353,7 +339,7 @@ def _principal_block(
     it) is the exact leading principal block of the untruncated one; the
     state is that block over ``weight``.
     """
-    ket = joint_state(scenario, n_max + 1)
+    ket = joint_state(r, weights, n_max + 1)
     keep = np.add.outer(np.arange(ALICE_DIM) * (n_max + 2), np.arange(n_max + 1)).ravel()
     block = reduced_density(ket, (ALICE, wedge)).matrix[np.ix_(keep, keep)]
     weight = float(np.trace(block).real)
@@ -361,11 +347,11 @@ def _principal_block(
     return weight, DensityOperator(space, block / weight)
 
 
-def _qops_pair(scenario: BosonScenario, n_max: int) -> tuple[float, float]:
+def _qops_pair(r: float, weights: UnruhWeights, n_max: int) -> tuple[float, float]:
     """``_dense_pair`` by the general tensor route, the sector engine's test oracle."""
     pair = []
     for wedge in (REGION_I, REGION_II):
-        weight, rho = _principal_block(scenario, n_max, wedge)
+        weight, rho = _principal_block(r, weights, n_max, wedge)
         pair.append(weight * negativity(rho, ALICE).value)
     return pair[0], pair[1]
 
@@ -439,20 +425,20 @@ def _block_series(r: float) -> tuple[float, float, int, float]:
     return value, bound, n_head, tail
 
 
-def _pair_blocks(scenario: BosonScenario) -> NegativityPair:
+def _pair_blocks(r: float, weights: UnruhWeights) -> NegativityPair:
     # For q_R = 1 the Alice-AntiRob partial transpose splits into 2x2 sectors
     # with positive determinant and trace, so that side is exactly 0; the swap
     # rule maps the q_L = 1 case onto the same pair reversed.
-    value, bound, n_used, tail = _block_series(scenario.squeezing.r)
+    value, bound, n_used, tail = _block_series(r)
     converged = bound <= DELTA_TOL * max(value, 1e-15)  # absolute once the value underflows
-    rob_side = scenario.weights.abs_l <= EXTREMAL_TOL
+    rob_side = weights.abs_l <= EXTREMAL_TOL
     n_ar, n_aar = (value, 0.0) if rob_side else (0.0, value)
     delta_ar, delta_aar = (tail, 0.0) if rob_side else (0.0, tail)
     report = ConvergenceReport("blocks", n_used, bound, delta_ar, delta_aar, converged)
     return NegativityPair(n_ar, n_aar, report)
 
 
-def bosonic_negativity_pair(scenario: BosonScenario) -> NegativityPair:
+def bosonic_negativity_pair(r: float, weights: UnruhWeights) -> NegativityPair:
     """Alice-Rob and Alice-AntiRob negativities with a convergence report.
 
     An extremal weight takes the block series, whose bound is judged
@@ -462,9 +448,10 @@ def bosonic_negativity_pair(scenario: BosonScenario) -> NegativityPair:
     against ``DELTA_TOL`` max(value, 0.1).  An unconverged pair is returned
     with ``report.converged`` false.
     """
-    if scenario.weights.minor_weight() <= EXTREMAL_TOL:
-        return _pair_blocks(scenario)
-    return next(_dense_pairs(np.array([scenario.squeezing.r]), scenario.weights))
+    _check_r(r)
+    if weights.minor_weight() <= EXTREMAL_TOL:
+        return _pair_blocks(r, weights)
+    return next(_dense_pairs(np.array([r]), weights))
 
 
 class BosonCurveRow(NamedTuple):
@@ -483,14 +470,11 @@ def bosonic_curve(q_abs: float, r_grid) -> list[BosonCurveRow]:
     the negativities are phase invariant so this loses no generality.
     """
     weights = UnruhWeights.from_abs(q_abs)
-    r = np.asarray(r_grid, dtype=float).ravel()
-    bad = ~(r >= 0.0)
-    if bad.any():
-        raise ValueError(f"grid squeezing values must be >= 0, got {r[bad][0]}")
+    r = _check_r(r_grid)
     if weights.minor_weight() > EXTREMAL_TOL:
         pairs = _dense_pairs(r, weights)
     else:
-        pairs = [bosonic_negativity_pair(BosonScenario(BosonSqueezing(x), weights)) for x in r.tolist()]
+        pairs = [bosonic_negativity_pair(x, weights) for x in r.tolist()]
     q_abs = float(q_abs)
     return [BosonCurveRow(q_abs, x, pair.n_ar, pair.n_aar, pair.report.n_max_used, pair.report.converged)
             for x, pair in zip(r.tolist(), pairs)]

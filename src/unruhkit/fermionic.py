@@ -8,25 +8,28 @@ frequency lives in four binary occupation slots ordered
 
 with basis index 8n + 4n' + 2n'' + n''' for |n n' n'' n'''>.  The vacuum
 and the general one-particle state are built from their explicit
-coefficient tables in cos(r), sin(r), q_R, q_L (not by applying ladder
-operators), which pins the sign conventions once and for all.  The
-squeezing parameter obeys tan r = e^{-pi Omega_a/a}, so r ranges over
-[0, pi/4] and the infinite-acceleration limit stays finite.
+coefficient tables in cos(r), sin(r), q_R, q_L (``_amplitude_table``), not
+by applying ladder operators, which pins the sign conventions once and for
+all.  The squeezing parameter obeys tan r = e^{-pi Omega_a/a}, so r ranges
+over [0, pi/4] and the infinite-acceleration limit stays finite.  Every
+function takes r (one value, or a grid for the curve) and the weights.
 
-Negativities for the Alice-Rob and Alice-AntiRob bipartitions come in two
-independently coded routes that must agree to ~1e-10: the two explicit
-3x3 blocks of the partial transpose that can carry negative eigenvalues
-("blocks", exact and O(1)) and the dense eigensolve of the full 8x8
-partial transpose of the traced-out state ("full").  A curve checks its
-grid once and hands plain r values to both routes.  It stacks the blocks
-of its whole grid as (steps, 2, 2, 3, 3), from one table of cos r, sin r
-and their powers, and solves them in one call.  Its runtime oracle,
-"full", builds the grid's joint states as one (steps, 32) table from its
-own cos r and sin r, reduces and partially transposes each row through
-``qops`` into one (steps, 2, 8, 8) stack, and solves that in one call too.
+Negativities for the Alice-Rob and Alice-AntiRob bipartitions come from
+two independently coded routes that must agree to ~1e-10: the two
+explicit 3x3 blocks of the partial transpose that can carry negative
+eigenvalues (``pt_blocks``, exact and O(1)) and, as the oracle, the dense
+eigensolve of the full 8x8 partial transpose of the traced-out state
+(``_full_negativities``).  A curve checks its grid once and hands plain r
+values to both.  It stacks the blocks of its whole grid as
+(steps, 2, 2, 3, 3), from one table of cos r, sin r and their powers, and
+solves them in one call; ``fermionic_negativity_pair`` is that path at
+one r.  The oracle builds the grid's joint states as one (steps, 32) table
+from its own cos r and sin r, reduces and partially transposes each row
+through ``qops`` into one (steps, 2, 8, 8) stack, and solves that in one
+call too.
 
-Below r = sqrt(eps) ~ 1.5e-8, where sin^2 r < eps, the "full" route
-flushes each row's joint-state amplitudes below eps times its largest to 0.
+Below r = sqrt(eps) ~ 1.5e-8, where sin^2 r < eps, the 8x8 route flushes
+each row's joint-state amplitudes below eps times its largest to 0.
 Without the flush, tiny r (about 1e-300 to 1e-40) gives partial-transpose
 entries whose squares underflow, and LAPACK's Hermitian eigensolvers then
 lose up to ~3e-3 (every driver, real or complex).  The flush perturbs the
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +49,6 @@ import numpy as np
 from . import qops  # partial_transpose through the module, where a trace of qops sees it
 from .errors import MethodDisagreementError
 from .qops import (
-    DensityOperator,
     FockKet,
     NEGATIVITY_CUTOFF,
     TensorSpace,
@@ -59,7 +60,7 @@ from .qops import negativity  # noqa: F401
 from .weights import UnruhWeights
 
 R_MAX = math.pi / 4
-#: rounding slack past R_MAX that the squeezing and the CLI range both accept
+#: rounding slack past R_MAX that the r check and the CLI range both accept
 R_MAX_TOL = 1e-12
 METHOD_TOL = 1e-10
 #: below r = sqrt(FLUSH), the 8x8 route zeroes each row's amplitudes below this fraction of its largest
@@ -83,55 +84,37 @@ def occupation_index(n: int, n1: int, n2: int, n3: int) -> int:
     return 8 * n + 4 * n1 + 2 * n2 + n3
 
 
-@dataclass(frozen=True)
-class FermionSqueezing:
-    """Squeezing parameter r in [0, pi/4]."""
-
-    r: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.r <= R_MAX + R_MAX_TOL:
-            raise ValueError(f"fermionic squeezing must lie in [0, pi/4], got {self.r}")
-
-    @classmethod
-    def from_acceleration(cls, omega_a: float, a: float) -> "FermionSqueezing":
-        """Massless parameterization r = arctan(e^{-pi omega_a / a})."""
-        if not (omega_a > 0.0 and a > 0.0) or omega_a == a == math.inf:  # NaN and inf/inf fail
-            raise ValueError(f"omega_a and a must be > 0 and not both inf, got {omega_a}, {a}")
-        # the ratio first: pi omega_a may overflow, or lose digits below the normals
-        return cls(math.atan(math.exp(-math.pi * (omega_a / a))))
+def squeezing_from_acceleration(omega_a: float, a: float) -> float:
+    """Massless parameterization r = arctan(e^{-pi omega_a / a})."""
+    if not (omega_a > 0.0 and a > 0.0) or omega_a == a == math.inf:  # NaN and inf/inf fail
+        raise ValueError(f"omega_a and a must be > 0 and not both inf, got {omega_a}, {a}")
+    # the ratio first: pi omega_a may overflow, or lose digits below the normals
+    return math.atan(math.exp(-math.pi * (omega_a / a)))
 
 
-class FermionScenario(NamedTuple):
-    squeezing: FermionSqueezing
-    weights: UnruhWeights
-
-
-def grassmann_vacuum(r: float) -> np.ndarray:
-    """Amplitudes of the vacuum of one Unruh frequency in the Rindler slot basis:
-
-    cos^2 r |0000> - sin r cos r |0011> + sin r cos r |1100> - sin^2 r |1111>,
-    with exactly these signs; the norm is cos^4 + 2 sin^2 cos^2 + sin^4 = 1.
-    """
-    return _amplitude_table([r], 0.0, 0.0)[0, :16]
-
-
-def grassmann_one_particle(r: float, weights: UnruhWeights) -> np.ndarray:
-    """Amplitudes of the general one-particle Unruh state in the Rindler slot basis:
-
-    q_R [cos r |1000> - sin r |1011>] + q_L [sin r |1101> + cos r |0001>],
-    of unit norm for all r and orthogonal to the vacuum.
-    """
-    return _amplitude_table([r], weights.q_r, weights.q_l)[0, 16:]
-
-
-def fermion_joint_state(scenario: FermionScenario) -> FockKet:
-    """(|0>_M |vacuum> + |1>_M |one-particle>)/sqrt(2), dimension 32; one row of ``_joint_table``."""
-    return FockKet(JOINT_SPACE, _joint_table([scenario.squeezing.r], scenario.weights)[0])
+def _check_r(r) -> np.ndarray:
+    """r (one value or a grid) as a flat float array; NaN and r outside [0, pi/4] raise."""
+    r = np.asarray(r, dtype=float).ravel()
+    bad = ~((r >= 0.0) & (r <= R_MAX + R_MAX_TOL))
+    if bad.any():
+        raise ValueError(f"fermionic squeezing must lie in [0, pi/4], got {r[bad][0]}")
+    return r
 
 
 def _amplitude_table(r_list: list[float], q_r: complex, q_l: complex) -> np.ndarray:
-    """Vacuum (columns :16) and one-particle (16:) amplitudes, one row per r, from one cos/sin table."""
+    """Vacuum (columns :16) and one-particle (16:) amplitudes, one row per r, from one cos/sin table.
+
+    The vacuum of one Unruh frequency in the Rindler slot basis is
+
+        cos^2 r |0000> - sin r cos r |0011> + sin r cos r |1100> - sin^2 r |1111>,
+
+    with exactly these signs; its norm is cos^4 + 2 sin^2 cos^2 + sin^4 = 1.
+    The general one-particle Unruh state is
+
+        q_R [cos r |1000> - sin r |1011>] + q_L [sin r |1101> + cos r |0001>],
+
+    of unit norm for all r and orthogonal to the vacuum.
+    """
     c, s = np.array([math.cos(v) for v in r_list]), np.array([math.sin(v) for v in r_list])
     amp = np.zeros((len(r_list), 32), dtype=complex)
     amp[:, occupation_index(0, 0, 0, 0)] = c * c
@@ -147,7 +130,10 @@ def _amplitude_table(r_list: list[float], q_r: complex, q_l: complex) -> np.ndar
 
 
 def _joint_table(r_list: list[float], weights: UnruhWeights) -> np.ndarray:
-    """Joint-state amplitudes, shape (len(r_list), 32); tiny-r rows are flushed (module docstring)."""
+    """(|0>_M |vacuum> + |1>_M |one-particle>)/sqrt(2), shape (len(r_list), 32).
+
+    Tiny-r rows are flushed (module docstring).
+    """
     amp = _amplitude_table(r_list, weights.q_r, weights.q_l) / math.sqrt(2.0)
     tiny = np.array([0.0 < v < _FLUSH_R for v in r_list], dtype=bool)
     size = np.abs(amp[tiny])
@@ -155,33 +141,16 @@ def _joint_table(r_list: list[float], weights: UnruhWeights) -> np.ndarray:
     return amp
 
 
-def rho_alice_rob_fermi(joint: FockKet) -> DensityOperator:
-    """Trace region II out of the joint state; basis |ijk> = |i>_M |j>_I+ |k>_I-."""
-    return reduced_density(joint, (ALICE, SLOT_I_PART, SLOT_I_ANTI))
-
-
-def rho_alice_antirob_fermi(joint: FockKet) -> DensityOperator:
-    """Trace region I out of the joint state; basis |ijk> = |i>_M |j>_II- |k>_II+."""
-    return reduced_density(joint, (ALICE, SLOT_II_ANTI, SLOT_II_PART))
-
-
-def pt_blocks(r, weights: UnruhWeights, bipartition: str) -> np.ndarray:
-    """The two 3x3 partial-transpose blocks of bipartition "AR" or "AAR" that can go negative.
+def pt_blocks(r, weights: UnruhWeights) -> np.ndarray:
+    """The two 3x3 partial-transpose blocks that can go negative, of both bipartitions.
 
     ``r`` is one squeezing value or a 1-d grid of them; the result has shape
-    ``np.shape(r) + (2, 3, 3)``, the two blocks stacked.  Entries are
-    polynomial in C = cos r, S = sin r, q_R, q_L.  Their bases, as
-    occupation strings ijk of the bipartition's reduced basis, are
-    (100, 010, 111) and (000, 101, 011) for "AR", (111, 001, 100) and
-    (011, 110, 000) for "AAR".
+    ``np.shape(r) + (2, 2, 3, 3)``: bipartition ("AR", then "AAR"), block,
+    from one power table.  Entries are polynomial in C = cos r, S = sin r,
+    q_R, q_L.  Their bases, as occupation strings ijk of the bipartition's
+    reduced basis, are (100, 010, 111) and (000, 101, 011) for "AR",
+    (111, 001, 100) and (011, 110, 000) for "AAR".
     """
-    if bipartition not in ("AR", "AAR"):
-        raise ValueError(f"bipartition must be 'AR' or 'AAR', got {bipartition!r}")
-    return _pt_stack(r, weights)[..., int(bipartition == "AAR"), :, :, :]
-
-
-def _pt_stack(r, weights: UnruhWeights) -> np.ndarray:
-    """``pt_blocks`` of both bipartitions, shape ``np.shape(r) + (2, 2, 3, 3)``, from one power table."""
     r_list = np.asarray(r, dtype=float).reshape(-1).tolist()
     cos_r, sin_r = [math.cos(v) for v in r_list], [math.sin(v) for v in r_list]
     # Python's float ** rather than numpy's array power, which rounds differently
@@ -224,45 +193,38 @@ def _negativities(eigs: np.ndarray) -> np.ndarray:
 
 def _blocks_negativities(r, weights: UnruhWeights) -> np.ndarray:
     """(N_AR, N_AAR) on the last axis, at one r or at each r of a 1-d grid, from one eigensolve."""
-    per_block = _negativities(hermitian_eigenvalues(_pt_stack(r, weights)))  # (..., bipartition, block)
+    per_block = _negativities(hermitian_eigenvalues(pt_blocks(r, weights)))  # (..., bipartition, block)
     return per_block[..., 0] + per_block[..., 1]
 
 
 def _full_negativities(r_list: list[float], weights: UnruhWeights) -> np.ndarray:
     """(N_AR, N_AAR) at each r from one eigensolve of the stacked 8x8 partial transposes.
 
-    Rows of one joint-state table, each reduced and partially transposed by ``qops``.  Each
-    transpose has at most two negative eigenvalues, so their sum rounds once, as in ``qops.negativity``.
+    Rows of one joint-state table, each reduced by ``qops`` to Alice and
+    region I, basis |ijk> = |i>_M |j>_I+ |k>_I-, and to Alice and region II,
+    basis |i>_M |j>_II- |k>_II+, then partially transposed.  Each transpose
+    has at most two negative eigenvalues, so their sum rounds once, as in
+    ``qops.negativity``.
     """
     stack = np.empty((len(r_list), 2, 8, 8), dtype=complex)
     for pts, amp in zip(stack, _joint_table(r_list, weights)):
         joint = FockKet(JOINT_SPACE, amp)
-        pts[0] = qops.partial_transpose(rho_alice_rob_fermi(joint), ALICE)
-        pts[1] = qops.partial_transpose(rho_alice_antirob_fermi(joint), ALICE)
+        pts[0] = qops.partial_transpose(reduced_density(joint, (ALICE, SLOT_I_PART, SLOT_I_ANTI)), ALICE)
+        pts[1] = qops.partial_transpose(reduced_density(joint, (ALICE, SLOT_II_ANTI, SLOT_II_PART)), ALICE)
     return _negativities(hermitian_eigenvalues(stack))
 
 
-def fermionic_negativity_pair(scenario: FermionScenario, method: str = "blocks") -> FermionNegativityPair:
-    """Negativities of both bipartitions; the curve's two routes at one r.
-
-    "blocks" sums the negative eigenvalues of the explicit 3x3 blocks;
-    "full" eigensolves the 8x8 partial transposes of the reduced states.
-    The two must agree within ~1e-10 (see ``method_agreement_residual``).
-    """
-    if method == "blocks":
-        pair = _blocks_negativities(scenario.squeezing.r, scenario.weights)
-    elif method == "full":
-        pair = _full_negativities([scenario.squeezing.r], scenario.weights)[0]
-    else:
-        raise ValueError(f"method must be 'blocks' or 'full', got {method!r}")
-    return FermionNegativityPair(*pair.tolist())
+def fermionic_negativity_pair(r: float, weights: UnruhWeights) -> FermionNegativityPair:
+    """Negativities of both bipartitions at one r: the curve's blocks route on a one-point grid."""
+    _check_r(r)
+    return FermionNegativityPair(*_blocks_negativities(r, weights).tolist())
 
 
-def method_agreement_residual(scenario: FermionScenario) -> float:
+def method_agreement_residual(r: float, weights: UnruhWeights) -> float:
     """Largest |blocks - full| discrepancy over the two bipartitions."""
-    blocks = fermionic_negativity_pair(scenario, method="blocks")
-    full = fermionic_negativity_pair(scenario, method="full")
-    return max(abs(blocks.n_ar - full.n_ar), abs(blocks.n_aar - full.n_aar))
+    blocks = fermionic_negativity_pair(r, weights)
+    full = _full_negativities([r], weights)[0].tolist()
+    return max(abs(blocks.n_ar - full[0]), abs(blocks.n_aar - full[1]))
 
 
 class FermionCurveRow(NamedTuple):
@@ -285,10 +247,7 @@ def fermionic_curve(q_abs: float, r_grid) -> list[FermionCurveRow]:
     ``METHOD_TOL``.
     """
     weights = UnruhWeights.from_abs(q_abs)
-    r = np.asarray(r_grid, dtype=float).ravel()
-    bad = ~((r >= 0.0) & (r <= R_MAX + R_MAX_TOL))
-    if bad.any():
-        FermionSqueezing(float(r[bad][0]))  # raises the squeezing's range error
+    r = _check_r(r_grid)
     r_list = r.tolist()
     blocks = _blocks_negativities(r, weights)
     residuals = np.abs(blocks - _full_negativities(r_list, weights)).max(axis=-1)

@@ -98,6 +98,11 @@ def _check_uniform(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_mass(mass) -> None:
+    if not 0.0 < mass < math.inf:  # so that a NaN mass fails too
+        raise ValueError(f"mass must be > 0 and finite, got {mass}")
+
+
 def _omega(x, mass):
     """The frequency map omega(x): e^x for a massless profile, m cosh x for a massive one."""
     return np.exp(x) if mass is None else mass * np.cosh(x)
@@ -119,8 +124,8 @@ class MinkowskiSmearing:
     mass: float | None = None
 
     def __post_init__(self):
-        if self.mass is not None and not self.mass > 0.0:  # so that a NaN mass fails too
-            raise ValueError(f"mass must be > 0, got {self.mass}")
+        if self.mass is not None:
+            _check_mass(self.mass)
         x = np.array(_check_uniform(self.x), dtype=float)
         samples = np.array(self.samples, dtype=complex)
         if samples.shape != x.shape:
@@ -174,6 +179,8 @@ class UnruhSmearingPair:
     mass: float | None = None
 
     def __post_init__(self):
+        if self.mass is not None:
+            _check_mass(self.mass)
         grid = np.array(_check_uniform(self.omega_grid), dtype=float)
         if grid[0] != 0.0:
             raise GridError("the Unruh frequency grid must start at Omega = 0")
@@ -649,8 +656,7 @@ def peaking_report(
 
 def rapidity_gaussian(lam: float, mu: float, mass: float, x_grid=None) -> MinkowskiSmearing:
     """Packet Gaussian in rapidity with chirp phase e^{-i mu x}, centred on k = 0; omega_k = m cosh x."""
-    if not mass > 0.0:  # NaN too, before sampling: the grid search would misreport it
-        raise ValueError(f"mass must be > 0, got {mass}")
+    _check_mass(mass)  # before sampling: the grid search would misreport a bad mass
     params = LogGaussianParams(lam, mu)
     weight = _log_gaussian_weight(params, 0.0)
     return _packet_from_weight(weight, x_grid, 0.0, *_gaussian_window(params), mass=mass)

@@ -8,20 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from unruhkit.bosonic import (
-    BosonScenario,
-    BosonSqueezing,
-    bosonic_negativity_pair,
-    _dense_pairs,
-)
+from unruhkit.bosonic import bosonic_negativity_pair, _dense_pairs
 from unruhkit.cli import main
 from unruhkit.fermionic import (
-    FermionScenario,
-    FermionSqueezing,
     R_MAX,
     SWAP_POINT,
     fermionic_negativity_pair,
     method_agreement_residual,
+    _full_negativities,
 )
 from unruhkit.wavepacket import (
     BogoliubovKernel,
@@ -38,12 +32,8 @@ from unruhkit.wavepacket import (
 from unruhkit.weights import UnruhWeights
 
 
-def fermion(r, q_abs, phase=0.0):
-    return FermionScenario(FermionSqueezing(r), UnruhWeights.from_abs(q_abs, phase))
-
-
-def boson(r, q_abs, phase=0.0):
-    return BosonScenario(BosonSqueezing(r), UnruhWeights.from_abs(q_abs, phase))
+def point(r, q_abs, phase=0.0):
+    return r, UnruhWeights.from_abs(q_abs, phase)
 
 
 def ok(line):
@@ -52,8 +42,8 @@ def ok(line):
 
 def test_criterion_1_fermionic_exact_values():
     tol = 1e-9
-    start = fermionic_negativity_pair(fermion(0.0, 1.0))
-    end = fermionic_negativity_pair(fermion(R_MAX, 1.0))
+    start = fermionic_negativity_pair(*point(0.0, 1.0))
+    end = fermionic_negativity_pair(*point(R_MAX, 1.0))
     assert abs(start.n_ar - 0.5) < tol
     assert abs(end.n_ar - 0.25) < tol
     assert abs(end.n_aar - 0.25) < tol
@@ -63,7 +53,7 @@ def test_criterion_1_fermionic_exact_values():
 def test_criterion_2_fermionic_conservation_law():
     worst = 0.0
     for r in np.linspace(0.0, R_MAX, 200):
-        pair = fermionic_negativity_pair(fermion(float(r), 1.0))
+        pair = fermionic_negativity_pair(*point(float(r), 1.0))
         worst = max(worst, abs(pair.n_ar + pair.n_aar - 0.5))
     assert worst < 1e-9
     ok(f"2 (fermionic conservation law, max deviation {worst:.2e})")
@@ -73,7 +63,7 @@ def test_criterion_3_block_full_oracle_equivalence():
     worst = 0.0
     for r in np.linspace(0.0, R_MAX, 20):
         for q in np.linspace(0.0, 1.0, 20):
-            worst = max(worst, method_agreement_residual(fermion(float(r), float(q))))
+            worst = max(worst, method_agreement_residual(*point(float(r), float(q))))
     assert worst < 1e-10
     ok(f"3 (3x3 blocks vs full 8x8 partial transpose, max residual {worst:.2e})")
 
@@ -85,13 +75,11 @@ def test_criterion_4_antirob_interior_minimum(q_abs):
     # the anti-Rob one; below it the swap rule N_AAR(q) = N_AR(sqrt(1 - q^2))
     # exchanges the roles, and the minimum moves to Alice-Rob.
     grid = np.linspace(0.0, R_MAX, 400)
-    pairs = [fermionic_negativity_pair(fermion(float(r), q_abs)) for r in grid]
+    pairs = [fermionic_negativity_pair(*point(float(r), q_abs)) for r in grid]
     mirror = math.sqrt(1.0 - q_abs * q_abs)
-    mirrored = [
-        fermionic_negativity_pair(fermion(float(r), mirror), method="full") for r in grid
-    ]
+    mirrored = _full_negativities(grid.tolist(), UnruhWeights.from_abs(mirror)).tolist()
     swap_gap = max(
-        max(abs(p.n_aar - m.n_ar), abs(p.n_ar - m.n_aar)) for p, m in zip(pairs, mirrored)
+        max(abs(p.n_aar - m_ar), abs(p.n_ar - m_aar)) for p, (m_ar, m_aar) in zip(pairs, mirrored)
     )
     assert swap_gap < 1e-12, f"swap rule broken at |q_R|={q_abs}: gap {swap_gap:.2e}"
     n_aar = np.array([p.n_aar for p in pairs])
@@ -121,7 +109,7 @@ def test_criterion_4_antirob_interior_minimum(q_abs):
 def test_criterion_4_symmetric_weights_identical():
     q = 1.0 / math.sqrt(2.0)
     worst = max(
-        abs((p := fermionic_negativity_pair(fermion(float(r), q))).n_ar - p.n_aar)
+        abs((p := fermionic_negativity_pair(*point(float(r), q))).n_ar - p.n_aar)
         for r in np.linspace(0.0, R_MAX, 100)
     )
     assert worst < 1e-10
@@ -132,7 +120,7 @@ def test_criterion_5_bosonic_closed_form_anchor():
     for q in (1.0, 0.9, 0.8, 0.7):
         ql2 = 1.0 - q * q
         expected = (math.sqrt(ql2 * ql2 + 4.0 * q * q) - ql2) / 4.0
-        pair = bosonic_negativity_pair(boson(0.0, q))
+        pair = bosonic_negativity_pair(*point(0.0, q))
         assert abs(pair.n_ar - expected) < 1e-8
     ok("5 (bosonic r=0 closed-form anchor, |q_R| in {1, 0.9, 0.8, 0.7})")
 
@@ -140,16 +128,16 @@ def test_criterion_5_bosonic_closed_form_anchor():
 def test_criterion_6_bosonic_decay_and_ordering():
     # monotone decay with squeezing for the canonical weights
     values = [
-        bosonic_negativity_pair(boson(float(r), 1.0)).n_ar
+        bosonic_negativity_pair(*point(float(r), 1.0)).n_ar
         for r in np.linspace(0.0, 1.5, 16)
     ]
     assert all(a > b for a, b in zip(values, values[1:]))
     # deep-squeezing point through the exact block series
-    deep = bosonic_negativity_pair(boson(3.0, 1.0))
+    deep = bosonic_negativity_pair(*point(3.0, 1.0))
     assert deep.report.converged
     assert deep.n_ar < 0.01
     # Fig-2 style ordering at fixed moderate squeezing
-    ordered = [bosonic_negativity_pair(boson(0.5, q)).n_ar for q in (1.0, 0.9, 0.8, 0.7)]
+    ordered = [bosonic_negativity_pair(*point(0.5, q)).n_ar for q in (1.0, 0.9, 0.8, 0.7)]
     assert all(a > b for a, b in zip(ordered, ordered[1:]))
     ok(f"6 (bosonic decay, N_AR(r=3)={deep.n_ar:.4f} < 0.01, q-ordering at r=0.5)")
 
@@ -168,16 +156,16 @@ def test_criterion_7_bosonic_truncation_convergence():
 
 def test_criterion_8_phase_invariance_both_models():
     phases = (math.pi / 7, math.pi / 3, 1.0)
-    base_b = bosonic_negativity_pair(boson(0.6, 0.8))
-    base_f = fermionic_negativity_pair(fermion(0.5, 0.8))
+    base_b = bosonic_negativity_pair(*point(0.6, 0.8))
+    base_f = fermionic_negativity_pair(*point(0.5, 0.8))
     worst = 0.0
     for phi in phases:
-        rot_b = bosonic_negativity_pair(boson(0.6, 0.8, phase=phi))
+        rot_b = bosonic_negativity_pair(*point(0.6, 0.8, phase=phi))
         worst = max(worst, abs(rot_b.n_ar - base_b.n_ar), abs(rot_b.n_aar - base_b.n_aar))
-        rot_f = fermionic_negativity_pair(fermion(0.5, 0.8, phase=phi))
+        rot_f = fermionic_negativity_pair(*point(0.5, 0.8, phase=phi))
         worst = max(worst, abs(rot_f.n_ar - base_f.n_ar), abs(rot_f.n_aar - base_f.n_aar))
-        full = fermionic_negativity_pair(fermion(0.5, 0.8, phase=phi), method="full")
-        worst = max(worst, abs(full.n_ar - base_f.n_ar), abs(full.n_aar - base_f.n_aar))
+        full_ar, full_aar = _full_negativities([0.5], UnruhWeights.from_abs(0.8, phi))[0].tolist()
+        worst = max(worst, abs(full_ar - base_f.n_ar), abs(full_aar - base_f.n_aar))
     assert worst < 1e-10
     ok(f"8 (phase invariance of both models, max change {worst:.2e})")
 

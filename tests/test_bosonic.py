@@ -4,6 +4,7 @@ import cmath
 import functools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -22,11 +23,10 @@ from unruhkit.bosonic import (
     N_MAX_CAP,
     REGION_I,
     REGION_II,
-    BosonScenario,
-    BosonSqueezing,
     bosonic_curve,
     bosonic_negativity_pair,
     joint_state,
+    squeezing_from_acceleration,
     vacuum_coefficients,
     _block_series,
     _bracket_widths,
@@ -39,13 +39,13 @@ from unruhkit.qops import negativity, partial_transpose, reduced_density
 from unruhkit.weights import UnruhWeights
 
 
-def scenario(r, q_abs, phase=0.0):
-    return BosonScenario(BosonSqueezing(r), UnruhWeights.from_abs(q_abs, phase))
+def point(r, q_abs, phase=0.0):
+    return r, UnruhWeights.from_abs(q_abs, phase)
 
 
-def dense_pair(sc):
+def dense_pair(r, weights):
     """The dense engine on one point, whatever the weight."""
-    return next(bosonic._dense_pairs(np.array([sc.squeezing.r]), sc.weights))
+    return next(bosonic._dense_pairs(np.array([r]), weights))
 
 
 def closed_form_r0(q_abs):
@@ -90,31 +90,30 @@ class TestUnruhWeights:
 class TestSqueezing:
     def test_derived_value(self):
         # oracle: direct scalar evaluation of artanh(e^{-pi})
-        sq = BosonSqueezing.from_acceleration(1.0, 1.0)
-        assert abs(sq.r - math.atanh(math.exp(-math.pi))) < 1e-15
+        r = squeezing_from_acceleration(1.0, 1.0)
+        assert abs(r - math.atanh(math.exp(-math.pi))) < 1e-15
 
     def test_small_acceleration_limit(self):
-        assert BosonSqueezing.from_acceleration(1.0, 1e-3).r < 1e-100
+        assert squeezing_from_acceleration(1.0, 1e-3) < 1e-100
 
     @pytest.mark.parametrize("a,r", [(1e12, 13.589719205319547), (1e15, 17.043596844810615)])
     def test_large_acceleration_matches_mpmath(self, a, r):
         # artanh(e^{-pi/a}) to 50 digits (mpmath), rounded to double; no cap
-        assert BosonSqueezing.from_acceleration(1.0, a).r == r
+        assert squeezing_from_acceleration(1.0, a) == r
 
     def test_large_acceleration_pair_is_that_of_the_exact_r(self):
         # the r = 10 cap used to report 2.458e-9 here, 1312 times the value
         weights = UnruhWeights.from_abs(1.0)
-        pair = bosonic_negativity_pair(
-            BosonScenario(BosonSqueezing.from_acceleration(1.0, 1e12), weights))
-        exact = bosonic_negativity_pair(BosonScenario(BosonSqueezing(13.589719205319547), weights))
+        pair = bosonic_negativity_pair(squeezing_from_acceleration(1.0, 1e12), weights)
+        exact = bosonic_negativity_pair(13.589719205319547, weights)
         assert pair == exact
         assert pair.report.converged and 1.8e-12 < pair.n_ar < 1.9e-12
 
     def test_infinite_acceleration_is_infinite_squeezing(self):
         # pi omega_a / (2a) underflows to 0; the block series returns 0 there
-        sq = BosonSqueezing.from_acceleration(1e-300, 1e300)
-        assert sq.r == math.inf
-        pair = bosonic_negativity_pair(BosonScenario(sq, UnruhWeights.from_abs(1.0)))
+        r = squeezing_from_acceleration(1e-300, 1e300)
+        assert r == math.inf
+        pair = bosonic_negativity_pair(r, UnruhWeights.from_abs(1.0))
         assert (pair.n_ar, pair.n_aar) == (0.0, 0.0)
 
     @pytest.mark.parametrize("omega_a,a", [
@@ -124,25 +123,42 @@ class TestSqueezing:
     def test_nonpositive_inputs_rejected(self, omega_a, a):
         # a NaN input, or inf / inf = NaN, used to pass the check and come back as r = inf
         with pytest.raises(ValueError, match="omega_a and a must be > 0"):
-            BosonSqueezing.from_acceleration(omega_a, a)
+            squeezing_from_acceleration(omega_a, a)
 
     def test_one_sided_infinite_limits(self):
-        assert BosonSqueezing.from_acceleration(1.0, math.inf).r == math.inf
-        assert BosonSqueezing.from_acceleration(math.inf, 1.0).r == 0.0
+        assert squeezing_from_acceleration(1.0, math.inf) == math.inf
+        assert squeezing_from_acceleration(math.inf, 1.0) == 0.0
 
     @pytest.mark.parametrize("omega_a,a,ratio", [(1e308, 1e308, 1.0), (5e-324, 5e-324, 1.0),
                                                   (1.7e308, 1e308, 1.7)])
     def test_extreme_inputs_take_their_ratio(self, omega_a, a, ratio):
         # pi omega_a was formed first: it overflowed to r = inf at 1e308 and
         # lost digits below the normals (r = 0.0498 at 5e-324)
-        r = BosonSqueezing.from_acceleration(omega_a, a).r
-        assert r == pytest.approx(BosonSqueezing.from_acceleration(ratio, 1.0).r, rel=1e-14)
+        r = squeezing_from_acceleration(omega_a, a)
+        assert r == pytest.approx(squeezing_from_acceleration(ratio, 1.0), rel=1e-14)
         if ratio == 1.0:
             assert r == pytest.approx(0.0432408, abs=1e-7)
 
-    def test_negative_r_rejected(self):
-        with pytest.raises(ValueError):
-            BosonSqueezing(-0.1)
+    @pytest.mark.parametrize("omega_a,a,bits", [
+        (1.0, 1.0, "0x1.623aa1a755ddbp-5"), (1.0, 1e-3, "0x0.0p+0"), (1.0, 1e12, "0x1.b2defacf95754p+3"),
+        (1.0, 1e15, "0x1.10b2929aeab9ep+4"), (1e-300, 1e300, "inf"), (1.0, math.inf, "inf"),
+        (math.inf, 1.0, "0x0.0p+0"), (1e308, 1e308, "0x1.623aa1a755ddbp-5"),
+        (5e-324, 5e-324, "0x1.623aa1a755ddbp-5"), (1.7e308, 1e308, "0x1.3a151135a25cbp-8"),
+        (1.7, 1.0, "0x1.3a151135a25cbp-8"),
+    ])
+    def test_bits_are_pinned(self, omega_a, a, bits):
+        # r to the last bit on the inputs above, extreme ones included
+        assert squeezing_from_acceleration(omega_a, a).hex() == bits
+
+    @pytest.mark.parametrize("bad", [-0.1, -1e-300, math.nan, -math.inf])
+    def test_bad_r_rejected(self, bad):
+        # the scalar pair shares the curve's r check
+        message = f"squeezing parameter must be >= 0, got {bad}"
+        for q_abs in (0.8, 1.0):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                bosonic_negativity_pair(*point(bad, q_abs))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bosonic_curve(0.8, [0.5, bad])
 
 
 class TestVacuumCoefficients:
@@ -166,36 +182,36 @@ class TestVacuumCoefficients:
     def test_tail_weight_matches_brute_force(self):
         # the dense report's tail weight is the squeezed-vacuum weight past its level
         r = 0.9
-        rep = bosonic_negativity_pair(scenario(r, 0.8)).report
+        rep = bosonic_negativity_pair(*point(r, 0.8)).report
         n = np.arange(rep.n_max_used + 1, rep.n_max_used + 4000)
         brute = np.sum(np.tanh(r) ** (2 * n) / math.cosh(r) ** 2)
         assert abs(rep.tail_weight - brute) < 1e-12 * brute
 
 
-def branches(sc, n_max):
+def branches(r, weights, n_max):
     """Vacuum (|0>_M) and excitation (|1>_M) amplitude tables of the raw joint state.
 
     Each is scaled by sqrt(2), which undoes the 1/sqrt(2) of the superposition.
     """
     d = n_max + 1
-    amp = joint_state(sc, n_max).amplitudes.reshape(2, d, d) * math.sqrt(2.0)
+    amp = joint_state(r, weights, n_max).amplitudes.reshape(2, d, d) * math.sqrt(2.0)
     return amp[0], amp[1]
 
 
-def reduced(sc, n_max, wedge=REGION_I):
+def reduced(r, weights, n_max, wedge=REGION_I):
     """Alice-``wedge`` reduction of the raw joint state cut at n_max."""
-    return reduced_density(joint_state(sc, n_max), (ALICE, wedge))
+    return reduced_density(joint_state(r, weights, n_max), (ALICE, wedge))
 
 
 class TestStateBuilders:
     def test_vacuum_at_zero_squeezing(self):
-        vac = branches(scenario(0.0, 1.0), 8)[0]
+        vac = branches(*point(0.0, 1.0), 8)[0]
         assert vac[0, 0] == 1.0
         assert np.count_nonzero(vac) == 1
         assert np.linalg.norm(vac) == 1.0
 
     def test_vacuum_schmidt_coefficients(self):
-        vac = branches(scenario(0.7, 1.0), 12)[0]
+        vac = branches(*point(0.7, 1.0), 12)[0]
         f = vacuum_coefficients(0.7, 12)
         assert np.allclose(np.diag(vac).real, f, atol=1e-14)
         # the raw branch keeps the untruncated coefficients: its norm^2 misses the tail
@@ -203,25 +219,24 @@ class TestStateBuilders:
         assert abs(np.linalg.norm(vac) ** 2 - (1.0 - tail)) < 1e-12
 
     def test_vacuum_truncation_deficit(self):
-        vac = branches(scenario(0.5, 1.0), 20)[0]
+        vac = branches(*point(0.5, 1.0), 20)[0]
         assert 1.0 - np.linalg.norm(vac) ** 2 < 1e-6
 
     def test_excitation_at_zero_squeezing(self):
-        exc = branches(scenario(0.0, 1.0), 30)[1]
+        exc = branches(*point(0.0, 1.0), 30)[1]
         assert abs(exc[1, 0] - 1.0) < 1e-14
 
     def test_excitation_general_weights_at_zero_squeezing(self):
-        sc = BosonScenario(BosonSqueezing(0.0), UnruhWeights(0.6j, 0.8))
-        exc = branches(sc, 10)[1]
+        exc = branches(0.0, UnruhWeights(0.6j, 0.8), 10)[1]
         assert abs(exc[1, 0] - 0.6j) < 1e-14  # q_R |1>_I |0>_II
         assert abs(exc[0, 1] - 0.8) < 1e-14   # q_L |0>_I |1>_II
 
     def test_excitation_raw_norm_deficit(self):
-        exc = branches(scenario(0.5, 0.8), 40)[1]
+        exc = branches(*point(0.5, 0.8), 40)[1]
         assert abs(1.0 - np.linalg.norm(exc) ** 2) < 1e-8
 
     def test_joint_state_is_bell_at_zero_squeezing(self):
-        amp = joint_state(scenario(0.0, 1.0), 5).amplitudes.reshape(2, 6, 6)
+        amp = joint_state(*point(0.0, 1.0), 5).amplitudes.reshape(2, 6, 6)
         assert abs(amp[0, 0, 0] - 1.0 / math.sqrt(2.0)) < 1e-14
         assert abs(amp[1, 1, 0] - 1.0 / math.sqrt(2.0)) < 1e-14
         assert np.count_nonzero(amp) == 2
@@ -229,22 +244,23 @@ class TestStateBuilders:
     def test_joint_state_normalized(self):
         # the raw state is normalised once the cut holds it: short of 1 by the
         # cut's weight at n_max = 30, within 1e-12 of 1 at n_max = 120
-        assert np.linalg.norm(joint_state(scenario(0.9, 0.8), 30).amplitudes) < 1.0 - 1e-9
-        assert abs(np.linalg.norm(joint_state(scenario(0.9, 0.8), 120).amplitudes) - 1.0) < 1e-12
+        assert np.linalg.norm(joint_state(*point(0.9, 0.8), 30).amplitudes) < 1.0 - 1e-9
+        assert abs(np.linalg.norm(joint_state(*point(0.9, 0.8), 120).amplitudes) - 1.0) < 1e-12
 
     def test_joint_state_checks_its_cut(self):
         # the cut is an integer >= 1; a float one would index the amplitude table
-        sc = scenario(0.1, 0.9)
+        r, weights = point(0.1, 0.9)
         with pytest.raises(TypeError, match="n_max must be an integer"):
-            joint_state(sc, 30.0)
+            joint_state(r, weights, 30.0)
         with pytest.raises(ValueError, match="n_max must be >= 1"):
-            joint_state(sc, 0)
-        assert np.array_equal(joint_state(sc, np.int64(30)).amplitudes, joint_state(sc, 30).amplitudes)
+            joint_state(r, weights, 0)
+        assert np.array_equal(joint_state(r, weights, np.int64(30)).amplitudes,
+                              joint_state(r, weights, 30).amplitudes)
 
     def test_joint_raw_amplitude_coefficient(self):
         # amplitude at (M=1, I=n+1, II=n) is q_R f(n) sqrt(n+1) / (sqrt(2) cosh r)
         r, q_abs, phase = 0.6, 0.8, 0.9
-        amp = joint_state(scenario(r, q_abs, phase), 20).amplitudes.reshape(2, 21, 21)
+        amp = joint_state(*point(r, q_abs, phase), 20).amplitudes.reshape(2, 21, 21)
         f = vacuum_coefficients(r, 20)
         q_r = q_abs * np.exp(1j * phase)
         for n in (0, 3, 7):
@@ -254,13 +270,13 @@ class TestStateBuilders:
 
 class TestReducedMatrices:
     def test_bell_density_at_zero_squeezing(self):
-        rho = reduced(scenario(0.0, 1.0), 4)
+        rho = reduced(*point(0.0, 1.0), 4)
         assert abs(negativity(rho, "M").value - 0.5) < 1e-12
 
     def test_hand_traced_two_term_state(self):
         # at r = 0 the joint state has two branches; tracing region II by hand
         # gives (1/2)[|00><00| + 0.64 |11><11| + 0.36 |10><10| + (q_R |11><00| + h.c.)]
-        rho = reduced(scenario(0.0, 0.8), 3).matrix
+        rho = reduced(*point(0.0, 0.8), 3).matrix
         d = 4
         expected = np.zeros((8, 8))
         expected[0, 0] = 0.5
@@ -275,7 +291,7 @@ class TestReducedMatrices:
         # on |1, n+1><1, n+1| and f(n)^2 (n+1) |q_L|^2 / (2 cosh^2 r) on
         # |1, n><1, n|; a diagonal element at occupation m collects both
         r, q_abs, n_max = 0.7, 0.9, 25
-        mat = reduced(scenario(r, q_abs), n_max).matrix
+        mat = reduced(*point(r, q_abs), n_max).matrix
         f = vacuum_coefficients(r, n_max)
         ql2 = 1.0 - q_abs * q_abs
         cosh2 = math.cosh(r) ** 2
@@ -290,7 +306,7 @@ class TestReducedMatrices:
     def test_diagonal_coefficient_pure_right_weight(self):
         # with q_L = 0 the |1, n+1> diagonal is exactly the single read-off term
         r, n_max = 0.7, 25
-        mat = reduced(scenario(r, 1.0), n_max).matrix
+        mat = reduced(*point(r, 1.0), n_max).matrix
         f = vacuum_coefficients(r, n_max)
         d = n_max + 1
         for n in (0, 4, 9):
@@ -299,22 +315,22 @@ class TestReducedMatrices:
 
     def test_traces_are_unit(self):
         for wedge in (REGION_I, REGION_II):
-            rho = _principal_block(scenario(0.5, 0.7), 30, wedge)[1]
+            rho = _principal_block(*point(0.5, 0.7), 30, wedge)[1]
             assert abs(np.trace(rho.matrix).real - 1.0) < 1e-10
 
     def test_antirob_is_product_at_extremal_weights(self):
-        rho = reduced(scenario(0.0, 1.0), 4, REGION_II)
+        rho = reduced(*point(0.0, 1.0), 4, REGION_II)
         assert negativity(rho, "M").value < 1e-14
 
     def test_swap_rule(self):
         q_r, q_l = 0.6 * np.exp(0.3j), math.sqrt(1 - 0.36) * np.exp(-1.1j)
-        sc = BosonScenario(BosonSqueezing(0.8), UnruhWeights(q_r, q_l))
-        swapped = BosonScenario(BosonSqueezing(0.8), UnruhWeights(q_l, q_r))
-        assert np.max(np.abs(reduced(sc, 25, REGION_II).matrix - reduced(swapped, 25).matrix)) < 1e-12
+        weights, swapped = UnruhWeights(q_r, q_l), UnruhWeights(q_l, q_r)
+        gap = reduced(0.8, weights, 25, REGION_II).matrix - reduced(0.8, swapped, 25).matrix
+        assert np.max(np.abs(gap)) < 1e-12
 
     def test_positivity(self):
         for wedge in (REGION_I, REGION_II):
-            rho = _principal_block(scenario(0.9, 0.75), 30, wedge)[1].matrix
+            rho = _principal_block(*point(0.9, 0.75), 30, wedge)[1].matrix
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
             assert abs(np.trace(rho) - 1.0) < 1e-10
             assert np.linalg.eigvalsh(rho).min() > -1e-10
@@ -329,8 +345,7 @@ class TestReducedMatrices:
         r, n_max = 0.65, 9
         q_r = 0.8 * np.exp(0.4j)
         q_l = 0.6 * np.exp(-1.3j)
-        sc = BosonScenario(BosonSqueezing(r), UnruhWeights(q_r, q_l))
-        actual = reduced(sc, n_max).matrix
+        actual = reduced(r, UnruhWeights(q_r, q_l), n_max).matrix
 
         d = n_max + 1
         f = vacuum_coefficients(r, n_max)
@@ -362,7 +377,7 @@ class TestBlockStructure:
         # for q_R = 1 the only off-diagonal couplings of the Alice-Rob partial
         # transpose connect |0, n+1> with |1, n>; {|0, 0>} sits alone
         n_max = 12
-        sigma = partial_transpose(reduced(scenario(0.8, 1.0), n_max), "M")
+        sigma = partial_transpose(reduced(*point(0.8, 1.0), n_max), "M")
         d = n_max + 1
 
         def block_id(i, n):
@@ -379,7 +394,7 @@ class TestBlockStructure:
         # the Alice-AntiRob partial transpose at q_R = 1 has the mirrored
         # pairing {|0, n>, |1, n+1>} (it equals the Alice-Rob matrix at q_L = 1)
         n_max = 12
-        sigma = partial_transpose(reduced(scenario(0.8, 1.0), n_max, REGION_II), "M")
+        sigma = partial_transpose(reduced(*point(0.8, 1.0), n_max, REGION_II), "M")
         d = n_max + 1
 
         def block_id(i, n):
@@ -395,7 +410,7 @@ class TestBlockStructure:
 
 class TestNegativityPair:
     def test_extremal_weights_at_zero_squeezing(self):
-        pair = bosonic_negativity_pair(scenario(0.0, 1.0))
+        pair = bosonic_negativity_pair(*point(0.0, 1.0))
         assert abs(pair.n_ar - 0.5) < 1e-12
         assert pair.n_aar == 0.0
         assert pair.report.method == "blocks"
@@ -403,30 +418,30 @@ class TestNegativityPair:
 
     @pytest.mark.parametrize("q_abs", [1.0, 0.9, 0.8, 0.7])
     def test_zero_squeezing_closed_form(self, q_abs):
-        pair = bosonic_negativity_pair(scenario(0.0, q_abs))
+        pair = bosonic_negativity_pair(*point(0.0, q_abs))
         assert abs(pair.n_ar - closed_form_r0(q_abs)) < 1e-10
 
     def test_example_value_at_08(self):
-        pair = bosonic_negativity_pair(scenario(0.0, 0.8))
+        pair = bosonic_negativity_pair(*point(0.0, 0.8))
         assert abs(pair.n_ar - 0.32) < 1e-12
 
     def test_blocks_agree_with_dense_engine(self):
         for r in (0.3, 0.8, 1.2):
-            blocks = bosonic._pair_blocks(scenario(r, 1.0))
-            dense = dense_pair(scenario(r, 1.0))
+            blocks = bosonic._pair_blocks(*point(r, 1.0))
+            dense = dense_pair(*point(r, 1.0))
             assert dense.report.converged
             assert abs(blocks.n_ar - dense.n_ar) < 1e-7
             assert dense.n_aar < 1e-7  # exactly zero up to truncation noise
 
     def test_large_squeezing_through_blocks(self):
-        pair = bosonic_negativity_pair(scenario(3.0, 1.0))
+        pair = bosonic_negativity_pair(*point(3.0, 1.0))
         assert pair.report.method == "blocks"
         assert pair.report.converged
         assert pair.n_ar < 0.01
         assert pair.n_ar > 0.001
 
     def test_dense_convergence_report(self):
-        pair = bosonic_negativity_pair(scenario(1.2, 0.8))
+        pair = bosonic_negativity_pair(*point(1.2, 0.8))
         rep = pair.report
         assert rep.method == "dense"
         assert rep.converged
@@ -439,33 +454,30 @@ class TestNegativityPair:
         # r ~ 355; the route must flag the row, not raise or warn
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pair = bosonic_negativity_pair(scenario(r, 0.8))
+            pair = bosonic_negativity_pair(*point(r, 0.8))
         assert (pair.n_ar, pair.n_aar) == (0.0, 0.0)
         assert pair.report.method == "dense"
         assert not pair.report.converged
 
     def test_phase_invariance(self):
         for r in (0.2, 0.7):
-            base = bosonic_negativity_pair(scenario(r, 0.8))
+            base = bosonic_negativity_pair(*point(r, 0.8))
             for phase in (math.pi / 7, math.pi / 3, 1.0):
-                rotated = bosonic_negativity_pair(scenario(r, 0.8, phase=phase))
+                rotated = bosonic_negativity_pair(*point(r, 0.8, phase=phase))
                 assert abs(rotated.n_ar - base.n_ar) < 1e-10
                 assert abs(rotated.n_aar - base.n_aar) < 1e-10
 
     def test_swap_symmetry_of_pair(self):
-        sc = BosonScenario(BosonSqueezing(0.6), UnruhWeights.from_abs(0.8))
-        swapped = BosonScenario(BosonSqueezing(0.6), UnruhWeights.from_abs(0.6))
-        pair = bosonic_negativity_pair(sc)
-        mirror = bosonic_negativity_pair(swapped)
+        pair = bosonic_negativity_pair(*point(0.6, 0.8))
+        mirror = bosonic_negativity_pair(*point(0.6, 0.6))
         assert abs(pair.n_ar - mirror.n_aar) < 1e-12
         assert abs(pair.n_aar - mirror.n_ar) < 1e-12
 
     def test_truncation_deltas_shrink(self):
-        sc = scenario(1.0, 0.8)
         deltas = []
         for n in (15, 25, 35):
-            a = _dense_pair(sc, n)[0]
-            b = _dense_pair(sc, n + 5)[0]
+            a = _dense_pair(*point(1.0, 0.8), n)[0]
+            b = _dense_pair(*point(1.0, 0.8), n + 5)[0]
             deltas.append(abs(a - b))
         assert deltas[0] > deltas[1] > deltas[2]
 
@@ -508,7 +520,7 @@ class TestCurve:
         rows = bosonic_curve(q_abs, grid)
         assert {row.n_max_used for row in rows} == {1, 8, 16, 32, 64, 120}
         for x, row in zip(grid, rows):
-            pair = bosonic_negativity_pair(scenario(float(x), q_abs))
+            pair = bosonic_negativity_pair(*point(float(x), q_abs))
             assert (row.r, row.n_ar, row.n_aar) == (float(x), pair.n_ar, pair.n_aar)
             assert (row.n_max_used, row.converged) == (pair.report.n_max_used, pair.report.converged)
         # tanh 25 rounds to 1: returned unevaluated
@@ -637,22 +649,22 @@ class TestBlockSeries:
         assert math.tanh(r) ** 2 == 0.0  # at r = 1e-300 it underflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pair = bosonic_negativity_pair(scenario(r, 1.0))
+            pair = bosonic_negativity_pair(*point(r, 1.0))
         assert pair.n_ar == 0.5 and pair.n_aar == 0.0
         assert pair.report.method == "blocks" and pair.report.converged
 
     def test_converged_means_bound_within_relative_tolerance(self, monkeypatch):
-        pair = bosonic_negativity_pair(scenario(5.0, 1.0))
+        pair = bosonic_negativity_pair(*point(5.0, 1.0))
         rep = pair.report
         assert rep.converged and 0.0 < rep.tail_weight <= 1e-6 * pair.n_ar
         monkeypatch.setattr(bosonic, "DELTA_TOL", 0.5 * rep.tail_weight / pair.n_ar)
-        loose = bosonic_negativity_pair(scenario(5.0, 1.0))
+        loose = bosonic_negativity_pair(*point(5.0, 1.0))
         assert loose.n_ar == pair.n_ar
         assert not loose.report.converged
 
     def test_left_weight_mirrors_the_pair(self):
-        right = bosonic_negativity_pair(scenario(7.0, 1.0))
-        left = bosonic_negativity_pair(scenario(7.0, 0.0))
+        right = bosonic_negativity_pair(*point(7.0, 1.0))
+        left = bosonic_negativity_pair(*point(7.0, 0.0))
         assert (left.n_ar, left.n_aar) == (right.n_aar, right.n_ar)
         assert (left.report.delta_ar, left.report.delta_aar) == (
             right.report.delta_aar, right.report.delta_ar)
@@ -670,14 +682,11 @@ class TestParitySectors:
         # between sectors of different parity of (n_M + n_I), and inside each
         # sector (occupation order) nothing beyond the second off-diagonal
         n_max = 14
-        sc = BosonScenario(
-            BosonSqueezing(0.9),
-            UnruhWeights(0.7 * np.exp(0.4j), math.sqrt(0.51) * np.exp(-1.2j)),
-        )
+        weights = UnruhWeights(0.7 * np.exp(0.4j), math.sqrt(0.51) * np.exp(-1.2j))
         d = n_max + 1
         parity = np.add.outer(np.arange(2), np.arange(d)).ravel() % 2
         offset = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
-        for rho in (reduced(sc, n_max), reduced(sc, n_max, REGION_II)):
+        for rho in (reduced(0.9, weights, n_max), reduced(0.9, weights, n_max, REGION_II)):
             sigma = partial_transpose(rho, "M")
             assert np.max(np.abs(sigma[np.not_equal.outer(parity, parity)])) == 0.0
             for p in (0, 1):
@@ -692,9 +701,9 @@ class TestParitySectors:
         # oracle: the exact principal block of the qops partial transpose,
         # reordered into the two sectors; the weight phases only move the
         # phases of its entries
-        sc = scenario(r, q_abs, phase)
-        bands = _sector_bands(r, sc.weights.abs_r, sc.weights.abs_l, n_max)[0]  # Alice-Rob
-        weight, rho = _principal_block(sc, n_max, REGION_I)
+        weights = UnruhWeights.from_abs(q_abs, phase)
+        bands = _sector_bands(r, weights.abs_r, weights.abs_l, n_max)[0]  # Alice-Rob
+        weight, rho = _principal_block(r, weights, n_max, REGION_I)
         sigma = weight * partial_transpose(rho, ALICE)
         d = n_max + 1
         for p, band in enumerate(bands):
@@ -714,13 +723,13 @@ class TestParitySectors:
 @functools.cache
 def deep_reference(r, q_abs):
     """(N_AR, N_AAR) of the d = 8000 principal block: a lower bound within 1e-15 at r <= 3."""
-    return _dense_pair(scenario(r, q_abs), 7999)
+    return _dense_pair(*point(r, q_abs), 7999)
 
 
 def bracket(r, q_abs, n_max):
     """(N_AR, N_AAR) of the principal block at n_max, and the two widths past it."""
     w = UnruhWeights.from_abs(q_abs)
-    return _dense_pair(scenario(r, q_abs), n_max), _bracket_widths(r, w.abs_r, w.abs_l, n_max)
+    return _dense_pair(r, w, n_max), _bracket_widths(r, w.abs_r, w.abs_l, n_max)
 
 
 class EigCounter:
@@ -825,14 +834,14 @@ class TestPrincipalBlockBracket:
     def test_lower_bound_rises_monotonically_in_n(self):
         # a principal compression can only lower the sum of negative eigenvalues
         for q_abs in (0.4, 0.9):
-            values = np.array([_dense_pair(scenario(3.0, q_abs), n) for n in range(4, 200, 7)])
+            values = np.array([_dense_pair(*point(3.0, q_abs), n) for n in range(4, 200, 7)])
             assert np.all(np.diff(values, axis=0) >= 0.0)
             assert np.all(np.diff(values.max(axis=1)) > 0.0)
 
     @pytest.mark.parametrize("r", [1.5, 3.0])
     def test_minor_side_is_certified_zero_by_cholesky(self, r, monkeypatch):
         counter = EigCounter(monkeypatch)
-        pair = bosonic_negativity_pair(scenario(r, 0.9))
+        pair = bosonic_negativity_pair(*point(r, 0.9))
         d = pair.report.n_max_used + 1
         assert pair.n_aar == 0.0 and pair.n_ar > 0.0
         # both minor-side sectors factor, so only the two major-side sectors
@@ -842,7 +851,7 @@ class TestPrincipalBlockBracket:
 
     def test_one_solve_per_sector_at_n_max_used(self, monkeypatch):
         counter = EigCounter(monkeypatch)
-        pair = bosonic_negativity_pair(scenario(0.2, 0.6))  # both sides entangled at small r
+        pair = bosonic_negativity_pair(*point(0.2, 0.6))  # both sides entangled at small r
         d = pair.report.n_max_used + 1
         assert pair.n_ar > 0.0 and pair.n_aar > 0.0
         # the minor side (|q_R| < |q_L|) is entangled here: both its Cholesky
@@ -856,7 +865,7 @@ class TestPrincipalBlockBracket:
         # the block 200 levels deeper lies between the value and the exact
         # negativity, so it must fall inside [N, N + delta]
         values, widths = bracket(r, q_abs, n_max)
-        deeper = _dense_pair(scenario(r, q_abs), n_max + 200)
+        deeper = _dense_pair(*point(r, q_abs), n_max + 200)
         for value, width, deep in zip(values, widths, deeper):
             assert value <= deep + 1e-14
             assert deep <= value + width + 1e-14
@@ -869,7 +878,7 @@ class TestPrincipalBlockBracket:
         ladder = (1, 2, 4, 8, 16, 32, 64, N_MAX_CAP)
         levels = set()
         for r in np.linspace(0.0, 3.0, 61):
-            pair = bosonic_negativity_pair(scenario(r, q_abs))
+            pair = bosonic_negativity_pair(*point(r, q_abs))
             rep = pair.report
             n = rep.n_max_used
             levels.add(n)
@@ -882,7 +891,7 @@ class TestPrincipalBlockBracket:
         assert {1, N_MAX_CAP} < levels
 
     def test_converged_zero_is_certified_by_the_absolute_floor(self, monkeypatch):
-        pair = bosonic_negativity_pair(scenario(1.5, 0.9))
+        pair = bosonic_negativity_pair(*point(1.5, 0.9))
         rep = pair.report
         assert rep.converged and pair.n_aar == 0.0
         assert 0.0 < rep.delta_aar <= 1e-7
@@ -890,7 +899,7 @@ class TestPrincipalBlockBracket:
         # the same 0 is judged against it and fails
         assert rep.n_max_used == N_MAX_CAP
         monkeypatch.setattr(bosonic, "DELTA_TOL", 0.5 * rep.delta_aar / 0.1)
-        tight = bosonic_negativity_pair(scenario(1.5, 0.9))
+        tight = bosonic_negativity_pair(*point(1.5, 0.9))
         assert (tight.n_ar, tight.n_aar) == (pair.n_ar, pair.n_aar)
         assert not tight.report.converged
 
@@ -899,7 +908,7 @@ class TestPrincipalBlockBracket:
         counter = EigCounter(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pair = bosonic_negativity_pair(scenario(r, 0.8))
+            pair = bosonic_negativity_pair(*point(r, 0.8))
         rep = pair.report
         assert not rep.converged
         assert rep.n_max_used == N_MAX_CAP
@@ -920,14 +929,12 @@ def test_sector_engine_matches_qops_route(q_abs, r, phase_r, phase_l, n_max):
     weights = UnruhWeights(
         q_abs * np.exp(1j * phase_r), math.sqrt(1.0 - q_abs * q_abs) * np.exp(1j * phase_l)
     )
-    sc = BosonScenario(BosonSqueezing(r), weights)
-    fast, oracle = _dense_pair(sc, n_max), _qops_pair(sc, n_max)
+    fast, oracle = _dense_pair(r, weights, n_max), _qops_pair(r, weights, n_max)
     assert abs(fast[0] - oracle[0]) <= 1e-12
     assert abs(fast[1] - oracle[1]) <= 1e-12
     # swap rule: exchanging the weights exchanges the bipartitions, here
     # checked against the oracle's own Alice-AntiRob trace
-    swapped = BosonScenario(BosonSqueezing(r), UnruhWeights(weights.q_l, weights.q_r))
-    mirror = _dense_pair(swapped, n_max)
+    mirror = _dense_pair(r, UnruhWeights(weights.q_l, weights.q_r), n_max)
     assert abs(mirror[0] - oracle[1]) <= 1e-12
     assert abs(mirror[1] - oracle[0]) <= 1e-12
     for value in fast:
@@ -938,9 +945,8 @@ def test_sector_engine_matches_qops_route(q_abs, r, phase_r, phase_l, n_max):
 @given(q_abs=st.floats(0.0, 1.0), r=st.floats(0.0, 3.0), phase=st.floats(-math.pi, math.pi))
 def test_pair_swap_rule_and_range(q_abs, r, phase):
     weights = UnruhWeights.from_abs(q_abs, phase)
-    pair = bosonic_negativity_pair(BosonScenario(BosonSqueezing(r), weights))
-    swapped = UnruhWeights(weights.q_l, weights.q_r)
-    mirror = bosonic_negativity_pair(BosonScenario(BosonSqueezing(r), swapped))
+    pair = bosonic_negativity_pair(r, weights)
+    mirror = bosonic_negativity_pair(r, UnruhWeights(weights.q_l, weights.q_r))
     assert abs(pair.n_ar - mirror.n_aar) <= 1e-12
     assert abs(pair.n_aar - mirror.n_ar) <= 1e-12
     assert 0.0 <= pair.n_ar <= 0.5
@@ -963,8 +969,7 @@ def test_pair_phase_invariance(q_abs, r, phase_r, phase_l):
     if plain.minor_weight() <= EXTREMAL_TOL:
         engines["blocks"] = bosonic._pair_blocks
     for method, engine in engines.items():
-        base = engine(BosonScenario(BosonSqueezing(r), plain))
-        rotated = engine(BosonScenario(BosonSqueezing(r), turned))
+        base, rotated = engine(r, plain), engine(r, turned)
         assert abs(rotated.n_ar - base.n_ar) <= 1e-12
         assert abs(rotated.n_aar - base.n_aar) <= 1e-12
         assert rotated.report.method == method

@@ -226,7 +226,7 @@ class TestFermionCommand:
     def test_r_max_past_pi_over_4_by_rounding(self, r_max, code, tmp_path, capsys):
         # 5e-14 and 1.6e-12 past pi/4: the CLI range check and the squeezing
         # share one tolerance, so the first used to pass the check and then
-        # end in a ValueError traceback from FermionSqueezing
+        # end in a ValueError traceback from the fermion curve's r check
         out = tmp_path / "f.csv"
         assert main(["fermion", "--q", "1", "--r-max", r_max, "--steps", "2",
                      "--out", str(out)]) == code

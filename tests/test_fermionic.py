@@ -11,53 +11,71 @@ from hypothesis import example, given, settings, strategies as st
 import unruhkit.fermionic as fermionic
 from unruhkit.errors import MethodDisagreementError
 from unruhkit.fermionic import (
-    FermionScenario,
-    FermionSqueezing,
+    JOINT_SPACE,
     R_MAX,
     R_MAX_TOL,
-    fermion_joint_state,
     fermionic_curve,
     fermionic_negativity_pair,
-    grassmann_one_particle,
-    grassmann_vacuum,
     method_agreement_residual,
     occupation_index,
     pt_blocks,
-    rho_alice_antirob_fermi,
-    rho_alice_rob_fermi,
+    squeezing_from_acceleration,
 )
-from unruhkit.qops import hermitian_eigenvalues, negativity, partial_transpose
+from unruhkit.qops import FockKet, hermitian_eigenvalues, negativity, partial_transpose, reduced_density
 from unruhkit.weights import UnruhWeights
 
 
-def scenario(r, q_abs, phase=0.0):
-    return FermionScenario(FermionSqueezing(r), UnruhWeights.from_abs(q_abs, phase))
+def point(r, q_abs, phase=0.0):
+    return r, UnruhWeights.from_abs(q_abs, phase)
+
+
+def vacuum(r):
+    """The vacuum amplitudes: the first 16 columns of an amplitude-table row."""
+    return fermionic._amplitude_table([r], 0.0, 0.0)[0, :16]
+
+
+def one_particle(r, weights):
+    """The one-particle amplitudes: the last 16 columns of an amplitude-table row."""
+    return fermionic._amplitude_table([r], weights.q_r, weights.q_l)[0, 16:]
+
+
+def joint_ket(r, weights):
+    """The joint state: one row of the joint-state table."""
+    return FockKet(JOINT_SPACE, fermionic._joint_table([r], weights)[0])
+
+
+def rho_ar(r, weights):
+    """Region II traced out; basis |ijk> = |i>_M |j>_I+ |k>_I-."""
+    return reduced_density(joint_ket(r, weights), ("M", "I+", "I-"))
+
+
+def rho_aar(r, weights):
+    """Region I traced out; basis |ijk> = |i>_M |j>_II- |k>_II+."""
+    return reduced_density(joint_ket(r, weights), ("M", "II-", "II+"))
 
 
 class TestSqueezing:
     def test_derived_value(self):
-        sq = FermionSqueezing.from_acceleration(1.0, 1.0)
-        assert abs(sq.r - math.atan(math.exp(-math.pi))) < 1e-15
+        r = squeezing_from_acceleration(1.0, 1.0)
+        assert abs(r - math.atan(math.exp(-math.pi))) < 1e-15
 
     def test_small_acceleration(self):
-        assert FermionSqueezing.from_acceleration(1.0, 1e-3).r < 1e-100
+        assert squeezing_from_acceleration(1.0, 1e-3) < 1e-100
 
     def test_infinite_acceleration_is_bounded(self):
-        r = FermionSqueezing.from_acceleration(1.0, 1e12).r
+        r = squeezing_from_acceleration(1.0, 1e12)
         assert abs(r - R_MAX) < 1e-10
 
     def test_rindler_energy_parameterization(self):
         # at a = 1, omega_a is the Rindler energy E: tan r = e^{-pi E}
         for energy in (0.3, 2.5):
-            sq = FermionSqueezing.from_acceleration(energy, 1.0)
-            assert abs(math.tan(sq.r) - math.exp(-math.pi * energy)) < 1e-15
-        assert FermionSqueezing.from_acceleration(1e-300, 1.0).r == pytest.approx(R_MAX)
+            r = squeezing_from_acceleration(energy, 1.0)
+            assert abs(math.tan(r) - math.exp(-math.pi * energy)) < 1e-15
+        assert squeezing_from_acceleration(1e-300, 1.0) == pytest.approx(R_MAX)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            FermionSqueezing(1.0)
-        with pytest.raises(ValueError):
-            FermionSqueezing.from_acceleration(-1.0, 1.0)
+            squeezing_from_acceleration(-1.0, 1.0)
 
     @pytest.mark.parametrize("omega_a,a", [
         (math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan), (math.inf, math.inf),
@@ -66,58 +84,70 @@ class TestSqueezing:
         # NaN, and inf / inf = NaN, fail every ordered comparison, so they used
         # to pass the input check and fail later as an out-of-range squeezing
         with pytest.raises(ValueError, match="omega_a and a must be > 0"):
-            FermionSqueezing.from_acceleration(omega_a, a)
+            squeezing_from_acceleration(omega_a, a)
 
     def test_one_sided_infinite_limits(self):
-        assert FermionSqueezing.from_acceleration(1.0, math.inf).r == R_MAX
-        assert FermionSqueezing.from_acceleration(math.inf, 1.0).r == 0.0
+        assert squeezing_from_acceleration(1.0, math.inf) == R_MAX
+        assert squeezing_from_acceleration(math.inf, 1.0) == 0.0
 
     @pytest.mark.parametrize("omega_a,a,ratio", [(1e308, 1e308, 1.0), (5e-324, 5e-324, 1.0),
                                                   (1.7e308, 1e308, 1.7)])
     def test_extreme_inputs_take_their_ratio(self, omega_a, a, ratio):
         # pi omega_a was formed first: it overflowed to r = 0 at 1e308 and
         # lost digits below the normals (r = 0.0497 at 5e-324)
-        r = FermionSqueezing.from_acceleration(omega_a, a).r
-        assert r == pytest.approx(FermionSqueezing.from_acceleration(ratio, 1.0).r, rel=1e-14)
+        r = squeezing_from_acceleration(omega_a, a)
+        assert r == pytest.approx(squeezing_from_acceleration(ratio, 1.0), rel=1e-14)
         if ratio == 1.0:
             assert r == pytest.approx(0.0431870, abs=1e-7)
+
+    @pytest.mark.parametrize("omega_a,a,bits", [
+        (1.0, 1.0, "0x1.61c9ce20ca60bp-5"), (1.0, 1e-3, "0x0.0p+0"), (1.0, 1e12, "0x1.921fb5443f5d4p-1"),
+        (0.3, 1.0, "0x1.7c7ab9f558057p-2"), (2.5, 1.0, "0x1.970f7fb37416dp-12"),
+        (1e-300, 1.0, "0x1.921fb54442d18p-1"), (1.0, math.inf, "0x1.921fb54442d18p-1"),
+        (math.inf, 1.0, "0x0.0p+0"), (1e308, 1e308, "0x1.61c9ce20ca60bp-5"),
+        (5e-324, 5e-324, "0x1.61c9ce20ca60bp-5"), (1.7e308, 1e308, "0x1.3a13d6094f7f8p-8"),
+        (1.7, 1.0, "0x1.3a13d6094f7f8p-8"),
+    ])
+    def test_bits_are_pinned(self, omega_a, a, bits):
+        # r to the last bit on the inputs above, extreme ones included
+        assert squeezing_from_acceleration(omega_a, a).hex() == bits
 
 
 class TestStates:
     def test_vacuum_at_zero_squeezing(self):
-        amp = grassmann_vacuum(0.0)
+        amp = vacuum(0.0)
         assert amp[0] == 1.0
         assert np.count_nonzero(amp) == 1
 
     @pytest.mark.parametrize("r", np.linspace(0.0, R_MAX, 7))
     def test_vacuum_norm_is_exactly_one(self, r):
-        assert abs(np.linalg.norm(grassmann_vacuum(r)) - 1.0) < 1e-15
+        assert abs(np.linalg.norm(vacuum(r)) - 1.0) < 1e-15
 
     def test_vacuum_amplitudes_at_maximal_squeezing(self):
-        amp = grassmann_vacuum(R_MAX)
+        amp = vacuum(R_MAX)
         assert abs(amp[occupation_index(0, 0, 0, 0)] - 0.5) < 1e-15
         assert abs(amp[occupation_index(0, 0, 1, 1)] + 0.5) < 1e-15
         assert abs(amp[occupation_index(1, 1, 0, 0)] - 0.5) < 1e-15
         assert abs(amp[occupation_index(1, 1, 1, 1)] + 0.5) < 1e-15
 
     def test_one_particle_at_zero_squeezing(self):
-        amp = grassmann_one_particle(0.0, UnruhWeights.from_abs(1.0))
+        amp = one_particle(0.0, UnruhWeights.from_abs(1.0))
         assert amp[occupation_index(1, 0, 0, 0)] == 1.0
         assert np.count_nonzero(amp) == 1
 
     @pytest.mark.parametrize("r", np.linspace(0.0, R_MAX, 5))
     def test_one_particle_norm(self, r):
-        amp = grassmann_one_particle(r, UnruhWeights.from_abs(0.8, 0.4))
+        amp = one_particle(r, UnruhWeights.from_abs(0.8, 0.4))
         assert abs(np.linalg.norm(amp) - 1.0) < 1e-15
 
     @pytest.mark.parametrize("r", np.linspace(0.0, R_MAX, 9))
     def test_one_particle_orthogonal_to_vacuum(self, r):
-        vac = grassmann_vacuum(r)
-        one = grassmann_one_particle(r, UnruhWeights.from_abs(0.7, 1.2))
+        vac = vacuum(r)
+        one = one_particle(r, UnruhWeights.from_abs(0.7, 1.2))
         assert abs(np.vdot(vac, one)) < 1e-14
 
     def test_joint_state_norm_and_bell_limit(self):
-        amp = fermion_joint_state(scenario(0.0, 1.0)).amplitudes
+        amp = joint_ket(*point(0.0, 1.0)).amplitudes
         assert abs(np.linalg.norm(amp) - 1.0) < 1e-15
         root_half = 1.0 / math.sqrt(2.0)
         assert abs(amp[0] - root_half) < 1e-15                    # |0>_M |0000>
@@ -126,7 +156,7 @@ class TestStates:
     def test_joint_amplitude_read_off(self):
         # amplitude at (M=1, |1011>) is -q_R sin(r)/sqrt(2)
         r, q_abs, phase = 0.5, 0.8, 0.7
-        amp = fermion_joint_state(scenario(r, q_abs, phase)).amplitudes
+        amp = joint_ket(*point(r, q_abs, phase)).amplitudes
         q_r = q_abs * np.exp(1j * phase)
         expected = -q_r * math.sin(r) / math.sqrt(2.0)
         assert abs(amp[16 + occupation_index(1, 0, 1, 1)] - expected) < 1e-15
@@ -136,13 +166,13 @@ class TestReducedMatrices:
     def test_rho_ar_vacuum_diagonal(self):
         r = 0.6
         c = math.cos(r)
-        rho = rho_alice_rob_fermi(fermion_joint_state(scenario(r, 0.8))).matrix
+        rho = rho_ar(*point(r, 0.8)).matrix
         assert abs(rho[0, 0] - c**4 / 2.0) < 1e-15
 
     def test_rho_ar_off_diagonal_coefficient(self):
         # <000| rho |110> = q_R^* C^3 / 2 in the (M, I+, I-) basis
         r, q_abs, phase = 0.6, 0.8, 1.1
-        rho = rho_alice_rob_fermi(fermion_joint_state(scenario(r, q_abs, phase))).matrix
+        rho = rho_ar(*point(r, q_abs, phase)).matrix
         q_r = q_abs * np.exp(1j * phase)
         expected = np.conj(q_r) * math.cos(r) ** 3 / 2.0
         assert abs(rho[0b000, 0b110] - expected) < 1e-15
@@ -151,27 +181,26 @@ class TestReducedMatrices:
         # |101><101| carries (|q_R|^2 S^2 + |q_L|^2 C^2)/2 in the (M, II-, II+) basis
         r, q_abs = 0.45, 0.75
         c, s = math.cos(r), math.sin(r)
-        rho = rho_alice_antirob_fermi(fermion_joint_state(scenario(r, q_abs))).matrix
+        rho = rho_aar(*point(r, q_abs)).matrix
         expected = (q_abs**2 * s**2 + (1 - q_abs**2) * c**2) / 2.0
         assert abs(rho[0b101, 0b101] - expected) < 1e-15
 
     @pytest.mark.parametrize("seed", range(4))
     def test_traces_and_validity(self, seed):
         rng = np.random.default_rng(seed)
-        sc = scenario(rng.uniform(0, R_MAX), rng.uniform(0, 1), rng.uniform(0, 2 * math.pi))
-        joint = fermion_joint_state(sc)
-        for rho in (rho_alice_rob_fermi(joint).matrix, rho_alice_antirob_fermi(joint).matrix):
+        r, weights = point(rng.uniform(0, R_MAX), rng.uniform(0, 1), rng.uniform(0, 2 * math.pi))
+        for rho in (rho_ar(r, weights).matrix, rho_aar(r, weights).matrix):
             assert abs(np.trace(rho) - 1.0) < 1e-14
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
             assert np.linalg.eigvalsh(rho).min() > -1e-10
 
     def test_antirob_pure_product_at_zero_squeezing(self):
-        rho = rho_alice_antirob_fermi(fermion_joint_state(scenario(0.0, 1.0)))
+        rho = rho_aar(*point(0.0, 1.0))
         assert negativity(rho, "M").value == 0.0
 
 
-def sc_blocks(sc, bipartition):
-    return pt_blocks(sc.squeezing.r, sc.weights, bipartition)
+#: index of each bipartition on the bipartition axis of ``pt_blocks``, and its reduced state
+BIPARTITIONS = {"AR": (0, rho_ar), "AAR": (1, rho_aar)}
 
 
 class TestBlocks:
@@ -179,104 +208,98 @@ class TestBlocks:
         r, q_abs = 0.5, 0.8
         c, s = math.cos(r), math.sin(r)
         ql2 = 1.0 - q_abs**2
-        ar_first = sc_blocks(scenario(r, q_abs), "AR")[0]
-        assert abs(ar_first[0, 0] - c**2 * ql2 / 2.0) < 1e-15
-        aar_second = sc_blocks(scenario(r, q_abs), "AAR")[1]
-        assert abs(aar_second[2, 2] - c**4 / 2.0) < 1e-15
-
-    def test_blocks_are_hermitian(self):
-        for mat in sc_blocks(scenario(0.7, 0.6, phase=0.9), "AR"):
-            assert np.max(np.abs(mat - mat.conj().T)) < 1e-14
+        ar, aar = pt_blocks(*point(r, q_abs))
+        assert abs(ar[0][0, 0] - c**2 * ql2 / 2.0) < 1e-15
+        assert abs(aar[1][2, 2] - c**4 / 2.0) < 1e-15
 
     @pytest.mark.parametrize("bipartition", ["AR", "AAR"])
+    def test_blocks_are_hermitian(self, bipartition):
+        for mat in pt_blocks(*point(0.7, 0.6, phase=0.9))[BIPARTITIONS[bipartition][0]]:
+            assert np.max(np.abs(mat - mat.conj().T)) < 1e-14
+
     @pytest.mark.parametrize("q_abs,phase", [(0.8, 0.9), (0.3, -2.2), (1.0, 1.0), (0.0, 0.4)])
-    def test_stacked_blocks_equal_the_scalar_blocks(self, bipartition, q_abs, phase):
+    def test_stacked_blocks_equal_the_scalar_blocks(self, q_abs, phase):
         weights = UnruhWeights.from_abs(q_abs, phase)
         grid = np.concatenate([[0.0, R_MAX], np.linspace(1e-3, R_MAX - 1e-3, 37)])
-        stack = pt_blocks(grid, weights, bipartition)
-        assert stack.shape == (grid.size, 2, 3, 3)
-        looped = np.stack([pt_blocks(float(r), weights, bipartition) for r in grid])
+        stack = pt_blocks(grid, weights)
+        assert stack.shape == (grid.size, 2, 2, 3, 3)
+        assert pt_blocks(0.3, weights).shape == (2, 2, 3, 3)
+        looped = np.stack([pt_blocks(float(r), weights) for r in grid])
         assert np.array_equal(stack, looped)
 
-    def test_unknown_bipartition_rejected(self):
-        with pytest.raises(ValueError, match="bipartition"):
-            pt_blocks(0.1, UnruhWeights.from_abs(1.0), "AB")
-
-    @pytest.mark.parametrize("bipartition,builder,bases", [
-        ("AR", rho_alice_rob_fermi, (("100", "010", "111"), ("000", "101", "011"))),
-        ("AAR", rho_alice_antirob_fermi, (("111", "001", "100"), ("011", "110", "000"))),
+    @pytest.mark.parametrize("bipartition,bases", [
+        ("AR", (("100", "010", "111"), ("000", "101", "011"))),
+        ("AAR", (("111", "001", "100"), ("011", "110", "000"))),
     ])
-    def test_blocks_are_the_partial_transpose_on_their_bases(self, bipartition, builder, bases):
+    def test_blocks_are_the_partial_transpose_on_their_bases(self, bipartition, bases):
         # the bases named in the pt_blocks docstring, checked against the
         # full 8x8 partial transpose of the reduced state
-        sc = scenario(0.6, 0.7, phase=1.1)
-        sigma = partial_transpose(builder(fermion_joint_state(sc)), "M")
-        for mat, basis in zip(sc_blocks(sc, bipartition), bases):
+        side, reduce = BIPARTITIONS[bipartition]
+        r, weights = point(0.6, 0.7, phase=1.1)
+        sigma = partial_transpose(reduce(r, weights), "M")
+        for mat, basis in zip(pt_blocks(r, weights)[side], bases):
             idx = [int(label, 2) for label in basis]
             assert np.max(np.abs(sigma[np.ix_(idx, idx)] - mat)) < 1e-15
 
-    @pytest.mark.parametrize("bipartition,builder", [
-        ("AR", rho_alice_rob_fermi),
-        ("AAR", rho_alice_antirob_fermi),
-    ])
-    def test_block_eigenvalues_sit_in_full_spectrum(self, bipartition, builder):
+    @pytest.mark.parametrize("bipartition", ["AR", "AAR"])
+    def test_block_eigenvalues_sit_in_full_spectrum(self, bipartition):
         # oracle: eigensolve of the full 8x8 partial transpose
+        side, reduce = BIPARTITIONS[bipartition]
         rng = np.random.default_rng(17)
         for _ in range(6):
-            sc = scenario(
-                rng.uniform(0, R_MAX), rng.uniform(0, 1), rng.uniform(0, 2 * math.pi)
-            )
-            full = np.sort(
-                hermitian_eigenvalues(partial_transpose(builder(fermion_joint_state(sc)), "M"))
-            )
-            for mat in sc_blocks(sc, bipartition):
+            r, weights = point(rng.uniform(0, R_MAX), rng.uniform(0, 1), rng.uniform(0, 2 * math.pi))
+            full = np.sort(hermitian_eigenvalues(partial_transpose(reduce(r, weights), "M")))
+            for mat in pt_blocks(r, weights)[side]:
                 for eig in hermitian_eigenvalues(mat):
                     assert np.min(np.abs(full - eig)) < 1e-12
 
 
 class TestNegativities:
     def test_exact_endpoints(self):
-        start = fermionic_negativity_pair(scenario(0.0, 1.0))
+        start = fermionic_negativity_pair(*point(0.0, 1.0))
         assert abs(start.n_ar - 0.5) < 1e-14
         assert start.n_aar == 0.0
-        end = fermionic_negativity_pair(scenario(R_MAX, 1.0))
+        end = fermionic_negativity_pair(*point(R_MAX, 1.0))
         assert abs(end.n_ar - 0.25) < 1e-14
         assert abs(end.n_aar - 0.25) < 1e-14
 
     def test_conservation_law(self):
         for r in np.linspace(0.0, R_MAX, 41):
-            pair = fermionic_negativity_pair(scenario(r, 1.0))
+            pair = fermionic_negativity_pair(*point(r, 1.0))
             assert abs(pair.n_ar + pair.n_aar - 0.5) < 1e-14
 
     @pytest.mark.parametrize("seed", range(8))
     def test_methods_agree(self, seed):
         rng = np.random.default_rng(100 + seed)
-        sc = scenario(rng.uniform(0, R_MAX), rng.uniform(0, 1), rng.uniform(0, 2 * math.pi))
-        assert method_agreement_residual(sc) < 1e-12
+        r, weights = point(rng.uniform(0, R_MAX), rng.uniform(0, 1), rng.uniform(0, 2 * math.pi))
+        assert method_agreement_residual(r, weights) < 1e-12
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            fermionic_negativity_pair(scenario(0.1, 1.0), method="magic")
+    @pytest.mark.parametrize("bad", [math.nan, -1e-300, -0.1, R_MAX + 2 * R_MAX_TOL, 1.0, math.inf])
+    def test_bad_squeezing_rejected(self, bad):
+        # the scalar pair shares the curve's r check
+        message = f"fermionic squeezing must lie in [0, pi/4], got {bad}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fermionic_negativity_pair(*point(bad, 0.8))
 
     def test_phase_invariance(self):
-        base = fermionic_negativity_pair(scenario(0.5, 0.8))
+        base = fermionic_negativity_pair(*point(0.5, 0.8))
         for phase in (math.pi / 7, math.pi / 3, 1.0):
-            rotated = fermionic_negativity_pair(scenario(0.5, 0.8, phase))
+            rotated = fermionic_negativity_pair(*point(0.5, 0.8, phase))
             assert abs(rotated.n_ar - base.n_ar) < 1e-10
             assert abs(rotated.n_aar - base.n_aar) < 1e-10
 
     def test_swap_symmetry(self):
         q = 0.8
         swapped_q = math.sqrt(1.0 - q * q)
-        pair = fermionic_negativity_pair(scenario(0.6, q))
-        mirror = fermionic_negativity_pair(scenario(0.6, swapped_q))
+        pair = fermionic_negativity_pair(*point(0.6, q))
+        mirror = fermionic_negativity_pair(*point(0.6, swapped_q))
         assert abs(pair.n_ar - mirror.n_aar) < 1e-14
         assert abs(pair.n_aar - mirror.n_ar) < 1e-14
 
     @pytest.mark.parametrize("q_abs", [1.0, 0.9, 0.8, 1 / math.sqrt(2)])
     def test_alice_rob_monotone_for_dominant_right_weight(self, q_abs):
         values = [
-            fermionic_negativity_pair(scenario(r, q_abs)).n_ar
+            fermionic_negativity_pair(*point(r, q_abs)).n_ar
             for r in np.linspace(0.0, R_MAX, 60)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
@@ -284,7 +307,7 @@ class TestNegativities:
     def test_total_at_maximal_squeezing_extremes(self):
         totals = {}
         for q_abs in (1.0, 0.95, 0.9, 0.85, 0.8, 0.75, 1 / math.sqrt(2)):
-            pair = fermionic_negativity_pair(scenario(R_MAX, q_abs))
+            pair = fermionic_negativity_pair(*point(R_MAX, q_abs))
             totals[q_abs] = pair.n_ar + pair.n_aar
         assert max(totals, key=totals.get) == 1.0
         assert min(totals, key=totals.get) == 1 / math.sqrt(2)
@@ -317,21 +340,24 @@ class TestCurve:
         rows = fermionic_curve(0.9, np.linspace(0.0, R_MAX, 5))
         assert all(row.residual < 1e-12 for row in rows)
 
-    def test_residual_reuses_the_blocks_pair(self, monkeypatch):
-        # one stack of both bipartitions covers the whole grid, and the residual reuses its rows
+    def test_curve_calls_pt_blocks_once(self, monkeypatch):
+        # one pt_blocks stack of both bipartitions covers the whole grid, reached through the
+        # module's name, where a wrapper of fermionic.pt_blocks sees it; the residual reuses its rows
         calls = []
-        pt_stack = fermionic._pt_stack
+        blocks = fermionic.pt_blocks
 
         def counting(r, weights):
             calls.append(np.shape(r))
-            return pt_stack(r, weights)
+            return blocks(r, weights)
 
-        monkeypatch.setattr(fermionic, "_pt_stack", counting)
+        monkeypatch.setattr(fermionic, "pt_blocks", counting)
         grid = np.linspace(0.0, R_MAX, 10)
         rows = fermionic_curve(0.8, grid)
         assert calls == [(len(rows),)]
+        fermionic_curve(0.9, grid[:3])
+        assert calls == [(10,), (3,)]
         assert [row.residual for row in rows] == [
-            method_agreement_residual(scenario(float(r), 0.8)) for r in grid]
+            method_agreement_residual(*point(float(r), 0.8)) for r in grid]
 
     def test_full_route_builds_one_joint_table_per_curve(self, monkeypatch):
         # every row's 32 amplitudes come from one table; both bipartitions reduce the same row
@@ -436,7 +462,7 @@ def test_curve_rows_equal_the_scalar_blocks_pairs(q_abs, grid):
     rows = fermionic_curve(q_abs, grid)
     weights = UnruhWeights.from_abs(q_abs)
     for row, r in zip(rows, grid, strict=True):
-        pair = fermionic_negativity_pair(FermionScenario(FermionSqueezing(r), weights), "blocks")
+        pair = fermionic_negativity_pair(r, weights)
         assert (row.r, row.n_ar, row.n_aar) == (r, pair.n_ar, pair.n_aar)
 
 
@@ -444,11 +470,9 @@ def test_curve_rows_equal_the_scalar_blocks_pairs(q_abs, grid):
 EDGE_GRID = [0.0, R_MAX, 1e-300, 6.3481234552695825e-80]
 
 
-def qops_full_pair(sc):
+def qops_full_pair(r, weights):
     """The 8x8 pair as a scalar ``qops.negativity`` of each reduced state."""
-    joint = fermion_joint_state(sc)
-    return (negativity(rho_alice_rob_fermi(joint), "M").value,
-            negativity(rho_alice_antirob_fermi(joint), "M").value)
+    return negativity(rho_ar(r, weights), "M").value, negativity(rho_aar(r, weights), "M").value
 
 
 @settings(max_examples=40, deadline=None)
@@ -465,7 +489,7 @@ def qops_full_pair(sc):
 def test_stacked_full_rows_equal_qops_negativity(q_abs, phase, grid):
     # one (rows, 2, 8, 8) eigensolve against one qops.negativity per reduced state, bit for bit
     weights = UnruhWeights.from_abs(q_abs, phase)
-    expected = [qops_full_pair(FermionScenario(FermionSqueezing(r), weights)) for r in grid]
+    expected = [qops_full_pair(r, weights) for r in grid]
     stacked = fermionic._full_negativities(grid, weights).tolist()
     assert [[v.hex() for v in pair] for pair in stacked] == [[v.hex() for v in pair] for pair in expected]
     # the curve's residual column is the distance of its blocks pair from that pair
@@ -476,13 +500,13 @@ def test_stacked_full_rows_equal_qops_negativity(q_abs, phase, grid):
 
 @pytest.mark.parametrize("q_abs, phase", [(0.8, 0.0), (1 / math.sqrt(2), 1.1), (1.0, -2.0), (0.0, 0.4)])
 def test_scalar_full_pair_is_the_curve_row(q_abs, phase):
-    # fermionic_negativity_pair(sc, "full") is the curve's stacked route at one r
+    # the 8x8 oracle on a one-point grid is the curve's stacked route at that r
     weights = UnruhWeights.from_abs(q_abs, phase)
-    scenarios = [FermionScenario(FermionSqueezing(r), weights) for r in EDGE_GRID + [1e-9, 0.3]]
-    stacked = fermionic._full_negativities([sc.squeezing.r for sc in scenarios], weights).tolist()
-    for sc, (n_ar, n_aar) in zip(scenarios, stacked, strict=True):
-        pair = fermionic_negativity_pair(sc, "full")
-        assert (pair.n_ar.hex(), pair.n_aar.hex()) == (n_ar.hex(), n_aar.hex())
+    grid = EDGE_GRID + [1e-9, 0.3]
+    stacked = fermionic._full_negativities(grid, weights).tolist()
+    for r, (n_ar, n_aar) in zip(grid, stacked, strict=True):
+        pair = fermionic._full_negativities([r], weights)[0].tolist()
+        assert [v.hex() for v in pair] == [n_ar.hex(), n_aar.hex()]
 
 
 @pytest.mark.parametrize("q_abs, phase", [(0.75, 0.0), (0.9, 0.0), (0.3, 0.0), (0.75, 0.7)])
@@ -490,8 +514,7 @@ def test_tiny_squeezing_routes_agree(q_abs, phase):
     # below r ~ 1e-40 squares of the 8x8 partial-transpose entries underflow, and without
     # the flush of tiny joint-state amplitudes the 8x8 eigensolve lost up to ~3e-3
     weights = UnruhWeights.from_abs(q_abs, phase)
-    worst = max(method_agreement_residual(FermionScenario(FermionSqueezing(r), weights))
-                for r in np.geomspace(1e-300, 1e-40, 1001).tolist())
+    worst = max(method_agreement_residual(r, weights) for r in np.geomspace(1e-300, 1e-40, 1001).tolist())
     assert worst <= 1e-10
 
 
@@ -500,24 +523,24 @@ def test_tiny_weights_need_no_flush():
     for q in np.geomspace(1e-300, 1e-8, 40).tolist():
         for weights in (UnruhWeights.from_abs(q), UnruhWeights(1.0, q)):
             for r in (1e-3, 0.3, 0.7):
-                assert method_agreement_residual(FermionScenario(FermionSqueezing(r), weights)) <= 1e-10
+                assert method_agreement_residual(r, weights) <= 1e-10
 
 
 def test_flush_leaves_ordinary_joint_states_alone():
     # r = 0, r >= sqrt(eps) and tiny weights keep every amplitude, with its bits
     for r, q_abs, phase in ((0.0, 0.8, 0.0), (1.5e-8, 0.9, 0.0), (0.3, 0.8, 0.7), (R_MAX, 1e-9, 0.0),
                             (0.0, 1e-9, 0.3)):
-        sc = scenario(r, q_abs, phase)
+        r, weights = point(r, q_abs, phase)
         amp = np.zeros(32, dtype=complex)
-        amp[:16] = grassmann_vacuum(r) / math.sqrt(2.0)
-        amp[16:] = grassmann_one_particle(r, sc.weights) / math.sqrt(2.0)
-        assert fermion_joint_state(sc).amplitudes.tobytes() == amp.tobytes()
+        amp[:16] = vacuum(r) / math.sqrt(2.0)
+        amp[16:] = one_particle(r, weights) / math.sqrt(2.0)
+        assert joint_ket(r, weights).amplitudes.tobytes() == amp.tobytes()
 
 
 def test_flush_zeroes_only_amplitudes_below_eps_times_the_largest():
-    sc = scenario(1e-80, 0.75)
-    amp = fermion_joint_state(sc).amplitudes
-    exact = np.concatenate([grassmann_vacuum(1e-80), grassmann_one_particle(1e-80, sc.weights)]) / math.sqrt(2.0)
+    r, weights = point(1e-80, 0.75)
+    amp = joint_ket(r, weights).amplitudes
+    exact = np.concatenate([vacuum(r), one_particle(r, weights)]) / math.sqrt(2.0)
     size = np.abs(exact)
     tiny = (size > 0.0) & (size < fermionic.FLUSH * size.max())
     assert tiny.sum() == 5  # every nonzero amplitude with a factor sin r
@@ -568,7 +591,5 @@ def test_joint_table_rows_equal_the_per_row_build(q_abs, phase, grid):
     for row, r in zip(table, grid, strict=True):
         vac, one, joint = per_row_amplitudes(r, weights)
         assert np.array_equal(row.view(np.uint64), joint.view(np.uint64))
-        public = fermion_joint_state(scenario(r, q_abs, phase)).amplitudes
-        assert np.array_equal(public.view(np.uint64), joint.view(np.uint64))
-        assert np.array_equal(grassmann_vacuum(r).view(np.uint64), vac.view(np.uint64))
-        assert np.array_equal(grassmann_one_particle(r, weights).view(np.uint64), one.view(np.uint64))
+        assert np.array_equal(vacuum(r).view(np.uint64), vac.view(np.uint64))
+        assert np.array_equal(one_particle(r, weights).view(np.uint64), one.view(np.uint64))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from unruhkit.bosonic import BosonScenario, BosonSqueezing, bosonic_curve, bosonic_negativity_pair
+from unruhkit.bosonic import bosonic_curve, bosonic_negativity_pair
 import unruhkit.cli as cli
 from unruhkit.cli import main
 from unruhkit.fermionic import R_MAX, fermionic_curve
@@ -98,18 +98,20 @@ def test_traced_calls_match_untraced_ones(tmp_path, capsys):
     assert traced == plain
     names = {span[2] for span in tracer.spans}
     # the fermion curve solves its 8x8 oracle as one stack, so no per-row
-    # fermionic.residual or "full" fermionic.pair span remains
-    assert {"cli.main", "cli.cmd", "bosonic.curve", "fermionic.curve",
+    # fermionic.residual or "full" fermionic.pair span remains; its blocks
+    # stack is one fermionic.pt_blocks span
+    assert {"cli.main", "cli.cmd", "bosonic.curve", "fermionic.curve", "fermionic.pt_blocks",
             "qops.eigvalsh", "wavepacket.forward", "wavepacket.inverse", "wavepacket.norm"} <= names
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["fermionic.pair_full.calls"] == 0 and metrics["wavepacket.packets"] == 1
+    assert metrics["fermionic.pt_blocks.calls"] == 1
 
 
 def test_checker_references_accept_the_package():
     checks = load("checks")
     # dense bosonic oracle on one small case, judged as the checker judges a row
     n_ar, n_aar, slack = checks.dense_oracle(0.8, 0.5, 40)
-    pair = bosonic_negativity_pair(BosonScenario(BosonSqueezing(0.5), UnruhWeights.from_abs(0.8)))
+    pair = bosonic_negativity_pair(0.5, UnruhWeights.from_abs(0.8))
     for got, ref in ((pair.n_ar, n_ar), (pair.n_aar, n_aar)):
         assert checks._close(got, ref, checks.REL_TOL, checks.ABS_FLOOR + slack)
     # converged curve rows on the smallest levels (r = 0 and 0.005 take n = 1

@@ -434,7 +434,7 @@ class TestMassive:
         assert np.allclose(back.omega, np.hypot(1.7, back.momentum), rtol=1e-14, atol=0.0)
         assert np.max(np.abs(back.samples - f.samples)) < 1e-6
 
-    @pytest.mark.parametrize("mass", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("mass", [0.0, -1.0, float("nan"), math.inf])
     def test_profile_rejects_a_bad_mass(self, mass):
         x = np.linspace(-3.0, 3.0, 32)
         with pytest.raises(ValueError, match="mass must be > 0"):
@@ -442,7 +442,24 @@ class TestMassive:
         with pytest.raises(ValueError, match="mass must be > 0"):
             rapidity_gaussian(1.0, 5.0, mass)
 
-    @pytest.mark.parametrize("mass", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("mass", [0.0, -1.0, float("nan"), math.inf])
+    def test_profile_and_pair_reject_a_bad_mass_before_any_array_work(self, mass, monkeypatch):
+        # a profile took mass = inf, with NaN weights and an infinite norm, and a
+        # pair took any mass, so f_from_g ran its inverse transform and then
+        # stopped on a numpy divide or sqrt warning
+        def grid_check(x):
+            raise AssertionError("the grid was checked before the mass")
+
+        monkeypatch.setattr(wavepacket, "_check_uniform", grid_check)
+        x = np.linspace(-3.0, 3.0, 32)
+        with pytest.raises(ValueError, match=f"mass must be > 0 and finite, got {mass}"):
+            MinkowskiSmearing(x, np.ones_like(x, dtype=complex), mass)
+        grid = np.linspace(0.0, 8.0, 64)
+        g_r = np.exp(-((grid - 3.0) ** 2)).astype(complex)
+        with pytest.raises(ValueError, match=f"mass must be > 0 and finite, got {mass}"):
+            UnruhSmearingPair(grid, g_r, 0.0 * g_r, mass)
+
+    @pytest.mark.parametrize("mass", [0.0, -1.0, float("nan"), math.inf])
     def test_rapidity_gaussian_rejects_a_bad_mass_before_sampling(self, mass, monkeypatch):
         # sampled, a bad mass was misreported as "omega(x) leaves the floating-point range"
         def sample(*args, **kwargs):
