@@ -19,9 +19,10 @@ class ConvergenceError(RuntimeError):
 class MethodDisagreementError(RuntimeError):
     """Independent evaluation routes disagree beyond tolerance.
 
-    This signals a construction bug, not a numerical accident: the exact
-    3x3 blocks and the full partial-transpose eigensolve must agree to
-    essentially machine precision.
+    This signals a construction bug, not a numerical accident: the
+    closed-form negative eigenvalues of the 3x3 blocks and the eigensolve of
+    the full 8x8 partial transpose must agree to essentially machine
+    precision.
     """
 
 

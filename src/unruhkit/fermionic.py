@@ -15,18 +15,22 @@ over [0, pi/4] and the infinite-acceleration limit stays finite.  Every
 function takes r (one value, or a grid for the curve) and the weights.
 
 Negativities for the Alice-Rob and Alice-AntiRob bipartitions come from
-two independently coded routes that must agree to ~1e-10: the two
-explicit 3x3 blocks of the partial transpose that can carry negative
-eigenvalues (``pt_blocks``, exact and O(1)) and, as the oracle, the dense
-eigensolve of the full 8x8 partial transpose of the traced-out state
+two independently coded routes that must agree to ~1e-10.  The blocks
+route uses the two explicit 3x3 blocks of the partial transpose that can
+carry negative eigenvalues (``pt_blocks``).  Each has at most one, and its
+trace, e2 and det factor into products free of cancellation
+(``_invariants``), so the route takes that eigenvalue as the smallest root
+of the characteristic cubic (``_lowest_root``), with no eigensolver.  A
+curve's ``pt_blocks`` stack of its whole grid, (steps, 2, 2, 3, 3), is the
+certificate: the sign change of det(B - xI) across a bracket of each root
+gives each row a bound it meets (``_block_bounds``).  The oracle is the
+dense eigensolve of the full 8x8 partial transpose of the traced-out state
 (``_full_negativities``).  A curve checks its grid once and hands plain r
-values to both.  It stacks the blocks of its whole grid as
-(steps, 2, 2, 3, 3), from one table of cos r, sin r and their powers, and
-solves them in one call; ``fermionic_negativity_pair`` is that path at
-one r.  The oracle builds the grid's joint states as one (steps, 32) table
-from its own cos r and sin r, reduces and partially transposes each row
-through ``qops`` into one (steps, 2, 8, 8) stack, and solves that in one
-call too.
+values to both routes; ``fermionic_negativity_pair`` is the blocks route
+at one r.  The oracle builds the grid's joint states as one (steps, 32)
+table from its own cos r and sin r, reduces and partially transposes each
+row through ``qops`` into one (steps, 2, 8, 8) stack, and solves that in
+one call.
 
 Below r = sqrt(eps) ~ 1.5e-8, where sin^2 r < eps, the 8x8 route flushes
 each row's joint-state amplitudes below eps times its largest to 0.
@@ -63,8 +67,9 @@ R_MAX = math.pi / 4
 #: rounding slack past R_MAX that the r check and the CLI range both accept
 R_MAX_TOL = 1e-12
 METHOD_TOL = 1e-10
+EPS = sys.float_info.epsilon
 #: below r = sqrt(FLUSH), the 8x8 route zeroes each row's amplitudes below this fraction of its largest
-FLUSH = sys.float_info.epsilon
+FLUSH = EPS
 _FLUSH_R = math.sqrt(FLUSH)
 #: below this |q_R| the Alice-Rob / Alice-AntiRob roles are exchanged
 SWAP_POINT = 1.0 / math.sqrt(2.0)
@@ -146,43 +151,41 @@ def pt_blocks(r, weights: UnruhWeights) -> np.ndarray:
 
     ``r`` is one squeezing value or a 1-d grid of them; the result has shape
     ``np.shape(r) + (2, 2, 3, 3)``: bipartition ("AR", then "AAR"), block,
-    from one power table.  Entries are polynomial in C = cos r, S = sin r,
-    q_R, q_L.  Their bases, as occupation strings ijk of the bipartition's
-    reduced basis, are (100, 010, 111) and (000, 101, 011) for "AR",
-    (111, 001, 100) and (011, 110, 000) for "AAR".
+    built with array arithmetic from one table of C = cos r, S = sin r and
+    their powers.  Entries are polynomial in C, S, q_R, q_L.  Their bases, as
+    occupation strings ijk of the bipartition's reduced basis, are
+    (100, 010, 111) and (000, 101, 011) for "AR", (111, 001, 100) and
+    (011, 110, 000) for "AAR".
     """
-    r_list = np.asarray(r, dtype=float).reshape(-1).tolist()
-    cos_r, sin_r = [math.cos(v) for v in r_list], [math.sin(v) for v in r_list]
-    # Python's float ** rather than numpy's array power, which rounds differently
-    c, c2, c3, c4 = (np.array([v**k for v in cos_r]) for k in (1, 2, 3, 4))
-    s, s2, s3, s4 = (np.array([v**k for v in sin_r]) for k in (1, 2, 3, 4))
-    zero = np.zeros(len(r_list))
+    r = np.asarray(r, dtype=float)
+    c, s = np.cos(r).reshape(-1), np.sin(r).reshape(-1)
+    c2, s2 = c * c, s * s
+    c3, s3, c4, s4, sc = c2 * c, s2 * s, c2 * c2, s2 * s2, s * c
     q_r, q_l = weights.q_r, weights.q_l
-    blocks = [
-        [  # AR
-            [[c2 * abs(q_l) ** 2, c3 * q_r.conjugate(), -q_r.conjugate() * q_l * s * c],
-             [c3 * q_r, s2 * c2, -q_l * s3],
-             [-q_r * q_l.conjugate() * s * c, -q_l.conjugate() * s3, abs(q_r) ** 2 * s2]],
-            [[c4, -q_l * c2 * s, zero],
-             [-q_l.conjugate() * c2 * s, zero, q_r.conjugate() * s2 * c],
-             [zero, q_r * s2 * c, s4]],
-        ],
-        [  # AAR
-            [[s2 * abs(q_l) ** 2, s3 * q_r.conjugate(), q_r.conjugate() * q_l * s * c],
-             [s3 * q_r, c2 * s2, q_l * c3],
-             [q_r * q_l.conjugate() * s * c, q_l.conjugate() * c3, abs(q_r) ** 2 * c2]],
-            [[s4, q_l * s2 * c, zero],
-             [q_l.conjugate() * s2 * c, zero, q_r.conjugate() * c2 * s],
-             [zero, q_r * c2 * s, c4]],
-        ],
-    ]
-    stack = 0.5 * np.moveaxis(np.array(blocks, dtype=complex), -1, 0)
-    return stack.reshape(np.shape(r) + (2, 2, 3, 3))
+    qr_, a2, b2 = q_r.conjugate(), abs(q_r) ** 2, abs(q_l) ** 2
+    # (bipartition, block, row, column) of each entry on or above the diagonal
+    upper = {
+        (0, 0, 0, 0): c2 * b2, (0, 0, 0, 1): c3 * qr_, (0, 0, 0, 2): -qr_ * q_l * sc,
+        (0, 0, 1, 1): s2 * c2, (0, 0, 1, 2): -q_l * s3, (0, 0, 2, 2): a2 * s2,
+        (0, 1, 0, 0): c4, (0, 1, 0, 1): -q_l * c2 * s, (0, 1, 1, 2): qr_ * s2 * c, (0, 1, 2, 2): s4,
+        (1, 0, 0, 0): s2 * b2, (1, 0, 0, 1): s3 * qr_, (1, 0, 0, 2): qr_ * q_l * sc,
+        (1, 0, 1, 1): c2 * s2, (1, 0, 1, 2): q_l * c3, (1, 0, 2, 2): a2 * c2,
+        (1, 1, 0, 0): s4, (1, 1, 0, 1): q_l * s2 * c, (1, 1, 1, 2): qr_ * c2 * s, (1, 1, 2, 2): c4,
+    }
+    stack = np.zeros((c.size, 2, 2, 3, 3), dtype=complex)
+    flat = stack.reshape(c.size, 36)
+    for (side, block, i, j), entry in upper.items():
+        flat[:, 18 * side + 9 * block + 3 * i + j] = entry
+        flat[:, 18 * side + 9 * block + 3 * j + i] = np.conj(entry)
+    stack *= 0.5
+    return stack.reshape(r.shape + (2, 2, 3, 3))
 
 
 class FermionNegativityPair(NamedTuple):
     n_ar: float
     n_aar: float
+    #: certified bound on |n - exact| of both values (``_block_bounds``)
+    bound: float
 
 
 def _negativities(eigs: np.ndarray) -> np.ndarray:
@@ -191,10 +194,165 @@ def _negativities(eigs: np.ndarray) -> np.ndarray:
     return -np.where(eigs < NEGATIVITY_CUTOFF, eigs, 0.0).sum(axis=-1) + 0.0
 
 
-def _blocks_negativities(r, weights: UnruhWeights) -> np.ndarray:
-    """(N_AR, N_AAR) on the last axis, at one r or at each r of a 1-d grid, from one eigensolve."""
-    per_block = _negativities(hermitian_eigenvalues(pt_blocks(r, weights)))  # (..., bipartition, block)
-    return per_block[..., 0] + per_block[..., 1]
+def _invariants(r: np.ndarray, weights: UnruhWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trace t, e2 and det of each block of ``pt_blocks``, shape (len(r), 2, 2), as products.
+
+    With a = |q_R| and b = |q_L| scaled to a^2 + b^2 = 1, C = cos r and S = sin r,
+    the "AR" blocks have
+
+        block 1: t = (a^2 S^2 + b^2 C^2 + C^2 S^2)/2,  e2 = -cos 2r (aC + bS)(aC - bS)/4,
+                 det = -C^2 S^2 (aC + bS)^2 (aC - bS)^2/8;
+        block 2: t = (C^4 + S^4)/2,  e2 = -C^2 S^2 (a^2 S^4 + b^2 C^4)/4,
+                 det = -C^4 S^4 (a^2 C^2 + b^2 S^2)/8,
+
+    and the "AAR" blocks are these with a and b exchanged.  aC -+ bS is
+    cos(theta +- r) with theta = atan2(b, a).  So det <= 0 < t: each block has
+    at most one negative eigenvalue.
+    """
+    norm = math.hypot(weights.abs_r, weights.abs_l)
+    x = np.array([weights.abs_r, weights.abs_l]) / norm  # (AR, AAR)
+    y = x[::-1]
+    c, s = np.cos(r)[:, None], np.sin(r)[:, None]
+    c2, s2 = c * c, s * s
+    cs2 = c2 * s2
+    cross = (x * c + y * s) * (x * c - y * s)
+    x2, y2 = x * x, y * y
+    t, e2, det = (np.empty((len(r), 2, 2)) for _ in range(3))  # (rows, bipartition, block)
+    t[..., 0], t[..., 1] = 0.5 * (x2 * s2 + y2 * c2 + cs2), 0.5 * (c2 * c2 + s2 * s2)
+    e2[..., 0], e2[..., 1] = -0.25 * (c - s) * (c + s) * cross, -0.25 * cs2 * (x2 * s2 * s2 + y2 * c2 * c2)
+    det[..., 0], det[..., 1] = -0.125 * cs2 * cross * cross, -0.125 * cs2 * cs2 * (x2 * c2 + y2 * s2)
+    return t, e2, det
+
+
+def _newton(x, t, e2, det, fallback):
+    """One Newton step on x^3 - t x^2 + e2 x - det where its slope is positive, else ``fallback``."""
+    f = ((x - t) * x + e2) * x - det
+    slope = (3.0 * x - 2.0 * t) * x + e2
+    return np.where(slope > 0.0, x - f / slope, fallback)
+
+
+def _lowest_root(t: np.ndarray, e2: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Smallest root of x^3 - t x^2 + e2 x - det, elementwise: each block's negative eigenvalue.
+
+    Left of t/3 the cubic is concave, and it rises up to its smallest root,
+    so a Newton step from either side of that root lands on its left, and
+    steps from the left rise monotonically to it.  The trigonometric root
+    (Smith, Commun. ACM 4(4), 1961) starts the iteration.  Where the two
+    smaller roots meet at 0 (r = 0, cos(theta +- r) = 0) it loses sqrt(eps),
+    and may land past the cubic's local maximum; so the first step is kept
+    at or above the root of the quadratic the cubic becomes near 0,
+    (e2 - sqrt(e2^2 - 4 t det)) / (2t) (in its other form where e2 > 0).
+    That root lies left of the cubic's, and both forms are free of
+    cancellation.  A second step then gives the root to a few units in the
+    last place of the block's scale.
+    """
+    with np.errstate(all="ignore"):
+        root = np.sqrt(e2 * e2 - 4.0 * t * det)
+        small = np.where(e2 > 0.0, 2.0 * det / (e2 + root), (e2 - root) / (2.0 * t))
+        p = np.maximum(t * t / 9.0 - e2 / 3.0, 0.0)
+        q = t * (t * t / 27.0 - e2 / 6.0) + 0.5 * det
+        sp = np.sqrt(p)
+        angle = np.arccos(np.clip(q / (p * sp), -1.0, 1.0)) / 3.0
+        x = t / 3.0 + 2.0 * sp * np.cos(angle + 2.0 * math.pi / 3.0)
+        x = np.fmax(_newton(x, t, e2, det, small), small)
+        return _newton(x, t, e2, det, x)
+
+
+#: relative error of each ``pt_blocks`` entry, a product of at most five rounded factors (cos r and
+#: sin r to within an ulp): 16 units in the last place
+ENTRY_REL = 8 * EPS
+#: the bracket half-widths tried, in units of the Weyl term, for a block the first leaves open
+_WIDENING = (2.0, 32.0, 512.0, 8192.0)
+#: where the entries (kk, ii, jj, ik, jk, ij) of each block sit in one row of a flattened ``pt_blocks``
+#: stack, shape (6, bipartition, block): pivot k = 0 in the "AR" blocks and k = 2 in the "AAR" ones,
+#: with i < j the other two indices of the row-major 3x3 block (``_block_bounds``)
+_PIVOTED = np.moveaxis(np.array([[0, 4, 8, 3, 6, 5], [8, 0, 4, 2, 5, 1]])[:, None, :]
+                       + np.array([[0, 9], [18, 27]])[..., None], -1, 0)
+
+
+def _block_bounds(stack: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """A bound on |N(lam) - N(exact block)| per block, certified from the explicit entries.
+
+    ``stack`` is ``pt_blocks`` of the grid, ``lam`` each block's closed-form
+    smallest eigenvalue, and N(x) = -x below ``NEGATIVITY_CUTOFF``, else 0.
+    det(B - xI) = (B_kk - x) det S(x), with S(x) the 2x2 Schur complement of
+    the pivot B_kk - x > 0.  The pivot is the C^4 entry of block 2 and, of
+    block 1, the diagonal entry that is largest wherever its two smaller
+    eigenvalues can meet at 0, so S keeps no O(1) cancellation there.  S's
+    entries and det S are evaluated with a running bound on their rounding
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 3).
+    By Sylvester's law of inertia, a certified det S > 0 with S_11 > 0 puts
+    every eigenvalue of B above x, and a certified det S < 0 puts exactly one
+    below x.  So the sign change of det(B - xI) across [lo, hi] brackets the
+    smallest eigenvalue of B; a block with no negativity needs only lo, just
+    above the cutoff.  The entries lie within ``ENTRY_REL`` of the exact
+    block's, which moves its eigenvalues by at most delta = ENTRY_REL ||B||_F
+    (Weyl).  The bracket's half-width starts at 2 delta, plus 2 eps |lam|, and
+    widens (``_WIDENING``) only for a block it leaves open; a block no width
+    certifies gets an infinite bound.
+    """
+    rows, flat = len(stack), stack.reshape(len(stack), 36)
+    # each entry of every block, rows last, one at a time: no temporary as large as the stack
+    entries = [np.moveaxis(flat[:, where], 0, -1).reshape(-1) for where in _PIVOTED]
+    d_k, d_i, d_j = (entry.real.copy() for entry in entries[:3])
+    re, im = np.array([entry.real for entry in entries[3:]]), np.array([entry.imag for entry in entries[3:]])
+    sq = re * re + im * im  # |B_ik|^2, |B_jk|^2, |B_ij|^2
+    # B_ik conj(B_jk); |re| + |im| bounds a modulus, and the rounding of a product's parts
+    prod_re, prod_im = re[0] * re[1] + im[0] * im[1], im[0] * re[1] - re[0] * im[1]
+    size = abs(re) + abs(im)
+    size_prod = size[0] * size[1]
+    delta = ENTRY_REL * np.sqrt(d_k * d_k + d_i * d_i + d_j * d_j + 2.0 * (sq[0] + sq[1] + sq[2]))
+
+    def certified(x, above):
+        """Where every eigenvalue of B is certified above x (``above``), or exactly one below it."""
+        inv = 1.0 / (d_k - x)
+        a_i, a_j, t_i, t_j = d_i - x, d_j - x, sq[0] * inv, sq[1] * inv
+        s11, s22 = a_i - t_i, a_j - t_j
+        s12_re, s12_im = re[2] - prod_re * inv, im[2] - prod_im * inv
+        # bounds on the rounding of s11, s22 and s12, then of det S = s11 s22 - |s12|^2
+        e11, e22 = 3.0 * EPS * (abs(a_i) + t_i), 3.0 * EPS * (abs(a_j) + t_j)
+        e12 = 4.0 * EPS * (size[2] + size_prod * inv)
+        sq12, s11s22 = s12_re * s12_re + s12_im * s12_im, s11 * s22
+        det = s11s22 - sq12
+        err = (2.0 * EPS * (abs(s11s22) + sq12) + e11 * (abs(s22) + e22) + e22 * abs(s11)
+               + e12 * (2.0 * (abs(s12_re) + abs(s12_im)) + e12))
+        return (inv > 0.0) & ((det > err) & (s11 > e11) if above else det < -err)
+
+    lam = np.moveaxis(lam, 0, -1).reshape(-1)
+    negative = lam < NEGATIVITY_CUTOFF
+    n_lam = np.where(negative, -lam, 0.0)
+    bound, open_ = np.full(lam.shape, np.inf), np.ones(lam.shape, dtype=bool)
+    for widening in _WIDENING:
+        half = widening * delta + 2.0 * EPS * abs(lam)
+        lo = np.where(negative, lam - half, NEGATIVITY_CUTOFF + 2.0 * delta)
+        hi = lam + half
+        done = open_ & certified(lo, True) & (~negative | certified(hi, False))
+        # N at the bracket's ends, each moved out by delta to the exact block's eigenvalue
+        n_lo, n_hi = (-np.where(x < NEGATIVITY_CUTOFF, x, 0.0) for x in (lo - delta, hi + delta))
+        bound = np.where(done, np.maximum(n_lo - n_lam, n_lam - n_hi), bound)
+        open_ &= ~done
+        if not open_.any():
+            break
+    return np.moveaxis(bound.reshape(2, 2, rows), -1, 0)
+
+
+def _blocks_negativities(r, weights: UnruhWeights) -> tuple[np.ndarray, np.ndarray]:
+    """(N_AR, N_AAR) on the last axis and a certified bound, at one r or at each r of a 1-d grid.
+
+    No eigensolver: each block's one negative eigenvalue comes in closed form
+    (``_invariants``, ``_lowest_root``), and ``pt_blocks`` of the grid
+    certifies it (``_block_bounds``).  A pair's bound is the sum of its two
+    blocks' bounds plus the rounding of their sum; a row's is the larger of
+    its two pairs'.
+    """
+    r = np.asarray(r, dtype=float)
+    grid = r.reshape(-1)
+    lam = _lowest_root(*_invariants(grid, weights))  # (rows, bipartition, block)
+    per_block = _negativities(lam[..., None])  # each block's one eigenvalue as a spectrum
+    pairs = per_block[..., 0] + per_block[..., 1]
+    bounds = _block_bounds(pt_blocks(grid, weights), lam)
+    bounds = bounds[..., 0] + bounds[..., 1] + EPS * pairs
+    return pairs.reshape(r.shape + (2,)), np.maximum(bounds[:, 0], bounds[:, 1]).reshape(r.shape)
 
 
 def _full_negativities(r_list: list[float], weights: UnruhWeights) -> np.ndarray:
@@ -215,9 +373,10 @@ def _full_negativities(r_list: list[float], weights: UnruhWeights) -> np.ndarray
 
 
 def fermionic_negativity_pair(r: float, weights: UnruhWeights) -> FermionNegativityPair:
-    """Negativities of both bipartitions at one r: the curve's blocks route on a one-point grid."""
+    """Negativities of both bipartitions at one r, with their bound: the curve's blocks route at one r."""
     _check_r(r)
-    return FermionNegativityPair(*_blocks_negativities(r, weights).tolist())
+    pair, bound = _blocks_negativities(r, weights)
+    return FermionNegativityPair(*pair.tolist(), float(bound))
 
 
 def method_agreement_residual(r: float, weights: UnruhWeights) -> float:
@@ -233,6 +392,8 @@ class FermionCurveRow(NamedTuple):
     n_ar: float
     n_aar: float
     residual: float
+    #: certified bound on |n - exact| of both values, not printed
+    bound: float
     swap_equivalent: bool
 
 
@@ -241,15 +402,16 @@ def fermionic_curve(q_abs: float, r_grid) -> list[FermionCurveRow]:
 
     The physically distinct range is |q_R| >= 1/sqrt(2); smaller values are
     admitted but flagged ``swap_equivalent`` since they reproduce the
-    mirrored bipartition.  The whole grid is checked first; then each route
-    solves the stack of every row in one eigensolve.  Each row carries the
-    blocks-vs-full residual and the sweep aborts if any residual exceeds
-    ``METHOD_TOL``.
+    mirrored bipartition.  The whole grid is checked first; then the blocks
+    route gives every row's pair and bound in closed form, and the 8x8
+    oracle solves the stack of every row in one eigensolve.  Each row
+    carries the blocks-vs-full residual and the sweep aborts if any residual
+    exceeds ``METHOD_TOL``.
     """
     weights = UnruhWeights.from_abs(q_abs)
     r = _check_r(r_grid)
     r_list = r.tolist()
-    blocks = _blocks_negativities(r, weights)
+    blocks, bounds = _blocks_negativities(r, weights)
     residuals = np.abs(blocks - _full_negativities(r_list, weights)).max(axis=-1)
     over = residuals > METHOD_TOL
     if over.any():
@@ -257,5 +419,6 @@ def fermionic_curve(q_abs: float, r_grid) -> list[FermionCurveRow]:
         raise MethodDisagreementError(f"blocks/full negativities differ by {residuals[i]:.3e} at "
                                       f"(q_abs={q_abs}, r={r_list[i]}); tolerance {METHOD_TOL}")
     q_abs, swap_equivalent = float(q_abs), q_abs < SWAP_POINT
-    return [FermionCurveRow(q_abs, x, n_ar, n_aar, residual, swap_equivalent)
-            for x, (n_ar, n_aar), residual in zip(r_list, blocks.tolist(), residuals.tolist())]
+    return [FermionCurveRow(q_abs, x, n_ar, n_aar, residual, bound, swap_equivalent)
+            for x, (n_ar, n_aar), residual, bound in zip(r_list, blocks.tolist(), residuals.tolist(),
+                                                         bounds.tolist())]

@@ -3,13 +3,16 @@
 Each sweep file holds what one command wrote with ``--out``; each packet
 case holds its stdout (``.txt``) and its ``--out`` report (``.json``).  An
 optimisation must leave every byte in place.  A change that moves outputs on
-purpose rewrites the files with ``python tests/test_cli_golden.py`` and
-lists every moved field.
+purpose rewrites the files with ``python tests/test_cli_golden.py``, which
+prints every field it moves (file, row, column, old -> new) before it
+writes, and lists those fields.
 """
 
 import contextlib
 import io
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -75,14 +78,57 @@ def test_packet_bytes_match_the_golden_files(stem, tmp_path, capsys):
     assert out.read_bytes() == (DATA / f"{stem}.json").read_bytes()
 
 
-if __name__ == "__main__":
-    for name, (argv, _, status) in CASES.items():
-        if main(argv + ["--out", str(DATA / name)]) != status:
-            sys.exit(f"{name}: the command failed")
-    for stem, argv in PACKET_CASES.items():
+def fields(name: str, data: bytes) -> dict:
+    """Each field of one golden file by its place: (row, column) of a table, a key path of a report, a line."""
+    text = data.decode()
+    if name.endswith(".csv"):
+        header, *rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+        return {(f"row {i}", column): value for i, row in enumerate(rows, 1) for column, value in zip(header, row)}
+    if name.endswith(".json"):
+        flat = {}
+
+        def walk(node, path):
+            items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+            for key, value in items:
+                walk(value, path + (str(key),))
+            if not items:
+                flat[path] = json.dumps(node)
+
+        walk(json.loads(text), ())
+        return {(f"row {int(path[0]) + 1}" if path[0].isdigit() else path[0], ".".join(path[1:])): value
+                for path, value in flat.items()}
+    return {(f"line {i}", ""): line for i, line in enumerate(text.splitlines(), 1)}
+
+
+def rewrite(name: str, data: bytes) -> None:
+    """Print every field ``data`` moves against the golden file ``name``, then write ``data`` there."""
+    path = DATA / name
+    old, new = fields(name, path.read_bytes()) if path.exists() else {}, fields(name, data)
+    for place in sorted(old.keys() | new.keys(), key=lambda p: (len(p[0]), p)):
+        if old.get(place) != new.get(place):
+            print(f"{name}, {place[0]}, {place[1]}: {old.get(place, '(none)')} -> {new.get(place, '(none)')}")
+    path.write_bytes(data)
+
+
+def run(argv: list[str], suffix: str) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and ``--out`` bytes of one CLI call."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / f"out{suffix}"
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            status = main(argv + ["--out", str(DATA / f"{stem}.json")])
-        if status != EXIT_OK:
+            status = main(argv + ["--out", str(out)])
+        return status, stdout.getvalue().encode(), out.read_bytes()
+
+
+if __name__ == "__main__":
+    for name, (argv, _, status) in CASES.items():
+        code, _, data = run(argv, Path(name).suffix)
+        if code != status:
+            sys.exit(f"{name}: the command failed")
+        rewrite(name, data)
+    for stem, argv in PACKET_CASES.items():
+        code, stdout, data = run(argv, ".json")
+        if code != EXIT_OK:
             sys.exit(f"{stem}: the command failed")
-        (DATA / f"{stem}.txt").write_bytes(stdout.getvalue().encode())
+        rewrite(f"{stem}.json", data)
+        rewrite(f"{stem}.txt", stdout)

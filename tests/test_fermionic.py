@@ -1,5 +1,6 @@
 """Grassmann-scalar states, reduced matrices, blocks and negativity curves."""
 
+import cmath
 import collections
 import math
 import re
@@ -12,8 +13,10 @@ import unruhkit.fermionic as fermionic
 from unruhkit.errors import MethodDisagreementError
 from unruhkit.fermionic import (
     JOINT_SPACE,
+    EPS,
     R_MAX,
     R_MAX_TOL,
+    SWAP_POINT,
     fermionic_curve,
     fermionic_negativity_pair,
     method_agreement_residual,
@@ -373,33 +376,40 @@ class TestCurve:
         assert calls == [len(rows)] == [10]
 
     def test_one_trig_table_per_curve(self, monkeypatch):
-        # the blocks take cos r and sin r once per row for both bipartitions, not once per
-        # bipartition; the oracle takes its own, once per row for the joint-state table
+        # the blocks route takes cos r and sin r as arrays of the whole grid, once for the closed
+        # form and once for the pt_blocks certificate, with no call per row; the oracle takes its
+        # own, once per row for the joint-state table.  The one cos of a (rows, 2, 2) stack is the
+        # trigonometric start of the blocks' smallest eigenvalues
         calls = collections.Counter()
 
-        class CountingMath:
+        class Counting:
+            def __init__(self, module, name):
+                self.module, self.name = module, name
+
             def __getattr__(self, name):
-                return getattr(math, name)
+                return getattr(self.module, name)
 
             def cos(self, x):
-                calls["cos"] += 1
-                return math.cos(x)
+                calls[self.name, "cos", np.shape(x)] += 1
+                return self.module.cos(x)
 
             def sin(self, x):
-                calls["sin"] += 1
-                return math.sin(x)
+                calls[self.name, "sin", np.shape(x)] += 1
+                return self.module.sin(x)
 
-        monkeypatch.setattr(fermionic, "math", CountingMath())
+        monkeypatch.setattr(fermionic, "math", Counting(math, "math"))
+        monkeypatch.setattr(fermionic, "np", Counting(np, "np"))
         weights = UnruhWeights.from_abs(0.8)
         grid = np.linspace(0.0, R_MAX, 9)
         fermionic._blocks_negativities(grid, weights)
-        assert calls == {"cos": 9, "sin": 9}
+        blocks_route = {("np", "cos", (9,)): 2, ("np", "sin", (9,)): 2, ("np", "cos", (9, 2, 2)): 1}
+        assert calls == blocks_route
         calls.clear()
         fermionic._full_negativities(grid.tolist(), weights)
-        assert calls == {"cos": 9, "sin": 9}
+        assert calls == {("math", "cos", ()): 9, ("math", "sin", ()): 9}
         calls.clear()
         rows = fermionic_curve(0.8, grid)
-        assert calls == {"cos": 2 * len(rows), "sin": 2 * len(rows)}
+        assert calls == {**blocks_route, ("math", "cos", ()): len(rows), ("math", "sin", ()): len(rows)}
 
     def test_disagreeing_routes_abort_at_the_first_row_over_tolerance(self, monkeypatch):
         full = fermionic._full_negativities
@@ -424,7 +434,7 @@ class TestCurve:
 
         monkeypatch.setattr(fermionic, "hermitian_eigenvalues", counting)
         rows = fermionic_curve(0.9, np.linspace(0.0, R_MAX, 7))
-        assert calls == [(7, 2, 2, 3, 3), (7, 2, 8, 8)]
+        assert calls == [(7, 2, 8, 8)]  # the 8x8 oracle; the blocks route solves no eigenproblem
         assert len(rows) == 7
 
     def test_empty_grid(self):
@@ -463,7 +473,7 @@ def test_curve_rows_equal_the_scalar_blocks_pairs(q_abs, grid):
     weights = UnruhWeights.from_abs(q_abs)
     for row, r in zip(rows, grid, strict=True):
         pair = fermionic_negativity_pair(r, weights)
-        assert (row.r, row.n_ar, row.n_aar) == (r, pair.n_ar, pair.n_aar)
+        assert (row.r, row.n_ar, row.n_aar, row.bound) == (r, pair.n_ar, pair.n_aar, pair.bound)
 
 
 #: r = 0, the top of the range, and tiny r, where the flush acts
@@ -593,3 +603,93 @@ def test_joint_table_rows_equal_the_per_row_build(q_abs, phase, grid):
         assert np.array_equal(row.view(np.uint64), joint.view(np.uint64))
         assert np.array_equal(vacuum(r).view(np.uint64), vac.view(np.uint64))
         assert np.array_equal(one_particle(r, weights).view(np.uint64), one.view(np.uint64))
+
+
+#: r = 0, the flush range, sqrt(eps), a small r where the closed form needs both Newton steps,
+#: pi/4 and the rounding slack past it
+HARD_R = [0.0, 1e-300, 1e-80, 1e-20, math.sqrt(EPS) / 2, math.sqrt(EPS), 5e-4, R_MAX, R_MAX + R_MAX_TOL]
+Q_ABS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, SWAP_POINT, 1.0]))
+PHASES = st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
+R_GRID = st.lists(st.one_of(st.floats(0.0, R_MAX), st.sampled_from(HARD_R)), min_size=1, max_size=8)
+
+
+def phased_weights(q_abs, phase_r, phase_l):
+    """Weights of modulus q_abs and sqrt(1 - q_abs^2), each with its own phase."""
+    return UnruhWeights(q_abs * cmath.exp(1j * phase_r), math.sqrt(1.0 - q_abs * q_abs) * cmath.exp(1j * phase_l))
+
+
+def with_crossings(grid, weights):
+    """``grid`` plus the r in range where cos(theta + r) = 0 ("AR") or sin(theta - r) = 0 ("AAR").
+
+    There the two smaller eigenvalues of block 1 meet at 0, theta = atan2(|q_L|, |q_R|).
+    """
+    theta = math.atan2(weights.abs_l, weights.abs_r)
+    return np.array(list(grid) + [x for x in (math.pi / 2 - theta, theta) if 0.0 <= x <= R_MAX + R_MAX_TOL])
+
+
+@settings(max_examples=60, deadline=None)
+@given(q_abs=Q_ABS, phases=PHASES, grid=R_GRID)
+@example(q_abs=0.0, phases=(0.0, 0.0), grid=HARD_R)
+@example(q_abs=1.0, phases=(0.0, 0.0), grid=HARD_R)
+@example(q_abs=SWAP_POINT, phases=(0.3, -1.2), grid=HARD_R)
+@example(q_abs=0.8, phases=(1.1, 2.0), grid=HARD_R)
+@example(q_abs=0.3, phases=(-2.5, 0.7), grid=HARD_R)
+def test_closed_form_blocks_match_their_eigensolve(q_abs, phases, grid):
+    # each block's negativity from its invariants against eigvalsh of its explicit entries
+    weights = phased_weights(q_abs, *phases)
+    grid = with_crossings(grid, weights)
+    eigs = hermitian_eigenvalues(pt_blocks(grid, weights))
+    got = fermionic._negativities(fermionic._lowest_root(*fermionic._invariants(grid, weights))[..., None])
+    assert np.abs(got - fermionic._negativities(eigs)).max() <= 1e-15
+    # a positive semidefinite block gives exactly +0.0
+    assert {v.hex() for v in got[eigs[..., 0] >= 0.0]} <= {"0x0.0p+0"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(q_abs=Q_ABS, phases=PHASES, grid=R_GRID)
+@example(q_abs=0.0, phases=(0.0, 0.0), grid=HARD_R)
+@example(q_abs=1.0, phases=(0.0, 0.0), grid=HARD_R)
+@example(q_abs=SWAP_POINT, phases=(0.3, -1.2), grid=HARD_R)
+@example(q_abs=0.75, phases=(0.0, 0.0), grid=[6.3481234552695825e-80])
+def test_closed_form_swap_rule(q_abs, phases, grid):
+    # exchanging q_R and q_L exchanges the bipartitions, bit for bit
+    weights = phased_weights(q_abs, *phases)
+    swapped = UnruhWeights(weights.q_l, weights.q_r)
+    grid = with_crossings(grid, weights)
+    pairs, mirror = (fermionic._blocks_negativities(grid, w)[0] for w in (weights, swapped))
+    assert pairs[:, ::-1].tobytes() == mirror.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(q_abs=Q_ABS, phases=PHASES, grid=R_GRID)
+@example(q_abs=0.0, phases=(0.0, 0.0), grid=HARD_R)
+@example(q_abs=1.0, phases=(0.0, 0.0), grid=HARD_R)
+@example(q_abs=SWAP_POINT, phases=(0.3, -1.2), grid=HARD_R)
+@example(q_abs=0.8, phases=(1.1, 2.0), grid=HARD_R)
+@example(q_abs=0.3, phases=(-2.5, 0.7), grid=HARD_R)
+@example(q_abs=0.75, phases=(0.0, 0.0), grid=[6.3481234552695825e-80])
+def test_bound_covers_both_references(q_abs, phases, grid):
+    # each row's bound covers its distance from eigvalsh of the blocks and from the 8x8 oracle,
+    # up to each reference's own rounding: a few eps times the norm of what it solves
+    weights = phased_weights(q_abs, *phases)
+    grid = with_crossings(grid, weights)
+    pairs, bounds = fermionic._blocks_negativities(grid, weights)
+    assert np.isfinite(bounds).all() and bounds.max() <= 1e-13
+    stack = pt_blocks(grid, weights)
+    per_block = fermionic._negativities(hermitian_eigenvalues(stack))
+    rounding = (4.0 * EPS * np.sqrt((abs(stack) ** 2).sum(axis=(-2, -1)))).sum(axis=-1)
+    assert (np.abs(pairs - per_block.sum(axis=-1)) <= bounds[:, None] + rounding).all()
+    full = fermionic._full_negativities(grid.tolist(), weights)
+    assert (np.abs(pairs - full) <= bounds[:, None] + 8.0 * EPS).all()
+
+
+@pytest.mark.parametrize("excess", [1e-14, 1e-13, 4.9e-13])
+def test_bound_covers_weights_normalized_only_to_tolerance(excess):
+    # the closed form is that of the normalized weights, the blocks are built from the weights as
+    # given; the bracket widens until it holds the blocks' own eigenvalue
+    weights = UnruhWeights(0.8 * (1.0 + excess), 0.6j * (1.0 + excess))
+    grid = with_crossings(np.linspace(0.0, R_MAX, 41), weights)
+    pairs, bounds = fermionic._blocks_negativities(grid, weights)
+    per_block = fermionic._negativities(hermitian_eigenvalues(pt_blocks(grid, weights)))
+    assert np.isfinite(bounds).all() and bounds.max() <= 1e-10
+    assert (np.abs(pairs - per_block.sum(axis=-1)).max(axis=-1) <= bounds).all()
