@@ -20,10 +20,9 @@ route uses the two explicit 3x3 blocks of the partial transpose that can
 carry negative eigenvalues (``pt_blocks``).  Each has at most one, and its
 trace, e2 and det factor into products free of cancellation
 (``_invariants``), so the route takes that eigenvalue as the smallest root
-of the characteristic cubic (``_lowest_root``), with no eigensolver.  A
-curve's ``pt_blocks`` stack of its whole grid, (steps, 2, 2, 3, 3), is the
-certificate: the sign change of det(B - xI) across a bracket of each root
-gives each row a bound it meets (``_block_bounds``).  The oracle is the
+of the characteristic cubic (``_lowest_root``), with no eigensolver.  The
+sign of the same cubic across a bracket certifies each root with a bound
+(``_block_bounds``), with no explicit block built.  The oracle is the
 dense eigensolve of the full 8x8 partial transpose of the traced-out state
 (``_full_negativities``).  A curve checks its grid once and hands plain r
 values to both routes; ``fermionic_negativity_pair`` is the blocks route
@@ -155,7 +154,7 @@ def pt_blocks(r, weights: UnruhWeights) -> np.ndarray:
     their powers.  Entries are polynomial in C, S, q_R, q_L.  Their bases, as
     occupation strings ijk of the bipartition's reduced basis, are
     (100, 010, 111) and (000, 101, 011) for "AR", (111, 001, 100) and
-    (011, 110, 000) for "AAR".
+    (011, 110, 000) for "AAR".  The tests check ``_invariants`` against them.
     """
     r = np.asarray(r, dtype=float)
     c, s = np.cos(r).reshape(-1), np.sin(r).reshape(-1)
@@ -184,7 +183,7 @@ def pt_blocks(r, weights: UnruhWeights) -> np.ndarray:
 class FermionNegativityPair(NamedTuple):
     n_ar: float
     n_aar: float
-    #: certified bound on |n - exact| of both values (``_block_bounds``)
+    #: bound on |n - exact| of both values, certified from the blocks' invariants (``_block_bounds``)
     bound: float
 
 
@@ -194,9 +193,10 @@ def _negativities(eigs: np.ndarray) -> np.ndarray:
     return -np.where(eigs < NEGATIVITY_CUTOFF, eigs, 0.0).sum(axis=-1) + 0.0
 
 
-def _invariants(r: np.ndarray, weights: UnruhWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trace t, e2 and det of each block of ``pt_blocks``, shape (len(r), 2, 2), as products.
+def _invariants(r: np.ndarray, weights: UnruhWeights) -> tuple[np.ndarray, np.ndarray]:
+    """Trace t, e2 and det of each block of ``pt_blocks`` as products, and a bound on each one's error.
 
+    Both arrays have shape (3, len(r), 2, 2): invariant, row, bipartition, block.
     With a = |q_R| and b = |q_L| scaled to a^2 + b^2 = 1, C = cos r and S = sin r,
     the "AR" blocks have
 
@@ -206,8 +206,15 @@ def _invariants(r: np.ndarray, weights: UnruhWeights) -> tuple[np.ndarray, np.nd
                  det = -C^4 S^4 (a^2 C^2 + b^2 S^2)/8,
 
     and the "AAR" blocks are these with a and b exchanged.  aC -+ bS is
-    cos(theta +- r) with theta = atan2(b, a).  So det <= 0 < t: each block has
+    cos(theta +- r) with theta = atan2(b, a).  So det <= 0 <= t: each block has
     at most one negative eigenvalue.
+
+    The error is from the exact r and normalized weights: with cos r and sin r
+    within an ulp, a and b within 3 eps and eps/2 per rounding, products of
+    positive factors are within 10.5 eps (t), 19 (e2) and 22 (det), so 24 eps
+    covers each.  Block 1's C - S, within 2 eps (C + S), and aC - bS, within
+    6 eps (aC + bS), add |XY - xy| <= dX (|y| + dY) + |x| dY times the other
+    factors.  The smallest normal number covers underflow.
     """
     norm = math.hypot(weights.abs_r, weights.abs_l)
     x = np.array([weights.abs_r, weights.abs_l]) / norm  # (AR, AAR)
@@ -215,13 +222,19 @@ def _invariants(r: np.ndarray, weights: UnruhWeights) -> tuple[np.ndarray, np.nd
     c, s = np.cos(r)[:, None], np.sin(r)[:, None]
     c2, s2 = c * c, s * s
     cs2 = c2 * s2
-    cross = (x * c + y * s) * (x * c - y * s)
+    plus, minus, diff, total = x * c + y * s, x * c - y * s, c - s, c + s
+    cross = plus * minus
     x2, y2 = x * x, y * y
-    t, e2, det = (np.empty((len(r), 2, 2)) for _ in range(3))  # (rows, bipartition, block)
+    inv = np.empty((3, len(r), 2, 2))
+    t, e2, det = inv
     t[..., 0], t[..., 1] = 0.5 * (x2 * s2 + y2 * c2 + cs2), 0.5 * (c2 * c2 + s2 * s2)
-    e2[..., 0], e2[..., 1] = -0.25 * (c - s) * (c + s) * cross, -0.25 * cs2 * (x2 * s2 * s2 + y2 * c2 * c2)
+    e2[..., 0], e2[..., 1] = -0.25 * diff * total * cross, -0.25 * cs2 * (x2 * s2 * s2 + y2 * c2 * c2)
     det[..., 0], det[..., 1] = -0.125 * cs2 * cross * cross, -0.125 * cs2 * cs2 * (x2 * c2 + y2 * s2)
-    return t, e2, det
+    err = 24.0 * EPS * abs(inv) + sys.float_info.min
+    d_diff, d_minus = 2.0 * EPS * total, 6.0 * EPS * plus
+    err[1, ..., 0] += 0.25 * total * plus * (d_diff * (abs(minus) + d_minus) + abs(diff) * d_minus)
+    err[2, ..., 0] += 0.125 * cs2 * plus * plus * d_minus * (2.0 * abs(minus) + d_minus)
+    return inv, err
 
 
 def _newton(x, t, e2, det, fallback):
@@ -258,99 +271,60 @@ def _lowest_root(t: np.ndarray, e2: np.ndarray, det: np.ndarray) -> np.ndarray:
         return _newton(x, t, e2, det, x)
 
 
-#: relative error of each ``pt_blocks`` entry, a product of at most five rounded factors (cos r and
-#: sin r to within an ulp): 16 units in the last place
-ENTRY_REL = 8 * EPS
-#: the bracket half-widths tried, in units of the Weyl term, for a block the first leaves open
-_WIDENING = (2.0, 32.0, 512.0, 8192.0)
-#: where the entries (kk, ii, jj, ik, jk, ij) of each block sit in one row of a flattened ``pt_blocks``
-#: stack, shape (6, bipartition, block): pivot k = 0 in the "AR" blocks and k = 2 in the "AAR" ones,
-#: with i < j the other two indices of the row-major 3x3 block (``_block_bounds``)
-_PIVOTED = np.moveaxis(np.array([[0, 4, 8, 3, 6, 5], [8, 0, 4, 2, 5, 1]])[:, None, :]
-                       + np.array([[0, 9], [18, 27]])[..., None], -1, 0)
+def _cubic(x: np.ndarray, inv: np.ndarray, err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p(x) = x^3 - t x^2 + e2 x - det of each block, and a bound on its distance from the exact block's.
 
-
-def _block_bounds(stack: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """A bound on |N(lam) - N(exact block)| per block, certified from the explicit entries.
-
-    ``stack`` is ``pt_blocks`` of the grid, ``lam`` each block's closed-form
-    smallest eigenvalue, and N(x) = -x below ``NEGATIVITY_CUTOFF``, else 0.
-    det(B - xI) = (B_kk - x) det S(x), with S(x) the 2x2 Schur complement of
-    the pivot B_kk - x > 0.  The pivot is the C^4 entry of block 2 and, of
-    block 1, the diagonal entry that is largest wherever its two smaller
-    eigenvalues can meet at 0, so S keeps no O(1) cancellation there.  S's
-    entries and det S are evaluated with a running bound on their rounding
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 3).
-    By Sylvester's law of inertia, a certified det S > 0 with S_11 > 0 puts
-    every eigenvalue of B above x, and a certified det S < 0 puts exactly one
-    below x.  So the sign change of det(B - xI) across [lo, hi] brackets the
-    smallest eigenvalue of B; a block with no negativity needs only lo, just
-    above the cutoff.  The entries lie within ``ENTRY_REL`` of the exact
-    block's, which moves its eigenvalues by at most delta = ENTRY_REL ||B||_F
-    (Weyl).  The bracket's half-width starts at 2 delta, plus 2 eps |lam|, and
-    widens (``_WIDENING``) only for a block it leaves open; a block no width
-    certifies gets an infinite bound.
+    Horner's rounding is within gamma_6 < 4 eps of the terms' moduli (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, sec. 5.1); the invariants' errors add to it.
     """
-    rows, flat = len(stack), stack.reshape(len(stack), 36)
-    # each entry of every block, rows last, one at a time: no temporary as large as the stack
-    entries = [np.moveaxis(flat[:, where], 0, -1).reshape(-1) for where in _PIVOTED]
-    d_k, d_i, d_j = (entry.real.copy() for entry in entries[:3])
-    re, im = np.array([entry.real for entry in entries[3:]]), np.array([entry.imag for entry in entries[3:]])
-    sq = re * re + im * im  # |B_ik|^2, |B_jk|^2, |B_ij|^2
-    # B_ik conj(B_jk); |re| + |im| bounds a modulus, and the rounding of a product's parts
-    prod_re, prod_im = re[0] * re[1] + im[0] * im[1], im[0] * re[1] - re[0] * im[1]
-    size = abs(re) + abs(im)
-    size_prod = size[0] * size[1]
-    delta = ENTRY_REL * np.sqrt(d_k * d_k + d_i * d_i + d_j * d_j + 2.0 * (sq[0] + sq[1] + sq[2]))
+    (t, e2, det), (d_t, d_e2, d_det), y = inv, err, abs(x)
+    value = ((x - t) * x + e2) * x - det
+    return value, 4.0 * EPS * (((y + t) * y + abs(e2)) * y + abs(det)) + (d_t * y + d_e2) * y + d_det
 
-    def certified(x, above):
-        """Where every eigenvalue of B is certified above x (``above``), or exactly one below it."""
-        inv = 1.0 / (d_k - x)
-        a_i, a_j, t_i, t_j = d_i - x, d_j - x, sq[0] * inv, sq[1] * inv
-        s11, s22 = a_i - t_i, a_j - t_j
-        s12_re, s12_im = re[2] - prod_re * inv, im[2] - prod_im * inv
-        # bounds on the rounding of s11, s22 and s12, then of det S = s11 s22 - |s12|^2
-        e11, e22 = 3.0 * EPS * (abs(a_i) + t_i), 3.0 * EPS * (abs(a_j) + t_j)
-        e12 = 4.0 * EPS * (size[2] + size_prod * inv)
-        sq12, s11s22 = s12_re * s12_re + s12_im * s12_im, s11 * s22
-        det = s11s22 - sq12
-        err = (2.0 * EPS * (abs(s11s22) + sq12) + e11 * (abs(s22) + e22) + e22 * abs(s11)
-               + e12 * (2.0 * (abs(s12_re) + abs(s12_im)) + e12))
-        return (inv > 0.0) & ((det > err) & (s11 > e11) if above else det < -err)
 
-    lam = np.moveaxis(lam, 0, -1).reshape(-1)
+def _half_width(inv: np.ndarray, err: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """2 (|p(lam)| + its bound) / p'(lam) where p' > 0: past lam -+ it, p's sign outweighs its error."""
+    p, bound = _cubic(lam, inv, err)
+    slope = (3.0 * lam - 2.0 * inv[0]) * lam + inv[1]
+    return 2.0 * (abs(p) + bound) / np.where(slope > 0.0, slope, np.nan)
+
+
+def _block_bounds(inv: np.ndarray, err: np.ndarray, lam: np.ndarray, half, norm: float) -> np.ndarray:
+    """A bound on |N(lam) - N(exact)| per block, from the sign of its cubic at lam -+ half.
+
+    N(x) = -x below ``NEGATIVITY_CUTOFF``, else 0.  The exact block has det <= 0 <= t, so at
+    most one eigenvalue below any x < 0, and p(x) = prod (x - eigenvalue) is negative if none is
+    below x, positive if one (or three) is.  So p(lo) certified negative (``_cubic``), lo < 0, and
+    p(hi) certified positive put the smallest eigenvalue in (lo, hi); with no negativity only lo,
+    just above the cutoff, is tested.  The weights as given, of norm ``norm`` within 2 eps, scale
+    each entry by 1, |q| or |q|^2, so by Weyl each end moves out by 3 |1 - |q|| ||B||_F, with
+    ||B||_F^2 = t^2 - 2 e2.  A block left open gets an infinite bound.
+    """
+    weyl = 3.0 * (abs(1.0 - norm) + 2.0 * EPS) * np.sqrt(inv[0] ** 2 - 2.0 * inv[1])
     negative = lam < NEGATIVITY_CUTOFF
-    n_lam = np.where(negative, -lam, 0.0)
-    bound, open_ = np.full(lam.shape, np.inf), np.ones(lam.shape, dtype=bool)
-    for widening in _WIDENING:
-        half = widening * delta + 2.0 * EPS * abs(lam)
-        lo = np.where(negative, lam - half, NEGATIVITY_CUTOFF + 2.0 * delta)
-        hi = lam + half
-        done = open_ & certified(lo, True) & (~negative | certified(hi, False))
-        # N at the bracket's ends, each moved out by delta to the exact block's eigenvalue
-        n_lo, n_hi = (-np.where(x < NEGATIVITY_CUTOFF, x, 0.0) for x in (lo - delta, hi + delta))
-        bound = np.where(done, np.maximum(n_lo - n_lam, n_lam - n_hi), bound)
-        open_ &= ~done
-        if not open_.any():
-            break
-    return np.moveaxis(bound.reshape(2, 2, rows), -1, 0)
+    lo, hi = np.where(negative, lam - half, NEGATIVITY_CUTOFF + weyl), np.where(negative, lam + half, lam)
+    (p_lo, e_lo), (p_hi, e_hi) = _cubic(lo, inv, err), _cubic(hi, inv, err)
+    done = (lo < 0.0) & (p_lo < -e_lo) & (~negative | (p_hi > e_hi))
+    n_lam, n_lo, n_hi = (_negativities(x[..., None]) for x in (lam, lo - weyl, hi + weyl))
+    return np.where(done, np.where(negative, np.maximum(n_lo - n_lam, n_lam - n_hi), 0.0), np.inf)
 
 
 def _blocks_negativities(r, weights: UnruhWeights) -> tuple[np.ndarray, np.ndarray]:
     """(N_AR, N_AAR) on the last axis and a certified bound, at one r or at each r of a 1-d grid.
 
     No eigensolver: each block's one negative eigenvalue comes in closed form
-    (``_invariants``, ``_lowest_root``), and ``pt_blocks`` of the grid
-    certifies it (``_block_bounds``).  A pair's bound is the sum of its two
+    (``_invariants``, ``_lowest_root``), and the same invariants certify it
+    (``_half_width``, ``_block_bounds``).  A pair's bound is the sum of its
     blocks' bounds plus the rounding of their sum; a row's is the larger of
     its two pairs'.
     """
     r = np.asarray(r, dtype=float)
-    grid = r.reshape(-1)
-    lam = _lowest_root(*_invariants(grid, weights))  # (rows, bipartition, block)
+    inv, err = _invariants(r.reshape(-1), weights)
+    lam = _lowest_root(*inv)  # (rows, bipartition, block)
     per_block = _negativities(lam[..., None])  # each block's one eigenvalue as a spectrum
     pairs = per_block[..., 0] + per_block[..., 1]
-    bounds = _block_bounds(pt_blocks(grid, weights), lam)
+    norm = math.hypot(weights.abs_r, weights.abs_l)
+    bounds = _block_bounds(inv, err, lam, _half_width(inv, err, lam), norm)
     bounds = bounds[..., 0] + bounds[..., 1] + EPS * pairs
     return pairs.reshape(r.shape + (2,)), np.maximum(bounds[:, 0], bounds[:, 1]).reshape(r.shape)
 
@@ -392,7 +366,7 @@ class FermionCurveRow(NamedTuple):
     n_ar: float
     n_aar: float
     residual: float
-    #: certified bound on |n - exact| of both values, not printed
+    #: bound on |n - exact| of both values, certified from the blocks' invariants; not printed
     bound: float
     swap_equivalent: bool
 
@@ -418,7 +392,8 @@ def fermionic_curve(q_abs: float, r_grid) -> list[FermionCurveRow]:
         i = int(over.argmax())  # the first row over the tolerance
         raise MethodDisagreementError(f"blocks/full negativities differ by {residuals[i]:.3e} at "
                                       f"(q_abs={q_abs}, r={r_list[i]}); tolerance {METHOD_TOL}")
-    q_abs, swap_equivalent = float(q_abs), q_abs < SWAP_POINT
+    q_abs = float(q_abs)
+    swap_equivalent = q_abs < SWAP_POINT
     return [FermionCurveRow(q_abs, x, n_ar, n_aar, residual, bound, swap_equivalent)
             for x, (n_ar, n_aar), residual, bound in zip(r_list, blocks.tolist(), residuals.tolist(),
                                                          bounds.tolist())]

@@ -4,12 +4,14 @@ import cmath
 import collections
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import unruhkit.fermionic as fermionic
+from unruhkit.bosonic import bosonic_curve
 from unruhkit.errors import MethodDisagreementError
 from unruhkit.fermionic import (
     JOINT_SPACE,
@@ -24,7 +26,14 @@ from unruhkit.fermionic import (
     pt_blocks,
     squeezing_from_acceleration,
 )
-from unruhkit.qops import FockKet, hermitian_eigenvalues, negativity, partial_transpose, reduced_density
+from unruhkit.qops import (
+    NEGATIVITY_CUTOFF,
+    FockKet,
+    hermitian_eigenvalues,
+    negativity,
+    partial_transpose,
+    reduced_density,
+)
 from unruhkit.weights import UnruhWeights
 
 
@@ -339,26 +348,27 @@ class TestCurve:
         assert fermionic_curve(0.5, [0.1])[0].swap_equivalent
         assert not fermionic_curve(0.9, [0.1])[0].swap_equivalent
 
+    def test_numpy_scalar_weight_gives_plain_fields(self):
+        # q_abs is converted before the swap test, so no numpy scalar reaches a row of either model
+        for curve in (fermionic_curve, bosonic_curve):
+            for row in curve(np.float64(0.5), [0.0, 0.1]):
+                assert not any(isinstance(v, np.generic) for v in row)
+        assert type(fermionic_curve(np.float64(0.5), [0.1])[0].swap_equivalent) is bool
+
     def test_residual_column(self):
         rows = fermionic_curve(0.9, np.linspace(0.0, R_MAX, 5))
         assert all(row.residual < 1e-12 for row in rows)
 
-    def test_curve_calls_pt_blocks_once(self, monkeypatch):
-        # one pt_blocks stack of both bipartitions covers the whole grid, reached through the
-        # module's name, where a wrapper of fermionic.pt_blocks sees it; the residual reuses its rows
-        calls = []
-        blocks = fermionic.pt_blocks
+    def test_curve_makes_no_pt_blocks_call(self, monkeypatch):
+        # the blocks route certifies each row from its invariants, so no explicit block is built;
+        # the residual reuses the curve's rows
+        def failing(r, weights):
+            raise AssertionError("pt_blocks called by the curve")
 
-        def counting(r, weights):
-            calls.append(np.shape(r))
-            return blocks(r, weights)
-
-        monkeypatch.setattr(fermionic, "pt_blocks", counting)
+        monkeypatch.setattr(fermionic, "pt_blocks", failing)
         grid = np.linspace(0.0, R_MAX, 10)
         rows = fermionic_curve(0.8, grid)
-        assert calls == [(len(rows),)]
-        fermionic_curve(0.9, grid[:3])
-        assert calls == [(10,), (3,)]
+        assert len(rows) == 10
         assert [row.residual for row in rows] == [
             method_agreement_residual(*point(float(r), 0.8)) for r in grid]
 
@@ -376,10 +386,10 @@ class TestCurve:
         assert calls == [len(rows)] == [10]
 
     def test_one_trig_table_per_curve(self, monkeypatch):
-        # the blocks route takes cos r and sin r as arrays of the whole grid, once for the closed
-        # form and once for the pt_blocks certificate, with no call per row; the oracle takes its
-        # own, once per row for the joint-state table.  The one cos of a (rows, 2, 2) stack is the
-        # trigonometric start of the blocks' smallest eigenvalues
+        # the blocks route takes cos r and sin r as arrays of the whole grid, once, for the closed
+        # form and its certificate, with no call per row; the oracle takes its own, once per row for
+        # the joint-state table.  The one cos of a (rows, 2, 2) stack is the trigonometric start of
+        # the blocks' smallest eigenvalues
         calls = collections.Counter()
 
         class Counting:
@@ -402,7 +412,7 @@ class TestCurve:
         weights = UnruhWeights.from_abs(0.8)
         grid = np.linspace(0.0, R_MAX, 9)
         fermionic._blocks_negativities(grid, weights)
-        blocks_route = {("np", "cos", (9,)): 2, ("np", "sin", (9,)): 2, ("np", "cos", (9, 2, 2)): 1}
+        blocks_route = {("np", "cos", (9,)): 1, ("np", "sin", (9,)): 1, ("np", "cos", (9, 2, 2)): 1}
         assert calls == blocks_route
         calls.clear()
         fermionic._full_negativities(grid.tolist(), weights)
@@ -621,10 +631,12 @@ def phased_weights(q_abs, phase_r, phase_l):
 def with_crossings(grid, weights):
     """``grid`` plus the r in range where cos(theta + r) = 0 ("AR") or sin(theta - r) = 0 ("AAR").
 
-    There the two smaller eigenvalues of block 1 meet at 0, theta = atan2(|q_L|, |q_R|).
+    There the two smaller eigenvalues of block 1 meet at 0, theta = atan2(|q_L|, |q_R|).  Each
+    crossing comes with the doubles just below and above it.
     """
     theta = math.atan2(weights.abs_l, weights.abs_r)
-    return np.array(list(grid) + [x for x in (math.pi / 2 - theta, theta) if 0.0 <= x <= R_MAX + R_MAX_TOL])
+    near = [y for x in (math.pi / 2 - theta, theta) for y in (math.nextafter(x, -1.0), x, math.nextafter(x, 1.0))]
+    return np.array(list(grid) + [x for x in near if 0.0 <= x <= R_MAX + R_MAX_TOL])
 
 
 @settings(max_examples=60, deadline=None)
@@ -639,7 +651,7 @@ def test_closed_form_blocks_match_their_eigensolve(q_abs, phases, grid):
     weights = phased_weights(q_abs, *phases)
     grid = with_crossings(grid, weights)
     eigs = hermitian_eigenvalues(pt_blocks(grid, weights))
-    got = fermionic._negativities(fermionic._lowest_root(*fermionic._invariants(grid, weights))[..., None])
+    got = fermionic._negativities(fermionic._lowest_root(*fermionic._invariants(grid, weights)[0])[..., None])
     assert np.abs(got - fermionic._negativities(eigs)).max() <= 1e-15
     # a positive semidefinite block gives exactly +0.0
     assert {v.hex() for v in got[eigs[..., 0] >= 0.0]} <= {"0x0.0p+0"}
@@ -686,10 +698,114 @@ def test_bound_covers_both_references(q_abs, phases, grid):
 @pytest.mark.parametrize("excess", [1e-14, 1e-13, 4.9e-13])
 def test_bound_covers_weights_normalized_only_to_tolerance(excess):
     # the closed form is that of the normalized weights, the blocks are built from the weights as
-    # given; the bracket widens until it holds the blocks' own eigenvalue
+    # given; the Weyl term of the normalization moves the bracket out to the blocks' own eigenvalue
     weights = UnruhWeights(0.8 * (1.0 + excess), 0.6j * (1.0 + excess))
     grid = with_crossings(np.linspace(0.0, R_MAX, 41), weights)
     pairs, bounds = fermionic._blocks_negativities(grid, weights)
     per_block = fermionic._negativities(hermitian_eigenvalues(pt_blocks(grid, weights)))
     assert np.isfinite(bounds).all() and bounds.max() <= 1e-10
     assert (np.abs(pairs - per_block.sum(axis=-1)).max(axis=-1) <= bounds).all()
+
+
+def exact_cos_sin(r):
+    """cos r and sin r of the double r as Fractions, their Taylor series summed to 2^-200 relative.
+
+    For 0 <= r < 1 both series alternate with falling terms, so each sum is off by less than the
+    next term.  The sums are then rounded to 300 bits, which keeps the Fractions small.
+    """
+    x, sums = Fraction(r), []
+    for first in (0, 1):  # cos, then sin
+        term, total, k = x**first, Fraction(0), first
+        while term and abs(term) * 2**200 > abs(total):
+            total += term
+            term *= -x * x / ((k + 1) * (k + 2))
+            k += 2
+        shift = 300 + total.denominator.bit_length() - total.numerator.bit_length()
+        sums.append(Fraction(round(total * 2**shift), 2**shift) if total else total)
+    return sums
+
+
+def exact_invariants(r, weights):
+    """(t, e2, det) of each block at the exact r and the normalized exact weights, as Fractions.
+
+    Shape (3, bipartition, block).  Each depends on the weights only through a^2 and b^2, which
+    are rational: (aC + bS)(aC - bS) = a^2 C^2 - b^2 S^2.
+    """
+    cos, sin = exact_cos_sin(r)
+    c2, s2 = cos * cos, sin * sin
+    mod2 = [Fraction(q.real) ** 2 + Fraction(q.imag) ** 2 for q in (weights.q_r, weights.q_l)]
+    out = np.empty((3, 2, 2), dtype=object)
+    for side, (x2, y2) in enumerate((mod2, mod2[::-1])):
+        x2, y2 = x2 / sum(mod2), y2 / sum(mod2)
+        cross = x2 * c2 - y2 * s2
+        out[:, side, 0] = (x2 * s2 + y2 * c2 + c2 * s2) / 2, -(c2 - s2) * cross / 4, -c2 * s2 * cross**2 / 8
+        out[:, side, 1] = ((c2 * c2 + s2 * s2) / 2, -c2 * s2 * (x2 * s2 * s2 + y2 * c2 * c2) / 4,
+                           -(c2 * s2) ** 2 * (x2 * c2 + y2 * s2) / 8)
+    return out
+
+
+def exact_cubic(x, t, e2, det):
+    x = Fraction(x)
+    return ((x - t) * x + e2) * x - det
+
+
+#: r = 0, tiny r, sqrt(eps), pi/4 and its neighbours, where cos 2r = C^2 - S^2 vanishes, and the
+#: rounding slack past it
+MARGIN_R = [0.0, 1e-300, math.sqrt(EPS), 0.3, math.nextafter(R_MAX, 0.0), R_MAX, math.nextafter(R_MAX, 1.0),
+            R_MAX + R_MAX_TOL]
+#: (q_abs, phase of q_R, phase of q_L, scale): extremal, mixed and equal weights, some off normalization
+MARGIN_WEIGHTS = [(0.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 1.0), (SWAP_POINT, 0.3, -1.2, 1.0), (0.8, 1.1, 2.0, 1.0),
+                  (0.3, -2.5, 0.7, 1.0), (0.6, 0.4, 0.0, 1.0 + 2e-13), (0.95, 0.0, 1.0, 1.0 - 4.9e-13)]
+
+
+def margin_cases():
+    for q_abs, phase_r, phase_l, scale in MARGIN_WEIGHTS:
+        weights = phased_weights(q_abs, phase_r, phase_l)
+        weights = UnruhWeights(weights.q_r * scale, weights.q_l * scale)
+        yield weights, with_crossings(MARGIN_R, weights)
+
+
+@pytest.mark.parametrize("case", range(len(MARGIN_WEIGHTS)))
+def test_invariants_and_cubic_within_their_stated_errors(case):
+    # each computed invariant, and the cubic at lam and at both ends of the certified bracket, lies
+    # within its stated error of the value at the exact r and normalized weights
+    weights, grid = list(margin_cases())[case]
+    inv, err = fermionic._invariants(grid, weights)
+    lam = fermionic._lowest_root(*inv)
+    half = fermionic._half_width(inv, err, lam)
+    negative = lam < NEGATIVITY_CUTOFF
+    # a block with no negativity is certified at the cutoff alone
+    ends = (lam, np.where(negative, lam - half, NEGATIVITY_CUTOFF), np.where(negative, lam + half, lam))
+    for row, r in enumerate(grid.tolist()):
+        exact = exact_invariants(r, weights)
+        for got, bound, want in zip(inv[:, row].ravel(), err[:, row].ravel(), exact.ravel()):
+            assert abs(Fraction(got) - want) <= Fraction(bound), (r, got, want, bound)
+        for x in ends:
+            value, bound = fermionic._cubic(x[row], inv[:, row], err[:, row])
+            for at, got, limit, *block in zip(x[row].ravel(), value.ravel(), bound.ravel(), *exact.reshape(3, 4)):
+                assert abs(Fraction(got) - exact_cubic(at, *block)) <= Fraction(limit), (r, at)
+
+
+@pytest.mark.parametrize("case", range(len(MARGIN_WEIGHTS)))
+@pytest.mark.parametrize("ulps", [None, 1, 4])
+def test_certified_brackets_hold_the_exact_eigenvalue(case, ulps):
+    # the bracket the route certifies (ulps None), and brackets too narrow for the rounding of the
+    # cubic: wherever a block is certified, the exact cubic changes sign across its bracket, so
+    # its smallest eigenvalue lies inside
+    weights, grid = list(margin_cases())[case]
+    inv, err = fermionic._invariants(grid, weights)
+    lam = fermionic._lowest_root(*inv)
+    half = fermionic._half_width(inv, err, lam) if ulps is None else ulps * np.spacing(abs(lam))
+    bounds = fermionic._block_bounds(inv, err, lam, half, 1.0)
+    if ulps is None:
+        assert np.isfinite(bounds).all()
+    negative = lam < NEGATIVITY_CUTOFF
+    lo = np.where(negative, lam - half, NEGATIVITY_CUTOFF)
+    for row, r in enumerate(grid.tolist()):
+        exact = exact_invariants(r, weights).reshape(3, 4)
+        for i, (t, e2, det) in enumerate(exact.T):
+            at = np.unravel_index(i, (2, 2))
+            if np.isfinite(bounds[row][at]):
+                assert exact_cubic(lo[row][at], t, e2, det) < 0, (r, at)
+                if negative[row][at]:
+                    assert exact_cubic(lam[row][at] + half[row][at], t, e2, det) > 0, (r, at)
