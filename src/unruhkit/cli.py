@@ -177,6 +177,8 @@ def _check_packet(args) -> None:
         raise ValueError("x-min, x-max and x-points must be given together")
     if args.x_min is not None and not args.x_max > args.x_min:
         raise ValueError(f"x-max must be > x-min, got {args.x_max} <= {args.x_min}")
+    if args.x_min is not None and not math.isfinite(args.x_max - args.x_min):
+        raise ValueError(f"x-max - x-min must be finite, got {args.x_max} - {args.x_min}")
     omega_flags = (args.omega_max, args.omega_points)
     if any(v is not None for v in omega_flags) and not all(v is not None for v in omega_flags):
         raise ValueError("omega-max and omega-points must be given together")
@@ -331,12 +333,12 @@ def _packet_pipeline(args):
         else:
             f = alternate_packets(args.family, params, x_grid=x_grid)
         pair = g_from_f(f, kernel, omega_grid=omega_grid)
-        back = f_from_g(pair, kernel, x_grid=f.x)
+        back = f_from_g(pair, x_grid=f.x)
     except MemoryError as exc:
         if x_grid is None and omega_grid is None:  # else a given grid fit, the work on it did not
             raise
         raise _too_large(*max(grid for grid in grids if grid[0] is not None)) from exc
-    report = peaking_report_from_pair(f, pair, kernel, args.leakage_threshold)
+    report = peaking_report_from_pair(f, pair, args.leakage_threshold)
     return f, pair, report, parseval_residual(f, pair), f.l2_distance(back)
 
 

@@ -10,11 +10,12 @@ phase convention fixed so that the Bogoliubov coefficients are pure phases,
 the relation is exactly a Fourier transform between x = ln(omega l) on the
 Minkowski side and the signed variable +-Omega on the Unruh side: the real
 frequency line splits into Omega > 0 plus the R/L index.  A length l != 1
-only multiplies g_R, g_L by phases no diagnostic sees, so here l = 1.  All
-transforms work with the L2(dx) weight F(x) = sqrt(omega) f(omega) on a
-uniform x grid, where the rectangle rule is spectrally accurate, and with a
-uniform Omega >= 0 grid whose trapezoid endpoint weights at Omega = 0 fold
-the two half-lines back together exactly.
+only multiplies g_R, g_L by phases no diagnostic sees, so here l = 1.  Every
+transform, norm and moment reads the L2(dx) weight F(x) = sqrt(omega)
+f(omega), so a profile stores F on a uniform x grid, where the rectangle
+rule is spectrally accurate, and derives f from it only on request.  The
+Unruh side is a uniform Omega >= 0 grid whose trapezoid endpoint weights at
+Omega = 0 fold the two half-lines back together exactly.
 
 Massive packets transform the same way with the Minkowski rapidity
 arcsinh(k/m) = ln[(omega_k + k)/m] in place of ln(omega l),
@@ -24,8 +25,9 @@ arcsinh(k/m) = ln[(omega_k + k)/m] in place of ln(omega l),
 right- and left-movers no longer decouple, so there is no eps index: a
 massive field takes eps = +1.  The mass travels with the data: a profile
 carries its map omega(x), e^x without a mass and m cosh x with one, and
-``g_from_f`` hands it on to the Unruh pair, from which ``f_from_g`` takes
-it.  So one kernel, the mover index alone, serves both fields.
+``g_from_f`` hands it on to the Unruh pair, with the kernel it used; the
+inverse ``f_from_g`` and the peaking report take both from the pair.  So
+one kernel, the mover index alone, serves both fields.
 
 Both grids are uniform, so each transform is a chirp-z transform
 (Rabiner, Schafer & Rader, 1969): Bluestein's identity turns the
@@ -71,12 +73,6 @@ class BogoliubovKernel:
             raise ValueError(f"epsilon must be +1 or -1, got {self.epsilon}")
 
 
-def _mover_index(kernel: BogoliubovKernel, mass) -> int:
-    if mass is not None and kernel.epsilon != 1:
-        raise ValueError("a massive field has no mover index: its kernel takes epsilon = +1")
-    return kernel.epsilon
-
-
 # ---------------------------------------------------------------------------
 # sampled profiles
 
@@ -108,30 +104,39 @@ def _omega(x, mass):
     return np.exp(x) if mass is None else mass * np.cosh(x)
 
 
+def _check_omega_range(start: float, stop: float, mass, grid: str) -> None:
+    """No profile is finite where omega(x) over- or underflows; e^x is monotone and m cosh x
+    convex, so the ends of [start, stop] decide for the whole grid."""
+    ends = _omega(np.array([start, stop]), mass)
+    if not (np.isfinite(ends).all() and ends.min() > 0.0):
+        raise GridError(f"{grid}, and omega(x) leaves the floating-point range on it: "
+                        "the profile is not finite there")
+
+
 @dataclass(frozen=True, eq=False)
 class MinkowskiSmearing:
-    """Profile f sampled on a uniform grid in x, with its map omega(x).
+    """Profile on a uniform grid in x, stored as its L2 weight F = sqrt(omega) f, with its map omega(x).
 
     Massless (``mass`` None): ``x`` holds ln(omega), with l = 1.  Massive:
-    ``x`` is the rapidity arcsinh(k/m), so omega_k = m cosh x and the
-    profile has a ``momentum`` k = m sinh x.  Either way the measure is
-    omega dx, so the L2 weight in the Fourier variable is ``weight_x`` =
-    sqrt(omega) f, formed once; norms and moments in x use the rectangle rule.
+    ``x`` is the rapidity arcsinh(k/m), so omega_k = m cosh x.  Either way
+    the measure is omega dx, so the L2 weight in the Fourier variable is
+    ``weight`` = sqrt(omega) f, the data every transform, norm and moment
+    reads; norms and moments in x use the rectangle rule.  ``samples``, the
+    profile f itself, is derived from it on request.
     """
 
     x: np.ndarray
-    samples: np.ndarray
+    weight: np.ndarray
     mass: float | None = None
 
     def __post_init__(self):
         if self.mass is not None:
             _check_mass(self.mass)
         x = np.array(_check_uniform(self.x), dtype=float)
-        samples = np.array(self.samples, dtype=complex)
-        if samples.shape != x.shape:
-            raise GridError("samples and grid must have matching shapes")
-        weight = np.sqrt(_omega(x, self.mass)) * samples
-        for name, arr in (("x", x), ("samples", samples), ("_weight", weight)):
+        weight = np.array(self.weight, dtype=complex)
+        if weight.shape != x.shape:
+            raise GridError("weight and grid must have matching shapes")
+        for name, arr in (("x", x), ("weight", weight)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -144,43 +149,36 @@ class MinkowskiSmearing:
         return _omega(self.x, self.mass)
 
     @property
-    def momentum(self) -> np.ndarray:
-        if self.mass is None:
-            raise AttributeError("a massless profile has no momentum grid")
-        return self.mass * np.sinh(self.x)
-
-    def weight_x(self) -> np.ndarray:
-        return self._weight
+    def samples(self) -> np.ndarray:
+        """The profile f = F / sqrt(omega)."""
+        return self.weight / np.sqrt(self.omega)
 
     def norm_squared(self) -> float:
         """int |f|^2 domega (or dk) evaluated as int |F|^2 dx."""
-        return float(np.sum(np.abs(self.weight_x()) ** 2) * self.dx)
-
-    def normalized(self) -> "MinkowskiSmearing":
-        n2 = self.norm_squared()
-        if n2 == 0.0:
-            raise ValueError("cannot normalize an identically zero profile")
-        return MinkowskiSmearing(self.x, self.samples / math.sqrt(n2), self.mass)
+        return float(np.sum(np.abs(self.weight) ** 2) * self.dx)
 
     def l2_distance(self, other: "MinkowskiSmearing") -> float:
         if other.x.shape != self.x.shape or not _close(other.x, self.x, self.x):
             raise GridError("L2 distance requires identical grids")
-        diff = self.weight_x() - other.weight_x()
+        diff = self.weight - other.weight
         return float(math.sqrt(np.sum(np.abs(diff) ** 2) * self.dx))
 
 
 @dataclass(frozen=True, eq=False)
 class UnruhSmearingPair:
-    """Right/left Unruh profiles on a uniform Omega >= 0 grid from 0, with the mass of their profile."""
+    """Right/left Unruh profiles on a uniform Omega >= 0 grid from 0, with their profile's mass and kernel."""
 
     omega_grid: np.ndarray
     g_r: np.ndarray
     g_l: np.ndarray
     mass: float | None = None
+    kernel: BogoliubovKernel = BogoliubovKernel()
 
     def __post_init__(self):
         if self.mass is not None:
             _check_mass(self.mass)
+            if self.kernel.epsilon != 1:
+                raise ValueError("a massive field has no mover index: its kernel takes epsilon = +1")
         grid = np.array(_check_uniform(self.omega_grid), dtype=float)
         if grid[0] != 0.0:
             raise GridError("the Unruh frequency grid must start at Omega = 0")
@@ -200,12 +198,14 @@ class UnruhSmearingPair:
         w[-1] *= 0.5
         return w
 
-    def sector_norms(self) -> tuple[float, float]:
+    def _densities(self) -> tuple[np.ndarray, np.ndarray]:
+        """|g_R|^2 and |g_L|^2 times the quadrature weights."""
         w = self.quadrature_weights()
-        return (
-            float(np.sum(w * np.abs(self.g_r) ** 2)),
-            float(np.sum(w * np.abs(self.g_l) ** 2)),
-        )
+        return w * np.abs(self.g_r) ** 2, w * np.abs(self.g_l) ** 2
+
+    def sector_norms(self) -> tuple[float, float]:
+        dens_r, dens_l = self._densities()
+        return float(dens_r.sum()), float(dens_l.sum())
 
     def norm_squared(self) -> float:
         nr, nl = self.sector_norms()
@@ -269,11 +269,7 @@ def _auto_x_grid(weight, center: float, half: float, dx: float, mass) -> tuple[n
     for _ in range(60):
         grid = (f"the grid on [{center - half:.4g}, {center + half:.4g}] needs "
                 f"{2.0 * half / dx + 1.0:.3g} points of spacing {dx:.3g}")
-        # no profile is finite where omega(x) over- or underflows: fail before allocating
-        ends = _omega(np.array([center - half, center + half]), mass)
-        if not (np.isfinite(ends).all() and ends.min() > 0.0):
-            raise GridError(f"{grid}, and omega(x) leaves the floating-point range on it: "
-                            "the profile is not finite there")
+        _check_omega_range(center - half, center + half, mass, grid)  # before allocating
         try:  # nor is a count past what numpy can index or allocate
             x = np.linspace(center - half, center + half, math.ceil(2.0 * half / dx) + 1)
             samples = weight(x)
@@ -315,8 +311,8 @@ def _check_unit_norm(f):
     if not abs(1.0 - norm) <= _NORM_DEFICIT_TOL:  # so that a NaN norm fails too
         why = (
             f"holds only {norm:.12f} of the unit norm; widen the bounds or refine the spacing"
-            if math.isfinite(norm)  # else omega = e^x or m cosh x left the float range
-            else "gives a profile that is not finite; its frequencies overflow or underflow"
+            if math.isfinite(norm)  # else the weight left the float range: omega(x) did not
+            else "gives a profile that is not finite; its parameters leave the floating-point range"
         )
         raise GridError(f"grid [{float(f.x[0]):.4g}, {float(f.x[-1]):.4g}] {why}")
     return f
@@ -330,8 +326,10 @@ def _packet_from_weight(weight, x_grid, center, half, dx, mass=None) -> Minkowsk
             x, samples = _auto_x_grid(weight, center, half, dx, mass)
         else:
             x = _check_uniform(np.asarray(x_grid, dtype=float))
+            grid = f"the given grid [{x[0]:.4g}, {x[-1]:.4g}] has {x.size} points"
+            _check_omega_range(x[0], x[-1], mass, grid)
             samples = weight(x)
-        return _check_unit_norm(MinkowskiSmearing(x, samples / np.sqrt(_omega(x, mass)), mass))
+        return _check_unit_norm(MinkowskiSmearing(x, samples, mass))
 
 
 def f_log_gaussian(params: LogGaussianParams, x_grid=None) -> MinkowskiSmearing:
@@ -490,18 +488,17 @@ def g_from_f(
     """Unruh images g_R(Omega) = int alpha_R f domega and likewise g_L.
 
     Evaluated as the Fourier transform of F(x) = sqrt(omega) f at +-Omega.
-    The pair takes the profile's ``mass``.  A massive profile has no mover
-    index, so its kernel must have eps = +1, the default.  Raises
-    ``GridError`` when spectral mass piles up at the edge of the frequency
-    window (aliasing).
+    The pair takes the profile's ``mass`` and the ``kernel``.  A massive
+    profile has no mover index, so its kernel must have eps = +1, the
+    default.  Raises ``GridError`` when spectral mass piles up at the edge
+    of the frequency window (aliasing).
     """
-    eps = _mover_index(kernel, f.mass)
-    weight = f.weight_x()
     if omega_grid is None:
-        omega_grid = _default_omega_grid(f.x, weight)
+        omega_grid = _default_omega_grid(f.x, f.weight)
     else:
         omega_grid = _explicit_omega_grid(omega_grid, f.dx)
-    pair = UnruhSmearingPair(omega_grid, *_forward_transform(f.x, weight, omega_grid, eps), f.mass)
+    g_r, g_l = _forward_transform(f.x, f.weight, omega_grid, kernel.epsilon)
+    pair = UnruhSmearingPair(omega_grid, g_r, g_l, f.mass, kernel)
     density = np.abs(pair.g_r) ** 2 + np.abs(pair.g_l) ** 2
     peak = float(density.max())
     if peak > 0.0 and float(density[-1]) > 1e-10 * peak:
@@ -513,16 +510,14 @@ def g_from_f(
     return pair
 
 
-def f_from_g(pair: UnruhSmearingPair, kernel: BogoliubovKernel, x_grid) -> MinkowskiSmearing:
+def f_from_g(pair: UnruhSmearingPair, x_grid) -> MinkowskiSmearing:
     """Inverse transform f = int [alpha_R* g_R + alpha_L* g_L] dOmega on a uniform x grid.
 
-    The profile takes the pair's ``mass`` and with it the map omega(x); a
-    massive pair needs a kernel with eps = +1.
+    The kernel is the pair's, and the profile takes the pair's ``mass`` and
+    with it the map omega(x).
     """
-    eps = _mover_index(kernel, pair.mass)
     x_grid = _check_uniform(np.asarray(x_grid, dtype=float))
-    weight = _inverse_transform(x_grid, pair, eps)
-    return MinkowskiSmearing(x_grid, weight / np.sqrt(_omega(x_grid, pair.mass)), pair.mass)
+    return MinkowskiSmearing(x_grid, _inverse_transform(x_grid, pair, pair.kernel.epsilon), pair.mass)
 
 
 def closed_form_g(
@@ -540,7 +535,7 @@ def closed_form_g(
     """
     if omega_grid is None:
         f = f_log_gaussian(params)
-        omega_grid = _default_omega_grid(f.x, f.weight_x())
+        omega_grid = _default_omega_grid(f.x, f.weight)
     else:
         omega_grid = _check_uniform(np.asarray(omega_grid, dtype=float))
     lam, mu, eps = params.lam, params.mu, kernel.epsilon
@@ -552,7 +547,7 @@ def closed_form_g(
     g_l = amp * np.exp(-((omega_grid + eps * mu) ** 2) / (2.0 * lam)) * np.exp(
         -1j * eps * omega_grid * log_w0
     )
-    return UnruhSmearingPair(omega_grid, g_r, g_l)
+    return UnruhSmearingPair(omega_grid, g_r, g_l, kernel=kernel)
 
 
 def parseval_residual(f: MinkowskiSmearing, pair: UnruhSmearingPair) -> float:
@@ -567,7 +562,7 @@ def round_trip_error(
 ) -> float:
     """L2 distance between f and its image under forward plus inverse transform."""
     pair = g_from_f(f, kernel, omega_grid)
-    back = f_from_g(pair, kernel, x_grid=f.x)
+    back = f_from_g(pair, x_grid=f.x)
     return f.l2_distance(back)
 
 
@@ -595,37 +590,29 @@ class PeakingReport(NamedTuple):
     sma_valid: bool
 
 
-def _signed_moments(pair: UnruhSmearingPair, eps: int) -> tuple[float, float]:
-    w = pair.quadrature_weights()
-    dens_r = w * np.abs(pair.g_r) ** 2
-    dens_l = w * np.abs(pair.g_l) ** 2
-    total = float(dens_r.sum() + dens_l.sum())
-    signed = eps * pair.omega_grid
+def peaking_report_from_pair(
+    f: MinkowskiSmearing,
+    pair: UnruhSmearingPair,
+    leakage_threshold: float = DEFAULT_LEAKAGE_THRESHOLD,
+) -> PeakingReport:
+    """Peaking diagnostics for an already-computed Unruh image, with the pair's kernel.
+
+    The spread in x is that of ``f.x``: ln omega, or the rapidity of a
+    massive packet.
+    """
+    dens_r, dens_l = pair._densities()
+    norm_r, norm_l = float(dens_r.sum()), float(dens_l.sum())
+    total = norm_r + norm_l
+    signed = pair.kernel.epsilon * pair.omega_grid
     mean = float((np.sum(signed * dens_r) - np.sum(signed * dens_l)) / total)
     var = float(
         (np.sum((signed - mean) ** 2 * dens_r) + np.sum((-signed - mean) ** 2 * dens_l)) / total
     )
-    return mean, math.sqrt(max(var, 0.0))
-
-
-def peaking_report_from_pair(
-    f: MinkowskiSmearing,
-    pair: UnruhSmearingPair,
-    kernel: BogoliubovKernel = BogoliubovKernel(),
-    leakage_threshold: float = DEFAULT_LEAKAGE_THRESHOLD,
-) -> PeakingReport:
-    """Peaking diagnostics for an already-computed Unruh image.
-
-    The spread in x is that of ``f.x``: ln omega, or the rapidity of a
-    massive packet, whose kernel is the default one with eps = +1.
-    """
-    _, delta_omega = _signed_moments(pair, kernel.epsilon)
-    density_x = np.abs(f.weight_x()) ** 2
+    delta_omega = math.sqrt(max(var, 0.0))
+    density_x = np.abs(f.weight) ** 2
     total_x = float(density_x.sum()) * f.dx
     mean_x = float(np.sum(f.x * density_x) * f.dx / total_x)
     delta_x = math.sqrt(max(float(np.sum((f.x - mean_x) ** 2 * density_x) * f.dx / total_x), 0.0))
-    norm_r, norm_l = pair.sector_norms()
-    total = norm_r + norm_l
     leakage = min(norm_r, norm_l) / total
     major = pair.g_r if norm_r >= norm_l else pair.g_l
     peak = float(pair.omega_grid[int(np.argmax(np.abs(major)))])
@@ -647,7 +634,7 @@ def peaking_report(
 ) -> PeakingReport:
     """Compute the Unruh image of ``f`` and its peaking diagnostics."""
     pair = g_from_f(f, kernel, omega_grid)
-    return peaking_report_from_pair(f, pair, kernel, leakage_threshold)
+    return peaking_report_from_pair(f, pair, leakage_threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ def test_criterion_9_wavepacket_oracle():
     assert parseval < 1e-6
     round_trip = round_trip_error(f, kernel)
     assert round_trip < 1e-6
-    report = peaking_report_from_pair(f, pair, kernel)
+    report = peaking_report_from_pair(f, pair)
     assert report.uncertainty_product >= 0.5 - 1e-3
     assert abs(report.uncertainty_product - 0.5) <= 0.01
     ok(

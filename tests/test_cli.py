@@ -427,6 +427,42 @@ class TestPacketCommand:
         err = capsys.readouterr().err
         assert "grid [-1e+300, 1e+300] " in err and len(err) < 200
 
+    def test_a_window_wider_than_the_float_range_is_a_usage_error(self, capsys):
+        # x-max - x-min overflowed inside np.linspace: two RuntimeWarnings (under
+        # -W error, a traceback and exit 1), then "grid must be uniformly spaced"
+        argv = ["packet", "--x-min", "-1e308", "--x-max", "1e308", "--x-points", "16"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "x-max - x-min must be finite" in err and "1e+308 - -1e+308" in err
+
+    @pytest.mark.parametrize("family", ["log-gaussian", "rapidity-gaussian"])
+    def test_a_given_grid_past_the_float_range_of_omega_is_numeric_failure(self, family, capsys):
+        # the weight is finite there (it underflows to 0), omega(x) = e^x or m cosh x is not:
+        # the grid's ends fail before the profile is sampled
+        argv = ["packet", "--family", family, "--x-min", "-800", "--x-max", "800", "--x-points", "200000"]
+        assert main(argv) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "not finite" in err and "grid [-800, 800] " in err
+
+    @pytest.mark.parametrize("family", ["log-gaussian", "gamma", "bessel", "rapidity-gaussian"])
+    @pytest.mark.parametrize("grids", [[], ["--x-min", "-12", "--x-max", "12", "--x-points", "4001"]],
+                             ids=["auto", "given"])
+    def test_omega_of_x_is_taken_at_the_grid_ends_only(self, family, grids, tmp_path, monkeypatch):
+        # a profile stores its L2 weight sqrt(omega) f, which every transform, norm and moment
+        # reads: no step of the packet path needs omega(x) on the whole grid
+        from unruhkit import wavepacket
+
+        omega = wavepacket._omega
+
+        def ends_only(x, mass):
+            assert np.size(x) <= 2, f"omega(x) evaluated on {np.size(x)} points"
+            return omega(x, mass)
+
+        monkeypatch.setattr(wavepacket, "_omega", ends_only)
+        out = tmp_path / "report.json"
+        assert main(["packet", "--family", family, *grids, "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["round_trip_error"] < 1e-6
+
     @pytest.mark.parametrize("family", ["log-gaussian", "rapidity-gaussian"])
     @pytest.mark.parametrize("flag, value", [
         ("lam", "nan"), ("lam", "inf"), ("mu", "nan"), ("mu", "inf"), ("mu", "-inf"),

@@ -4,13 +4,15 @@ Each sweep file holds what one command wrote with ``--out``; each packet
 case holds its stdout (``.txt``) and its ``--out`` report (``.json``).  An
 optimisation must leave every byte in place.  A change that moves outputs on
 purpose rewrites the files with ``python tests/test_cli_golden.py``, which
-prints every field it moves (file, row, column, old -> new) before it
-writes, and lists those fields.
+prints every field it moves (file, row, column, old -> new, and the absolute
+and relative change of each number that moved) before it writes, and lists
+those fields.
 """
 
 import contextlib
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -100,13 +102,39 @@ def fields(name: str, data: bytes) -> dict:
     return {(f"line {i}", ""): line for i, line in enumerate(text.splitlines(), 1)}
 
 
+def change(old: str, new: str) -> str:
+    """'  (abs ..., rel ...)' for each number that moved between two texts of one field, else ''.
+
+    The texts are compared word by word, so a stdout line of several numbers
+    names each one that moved; a word that is not a number, or a word count
+    that changed, gives no change.
+    """
+    old_words, new_words = old.split(), new.split()
+    try:
+        moved = [(float(a), float(b)) for a, b in zip(old_words, new_words) if a != b]
+    except ValueError:
+        return ""
+    if not moved or len(old_words) != len(new_words):
+        return ""
+    return "  (" + "; ".join(f"abs {abs(b - a):.3g}, rel {abs(b - a) / abs(a) if a else math.inf:.3g}"
+                             for a, b in moved) + ")"
+
+
+def test_change_names_each_moved_number():
+    assert change("  leakage = 1.5e-12", "  leakage = 1.2e-12") == "  (abs 3e-13, rel 0.2)"
+    assert change("  1   0.5   2", "  1   0.25   3") == "  (abs 0.25, rel 0.5; abs 1, rel 0.5)"
+    assert change("0", "1e-300") == "  (abs 1e-300, rel inf)"
+    assert change("true", "false") == change("(none)", "1") == change("1 2", "1 2 3") == ""
+
+
 def rewrite(name: str, data: bytes) -> None:
     """Print every field ``data`` moves against the golden file ``name``, then write ``data`` there."""
     path = DATA / name
     old, new = fields(name, path.read_bytes()) if path.exists() else {}, fields(name, data)
     for place in sorted(old.keys() | new.keys(), key=lambda p: (len(p[0]), p)):
-        if old.get(place) != new.get(place):
-            print(f"{name}, {place[0]}, {place[1]}: {old.get(place, '(none)')} -> {new.get(place, '(none)')}")
+        before, after = old.get(place, "(none)"), new.get(place, "(none)")
+        if before != after:
+            print(f"{name}, {place[0]}, {place[1]}: {before} -> {after}{change(before, after)}")
     path.write_bytes(data)
 
 

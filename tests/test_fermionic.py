@@ -809,3 +809,71 @@ def test_certified_brackets_hold_the_exact_eigenvalue(case, ulps):
                 assert exact_cubic(lo[row][at], t, e2, det) < 0, (r, at)
                 if negative[row][at]:
                     assert exact_cubic(lam[row][at] + half[row][at], t, e2, det) > 0, (r, at)
+
+
+@pytest.mark.parametrize("case", range(len(MARGIN_WEIGHTS)))
+def test_cubic_rounding_within_its_horner_term(case):
+    # with no invariant error the bound of ``_cubic`` is Horner's rounding term alone: the cubic of
+    # the doubles (x, t, e2, det) as computed lies within it of the same cubic in exact arithmetic
+    weights, grid = list(margin_cases())[case]
+    inv, _ = fermionic._invariants(grid, weights)
+    lam = fermionic._lowest_root(*inv)
+    half = fermionic._half_width(inv, np.zeros_like(inv), lam)
+    points = (lam, lam - half, lam + half, np.full_like(lam, NEGATIVITY_CUTOFF), -inv[0], inv[0] / 3.0)
+    for x in points:
+        value, bound = fermionic._cubic(x, inv, np.zeros_like(inv))
+        for at, got, limit, t, e2, det in zip(x.ravel(), value.ravel(), bound.ravel(), *inv.reshape(3, -1)):
+            if math.isfinite(at):  # the half-width is NaN where the slope at lam is not positive
+                exact = exact_cubic(at, Fraction(t), Fraction(e2), Fraction(det))
+                assert abs(Fraction(got) - exact) <= Fraction(limit), (at, t, e2, det)
+
+
+def exact_sqrt(v):
+    """The square root of a Fraction in [0, 1], rounded down to 300 bits."""
+    return Fraction(math.isqrt(v.numerator * 4**300 // v.denominator), 2**300)
+
+
+def pushed_invariants(r, weights, sign):
+    """``_invariants`` at the double r, re-evaluated in Fractions with every error at its limit one way.
+
+    cos r and sin r are the exact ones moved by ``sign`` ulp of their doubles; a and b are the exact
+    normalized weights times 1 + 3 sign eps; each rounding of the formula, in the order numpy
+    evaluates it, multiplies by 1 + sign eps/2, and each scaling by a power of two is exact.
+    Shape (3, bipartition, block), as ``exact_invariants``.
+    """
+    def rounded(v):
+        return v * (1 + Fraction(sign, 2**53))
+
+    cos, sin = exact_cos_sin(r)
+    c, s = (v + sign * Fraction(float(np.spacing(f(r)))) for v, f in ((cos, np.cos), (sin, np.sin)))
+    mod2 = [Fraction(q.real) ** 2 + Fraction(q.imag) ** 2 for q in (weights.q_r, weights.q_l)]
+    a, b = (exact_sqrt(m / sum(mod2)) * (1 + 3 * sign * Fraction(EPS)) for m in mod2)
+    c2, s2 = rounded(c * c), rounded(s * s)
+    cs2 = rounded(c2 * s2)
+    out = np.empty((3, 2, 2), dtype=object)
+    for side, (x, y) in enumerate(((a, b), (b, a))):
+        plus, minus = rounded(rounded(x * c) + rounded(y * s)), rounded(rounded(x * c) - rounded(y * s))
+        diff, total = rounded(c - s), rounded(c + s)
+        cross = rounded(plus * minus)
+        x2, y2 = rounded(x * x), rounded(y * y)
+        out[:, side, 0] = (rounded(rounded(rounded(x2 * s2) + rounded(y2 * c2)) + cs2) / 2,
+                           rounded(rounded(-diff / 4 * total) * cross),
+                           rounded(rounded(-cs2 / 8 * cross) * cross))
+        fourth = rounded(rounded(rounded(x2 * s2) * s2) + rounded(rounded(y2 * c2) * c2))
+        out[:, side, 1] = (rounded(rounded(c2 * c2) + rounded(s2 * s2)) / 2,
+                           rounded(-cs2 / 4 * fourth),
+                           rounded(rounded(-cs2 / 8 * cs2) * rounded(rounded(x2 * c2) + rounded(y2 * s2))))
+    return out
+
+
+@pytest.mark.parametrize("case", range(len(MARGIN_WEIGHTS)))
+@pytest.mark.parametrize("sign", [1, -1], ids=["up", "down"])
+def test_invariant_errors_cover_every_error_pushed_one_way(case, sign):
+    # the stated errors against the error model itself: every input error and every rounding at its
+    # limit, all up and then all down, where the sampled roundings stay far inside the unit counts
+    weights, grid = list(margin_cases())[case]
+    _, err = fermionic._invariants(grid, weights)
+    for row, r in enumerate(grid.tolist()):
+        pushed, exact = pushed_invariants(r, weights, sign), exact_invariants(r, weights)
+        for got, want, bound in zip(pushed.ravel(), exact.ravel(), err[:, row].ravel()):
+            assert abs(got - want) <= Fraction(bound), (r, got, want, bound)

@@ -48,8 +48,26 @@ class TestBogoliubovKernel:
         left = BogoliubovKernel(epsilon=-1)
         with pytest.raises(ValueError, match="no mover index"):
             g_from_f(f, left)
+        pair = g_from_f(f)
         with pytest.raises(ValueError, match="no mover index"):
-            f_from_g(g_from_f(f), left, x_grid=f.x)
+            UnruhSmearingPair(pair.omega_grid, pair.g_r, pair.g_l, pair.mass, left)
+
+    @pytest.mark.parametrize("epsilon", [1, -1])
+    def test_the_pair_carries_its_kernel(self, epsilon):
+        # the inverse and the peaking report take the kernel from the pair, so no
+        # caller can hand them one that does not match the forward transform
+        kernel = BogoliubovKernel(epsilon)
+        params = LogGaussianParams(1.7, 3.0, omega0=2.0)
+        f = f_log_gaussian(params)
+        pair = g_from_f(f, kernel)
+        assert pair.kernel is kernel
+        assert closed_form_g(params, kernel, omega_grid=pair.omega_grid).kernel is kernel
+        assert f.l2_distance(f_from_g(pair, f.x)) < 1e-6
+        # the left-mover image is the right-mover one with its sectors exchanged, and the
+        # signed variable with them: one report
+        report, right = peaking_report_from_pair(f, pair), peaking_report(f)
+        assert report.sma_valid == right.sma_valid and report.peak_omega == right.peak_omega
+        assert np.allclose(report[1:5], right[1:5], rtol=1e-12, atol=1e-15)
 
 
 class TestLogGaussian:
@@ -73,7 +91,7 @@ class TestLogGaussian:
         # <ln(omega l)> = ln(omega0 l) and spread (2 lambda)^(-1/2)
         lam, omega0 = 2.5, 3.0
         f = f_log_gaussian(LogGaussianParams(lam, 1.0, omega0))
-        density = np.abs(f.weight_x()) ** 2 * f.dx
+        density = np.abs(f.weight) ** 2 * f.dx
         mean = float(np.sum(f.x * density))
         spread = math.sqrt(float(np.sum((f.x - mean) ** 2 * density)))
         assert abs(mean - math.log(omega0)) < 1e-10
@@ -84,7 +102,7 @@ class TestLogGaussian:
         # dimensional prefactor visible: <omega> = omega0 e^{1/(4 lambda)}
         lam, omega0 = 1.0, 2.0
         f = f_log_gaussian(LogGaussianParams(lam, 0.0, omega0))
-        density = np.abs(f.weight_x()) ** 2 * f.dx
+        density = np.abs(f.weight) ** 2 * f.dx
         omega = f.omega
         mean = float(np.sum(omega * density))
         second = float(np.sum(omega**2 * density))
@@ -149,8 +167,8 @@ class TestTransformPair:
         combo = UnruhSmearingPair(
             pair.omega_grid, a * pair.g_r + b * pair.g_r, a * pair.g_l + b * pair.g_l
         )
-        direct = f_from_g(combo, kernel, x_grid=f.x)
-        single = f_from_g(pair, kernel, x_grid=f.x)
+        direct = f_from_g(combo, x_grid=f.x)
+        single = f_from_g(pair, x_grid=f.x)
         assert np.max(np.abs(direct.samples - (a + b) * single.samples)) < 1e-10
 
     def test_delta_like_right_sector(self):
@@ -162,8 +180,8 @@ class TestTransformPair:
         g_r = np.exp(-((grid - omega0_big) ** 2) / (2.0 * width**2)).astype(complex)
         pair = UnruhSmearingPair(grid, g_r, np.zeros_like(g_r))
         x = np.linspace(-6.0, 6.0, 700)
-        f = f_from_g(pair, BogoliubovKernel(), x_grid=x)
-        weight = f.weight_x()  # sqrt(omega) f, should be ~ const modulus
+        f = f_from_g(pair, x_grid=x)
+        weight = f.weight  # sqrt(omega) f, should be ~ const modulus
         mods = np.abs(weight)
         assert mods.max() / mods.min() < 1.05
         rephased = weight * np.exp(1j * omega0_big * x)
@@ -222,7 +240,7 @@ class TestChirpZ:
         assert parseval_residual(f, pair) < 1e-6
         # the packet's content, |Omega - 8| < 1, against the direct sum
         rows = np.flatnonzero(np.abs(pair.omega_grid - 8.0) < 1.0)[::4]
-        ref = direct_sum(f.weight_x(), f.x, pair.omega_grid[rows], 1) * f.dx / math.sqrt(2.0 * math.pi)
+        ref = direct_sum(f.weight, f.x, pair.omega_grid[rows], 1) * f.dx / math.sqrt(2.0 * math.pi)
         assert np.max(np.abs(pair.g_r[rows] - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_a_round_trip_takes_ten_ffts(self, monkeypatch):
@@ -239,7 +257,7 @@ class TestChirpZ:
             monkeypatch.setattr(fft, name, counted)
         for f in (f_log_gaussian(LogGaussianParams(1.0, 8.0)), rapidity_gaussian(1.0, 5.0, 1.0)):
             transforms.clear()
-            f_from_g(g_from_f(f), BogoliubovKernel(), f.x)
+            f_from_g(g_from_f(f), f.x)
             assert sum(transforms) == 10
 
 
@@ -288,7 +306,7 @@ class TestAlternatePackets:
         omega0 = 2.0
         f = alternate_packets("gamma", LogGaussianParams(1.0, 0.0, omega0))
         density_per_domega = np.abs(f.samples) ** 2
-        density_per_dx = np.abs(f.weight_x()) ** 2
+        density_per_dx = np.abs(f.weight) ** 2
         peak_omega = f.omega[int(np.argmax(density_per_domega))]
         peak_x = f.omega[int(np.argmax(density_per_dx))]
         # argmax resolution is one grid step, d omega = omega dx
@@ -366,8 +384,8 @@ class TestPeakingReport:
         f = f_log_gaussian(LogGaussianParams(1.0, 0.0))
         pair = g_from_f(f, kernel)
         clipped = UnruhSmearingPair(pair.omega_grid, pair.g_r, np.zeros_like(pair.g_l))
-        back = f_from_g(clipped, kernel, x_grid=f.x).normalized()
-        report = peaking_report_from_pair(back, clipped, kernel)
+        back = f_from_g(clipped, x_grid=f.x)
+        report = peaking_report_from_pair(back, clipped)
         assert report.uncertainty_product > 0.5 + 1e-3
         assert report.leakage == 0.0
 
@@ -393,7 +411,7 @@ class TestMassive:
         f = rapidity_gaussian(1.0, 4.0, 2.0)
         pair = g_from_f(f)
         assert abs(f.norm_squared() - pair.norm_squared()) < 1e-6
-        back = f_from_g(pair, BogoliubovKernel(), f.x)
+        back = f_from_g(pair, f.x)
         assert f.l2_distance(back) < 1e-6
 
     def test_peaked_at_chirp_frequency(self):
@@ -407,20 +425,25 @@ class TestMassive:
 
     def test_momentum_and_frequency_grids(self):
         f = rapidity_gaussian(1.0, 0.0, 2.0)
-        assert np.allclose(f.omega, np.hypot(2.0, f.momentum))
+        assert np.allclose(f.omega, np.hypot(2.0, 2.0 * np.sinh(f.x)))
         assert f.omega.min() >= 2.0
 
-    def test_massless_profile_has_no_momentum(self):
+    def test_massless_profile_maps_by_the_exponential(self):
         f = f_log_gaussian(LogGaussianParams(1.0, 0.0))
         assert f.mass is None
-        assert not hasattr(f, "momentum")
+        assert np.array_equal(f.omega, np.exp(f.x))
 
-    def test_normalized_keeps_the_mass(self):
-        f = rapidity_gaussian(1.0, 3.0, 2.5)
-        back = MinkowskiSmearing(f.x, 3.0 * f.samples, f.mass).normalized()
-        assert f.normalized().mass == back.mass == 2.5
-        assert np.array_equal(back.omega, f.omega)
-        assert abs(back.norm_squared() - 1.0) < 1e-12
+    @pytest.mark.parametrize("mass", [None, 2.5])
+    def test_the_weight_is_the_data(self, mass):
+        # the profile keeps its L2 weight as given, bit for bit, and derives f from it
+        x = np.linspace(-3.0, 3.0, 32)
+        weight = np.exp(-x * x - 2j * x)
+        f = MinkowskiSmearing(x, weight, mass)
+        assert f.weight.tobytes() == weight.tobytes() and f.mass == mass
+        assert np.array_equal(f.samples, weight / np.sqrt(f.omega))
+        assert f.norm_squared() == float(np.sum(np.abs(weight) ** 2) * f.dx)
+        with pytest.raises(ValueError):
+            f.weight[0] = 0.0
 
     def test_inverse_takes_the_mass_of_the_pair(self):
         # without the pair's mass the inverse would divide by sqrt(e^x), not
@@ -429,9 +452,9 @@ class TestMassive:
         f = rapidity_gaussian(1.0, 4.0, 1.7)
         pair = g_from_f(f)
         assert pair.mass == 1.7
-        back = f_from_g(pair, BogoliubovKernel(), x_grid=f.x)
+        back = f_from_g(pair, x_grid=f.x)
         assert back.mass == 1.7
-        assert np.allclose(back.omega, np.hypot(1.7, back.momentum), rtol=1e-14, atol=0.0)
+        assert np.allclose(back.omega, np.hypot(1.7, 1.7 * np.sinh(back.x)), rtol=1e-14, atol=0.0)
         assert np.max(np.abs(back.samples - f.samples)) < 1e-6
 
     @pytest.mark.parametrize("mass", [0.0, -1.0, float("nan"), math.inf])
@@ -475,10 +498,10 @@ class TestMassive:
         grid = np.linspace(0.0, 8.0, 400)
         g_r = np.exp(-((grid - 3.0) ** 2)).astype(complex)
         x = np.linspace(-4.0, 4.0, 200)
-        massless = f_from_g(UnruhSmearingPair(grid, g_r, 0.0 * g_r), BogoliubovKernel(), x)
-        massive = f_from_g(UnruhSmearingPair(grid, g_r, 0.0 * g_r, 2.0), BogoliubovKernel(), x)
+        massless = f_from_g(UnruhSmearingPair(grid, g_r, 0.0 * g_r), x)
+        massive = f_from_g(UnruhSmearingPair(grid, g_r, 0.0 * g_r, 2.0), x)
         assert massless.mass is None and massive.mass == 2.0
-        assert np.allclose(massive.weight_x(), massless.weight_x(), rtol=1e-14, atol=0.0)
+        assert np.allclose(massive.weight, massless.weight, rtol=1e-14, atol=0.0)
         ratio = np.sqrt(np.exp(x) / (2.0 * np.cosh(x)))
         assert np.allclose(massive.samples, ratio * massless.samples, rtol=1e-14, atol=0.0)
 
@@ -588,8 +611,8 @@ class TestGridValidation:
         # a grid 1e-7 off in its spacing once passed as "identical" (np.allclose's
         # default rtol 1e-5), and the distance compared samples at different x
         f = f_log_gaussian(LogGaussianParams(1.0, 8.0))
-        assert f.l2_distance(MinkowskiSmearing(f.x.copy(), f.samples)) == 0.0
-        moved = MinkowskiSmearing(f.x * (1.0 + 1e-7), f.samples)
+        assert f.l2_distance(MinkowskiSmearing(f.x.copy(), f.weight)) == 0.0
+        moved = MinkowskiSmearing(f.x * (1.0 + 1e-7), f.weight)
         with pytest.raises(GridError, match="identical grids"):
             f.l2_distance(moved)
 
