@@ -29,13 +29,14 @@ carries its map omega(x), e^x without a mass and m cosh x with one, and
 inverse ``f_from_g`` and the peaking report take both from the pair.  So
 one kernel, the mover index alone, serves both fields.
 
-Both grids are uniform, so each transform is a chirp-z transform
-(Rabiner, Schafer & Rader, 1969): Bluestein's identity turns the
-N_x x N_Omega sum into one FFT convolution of length about N_x + N_Omega,
-at O((N_x + N_Omega) log(N_x + N_Omega)) cost and O(N_x + N_Omega)
-memory.  Both signs of a direction share one plan, so a forward plus an
-inverse transform takes 10 FFTs.  Grid sizes have no upper limit: the
-default grids follow from the profile's spread, window and resolution alone.
+Both grids are uniform, so each phase is exp(i theta k j), theta = dOmega dx.
+The default Omega grid sets theta = 2 pi / N, N four times a 5-smooth number,
+so a transform is one FFT of length N: the forward one reads both signs off
+one spectrum, the inverse one sums both sectors in one array.  Other grids
+take a chirp-z transform (Rabiner, Schafer & Rader, 1969): one FFT convolution
+of length about N_x + N_Omega by Bluestein's identity, 5 FFTs a direction.
+Neither caps the grid sizes: the default grids follow from the profile's
+spread, window and resolution alone.
 
 The single-mode approximation is quantified by ``peaking_report``: a packet
 behaves like one Unruh mode of sharp frequency when its Unruh image is
@@ -438,21 +439,60 @@ def _chirp_z(rows, t0, dt, w0, dw, m, sign):
     return out
 
 
+def _root_order(theta: float, m: int, n: int) -> int:
+    """N if theta = 2 pi / N makes each phase theta k j, k < m, j < n, an N-th root of unity, else 0.
+
+    The phase error (m - 1)(n - 1) |theta - 2 pi / N| may be 1e-13 plus 8 unit roundoffs of the largest
+    phase, Bluestein's own rounding, for a default grid's theta is an ulp or two off.  Past N = 4 (m + n)
+    one FFT of length N costs more than Bluestein's five.
+    """
+    big = round(2.0 * math.pi / theta) if 2.0 * math.pi <= 4 * (m + n) * theta else 0
+    phases = (m - 1) * (n - 1)
+    return big if big and phases * abs(theta - 2.0 * math.pi / big) <= 1e-13 + 2.0**-50 * phases * theta else 0
+
+
+def _roots_fft(big: int, *rows) -> np.ndarray:
+    """sum over the rows (v, s) of sum_k v_k exp(2 pi i s j k / N), j < N = big: one FFT of length N."""
+    from numpy import fft  # imported here so that importing the package does not load numpy.fft
+    folded = np.zeros(big, dtype=complex)
+    for v, sign in rows:  # exp(2 pi i s j k / N) = exp(-2 pi i j (-s k mod N) / N)
+        np.add.at(folded, -sign * np.arange(v.size) % big, v)
+    return fft.fft(folded)
+
+
 def _forward_transform(x, weight, omega_grid, eps):
     # the rectangle weight is the dx of ``norm_squared``, so Parseval compares like with like
-    dx = _step(x)
-    args = (x[0], dx, 0.0, _step(omega_grid), omega_grid.size, eps)
-    return _chirp_z((weight, weight), *args) * (dx / math.sqrt(2.0 * math.pi))
+    dx, dw, m = _step(x), _step(omega_grid), omega_grid.size
+    big = _root_order(dw * dx, m, x.size)
+    if big:  # sign s reads the spectrum at -s k, and x[0] adds the phase exp(i s Omega_k x[0])
+        sk = np.outer([eps, -eps], np.arange(m))  # s k for the rows' signs s = eps, -eps
+        tail = np.exp(1j * x[0] * (dw * sk[0]))  # the second row's is its conjugate
+        out = _roots_fft(big, (weight, -1))[-sk % big] * [tail, tail.conj()]
+    else:
+        out = _chirp_z((weight, weight), x[0], dx, 0.0, dw, m, eps)
+    return out * (dx / math.sqrt(2.0 * math.pi))
 
 
 def _inverse_transform(x, pair: UnruhSmearingPair, eps):
     w = pair.quadrature_weights()
-    args = (0.0, _step(pair.omega_grid), x[0], _step(x), x.size, -eps)
-    return _chirp_z((w * pair.g_r, w * pair.g_l), *args).sum(axis=0) / math.sqrt(2.0 * math.pi)
+    dw, dx, m, n = _step(pair.omega_grid), _step(x), w.size, x.size
+    big = _root_order(dw * dx, m, n)
+    if big:  # g_R at sign s = -eps, g_L at +eps, each with its phase exp(i s Omega_k x[0]); period N in j
+        head = np.exp(-1j * eps * x[0] * (dw * np.arange(m)))
+        out = _roots_fft(big, (w * pair.g_r * head, -eps), (w * pair.g_l * head.conj(), eps))[np.arange(n) % big]
+    else:
+        out = _chirp_z((w * pair.g_r, w * pair.g_l), 0.0, dw, x[0], dx, n, -eps).sum(axis=0)
+    return out / math.sqrt(2.0 * math.pi)
+
+
+def _smooth_size(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, for n >= 1."""
+    odd = [3**b * f for f in [5**c for c in range(n.bit_length() // 2 + 1)] for b in range(n.bit_length())]
+    return min(q << (-(-n // q) - 1).bit_length() for q in odd if q < 2 * n)  # q 2^a, a the least that reaches n
 
 
 def _default_omega_grid(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    dx = float(x[1] - x[0])
+    dx = _step(x)  # the transforms' step, which the roots-of-unity alignment needs
     density = np.abs(weight) ** 2
     total = float(density.sum())
     if total == 0.0:
@@ -464,8 +504,8 @@ def _default_omega_grid(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     # copies of the packet at least 8 sigma past both ends of the window
     reach = max(mean - float(x[0]), float(x[-1]) - mean)
     d_omega = min(1.0 / (24.0 * sigma), 2.0 * math.pi / (reach + 8.0 * sigma))
-    n = int(math.ceil(omega_max / d_omega)) + 1
-    return np.linspace(0.0, omega_max, max(n, 64))
+    m = _smooth_size(max(math.ceil(omega_max / d_omega), 63))  # so that numpy's FFT of length 4 m is fast
+    return np.arange(m + 1) * (2.0 * math.pi / (4 * m * dx))  # each phase 2 pi k j / (4 m): a root of unity
 
 
 def _explicit_omega_grid(omega_grid, dx: float) -> np.ndarray:

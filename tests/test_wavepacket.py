@@ -29,12 +29,45 @@ from unruhkit.wavepacket import (
     _forward_transform,
     _inverse_transform,
     _k0e,
+    _root_order,
+    _smooth_size,
+    _step,
 )
 
 
 def direct_sum(v, t, w, sign):
-    """sum_j v_j exp(i sign w_k t_j) by the O(N_t N_w) definition: the chirp-z oracle."""
+    """sum_j v_j exp(i sign w_k t_j) by the O(N_t N_w) definition: the oracle of both FFT paths."""
     return np.exp(1j * sign * np.outer(w, t)) @ v
+
+
+def count_ffts(mp) -> list:
+    """Patch numpy.fft.fft and ifft through ``mp`` to append, per call, the 1-d transforms it makes."""
+    from numpy import fft
+
+    transforms = []
+    for name in ("fft", "ifft"):
+        def counted(a, *args, _transform=getattr(fft, name), **kwargs):
+            transforms.append(np.size(a) // np.shape(a)[-1])
+            return _transform(a, *args, **kwargs)
+
+        mp.setattr(fft, name, counted)
+    return transforms
+
+
+def assert_transforms_match_direct_sum(x, omega, eps, rng):
+    """Forward and inverse transforms on (x, omega) against the direct sum, to 1e-10 relative."""
+    weight = rng.normal(size=x.size) + 1j * rng.normal(size=x.size)
+    g_r, g_l = _forward_transform(x, weight, omega, eps)
+    scale = _step(x) / math.sqrt(2.0 * math.pi)
+    for got, sign in ((g_r, eps), (g_l, -eps)):
+        ref = scale * direct_sum(weight, x, omega, sign)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    pair = UnruhSmearingPair(omega, *(rng.normal(size=(2, omega.size)) + 1j * rng.normal(size=(2, omega.size))))
+    w = pair.quadrature_weights()
+    ref = direct_sum(w * pair.g_r, omega, x, -eps) + direct_sum(w * pair.g_l, omega, x, eps)
+    got = _inverse_transform(x, pair, eps) * math.sqrt(2.0 * math.pi)
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 class TestBogoliubovKernel:
@@ -243,22 +276,111 @@ class TestChirpZ:
         ref = direct_sum(f.weight, f.x, pair.omega_grid[rows], 1) * f.dx / math.sqrt(2.0 * math.pi)
         assert np.max(np.abs(pair.g_r[rows] - ref)) <= 1e-10 * np.max(np.abs(ref))
 
-    def test_a_round_trip_takes_ten_ffts(self, monkeypatch):
-        # each direction shares one plan between its two signs: the kernel's
-        # FFT plus one FFT and one inverse FFT per sign
-        from numpy import fft
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_x=st.integers(16, 800),
+        n_omega=st.integers(16, 300),
+        wrap=st.floats(0.0, 1.0),
+        x0=st.floats(-50.0, 50.0),
+        span=st.floats(1.0, 40.0),
+        eps=st.sampled_from([-1, 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # the default rule's N = 4 (N_Omega - 1) and the Nyquist limit's 2 (N_Omega - 1), each with
+    # N_x past N: the forward sum folds x modulo N and the inverse one repeats its N outputs
+    @example(n_x=800, n_omega=101, wrap=1.0, x0=-3.7, span=30.0, eps=1, seed=0)
+    @example(n_x=500, n_omega=64, wrap=0.0, x0=48.3, span=1.7, eps=-1, seed=1)
+    def test_aligned_grids_take_one_fft_each_way(self, n_x, n_omega, wrap, x0, span, eps, seed):
+        # d_omega = 2 pi / (N dx), with N from 2 (N_Omega - 1), the Nyquist limit, to 4 (N_Omega - 1)
+        rng = np.random.default_rng(seed)
+        x = np.linspace(x0, x0 + span, n_x)
+        big = 2 * (n_omega - 1) + round(wrap * 2 * (n_omega - 1))
+        omega = np.arange(n_omega) * (2.0 * math.pi / (big * _step(x)))
+        theta = _step(omega) * _step(x)
+        assert _root_order(theta, n_omega, n_x) == big
+        with pytest.MonkeyPatch.context() as mp:
+            ffts = count_ffts(mp)
+            assert_transforms_match_direct_sum(x, omega, eps, rng)
+            assert ffts == [1, 1]
 
-        transforms = []
-        for name in ("fft", "ifft"):
-            def counted(a, *args, _transform=getattr(fft, name), **kwargs):
-                transforms.append(np.size(a) // np.shape(a)[-1])  # the 1-d transforms of the call
-                return _transform(a, *args, **kwargs)
+        # half again the gate's phase-error tolerance off: Bluestein's 5 FFTs each way, and still the sum
+        phases = (n_omega - 1) * (n_x - 1)
+        off = 1.5 * (1e-13 + 2.0**-50 * phases * theta) / phases
+        omega = np.arange(n_omega) * ((2.0 * math.pi / big + off) / _step(x))
+        assert _root_order(_step(omega) * _step(x), n_omega, n_x) == 0
+        with pytest.MonkeyPatch.context() as mp:
+            ffts = count_ffts(mp)
+            assert_transforms_match_direct_sum(x, omega, eps, rng)
+            assert sum(ffts) == 10
 
-            monkeypatch.setattr(fft, name, counted)
-        for f in (f_log_gaussian(LogGaussianParams(1.0, 8.0)), rapidity_gaussian(1.0, 5.0, 1.0)):
-            transforms.clear()
-            f_from_g(g_from_f(f), f.x)
-            assert sum(transforms) == 10
+    def test_a_default_grid_round_trip_takes_two_ffts(self, monkeypatch):
+        # the default Omega grid makes every phase a root of unity: one FFT each way; the
+        # explicit grids of the packet_explicit_grids golden case keep Bluestein's 5 each way
+        ffts = count_ffts(monkeypatch)
+        explicit = f_log_gaussian(LogGaussianParams(1.0, 8.0), x_grid=np.linspace(-6.0, 6.0, 3000))
+        for f, omega_grid, count in (
+            (f_log_gaussian(LogGaussianParams(1.0, 8.0)), None, 2),
+            (rapidity_gaussian(1.0, 5.0, 1.0), None, 2),
+            (explicit, np.linspace(0.0, 40.0, 2000), 10),
+        ):
+            ffts.clear()
+            f_from_g(g_from_f(f, omega_grid=omega_grid), f.x)
+            assert sum(ffts) == count
+
+
+def _is_five_smooth(n: int) -> bool:
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def _old_rule_step(x, weight) -> float:
+    """The default Omega spacing before the grids were aligned to roots of unity."""
+    dx = float(x[1] - x[0])
+    density = np.abs(weight) ** 2
+    mean = float(np.sum(x * density) / density.sum())
+    sigma = math.sqrt(max(float(np.sum((x - mean) ** 2 * density) / density.sum()), dx * dx))
+    reach = max(mean - float(x[0]), float(x[-1]) - mean)
+    d_omega = min(1.0 / (24.0 * sigma), 2.0 * math.pi / (reach + 8.0 * sigma))
+    n = max(int(math.ceil(math.pi / (2.0 * dx) / d_omega)) + 1, 64)
+    return math.pi / (2.0 * dx) / (n - 1)
+
+
+def _benchmark_packets():
+    """argv of the benchmark's packet shapes, at the central mu and 3% to either side."""
+    from test_perfbench_contract import load
+
+    return [["packet", "--family", family, "--lam", repr(lam), "--mu", repr(mu * scale)]
+            for family, lam, mu in load("workloads").PACKETS for scale in (0.97, 1.0, 1.03)]
+
+
+def _golden_packets():
+    from test_cli_golden import PACKET_CASES
+
+    return [argv for stem, argv in sorted(PACKET_CASES.items()) if stem != "packet_explicit_grids"]
+
+
+class TestDefaultOmegaGrid:
+    @pytest.mark.parametrize("argv", _benchmark_packets() + _golden_packets(), ids=" ".join)
+    def test_the_grid_is_aligned_and_no_coarser(self, argv):
+        from unruhkit import cli
+
+        f, pair, *_ = cli._packet_pipeline(cli._build_parser().parse_args(argv))
+        grid, dx = pair.omega_grid, _step(f.x)
+        assert grid[0] == 0.0 and grid.size >= 64
+        m = grid.size - 1
+        assert _is_five_smooth(m)
+        assert math.isclose(_step(grid) * dx * 4 * m, 2.0 * math.pi, rel_tol=1e-15)
+        assert math.isclose(grid[-1], math.pi / (2.0 * dx), rel_tol=1e-15)
+        assert _step(grid) <= _old_rule_step(f.x, f.weight)
+        assert _root_order(_step(grid) * dx, grid.size, f.x.size) == 4 * m  # so the transforms take the FFT path
+
+    def test_smooth_size_against_brute_force(self):
+        def brute(n):
+            return next(k for k in range(n, 2 * n + 1) if _is_five_smooth(k))
+
+        assert [_smooth_size(n) for n in range(1, 5001)] == [brute(n) for n in range(1, 5001)]
 
 
 class TestClosedFormProperties:
