@@ -28,7 +28,7 @@ Two evaluation routes are provided:
 * ``blocks``: for the extremal weights |q_R| in {0, 1} the partial
   transpose is block diagonal in 2x2 sectors and the negativity is an
   explicit series over analytic block eigenvalues in the untruncated
-  space: at most 4096 terms summed exactly plus an Euler-Maclaurin
+  space: a pairwise sum of at most 4096 terms plus an Euler-Maclaurin
   integral tail, O(1) work at any squeezing, with a bound on the error
   (from the convexity of the terms) that is checked relative to the value.
 
@@ -66,7 +66,7 @@ REGION_II = "II"
 #: the input state never populates Minkowski occupations above 1
 ALICE_DIM = 2
 
-#: the block series sums this many terms exactly and integrates the rest
+#: the block series sums this many terms directly and integrates the rest
 _SERIES_HEAD = 4096
 #: its head and tail follow the terms down to e^-60 < 1e-26 of the first
 _SERIES_DECAY = 60.0
@@ -140,7 +140,7 @@ class ConvergenceReport(NamedTuple):
     tanh^{2(n_max_used+1)} r past it, each negativity the lower end of a
     certified bracket and its delta the bracket's width, so the exact value
     lies in [N, N + delta].  For the block series ``n_max_used`` is the
-    number of terms summed exactly, ``tail_weight`` the bound on the error
+    number of terms summed directly, ``tail_weight`` the bound on the error
     of the value and the deltas the integral tail added beyond them.
     """
 
@@ -363,6 +363,17 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return leggauss(20)
 
 
+def _panel_edges(n_head: int, k: float) -> np.ndarray:
+    """Tail panel edges: from N doubling while below 1/k, then steps of 1/k, to the first k e >= 60."""
+    e, doubled = float(n_head), []
+    while e < 1.0 / k and k * e < _SERIES_DECAY:
+        doubled.append(e)
+        e += e
+    # cumsum adds in sequence, so each edge is the previous one plus 1/k, rounded once
+    run = np.cumsum([e] + [1.0 / k] * (int(_SERIES_DECAY - k * e) + 2))
+    return np.concatenate([doubled, run[: np.argmax(k * run >= _SERIES_DECAY) + 1]])
+
+
 def _block_series(r: float) -> tuple[float, float, int, float]:
     """Negativity series for the q_R = 1 partial transpose, with a certified bound.
 
@@ -377,17 +388,20 @@ def _block_series(r: float) -> tuple[float, float, int, float]:
     cancellation as h(n) = e^{-kn} / (2 cosh^3(r) nu(n)), with
     nu(x) = (s + x/s)/2 + sqrt(p(x)), p(x) = (s - x/s)^2/4 + x + 1,
     s = sinh(r) tanh(r) and k = -ln T.  The first N = min(4096, 60/k) terms
-    are summed exactly; the rest is int_N^X h + h(N)/2 - h'(N)/12, with
-    e^{-kX} < e^{-60}, on 20-point Gauss-Legendre panels that double from N
-    (the scale x) up to the length 1/k (the scale of e^{-kx}).
+    are summed pairwise (np.sum); the rest is int_N^X h + h(N)/2 - h'(N)/12,
+    with e^{-kX} < e^{-60}, on 20-point Gauss-Legendre panels that double
+    from N (the scale x) up to the length 1/k (the scale of e^{-kx}).
 
     Bound: 1/nu = sqrt(p) - (s + x/s)/2, p of discriminant -1/s^2 < 0, is
     convex and tends to 0, so 1/nu and h are positive, decreasing and convex.
     Then the Euler-Maclaurin remainder -1/2 int_N^inf B2({x}) h'' dx, with
     B2 in [-1/12, 1/6], lies in [h'(N)/12, -h'(N)/24], and the cut at X adds
-    at most h(X)/k.  The bound returned is |h'(N)|/12 + h(X)/k + 16 eps
-    value, the last term for rounding.  The roots -s^2 +- 2is of p lie a
-    panel length or more left of each panel, so the quadrature error,
+    at most h(X)/k.  The bound returned is |h'(N)|/12 + h(X)/k + (16 + n)
+    eps value, n the count of terms and nodes summed: 16 eps for the terms'
+    rounding and n eps for gamma_{n-1}, which bounds a sum of n positive
+    terms in any order (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sec. 4.2).  The roots -s^2 +- 2is of p lie a panel
+    length or more left of each panel, so the quadrature error,
     ~(3 + sqrt 8)^-40, is far below it.  Below T = 1e-300 the value is 1/2
     with bound s; past r ~ 353, where 60/k overflows and the value (about
     0.3 k) is below 1e-306, it is 0 with bound k.
@@ -402,26 +416,25 @@ def _block_series(r: float) -> tuple[float, float, int, float]:
     c, s = math.cosh(r), math.sinh(r) * t
 
     def terms(x):  # h(x) in units of 1/(2 s cosh^3 r)
-        nu = 0.5 * (s + x / s) + np.hypot(0.5 * (s - x / s), np.sqrt(x + 1.0))
+        u = x / s
+        nu = 0.5 * (s + u) + np.hypot(0.5 * (s - u), np.sqrt(x + 1.0))
         return np.exp(-k * x) * (s / nu)
 
     n_head = min(_SERIES_HEAD, math.ceil(_SERIES_DECAY / k))
-    edges = [float(n_head)]
-    while k * edges[-1] < _SERIES_DECAY:
-        edges.append(edges[-1] + min(edges[-1], 1.0 / k))
-    lo, hi = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+    edges = _panel_edges(n_head, k)
+    lo, hi = edges[:-1, None], edges[1:, None]
     nodes, weights = _gauss_legendre()
     h = terms(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)) * (0.5 * (hi - lo) * weights)
     # -h'/h = k + nu'/nu, via s nu = (s^2 + x)/2 + w, w = s sqrt(p), w' = (s^2 + x)/(4w)
     w = math.hypot(0.5 * (s * s - n_head), s * math.sqrt(n_head + 1.0))
     h_n = float(terms(float(n_head)))
     slope = h_n * (k + (0.5 + 0.25 * (s * s + n_head) / w) / (0.5 * (s * s + n_head) + w))
-    tail = math.fsum(h.ravel().tolist()) + 0.5 * h_n + slope / 12.0
-    total = math.fsum(terms(np.arange(n_head, dtype=float)).tolist() + [tail])
+    tail = float(np.sum(h)) + 0.5 * h_n + slope / 12.0
+    total = float(np.sum(terms(np.arange(n_head, dtype=float)))) + tail
     # divided one factor at a time, so that no intermediate overflows
     value, tail, bound = (x / (2.0 * s) / c / c / c for x in (
         total, tail, slope / 12.0 + float(terms(edges[-1])) / k))
-    bound += 16.0 * sys.float_info.epsilon * value
+    bound += (16 + n_head + h.size) * sys.float_info.epsilon * value
     return value, bound, n_head, tail
 
 

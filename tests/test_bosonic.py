@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from unruhkit import bosonic
 from unruhkit.bosonic import (
@@ -31,6 +31,8 @@ from unruhkit.bosonic import (
     _block_series,
     _bracket_widths,
     _dense_pair,
+    _gauss_legendre,
+    _panel_edges,
     _principal_block,
     _qops_pair,
     _sector_bands,
@@ -627,6 +629,45 @@ def long_sum_reference(r, head=1 << 16, steps=1 << 16):
     return math.fsum(terms) + integral + 0.5 * h_m - (h_hi - h_lo) / 24.0
 
 
+def series_rate(r):
+    """k = -ln tanh^2 r as the block series forms it."""
+    return -2.0 * math.log(math.tanh(r)) if r < 0.5 else 4.0 * math.atanh(math.exp(-2.0 * r))
+
+
+def loop_panel_edges(n_head, k):
+    """The tail panel edges built one at a time: e + min(e, 1/k) until k e >= 60."""
+    edges = [float(n_head)]
+    while k * edges[-1] < 60.0:
+        edges.append(edges[-1] + min(edges[-1], 1.0 / k))
+    return np.array(edges)
+
+
+def fsum_block_series(r):
+    """The block series with its head and tail nodes summed by math.fsum, its edges by the loop.
+
+    Returns (value, N, count of tail nodes), from the same terms, panels and
+    nodes as ``_block_series``.
+    """
+    t, k = math.tanh(r), series_rate(r)
+    c, s = math.cosh(r), math.sinh(r) * t
+
+    def terms(x):
+        nu = 0.5 * (s + x / s) + np.hypot(0.5 * (s - x / s), np.sqrt(x + 1.0))
+        return np.exp(-k * x) * (s / nu)
+
+    n_head = min(4096, math.ceil(60.0 / k))
+    edges = loop_panel_edges(n_head, k)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    nodes, weights = _gauss_legendre()
+    h = terms(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)) * (0.5 * (hi - lo) * weights)
+    w = math.hypot(0.5 * (s * s - n_head), s * math.sqrt(n_head + 1.0))
+    h_n = float(terms(float(n_head)))
+    slope = h_n * (k + (0.5 + 0.25 * (s * s + n_head) / w) / (0.5 * (s * s + n_head) + w))
+    tail = math.fsum(h.ravel().tolist()) + 0.5 * h_n + slope / 12.0
+    total = math.fsum(terms(np.arange(n_head, dtype=float)).tolist() + [tail])
+    return total / (2.0 * s) / c / c / c, n_head, h.size
+
+
 class TestBlockSeries:
     @pytest.mark.parametrize("r", [0.5, 3.0, 5.0])
     def test_matches_direct_sum(self, r):
@@ -636,13 +677,58 @@ class TestBlockSeries:
         value = _block_series(r)[0]
         assert abs(value - direct) <= 1e-14 * direct
 
-    @pytest.mark.parametrize("r", [6.0, 8.0, 10.0])
+    # the 4096-term cap binds from r ~ 2.81
+    @pytest.mark.parametrize("r", [3.5, 4.5, 6.0, 8.0, 10.0])
     def test_bound_covers_long_sum_reference(self, r):
         value, bound, n_used, _ = _block_series(r)
         reference = long_sum_reference(r)
         assert n_used <= 4096
         assert abs(value - reference) <= bound
         assert bound <= 1e-6 * value
+
+    @given(st.floats(0.5, 25.0))
+    @settings(max_examples=200, deadline=None)
+    def test_panel_edges_have_the_bits_of_the_loop(self, r):
+        k = series_rate(r)
+        n_head = min(4096, math.ceil(60.0 / k))
+        assert np.array_equal(_panel_edges(n_head, k), loop_panel_edges(n_head, k))
+
+    @pytest.mark.parametrize("n_head", [1, 7, 4096])
+    @pytest.mark.parametrize("j", [0, 1, 5, 13, 40])
+    def test_panel_edges_at_exact_powers_and_at_60(self, n_head, j):
+        # 1/k = N 2^j: doubling lands on 1/k itself, then the steps of 1/k on
+        # k e = 60; k = 60/(N 2^j): doubling lands on k e = 60
+        for k in (1.0 / (n_head * 2.0**j), 60.0 / (n_head * 2.0**j)):
+            edges = _panel_edges(n_head, k)
+            assert np.array_equal(edges, loop_panel_edges(n_head, k))
+            assert k * edges[-1] >= 60.0 and (edges.size == 1 or k * edges[-2] < 60.0)
+
+    @given(st.floats(1e-12, 2.0), st.integers(1, 4096))
+    @settings(max_examples=200, deadline=None)
+    def test_panel_edges_for_any_rate(self, k, n_head):
+        assert np.array_equal(_panel_edges(n_head, k), loop_panel_edges(n_head, k))
+
+    @given(st.floats(0.01, 25.0))
+    @example(0.5)
+    @example(3.0)
+    @example(3.2)
+    @example(4.85)
+    @example(10.0)
+    @settings(max_examples=60, deadline=None)
+    def test_pairwise_sums_stay_within_the_rounding_term(self, r):
+        value, bound, n_used, _ = _block_series(r)
+        reference, n_head, nodes = fsum_block_series(r)
+        rounding = (16 + n_head + nodes) * sys.float_info.epsilon * value
+        assert n_used == n_head
+        assert abs(value - reference) <= rounding <= bound
+
+    def test_the_series_takes_no_per_term_python_sum(self, monkeypatch):
+        def fsum(_):
+            raise AssertionError("math.fsum called by the block series")
+
+        monkeypatch.setattr(math, "fsum", fsum)
+        value, bound, n_used, _ = _block_series(7.0)
+        assert n_used == 4096 and 0.0 < bound <= 1e-6 * value
 
     @pytest.mark.parametrize("r", [0.0, 1e-300])
     def test_vanishing_squeezing_gives_one_half(self, r):
