@@ -11,26 +11,29 @@ r = artanh(e^{-pi Omega_a / a}).
 Two evaluation routes are provided:
 
 * ``dense``: a certified bracket.  The untruncated partial transpose splits
-  by parity into two real bandwidth-2 sectors built from f(n)
-  (``_sector_bands``); one LAPACK ?sbevd solve of each leading
-  (n_max+1)-level block gives a lower bound, and on the minor side a sector
-  that the banded Cholesky routine ?pbtrf factors adds exactly 0 unsolved.
-  A closed form bounds what the cut leaves out (``_bracket_widths``).  A
-  point is converged when each width is at most DELTA_TOL * max(N, 0.1), so
-  an exact 0 is certified to 1e-7.  That floor also picks n_max: the first
-  level of the ladder 1, 2, 4, ..., N_MAX_CAP at which both widths meet
-  0.1 DELTA_TOL, or the cap; past r = 19.06 (tanh r = 1) the route reports
-  0 unconverged unevaluated.  A curve builds both sides' bands once per
-  memory chunk, at its top n_max, and solves each row at its own; a point
-  is a curve of one.  The labelled-tensor route (``qops``) on the raw
-  ``joint_state``, ``_qops_pair``, is the engine's independent test oracle.
+  by parity into two real bandwidth-2 sectors, whose six distinct band rows
+  from f(n) are written in place by parity (``_sector_bands``); one LAPACK
+  ?sbevd solve of each leading (n_max+1)-level block gives a lower bound,
+  and on the minor side a sector that the banded Cholesky routine ?pbtrf
+  factors adds exactly 0 unsolved.  A closed form bounds what the cut
+  leaves out (``_bracket_widths``).  A point is converged when each width
+  is at most DELTA_TOL * max(N, 0.1), so an exact 0 is certified to 1e-7.
+  That floor also picks n_max: the first level of the ladder 1, 2, 4, ...,
+  N_MAX_CAP at which both widths meet 0.1 DELTA_TOL, or the cap, found by
+  bisection since both widths fall strictly with n; past r = 19.06
+  (tanh r = 1) the route reports 0 unconverged unevaluated.  A curve builds
+  both sides' bands once per memory chunk, at its top n_max, and solves
+  each row at its own; a point is a curve of one.  The labelled-tensor
+  route (``qops``) on the raw ``joint_state``, ``_qops_pair``, is the
+  engine's independent test oracle.
 
 * ``blocks``: for the extremal weights |q_R| in {0, 1} the partial
   transpose is block diagonal in 2x2 sectors and the negativity is an
   explicit series over analytic block eigenvalues in the untruncated
   space: a pairwise sum of at most 4096 terms plus an Euler-Maclaurin
-  integral tail, O(1) work at any squeezing, with a bound on the error
-  (from the convexity of the terms) that is checked relative to the value.
+  integral tail, which has no panels once the head reaches e^-60, O(1)
+  work at any squeezing, with a bound on the error (from the convexity of
+  the terms) that is checked relative to the value.
 
 Every function takes the squeezing r (``squeezing_from_acceleration``
 gives it from Omega_a and a) and the ``UnruhWeights``;
@@ -100,11 +103,22 @@ def _check_r(r) -> np.ndarray:
     return r
 
 
+def _check_cut(n_max, least: int) -> int:
+    """n_max as an int; a TypeError if it is not an integer, a ValueError below ``least``."""
+    try:
+        n_max = operator.index(n_max)
+    except TypeError:
+        raise TypeError(f"n_max must be an integer, got {n_max!r}") from None
+    if n_max < least:
+        raise ValueError(f"n_max must be >= {least}, got {n_max}")
+    return n_max
+
+
 def vacuum_coefficients(r: float | np.ndarray, n_max: int) -> np.ndarray:
     """f[..., n] = tanh^n(r)/cosh(r) for n = 0..n_max; sum of squares tends to 1 as n_max grows."""
     _check_r(r)
     r = np.asarray(r, dtype=float)[..., None]
-    n = np.arange(n_max + 1)
+    n = np.arange(_check_cut(n_max, 0) + 1)
     return np.tanh(r) ** n / np.cosh(r)
 
 
@@ -116,12 +130,7 @@ def joint_state(r: float, weights: UnruhWeights, n_max: int) -> FockKet:
     discards.  The excitation sum_n f(n) sqrt(n+1)/cosh(r) (q_L |n, n+1> +
     q_R |n+1, n>) stops at n = n_max - 1, where n + 1 reaches the cut.
     """
-    try:
-        n_max = operator.index(n_max)
-    except TypeError:
-        raise TypeError(f"n_max must be an integer, got {n_max!r}") from None
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = _check_cut(n_max, 1)
     d = n_max + 1
     f = vacuum_coefficients(r, n_max)
     psi = np.zeros((ALICE_DIM, d, d), dtype=complex)
@@ -195,12 +204,15 @@ def _sector_bands(r: float | np.ndarray, abs_r: float, abs_l: float, n_max: int)
     b_prev, b_i, b_next = b[..., None, :d], b[..., None, 1 : d + 1], b[..., None, 2:]
     x, x2 = np.array([[abs_r], [abs_l]]), np.array([[abs_r**2], [abs_l**2]])
     y, y2 = x[::-1], x2[::-1]
-    empty = np.stack(np.broadcast_arrays(f * f, y * f_next * b_i, 0.0), axis=-2)
-    occupied = np.stack(np.broadcast_arrays(
-        x2 * b_prev**2 + y2 * b_i**2, x * f * b_i, abs_l * abs_r * b_i * b_next), axis=-2)
-    odd = np.arange(d) % 2 == 1
+    empty = (f * f, y * f_next * b_i)  # offset 2 is 0 there
+    occupied = (x2 * b_prev**2 + y2 * b_i**2, x * f * b_i, abs_l * abs_r * b_i * b_next)
     # LAPACK never reads the band padding past the block
-    return 0.5 * np.stack([np.where(odd, occupied, empty), np.where(odd, empty, occupied)], axis=-3)
+    out = np.zeros(np.shape(r) + (2, 2, 3, d))
+    for p in (0, 1):  # sector p: empty at the levels i = p (mod 2), occupied at the others
+        for start, rows in ((p, empty), (1 - p, occupied)):
+            for band, row in enumerate(rows):
+                out[..., p, band, start::2] = row[..., start::2]
+    return np.multiply(out, 0.5, out=out)
 
 
 def _flapack_path() -> str | None:
@@ -251,7 +263,7 @@ def _principal_negativities(r: np.ndarray, n_max: list[int], abs_r: float, abs_l
             raise ValueError("array must not contain infs or NaNs")
         for row, n, sides in zip(range(start, r.size), levels, bands):
             for side, sectors in enumerate(sides):
-                eigs = [np.zeros(0)]
+                eigs = []
                 for band in sectors[..., : n + 1]:
                     if minor[side]:
                         info = pbtrf(band, lower=1)[1]
@@ -263,8 +275,9 @@ def _principal_negativities(r: np.ndarray, n_max: list[int], abs_r: float, abs_l
                     if info != 0:
                         raise np.linalg.LinAlgError(f"sbevd failed with info={info}")
                     eigs.append(w)
-                spectrum = np.concatenate(eigs)
-                values[row, side] = float(-spectrum[spectrum < NEGATIVITY_CUTOFF].sum()) + 0.0  # not -0.0
+                if eigs:  # else both sectors factored and the side keeps its 0
+                    spectrum = np.concatenate(eigs)
+                    values[row, side] = float(-spectrum[spectrum < NEGATIVITY_CUTOFF].sum()) + 0.0  # not -0.0
     return values
 
 
@@ -293,9 +306,12 @@ def _dense_pairs(r: np.ndarray, weights: UnruhWeights) -> Iterator[NegativityPai
 
     Each row takes the first n of the ladder 1, 2, 4, ..., N_MAX_CAP at which
     both bracket widths are at most 0.1 DELTA_TOL, the floor that certifies
-    any value, 0 included; rows that reach the cap keep its widths.
+    any value, 0 included; rows that reach the cap keep its widths.  Both
+    widths fall strictly with n, so bisection finds that level in at most 4
+    width evaluations.
     """
     abs_r, abs_l = weights.abs_r, weights.abs_l
+    ladder = [min(1 << i, N_MAX_CAP) for i in range((N_MAX_CAP - 1).bit_length() + 1)]
     levels = []
     for x in r.tolist():
         if math.tanh(x) == 1.0:
@@ -303,13 +319,12 @@ def _dense_pairs(r: np.ndarray, weights: UnruhWeights) -> Iterator[NegativityPai
             # and past r ~ 710 cosh r overflows, so no width is formed
             levels.append((N_MAX_CAP, None))
             continue
-        n = 1
-        while True:
-            widths = _bracket_widths(x, abs_r, abs_l, n)
-            if n == N_MAX_CAP or max(widths) <= 0.1 * DELTA_TOL:
-                break
-            n = min(2 * n, N_MAX_CAP)
-        levels.append((n, widths))
+        lo, hi, widths = 0, len(ladder) - 1, {}
+        while lo < hi:  # the cap at hi is taken whatever its widths
+            mid = (lo + hi) // 2
+            widths[mid] = _bracket_widths(x, abs_r, abs_l, ladder[mid])
+            lo, hi = (lo, mid) if max(widths[mid]) <= 0.1 * DELTA_TOL else (mid + 1, hi)
+        levels.append((ladder[lo], widths.get(lo) or _bracket_widths(x, abs_r, abs_l, ladder[lo])))
     rows = [i for i, (_, widths) in enumerate(levels) if widths is not None]
     values = np.zeros((r.size, 2))
     values[rows] = _principal_negativities(r[rows], [levels[i][0] for i in rows], abs_r, abs_l)
@@ -390,7 +405,8 @@ def _block_series(r: float) -> tuple[float, float, int, float]:
     s = sinh(r) tanh(r) and k = -ln T.  The first N = min(4096, 60/k) terms
     are summed pairwise (np.sum); the rest is int_N^X h + h(N)/2 - h'(N)/12,
     with e^{-kX} < e^{-60}, on 20-point Gauss-Legendre panels that double
-    from N (the scale x) up to the length 1/k (the scale of e^{-kx}).
+    from N (the scale x) up to the length 1/k (the scale of e^{-kx}); where
+    k N >= 60 already there are none, and X = N.
 
     Bound: 1/nu = sqrt(p) - (s + x/s)/2, p of discriminant -1/s^2 < 0, is
     convex and tends to 0, so 1/nu and h are positive, decreasing and convex.
@@ -421,20 +437,22 @@ def _block_series(r: float) -> tuple[float, float, int, float]:
         return np.exp(-k * x) * (s / nu)
 
     n_head = min(_SERIES_HEAD, math.ceil(_SERIES_DECAY / k))
-    edges = _panel_edges(n_head, k)
-    lo, hi = edges[:-1, None], edges[1:, None]
-    nodes, weights = _gauss_legendre()
-    h = terms(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)) * (0.5 * (hi - lo) * weights)
     # -h'/h = k + nu'/nu, via s nu = (s^2 + x)/2 + w, w = s sqrt(p), w' = (s^2 + x)/(4w)
     w = math.hypot(0.5 * (s * s - n_head), s * math.sqrt(n_head + 1.0))
     h_n = float(terms(float(n_head)))
     slope = h_n * (k + (0.5 + 0.25 * (s * s + n_head) / w) / (0.5 * (s * s + n_head) + w))
-    tail = float(np.sum(h)) + 0.5 * h_n + slope / 12.0
+    nodes_sum, h_x, n_nodes = 0.0, h_n, 0  # the head reaches e^-60: no panels, and X = N
+    if k * float(n_head) < _SERIES_DECAY:  # else _panel_edges's first test gives one edge, N
+        edges = _panel_edges(n_head, k)
+        lo, hi = edges[:-1, None], edges[1:, None]
+        nodes, weights = _gauss_legendre()
+        h = terms(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)) * (0.5 * (hi - lo) * weights)
+        nodes_sum, h_x, n_nodes = float(np.sum(h)), float(terms(edges[-1])), h.size
+    tail = nodes_sum + 0.5 * h_n + slope / 12.0
     total = float(np.sum(terms(np.arange(n_head, dtype=float)))) + tail
     # divided one factor at a time, so that no intermediate overflows
-    value, tail, bound = (x / (2.0 * s) / c / c / c for x in (
-        total, tail, slope / 12.0 + float(terms(edges[-1])) / k))
-    bound += (16 + n_head + h.size) * sys.float_info.epsilon * value
+    value, tail, bound = (x / (2.0 * s) / c / c / c for x in (total, tail, slope / 12.0 + h_x / k))
+    bound += (16 + n_head + n_nodes) * sys.float_info.epsilon * value
     return value, bound, n_head, tail
 
 
@@ -456,10 +474,10 @@ def bosonic_negativity_pair(r: float, weights: UnruhWeights) -> NegativityPair:
 
     An extremal weight takes the block series, whose bound is judged
     relative to the value; any other weight takes the dense engine, whose
-    truncation is the first level of 1, 2, 4, ..., ``N_MAX_CAP`` with both
-    bracket widths at most 0.1 ``DELTA_TOL``, each width then judged
-    against ``DELTA_TOL`` max(value, 0.1).  An unconverged pair is returned
-    with ``report.converged`` false.
+    truncation, found by bisection, is the first level of 1, 2, 4, ...,
+    ``N_MAX_CAP`` with both bracket widths at most 0.1 ``DELTA_TOL``, each
+    width then judged against ``DELTA_TOL`` max(value, 0.1).  An unconverged
+    pair is returned with ``report.converged`` false.
     """
     _check_r(r)
     if weights.minor_weight() <= EXTREMAL_TOL:

@@ -556,7 +556,9 @@ def f_from_g(pair: UnruhSmearingPair, x_grid) -> MinkowskiSmearing:
     The kernel is the pair's, and the profile takes the pair's ``mass`` and
     with it the map omega(x).
     """
-    x_grid = _check_uniform(np.asarray(x_grid, dtype=float))
+    x_grid = np.asarray(x_grid, dtype=float)
+    if x_grid.ndim != 1 or x_grid.size < 16 or not np.isfinite(x_grid[[0, -1]]).all():
+        _check_uniform(x_grid)  # raises; the transform reads no more, and the profile tests the spacing
     return MinkowskiSmearing(x_grid, _inverse_transform(x_grid, pair, pair.kernel.epsilon), pair.mass)
 
 

@@ -181,6 +181,15 @@ class TestVacuumCoefficients:
         f = vacuum_coefficients(0.6, 40)
         assert np.all(np.diff(f) < 0.0)
 
+    def test_cut_is_checked(self):
+        # a float cut silently gave n = 0..3 for 2.5, and a negative one an empty array
+        with pytest.raises(TypeError, match="n_max must be an integer, got 2.5"):
+            vacuum_coefficients(0.5, 2.5)
+        with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+            vacuum_coefficients(0.5, -1)
+        assert vacuum_coefficients(0.5, 0).shape == (1,)
+        assert np.array_equal(vacuum_coefficients(0.5, np.int64(3)), vacuum_coefficients(0.5, 3))
+
     def test_tail_weight_matches_brute_force(self):
         # the dense report's tail weight is the squeezed-vacuum weight past its level
         r = 0.9
@@ -730,6 +739,29 @@ class TestBlockSeries:
         value, bound, n_used, _ = _block_series(7.0)
         assert n_used == 4096 and 0.0 < bound <= 1e-6 * value
 
+    @given(st.floats(1e-3, 3.0))
+    @example(2.81)
+    @settings(max_examples=100, deadline=None)
+    def test_a_head_that_reaches_e60_builds_no_tail(self, r):
+        # k N >= 60: _panel_edges would return the single edge N, so no panel,
+        # node or empty term array is made, and h(X) is h(N)
+        k = series_rate(r)
+        n_head = min(4096, math.ceil(60.0 / k))
+
+        def tail_machinery(*args):
+            raise AssertionError("tail panels built for a head that reaches e^-60")
+
+        with mock.patch.object(bosonic, "_panel_edges", tail_machinery), \
+                mock.patch.object(bosonic, "_gauss_legendre", tail_machinery):
+            if k * n_head < 60.0:
+                with pytest.raises(AssertionError, match="tail panels"):
+                    _block_series(r)
+                return
+            value, bound, n_used, _ = _block_series(r)
+        reference, _, nodes = fsum_block_series(r)
+        assert nodes == 0 and n_used == n_head
+        assert abs(value - reference) <= (16 + n_head) * sys.float_info.epsilon * value <= bound
+
     @pytest.mark.parametrize("r", [0.0, 1e-300])
     def test_vanishing_squeezing_gives_one_half(self, r):
         assert math.tanh(r) ** 2 == 0.0  # at r = 1e-300 it underflows
@@ -756,10 +788,41 @@ class TestBlockSeries:
             right.report.delta_aar, right.report.delta_ar)
 
 
+#: the first r whose tanh rounds to 1, and the r one ulp below it
+TANH_ONE, TANH_ONE_BELOW = 19.061547465398498, 19.061547465398494
+
+
+def linear_ladder_level(r, w):
+    """(n, widths) at the first of 1, 2, 4, ..., N_MAX_CAP whose widths meet 0.1 DELTA_TOL, scanned upwards."""
+    n = 1
+    while True:
+        widths = _bracket_widths(r, w.abs_r, w.abs_l, n)
+        if n == N_MAX_CAP or max(widths) <= 0.1 * bosonic.DELTA_TOL:
+            return n, widths
+        n = min(2 * n, N_MAX_CAP)
+
+
 def sector_order(n_max, parity):
     """Flat (M, I) indices of the parity sector: |a_i, i> with a_i = (parity + i) mod 2."""
     d = n_max + 1
     return [((parity + i) % 2) * d + i for i in range(d)]
+
+
+def stacked_sector_bands(r, abs_r, abs_l, n_max):
+    """``_sector_bands`` built as two full-size selections between stacked empty and occupied tables."""
+    d = n_max + 1
+    f_all = vacuum_coefficients(r, n_max + 1)
+    cosh = np.reshape([math.cosh(x) for x in np.ravel(r)], np.shape(r) + (1,))
+    b = np.concatenate([np.zeros_like(cosh), f_all * np.sqrt(np.arange(d + 1) + 1.0) / cosh], axis=-1)
+    f, f_next = f_all[..., None, :d], f_all[..., None, 1:]
+    b_prev, b_i, b_next = b[..., None, :d], b[..., None, 1 : d + 1], b[..., None, 2:]
+    x, x2 = np.array([[abs_r], [abs_l]]), np.array([[abs_r**2], [abs_l**2]])
+    y, y2 = x[::-1], x2[::-1]
+    empty = np.stack(np.broadcast_arrays(f * f, y * f_next * b_i, 0.0), axis=-2)
+    occupied = np.stack(np.broadcast_arrays(
+        x2 * b_prev**2 + y2 * b_i**2, x * f * b_i, abs_l * abs_r * b_i * b_next), axis=-2)
+    odd = np.arange(d) % 2 == 1
+    return 0.5 * np.stack([np.where(odd, occupied, empty), np.where(odd, empty, occupied)], axis=-3)
 
 
 class TestParitySectors:
@@ -797,6 +860,17 @@ class TestParitySectors:
             block = np.abs(sigma[np.ix_(idx, idx)])
             for k in range(3):
                 assert np.max(np.abs(band[k, : d - k] - np.diagonal(block, -k))) < 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.lists(st.floats(0.0, 25.0), min_size=1, max_size=70), q_abs=st.floats(0.0, 1.0),
+           n_max=st.integers(1, 200))
+    def test_bands_written_in_place_have_the_bits_of_the_stacked_build(self, r, q_abs, n_max):
+        # whole arrays, the padding past each block included; up to 70 rows,
+        # more than the 67 of a chunk at the cap
+        abs_l = math.sqrt(1.0 - q_abs * q_abs)
+        for grid in (np.array(r), r[0]):
+            bands = _sector_bands(grid, q_abs, abs_l, n_max)
+            assert np.array_equal(bands, stacked_sector_bands(grid, q_abs, abs_l, n_max))
 
     def test_band_build_broadcasts_over_r_with_the_same_bits(self):
         grid = np.array([0.0, 0.3, 1.1, 2.9, 19.0])
@@ -975,6 +1049,41 @@ class TestPrincipalBlockBracket:
             assert rep.converged == all(
                 w <= 1e-6 * max(v, 0.1) for v, w in zip((pair.n_ar, pair.n_aar), widths))
         assert {1, N_MAX_CAP} < levels
+
+    @settings(max_examples=60, deadline=None)
+    @given(q_abs=st.floats(0.01, 0.99), r=st.lists(st.floats(0.0, 25.0), min_size=1, max_size=8))
+    @example(q_abs=0.5, r=[0.0, 1e-300, TANH_ONE_BELOW, TANH_ONE, math.nextafter(TANH_ONE, 30.0)])
+    def test_bisected_level_is_the_linear_scan_level(self, q_abs, r):
+        # the widths fall strictly with n, so bisecting the ladder finds the
+        # level (and the widths) that scanning it from 1 upwards finds
+        w = UnruhWeights.from_abs(q_abs)
+        for x, pair in zip(r, bosonic._dense_pairs(np.array(r), w)):
+            rep = pair.report
+            if math.tanh(x) == 1.0:
+                assert (rep.n_max_used, rep.delta_ar, rep.delta_aar, rep.converged) == (N_MAX_CAP, 0.0, 0.0, False)
+            else:
+                assert (rep.n_max_used, (rep.delta_ar, rep.delta_aar)) == linear_ladder_level(x, w)
+
+    def test_tanh_one_examples_straddle_the_threshold(self):
+        assert math.tanh(TANH_ONE_BELOW) < 1.0 == math.tanh(TANH_ONE)
+        assert math.nextafter(TANH_ONE_BELOW, 30.0) == TANH_ONE
+
+    @pytest.mark.parametrize("q_abs", [0.01, 0.4, 0.9, 0.99])
+    def test_at_most_four_width_evaluations_per_row(self, q_abs, monkeypatch):
+        calls = []
+        widths = bosonic._bracket_widths
+
+        def counted(r, *args):
+            calls.append(r)
+            return widths(r, *args)
+
+        monkeypatch.setattr(bosonic, "_bracket_widths", counted)
+        grid = np.linspace(0.0, 25.0, 301)
+        rows = bosonic_curve(q_abs, grid)
+        per_row = [calls.count(x) for x in grid.tolist()]
+        assert max(per_row) <= 4 and len(calls) <= 4 * len(rows)
+        # a row past tanh r = 1 forms no width at all
+        assert all(n == 0 for x, n in zip(grid.tolist(), per_row) if math.tanh(x) == 1.0)
 
     def test_converged_zero_is_certified_by_the_absolute_floor(self, monkeypatch):
         pair = bosonic_negativity_pair(*point(1.5, 0.9))

@@ -646,6 +646,50 @@ class TestGridValidation:
         with pytest.raises(GridError, match="uniformly spaced"):
             _check_uniform(bent)
 
+    def test_inverse_tests_each_grid_once(self, monkeypatch, tmp_path, capsys):
+        # f_from_g tested its x grid for uniformity, and the profile it built
+        # tested the same grid again: 4 tests per packet where 3 grids exist
+        from unruhkit.cli import main
+
+        calls = []
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return _check_uniform(x)
+
+        monkeypatch.setattr(wavepacket, "_check_uniform", counted)
+        argv = ["packet", "--family", "log-gaussian", "--lam", "1", "--mu", "8", "--out", str(tmp_path / "p.json")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == 3  # the profile's x grid, the pair's Omega grid, the inverse's x grid
+
+    @pytest.mark.parametrize("kind", ["2-d", "short", "non-uniform", "nan", "inf", "-inf"])
+    def test_inverse_rejects_a_bad_grid(self, kind, monkeypatch):
+        # f_from_g checks what its transform reads, the shape and the two ends,
+        # and the profile it builds tests the spacing: only a non-uniform grid
+        # with finite ends is transformed before its GridError
+        f = f_log_gaussian(LogGaussianParams(1.0, 8.0))
+        pair = g_from_f(f)
+        x = f.x.copy()
+        if kind in ("nan", "inf", "-inf"):
+            x[-1] = float(kind)
+        else:
+            x = {"2-d": x[:64].reshape(4, 16), "short": x[:15],
+                 "non-uniform": np.concatenate([np.linspace(-5, 0, 50), np.linspace(0.1, 5, 60)])}[kind]
+        transforms = []
+
+        def inverse(*args):
+            transforms.append(kind)
+            return _inverse_transform(*args)
+
+        monkeypatch.setattr(wavepacket, "_inverse_transform", inverse)
+        match = "at least 16 points" if kind in ("2-d", "short") else "uniformly spaced"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError, match=match):
+                f_from_g(pair, x)
+        assert transforms == ([kind] if kind == "non-uniform" else [])
+
     def test_pair_grid_must_start_at_zero(self):
         grid = np.linspace(1.0, 5.0, 64)
         with pytest.raises(GridError):
