@@ -92,12 +92,37 @@ def _check_uniform(x: np.ndarray) -> np.ndarray:
     steps = np.diff(x)
     if not _close(steps, steps[0], x):
         raise GridError("grid must be uniformly spaced")
+    if not steps[0] > 0.0:  # after the spacing test, so that a NaN or inf point reads as a bad spacing
+        raise GridError(f"grid must increase, got step {steps[0]:.3g}")
     return x
+
+
+def _given_grid(grid) -> np.ndarray:
+    """A caller's grid as floats, checked for all a builder reads: 1-d, 16 points or more, finite ends."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 16 or not np.isfinite(grid[[0, -1]]).all():
+        _check_uniform(grid)  # raises its own GridError
+    return grid
 
 
 def _check_mass(mass) -> None:
     if not 0.0 < mass < math.inf:  # so that a NaN mass fails too
         raise ValueError(f"mass must be > 0 and finite, got {mass}")
+
+
+def _hold(obj, mismatch: str, grid: str, *values: str) -> None:
+    """The containers' one construction rule: mass, grid, then read-only copies, grid float, rest complex."""
+    if obj.mass is not None:
+        _check_mass(obj.mass)
+    held = _check_uniform(np.array(getattr(obj, grid), dtype=float))
+    for name in values:
+        arr = np.array(getattr(obj, name), dtype=complex)
+        if arr.shape != held.shape:
+            raise GridError(mismatch)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+    held.setflags(write=False)
+    object.__setattr__(obj, grid, held)
 
 
 def _omega(x, mass):
@@ -131,15 +156,7 @@ class MinkowskiSmearing:
     mass: float | None = None
 
     def __post_init__(self):
-        if self.mass is not None:
-            _check_mass(self.mass)
-        x = np.array(_check_uniform(self.x), dtype=float)
-        weight = np.array(self.weight, dtype=complex)
-        if weight.shape != x.shape:
-            raise GridError("weight and grid must have matching shapes")
-        for name, arr in (("x", x), ("weight", weight)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _hold(self, "weight and grid must have matching shapes", "x", "weight")
 
     @property
     def dx(self) -> float:
@@ -176,20 +193,11 @@ class UnruhSmearingPair:
     kernel: BogoliubovKernel = BogoliubovKernel()
 
     def __post_init__(self):
-        if self.mass is not None:
-            _check_mass(self.mass)
-            if self.kernel.epsilon != 1:
-                raise ValueError("a massive field has no mover index: its kernel takes epsilon = +1")
-        grid = np.array(_check_uniform(self.omega_grid), dtype=float)
-        if grid[0] != 0.0:
+        _hold(self, "g_R, g_L and the grid must have matching shapes", "omega_grid", "g_r", "g_l")
+        if self.mass is not None and self.kernel.epsilon != 1:
+            raise ValueError("a massive field has no mover index: its kernel takes epsilon = +1")
+        if self.omega_grid[0] != 0.0:
             raise GridError("the Unruh frequency grid must start at Omega = 0")
-        g_r = np.array(self.g_r, dtype=complex)
-        g_l = np.array(self.g_l, dtype=complex)
-        if g_r.shape != grid.shape or g_l.shape != grid.shape:
-            raise GridError("g_R, g_L and the grid must have matching shapes")
-        for name, arr in (("omega_grid", grid), ("g_r", g_r), ("g_l", g_l)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     def quadrature_weights(self) -> np.ndarray:
         # trapezoid: the half weight at Omega = 0 is exactly right once the
@@ -326,7 +334,7 @@ def _packet_from_weight(weight, x_grid, center, half, dx, mass=None) -> Minkowsk
         if x_grid is None:
             x, samples = _auto_x_grid(weight, center, half, dx, mass)
         else:
-            x = _check_uniform(np.asarray(x_grid, dtype=float))
+            x = _given_grid(x_grid)
             grid = f"the given grid [{x[0]:.4g}, {x[-1]:.4g}] has {x.size} points"
             _check_omega_range(x[0], x[-1], mass, grid)
             samples = weight(x)
@@ -495,8 +503,9 @@ def _default_omega_grid(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     dx = _step(x)  # the transforms' step, which the roots-of-unity alignment needs
     density = np.abs(weight) ** 2
     total = float(density.sum())
-    if total == 0.0:
-        raise GridError("cannot build a frequency grid for an identically zero profile")
+    if not 0.0 < total < math.inf:  # so that a NaN total fails too
+        why = "an identically zero profile" if total == 0.0 else "a profile that is not finite"
+        raise GridError(f"cannot build a frequency grid for {why}")
     mean = float(np.sum(x * density) / total)
     sigma = math.sqrt(max(float(np.sum((x - mean) ** 2 * density) / total), dx * dx))
     omega_max = math.pi / (2.0 * dx)
@@ -506,18 +515,6 @@ def _default_omega_grid(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     d_omega = min(1.0 / (24.0 * sigma), 2.0 * math.pi / (reach + 8.0 * sigma))
     m = _smooth_size(max(math.ceil(omega_max / d_omega), 63))  # so that numpy's FFT of length 4 m is fast
     return np.arange(m + 1) * (2.0 * math.pi / (4 * m * dx))  # each phase 2 pi k j / (4 m): a root of unity
-
-
-def _explicit_omega_grid(omega_grid, dx: float) -> np.ndarray:
-    """A caller's frequency grid: uniform, from Omega = 0, and within the Nyquist limit pi/dx."""
-    omega_grid = _check_uniform(np.asarray(omega_grid, dtype=float))
-    if omega_grid[0] != 0.0:
-        raise GridError("the Unruh frequency grid must start at Omega = 0")
-    if omega_grid[-1] > math.pi / dx:
-        raise GridError(
-            f"frequency window extends past the Nyquist limit pi/dx = {math.pi / dx:.2f}"
-        )
-    return omega_grid
 
 
 def g_from_f(
@@ -536,11 +533,18 @@ def g_from_f(
     if omega_grid is None:
         omega_grid = _default_omega_grid(f.x, f.weight)
     else:
-        omega_grid = _explicit_omega_grid(omega_grid, f.dx)
-    g_r, g_l = _forward_transform(f.x, f.weight, omega_grid, kernel.epsilon)
+        omega_grid = _given_grid(omega_grid)  # the pair tests its spacing and its start
+        if omega_grid[-1] > math.pi / f.dx:
+            raise GridError(
+                f"frequency window extends past the Nyquist limit pi/dx = {math.pi / f.dx:.2f}"
+            )
+    with np.errstate(invalid="ignore"):  # a profile that is not finite fails the peak test instead
+        g_r, g_l = _forward_transform(f.x, f.weight, omega_grid, kernel.epsilon)
     pair = UnruhSmearingPair(omega_grid, g_r, g_l, f.mass, kernel)
     density = np.abs(pair.g_r) ** 2 + np.abs(pair.g_l) ** 2
     peak = float(density.max())
+    if not peak < math.inf:  # so that a NaN peak fails too
+        raise GridError("cannot transform a profile that is not finite")
     if peak > 0.0 and float(density[-1]) > 1e-10 * peak:
         edge = float(pair.omega_grid[-1])
         raise GridError(
@@ -556,9 +560,7 @@ def f_from_g(pair: UnruhSmearingPair, x_grid) -> MinkowskiSmearing:
     The kernel is the pair's, and the profile takes the pair's ``mass`` and
     with it the map omega(x).
     """
-    x_grid = np.asarray(x_grid, dtype=float)
-    if x_grid.ndim != 1 or x_grid.size < 16 or not np.isfinite(x_grid[[0, -1]]).all():
-        _check_uniform(x_grid)  # raises; the transform reads no more, and the profile tests the spacing
+    x_grid = _given_grid(x_grid)  # all the transform reads; the profile tests the spacing
     return MinkowskiSmearing(x_grid, _inverse_transform(x_grid, pair, pair.kernel.epsilon), pair.mass)
 
 
@@ -579,7 +581,7 @@ def closed_form_g(
         f = f_log_gaussian(params)
         omega_grid = _default_omega_grid(f.x, f.weight)
     else:
-        omega_grid = _check_uniform(np.asarray(omega_grid, dtype=float))
+        omega_grid = _given_grid(omega_grid)
     lam, mu, eps = params.lam, params.mu, kernel.epsilon
     log_w0 = math.log(params.omega0)
     amp = (math.pi * lam) ** -0.25
@@ -595,17 +597,6 @@ def closed_form_g(
 def parseval_residual(f: MinkowskiSmearing, pair: UnruhSmearingPair) -> float:
     """|int |f|^2 domega - int (|g_R|^2 + |g_L|^2) dOmega|."""
     return abs(f.norm_squared() - pair.norm_squared())
-
-
-def round_trip_error(
-    f: MinkowskiSmearing,
-    kernel: BogoliubovKernel = BogoliubovKernel(),
-    omega_grid=None,
-) -> float:
-    """L2 distance between f and its image under forward plus inverse transform."""
-    pair = g_from_f(f, kernel, omega_grid)
-    back = f_from_g(pair, x_grid=f.x)
-    return f.l2_distance(back)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from unruhkit.wavepacket import (
     peaking_report,
     peaking_report_from_pair,
     rapidity_gaussian,
-    round_trip_error,
     _auto_x_grid,
     _check_uniform,
     _forward_transform,
@@ -190,7 +189,8 @@ class TestTransformPair:
         assert parseval_residual(f, pair) < 1e-6
 
     def test_round_trip(self):
-        assert round_trip_error(f_log_gaussian(LogGaussianParams(1.0, 5.0))) < 1e-6
+        f = f_log_gaussian(LogGaussianParams(1.0, 5.0))
+        assert f.l2_distance(f_from_g(g_from_f(f), f.x)) < 1e-6
 
     def test_linearity_of_inverse(self):
         kernel = BogoliubovKernel()
@@ -420,7 +420,7 @@ class TestAlternatePackets:
         f = alternate_packets(kind, LogGaussianParams(lam, 5.0))
         pair = g_from_f(f)
         assert parseval_residual(f, pair) < 1e-6
-        assert round_trip_error(f) < 1e-6
+        assert f.l2_distance(f_from_g(pair, f.x)) < 1e-6
 
     def test_gamma_density_peaks(self):
         # d|f|^2/domega = 0 at omega = omega0/2 for lambda = 1; the density per
@@ -628,6 +628,47 @@ class TestMassive:
         assert np.allclose(massive.samples, ratio * massless.samples, rtol=1e-14, atol=0.0)
 
 
+def build_container(kind, grid, value, mass=None):
+    """A profile on ``grid`` with L2 weight ``value``, or a pair on it with g_R = g_L = ``value``."""
+    if kind == "profile":
+        return MinkowskiSmearing(grid, value, mass)
+    return UnruhSmearingPair(grid, value, value, mass)
+
+
+@pytest.mark.parametrize("kind", ["profile", "pair"])
+class TestConstructionRule:
+    def test_arrays_are_read_only_copies_of_fixed_dtype(self, kind):
+        grid = np.arange(64)  # integers: the container holds floats
+        value = np.exp(-((grid - 30.0) ** 2) / 50.0)  # real: the container holds complex numbers
+        held = build_container(kind, grid, value)
+        arrays = [held.x, held.weight] if kind == "profile" else [held.omega_grid, held.g_r, held.g_l]
+        assert [a.dtype for a in arrays] == [np.float64] + [np.complex128] * (len(arrays) - 1)
+        assert all(not a.flags.writeable for a in arrays)
+        expected = value.copy()
+        grid[1] = 7  # the caller's arrays change, the container's copies do not
+        value[0] = 5.0
+        assert np.array_equal(arrays[0], np.arange(64.0))
+        assert all(np.array_equal(a, expected) for a in arrays[1:])
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_shapes_must_match(self, kind):
+        message = {"profile": "weight and grid", "pair": "g_R, g_L and the grid"}[kind]
+        grid = np.linspace(0.0, 8.0, 64)
+        with pytest.raises(GridError, match=f"^{message} must have matching shapes$"):
+            build_container(kind, grid, np.ones(63))
+        if kind == "pair":
+            with pytest.raises(GridError, match=f"^{message} must have matching shapes$"):
+                UnruhSmearingPair(grid, np.ones(64), np.ones((64, 1)))
+
+    @pytest.mark.parametrize("mass", [0.0, float("nan")])
+    def test_the_mass_is_checked_before_the_grid(self, kind, mass):
+        # a grid that fails every grid test, and values of another shape
+        with pytest.raises(ValueError, match="mass must be > 0 and finite"):
+            build_container(kind, np.zeros((2, 2)), np.ones(3), mass)
+
+
 class TestGridValidation:
     def test_nonuniform_grid_rejected(self):
         x = np.concatenate([np.linspace(-5, 0, 50), np.linspace(0.1, 5, 60)])
@@ -646,7 +687,13 @@ class TestGridValidation:
         with pytest.raises(GridError, match="uniformly spaced"):
             _check_uniform(bent)
 
-    def test_inverse_tests_each_grid_once(self, monkeypatch, tmp_path, capsys):
+    @pytest.mark.parametrize("grids", [
+        [],
+        # the argv of the packet_explicit_grids golden case: the builders tested the
+        # given x and Omega grids that the profile and the pair then tested again, 5 tests
+        ["--x-min", "-6", "--x-max", "6", "--x-points", "3000", "--omega-max", "40", "--omega-points", "2000"],
+    ], ids=["default-grids", "explicit-grids"])
+    def test_inverse_tests_each_grid_once(self, grids, monkeypatch, tmp_path, capsys):
         # f_from_g tested its x grid for uniformity, and the profile it built
         # tested the same grid again: 4 tests per packet where 3 grids exist
         from unruhkit.cli import main
@@ -658,10 +705,85 @@ class TestGridValidation:
             return _check_uniform(x)
 
         monkeypatch.setattr(wavepacket, "_check_uniform", counted)
-        argv = ["packet", "--family", "log-gaussian", "--lam", "1", "--mu", "8", "--out", str(tmp_path / "p.json")]
+        argv = ["packet", "--family", "log-gaussian", "--lam", "1", "--mu", "8", *grids,
+                "--out", str(tmp_path / "p.json")]
         assert main(argv) == 0
         capsys.readouterr()
         assert len(calls) == 3  # the profile's x grid, the pair's Omega grid, the inverse's x grid
+
+    @pytest.mark.parametrize("kind", ["2-d", "short", "non-uniform", "nan", "inf", "-inf"])
+    def test_given_grids_fail_before_sampling_or_transform(self, kind, monkeypatch):
+        # a builder checks what it reads before its container exists, the shape and
+        # the two ends, and leaves the spacing to the container: only a non-uniform
+        # grid with finite ends is sampled or transformed before its GridError
+        def bad(grid):
+            if kind in ("nan", "inf", "-inf"):
+                grid = grid.copy()
+                grid[-1] = float(kind)
+                return grid
+            half = grid.size // 2
+            return {"2-d": grid[:64].reshape(4, 16), "short": grid[:15],
+                    "non-uniform": np.concatenate([grid[:half], grid[half:] + 0.5 * (grid[1] - grid[0])])}[kind]
+
+        f = f_log_gaussian(LogGaussianParams(1.0, 8.0))
+        samples, transforms = [], []
+        build_packet, forward = wavepacket._packet_from_weight, wavepacket._forward_transform
+
+        def sampling(weight, *args, **kwargs):
+            def sampled(x):
+                samples.append(x.size)
+                return weight(x)
+
+            return build_packet(sampled, *args, **kwargs)
+
+        def transform(*args):
+            transforms.append(kind)
+            return forward(*args)
+
+        monkeypatch.setattr(wavepacket, "_packet_from_weight", sampling)
+        monkeypatch.setattr(wavepacket, "_forward_transform", transform)
+        match = "at least 16 points" if kind in ("2-d", "short") else "uniformly spaced"
+        reached = [kind] if kind == "non-uniform" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError, match=match):
+                f_log_gaussian(LogGaussianParams(1.0, 8.0), x_grid=bad(np.linspace(-6.0, 6.0, 3000)))
+            assert samples == [3000] * len(reached)
+            with pytest.raises(GridError, match=match):
+                g_from_f(f, omega_grid=bad(np.linspace(0.0, 40.0, 2000)))
+            assert transforms == reached
+            with pytest.raises(GridError, match=match):
+                closed_form_g(LogGaussianParams(1.0, 8.0), omega_grid=bad(np.linspace(0.0, 40.0, 2000)))
+
+    @pytest.mark.parametrize("build", [
+        lambda f, pair: g_from_f(f, omega_grid=np.linspace(0.0, -40.0, 2000)),
+        lambda f, pair: closed_form_g(LogGaussianParams(1.0, 8.0), omega_grid=np.linspace(0.0, -40.0, 2000)),
+        lambda f, pair: f_from_g(pair, f.x[::-1]),
+        lambda f, pair: f_from_g(pair, np.zeros(100)),
+        lambda f, pair: UnruhSmearingPair(np.zeros(64), np.zeros(64), np.zeros(64)),
+        lambda f, pair: MinkowskiSmearing(f.x[::-1], f.weight),
+        lambda f, pair: f_log_gaussian(LogGaussianParams(1.0, 8.0), x_grid=f.x[::-1]),
+    ], ids=["forward", "closed-form", "inverse", "inverse-constant", "pair-constant", "profile", "packet"])
+    def test_a_grid_that_does_not_increase_is_rejected(self, build):
+        # a decreasing Omega grid gave a pair of norm -1 and peak_omega -32.8, a
+        # reversed x grid a profile of norm -1, and a constant grid one of norm 0
+        f = f_log_gaussian(LogGaussianParams(1.0, 8.0))
+        with pytest.raises(GridError, match=r"grid must increase, got step -?\d"):
+            build(f, g_from_f(f))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("omega_grid", [None, np.linspace(0.0, 40.0, 2000)], ids=["default", "given"])
+    def test_a_profile_that_is_not_finite_is_a_grid_error(self, bad, omega_grid):
+        # the default Omega grid stopped on "cannot convert float NaN to integer" after
+        # a numpy warning, and a given one returned an all-NaN pair with no error
+        f = f_log_gaussian(LogGaussianParams(1.0, 8.0))
+        for i in (0, f.x.size // 2, -1):
+            weight = f.weight.copy()
+            weight[i] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(GridError, match="profile that is not finite"):
+                    g_from_f(MinkowskiSmearing(f.x, weight), omega_grid=omega_grid)
 
     @pytest.mark.parametrize("kind", ["2-d", "short", "non-uniform", "nan", "inf", "-inf"])
     def test_inverse_rejects_a_bad_grid(self, kind, monkeypatch):
