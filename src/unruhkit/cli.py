@@ -27,7 +27,6 @@ import os
 import re
 import sys
 from itertools import starmap
-from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
@@ -59,10 +58,6 @@ SCHEMA = 1
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _round12(x: float) -> float:
-    return float(_fmt(x))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -222,46 +217,68 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, joined from strings in one recursive pass.
+def _json_number(text: str) -> str:
+    """``json``'s text of the float of a ``_fmt`` text: ``float.__repr__``, NaN, Infinity or -Infinity.
 
-    ``json`` formats an indented document with its pure-Python generator
-    encoder.  This writer takes the same scalar forms (``float.__repr__``,
-    NaN, Infinity and -Infinity, ASCII-escaped strings) for the types the CLI
-    writes: dicts with str keys, lists, str, bool, int and float.  A finite
-    float member, the common case, is written in place.
+    No two decimals of at most 15 digits round to one normal float, so where
+    ``.12g`` and ``repr`` take the same notation (a point or a negative
+    exponent, and no exponent from +12 to +15), a normal float's text is its
+    repr already, and the float need not be written again.
     """
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join([
-            f"{inner}{encode_basestring_ascii(key)}: "
-            f"{float.__repr__(item) if type(item) is float and math.isfinite(item) else _json_text(item, inner)}"
-            for key, item in value.items()])
-        return f"{{\n{items}\n{indent}}}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        items = ",\n".join([
-            inner + (float.__repr__(item) if type(item) is float and math.isfinite(item) else _json_text(item, inner))
-            for item in value])
-        return f"[\n{items}\n{indent}]"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is True or value is False:
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return float.__repr__(value) if math.isfinite(value) else (
-            "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity"))
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    x = float(text)
+    if ("." in text or "e-" in text) and "e+" not in text and abs(x) >= 2.2250738585072014e-308:
+        return text
+    return float.__repr__(x) if math.isfinite(x) else ("NaN" if x != x else ("Infinity" if x > 0 else "-Infinity"))
+
+
+def _json_object(pad: str, items) -> str:
+    """``json.dumps(indent=2)``'s object at indent ``pad`` from (ASCII key, written value) pairs."""
+    return "{\n" + ",\n".join([f'{pad}  "{key}": {value}' for key, value in items]) + f"\n{pad}}}"
+
+
+def _json_list(pad: str, items: list[str]) -> str:
+    """``json.dumps(indent=2)``'s list at indent ``pad`` from written items."""
+    return "[\n" + ",\n".join([f"{pad}  {item}" for item in items]) + f"\n{pad}]" if items else "[]"
+
+
+def _json_cell(value):
+    """The JSON writer of a table column, picked by its first cell; bool before int, its base."""
+    for kind, cell in ((bool, _bool), (int, int.__repr__), (float, lambda v: _json_number(_fmt(v)))):
+        if isinstance(value, kind):
+            return cell
+    raise TypeError(f"a table cell of type {type(value).__name__} has no JSON writer")
+
+
+#: a row of the packet report's table, laid out at its depth
+_PACKET_ROW = '{{\n      "omega": {},\n      "abs_g_r": {},\n      "abs_g_l": {}\n    }}'
+
+
+def _packet_json(args, fields: list[tuple[str, str]], sma_valid: bool, table: list[list[str]]) -> str:
+    """The SCHEMA-1 packet report as ``json.dumps(indent=2)`` writes it, from the ``_fmt`` texts of stdout.
+
+    ``fields`` are the report's five values, then the Parseval and round-trip
+    residuals; the file holds the float of each text.  ``--family`` is one of
+    four ASCII choices: no escaping.
+    """
+    spec = [("family", f'"{args.family}"'),
+            *[(name, _json_number(_fmt(getattr(args, name)))) for name in ("lam", "mu", "omega0", "mass")],
+            ("epsilon", args.epsilon), ("leakage_threshold", _json_number(_fmt(args.leakage_threshold)))]
+    values = [(name, _json_number(text)) for name, text in fields]
+    rows = [_PACKET_ROW.format(*map(_json_number, row)) for row in table]
+    return _json_object("", [("schema", SCHEMA), ("spec", _json_object("  ", spec)),
+                             ("report", _json_object("  ", [*values[:5], ("sma_valid", _bool(sma_valid))])),
+                             *values[5:], ("table", _json_list("  ", rows))])
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    """``text`` as UTF-8 by ``os.open``, ``os.write`` and ``os.close``; new files get 0o666 less the umask."""
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def _write_table(args, header: Sequence[str], rows: list[list]) -> None:
@@ -275,8 +292,9 @@ def _write_table(args, header: Sequence[str], rows: list[list]) -> None:
                 row[i] = _bool(row[i])
         text = "\n".join([f"# schema={SCHEMA}", ",".join(header), *starmap(template.format, rows)])
     else:
-        text = _json_text([{"schema": SCHEMA} | {key: _round12(v) if isinstance(v, float) else v
-                                                 for key, v in zip(header, row)} for row in rows])
+        cells = [_json_cell(v) for v in rows[0]] if rows else []
+        items = [[("schema", SCHEMA), *zip(header, [cell(v) for cell, v in zip(cells, row)])] for row in rows]
+        text = _json_list("", [_json_object("  ", row) for row in items])
     _write(args.out, text + "\n")
 
 
@@ -344,46 +362,24 @@ def _packet_pipeline(args):
 
 def cmd_packet(args) -> int:
     f, pair, report, parseval, round_trip = _packet_pipeline(args)
-    fields = [
-        ("peak_omega", report.peak_omega),
-        ("delta_omega", report.delta_omega),
-        ("delta_log_omega", report.delta_log_omega),
-        ("uncertainty_product", report.uncertainty_product),
-        ("leakage", report.leakage),
-    ]
+    fields = [(name, _fmt(value)) for name, value in zip(
+        ("peak_omega", "delta_omega", "delta_log_omega", "uncertainty_product", "leakage",
+         "parseval_residual", "round_trip_error"), (*report[:5], parseval, round_trip))]
     size = pair.omega_grid.size
-    idx = np.unique(np.linspace(0, size - 1, min(33, size)).astype(int))
+    # below 33 points the indices are arange; from 33 on the step is >= 1, so they increase
+    idx = np.linspace(0, size - 1, min(33, size)).astype(int)
     table = [[_fmt(v) for v in row] for row in zip(
         pair.omega_grid[idx].tolist(), np.abs(pair.g_r[idx]).tolist(), np.abs(pair.g_l[idx]).tolist())]
     sys.stdout.write("\n".join([
         f"packet family={args.family} lam={_fmt(args.lam)} mu={_fmt(args.mu)}",
-        *[f"  {name:<21} = {_fmt(value)}" for name, value in fields],
+        *[f"  {name:<21} = {value}" for name, value in fields[:5]],
         f"  {'sma_valid':<21} = {_bool(report.sma_valid)}",
-        f"  {'parseval_residual':<21} = {_fmt(parseval)}",
-        f"  {'round_trip_error':<21} = {_fmt(round_trip)}",
+        *[f"  {name:<21} = {value}" for name, value in fields[5:]],
         "  Omega        |g_R|        |g_L|",
         *[f"  {omega:<12} {g_r:<12} {g_l}" for omega, g_r, g_l in table],
     ]) + "\n")
     if args.out:
-        payload = {
-            "schema": SCHEMA,
-            "spec": {
-                "family": args.family,
-                "lam": _round12(args.lam),
-                "mu": _round12(args.mu),
-                "omega0": _round12(args.omega0),
-                "mass": _round12(args.mass),
-                "epsilon": args.epsilon,
-                "leakage_threshold": _round12(args.leakage_threshold),
-            },
-            "report": {name: _round12(value) for name, value in fields}
-            | {"sma_valid": report.sma_valid},
-            "parseval_residual": _round12(parseval),
-            "round_trip_error": _round12(round_trip),
-            # _round12 of a value is float of its _fmt text
-            "table": [dict(zip(("omega", "abs_g_r", "abs_g_l"), map(float, row))) for row in table],
-        }
-        _write(args.out, _json_text(payload) + "\n")
+        _write(args.out, _packet_json(args, fields, report.sma_valid, table) + "\n")
     return EXIT_OK
 
 

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -125,17 +126,33 @@ def _hold(obj, mismatch: str, grid: str, *values: str) -> None:
     object.__setattr__(obj, grid, held)
 
 
+def _squares(*arrays: np.ndarray) -> tuple:
+    """(s, |a_1 / s|^2, ...), read-only; s = 1 unless a sum of the squares of finite values could overflow.
+
+    Then s is the power of two 2^(e-1) with every |a| < 2^e, exact to divide
+    by, so each ratio of sums, mean and spread is that of the exact squares.
+    """
+    squares = [np.abs(a) for a in arrays]
+    top = max(float(sq.max()) for sq in squares)
+    scale = 2.0 ** (math.frexp(top)[1] - 1) if math.isfinite(top) and top * top * squares[0].size == math.inf else 1.0
+    for sq in squares:
+        sq /= scale  # exact, and by 1 a no-op
+        sq **= 2
+        sq.setflags(write=False)
+    return scale, *squares
+
+
 def _omega(x, mass):
     """The frequency map omega(x): e^x for a massless profile, m cosh x for a massive one."""
     return np.exp(x) if mass is None else mass * np.cosh(x)
 
 
-def _check_omega_range(start: float, stop: float, mass, grid: str) -> None:
+def _check_omega_range(start: float, stop: float, mass, grid: Callable[[], str]) -> None:
     """No profile is finite where omega(x) over- or underflows; e^x is monotone and m cosh x
-    convex, so the ends of [start, stop] decide for the whole grid."""
+    convex, so the ends of [start, stop] decide for the whole grid.  ``grid()`` names the grid."""
     ends = _omega(np.array([start, stop]), mass)
     if not (np.isfinite(ends).all() and ends.min() > 0.0):
-        raise GridError(f"{grid}, and omega(x) leaves the floating-point range on it: "
+        raise GridError(f"{grid()}, and omega(x) leaves the floating-point range on it: "
                         "the profile is not finite there")
 
 
@@ -158,6 +175,11 @@ class MinkowskiSmearing:
     def __post_init__(self):
         _hold(self, "weight and grid must have matching shapes", "x", "weight")
 
+    @cached_property
+    def _density(self) -> tuple[float, np.ndarray]:
+        """|F|^2, held once as (s, |F / s|^2) (see ``_squares``) for every norm and moment."""
+        return _squares(self.weight)
+
     @property
     def dx(self) -> float:
         return _step(self.x)
@@ -172,8 +194,9 @@ class MinkowskiSmearing:
         return self.weight / np.sqrt(self.omega)
 
     def norm_squared(self) -> float:
-        """int |f|^2 domega (or dk) evaluated as int |F|^2 dx."""
-        return float(np.sum(np.abs(self.weight) ** 2) * self.dx)
+        """int |f|^2 domega (or dk) evaluated as int |F|^2 dx; inf where that overflows."""
+        scale, density = self._density
+        return float(np.sum(density) * self.dx) * scale * scale
 
     def l2_distance(self, other: "MinkowskiSmearing") -> float:
         if other.x.shape != self.x.shape or not _close(other.x, self.x, self.x):
@@ -200,25 +223,34 @@ class UnruhSmearingPair:
             raise GridError("the Unruh frequency grid must start at Omega = 0")
 
     def quadrature_weights(self) -> np.ndarray:
-        # trapezoid: the half weight at Omega = 0 is exactly right once the
-        # R and L half-lines are folded onto the same endpoint
+        return self._densities[0]
+
+    @cached_property
+    def _sector_squares(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """(s, |g_R / s|^2, |g_L / s|^2), held once: see ``_squares``."""
+        return _squares(self.g_r, self.g_l)
+
+    @cached_property
+    def _densities(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The quadrature weights w, then w |g_R / s|^2 and w |g_L / s|^2, held once."""
+        # trapezoid: the half weight at Omega = 0 folds the R and L half-lines
+        # onto one endpoint, exact for their sum but not for each sector alone,
+        # whose end terms the leakage keeps (ROADMAP item 6)
         w = np.full(self.omega_grid.size, _step(self.omega_grid))
         w[0] *= 0.5
         w[-1] *= 0.5
-        return w
-
-    def _densities(self) -> tuple[np.ndarray, np.ndarray]:
-        """|g_R|^2 and |g_L|^2 times the quadrature weights."""
-        w = self.quadrature_weights()
-        return w * np.abs(self.g_r) ** 2, w * np.abs(self.g_l) ** 2
+        _, square_r, square_l = self._sector_squares
+        held = w, w * square_r, w * square_l
+        for arr in held:
+            arr.setflags(write=False)
+        return held
 
     def sector_norms(self) -> tuple[float, float]:
-        dens_r, dens_l = self._densities()
-        return float(dens_r.sum()), float(dens_l.sum())
+        scale = self._sector_squares[0]
+        return tuple(float(density.sum()) * scale * scale for density in self._densities[1:])
 
     def norm_squared(self) -> float:
-        nr, nl = self.sector_norms()
-        return nr + nl
+        return sum(self.sector_norms())
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +308,16 @@ def _auto_x_grid(weight, center: float, half: float, dx: float, mass) -> tuple[n
     """Widen [center - half, center + half] until the edge density is negligible;
     return the grid and the weight sampled on it."""
     for _ in range(60):
-        grid = (f"the grid on [{center - half:.4g}, {center + half:.4g}] needs "
-                f"{2.0 * half / dx + 1.0:.3g} points of spacing {dx:.3g}")
+        def grid():  # formatted only for an error
+            return (f"the grid on [{center - half:.4g}, {center + half:.4g}] needs "
+                    f"{2.0 * half / dx + 1.0:.3g} points of spacing {dx:.3g}")
         _check_omega_range(center - half, center + half, mass, grid)  # before allocating
         try:  # nor is a count past what numpy can index or allocate
             x = np.linspace(center - half, center + half, math.ceil(2.0 * half / dx) + 1)
             samples = weight(x)
             values = np.abs(samples) ** 2
         except (OverflowError, ValueError, MemoryError) as exc:
-            raise GridError(f"{grid}, more than can be allocated") from exc
+            raise GridError(f"{grid()}, more than can be allocated") from exc
         total = float(values.sum())
         if not math.isfinite(total):
             # widening cannot mend an overflow, and each step costs 1.5x the memory
@@ -335,8 +368,8 @@ def _packet_from_weight(weight, x_grid, center, half, dx, mass=None) -> Minkowsk
             x, samples = _auto_x_grid(weight, center, half, dx, mass)
         else:
             x = _given_grid(x_grid)
-            grid = f"the given grid [{x[0]:.4g}, {x[-1]:.4g}] has {x.size} points"
-            _check_omega_range(x[0], x[-1], mass, grid)
+            _check_omega_range(x[0], x[-1], mass,
+                               lambda: f"the given grid [{x[0]:.4g}, {x[-1]:.4g}] has {x.size} points")
             samples = weight(x)
         return _check_unit_norm(MinkowskiSmearing(x, samples, mass))
 
@@ -499,9 +532,8 @@ def _smooth_size(n: int) -> int:
     return min(q << (-(-n // q) - 1).bit_length() for q in odd if q < 2 * n)  # q 2^a, a the least that reaches n
 
 
-def _default_omega_grid(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+def _default_omega_grid(x: np.ndarray, density: np.ndarray) -> np.ndarray:
     dx = _step(x)  # the transforms' step, which the roots-of-unity alignment needs
-    density = np.abs(weight) ** 2
     total = float(density.sum())
     if not 0.0 < total < math.inf:  # so that a NaN total fails too
         why = "an identically zero profile" if total == 0.0 else "a profile that is not finite"
@@ -531,7 +563,7 @@ def g_from_f(
     of the frequency window (aliasing).
     """
     if omega_grid is None:
-        omega_grid = _default_omega_grid(f.x, f.weight)
+        omega_grid = _default_omega_grid(f.x, f._density[1])
     else:
         omega_grid = _given_grid(omega_grid)  # the pair tests its spacing and its start
         if omega_grid[-1] > math.pi / f.dx:
@@ -541,7 +573,7 @@ def g_from_f(
     with np.errstate(invalid="ignore"):  # a profile that is not finite fails the peak test instead
         g_r, g_l = _forward_transform(f.x, f.weight, omega_grid, kernel.epsilon)
     pair = UnruhSmearingPair(omega_grid, g_r, g_l, f.mass, kernel)
-    density = np.abs(pair.g_r) ** 2 + np.abs(pair.g_l) ** 2
+    density = pair._sector_squares[1] + pair._sector_squares[2]
     peak = float(density.max())
     if not peak < math.inf:  # so that a NaN peak fails too
         raise GridError("cannot transform a profile that is not finite")
@@ -579,7 +611,7 @@ def closed_form_g(
     """
     if omega_grid is None:
         f = f_log_gaussian(params)
-        omega_grid = _default_omega_grid(f.x, f.weight)
+        omega_grid = _default_omega_grid(f.x, f._density[1])
     else:
         omega_grid = _given_grid(omega_grid)
     lam, mu, eps = params.lam, params.mu, kernel.epsilon
@@ -633,16 +665,18 @@ def peaking_report_from_pair(
     The spread in x is that of ``f.x``: ln omega, or the rapidity of a
     massive packet.
     """
-    dens_r, dens_l = pair._densities()
+    _, dens_r, dens_l = pair._densities  # ratios alone are read, so the scale of _sector_squares drops out
     norm_r, norm_l = float(dens_r.sum()), float(dens_l.sum())
     total = norm_r + norm_l
+    if total == 0.0:
+        raise GridError("the Unruh pair has zero norm: it has no peak, spread or leakage")
     signed = pair.kernel.epsilon * pair.omega_grid
     mean = float((np.sum(signed * dens_r) - np.sum(signed * dens_l)) / total)
     var = float(
         (np.sum((signed - mean) ** 2 * dens_r) + np.sum((-signed - mean) ** 2 * dens_l)) / total
     )
     delta_omega = math.sqrt(max(var, 0.0))
-    density_x = np.abs(f.weight) ** 2
+    density_x = f._density[1]
     total_x = float(density_x.sum()) * f.dx
     mean_x = float(np.sum(f.x * density_x) * f.dx / total_x)
     delta_x = math.sqrt(max(float(np.sum((f.x - mean_x) ** 2 * density_x) * f.dx / total_x), 0.0))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import unruhkit.cli as cli
-from unruhkit.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _json_text, _write_table, main
+from unruhkit.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _fmt, _json_number, _packet_json, _write_table, main
 
 
 #: one value per config key that its flag rejects
@@ -595,9 +595,10 @@ def test_config_keys_without_a_flag_are_usage_errors(command, key, tmp_path, mon
 
 def test_import_loads_no_scipy_special_or_linalg():
     # scipy, the quadrature nodes of numpy.polynomial and numpy.fft cost a
-    # noticeable share of every CLI call; they load on first use
+    # noticeable share of every CLI call; they load on first use.  json the
+    # CLI does not load at all: it writes its two JSON layouts itself
     code = ("import sys, unruhkit.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'json') "
             "or m.startswith(('numpy.polynomial', 'numpy.fft'))))")
     out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                          text=True, timeout=60, check=True)
@@ -662,38 +663,103 @@ def test_csv_special_floats(tmp_path):
     assert out.read_text().splitlines()[2:] == want == ["nan,1,a,true", "inf,-2,b,false", "-inf,0,,true", "-0,3,c,false"]
 
 
-JSON_VALUES = st.recursive(
-    st.booleans() | st.integers() | st.floats(allow_nan=True, allow_infinity=True) | st.text(),
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
-    max_leaves=30,
-)
+def round12(x):
+    # a float as the JSON documents hold it: the float of its 12-digit text
+    return float(_fmt(x))
+
+
+#: floats where the writers could part from json: NaN, +-inf, -0.0, subnormals and the smallest
+#: normals, the ends of the float range, 1e12, where .12g switches to an exponent, and 1e16,
+#: where repr does, integers, and the notation switches at 1e-4 and 1e-5
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1e-310, 2.2250738585072014e-308,
+                  2.225073858507e-308, 2.2250738585073e-308, 1e-300, 1.7976931348623157e308, 0.1, 1e12,
+                  -1.5e12, 999999999999.5, 1e15, 1e16, 999999999999999.9, 9999999999999998.0,
+                  1.00000000000005e15, 123456789012.5, 12.0, -3.0, 1e-05, 0.0001, 9.99999999999995e-05]
+JSON_FLOATS = (st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(SPECIAL_FLOATS)
+               | st.floats(allow_nan=False, allow_infinity=False).map(round12))
+JSON_CELLS = {"float": JSON_FLOATS, "int": st.integers() | st.sampled_from([0, -1, 2**70]), "bool": st.booleans()}
+
+
+@settings(max_examples=2000, deadline=None)
+@given(x=JSON_FLOATS | st.floats(min_value=1e-310, max_value=1e17) | st.floats(min_value=-1e-300, max_value=-1e-320))
+def test_json_number_is_the_indent_encoders_float(x):
+    # a .12g text is written as it stands where it already is the repr of its float
+    assert _json_number(_fmt(x)) == json.dumps(float(_fmt(x)))
+
+
+def table_json(header, rows, directory):
+    out = directory / "t.json"
+    _write_table(SimpleNamespace(format="json", out=str(out)), header, [list(row) for row in rows])
+    return out.read_text()
+
+
+def old_table_json(header, rows):
+    # the SCHEMA-1 sweep table as it was written through the general json walker
+    return json.dumps([{"schema": 1} | {key: round12(v) if isinstance(v, float) else v
+                                        for key, v in zip(header, row)} for row in rows], indent=2) + "\n"
 
 
 @settings(max_examples=200, deadline=None)
-@given(value=JSON_VALUES)
-def test_json_text_matches_the_indent_encoder(value):
-    assert _json_text(value) == json.dumps(value, indent=2)
+@given(data=st.data(), kinds=st.lists(st.sampled_from(sorted(JSON_CELLS)), min_size=1, max_size=6))
+def test_table_json_matches_the_indent_encoder(data, kinds, tmp_path_factory):
+    rows = data.draw(st.lists(st.tuples(*[JSON_CELLS[kind] for kind in kinds]).map(list), max_size=5))
+    header = [f"c{i}" for i in range(len(kinds))]
+    assert table_json(header, rows, tmp_path_factory.mktemp("json")) == old_table_json(header, rows)
 
 
-def test_json_text_special_values():
-    payload = {
-        "floats": [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, 1.7976931348623157e308, 0.1],
-        "numpy": [np.float64(2.5), np.float64(math.nan), np.float64(-math.inf)],
-        "ints": [0, -1, 2**70], "flags": [True, False],
-        "escape": 'quote " backslash \\ newline \n tab \t nul \x00 e\u0301 snowman \u2603 clef \U0001d11e',
-        "empty": [{}, []], "nested": {"a": {"b": [[], {"c": math.nan}]}},
-    }
-    assert _json_text(payload) == json.dumps(payload, indent=2)
-    assert [_json_text(v) for v in (math.nan, -math.inf, "\u00e9", 7, True)] == \
-        [json.dumps(v, indent=2) for v in (math.nan, -math.inf, "\u00e9", 7, True)]
+def test_table_json_special_values(tmp_path):
+    header = ["f", "i", "b", "g"]
+    rows = [[v, i, i % 2 == 0, np.float64(v)] for i, v in zip([0, -1, 2**70, *range(len(SPECIAL_FLOATS) - 3)],
+                                                                SPECIAL_FLOATS)]
+    assert table_json(header, rows, tmp_path) == old_table_json(header, rows)
+    assert table_json(header, [], tmp_path) == "[]\n" == old_table_json(header, [])
 
 
-@pytest.mark.parametrize("value", [np.int64(3), {1, 2}, [np.bool_(True)], {"k": b"bytes"}, {1: "non-str key"},
-                                   None, (1.5, "x")])
-def test_json_text_rejects_what_it_cannot_write(value):
+@pytest.mark.parametrize("cell", [np.int64(3), "text", None, (1.5,), np.bool_(True)])
+def test_table_json_rejects_a_column_it_cannot_write(cell, tmp_path):
     # a type outside the writer's set fails loudly rather than being written some other way
     with pytest.raises(TypeError):
-        _json_text(value)
+        table_json(["a", "b"], [[1.0, cell]], tmp_path)
+
+
+def old_packet_json(args, fields, sma_valid, table):
+    # the SCHEMA-1 packet report as it was written through the general json walker
+    values = {name: float(text) for name, text in fields}
+    return json.dumps({
+        "schema": 1,
+        "spec": {"family": args.family} | {name: round12(getattr(args, name))
+                                            for name in ("lam", "mu", "omega0", "mass")}
+        | {"epsilon": args.epsilon, "leakage_threshold": round12(args.leakage_threshold)},
+        "report": {name: values[name] for name, _ in fields[:5]} | {"sma_valid": sma_valid},
+        "parseval_residual": values["parseval_residual"],
+        "round_trip_error": values["round_trip_error"],
+        "table": [dict(zip(("omega", "abs_g_r", "abs_g_l"), map(float, row))) for row in table],
+    }, indent=2)
+
+
+PACKET_FIELDS = ("peak_omega", "delta_omega", "delta_log_omega", "uncertainty_product", "leakage",
+                 "parseval_residual", "round_trip_error")
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=st.sampled_from(["log-gaussian", "gamma", "bessel", "rapidity-gaussian"]),
+       spec=st.lists(JSON_FLOATS, min_size=5, max_size=5), epsilon=st.sampled_from([-1, 1]),
+       values=st.lists(JSON_FLOATS, min_size=7, max_size=7), sma_valid=st.booleans(),
+       table=st.lists(st.lists(JSON_FLOATS, min_size=3, max_size=3), min_size=1, max_size=33))
+def test_packet_json_matches_the_indent_encoder(family, spec, epsilon, values, sma_valid, table):
+    args = SimpleNamespace(family=family, epsilon=epsilon,
+                           **dict(zip(("lam", "mu", "omega0", "mass", "leakage_threshold"), spec)))
+    fields = [(name, _fmt(v)) for name, v in zip(PACKET_FIELDS, values)]
+    table = [[_fmt(v) for v in row] for row in table]
+    assert _packet_json(args, fields, sma_valid, table) == old_packet_json(args, fields, sma_valid, table)
+
+
+def test_packet_json_special_values():
+    args = SimpleNamespace(family="gamma", epsilon=-1, lam=1e16, mu=-0.0, omega0=5e-324, mass=math.inf,
+                           leakage_threshold=math.nan)
+    fields = [(name, _fmt(v)) for name, v in zip(PACKET_FIELDS, SPECIAL_FLOATS)]
+    table = [[_fmt(v) for v in SPECIAL_FLOATS[i:i + 3]] for i in range(len(SPECIAL_FLOATS) - 2)]
+    assert _packet_json(args, fields, True, table) == old_packet_json(args, fields, True, table)
 
 
 @pytest.mark.parametrize("argv", [
@@ -708,6 +774,43 @@ def test_written_json_is_the_indent_encoders_text(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(out)]) in (EXIT_OK, EXIT_NUMERIC)
     text = out.read_text()
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_a_repeated_packet_call_repeats_its_work_and_bytes(tmp_path, monkeypatch, capsys):
+    # no state outlives a call: the second of two identical calls does the same transforms
+    from numpy import fft
+
+    transforms = []
+    monkeypatch.setattr(fft, "fft", lambda *args, _fft=fft.fft, **kwargs: transforms.append(1) or _fft(*args, **kwargs))
+    outputs, counts = [], []
+    for out in (tmp_path / "a.json", tmp_path / "b.json"):
+        before = len(transforms)
+        assert main(["packet", "--family", "bessel", "--lam", "0.2", "--out", str(out)]) == EXIT_OK
+        counts.append(len(transforms) - before)
+        outputs.append((capsys.readouterr().out, out.read_bytes()))
+    assert counts[0] == counts[1] > 0
+    assert outputs[0] == outputs[1]
+
+
+def test_write_finishes_a_short_write_with_the_mode_of_open(tmp_path, monkeypatch):
+    text = "snowman \u2603 and a row\n" * 50
+    real_write = os.write
+    chunks = []
+
+    def short_write(fd, data):
+        chunks.append(real_write(fd, bytes(data[:7])))
+        return chunks[-1]
+
+    monkeypatch.setattr(os, "write", short_write)
+    cli._write(str(tmp_path / "low.txt"), text)
+    monkeypatch.undo()
+    with open(tmp_path / "high.txt", "w") as handle:
+        handle.write(text)
+    assert (tmp_path / "low.txt").read_bytes() == text.encode() == (tmp_path / "high.txt").read_bytes()
+    assert len(chunks) == -(-len(text.encode()) // 7)
+    assert os.stat(tmp_path / "low.txt").st_mode == os.stat(tmp_path / "high.txt").st_mode
+    cli._write(str(tmp_path / "low.txt"), "short")  # an existing file is truncated
+    assert (tmp_path / "low.txt").read_bytes() == b"short"
 
 
 @pytest.mark.parametrize("argv, work", [

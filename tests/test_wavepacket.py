@@ -511,6 +511,67 @@ class TestPeakingReport:
         assert report.uncertainty_product > 0.5 + 1e-3
         assert report.leakage == 0.0
 
+    def test_a_pair_of_zero_norm_is_a_grid_error(self):
+        # it used to warn of an invalid scalar divide and then raise a raw ZeroDivisionError
+        f = f_log_gaussian(LogGaussianParams(1.0, 8.0))
+        zeros = np.zeros(64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError, match="zero norm"):
+                peaking_report_from_pair(f, UnruhSmearingPair(np.linspace(0.0, 10.0, 64), zeros, zeros))
+
+
+class TestDerivedArrays:
+    """|F|^2, |g_R|^2, |g_L|^2, the quadrature weights and the weighted densities, each held once."""
+
+    @pytest.mark.parametrize("owner, name", [(MinkowskiSmearing, "_density"), (UnruhSmearingPair, "_sector_squares"),
+                                             (UnruhSmearingPair, "_densities")])
+    def test_a_packet_call_computes_each_once(self, owner, name, monkeypatch, tmp_path, capsys):
+        from functools import cached_property
+
+        from unruhkit.cli import main
+
+        calls = []
+        getter = vars(owner)[name].func
+        counted = cached_property(lambda self: calls.append(self) or getter(self))
+        counted.__set_name__(owner, name)
+        monkeypatch.setattr(owner, name, counted)
+        assert main(["packet", "--family", "gamma", "--out", str(tmp_path / "p.json")]) == 0
+        assert calls and len(calls) == len(set(map(id, calls)))
+        if owner is MinkowskiSmearing:  # the profile; the round trip's profile needs none
+            assert len(calls) == 1
+
+    def test_held_arrays_are_read_only(self):
+        f = f_log_gaussian(LogGaussianParams(1.0, 8.0))
+        pair = g_from_f(f)
+        for held in (f._density[1], *pair._sector_squares[1:], pair.quadrature_weights(), *pair._densities):
+            with pytest.raises(ValueError):
+                held[0] = 0.0
+
+    @pytest.mark.parametrize("mu", [8.0, 1.0])
+    @pytest.mark.parametrize("scale", [1e160, 2.0**532])
+    @pytest.mark.parametrize("omega_grid", [None, np.linspace(0.0, 30.0, 2000)], ids=["default", "given"])
+    def test_a_weight_whose_square_overflows(self, mu, scale, omega_grid):
+        # |F|^2 above the float range used to warn of an overflow in square, and
+        # g_from_f then called the finite profile "not finite"
+        f = f_log_gaussian(LogGaussianParams(1.0, mu))
+        big = MinkowskiSmearing(f.x, f.weight * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert big.norm_squared() == math.inf
+            pair, big_pair = g_from_f(f, omega_grid=omega_grid), g_from_f(big, omega_grid=omega_grid)
+            report, big_report = peaking_report_from_pair(f, pair), peaking_report_from_pair(big, big_pair)
+            assert big_pair.norm_squared() == math.inf
+        assert np.array_equal(big_pair.omega_grid, pair.omega_grid)
+        assert big_report.peak_omega == report.peak_omega and big_report.sma_valid == report.sma_valid
+        if scale == 2.0**532:  # scaling by a power of two moves no bit of the transform
+            assert big_report == report
+        # the leakage of mu = 8, 8e-28, is the transform's rounding floor, which the
+        # samples scaled by 1e160, each rounded anew, move by up to 1e-3 of itself
+        for name in ("delta_omega", "delta_log_omega", "uncertainty_product", "leakage"):
+            assert getattr(big_report, name) == pytest.approx(getattr(report, name), rel=1e-12,
+                                                              abs=1e-24 if name == "leakage" else 0.0)
+
 
 class TestMassive:
     def test_rapidity_gaussian_normalized(self):
