@@ -218,16 +218,8 @@ def _bool(value: bool) -> str:
 
 
 def _json_number(text: str) -> str:
-    """``json``'s text of the float of a ``_fmt`` text: ``float.__repr__``, NaN, Infinity or -Infinity.
-
-    No two decimals of at most 15 digits round to one normal float, so where
-    ``.12g`` and ``repr`` take the same notation (a point or a negative
-    exponent, and no exponent from +12 to +15), a normal float's text is its
-    repr already, and the float need not be written again.
-    """
+    """``json``'s text of the float of a ``_fmt`` text: ``float.__repr__``, NaN, Infinity or -Infinity."""
     x = float(text)
-    if ("." in text or "e-" in text) and "e+" not in text and abs(x) >= 2.2250738585072014e-308:
-        return text
     return float.__repr__(x) if math.isfinite(x) else ("NaN" if x != x else ("Infinity" if x > 0 else "-Infinity"))
 
 

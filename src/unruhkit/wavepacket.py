@@ -126,15 +126,17 @@ def _hold(obj, mismatch: str, grid: str, *values: str) -> None:
     object.__setattr__(obj, grid, held)
 
 
-def _squares(*arrays: np.ndarray) -> tuple:
-    """(s, |a_1 / s|^2, ...), read-only; s = 1 unless a sum of the squares of finite values could overflow.
+def _squares(lever: float, *arrays: np.ndarray) -> tuple:
+    """(s, |a_1 / s|^2, ...), read-only; s = 1 unless a sum of the squares of finite values,
+    each times at most ``lever`` (a step times a moment's arm), could overflow.
 
     Then s is the power of two 2^(e-1) with every |a| < 2^e, exact to divide
     by, so each ratio of sums, mean and spread is that of the exact squares.
     """
     squares = [np.abs(a) for a in arrays]
     top = max(float(sq.max()) for sq in squares)
-    scale = 2.0 ** (math.frexp(top)[1] - 1) if math.isfinite(top) and top * top * squares[0].size == math.inf else 1.0
+    big = top * top * squares[0].size * lever == math.inf
+    scale = 2.0 ** (math.frexp(top)[1] - 1) if math.isfinite(top) and big else 1.0
     for sq in squares:
         sq /= scale  # exact, and by 1 a no-op
         sq **= 2
@@ -147,12 +149,12 @@ def _omega(x, mass):
     return np.exp(x) if mass is None else mass * np.cosh(x)
 
 
-def _check_omega_range(start: float, stop: float, mass, grid: Callable[[], str]) -> None:
+def _check_omega_range(start: float, stop: float, mass, grid: str) -> None:
     """No profile is finite where omega(x) over- or underflows; e^x is monotone and m cosh x
-    convex, so the ends of [start, stop] decide for the whole grid.  ``grid()`` names the grid."""
+    convex, so the ends of [start, stop] decide for the whole grid."""
     ends = _omega(np.array([start, stop]), mass)
     if not (np.isfinite(ends).all() and ends.min() > 0.0):
-        raise GridError(f"{grid()}, and omega(x) leaves the floating-point range on it: "
+        raise GridError(f"{grid}, and omega(x) leaves the floating-point range on it: "
                         "the profile is not finite there")
 
 
@@ -177,8 +179,10 @@ class MinkowskiSmearing:
 
     @cached_property
     def _density(self) -> tuple[float, np.ndarray]:
-        """|F|^2, held once as (s, |F / s|^2) (see ``_squares``) for every norm and moment."""
-        return _squares(self.weight)
+        """|F|^2, held once as (s, |F / s|^2) (see ``_squares``) for every norm and moment,
+        whose sums take at most dx times x^2 or the grid's span squared."""
+        arm = max(1.0, abs(float(self.x[0])), abs(float(self.x[-1])), float(self.x[-1]) - float(self.x[0]))
+        return _squares(arm * arm * max(1.0, self.dx), self.weight)
 
     @property
     def dx(self) -> float:
@@ -227,8 +231,10 @@ class UnruhSmearingPair:
 
     @cached_property
     def _sector_squares(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """(s, |g_R / s|^2, |g_L / s|^2), held once: see ``_squares``."""
-        return _squares(self.g_r, self.g_l)
+        """(s, |g_R / s|^2, |g_L / s|^2), held once: see ``_squares``.  The report's sums take
+        at most dOmega times (2 Omega_max)^2."""
+        arm = max(1.0, 2.0 * float(self.omega_grid[-1]))
+        return _squares(arm * arm * max(1.0, _step(self.omega_grid)), self.g_r, self.g_l)
 
     @cached_property
     def _densities(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -308,16 +314,15 @@ def _auto_x_grid(weight, center: float, half: float, dx: float, mass) -> tuple[n
     """Widen [center - half, center + half] until the edge density is negligible;
     return the grid and the weight sampled on it."""
     for _ in range(60):
-        def grid():  # formatted only for an error
-            return (f"the grid on [{center - half:.4g}, {center + half:.4g}] needs "
-                    f"{2.0 * half / dx + 1.0:.3g} points of spacing {dx:.3g}")
+        grid = (f"the grid on [{center - half:.4g}, {center + half:.4g}] needs "
+                f"{2.0 * half / dx + 1.0:.3g} points of spacing {dx:.3g}")
         _check_omega_range(center - half, center + half, mass, grid)  # before allocating
         try:  # nor is a count past what numpy can index or allocate
             x = np.linspace(center - half, center + half, math.ceil(2.0 * half / dx) + 1)
             samples = weight(x)
             values = np.abs(samples) ** 2
         except (OverflowError, ValueError, MemoryError) as exc:
-            raise GridError(f"{grid()}, more than can be allocated") from exc
+            raise GridError(f"{grid}, more than can be allocated") from exc
         total = float(values.sum())
         if not math.isfinite(total):
             # widening cannot mend an overflow, and each step costs 1.5x the memory
@@ -368,8 +373,8 @@ def _packet_from_weight(weight, x_grid, center, half, dx, mass=None) -> Minkowsk
             x, samples = _auto_x_grid(weight, center, half, dx, mass)
         else:
             x = _given_grid(x_grid)
-            _check_omega_range(x[0], x[-1], mass,
-                               lambda: f"the given grid [{x[0]:.4g}, {x[-1]:.4g}] has {x.size} points")
+            grid = f"the given grid [{x[0]:.4g}, {x[-1]:.4g}] has {x.size} points"
+            _check_omega_range(x[0], x[-1], mass, grid)
             samples = weight(x)
         return _check_unit_norm(MinkowskiSmearing(x, samples, mass))
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import unruhkit.cli as cli
-from unruhkit.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _fmt, _json_number, _packet_json, _write_table, main
+from unruhkit.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _fmt, _packet_json, _write_table, main
 
 
 #: one value per config key that its flag rejects
@@ -678,13 +678,6 @@ SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1e-310, 2.2
 JSON_FLOATS = (st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(SPECIAL_FLOATS)
                | st.floats(allow_nan=False, allow_infinity=False).map(round12))
 JSON_CELLS = {"float": JSON_FLOATS, "int": st.integers() | st.sampled_from([0, -1, 2**70]), "bool": st.booleans()}
-
-
-@settings(max_examples=2000, deadline=None)
-@given(x=JSON_FLOATS | st.floats(min_value=1e-310, max_value=1e17) | st.floats(min_value=-1e-300, max_value=-1e-320))
-def test_json_number_is_the_indent_encoders_float(x):
-    # a .12g text is written as it stands where it already is the repr of its float
-    assert _json_number(_fmt(x)) == json.dumps(float(_fmt(x)))
 
 
 def table_json(header, rows, directory):

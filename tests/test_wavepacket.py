@@ -572,6 +572,25 @@ class TestDerivedArrays:
             assert getattr(big_report, name) == pytest.approx(getattr(report, name), rel=1e-12,
                                                               abs=1e-24 if name == "leakage" else 0.0)
 
+    @pytest.mark.parametrize("scale", [1e153, 2.0**508])
+    def test_squares_that_fit_a_plain_sum_but_not_its_moments(self, scale):
+        # |a|^2 summed fits the float range on these coarse grids, but dOmega and
+        # Omega^2 (or dx and x^2) times it do not: the spreads came out NaN
+        x = np.linspace(-700.0, 700.0, 64)
+        grid = np.linspace(0.0, 1000.0, 64)
+        weight, shape = np.exp(-((x - 100.0) / 300.0) ** 2), np.exp(-((grid - 300.0) / 200.0) ** 2)
+        f, big_f = MinkowskiSmearing(x, weight), MinkowskiSmearing(x, weight * scale)
+        pair = UnruhSmearingPair(grid, shape, 0.25 * shape)
+        big_pair = UnruhSmearingPair(grid, shape * scale, 0.25 * shape * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, big_report = peaking_report_from_pair(f, pair), peaking_report_from_pair(big_f, big_pair)
+            assert big_f.norm_squared() == big_pair.norm_squared() == math.inf
+        if scale == 2.0**508:
+            assert big_report == report
+        for name in ("delta_omega", "delta_log_omega", "uncertainty_product", "leakage"):
+            assert getattr(big_report, name) == pytest.approx(getattr(report, name), rel=1e-12)
+
 
 class TestMassive:
     def test_rapidity_gaussian_normalized(self):
