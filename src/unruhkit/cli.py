@@ -6,10 +6,10 @@ peaking diagnostics of one wave packet as human-readable text plus an
 optional JSON report.  Output is deterministic for a fixed spec: stable row
 order and 12-significant-digit float formatting, so a rerun is
 byte-identical.  The argparse parser is the one table of flags, with their
-defaults, types and choices.  A ``key = value`` config file can pre-fill
-any flag of its subcommand: each line is parsed as a ``--key=value`` flag
-placed before the explicit ones, so explicit flags win, and a key that
-names no flag is a usage error.
+defaults, types and choices, and the one source of help and usage errors.  A
+``key = value`` config file can pre-fill any flag of its subcommand: each
+line is parsed as a ``--key=value`` flag placed before the explicit ones, so
+explicit flags win, and a key that names no flag is a usage error.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure (non-convergence,
 method disagreement, inadequate grid).  An ``--out`` path that names a
@@ -62,6 +62,7 @@ def _fmt(x: float) -> str:
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
+        self.stores = {}  # option string -> action of each flag that stores one value, which ``_read`` reads
         super().__init__(*args, **kwargs)
         # argparse takes -1e2 and -inf for unknown flags; no flag starts with a digit or is
         # named inf, infinity or nan, so "-<digit>", "-.<digit>" and those (any case) are values
@@ -73,6 +74,12 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if not {"action", "nargs", "required"} & kwargs.keys():  # the default action: a store of one value
+            self.stores.update(dict.fromkeys(action.option_strings, action))
+        return action
 
 
 def _read_config(args) -> list[str]:
@@ -108,6 +115,7 @@ def _parse_q_list(text: str) -> tuple[float, ...]:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="unruhkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand -> its parser
 
     for model, r_default in (("boson", 1.5), ("fermion", R_MAX)):
         p = sub.add_parser(model, help=f"{model}ic negativity sweep")
@@ -137,7 +145,30 @@ def _build_parser() -> _Parser:
     p.add_argument("--omega-points", type=int, default=None)
     p.add_argument("--out", type=str, default=None, help="JSON report path")
     p.add_argument("--config", type=str, default=None)
+    for p in parser.commands.values():  # argparse's own values of a subcommand given no flags, for ``_read``
+        p.defaults = vars(p.parse_args([]))
     return parser
+
+
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """``parse_args(argv)`` of a subcommand and exact ``--flag=value`` or ``--flag value`` tokens; else None."""
+    try:  # each failure defers: no subcommand, an unknown or abbreviated flag, a missing or rejected value
+        parser = _build_parser().commands[argv[0]]
+        args = argparse.Namespace(command=argv[0])
+        vars(args).update(parser.defaults)
+        tokens = iter(argv[1:])
+        for token in tokens:  # the last value of a flag wins
+            option, eq, text = token.partition("=")
+            text = text if eq else next(tokens)
+            if text == "--" or not eq and text.startswith("-"):  # argparse drops "--" and reads "-x" as a flag
+                return None
+            action = parser.stores[option]
+            vars(args)[action.dest] = value = action.type(text)
+            if action.choices is not None and value not in action.choices:
+                return None
+    except (IndexError, KeyError, StopIteration, TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    return args
 
 
 def _check_sweep(args) -> None:
@@ -293,12 +324,9 @@ def _write_table(args, header: Sequence[str], rows: list[list]) -> None:
 def cmd_boson(args) -> int:
     header = ("q_abs", "r", "n_ar", "n_aar", "n_max_used", "converged")
     r_grid = _grid(args.steps, args.r_min, args.r_max, "steps")
-    rows = []
-    all_converged = True
-    for q in args.q:
-        for row in bosonic_curve(q, r_grid):
-            rows.append([row.q_abs, row.r, row.n_ar, row.n_aar, row.n_max_used, row.converged])
-            all_converged = all_converged and row.converged
+    rows = [[row.q_abs, row.r, row.n_ar, row.n_aar, row.n_max_used, row.converged]
+            for q in args.q for row in bosonic_curve(q, r_grid)]
+    all_converged = all(row[-1] for row in rows)  # before the CSV writer turns the flags into text
     _write_table(args, header, rows)
     if not all_converged:
         sys.stderr.write("unruhkit boson: some rows did not converge (see 'converged' column)\n")
@@ -321,10 +349,8 @@ def cmd_fermion(args) -> int:
             flagged = flagged or row.swap_equivalent
             rows.append([row.q_abs, row.r, row.n_ar, row.n_aar, row.residual])
     if flagged:
-        sys.stderr.write(
-            "unruhkit fermion: some |q_R| < 1/sqrt(2); those rows describe the "
-            "swap-equivalent bipartition\n"
-        )
+        sys.stderr.write("unruhkit fermion: some |q_R| < 1/sqrt(2); those rows describe the "
+                         "swap-equivalent bipartition\n")
     _write_table(args, header, rows)
     return EXIT_OK
 
@@ -379,9 +405,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _read(argv) or parser.parse_args(argv)
         if args.config:  # the file's flags first, so that the explicit ones win
-            args = parser.parse_args([args.command, *_read_config(args), *argv[1:]])
+            args = _read(merged := [args.command, *_read_config(args), *argv[1:]]) or parser.parse_args(merged)
         if args.command == "packet":
             _check_packet(args)
         else:

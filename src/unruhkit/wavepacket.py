@@ -324,12 +324,9 @@ def _auto_x_grid(weight, center: float, half: float, dx: float, mass) -> tuple[n
         except (OverflowError, ValueError, MemoryError) as exc:
             raise GridError(f"{grid}, more than can be allocated") from exc
         total = float(values.sum())
-        if not math.isfinite(total):
-            # widening cannot mend an overflow, and each step costs 1.5x the memory
-            raise GridError(
-                f"the profile is not finite on [{x[0]:.4g}, {x[-1]:.4g}]; "
-                "its parameters leave the floating-point range"
-            )
+        if not math.isfinite(total):  # widening cannot mend an overflow, and each step costs 1.5x the memory
+            raise GridError(f"the profile is not finite on [{x[0]:.4g}, {x[-1]:.4g}]; "
+                            "its parameters leave the floating-point range")
         if total > 0.0:
             edge = float(values[:3].sum() + values[-3:].sum())
             if edge <= _EDGE_DENSITY_TOL * total:
@@ -356,11 +353,9 @@ def _check_unit_norm(f):
     """Reject a sampled profile that misses part of its unit norm or is not finite."""
     norm = f.norm_squared()
     if not abs(1.0 - norm) <= _NORM_DEFICIT_TOL:  # so that a NaN norm fails too
-        why = (
-            f"holds only {norm:.12f} of the unit norm; widen the bounds or refine the spacing"
-            if math.isfinite(norm)  # else the weight left the float range: omega(x) did not
-            else "gives a profile that is not finite; its parameters leave the floating-point range"
-        )
+        why = (f"holds only {norm:.12f} of the unit norm; widen the bounds or refine the spacing"
+               if math.isfinite(norm)  # else the weight left the float range: omega(x) did not
+               else "gives a profile that is not finite; its parameters leave the floating-point range")
         raise GridError(f"grid [{float(f.x[0]):.4g}, {float(f.x[-1]):.4g}] {why}")
     return f
 
@@ -501,8 +496,13 @@ def _roots_fft(big: int, *rows) -> np.ndarray:
     """sum over the rows (v, s) of sum_k v_k exp(2 pi i s j k / N), j < N = big: one FFT of length N."""
     from numpy import fft  # imported here so that importing the package does not load numpy.fft
     folded = np.zeros(big, dtype=complex)
-    for v, sign in rows:  # exp(2 pi i s j k / N) = exp(-2 pi i j (-s k mod N) / N)
-        np.add.at(folded, -sign * np.arange(v.size) % big, v)
+    for v, sign in rows:  # exp(2 pi i s j k / N) = exp(-2 pi i j (-s k mod N) / N): v_k adds at -s k mod N
+        for part in [v[k : k + big] for k in range(0, v.size, big)]:  # each index adds its terms in order of k
+            if sign < 0:
+                folded[: part.size] += part
+            else:  # k = 0 at 0, then k = 1, 2, ... at N - 1, N - 2, ...
+                folded[0] += part[0]
+                folded[big - part.size + 1 :] += part[:0:-1]
     return fft.fft(folded)
 
 

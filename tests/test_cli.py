@@ -1,8 +1,11 @@
 """Command-line interface: determinism, schemas, exit codes, config merging."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -12,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import unruhkit.cli as cli
 from unruhkit.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _fmt, _packet_json, _write_table, main
@@ -522,11 +525,16 @@ def test_non_finite_r_flags_are_usage_errors(model, flag, value, tmp_path, monke
     assert not (tmp_path / "x.csv").exists()
 
 
-#: boson, a usage error, packet, boson and help: each writes to stdout, stderr or a file
+#: boson, packet, a usage error, packet, packet, packet, boson and help: each writes to stdout,
+#: stderr or a file.  The flag reader reads the sweeps and the p.json call; argparse parses an
+#: abbreviated flag, a split negative value and a --config call with one (its file sets mu = -1).
 SEQUENCE = (
     ["boson", "--q", "0.9,1", "--r-max", "2", "--steps", "5", "--out", "a.csv"],
+    ["packet", "--la", "0.3", "--out", "abbreviated.json"],
     ["boson", "--q", "1.4", "--out", "bad.csv"],
+    ["packet", "--mu", "-2", "--out", "negative.json"],
     ["packet", "--family", "log-gaussian", "--lam", "0.5", "--out", "p.json"],
+    ["packet", "--config", "negative.cfg", "--epsilon", "-1", "--out", "config.json"],
     ["boson", "--q", "0.3", "--r-max", "1", "--steps", "4", "--format", "json", "--out", "b.json"],
     ["fermion", "--help"],
 )
@@ -534,11 +542,12 @@ SEQUENCE = (
 
 def test_in_process_calls_match_separate_runs(tmp_path, monkeypatch, capsys):
     # the parser is built once per process: later calls must not see any
-    # state of earlier ones
+    # state of earlier ones, whether the flag reader or argparse parsed them
     monkeypatch.setenv("COLUMNS", "80")
     separate, together = tmp_path / "separate", tmp_path / "together"
-    separate.mkdir()
-    together.mkdir()
+    for directory in (separate, together):
+        directory.mkdir()
+        (directory / "negative.cfg").write_text("mu = -1\n")
     expected = []
     for argv in SEQUENCE:
         out = subprocess.run([sys.executable, "-m", "unruhkit.cli", *argv], cwd=separate,
@@ -550,12 +559,112 @@ def test_in_process_calls_match_separate_runs(tmp_path, monkeypatch, capsys):
         got = capsys.readouterr()
         assert (code, got.out, got.err) == want
     codes = [code for code, _, _ in expected]
-    assert codes == [EXIT_NUMERIC, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK]
+    assert codes == [EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
+    assert [cli._read(argv) is None for argv in SEQUENCE] == [False, True, False, True, False, True, False, True]
     files = sorted(path.name for path in separate.iterdir())
-    assert files == ["a.csv", "b.json", "p.json"]
+    assert files == ["a.csv", "abbreviated.json", "b.json", "config.json", "negative.cfg", "negative.json", "p.json"]
+    assert json.loads((separate / "config.json").read_text())["spec"]["mu"] == -1.0
     assert sorted(path.name for path in together.iterdir()) == files
     for name in files:
         assert (together / name).read_bytes() == (separate / name).read_bytes()
+
+
+def argparse_namespace(argv):
+    """argparse's namespace for ``argv``, or None where it exits (help or a usage error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli._build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def fields(namespace) -> dict:
+    """Each attribute's repr: NaN equals NaN, and -0.0 differs from 0.0 and 1 from 1.0."""
+    return {name: repr(value) for name, value in vars(namespace).items()}
+
+
+#: odd values: negatives, empties, "--", flags, text, and texts that only some types take
+EDGE_VALUES = st.sampled_from(["", "--", "-", "-1", "-1e2", "-inf", "-h", "--help", "--lam", "abc", "1e3",
+                               "nan", "1,x", " 2"])
+
+
+def typed_values(action) -> st.SearchStrategy[str]:
+    """Texts that a flag's type and choices take, negatives included."""
+    if action.choices is not None:
+        return st.sampled_from([str(choice) for choice in action.choices])
+    if action.type is float:
+        return st.floats().map(repr)
+    if action.type is int:
+        return st.integers(-10, 10**6).map(str)
+    if action.type is str:
+        return st.text(alphabet="ab./-= ", max_size=6)
+    return st.lists(st.floats(0.0, 1.0), max_size=3).map(lambda qs: ",".join(map(repr, qs)))  # --q
+
+
+@st.composite
+def flag_tokens(draw, stores: dict, clean: bool):
+    """(tokens, plain) of one flag of ``stores``: clean ones take a typed value as --flag=value or
+    --flag value, others any value in any form; plain when the reader must read them."""
+    option = draw(st.sampled_from(sorted(stores)))
+    typed = clean or draw(st.booleans())
+    value = draw(typed_values(stores[option]) if typed else EDGE_VALUES)
+    form = draw(st.sampled_from(["split", "equals"] if clean else
+                                ["split", "equals", "abbreviated", "missing", "help"]))
+    if form == "abbreviated":  # down to "--", which ends argparse's flags
+        return [option[:draw(st.integers(2, len(option) - 1))], value], False
+    if form == "help":
+        return [draw(st.sampled_from(["-h", "--help"]))], False
+    tokens = {"split": [option, value], "equals": [f"{option}={value}"], "missing": [option]}[form]
+    return tokens, typed and value != "--" and (form == "equals" or form == "split" and value[:1] != "-")
+
+
+@st.composite
+def flag_argvs(draw):
+    """(argv, plain): a subcommand and a random run of its flags, in any order and with repeats, with
+    up to two odd ones among them; plain when every token is an exact flag with a typed value, given
+    as --flag=value or, when it does not start with "-", as --flag value."""
+    command = draw(st.sampled_from(sorted(cli._build_parser().commands)))
+    stores = cli._build_parser().commands[command].stores
+    flags = draw(st.lists(flag_tokens(stores, clean=True), max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        flags.insert(draw(st.integers(0, len(flags))), draw(flag_tokens(stores, clean=False)))
+    return [command, *[token for tokens, _ in flags for token in tokens]], all(plain for _, plain in flags)
+
+
+@settings(max_examples=500, deadline=None)
+@given(flag_argvs())
+@example((["boson", "--out=--"], False))
+@example((["boson", "--q=--", "--steps", "5"], False))
+@example((["boson", "--format=yaml"], False))
+@example((["packet", "--epsilon=2"], False))
+@example((["packet", "--lam", "1", "--lam", "2", "--mu=-3"], True))
+@example((["packet", "--mu", "-1e2"], False))
+@example((["packet", "--mu", "-h"], False))
+@example((["packet", "--family", "--lam"], False))
+@example((["packet", "--la", "1"], False))
+@example((["fermion", "--steps"], False))
+@example((["fermion", "--steps", "1e3"], False))
+@example((["fermion", "--r-max="], False))
+def test_the_flag_reader_agrees_with_argparse(case):
+    argv, plain = case
+    ours, theirs = cli._read(argv), argparse_namespace(argv)
+    if ours is not None:  # whenever the reader reads argv, argparse parses it to the same namespace
+        assert theirs is not None and fields(ours) == fields(theirs)
+    if theirs is None:  # whenever argparse exits, the reader left argv to it
+        assert ours is None
+    if plain:  # and the reader reads every argv of exact flags and typed values
+        assert ours is not None
+
+
+def test_the_flag_reader_defers_without_a_subcommand():
+    for argv in ([], ["bogus"], ["-h"], ["--help"], ["--q", "1"], ["--q=1"]):
+        assert cli._read(argv) is None
+
+
+@pytest.mark.parametrize("command", ["boson", "fermion", "packet"])
+def test_the_flag_reader_knows_every_flag_of_the_usage(command):
+    parser = cli._build_parser().commands[command]
+    assert set(re.findall(r"\[(--[a-z0-9-]+)", parser.format_usage())) == set(parser.stores)
 
 
 def capped_run(*argv, limit=1 << 30, cwd=None):

@@ -1,7 +1,10 @@
 """CLI output bytes against golden files in tests/data.
 
 Each sweep file holds what one command wrote with ``--out``; each packet
-case holds its stdout (``.txt``) and its ``--out`` report (``.json``).  An
+case holds its stdout (``.txt``) and its ``--out`` report (``.json``).  The
+argvs that argparse parses or rejects itself (help, usage errors, an
+abbreviated flag, a split negative value) have their exit code, stdout and
+stderr in ``argparse_paths.json``, at ``COLUMNS=80``.  An
 optimisation must leave every byte in place.  A change that moves outputs on
 purpose rewrites the files with ``python tests/test_cli_golden.py``, which
 prints every field it moves (file, row, column, old -> new, and the absolute
@@ -13,6 +16,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -63,6 +67,22 @@ PACKET_CASES = {
                               "--omega-max", "40", "--omega-points", "2000"],
 }
 
+#: argvs that argparse parses or rejects itself, pinned in ARGPARSE_FILE: help, usage errors, an
+#: abbreviated flag and a split negative value (the last two run a packet to stdout)
+ARGPARSE_CASES = {
+    "no_command": [],
+    "help": ["--help"],
+    "bogus_command": ["bogus"],
+    "packet_help": ["packet", "--help"],
+    "boson_h": ["boson", "-h"],
+    "abbreviated_flag": ["packet", "--la", "0.5"],
+    "split_negative": ["packet", "--mu", "-1e2"],
+    "missing_value": ["boson", "--steps"],
+    "bad_choice": ["packet", "--family", "nope"],
+    "bad_type": ["fermion", "--steps", "1e3"],
+}
+ARGPARSE_FILE = "argparse_paths.json"
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes_match_the_golden_file(name, tmp_path, capsys):
@@ -81,6 +101,13 @@ def test_packet_bytes_match_the_golden_files(stem, tmp_path, capsys):
     assert stderr == ""
     assert stdout.encode() == (DATA / f"{stem}.txt").read_bytes()
     assert out.read_bytes() == (DATA / f"{stem}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(ARGPARSE_CASES))
+def test_argparse_path_bytes_match_the_golden_file(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to the terminal width
+    want = json.loads((DATA / ARGPARSE_FILE).read_text())[name]
+    assert argparse_record(ARGPARSE_CASES[name]) == want
 
 
 def fields(name: str, data: bytes) -> dict:
@@ -151,6 +178,14 @@ def run(argv: list[str], suffix: str) -> tuple[int, bytes, bytes]:
         return status, stdout.getvalue().encode(), out.read_bytes()
 
 
+def argparse_record(argv: list[str]) -> dict:
+    """The argv, exit code, stdout and stderr of one CLI call without ``--out``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        status = main(argv)
+    return {"argv": argv, "status": status, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+
+
 if __name__ == "__main__":
     for name, (argv, _, status) in CASES.items():
         code, _, data = run(argv, Path(name).suffix)
@@ -163,3 +198,6 @@ if __name__ == "__main__":
             sys.exit(f"{stem}: the command failed")
         rewrite(f"{stem}.json", data)
         rewrite(f"{stem}.txt", stdout)
+    os.environ["COLUMNS"] = "80"
+    records = {name: argparse_record(argv) for name, argv in ARGPARSE_CASES.items()}
+    rewrite(ARGPARSE_FILE, (json.dumps(records, indent=2) + "\n").encode())

@@ -162,3 +162,14 @@ def test_every_workload_passes_its_checker(tmp_path):
             assert len(ops) == call.ops
             unexpected = [op for op in ops if not op.ok and not op.known]
             assert not unexpected, (name, call.argv, unexpected[0].detail)
+
+
+def test_the_flag_reader_reads_every_workload_argv(tmp_path):
+    # the benchmark's traffic is well-formed exact flags: none of it reaches argparse
+    workloads = load("workloads")
+    argvs = [list(call.argv) for name in workloads.WORKLOADS for seed in (1, 2, 3)
+             for call in workloads.build(name, seed, tmp_path)]
+    assert len(argvs) == 75
+    for argv in argvs:
+        args = cli._read(argv)
+        assert args is not None and vars(args) == vars(cli._build_parser().parse_args(argv))

@@ -29,9 +29,35 @@ from unruhkit.wavepacket import (
     _inverse_transform,
     _k0e,
     _root_order,
+    _roots_fft,
     _smooth_size,
     _step,
 )
+
+
+def add_at_fold(big, *rows):
+    """The spectrum of ``_roots_fft`` with each v_k added at -s k mod N by ``np.add.at``, in the order of k."""
+    folded = np.zeros(big, dtype=complex)
+    for v, sign in rows:
+        np.add.at(folded, -sign * np.arange(v.size) % big, v)
+    return np.fft.fft(folded)
+
+
+@settings(max_examples=200, deadline=None)
+@given(big=st.integers(1, 40), sizes=st.lists(st.integers(1, 200), min_size=1, max_size=3),
+       signs=st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=3), seed=st.integers(0, 2**32 - 1))
+@example(big=29, sizes=[112, 43], signs=[-1, 1, 1], seed=1)  # four rows of N, where a reshaped sum reorders
+@example(big=1280, sizes=[321, 321], signs=[-1, 1, 1], seed=2)  # a packet's inverse transform, no wrap
+def test_roots_fft_folds_bit_for_bit_as_add_at(big, sizes, signs, seed):
+    # slice adds, a row of N at a time in the order of k, add each index's terms in add.at's order,
+    # signed zeros included
+    rng = np.random.default_rng(seed)
+    rows = []
+    for size, sign in zip(sizes, signs):
+        v = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size) + 1j * rng.standard_normal(size)
+        v[rng.random(size) < 0.2] = complex(-0.0, -0.0)
+        rows.append((v, sign))
+    assert _roots_fft(big, *rows).tobytes() == add_at_fold(big, *rows).tobytes()
 
 
 def direct_sum(v, t, w, sign):
