@@ -81,6 +81,11 @@ class _Parser(argparse.ArgumentParser):
             self.stores.update(dict.fromkeys(action.option_strings, action))
         return action
 
+    def _get_values(self, action, arg_strings):
+        if arg_strings == ["--"]:  # --flag=--: argparse drops the "--" and stores [] untyped; it has no value
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 def _read_config(args) -> list[str]:
     """The ``--config`` file as ``--key=value`` tokens; a key must name a flag of the subcommand."""

@@ -126,19 +126,18 @@ def _hold(obj, mismatch: str, grid: str, *values: str) -> None:
     object.__setattr__(obj, grid, held)
 
 
-def _squares(lever: float, *arrays: np.ndarray) -> tuple:
-    """(s, |a_1 / s|^2, ...), read-only; s = 1 unless a sum of the squares of finite values,
-    each times at most ``lever`` (a step times a moment's arm), could overflow.
+def _squares(*arrays: np.ndarray) -> tuple:
+    """(s, |a_1 / s|^2, ...), read-only: s = 2^(e-1) with the largest |a| in [2^(e-1), 2^e), else 1.
 
-    Then s is the power of two 2^(e-1) with every |a| < 2^e, exact to divide
-    by, so each ratio of sums, mean and spread is that of the exact squares.
+    Dividing by a power of two is exact, so each square lies in [0, 4), and
+    every sum, ratio, mean and spread of them is that of the exact squares,
+    for tiny and huge values alike.  A largest |a| of 0, inf or NaN keeps s = 1.
     """
     squares = [np.abs(a) for a in arrays]
     top = max(float(sq.max()) for sq in squares)
-    big = top * top * squares[0].size * lever == math.inf
-    scale = 2.0 ** (math.frexp(top)[1] - 1) if math.isfinite(top) and big else 1.0
+    scale = 2.0 ** (math.frexp(top)[1] - 1) if 0.0 < top < math.inf else 1.0
     for sq in squares:
-        sq /= scale  # exact, and by 1 a no-op
+        sq /= scale
         sq **= 2
         sq.setflags(write=False)
     return scale, *squares
@@ -179,10 +178,8 @@ class MinkowskiSmearing:
 
     @cached_property
     def _density(self) -> tuple[float, np.ndarray]:
-        """|F|^2, held once as (s, |F / s|^2) (see ``_squares``) for every norm and moment,
-        whose sums take at most dx times x^2 or the grid's span squared."""
-        arm = max(1.0, abs(float(self.x[0])), abs(float(self.x[-1])), float(self.x[-1]) - float(self.x[0]))
-        return _squares(arm * arm * max(1.0, self.dx), self.weight)
+        """|F|^2, held once as (s, |F / s|^2) (see ``_squares``) for every norm and moment."""
+        return _squares(self.weight)
 
     @property
     def dx(self) -> float:
@@ -205,8 +202,8 @@ class MinkowskiSmearing:
     def l2_distance(self, other: "MinkowskiSmearing") -> float:
         if other.x.shape != self.x.shape or not _close(other.x, self.x, self.x):
             raise GridError("L2 distance requires identical grids")
-        diff = self.weight - other.weight
-        return float(math.sqrt(np.sum(np.abs(diff) ** 2) * self.dx))
+        scale, density = _squares(self.weight - other.weight)
+        return math.sqrt(float(np.sum(density)) * self.dx) * scale  # s^2 is an even power of two: exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,10 +228,8 @@ class UnruhSmearingPair:
 
     @cached_property
     def _sector_squares(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """(s, |g_R / s|^2, |g_L / s|^2), held once: see ``_squares``.  The report's sums take
-        at most dOmega times (2 Omega_max)^2."""
-        arm = max(1.0, 2.0 * float(self.omega_grid[-1]))
-        return _squares(arm * arm * max(1.0, _step(self.omega_grid)), self.g_r, self.g_l)
+        """(s, |g_R / s|^2, |g_L / s|^2), held once: see ``_squares``."""
+        return _squares(self.g_r, self.g_l)
 
     @cached_property
     def _densities(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -320,11 +315,11 @@ def _auto_x_grid(weight, center: float, half: float, dx: float, mass) -> tuple[n
         try:  # nor is a count past what numpy can index or allocate
             x = np.linspace(center - half, center + half, math.ceil(2.0 * half / dx) + 1)
             samples = weight(x)
-            values = np.abs(samples) ** 2
+            values = _squares(samples)[1]
         except (OverflowError, ValueError, MemoryError) as exc:
             raise GridError(f"{grid}, more than can be allocated") from exc
         total = float(values.sum())
-        if not math.isfinite(total):  # widening cannot mend an overflow, and each step costs 1.5x the memory
+        if not math.isfinite(total):  # widening cannot mend an inf or NaN, and each step costs 1.5x the memory
             raise GridError(f"the profile is not finite on [{x[0]:.4g}, {x[-1]:.4g}]; "
                             "its parameters leave the floating-point range")
         if total > 0.0:

@@ -667,6 +667,17 @@ def test_the_flag_reader_knows_every_flag_of_the_usage(command):
     assert set(re.findall(r"\[(--[a-z0-9-]+)", parser.format_usage())) == set(parser.stores)
 
 
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, parser in cli._build_parser().commands.items()
+                                           for flag in sorted(parser.stores)])
+def test_a_flag_valued_dashes_is_a_flag_with_no_value(command, flag, tmp_path, monkeypatch, capsys):
+    # argparse drops the "--" of --flag=-- and stored [] without running the type: --lam=-- ended
+    # in a TypeError, --family=-- in a ValueError, --out=-- exited 0 and --format=-- wrote JSON
+    monkeypatch.chdir(tmp_path)
+    runs = [(main([command, "--out", "x.out", last]), *capsys.readouterr()) for last in (f"{flag}=--", flag)]
+    assert runs[0] == runs[1] and runs[0][0] == EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
+
+
 def capped_run(*argv, limit=1 << 30, cwd=None):
     """The CLI on ``argv`` in a child with warnings as errors and ``limit`` bytes of address space.
 

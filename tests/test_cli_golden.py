@@ -4,7 +4,10 @@ Each sweep file holds what one command wrote with ``--out``; each packet
 case holds its stdout (``.txt``) and its ``--out`` report (``.json``).  The
 argvs that argparse parses or rejects itself (help, usage errors, an
 abbreviated flag, a split negative value) have their exit code, stdout and
-stderr in ``argparse_paths.json``, at ``COLUMNS=80``.  An
+stderr in ``argparse_paths.json``, at ``COLUMNS=80``.  Every call of the
+benchmark's four workloads at seed 1 (``perfbench/workloads.py``, loaded by
+path and left unchanged) has a SHA-256 of its exit code, stdout, stderr and
+output file in ``workload_digests.json``.  An
 optimisation must leave every byte in place.  A change that moves outputs on
 purpose rewrites the files with ``python tests/test_cli_golden.py``, which
 prints every field it moves (file, row, column, old -> new, and the absolute
@@ -13,6 +16,8 @@ those fields.
 """
 
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -26,6 +31,7 @@ import pytest
 from unruhkit.cli import EXIT_NUMERIC, EXIT_OK, main
 
 DATA = Path(__file__).resolve().parent / "data"
+WORKLOADS = DATA.parent.parent / "perfbench" / "workloads.py"
 
 SWAP_WARNING = ("unruhkit fermion: some |q_R| < 1/sqrt(2); those rows describe the "
                 "swap-equivalent bipartition\n")
@@ -82,6 +88,7 @@ ARGPARSE_CASES = {
     "bad_type": ["fermion", "--steps", "1e3"],
 }
 ARGPARSE_FILE = "argparse_paths.json"
+DIGESTS_FILE = "workload_digests.json"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -108,6 +115,12 @@ def test_argparse_path_bytes_match_the_golden_file(name, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to the terminal width
     want = json.loads((DATA / ARGPARSE_FILE).read_text())[name]
     assert argparse_record(ARGPARSE_CASES[name]) == want
+
+
+def test_workload_bytes_match_their_digests(tmp_path):
+    want = json.loads((DATA / DIGESTS_FILE).read_text())
+    got = workload_digests(tmp_path)
+    assert [call for call in sorted(want.keys() | got.keys()) if want.get(call) != got.get(call)] == []
 
 
 def fields(name: str, data: bytes) -> dict:
@@ -186,6 +199,25 @@ def argparse_record(argv: list[str]) -> dict:
     return {"argv": argv, "status": status, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
 
 
+def workload_digests(directory: Path) -> dict[str, str]:
+    """"<workload>/<index>" -> SHA-256 of the exit code, stdout, stderr and output file of each call
+    of the four benchmark workloads at seed 1, run in-process with their outputs in ``directory``."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up here
+    spec.loader.exec_module(workloads)
+    digests = {}
+    for name in workloads.WORKLOADS:
+        for i, call in enumerate(workloads.build(name, 1, directory)):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                status = main(list(call.argv))
+            data = call.out.read_bytes() if call.out.exists() else None
+            record = repr((status, stdout.getvalue(), stderr.getvalue(), data)).encode()
+            digests[f"{name}/{i}"] = hashlib.sha256(record).hexdigest()
+    return digests
+
+
 if __name__ == "__main__":
     for name, (argv, _, status) in CASES.items():
         code, _, data = run(argv, Path(name).suffix)
@@ -201,3 +233,5 @@ if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     records = {name: argparse_record(argv) for name, argv in ARGPARSE_CASES.items()}
     rewrite(ARGPARSE_FILE, (json.dumps(records, indent=2) + "\n").encode())
+    with tempfile.TemporaryDirectory() as tmp:
+        rewrite(DIGESTS_FILE, (json.dumps(workload_digests(Path(tmp)), indent=2) + "\n").encode())

@@ -575,33 +575,37 @@ class TestDerivedArrays:
                 held[0] = 0.0
 
     @pytest.mark.parametrize("mu", [8.0, 1.0])
-    @pytest.mark.parametrize("scale", [1e160, 2.0**532])
+    @pytest.mark.parametrize("scale", [1e160, 2.0**532, 1e-160, 1e-200, 2.0**-600])
     @pytest.mark.parametrize("omega_grid", [None, np.linspace(0.0, 30.0, 2000)], ids=["default", "given"])
     def test_a_weight_whose_square_overflows(self, mu, scale, omega_grid):
         # |F|^2 above the float range used to warn of an overflow in square, and
-        # g_from_f then called the finite profile "not finite"
+        # g_from_f then called the finite profile "not finite"; below it, |F|^2
+        # lost bits or underflowed: at 1e-160 the uncertainty product read 0.4965,
+        # under the Fourier bound, and at 1e-200 the profile was "identically zero"
         f = f_log_gaussian(LogGaussianParams(1.0, mu))
         big = MinkowskiSmearing(f.x, f.weight * scale)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert big.norm_squared() == math.inf
             pair, big_pair = g_from_f(f, omega_grid=omega_grid), g_from_f(big, omega_grid=omega_grid)
             report, big_report = peaking_report_from_pair(f, pair), peaking_report_from_pair(big, big_pair)
-            assert big_pair.norm_squared() == math.inf
+            norms = big.norm_squared(), big_pair.norm_squared()
+        assert norms == (math.inf, math.inf) if scale > 1.0 else max(norms) < 1e-300
         assert np.array_equal(big_pair.omega_grid, pair.omega_grid)
         assert big_report.peak_omega == report.peak_omega and big_report.sma_valid == report.sma_valid
-        if scale == 2.0**532:  # scaling by a power of two moves no bit of the transform
+        if math.frexp(scale)[0] == 0.5:  # scaling by a power of two moves no bit of the transform
             assert big_report == report
         # the leakage of mu = 8, 8e-28, is the transform's rounding floor, which the
-        # samples scaled by 1e160, each rounded anew, move by up to 1e-3 of itself
+        # samples scaled by a decimal power, each rounded anew, move by up to 1e-3 of itself
         for name in ("delta_omega", "delta_log_omega", "uncertainty_product", "leakage"):
             assert getattr(big_report, name) == pytest.approx(getattr(report, name), rel=1e-12,
                                                               abs=1e-24 if name == "leakage" else 0.0)
 
-    @pytest.mark.parametrize("scale", [1e153, 2.0**508])
+    @pytest.mark.parametrize("scale", [1e153, 2.0**508, 1e-160, 1e-200, 2.0**-600])
     def test_squares_that_fit_a_plain_sum_but_not_its_moments(self, scale):
         # |a|^2 summed fits the float range on these coarse grids, but dOmega and
-        # Omega^2 (or dx and x^2) times it do not: the spreads came out NaN
+        # Omega^2 (or dx and x^2) times it do not: the spreads came out NaN.  Below
+        # the range |a|^2 lost bits or underflowed: the leakage, 1/17, read 0.058763
+        # at 1e-160, and at 1e-200 the pair had "zero norm"
         x = np.linspace(-700.0, 700.0, 64)
         grid = np.linspace(0.0, 1000.0, 64)
         weight, shape = np.exp(-((x - 100.0) / 300.0) ** 2), np.exp(-((grid - 300.0) / 200.0) ** 2)
@@ -611,11 +615,26 @@ class TestDerivedArrays:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report, big_report = peaking_report_from_pair(f, pair), peaking_report_from_pair(big_f, big_pair)
-            assert big_f.norm_squared() == big_pair.norm_squared() == math.inf
-        if scale == 2.0**508:
+            norms = big_f.norm_squared(), big_pair.norm_squared()
+        assert norms == (math.inf, math.inf) if scale > 1.0 else max(norms) < 1e-300
+        assert report.leakage == pytest.approx(1.0 / 17.0, rel=1e-15)
+        if math.frexp(scale)[0] == 0.5:
             assert big_report == report
         for name in ("delta_omega", "delta_log_omega", "uncertainty_product", "leakage"):
             assert getattr(big_report, name) == pytest.approx(getattr(report, name), rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e160, 2.0**532, 1e-200, 2.0**-600])
+    def test_l2_distance_of_weights_whose_squares_leave_the_float_range(self, scale):
+        # the squared difference warned of an overflow in square at 1e160 and
+        # underflowed to a distance of 0 at 1e-200
+        f = f_log_gaussian(LogGaussianParams(1.0, 8.0))
+        g = f_log_gaussian(LogGaussianParams(1.0, 8.5), x_grid=f.x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            distance = MinkowskiSmearing(f.x, f.weight * scale).l2_distance(MinkowskiSmearing(g.x, g.weight * scale))
+        if math.frexp(scale)[0] == 0.5:
+            assert distance == f.l2_distance(g) * scale
+        assert distance == pytest.approx(f.l2_distance(g) * scale, rel=1e-12, abs=0.0)
 
 
 class TestMassive:
