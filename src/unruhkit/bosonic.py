@@ -54,7 +54,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .qops import NEGATIVITY_CUTOFF, DensityOperator, FockKet, TensorSpace, negativity, reduced_density
+from .qops import (NEGATIVITY_CUTOFF, DensityOperator, FockKet, TensorSpace, floor_amplitudes, negativity,
+                   reduced_density)
 from .weights import UnruhWeights
 
 N_MAX_CAP = 120
@@ -355,6 +356,7 @@ def _principal_block(
     state is that block over ``weight``.
     """
     ket = joint_state(r, weights, n_max + 1)
+    ket = FockKet(ket.space, floor_amplitudes(ket.amplitudes))
     keep = np.add.outer(np.arange(ALICE_DIM) * (n_max + 2), np.arange(n_max + 1)).ravel()
     block = reduced_density(ket, (ALICE, wedge)).matrix[np.ix_(keep, keep)]
     weight = float(np.trace(block).real)

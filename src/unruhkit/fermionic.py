@@ -30,15 +30,6 @@ at one r.  The oracle builds the grid's joint states as one (steps, 32)
 table from its own cos r and sin r, reduces and partially transposes each
 row through ``qops`` into one (steps, 2, 8, 8) stack, and solves that in
 one call.
-
-Below r = sqrt(eps) ~ 1.5e-8, where sin^2 r < eps, the 8x8 route flushes
-each row's joint-state amplitudes below eps times its largest to 0.
-Without the flush, tiny r (about 1e-300 to 1e-40) gives partial-transpose
-entries whose squares underflow, and LAPACK's Hermitian eigensolvers then
-lose up to ~3e-3 (every driver, real or complex).  The flush perturbs the
-state by O(eps), so by Weyl's inequality the eigenvalues move by O(eps)
-too.  A tiny weight at larger r needs no flush: |q| in [1e-300, 1e-8]
-agrees to 3e-16.
 """
 
 from __future__ import annotations
@@ -55,6 +46,7 @@ from .qops import (
     FockKet,
     NEGATIVITY_CUTOFF,
     TensorSpace,
+    floor_amplitudes,
     hermitian_eigenvalues,
     reduced_density,
 )
@@ -67,9 +59,6 @@ R_MAX = math.pi / 4
 R_MAX_TOL = 1e-12
 METHOD_TOL = 1e-10
 EPS = sys.float_info.epsilon
-#: below r = sqrt(FLUSH), the 8x8 route zeroes each row's amplitudes below this fraction of its largest
-FLUSH = EPS
-_FLUSH_R = math.sqrt(FLUSH)
 #: below this |q_R| the Alice-Rob / Alice-AntiRob roles are exchanged
 SWAP_POINT = 1.0 / math.sqrt(2.0)
 
@@ -134,15 +123,8 @@ def _amplitude_table(r_list: list[float], q_r: complex, q_l: complex) -> np.ndar
 
 
 def _joint_table(r_list: list[float], weights: UnruhWeights) -> np.ndarray:
-    """(|0>_M |vacuum> + |1>_M |one-particle>)/sqrt(2), shape (len(r_list), 32).
-
-    Tiny-r rows are flushed (module docstring).
-    """
-    amp = _amplitude_table(r_list, weights.q_r, weights.q_l) / math.sqrt(2.0)
-    tiny = np.array([0.0 < v < _FLUSH_R for v in r_list], dtype=bool)
-    size = np.abs(amp[tiny])
-    amp[tiny] = np.where(size < FLUSH * size.max(axis=1, keepdims=True), 0.0, amp[tiny])
-    return amp
+    """(|0>_M |vacuum> + |1>_M |one-particle>)/sqrt(2), shape (len(r_list), 32), each row floored."""
+    return floor_amplitudes(_amplitude_table(r_list, weights.q_r, weights.q_l) / math.sqrt(2.0))
 
 
 def pt_blocks(r, weights: UnruhWeights) -> np.ndarray:

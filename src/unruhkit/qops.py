@@ -98,6 +98,18 @@ class NegativityValue(NamedTuple):
     value: float
 
 
+def floor_amplitudes(amplitudes: np.ndarray) -> np.ndarray:
+    """The amplitudes with each entry below eps times the largest of its row (last axis) set to 0.
+
+    Amplitudes that span more than half the float range's exponents give reductions whose entries'
+    squares underflow, and LAPACK's Hermitian eigensolvers then lose up to ~3e-3 (fermions at
+    r ~ 1e-300 to 1e-40, bosons near r ~ 1e-80 and 1e-72).  The floor moves the state by O(eps),
+    so by Weyl's inequality each eigenvalue moves by O(eps) too.  Both general routes apply it.
+    """
+    size = np.abs(amplitudes)
+    return np.where(size < np.finfo(float).eps * size.max(axis=-1, keepdims=True), 0.0, amplitudes)
+
+
 def reduced_density(ket: FockKet, keep: Iterable[str]) -> DensityOperator:
     """Partial trace of the pure-state projector |psi><psi| onto the factors in ``keep``.
 

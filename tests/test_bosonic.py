@@ -1120,6 +1120,11 @@ class TestPrincipalBlockBracket:
     phase_l=st.floats(-math.pi, math.pi),
     n_max=st.integers(1, 125),
 )
+# r where squares of the oracle's entries underflow; without its amplitude floor it read up to 9.6e-6 off
+@example(q_abs=0.875, r=1e-72, phase_r=0.0, phase_l=0.0, n_max=16)
+@example(q_abs=0.875, r=3.04e-72, phase_r=0.0, phase_l=0.0, n_max=16)
+@example(q_abs=0.75, r=3.04e-72, phase_r=0.0, phase_l=0.0, n_max=16)
+@example(q_abs=0.875, r=1e-80, phase_r=0.0, phase_l=0.0, n_max=16)
 def test_sector_engine_matches_qops_route(q_abs, r, phase_r, phase_l, n_max):
     weights = UnruhWeights(
         q_abs * np.exp(1j * phase_r), math.sqrt(1.0 - q_abs * q_abs) * np.exp(1j * phase_l)
@@ -1134,6 +1139,17 @@ def test_sector_engine_matches_qops_route(q_abs, r, phase_r, phase_l, n_max):
     assert abs(mirror[1] - oracle[0]) <= 1e-12
     for value in fast:
         assert 0.0 <= value <= 0.5
+
+
+@pytest.mark.parametrize("e", [-320, -100] + list(range(-81, -69)) + [-60, -8, 0])
+def test_qops_route_agrees_down_to_the_float_floor(e):
+    # r = 10^e down to the subnormals, where squares of the oracle's entries underflow
+    r = float(f"1e{e}")
+    for q_abs in (0.3, 0.6, 0.75, 0.875, 0.95):
+        weights = UnruhWeights.from_abs(q_abs)
+        for n_max in (4, 16, 60):
+            fast, oracle = _dense_pair(r, weights, n_max), _qops_pair(r, weights, n_max)
+            assert max(abs(fast[0] - oracle[0]), abs(fast[1] - oracle[1])) <= 1e-12, (q_abs, n_max)
 
 
 @settings(max_examples=30, deadline=None)

@@ -206,7 +206,7 @@ class TestFermionCommand:
             assert float(row["n_ar"]) == pytest.approx(float(row["n_aar"]), abs=1e-9)
 
     def test_tiny_squeezing_rows_pass_the_method_check(self, tmp_path, capsys):
-        # the 8x8 route lost ~1e-5 here before its tiny amplitudes were flushed
+        # the 8x8 route lost ~1e-5 here before its tiny amplitudes were floored to zero
         out = tmp_path / "f.csv"
         code = main(["fermion", "--q", "0.75", "--r-min", "1e-80", "--r-max", "2e-80", "--steps", "2",
                      "--out", str(out)])

@@ -42,7 +42,7 @@ CASES = {
     "fermion.csv": (["fermion", "--q", "1,0.8,0.5", "--steps", "40"], SWAP_WARNING, EXIT_OK),
     "fermion.json": (["fermion", "--q", "1,0.8,0.5", "--steps", "40", "--format", "json"], SWAP_WARNING,
                      EXIT_OK),
-    # the 8x8 route flushes tiny joint-state amplitudes here
+    # the 8x8 route floors tiny joint-state amplitudes to zero here
     "fermion_tiny_r.csv": (["fermion", "--q", "0.75,0.9", "--r-min", "1e-80", "--r-max", "2e-80",
                             "--steps", "5"], "", EXIT_OK),
     # dense parity-sector route, truncation levels 1 to the cap

@@ -16,6 +16,7 @@ from unruhkit.errors import MethodDisagreementError
 from unruhkit.fermionic import (
     JOINT_SPACE,
     EPS,
+    METHOD_TOL,
     R_MAX,
     R_MAX_TOL,
     SWAP_POINT,
@@ -486,7 +487,7 @@ def test_curve_rows_equal_the_scalar_blocks_pairs(q_abs, grid):
         assert (row.r, row.n_ar, row.n_aar, row.bound) == (r, pair.n_ar, pair.n_aar, pair.bound)
 
 
-#: r = 0, the top of the range, and tiny r, where the flush acts
+#: r = 0, the top of the range, and tiny r, where the floor zeroes every amplitude with a factor sin r
 EDGE_GRID = [0.0, R_MAX, 1e-300, 6.3481234552695825e-80]
 
 
@@ -532,22 +533,24 @@ def test_scalar_full_pair_is_the_curve_row(q_abs, phase):
 @pytest.mark.parametrize("q_abs, phase", [(0.75, 0.0), (0.9, 0.0), (0.3, 0.0), (0.75, 0.7)])
 def test_tiny_squeezing_routes_agree(q_abs, phase):
     # below r ~ 1e-40 squares of the 8x8 partial-transpose entries underflow, and without
-    # the flush of tiny joint-state amplitudes the 8x8 eigensolve lost up to ~3e-3
+    # the floor on joint-state amplitudes the 8x8 eigensolve lost up to ~3e-3
     weights = UnruhWeights.from_abs(q_abs, phase)
     worst = max(method_agreement_residual(r, weights) for r in np.geomspace(1e-300, 1e-40, 1001).tolist())
     assert worst <= 1e-10
 
 
-def test_tiny_weights_need_no_flush():
-    # the flush acts only at tiny r; a tiny weight at larger r gives no underflow trouble
+def test_tiny_weights_agree_under_the_floor():
+    # the floor acts at every r: below |q| ~ eps it zeroes a weight's amplitudes, which moves
+    # the 8x8 pair by O(eps), and above it leaves them alone
     for q in np.geomspace(1e-300, 1e-8, 40).tolist():
         for weights in (UnruhWeights.from_abs(q), UnruhWeights(1.0, q)):
             for r in (1e-3, 0.3, 0.7):
-                assert method_agreement_residual(r, weights) <= 1e-10
+                assert method_agreement_residual(r, weights) <= METHOD_TOL
 
 
-def test_flush_leaves_ordinary_joint_states_alone():
-    # r = 0, r >= sqrt(eps) and tiny weights keep every amplitude, with its bits
+def test_floor_leaves_ordinary_joint_states_alone():
+    # r = 0, r >= sqrt(eps) and small weights have no amplitude below eps times the largest,
+    # so they keep every amplitude, with its bits
     for r, q_abs, phase in ((0.0, 0.8, 0.0), (1.5e-8, 0.9, 0.0), (0.3, 0.8, 0.7), (R_MAX, 1e-9, 0.0),
                             (0.0, 1e-9, 0.3)):
         r, weights = point(r, q_abs, phase)
@@ -557,14 +560,18 @@ def test_flush_leaves_ordinary_joint_states_alone():
         assert joint_ket(r, weights).amplitudes.tobytes() == amp.tobytes()
 
 
-def test_flush_zeroes_only_amplitudes_below_eps_times_the_largest():
-    r, weights = point(1e-80, 0.75)
+@pytest.mark.parametrize("r, weights, zeroed", [
+    (1e-80, UnruhWeights.from_abs(0.75), 5),  # every nonzero amplitude with a factor sin r
+    (0.3, UnruhWeights(1.0, 1e-300), 2),  # both amplitudes with a factor q_L, at an ordinary r
+])
+def test_floor_zeroes_only_amplitudes_below_eps_times_the_largest(r, weights, zeroed):
     amp = joint_ket(r, weights).amplitudes
     exact = np.concatenate([vacuum(r), one_particle(r, weights)]) / math.sqrt(2.0)
     size = np.abs(exact)
-    tiny = (size > 0.0) & (size < fermionic.FLUSH * size.max())
-    assert tiny.sum() == 5  # every nonzero amplitude with a factor sin r
+    tiny = (size > 0.0) & (size < EPS * size.max())
+    assert tiny.sum() == zeroed
     assert np.array_equal(amp, np.where(tiny, 0.0, exact))
+    assert method_agreement_residual(r, weights) <= METHOD_TOL
 
 
 def per_row_amplitudes(r, weights):
@@ -580,14 +587,16 @@ def per_row_amplitudes(r, weights):
     one[occupation_index(1, 1, 0, 1)] += weights.q_l * s
     one[occupation_index(0, 0, 0, 1)] += weights.q_l * c
     joint = np.concatenate([vac / math.sqrt(2.0), one / math.sqrt(2.0)])
-    if 0.0 < r < math.sqrt(fermionic.FLUSH):
-        size = np.abs(joint)
-        joint[size < fermionic.FLUSH * size.max()] = 0.0
+    size = np.abs(joint)
+    joint[size < EPS * size.max()] = 0.0
     return vac, one, joint
 
 
-#: r = 0, pi/4, the flush range and its edge (sqrt(eps) ~ 1.49e-8), and an ordinary value
-TABLE_R = [0.0, R_MAX, 1e-300, 5e-324, 1.4e-8, 1.6e-8, 0.3]
+#: r = 0, pi/4, tiny r, values near and 2 ulp either side of sqrt(eps) ~ 1.49e-8, where
+#: sin^2 r crosses eps, and an ordinary value
+SQRT_EPS = math.sqrt(EPS)
+TABLE_R = [0.0, R_MAX, 1e-300, 5e-324, 1.4e-8, 1.6e-8, 0.3,
+           math.nextafter(math.nextafter(SQRT_EPS, 0.0), 0.0), math.nextafter(math.nextafter(SQRT_EPS, 1.0), 1.0)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -615,7 +624,7 @@ def test_joint_table_rows_equal_the_per_row_build(q_abs, phase, grid):
         assert np.array_equal(one_particle(r, weights).view(np.uint64), one.view(np.uint64))
 
 
-#: r = 0, the flush range, sqrt(eps), a small r where the closed form needs both Newton steps,
+#: r = 0, tiny r, sqrt(eps), a small r where the closed form needs both Newton steps,
 #: pi/4 and the rounding slack past it
 HARD_R = [0.0, 1e-300, 1e-80, 1e-20, math.sqrt(EPS) / 2, math.sqrt(EPS), 5e-4, R_MAX, R_MAX + R_MAX_TOL]
 Q_ABS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, SWAP_POINT, 1.0]))
