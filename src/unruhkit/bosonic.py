@@ -16,12 +16,11 @@ Two evaluation routes are provided:
   ?sbevd solve of each leading (n_max+1)-level block gives a lower bound,
   and on the minor side a sector that the banded Cholesky routine ?pbtrf
   factors adds exactly 0 unsolved.  A closed form bounds what the cut
-  leaves out (``_bracket_widths``).  A point is converged when each width
-  is at most DELTA_TOL * max(N, 0.1), so an exact 0 is certified to 1e-7.
-  That floor also picks n_max: the first level of the ladder 1, 2, 4, ...,
-  N_MAX_CAP at which both widths meet 0.1 DELTA_TOL, or the cap, found by
-  bisection since both widths fall strictly with n; past r = 19.06
-  (tanh r = 1) the route reports 0 unconverged unevaluated.  A curve builds
+  leaves out (``_bracket_widths``): each value N has the ends N and N +
+  width.  n_max is the first level of the ladder 1, 2, 4, ..., N_MAX_CAP
+  at which both widths meet 0.1 DELTA_TOL, or the cap, found by bisection
+  since both widths fall strictly with n; past r = 19.06 (tanh r = 1) a
+  row is 0 unevaluated, with ends 0 and inf.  A curve builds
   both sides' bands once per memory chunk, at its top n_max, and solves
   each row at its own; a point is a curve of one.  The labelled-tensor
   route (``qops``) on the raw ``joint_state``, ``_qops_pair``, is the
@@ -33,7 +32,7 @@ Two evaluation routes are provided:
   space: a pairwise sum of at most 4096 terms plus an Euler-Maclaurin
   integral tail, which has no panels once the head reaches e^-60, O(1)
   work at any squeezing, with a bound on the error (from the convexity of
-  the terms) that is checked relative to the value.
+  the terms) that sets the ends either side of the value.
 
 Every function takes the squeezing r (``squeezing_from_acceleration``
 gives it from Omega_a and a) and the ``UnruhWeights``;
@@ -41,7 +40,8 @@ gives it from Omega_a and a) and the ``UnruhWeights``;
 options: an extremal weight (the smaller of |q_R|, |q_L| at most
 ``EXTREMAL_TOL``) goes to the series and every other weight to the dense
 engine.  The test suite calls both engines on their common domain and pins
-their agreement.
+their agreement.  Every row carries the ends it certifies for N_AR and
+N_AAR, and one rule over them decides ``converged`` (``_pair``).
 """
 
 from __future__ import annotations
@@ -143,22 +143,20 @@ def joint_state(r: float, weights: UnruhWeights, n_max: int) -> FockKet:
 
 
 class ConvergenceReport(NamedTuple):
-    """How a negativity pair was obtained and how well it converged.
+    """How a negativity pair was obtained, and the ends it certifies.
 
-    For the dense method ``n_max_used`` is the level the widths picked (see
-    ``_dense_pairs``), ``tail_weight`` the squeezed-vacuum weight
-    tanh^{2(n_max_used+1)} r past it, each negativity the lower end of a
-    certified bracket and its delta the bracket's width, so the exact value
-    lies in [N, N + delta].  For the block series ``n_max_used`` is the
-    number of terms summed directly, ``tail_weight`` the bound on the error
-    of the value and the deltas the integral tail added beyond them.
+    The exact N_AR lies in [lo[0], hi[0]] and N_AAR in [lo[1], hi[1]];
+    ``tail_weight`` is the farthest a value lies from its ends, and
+    ``converged`` is the one rule of ``_pair``.  ``n_max_used`` is the level
+    the dense widths picked (see ``_dense_pairs``), or the number of terms
+    the block series summed directly.
     """
 
     method: str
     n_max_used: int
     tail_weight: float
-    delta_ar: float
-    delta_aar: float
+    lo: tuple[float, float]
+    hi: tuple[float, float]
     converged: bool
 
 
@@ -166,6 +164,21 @@ class NegativityPair(NamedTuple):
     n_ar: float
     n_aar: float
     report: ConvergenceReport
+
+
+def _pair(ar: tuple, aar: tuple, method: str, n_used: int) -> NegativityPair:
+    """The pair of (value, lo, hi) triples, judged by the one convergence rule.
+
+    Each value's farther end must lie within DELTA_TOL max(value, floor):
+    the floor is 0.1 on the dense route, so an exact 0 is certified to 1e-7,
+    and 1e-15 on the block series, whose value may underflow.
+    """
+    (n_ar, lo_ar, hi_ar), (n_aar, lo_aar, hi_aar) = ar, aar
+    floor = 0.1 if method == "dense" else 1e-15
+    far_ar, far_aar = max(n_ar - lo_ar, hi_ar - n_ar), max(n_aar - lo_aar, hi_aar - n_aar)
+    converged = far_ar <= DELTA_TOL * max(n_ar, floor) and far_aar <= DELTA_TOL * max(n_aar, floor)
+    report = ConvergenceReport(method, n_used, max(far_ar, far_aar), (lo_ar, lo_aar), (hi_ar, hi_aar), converged)
+    return NegativityPair(n_ar, n_aar, report)
 
 
 def _sector_bands(r: float | np.ndarray, abs_r: float, abs_l: float, n_max: int) -> np.ndarray:
@@ -316,9 +329,9 @@ def _dense_pairs(r: np.ndarray, weights: UnruhWeights) -> Iterator[NegativityPai
     levels = []
     for x in r.tolist():
         if math.tanh(x) == 1.0:
-            # r > 19.06: the cut keeps no representable share of the state,
-            # and past r ~ 710 cosh r overflows, so no width is formed
-            levels.append((N_MAX_CAP, None))
+            # r > 19.06: the cut keeps no representable share of the state, and
+            # past r ~ 710 cosh r overflows, so no width is formed; it counts as inf
+            levels.append((N_MAX_CAP, (math.inf, math.inf)))
             continue
         lo, hi, widths = 0, len(ladder) - 1, {}
         while lo < hi:  # the cap at hi is taken whatever its widths
@@ -326,17 +339,11 @@ def _dense_pairs(r: np.ndarray, weights: UnruhWeights) -> Iterator[NegativityPai
             widths[mid] = _bracket_widths(x, abs_r, abs_l, ladder[mid])
             lo, hi = (lo, mid) if max(widths[mid]) <= 0.1 * DELTA_TOL else (mid + 1, hi)
         levels.append((ladder[lo], widths.get(lo) or _bracket_widths(x, abs_r, abs_l, ladder[lo])))
-    rows = [i for i, (_, widths) in enumerate(levels) if widths is not None]
+    rows = [i for i, (_, widths) in enumerate(levels) if widths[0] < math.inf]  # the others stay 0
     values = np.zeros((r.size, 2))
     values[rows] = _principal_negativities(r[rows], [levels[i][0] for i in rows], abs_r, abs_l)
-    for x, (n, widths), (n_ar, n_aar) in zip(r.tolist(), levels, values.tolist()):
-        if widths is None:
-            report = ConvergenceReport("dense", n, 1.0, 0.0, 0.0, False)
-        else:
-            # relative, and absolute below 0.1: a certified 0 has width <= 1e-7
-            converged = all(w <= DELTA_TOL * max(v, 0.1) for v, w in zip((n_ar, n_aar), widths))
-            report = ConvergenceReport("dense", n, math.tanh(x) ** (2 * (n + 1)), *widths, converged)
-        yield NegativityPair(n_ar, n_aar, report)
+    for (n, (w_ar, w_aar)), (n_ar, n_aar) in zip(levels, values.tolist()):
+        yield _pair((n_ar, n_ar, n_ar + w_ar), (n_aar, n_aar, n_aar + w_aar), "dense", n)
 
 
 def _dense_pair(r: float, weights: UnruhWeights, n_max: int) -> tuple[float, float]:
@@ -391,7 +398,7 @@ def _panel_edges(n_head: int, k: float) -> np.ndarray:
     return np.concatenate([doubled, run[: np.argmax(k * run >= _SERIES_DECAY) + 1]])
 
 
-def _block_series(r: float) -> tuple[float, float, int, float]:
+def _block_series(r: float) -> tuple[float, float, int]:
     """Negativity series for the q_R = 1 partial transpose, with a certified bound.
 
     The 2x2 sector spanned by {|0, n+1>, |1, n>} has entries, in units of
@@ -422,15 +429,14 @@ def _block_series(r: float) -> tuple[float, float, int, float]:
     length or more left of each panel, so the quadrature error,
     ~(3 + sqrt 8)^-40, is far below it.  Below T = 1e-300 the value is 1/2
     with bound s; past r ~ 353, where 60/k overflows and the value (about
-    0.3 k) is below 1e-306, it is 0 with bound k.
-    Returns (value, bound, N, tail beyond the head).
+    0.3 k) is below 1e-306, it is 0 with bound k.  Returns (value, bound, N).
     """
     t = math.tanh(r)
     if t * t < 1e-300:  # N = 1/2 - s (1 + O(r^2)), where n/s would overflow
-        return 0.5, math.sinh(r) * t, 1, 0.0
+        return 0.5, math.sinh(r) * t, 1
     k = -2.0 * math.log(t) if r < 0.5 else 4.0 * math.atanh(math.exp(-2.0 * r))
     if k * sys.float_info.max < _SERIES_DECAY:  # 60/k overflows; the value is about 0.3 k
-        return 0.0, k, 0, 0.0
+        return 0.0, k, 0
     c, s = math.cosh(r), math.sinh(r) * t
 
     def terms(x):  # h(x) in units of 1/(2 s cosh^3 r)
@@ -453,32 +459,27 @@ def _block_series(r: float) -> tuple[float, float, int, float]:
     tail = nodes_sum + 0.5 * h_n + slope / 12.0
     total = float(np.sum(terms(np.arange(n_head, dtype=float)))) + tail
     # divided one factor at a time, so that no intermediate overflows
-    value, tail, bound = (x / (2.0 * s) / c / c / c for x in (total, tail, slope / 12.0 + h_x / k))
+    value, bound = (x / (2.0 * s) / c / c / c for x in (total, slope / 12.0 + h_x / k))
     bound += (16 + n_head + n_nodes) * sys.float_info.epsilon * value
-    return value, bound, n_head, tail
+    return value, bound, n_head
 
 
 def _pair_blocks(r: float, weights: UnruhWeights) -> NegativityPair:
     # For q_R = 1 the Alice-AntiRob partial transpose splits into 2x2 sectors
     # with positive determinant and trace, so that side is exactly 0; the swap
     # rule maps the q_L = 1 case onto the same pair reversed.
-    value, bound, n_used, tail = _block_series(r)
-    converged = bound <= DELTA_TOL * max(value, 1e-15)  # absolute once the value underflows
-    rob_side = weights.abs_l <= EXTREMAL_TOL
-    n_ar, n_aar = (value, 0.0) if rob_side else (0.0, value)
-    delta_ar, delta_aar = (tail, 0.0) if rob_side else (0.0, tail)
-    report = ConvergenceReport("blocks", n_used, bound, delta_ar, delta_aar, converged)
-    return NegativityPair(n_ar, n_aar, report)
+    value, bound, n_used = _block_series(r)
+    sides = (value, value - bound, value + bound), (0.0, 0.0, 0.0)
+    return _pair(*(sides if weights.abs_l <= EXTREMAL_TOL else sides[::-1]), "blocks", n_used)
 
 
 def bosonic_negativity_pair(r: float, weights: UnruhWeights) -> NegativityPair:
     """Alice-Rob and Alice-AntiRob negativities with a convergence report.
 
-    An extremal weight takes the block series, whose bound is judged
-    relative to the value; any other weight takes the dense engine, whose
-    truncation, found by bisection, is the first level of 1, 2, 4, ...,
-    ``N_MAX_CAP`` with both bracket widths at most 0.1 ``DELTA_TOL``, each
-    width then judged against ``DELTA_TOL`` max(value, 0.1).  An unconverged
+    An extremal weight takes the block series; any other weight takes the
+    dense engine, whose truncation, found by bisection, is the first level
+    of 1, 2, 4, ..., ``N_MAX_CAP`` with both bracket widths at most 0.1
+    ``DELTA_TOL``.  The report carries both values' ends, and an unconverged
     pair is returned with ``report.converged`` false.
     """
     _check_r(r)
@@ -492,8 +493,7 @@ class BosonCurveRow(NamedTuple):
     r: float
     n_ar: float
     n_aar: float
-    n_max_used: int
-    converged: bool
+    report: ConvergenceReport
 
 
 def bosonic_curve(q_abs: float, r_grid) -> list[BosonCurveRow]:
@@ -509,5 +509,4 @@ def bosonic_curve(q_abs: float, r_grid) -> list[BosonCurveRow]:
     else:
         pairs = [bosonic_negativity_pair(x, weights) for x in r.tolist()]
     q_abs = float(q_abs)
-    return [BosonCurveRow(q_abs, x, pair.n_ar, pair.n_aar, pair.report.n_max_used, pair.report.converged)
-            for x, pair in zip(r.tolist(), pairs)]
+    return [BosonCurveRow(q_abs, x, *pair) for x, pair in zip(r.tolist(), pairs)]

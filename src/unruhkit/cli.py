@@ -315,9 +315,8 @@ def _write_table(args, header: Sequence[str], rows: list[list]) -> None:
         # digits, a bool as true/false, anything else (int, str) as str
         first = rows[0] if rows else ()
         template = ",".join("{:.12g}" if isinstance(v, float) else "{}" for v in first)
-        for i in [i for i, v in enumerate(first) if isinstance(v, bool)]:
-            for row in rows:
-                row[i] = _bool(row[i])
+        if any(isinstance(v, bool) for v in first):  # copies of the rows, with the flags as text
+            rows = [[_bool(v) if isinstance(v, bool) else v for v in row] for row in rows]
         text = "\n".join([f"# schema={SCHEMA}", ",".join(header), *starmap(template.format, rows)])
     else:
         cells = [_json_cell(v) for v in rows[0]] if rows else []
@@ -329,11 +328,10 @@ def _write_table(args, header: Sequence[str], rows: list[list]) -> None:
 def cmd_boson(args) -> int:
     header = ("q_abs", "r", "n_ar", "n_aar", "n_max_used", "converged")
     r_grid = _grid(args.steps, args.r_min, args.r_max, "steps")
-    rows = [[row.q_abs, row.r, row.n_ar, row.n_aar, row.n_max_used, row.converged]
+    rows = [[row.q_abs, row.r, row.n_ar, row.n_aar, row.report.n_max_used, row.report.converged]
             for q in args.q for row in bosonic_curve(q, r_grid)]
-    all_converged = all(row[-1] for row in rows)  # before the CSV writer turns the flags into text
     _write_table(args, header, rows)
-    if not all_converged:
+    if not all(row[-1] for row in rows):
         sys.stderr.write("unruhkit boson: some rows did not converge (see 'converged' column)\n")
         return EXIT_NUMERIC
     return EXIT_OK

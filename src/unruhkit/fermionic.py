@@ -22,7 +22,8 @@ trace, e2 and det factor into products free of cancellation
 (``_invariants``), so the route takes that eigenvalue as the smallest root
 of the characteristic cubic (``_lowest_root``), with no eigensolver.  The
 sign of the same cubic across a bracket certifies each root with a bound
-(``_block_bounds``), with no explicit block built.  The oracle is the
+(``_block_bounds``), with no explicit block built; each value's ends are
+that value minus and plus its bound.  The oracle is the
 dense eigensolve of the full 8x8 partial transpose of the traced-out state
 (``_full_negativities``).  A curve checks its grid once and hands plain r
 values to both routes; ``fermionic_negativity_pair`` is the blocks route
@@ -165,8 +166,9 @@ def pt_blocks(r, weights: UnruhWeights) -> np.ndarray:
 class FermionNegativityPair(NamedTuple):
     n_ar: float
     n_aar: float
-    #: bound on |n - exact| of both values, certified from the blocks' invariants (``_block_bounds``)
-    bound: float
+    #: (N_AR, N_AAR) ends, each value -+ its bound certified from the blocks' invariants (``_block_bounds``)
+    lo: tuple[float, float]
+    hi: tuple[float, float]
 
 
 def _negativities(eigs: np.ndarray) -> np.ndarray:
@@ -292,13 +294,12 @@ def _block_bounds(inv: np.ndarray, err: np.ndarray, lam: np.ndarray, half, norm:
 
 
 def _blocks_negativities(r, weights: UnruhWeights) -> tuple[np.ndarray, np.ndarray]:
-    """(N_AR, N_AAR) on the last axis and a certified bound, at one r or at each r of a 1-d grid.
+    """(N_AR, N_AAR) on the last axis and a certified bound on each, at one r or at each r of a 1-d grid.
 
     No eigensolver: each block's one negative eigenvalue comes in closed form
     (``_invariants``, ``_lowest_root``), and the same invariants certify it
-    (``_half_width``, ``_block_bounds``).  A pair's bound is the sum of its
-    blocks' bounds plus the rounding of their sum; a row's is the larger of
-    its two pairs'.
+    (``_half_width``, ``_block_bounds``).  A value's bound is the sum of its
+    blocks' bounds plus the rounding of their sum.
     """
     r = np.asarray(r, dtype=float)
     inv, err = _invariants(r.reshape(-1), weights)
@@ -308,7 +309,7 @@ def _blocks_negativities(r, weights: UnruhWeights) -> tuple[np.ndarray, np.ndarr
     norm = math.hypot(weights.abs_r, weights.abs_l)
     bounds = _block_bounds(inv, err, lam, _half_width(inv, err, lam), norm)
     bounds = bounds[..., 0] + bounds[..., 1] + EPS * pairs
-    return pairs.reshape(r.shape + (2,)), np.maximum(bounds[:, 0], bounds[:, 1]).reshape(r.shape)
+    return pairs.reshape(r.shape + (2,)), bounds.reshape(r.shape + (2,))
 
 
 def _full_negativities(r_list: list[float], weights: UnruhWeights) -> np.ndarray:
@@ -329,10 +330,10 @@ def _full_negativities(r_list: list[float], weights: UnruhWeights) -> np.ndarray
 
 
 def fermionic_negativity_pair(r: float, weights: UnruhWeights) -> FermionNegativityPair:
-    """Negativities of both bipartitions at one r, with their bound: the curve's blocks route at one r."""
+    """Negativities of both bipartitions at one r, with their ends: the curve's blocks route at one r."""
     _check_r(r)
     pair, bound = _blocks_negativities(r, weights)
-    return FermionNegativityPair(*pair.tolist(), float(bound))
+    return FermionNegativityPair(*pair.tolist(), tuple((pair - bound).tolist()), tuple((pair + bound).tolist()))
 
 
 def method_agreement_residual(r: float, weights: UnruhWeights) -> float:
@@ -348,8 +349,9 @@ class FermionCurveRow(NamedTuple):
     n_ar: float
     n_aar: float
     residual: float
-    #: bound on |n - exact| of both values, certified from the blocks' invariants; not printed
-    bound: float
+    #: the ends of ``FermionNegativityPair``; not printed
+    lo: tuple[float, float]
+    hi: tuple[float, float]
     swap_equivalent: bool
 
 
@@ -359,7 +361,7 @@ def fermionic_curve(q_abs: float, r_grid) -> list[FermionCurveRow]:
     The physically distinct range is |q_R| >= 1/sqrt(2); smaller values are
     admitted but flagged ``swap_equivalent`` since they reproduce the
     mirrored bipartition.  The whole grid is checked first; then the blocks
-    route gives every row's pair and bound in closed form, and the 8x8
+    route gives every row's pair and its ends in closed form, and the 8x8
     oracle solves the stack of every row in one eigensolve.  Each row
     carries the blocks-vs-full residual and the sweep aborts if any residual
     exceeds ``METHOD_TOL``.
@@ -376,6 +378,6 @@ def fermionic_curve(q_abs: float, r_grid) -> list[FermionCurveRow]:
                                       f"(q_abs={q_abs}, r={r_list[i]}); tolerance {METHOD_TOL}")
     q_abs = float(q_abs)
     swap_equivalent = q_abs < SWAP_POINT
-    return [FermionCurveRow(q_abs, x, n_ar, n_aar, residual, bound, swap_equivalent)
-            for x, (n_ar, n_aar), residual, bound in zip(r_list, blocks.tolist(), residuals.tolist(),
-                                                         bounds.tolist())]
+    lo, hi = zip(*(blocks - bounds).T.tolist()), zip(*(blocks + bounds).T.tolist())  # (N_AR, N_AAR) per row
+    return [FermionCurveRow(q_abs, x, n_ar, n_aar, residual, low, high, swap_equivalent)
+            for x, n_ar, n_aar, residual, low, high in zip(r_list, *blocks.T.tolist(), residuals.tolist(), lo, hi)]

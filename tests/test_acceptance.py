@@ -149,7 +149,7 @@ def test_criterion_7_bosonic_truncation_convergence():
             pair = next(_dense_pairs(np.array([r]), UnruhWeights.from_abs(q)))
             rep = pair.report
             assert rep.converged, f"not converged at (q={q}, r={r})"
-            worst_delta = max(worst_delta, rep.delta_ar, rep.delta_aar)
+            worst_delta = max(worst_delta, rep.hi[0] - pair.n_ar, rep.hi[1] - pair.n_aar)
     assert worst_delta <= 1e-7
     ok(f"7 (dense truncation convergence, max bracket width={worst_delta:.2e} <= 1e-7)")
 

@@ -190,14 +190,6 @@ class TestVacuumCoefficients:
         assert vacuum_coefficients(0.5, 0).shape == (1,)
         assert np.array_equal(vacuum_coefficients(0.5, np.int64(3)), vacuum_coefficients(0.5, 3))
 
-    def test_tail_weight_matches_brute_force(self):
-        # the dense report's tail weight is the squeezed-vacuum weight past its level
-        r = 0.9
-        rep = bosonic_negativity_pair(*point(r, 0.8)).report
-        n = np.arange(rep.n_max_used + 1, rep.n_max_used + 4000)
-        brute = np.sum(np.tanh(r) ** (2 * n) / math.cosh(r) ** 2)
-        assert abs(rep.tail_weight - brute) < 1e-12 * brute
-
 
 def branches(r, weights, n_max):
     """Vacuum (|0>_M) and excitation (|1>_M) amplitude tables of the raw joint state.
@@ -451,13 +443,19 @@ class TestNegativityPair:
         assert pair.n_ar < 0.01
         assert pair.n_ar > 0.001
 
-    def test_dense_convergence_report(self):
-        pair = bosonic_negativity_pair(*point(1.2, 0.8))
+    @pytest.mark.parametrize("r", [0.9, 1.2])
+    def test_dense_convergence_report(self, r):
+        # each value is its lower end and the bracket width past it gives the
+        # upper one; tail_weight is the farthest a value lies from its ends
+        r, w = point(r, 0.8)
+        pair = bosonic_negativity_pair(r, w)
         rep = pair.report
         assert rep.method == "dense"
         assert rep.converged
-        assert rep.tail_weight < 1e-8
-        assert rep.delta_ar <= 1e-7 and rep.delta_aar <= 1e-7
+        widths = _bracket_widths(r, w.abs_r, w.abs_l, rep.n_max_used)
+        assert rep.lo == (pair.n_ar, pair.n_aar)
+        assert rep.hi == (pair.n_ar + widths[0], pair.n_aar + widths[1])
+        assert rep.tail_weight == max(rep.hi[0] - pair.n_ar, rep.hi[1] - pair.n_aar) <= 1e-7
 
     @pytest.mark.parametrize("r", [400.0, 800.0, 1e4])
     def test_dense_route_at_extreme_squeezing_is_clean_and_unconverged(self, r):
@@ -469,6 +467,7 @@ class TestNegativityPair:
         assert (pair.n_ar, pair.n_aar) == (0.0, 0.0)
         assert pair.report.method == "dense"
         assert not pair.report.converged
+        assert (pair.report.lo, pair.report.hi) == ((0.0, 0.0), (math.inf, math.inf))
 
     def test_phase_invariance(self):
         for r in (0.2, 0.7):
@@ -507,7 +506,7 @@ class TestCurve:
 
     def test_both_columns_decay_for_generic_weights(self):
         rows = bosonic_curve(0.8, [0.0, 0.75, 1.5])
-        assert rows[-1].converged
+        assert rows[-1].report.converged
         assert rows[-1].n_ar < rows[1].n_ar < rows[0].n_ar
         assert rows[-1].n_ar < 0.1
         assert rows[-1].n_aar < rows[0].n_aar
@@ -529,13 +528,13 @@ class TestCurve:
         monkeypatch.setattr(bosonic, "_CHUNK_ELEMENTS", chunk)
         grid = np.append(np.linspace(0.0, 3.0, 25), 25.0)
         rows = bosonic_curve(q_abs, grid)
-        assert {row.n_max_used for row in rows} == {1, 8, 16, 32, 64, 120}
+        assert {row.report.n_max_used for row in rows} == {1, 8, 16, 32, 64, 120}
         for x, row in zip(grid, rows):
             pair = bosonic_negativity_pair(*point(float(x), q_abs))
-            assert (row.r, row.n_ar, row.n_aar) == (float(x), pair.n_ar, pair.n_aar)
-            assert (row.n_max_used, row.converged) == (pair.report.n_max_used, pair.report.converged)
-        # tanh 25 rounds to 1: returned unevaluated
-        assert (rows[-1].n_ar, rows[-1].n_aar, rows[-1].converged) == (0.0, 0.0, False)
+            assert (row.r, row.n_ar, row.n_aar, row.report) == (float(x), pair.n_ar, pair.n_aar, pair.report)
+        # tanh 25 rounds to 1: returned unevaluated, with ends 0 and inf
+        assert (rows[-1].n_ar, rows[-1].n_aar, rows[-1].report.converged) == (0.0, 0.0, False)
+        assert (rows[-1].report.lo, rows[-1].report.hi) == ((0.0, 0.0), (math.inf, math.inf))
 
     def test_long_curve_builds_its_bands_in_chunks(self, monkeypatch):
         # 4000 rows at n = 120 would need 46 MB for both sides' bands at once;
@@ -552,7 +551,7 @@ class TestCurve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(rows) == 4000 and {row.n_max_used for row in rows} == {120}
+        assert len(rows) == 4000 and {row.report.n_max_used for row in rows} == {120}
         assert peak < 10e6
 
     def test_a_curve_builds_its_bands_once_per_chunk(self, monkeypatch):
@@ -574,7 +573,7 @@ class TestCurve:
         monkeypatch.setattr(bosonic, "_sector_bands", bands)
         monkeypatch.setattr(bosonic, "_principal_negativities", engine)
         rows = bosonic_curve(0.4, np.linspace(0.0, 25.0, 150))
-        solved = [row.n_max_used for row in rows if math.tanh(row.r) < 1.0]
+        solved = [row.report.n_max_used for row in rows if math.tanh(row.r) < 1.0]
         assert len(solved) == 114 and engine_calls == [solved]
         step = bosonic._CHUNK_ELEMENTS // (N_MAX_CAP + 1)
         chunks = [solved[i : i + step] for i in range(0, len(solved), step)]
@@ -689,11 +688,12 @@ class TestBlockSeries:
     # the 4096-term cap binds from r ~ 2.81
     @pytest.mark.parametrize("r", [3.5, 4.5, 6.0, 8.0, 10.0])
     def test_bound_covers_long_sum_reference(self, r):
-        value, bound, n_used, _ = _block_series(r)
+        pair = bosonic_negativity_pair(*point(r, 1.0))
+        rep = pair.report
         reference = long_sum_reference(r)
-        assert n_used <= 4096
-        assert abs(value - reference) <= bound
-        assert bound <= 1e-6 * value
+        assert rep.n_max_used <= 4096
+        assert rep.lo[0] <= reference <= rep.hi[0]
+        assert rep.tail_weight <= 1e-6 * pair.n_ar
 
     @given(st.floats(0.5, 25.0))
     @settings(max_examples=200, deadline=None)
@@ -725,7 +725,7 @@ class TestBlockSeries:
     @example(10.0)
     @settings(max_examples=60, deadline=None)
     def test_pairwise_sums_stay_within_the_rounding_term(self, r):
-        value, bound, n_used, _ = _block_series(r)
+        value, bound, n_used = _block_series(r)
         reference, n_head, nodes = fsum_block_series(r)
         rounding = (16 + n_head + nodes) * sys.float_info.epsilon * value
         assert n_used == n_head
@@ -736,7 +736,7 @@ class TestBlockSeries:
             raise AssertionError("math.fsum called by the block series")
 
         monkeypatch.setattr(math, "fsum", fsum)
-        value, bound, n_used, _ = _block_series(7.0)
+        value, bound, n_used = _block_series(7.0)
         assert n_used == 4096 and 0.0 < bound <= 1e-6 * value
 
     @given(st.floats(1e-3, 3.0))
@@ -757,7 +757,7 @@ class TestBlockSeries:
                 with pytest.raises(AssertionError, match="tail panels"):
                     _block_series(r)
                 return
-            value, bound, n_used, _ = _block_series(r)
+            value, bound, n_used = _block_series(r)
         reference, _, nodes = fsum_block_series(r)
         assert nodes == 0 and n_used == n_head
         assert abs(value - reference) <= (16 + n_head) * sys.float_info.epsilon * value <= bound
@@ -784,8 +784,10 @@ class TestBlockSeries:
         right = bosonic_negativity_pair(*point(7.0, 1.0))
         left = bosonic_negativity_pair(*point(7.0, 0.0))
         assert (left.n_ar, left.n_aar) == (right.n_aar, right.n_ar)
-        assert (left.report.delta_ar, left.report.delta_aar) == (
-            right.report.delta_aar, right.report.delta_ar)
+        assert (left.report.lo, left.report.hi) == (right.report.lo[::-1], right.report.hi[::-1])
+        # the series value lies within its bound of both ends; the zero side is exact
+        value, bound, _ = _block_series(7.0)
+        assert right.report.lo == (value - bound, 0.0) and right.report.hi == (value + bound, 0.0)
 
 
 #: the first r whose tanh rounds to 1, and the r one ulp below it
@@ -1030,6 +1032,19 @@ class TestPrincipalBlockBracket:
             assert value <= deep + 1e-14
             assert deep <= value + width + 1e-14
 
+    @settings(max_examples=40, deadline=None)
+    @given(q_abs=st.floats(0.05, 0.95), r=st.lists(st.floats(0.0, 1.6), min_size=1, max_size=6))
+    def test_curve_row_ends_contain_a_deeper_principal_block(self, q_abs, r):
+        # the ends each converged curve row carries hold the block 200 levels
+        # deeper than its own, which lies between the value and the exact one
+        w = UnruhWeights.from_abs(q_abs)
+        for row in bosonic_curve(q_abs, r):
+            rep = row.report
+            if rep.converged:
+                deeper = _dense_pair(row.r, w, rep.n_max_used + 200)
+                for lo, deep, hi in zip(rep.lo, deeper, rep.hi):
+                    assert lo - 1e-14 <= deep <= hi + 1e-14
+
     @pytest.mark.parametrize("q_abs", [0.01, 0.4, 0.9, 0.99])
     def test_level_is_the_first_on_the_ladder_whose_widths_meet_the_floor(self, q_abs):
         # n_max_used is the cap, or the first of 1, 2, 4, ... whose two widths
@@ -1045,9 +1060,10 @@ class TestPrincipalBlockBracket:
             assert all(max(bracket(r, q_abs, m)[1]) > 1e-7 for m in ladder[: ladder.index(n)])
             widths = bracket(r, q_abs, n)[1]
             assert n == N_MAX_CAP or max(widths) <= 1e-7
-            assert (rep.delta_ar, rep.delta_aar) == widths
+            values = (pair.n_ar, pair.n_aar)
+            assert rep.lo == values and rep.hi == tuple(v + w for v, w in zip(values, widths))
             assert rep.converged == all(
-                w <= 1e-6 * max(v, 0.1) for v, w in zip((pair.n_ar, pair.n_aar), widths))
+                hi - v <= 1e-6 * max(v, 0.1) for v, hi in zip(values, rep.hi))
         assert {1, N_MAX_CAP} < levels
 
     @settings(max_examples=60, deadline=None)
@@ -1060,9 +1076,10 @@ class TestPrincipalBlockBracket:
         for x, pair in zip(r, bosonic._dense_pairs(np.array(r), w)):
             rep = pair.report
             if math.tanh(x) == 1.0:
-                assert (rep.n_max_used, rep.delta_ar, rep.delta_aar, rep.converged) == (N_MAX_CAP, 0.0, 0.0, False)
+                assert (rep.n_max_used, rep.hi, rep.converged) == (N_MAX_CAP, (math.inf, math.inf), False)
             else:
-                assert (rep.n_max_used, (rep.delta_ar, rep.delta_aar)) == linear_ladder_level(x, w)
+                n, widths = linear_ladder_level(x, w)
+                assert (rep.n_max_used, rep.hi) == (n, (pair.n_ar + widths[0], pair.n_aar + widths[1]))
 
     def test_tanh_one_examples_straddle_the_threshold(self):
         assert math.tanh(TANH_ONE_BELOW) < 1.0 == math.tanh(TANH_ONE)
@@ -1089,11 +1106,11 @@ class TestPrincipalBlockBracket:
         pair = bosonic_negativity_pair(*point(1.5, 0.9))
         rep = pair.report
         assert rep.converged and pair.n_aar == 0.0
-        assert 0.0 < rep.delta_aar <= 1e-7
+        assert rep.lo[1] == 0.0 < rep.hi[1] <= 1e-7
         # the point sits at the cap, so a tighter floor buys no deeper level:
         # the same 0 is judged against it and fails
         assert rep.n_max_used == N_MAX_CAP
-        monkeypatch.setattr(bosonic, "DELTA_TOL", 0.5 * rep.delta_aar / 0.1)
+        monkeypatch.setattr(bosonic, "DELTA_TOL", 0.5 * rep.hi[1] / 0.1)
         tight = bosonic_negativity_pair(*point(1.5, 0.9))
         assert (tight.n_ar, tight.n_aar) == (pair.n_ar, pair.n_aar)
         assert not tight.report.converged
@@ -1109,7 +1126,7 @@ class TestPrincipalBlockBracket:
         assert rep.n_max_used == N_MAX_CAP
         assert max(counter.eig + [size for size, _ in counter.cholesky]) == N_MAX_CAP + 1
         assert 0.0 <= pair.n_ar <= 0.5 and 0.0 <= pair.n_aar <= 0.5
-        assert math.isfinite(rep.delta_ar) and math.isfinite(rep.delta_aar)
+        assert rep.lo == (pair.n_ar, pair.n_aar) and all(map(math.isfinite, rep.hi))
 
 
 @settings(max_examples=30, deadline=None)

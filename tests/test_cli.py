@@ -783,6 +783,14 @@ def test_csv_special_floats(tmp_path):
     assert out.read_text().splitlines()[2:] == want == ["nan,1,a,true", "inf,-2,b,false", "-inf,0,,true", "-0,3,c,false"]
 
 
+def test_csv_write_leaves_its_rows_unchanged(tmp_path):
+    # the flags become text in the file only, so a caller may read its rows after the write
+    rows = [[0.5, 3, True], [0.25, 4, False]]
+    _write_table(SimpleNamespace(format="csv", out=str(tmp_path / "t.csv")), ["f", "i", "b"], rows)
+    assert rows == [[0.5, 3, True], [0.25, 4, False]]
+    assert (tmp_path / "t.csv").read_text().splitlines()[2:] == ["0.5,3,true", "0.25,4,false"]
+
+
 def round12(x):
     # a float as the JSON documents hold it: the float of its 12-digit text
     return float(_fmt(x))

@@ -484,7 +484,7 @@ def test_curve_rows_equal_the_scalar_blocks_pairs(q_abs, grid):
     weights = UnruhWeights.from_abs(q_abs)
     for row, r in zip(rows, grid, strict=True):
         pair = fermionic_negativity_pair(r, weights)
-        assert (row.r, row.n_ar, row.n_aar, row.bound) == (r, pair.n_ar, pair.n_aar, pair.bound)
+        assert (row.r, row.n_ar, row.n_aar, row.lo, row.hi) == (r, pair.n_ar, pair.n_aar, pair.lo, pair.hi)
 
 
 #: r = 0, the top of the range, and tiny r, where the floor zeroes every amplitude with a factor sin r
@@ -648,6 +648,13 @@ def with_crossings(grid, weights):
     return np.array(list(grid) + [x for x in near if 0.0 <= x <= R_MAX + R_MAX_TOL])
 
 
+def scalar_ends(grid, weights):
+    """Values, lower and upper ends of the scalar blocks pair at each r of ``grid``, each (rows, 2)."""
+    rows = [fermionic_negativity_pair(r, weights) for r in grid.tolist()]
+    return (np.array([(row.n_ar, row.n_aar) for row in rows]), np.array([row.lo for row in rows]),
+            np.array([row.hi for row in rows]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(q_abs=Q_ABS, phases=PHASES, grid=R_GRID)
 @example(q_abs=0.0, phases=(0.0, 0.0), grid=HARD_R)
@@ -690,18 +697,21 @@ def test_closed_form_swap_rule(q_abs, phases, grid):
 @example(q_abs=0.3, phases=(-2.5, 0.7), grid=HARD_R)
 @example(q_abs=0.75, phases=(0.0, 0.0), grid=[6.3481234552695825e-80])
 def test_bound_covers_both_references(q_abs, phases, grid):
-    # each row's bound covers its distance from eigvalsh of the blocks and from the 8x8 oracle,
-    # up to each reference's own rounding: a few eps times the norm of what it solves
+    # each value's ends hold eigvalsh of the blocks and the 8x8 oracle, up to each reference's own
+    # rounding: a few eps times the norm of what it solves
     weights = phased_weights(q_abs, *phases)
     grid = with_crossings(grid, weights)
-    pairs, bounds = fermionic._blocks_negativities(grid, weights)
-    assert np.isfinite(bounds).all() and bounds.max() <= 1e-13
+    pairs, lo, hi = scalar_ends(grid, weights)
+    assert pairs.shape == lo.shape == hi.shape == (grid.size, 2)
+    assert np.isfinite(hi - lo).all() and np.maximum(pairs - lo, hi - pairs).max() <= 1e-13
+    # each bound counts the rounding of its sum, so a positive value lies strictly inside its ends
+    assert (lo < pairs)[pairs > 0.0].all() and (pairs < hi)[pairs > 0.0].all()
     stack = pt_blocks(grid, weights)
     per_block = fermionic._negativities(hermitian_eigenvalues(stack))
     rounding = (4.0 * EPS * np.sqrt((abs(stack) ** 2).sum(axis=(-2, -1)))).sum(axis=-1)
-    assert (np.abs(pairs - per_block.sum(axis=-1)) <= bounds[:, None] + rounding).all()
+    assert (lo - rounding <= per_block.sum(axis=-1)).all() and (per_block.sum(axis=-1) <= hi + rounding).all()
     full = fermionic._full_negativities(grid.tolist(), weights)
-    assert (np.abs(pairs - full) <= bounds[:, None] + 8.0 * EPS).all()
+    assert (lo - 8.0 * EPS <= full).all() and (full <= hi + 8.0 * EPS).all()
 
 
 @pytest.mark.parametrize("excess", [1e-14, 1e-13, 4.9e-13])
@@ -710,10 +720,10 @@ def test_bound_covers_weights_normalized_only_to_tolerance(excess):
     # given; the Weyl term of the normalization moves the bracket out to the blocks' own eigenvalue
     weights = UnruhWeights(0.8 * (1.0 + excess), 0.6j * (1.0 + excess))
     grid = with_crossings(np.linspace(0.0, R_MAX, 41), weights)
-    pairs, bounds = fermionic._blocks_negativities(grid, weights)
-    per_block = fermionic._negativities(hermitian_eigenvalues(pt_blocks(grid, weights)))
-    assert np.isfinite(bounds).all() and bounds.max() <= 1e-10
-    assert (np.abs(pairs - per_block.sum(axis=-1)).max(axis=-1) <= bounds).all()
+    pairs, lo, hi = scalar_ends(grid, weights)
+    reference = fermionic._negativities(hermitian_eigenvalues(pt_blocks(grid, weights))).sum(axis=-1)
+    assert np.isfinite(hi - lo).all() and np.maximum(pairs - lo, hi - pairs).max() <= 1e-10
+    assert ((lo <= reference) & (reference <= hi)).all()
 
 
 def exact_cos_sin(r):

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from unruhkit.bosonic import bosonic_curve, bosonic_negativity_pair
+from test_bosonic import fsum_block_series
+from unruhkit.bosonic import _dense_pair, bosonic_curve, bosonic_negativity_pair
 import unruhkit.cli as cli
 from unruhkit.cli import main
 from unruhkit.fermionic import R_MAX, fermionic_curve
@@ -109,6 +110,28 @@ def test_traced_calls_match_untraced_ones(tmp_path, capsys):
     assert metrics["fermionic.pt_blocks.calls"] == 0
 
 
+def test_tracer_bound_is_the_farthest_distance_to_the_ends():
+    # the tracer's ``bound`` fact reads ``tail_weight``: on both routes it must be the farthest a
+    # value lies from the ends the report certifies, and those ends must hold a deeper reference
+    # (at the dense point, q = 0.3 and r = 0.2, the widths are over 100 times the squeezed-vacuum
+    # weight past its level, so a report that gave that weight would fail here)
+    tracing = load("tracer")
+    for q, r, method in ((0.3, 0.2, "dense"), (1.0, 5.0, "blocks")):
+        weights = UnruhWeights.from_abs(q)
+        pair = bosonic_negativity_pair(r, weights)
+        rep = pair.report
+        facts = tracing._pair_facts((r, weights), {}, pair)
+        far = max(max(v - lo, hi - v) for v, lo, hi in zip((pair.n_ar, pair.n_aar), rep.lo, rep.hi))
+        assert facts["method"] == rep.method == method
+        assert facts["bound"] == far > 0.0
+        if method == "dense":  # within the bracket tests' allowance for LAPACK's rounding
+            deeper, slack = _dense_pair(r, weights, rep.n_max_used + 32), 1e-14
+        else:
+            deeper, slack = (fsum_block_series(r)[0], 0.0), 0.0
+        for lo, deep, hi in zip(rep.lo, deeper, rep.hi):
+            assert lo - slack <= deep <= hi + slack
+
+
 def test_checker_references_accept_the_package():
     checks = load("checks")
     # dense bosonic oracle on one small case, judged as the checker judges a row
@@ -122,10 +145,10 @@ def test_checker_references_accept_the_package():
     levels = set()
     for q in (0.4, 0.9):
         for row in bosonic_curve(q, grid):
-            assert row.converged
-            levels.add(row.n_max_used)
+            assert row.report.converged
+            levels.add(row.report.n_max_used)
             ref_ar, ref_aar, slack = checks.dense_oracle(
-                q, row.r, row.n_max_used + checks.ORACLE_EXTRA_LEVELS)
+                q, row.r, row.report.n_max_used + checks.ORACLE_EXTRA_LEVELS)
             for got, ref in ((row.n_ar, ref_ar), (row.n_aar, ref_aar)):
                 assert checks._close(got, ref, checks.REL_TOL, checks.ABS_FLOOR + slack)
     assert {1, 2, 120} <= levels
