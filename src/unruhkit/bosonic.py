@@ -30,9 +30,10 @@ Two evaluation routes are provided:
   transpose is block diagonal in 2x2 sectors and the negativity is an
   explicit series over analytic block eigenvalues in the untruncated
   space: a pairwise sum of at most 4096 terms plus an Euler-Maclaurin
-  integral tail, which has no panels once the head reaches e^-60, O(1)
-  work at any squeezing, with a bound on the error (from the convexity of
-  the terms) that sets the ends either side of the value.
+  integral tail, which has no panels once the head reaches e^-60, all from
+  one pass of the term kernel (``_series_terms``), O(1) work at any
+  squeezing, with a bound on the error (from the convexity of the terms)
+  that sets the ends either side of the value.
 
 Every function takes the squeezing r (``squeezing_from_acceleration``
 gives it from Omega_a and a) and the ``UnruhWeights``;
@@ -393,9 +394,18 @@ def _panel_edges(n_head: int, k: float) -> np.ndarray:
     while e < 1.0 / k and k * e < _SERIES_DECAY:
         doubled.append(e)
         e += e
-    # cumsum adds in sequence, so each edge is the previous one plus 1/k, rounded once
-    run = np.cumsum([e] + [1.0 / k] * (int(_SERIES_DECAY - k * e) + 2))
+    # cumsum adds in sequence, so each edge is the previous one plus 1/k, rounded once; in halves
+    # no sum overflows, and an edge past the float range is the largest float, where k e >= 60
+    run = np.cumsum([0.5 * e] + [0.5 / k] * (int(_SERIES_DECAY - k * e) + 2))
+    run = 2.0 * np.minimum(run, 0.5 * sys.float_info.max)
     return np.concatenate([doubled, run[: np.argmax(k * run >= _SERIES_DECAY) + 1]])
+
+
+def _series_terms(x: np.ndarray, s: float, k: float) -> np.ndarray:
+    """The block series' terms e^{-kx} s/nu (``_block_series``), nu = m + sqrt(m^2 + 1), m = (s + x/s)/2."""
+    m = 0.5 * (s + x / s)
+    q = np.minimum(m, 1e150)  # from m = 2^27 on sqrt(m^2 + 1) rounds to m, so nu = 2m, and q^2 stays finite
+    return np.exp(-k * x) * (s / (m + np.sqrt(q * q + 1.0) + (m - q)))
 
 
 def _block_series(r: float) -> tuple[float, float, int]:
@@ -410,23 +420,23 @@ def _block_series(r: float) -> tuple[float, float, int]:
     and determinant -T^{2n}/(4 cosh^6 r), T = tanh^2 r, so one negative
     eigenvalue; the determinant over the larger eigenvalue gives it without
     cancellation as h(n) = e^{-kn} / (2 cosh^3(r) nu(n)), with
-    nu(x) = (s + x/s)/2 + sqrt(p(x)), p(x) = (s - x/s)^2/4 + x + 1,
-    s = sinh(r) tanh(r) and k = -ln T.  The first N = min(4096, 60/k) terms
-    are summed pairwise (np.sum); the rest is int_N^X h + h(N)/2 - h'(N)/12,
-    with e^{-kX} < e^{-60}, on 20-point Gauss-Legendre panels that double
-    from N (the scale x) up to the length 1/k (the scale of e^{-kx}); where
-    k N >= 60 already there are none, and X = N.
+    nu(x) = m + sqrt(m^2 + 1), m = (s + x/s)/2, s = sinh(r) tanh(r) and
+    k = -ln T.  The first N = min(4096, 60/k) terms are summed pairwise
+    (np.sum); the rest is int_N^X h + h(N)/2 - h'(N)/12, with e^{-kX} <=
+    e^{-60}, on 20-point Gauss-Legendre panels that double from N (the
+    scale x) up to the length 1/k (the scale of e^{-kx}); where k N >= 60
+    already there are none, and X = N.
 
-    Bound: 1/nu = sqrt(p) - (s + x/s)/2, p of discriminant -1/s^2 < 0, is
-    convex and tends to 0, so 1/nu and h are positive, decreasing and convex.
-    Then the Euler-Maclaurin remainder -1/2 int_N^inf B2({x}) h'' dx, with
-    B2 in [-1/12, 1/6], lies in [h'(N)/12, -h'(N)/24], and the cut at X adds
-    at most h(X)/k.  The bound returned is |h'(N)|/12 + h(X)/k + (16 + n)
-    eps value, n the count of terms and nodes summed: 16 eps for the terms'
-    rounding and n eps for gamma_{n-1}, which bounds a sum of n positive
-    terms in any order (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, sec. 4.2).  The roots -s^2 +- 2is of p lie a panel
-    length or more left of each panel, so the quadrature error,
+    Bound: 1/nu = sqrt(m^2 + 1) - m is convex, decreasing and tends to 0 in
+    m, which is linear in x, so 1/nu and h are positive, decreasing and
+    convex.  Then the Euler-Maclaurin remainder -1/2 int_N^inf B2({x}) h''
+    dx, with B2 in [-1/12, 1/6], lies in [h'(N)/12, -h'(N)/24], and the cut
+    at X adds at most h(X)/k.  The bound returned is |h'(N)|/12 + h(X)/k +
+    (16 + n) eps value, n the count of terms and nodes summed: 16 eps for
+    the terms' rounding and n eps for gamma_{n-1}, which bounds a sum of n
+    positive terms in any order (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sec. 4.2).  The roots -s^2 +- 2is of m^2 + 1 lie a
+    panel length or more left of each panel, so the quadrature error,
     ~(3 + sqrt 8)^-40, is far below it.  Below T = 1e-300 the value is 1/2
     with bound s; past r ~ 353, where 60/k overflows and the value (about
     0.3 k) is below 1e-306, it is 0 with bound k.  Returns (value, bound, N).
@@ -438,29 +448,25 @@ def _block_series(r: float) -> tuple[float, float, int]:
     if k * sys.float_info.max < _SERIES_DECAY:  # 60/k overflows; the value is about 0.3 k
         return 0.0, k, 0
     c, s = math.cosh(r), math.sinh(r) * t
-
-    def terms(x):  # h(x) in units of 1/(2 s cosh^3 r)
-        u = x / s
-        nu = 0.5 * (s + u) + np.hypot(0.5 * (s - u), np.sqrt(x + 1.0))
-        return np.exp(-k * x) * (s / nu)
-
     n_head = min(_SERIES_HEAD, math.ceil(_SERIES_DECAY / k))
-    # -h'/h = k + nu'/nu, via s nu = (s^2 + x)/2 + w, w = s sqrt(p), w' = (s^2 + x)/(4w)
-    w = math.hypot(0.5 * (s * s - n_head), s * math.sqrt(n_head + 1.0))
-    h_n = float(terms(float(n_head)))
-    slope = h_n * (k + (0.5 + 0.25 * (s * s + n_head) / w) / (0.5 * (s * s + n_head) + w))
-    nodes_sum, h_x, n_nodes = 0.0, h_n, 0  # the head reaches e^-60: no panels, and X = N
+    points, scale = np.arange(n_head + 1.0), np.empty(0)  # one kernel pass: the head 0..N-1, N, the nodes, X
     if k * float(n_head) < _SERIES_DECAY:  # else _panel_edges's first test gives one edge, N
         edges = _panel_edges(n_head, k)
         lo, hi = edges[:-1, None], edges[1:, None]
         nodes, weights = _gauss_legendre()
-        h = terms(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)) * (0.5 * (hi - lo) * weights)
-        nodes_sum, h_x, n_nodes = float(np.sum(h)), float(terms(edges[-1])), h.size
+        nodes = 0.5 * (hi - lo) * nodes + (0.5 * hi + 0.5 * lo)  # 0.5 (hi + lo) may overflow
+        points, scale = np.concatenate([points, nodes.ravel(), edges[-1:]]), (0.5 * (hi - lo) * weights).ravel()
+    h = _series_terms(points, s, k)
+    weighted = h[n_head + 1 : -1] * scale  # the weighted nodes: none without panels, where X = N
+    h_n, h_x, nodes_sum = float(h[n_head]), float(h[-1]), float(np.sum(weighted))
+    # -h'/h = k + nu'/nu = k + 1/(2w), with s nu = s m + w, w = s sqrt(m^2 + 1) and (s m)' = 1/2
+    w = math.hypot(0.5 * (s * s - n_head), s * math.sqrt(n_head + 1.0))
+    slope = h_n * (k + 0.5 / w)
     tail = nodes_sum + 0.5 * h_n + slope / 12.0
-    total = float(np.sum(terms(np.arange(n_head, dtype=float)))) + tail
+    total = float(np.sum(h[:n_head])) + tail
     # divided one factor at a time, so that no intermediate overflows
     value, bound = (x / (2.0 * s) / c / c / c for x in (total, slope / 12.0 + h_x / k))
-    bound += (16 + n_head + n_nodes) * sys.float_info.epsilon * value
+    bound += (16 + n_head + weighted.size) * sys.float_info.epsilon * value
     return value, bound, n_head
 
 

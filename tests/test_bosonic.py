@@ -36,6 +36,7 @@ from unruhkit.bosonic import (
     _principal_block,
     _qops_pair,
     _sector_bands,
+    _series_terms,
 )
 from unruhkit.qops import negativity, partial_transpose, reduced_density
 from unruhkit.weights import UnruhWeights
@@ -643,36 +644,37 @@ def series_rate(r):
 
 
 def loop_panel_edges(n_head, k):
-    """The tail panel edges built one at a time: e + min(e, 1/k) until k e >= 60."""
+    """The tail panel edges built one at a time: e + min(e, 1/k) until k e >= 60, at most the largest float."""
     edges = [float(n_head)]
     while k * edges[-1] < 60.0:
-        edges.append(edges[-1] + min(edges[-1], 1.0 / k))
+        edges.append(min(edges[-1] + min(edges[-1], 1.0 / k), sys.float_info.max))
     return np.array(edges)
+
+
+def hypot_terms(x, s, k):
+    """The block series' terms with nu = (s + x/s)/2 + hypot((s - x/s)/2, sqrt(x + 1)), the form before m."""
+    nu = 0.5 * (s + x / s) + np.hypot(0.5 * (s - x / s), np.sqrt(x + 1.0))
+    return np.exp(-k * x) * (s / nu)
 
 
 def fsum_block_series(r):
     """The block series with its head and tail nodes summed by math.fsum, its edges by the loop.
 
-    Returns (value, N, count of tail nodes), from the same terms, panels and
-    nodes as ``_block_series``.
+    Returns (value, N, count of tail nodes), from the same terms
+    (``_series_terms``), panels and nodes as ``_block_series``.
     """
     t, k = math.tanh(r), series_rate(r)
     c, s = math.cosh(r), math.sinh(r) * t
-
-    def terms(x):
-        nu = 0.5 * (s + x / s) + np.hypot(0.5 * (s - x / s), np.sqrt(x + 1.0))
-        return np.exp(-k * x) * (s / nu)
-
     n_head = min(4096, math.ceil(60.0 / k))
     edges = loop_panel_edges(n_head, k)
     lo, hi = edges[:-1, None], edges[1:, None]
     nodes, weights = _gauss_legendre()
-    h = terms(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)) * (0.5 * (hi - lo) * weights)
+    h = _series_terms(0.5 * (hi - lo) * nodes + (0.5 * hi + 0.5 * lo), s, k) * (0.5 * (hi - lo) * weights)
     w = math.hypot(0.5 * (s * s - n_head), s * math.sqrt(n_head + 1.0))
-    h_n = float(terms(float(n_head)))
-    slope = h_n * (k + (0.5 + 0.25 * (s * s + n_head) / w) / (0.5 * (s * s + n_head) + w))
+    h_n = float(_series_terms(np.array([float(n_head)]), s, k)[0])
+    slope = h_n * (k + 0.5 / w)
     tail = math.fsum(h.ravel().tolist()) + 0.5 * h_n + slope / 12.0
-    total = math.fsum(terms(np.arange(n_head, dtype=float)).tolist() + [tail])
+    total = math.fsum(_series_terms(np.arange(n_head, dtype=float), s, k).tolist() + [tail])
     return total / (2.0 * s) / c / c / c, n_head, h.size
 
 
@@ -743,8 +745,8 @@ class TestBlockSeries:
     @example(2.81)
     @settings(max_examples=100, deadline=None)
     def test_a_head_that_reaches_e60_builds_no_tail(self, r):
-        # k N >= 60: _panel_edges would return the single edge N, so no panel,
-        # node or empty term array is made, and h(X) is h(N)
+        # k N >= 60: _panel_edges would return the single edge N, so no panel
+        # or node is made, and h(X) is h(N)
         k = series_rate(r)
         n_head = min(4096, math.ceil(60.0 / k))
 
@@ -788,6 +790,69 @@ class TestBlockSeries:
         # the series value lies within its bound of both ends; the zero side is exact
         value, bound, _ = _block_series(7.0)
         assert right.report.lo == (value - bound, 0.0) and right.report.hi == (value + bound, 0.0)
+
+    @given(st.floats(1e-3, 353.1))
+    @example(1e-150)  # below r ~ 1e-75, N = 1 and m = (s + 1/s)/2 passes 1e150, where q stops
+    @example(1e-100)
+    @example(1e-77)
+    @example(1e-14)
+    @example(352.2)  # the tail reaches m ~ 1e155, whose square overflows
+    @example(352.7)
+    @example(353.1)
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_matches_the_hypot_form_term_by_term(self, r):
+        # one kernel call takes the head 0..N-1, then N, the tail nodes and X.
+        # To first order in u = eps/2, nu = m + sqrt(m^2 + 1) lies within 5u of
+        # the exact nu and the hypot form within 6.5u; a division and a product
+        # on the same e^{-kx} bits follow, so the two terms lie within 8 eps
+        calls = []
+
+        def spy(x, s, k):
+            calls.append((x, s, k, _series_terms(x, s, k)))
+            return calls[-1][-1]
+
+        with mock.patch.object(bosonic, "_series_terms", spy):
+            _block_series(r)
+        (x, s, k, h), = calls
+        n_head = min(4096, math.ceil(60.0 / k))
+        edges = loop_panel_edges(n_head, k)
+        lo, hi = edges[:-1, None], edges[1:, None]
+        nodes = (0.5 * (hi - lo) * _gauss_legendre()[0] + (0.5 * hi + 0.5 * lo)).ravel()
+        assert np.array_equal(x[: n_head + 1], np.arange(n_head + 1.0)) and x[-1] == edges[-1]
+        assert np.array_equal(x[n_head + 1 : -1], nodes) and x.size == n_head + 1 + nodes.size + (edges.size > 1)
+        reference = hypot_terms(x, s, k)
+        assert np.all(np.abs(h - reference) <= 8.0 * (sys.float_info.epsilon * reference + math.ulp(0.0)))
+
+    @pytest.mark.parametrize("r", [7.0, 2.0])  # with tail panels, and with the head alone
+    def test_one_kernel_evaluation_per_row(self, r, monkeypatch):
+        _gauss_legendre()  # built and cached before the count
+        calls, exp = [], np.exp
+
+        def counted_exp(*args, **kwargs):
+            calls.append(args[0].size)
+            return exp(*args, **kwargs)
+
+        def hypot(*args, **kwargs):
+            raise AssertionError("np.hypot called by the block series")
+
+        monkeypatch.setattr(np, "exp", counted_exp)
+        monkeypatch.setattr(np, "hypot", hypot)
+        value, bound, n_used = _block_series(r)
+        assert len(calls) == 1 and calls[0] > n_used == min(4096, math.ceil(60.0 / series_rate(r)))
+        assert 0.0 < bound <= 1e-6 * value
+
+    @pytest.mark.parametrize("r", [353.2, 353.3, 353.5, 353.53, 353.537])
+    def test_rows_at_the_float_range_edge(self, r):
+        # from r = 353.19 the last panel's hi + lo passes the float range, and from
+        # 353.522 the last edge 60/k + O(1/k) does; the early return starts at 353.538
+        k = series_rate(r)
+        edges = _panel_edges(4096, k)
+        assert np.isfinite(edges).all() and np.array_equal(edges, loop_panel_edges(4096, k))
+        pair = bosonic_negativity_pair(*point(r, 1.0))  # warnings are errors in this suite
+        assert math.isfinite(pair.n_ar) and pair.report.lo[0] < pair.n_ar < pair.report.hi[0]
+        assert pair.report.converged
+        value, bound, _ = _block_series(r)
+        assert abs(value - fsum_block_series(r)[0]) <= bound
 
 
 #: the first r whose tanh rounds to 1, and the r one ulp below it

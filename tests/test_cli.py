@@ -103,6 +103,19 @@ class TestBosonCommand:
         _, rows = read_csv(out)
         assert [row["converged"] for row in rows] == ["false", "false"]
 
+    def test_extremal_rows_at_the_float_range_edge_are_finite_and_quiet(self, tmp_path):
+        # near r = 353.5 the block series' last tail edges lie at the end of the
+        # float range; a numpy overflow there would reach stderr and give nan
+        out = tmp_path / "edge.csv"
+        run = subprocess.run(
+            [sys.executable, "-m", "unruhkit.cli", "boson", "--q", "1", "--r-min", "353.53",
+             "--r-max", "353.535", "--steps", "2", "--out", str(out)],
+            env=src_env(), capture_output=True, text=True, timeout=120)
+        assert (run.returncode, run.stderr) == (EXIT_OK, "")
+        _, rows = read_csv(out)
+        assert [row["converged"] for row in rows] == ["true", "true"]
+        assert all(0.0 < float(row["n_ar"]) < 1e-306 for row in rows)
+
     def test_ordering_across_weights_at_fixed_squeezing(self, tmp_path):
         out = tmp_path / "order.csv"
         code = main(
