@@ -20,9 +20,10 @@ Two evaluation routes are provided:
   width.  n_max is the first level of the ladder 1, 2, 4, ..., N_MAX_CAP
   at which both widths meet 0.1 DELTA_TOL, or the cap, found by bisection
   since both widths fall strictly with n; past r = 19.06 (tanh r = 1) a
-  row is 0 unevaluated, with ends 0 and inf.  A curve builds
-  both sides' bands once per memory chunk, at its top n_max, and solves
-  each row at its own; a point is a curve of one.  The labelled-tensor
+  row is 0 unevaluated, with ends 0 and inf.  A curve builds both sides'
+  bands once per memory chunk, at its top n_max, and solves each row at
+  its own, by LAPACK without the GIL, on the calling thread and one more
+  thread per further CPU; a point is a curve of one.  The labelled-tensor
   route (``qops``) on the raw ``joint_state``, ``_qops_pair``, is the
   engine's independent test oracle.
 
@@ -47,9 +48,12 @@ N_AAR, and one rule over them decides ``converged`` (``_pair``).
 
 from __future__ import annotations
 
+import ctypes
 import math
 import operator
+import os
 import sys
+import threading
 from functools import cache
 from typing import Iterator, NamedTuple
 
@@ -232,7 +236,6 @@ def _sector_bands(r: float | np.ndarray, abs_r: float, abs_l: float, n_max: int)
 
 def _flapack_path() -> str | None:
     """The file of scipy.linalg's f2py LAPACK extension, found without importing scipy."""
-    import os
     from importlib import machinery, util
     spec = util.find_spec("scipy")
     paths = (os.path.join(root, "linalg", "_flapack" + suffix)
@@ -243,19 +246,43 @@ def _flapack_path() -> str | None:
 
 @cache
 def _lapack() -> tuple:
-    # ?pbtrf and ?sbevd of that extension, loaded by file path on first dense
-    # use: the objects get_lapack_funcs returns, without importing scipy.linalg
+    # ?pbtrf and ?sbevd of that extension, loaded by file path on first dense use (without importing
+    # scipy.linalg) and called through ctypes, which releases the GIL where f2py does not, at their
+    # Fortran entry points: every argument by reference, then each character argument's length
     from importlib import util
     name = "scipy.linalg._flapack"
-    if name not in sys.modules:
-        path = _flapack_path()
-        if path is None:
-            from scipy.linalg import get_lapack_funcs
-            return get_lapack_funcs(("pbtrf", "sbevd"), dtype=np.float64)
+    flapack = sys.modules.get(name)
+    if flapack is None and (path := _flapack_path()) is not None:
         spec = util.spec_from_file_location(name, path)
-        sys.modules[name] = util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name].dpbtrf, sys.modules[name].dsbevd
+        sys.modules[name] = flapack = util.module_from_spec(spec)
+        spec.loader.exec_module(flapack)
+    if flapack is None:
+        from scipy.linalg import lapack as flapack  # the objects get_lapack_funcs returns
+    ptr, char, size, c_int, byref = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t, ctypes.c_int, ctypes.byref
+    entry = ctypes.PYFUNCTYPE(ptr, ctypes.py_object, char)(("PyCapsule_GetPointer", ctypes.pythonapi))
+    dpbtrf = ctypes.CFUNCTYPE(None, char, *[ptr] * 5, size)(entry(flapack.dpbtrf._cpointer, None))
+    dsbevd = ctypes.CFUNCTYPE(None, char, char, *[ptr] * 12, size, size)(entry(flapack.dsbevd._cpointer, None))
+    fixed = (c_int * 4)(2, 3, 1, 1)  # KD, LDAB, LDZ, LIWORK: only read, so every thread shares them
+    kd, ldab, ldz, liwork = (byref(fixed, 4 * i) for i in range(4))
+
+    def pbtrf(band, lower=1):
+        buf, ints = np.empty((band.shape[1], 3)), (c_int * 2)(band.shape[1])  # AB as LAPACK's (3, N); N, INFO
+        buf[...] = band.T
+        dpbtrf(b"L" if lower else b"U", ints, kd, byref(ctypes.c_double.from_buffer(buf)), ldab, byref(ints, 4), 1)
+        return buf.T, ints[1]
+
+    def sbevd(band, compute_v=0, lower=1):
+        if compute_v:
+            raise ValueError("only eigenvalues are computed")
+        n = band.shape[1]  # buf: AB, W, WORK (3N + 3 >= N + LWORK); ints: N, LWORK (JOBZ = 'N'), IWORK, INFO
+        buf, ints = np.empty((2 * n + 1, 3)), (c_int * 4)(n, max(1, 2 * n))
+        buf[:n] = band.T
+        a = ctypes.c_double.from_buffer(buf)
+        dsbevd(b"N", b"L" if lower else b"U", ints, kd, byref(a), ldab, byref(a, 24 * n), None, ldz,
+               byref(a, 32 * n), byref(ints, 4), byref(ints, 8), liwork, byref(ints, 12), 1, 1)
+        return buf.ravel()[3 * n : 4 * n], None, ints[3]
+
+    return pbtrf, sbevd
 
 
 def _principal_negativities(r: np.ndarray, n_max: list[int], abs_r: float, abs_l: float) -> np.ndarray:
@@ -263,36 +290,54 @@ def _principal_negativities(r: np.ndarray, n_max: list[int], abs_r: float, abs_l
 
     A chunk of rows shares one band build at its top level; each row is
     solved on its leading n_max + 1 columns, each sector by one LAPACK ?sbevd
-    with the checks scipy's banded wrappers make.  A minor-side sector that
-    ?pbtrf factors is positive definite and adds 0 at O(n), without an
-    eigensolve.  N is minus the sum of the eigenvalues below NEGATIVITY_CUTOFF.
+    without the GIL (the bands' finiteness test and ``info`` stand in for
+    scipy's wrapper checks); a minor-side sector that ?pbtrf factors adds 0
+    unsolved.  N is minus the sum of the eigenvalues below NEGATIVITY_CUTOFF.
+    With k = min(CPUs the process may use, rows in the chunk), the calling
+    thread solves rows 0::k and k - 1 threads rows j::k, joined chunk by chunk.
     """
     pbtrf, sbevd = _lapack()
     values = np.zeros((r.size, 2))
     minor = (abs_r < abs_l, abs_l < abs_r)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+    def solve(rows: list, errors: list) -> None:
+        try:
+            for row, n, sides in rows:  # each row writes only its own values
+                for side, sectors in enumerate(sides):
+                    eigs = []
+                    for band in sectors[..., : n + 1]:
+                        if minor[side]:
+                            info = pbtrf(band, lower=1)[1]
+                            if info < 0:
+                                raise ValueError(f"illegal value in argument {-info} of pbtrf")
+                            if info == 0:
+                                continue  # positive definite: the sector adds 0
+                        w, _, info = sbevd(band, compute_v=0, lower=1)
+                        if info != 0:
+                            raise np.linalg.LinAlgError(f"sbevd failed with info={info}")
+                        eigs.append(w)
+                    if eigs:  # else both sectors factored and the side keeps its 0
+                        spectrum = np.concatenate(eigs)
+                        values[row, side] = float(-spectrum[spectrum < NEGATIVITY_CUTOFF].sum()) + 0.0  # not -0.0
+        except BaseException as exc:  # raised again by the calling thread once every thread has joined
+            errors.append(exc)
+
     step = max(1, _CHUNK_ELEMENTS // (max(n_max, default=0) + 1))
     for start in range(0, r.size, step):
         levels = n_max[start : start + step]
         bands = _sector_bands(r[start : start + step], abs_r, abs_l, max(levels))
         if not np.isfinite(bands).all():
             raise ValueError("array must not contain infs or NaNs")
-        for row, n, sides in zip(range(start, r.size), levels, bands):
-            for side, sectors in enumerate(sides):
-                eigs = []
-                for band in sectors[..., : n + 1]:
-                    if minor[side]:
-                        info = pbtrf(band, lower=1)[1]
-                        if info < 0:
-                            raise ValueError(f"illegal value in argument {-info} of pbtrf")
-                        if info == 0:
-                            continue  # positive definite: the sector adds 0
-                    w, _, info = sbevd(band, compute_v=0, lower=1)
-                    if info != 0:
-                        raise np.linalg.LinAlgError(f"sbevd failed with info={info}")
-                    eigs.append(w)
-                if eigs:  # else both sectors factored and the side keeps its 0
-                    spectrum = np.concatenate(eigs)
-                    values[row, side] = float(-spectrum[spectrum < NEGATIVITY_CUTOFF].sum()) + 0.0  # not -0.0
+        rows, errors, k = list(zip(range(start, r.size), levels, bands)), [], min(cpus, len(levels))
+        workers = [threading.Thread(target=solve, args=(rows[j::k], errors)) for j in range(1, k)]
+        for worker in workers:
+            worker.start()
+        solve(rows[::k], errors)
+        for worker in workers:
+            worker.join()
+        if errors:
+            raise errors[0]
     return values
 
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -982,10 +983,10 @@ class EigCounter:
 
 
 def lapack_results(pbtrf, sbevd):
-    """Cholesky factors and eigenvalues of random bands of sizes 3, 121 and 500."""
+    """Cholesky factors and eigenvalues of random bands of sizes 1, 2, 3, 17, 121 and 500."""
     rng = np.random.default_rng(12)
     out = {}
-    for d in (3, 121, 500):
+    for d in (1, 2, 3, 17, 121, 500):
         band = rng.standard_normal((3, d))
         # the raw band is indefinite (pbtrf fails), the shifted one positive definite
         for name, b in (("raw", band), ("shifted", band + [[8.0], [0.0], [0.0]])):
@@ -1025,8 +1026,122 @@ class TestLapackLoader:
             pbtrf, sbevd = bosonic._lapack()
         finally:
             bosonic._lapack.cache_clear()
-        scipy_pbtrf, scipy_sbevd = get_lapack_funcs(("pbtrf", "sbevd"), dtype=np.float64)
-        assert pbtrf is scipy_pbtrf and sbevd is scipy_sbevd and lookups == [1]
+        # the ctypes routines taken from the objects get_lapack_funcs returns
+        expected = lapack_results(*get_lapack_funcs(("pbtrf", "sbevd"), dtype=np.float64))
+        results = lapack_results(pbtrf, sbevd)
+        assert lookups == [1] and sorted(results) == sorted(expected)
+        for key, value in expected.items():
+            assert np.array_equal(results[key], value), key
+
+
+def cpus(k):
+    """Patches the CPU count the dense engine reads to k."""
+    return mock.patch.object(bosonic.os, "sched_getaffinity", lambda pid: set(range(k)), create=True)
+
+
+def curve_fields(q_abs, grid):
+    return [(row.r, row.n_ar, row.n_aar, row.report) for row in bosonic_curve(q_abs, grid)]
+
+
+class TestRowSplit:
+    """A chunk's rows solved on the calling thread and min(CPUs, rows) - 1 worker threads."""
+
+    def record_threads(self, monkeypatch, fail=None):
+        # both routines as _lapack gives them, recording the thread of each call;
+        # fail=(routine, size, info) makes that routine return info at that size
+        pbtrf, sbevd = bosonic._lapack()
+        names, failed = [], []
+
+        def stub(routine, name):
+            def call(band, *args, **kwargs):
+                names.append(threading.current_thread().name)
+                out = routine(band, *args, **kwargs)
+                if fail and fail[:2] == (name, band.shape[1]):
+                    failed.append(threading.current_thread().name)
+                    return (*out[:-1], fail[2])
+                return out
+            return call
+
+        monkeypatch.setattr(bosonic, "_lapack", lambda: (stub(pbtrf, "pbtrf"), stub(sbevd, "sbevd")))
+        return names, failed
+
+    def test_no_thread_outlives_a_curve(self, monkeypatch):
+        # a fork between calls inherits no worker
+        names, _ = self.record_threads(monkeypatch)
+        before = threading.active_count()
+        with cpus(3):
+            assert len(bosonic_curve(0.9, np.linspace(0.0, 3.0, 40))) == 40
+        assert threading.active_count() == before
+        assert len(set(names)) == 3 and threading.current_thread().name in names
+
+    @pytest.mark.parametrize("fail, error, message", [
+        (("sbevd", N_MAX_CAP + 1, 1), np.linalg.LinAlgError, "sbevd failed with info=1"),
+        (("pbtrf", N_MAX_CAP + 1, -3), ValueError, "illegal value in argument 3 of pbtrf"),
+    ])
+    def test_a_worker_error_is_raised_after_every_thread_joins(self, monkeypatch, fail, error, message):
+        # with 2 CPUs row 0 (a low level) is the calling thread's and row 1 (the cap) the worker's,
+        # so only the worker meets the failing size
+        grid = [0.05, 2.0]
+        levels = [row.report.n_max_used for row in bosonic_curve(0.9, grid)]
+        assert levels[0] < N_MAX_CAP == levels[1]
+        names, failed = self.record_threads(monkeypatch, fail)
+        before = threading.active_count()
+        with cpus(2), pytest.raises(error, match=re.escape(message)):
+            bosonic_curve(0.9, grid)
+        assert threading.active_count() == before
+        caller = threading.current_thread().name
+        assert caller in names and failed and caller not in failed
+
+    def test_threads_solving_the_same_bands_match_the_serial_results(self):
+        # 4 threads (more than the cores of a small host) solve the same 200 bands at once,
+        # with a short switch interval; every factor and spectrum must keep its serial bits
+        pbtrf, sbevd = bosonic._lapack()
+        rng = np.random.default_rng(40)
+        bands = [rng.standard_normal((3, d)) + [[s], [0.0], [0.0]]
+                 for d, s in zip(rng.integers(1, 200, 200), rng.choice([0.0, 8.0], 200))]
+
+        def solve_all():
+            out = []
+            for band in bands:
+                factor, info = pbtrf(band, lower=1)
+                w, _, eig_info = sbevd(band, compute_v=0, lower=1)
+                out.append(np.concatenate([factor.ravel(), w, [info, eig_info]]))
+            return out
+
+        serial, results = solve_all(), [None] * 4
+        start = threading.Barrier(4, timeout=60)
+
+        def work(i):
+            start.wait()
+            results[i] = solve_all()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for result in results:
+            assert len(result) == len(serial)
+            assert all(np.array_equal(a, b) for a, b in zip(result, serial))
+
+    @settings(max_examples=15, deadline=None)
+    @given(q_abs=st.floats(0.05, 0.95), grid=st.lists(st.floats(0.0, 3.0), max_size=140))
+    @example(q_abs=0.9, grid=[3.0 * i / 139 for i in range(140)])
+    def test_split_rows_equal_one_thread(self, q_abs, grid):
+        # the row past tanh r = 1 stays unevaluated; at n = 120 a chunk holds 67 rows, so up to
+        # 140 rows span up to three chunks
+        grid = grid + [25.0]
+        with cpus(1):
+            alone = curve_fields(q_abs, grid)
+        for k in (2, 3):
+            with cpus(k):
+                assert curve_fields(q_abs, grid) == alone
 
 
 class TestPrincipalBlockBracket:

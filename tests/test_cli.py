@@ -729,9 +729,10 @@ def test_config_keys_without_a_flag_are_usage_errors(command, key, tmp_path, mon
 def test_import_loads_no_scipy_special_or_linalg():
     # scipy, the quadrature nodes of numpy.polynomial and numpy.fft cost a
     # noticeable share of every CLI call; they load on first use.  json the
-    # CLI does not load at all: it writes its two JSON layouts itself
+    # CLI does not load at all: it writes its two JSON layouts itself, and the
+    # dense engine starts its own threads, with no concurrent.futures pool
     code = ("import sys, unruhkit.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'json') "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'json', 'concurrent') "
             "or m.startswith(('numpy.polynomial', 'numpy.fft'))))")
     out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                          text=True, timeout=60, check=True)
