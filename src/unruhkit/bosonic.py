@@ -11,21 +11,21 @@ r = artanh(e^{-pi Omega_a / a}).
 Two evaluation routes are provided:
 
 * ``dense``: a certified bracket.  The untruncated partial transpose splits
-  by parity into two real bandwidth-2 sectors, whose six distinct band rows
-  from f(n) are written in place by parity (``_sector_bands``); one LAPACK
-  ?sbevd solve of each leading (n_max+1)-level block gives a lower bound,
-  and on the minor side a sector that the banded Cholesky routine ?pbtrf
-  factors adds exactly 0 unsolved.  A closed form bounds what the cut
-  leaves out (``_bracket_widths``): each value N has the ends N and N +
-  width.  n_max is the first level of the ladder 1, 2, 4, ..., N_MAX_CAP
-  at which both widths meet 0.1 DELTA_TOL, or the cap, found by bisection
-  since both widths fall strictly with n; past r = 19.06 (tanh r = 1) a
-  row is 0 unevaluated, with ends 0 and inf.  A curve builds both sides'
-  bands once per memory chunk, at its top n_max, and solves each row at
-  its own, by LAPACK without the GIL, on the calling thread and one more
-  thread per further CPU; a point is a curve of one.  The labelled-tensor
-  route (``qops``) on the raw ``joint_state``, ``_qops_pair``, is the
-  engine's independent test oracle.
+  by parity into two real bandwidth-2 sectors (``_sector_bands``); a LAPACK
+  ?sbevd solve of each leading block gives the lower end, and a closed form
+  of what the cut leaves out (``_bracket_widths``) the width to the upper
+  one (levels: ``_dense_pairs``; threads: ``_principal_negativities``).
+  Eliminating a sector's Alice-empty states leaves a diagonal Schur
+  complement (f_{j-1} f_{j+1} = f_j^2 cancels the offset-2 entries), T^{i-1}
+  (y^2 T - x^2) / (2 c^4) at occupied level i, with (x, y) = (|q_R|, |q_L|)
+  on Alice-Rob, exchanged on Alice-AntiRob, T = tanh^2 r and c = cosh r.  By
+  inertia additivity (Haynsworth, Linear Algebra Appl. 1, 1968) a side and
+  its principal blocks are then positive semidefinite iff y^2 T >= x^2:
+  N_AR = 0 exactly iff tanh r >= |q_R|/|q_L|, or a >= pi Omega_a /
+  ln(|q_L|/|q_R|), a threshold derived here (the paper does not state it).
+  Such a side is not solved, and both its ends are 0 (``_zero_sides``).
+  Past tanh r = 1 (r = 19.06) a row is 0 unevaluated, with ends 0 and inf.
+  ``_qops_pair``, ``qops`` on the raw ``joint_state``, is the test oracle.
 
 * ``blocks``: for the extremal weights |q_R| in {0, 1} the partial
   transpose is block diagonal in 2x2 sectors and the negativity is an
@@ -55,7 +55,7 @@ import os
 import sys
 import threading
 from functools import cache
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -175,8 +175,8 @@ def _pair(ar: tuple, aar: tuple, method: str, n_used: int) -> NegativityPair:
     """The pair of (value, lo, hi) triples, judged by the one convergence rule.
 
     Each value's farther end must lie within DELTA_TOL max(value, floor):
-    the floor is 0.1 on the dense route, so an exact 0 is certified to 1e-7,
-    and 1e-15 on the block series, whose value may underflow.
+    0.1 on the dense route, so a 0 that ``_zero_sides`` leaves to ?sbevd is
+    certified to 1e-7, and 1e-15 on the block series, which may underflow.
     """
     (n_ar, lo_ar, hi_ar), (n_aar, lo_aar, hi_aar) = ar, aar
     floor = 0.1 if method == "dense" else 1e-15
@@ -245,10 +245,9 @@ def _flapack_path() -> str | None:
 
 
 @cache
-def _lapack() -> tuple:
-    # ?pbtrf and ?sbevd of that extension, loaded by file path on first dense use (without importing
-    # scipy.linalg) and called through ctypes, which releases the GIL where f2py does not, at their
-    # Fortran entry points: every argument by reference, then each character argument's length
+def _lapack() -> Callable[[np.ndarray], tuple[np.ndarray, int]]:
+    # ?sbevd of that extension, loaded by file path on first dense use (not importing scipy.linalg), called at its
+    # Fortran entry point by ctypes, which releases the GIL: arguments by reference, then each character's length
     from importlib import util
     name = "scipy.linalg._flapack"
     flapack = sys.modules.get(name)
@@ -260,29 +259,35 @@ def _lapack() -> tuple:
         from scipy.linalg import lapack as flapack  # the objects get_lapack_funcs returns
     ptr, char, size, c_int, byref = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t, ctypes.c_int, ctypes.byref
     entry = ctypes.PYFUNCTYPE(ptr, ctypes.py_object, char)(("PyCapsule_GetPointer", ctypes.pythonapi))
-    dpbtrf = ctypes.CFUNCTYPE(None, char, *[ptr] * 5, size)(entry(flapack.dpbtrf._cpointer, None))
     dsbevd = ctypes.CFUNCTYPE(None, char, char, *[ptr] * 12, size, size)(entry(flapack.dsbevd._cpointer, None))
     fixed = (c_int * 4)(2, 3, 1, 1)  # KD, LDAB, LDZ, LIWORK: only read, so every thread shares them
     kd, ldab, ldz, liwork = (byref(fixed, 4 * i) for i in range(4))
 
-    def pbtrf(band, lower=1):
-        buf, ints = np.empty((band.shape[1], 3)), (c_int * 2)(band.shape[1])  # AB as LAPACK's (3, N); N, INFO
-        buf[...] = band.T
-        dpbtrf(b"L" if lower else b"U", ints, kd, byref(ctypes.c_double.from_buffer(buf)), ldab, byref(ints, 4), 1)
-        return buf.T, ints[1]
-
-    def sbevd(band, compute_v=0, lower=1):
-        if compute_v:
-            raise ValueError("only eigenvalues are computed")
+    def sbevd(band):  # the eigenvalues of a lower band (3, N), and INFO
         n = band.shape[1]  # buf: AB, W, WORK (3N + 3 >= N + LWORK); ints: N, LWORK (JOBZ = 'N'), IWORK, INFO
         buf, ints = np.empty((2 * n + 1, 3)), (c_int * 4)(n, max(1, 2 * n))
         buf[:n] = band.T
         a = ctypes.c_double.from_buffer(buf)
-        dsbevd(b"N", b"L" if lower else b"U", ints, kd, byref(a), ldab, byref(a, 24 * n), None, ldz,
+        dsbevd(b"N", b"L", ints, kd, byref(a), ldab, byref(a, 24 * n), None, ldz,
                byref(a, 32 * n), byref(ints, 4), byref(ints, 8), liwork, byref(ints, 12), 1, 1)
-        return buf.ravel()[3 * n : 4 * n], None, ints[3]
+        return buf.ravel()[3 * n : 4 * n], ints[3]
 
-    return pbtrf, sbevd
+    return sbevd
+
+
+def _zero_sides(r: float, abs_r: float, abs_l: float) -> tuple[bool, bool]:
+    """(N_AR, N_AAR) == 0 as the Schur identity (module docstring) certifies them: y^2 T >= x^2.
+
+    The test fl(fl(y y) fl(t t)) > fl(fl(x x) (1 + 2^-48)) errs only towards
+    ?sbevd.  Each rounding is a factor 1 +- u, u = 2^-53 (x > EXTREMAL_TOL
+    leaves no operand subnormal where it holds), and t = math.tanh r is taken
+    within 4 ulps, 8u (twice the worst of 2e5 draws against 200-bit values):
+    the left side is below y^2 T (1 + 20u), the right above x^2 (1 + 29u).
+    It fails unaided at r = 0 (t = 0), at |q_R| = |q_L| and on the major
+    side (fl(t t) <= 1); ``_dense_pairs`` never asks past tanh r = 1.
+    """
+    t, x2, y2 = math.tanh(r), abs_r * abs_r, abs_l * abs_l
+    return y2 * (t * t) > x2 * (1.0 + 2.0**-48), x2 * (t * t) > y2 * (1.0 + 2.0**-48)
 
 
 def _principal_negativities(r: np.ndarray, n_max: list[int], abs_r: float, abs_l: float) -> np.ndarray:
@@ -291,35 +296,25 @@ def _principal_negativities(r: np.ndarray, n_max: list[int], abs_r: float, abs_l
     A chunk of rows shares one band build at its top level; each row is
     solved on its leading n_max + 1 columns, each sector by one LAPACK ?sbevd
     without the GIL (the bands' finiteness test and ``info`` stand in for
-    scipy's wrapper checks); a minor-side sector that ?pbtrf factors adds 0
-    unsolved.  N is minus the sum of the eigenvalues below NEGATIVITY_CUTOFF.
-    With k = min(CPUs the process may use, rows in the chunk), the calling
-    thread solves rows 0::k and k - 1 threads rows j::k, joined chunk by chunk.
+    scipy's wrapper checks), bar the sides ``_zero_sides`` certifies as 0.
+    N is minus the sum of the eigenvalues below NEGATIVITY_CUTOFF.  With k =
+    min(CPUs the process may use, rows in the chunk), the calling thread
+    solves rows 0::k and k - 1 threads rows j::k, joined chunk by chunk.
     """
-    pbtrf, sbevd = _lapack()
+    sbevd = _lapack()
     values = np.zeros((r.size, 2))
-    minor = (abs_r < abs_l, abs_l < abs_r)
+    zeros = [_zero_sides(x, abs_r, abs_l) for x in r.tolist()]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
     def solve(rows: list, errors: list) -> None:
         try:
-            for row, n, sides in rows:  # each row writes only its own values
-                for side, sectors in enumerate(sides):
-                    eigs = []
-                    for band in sectors[..., : n + 1]:
-                        if minor[side]:
-                            info = pbtrf(band, lower=1)[1]
-                            if info < 0:
-                                raise ValueError(f"illegal value in argument {-info} of pbtrf")
-                            if info == 0:
-                                continue  # positive definite: the sector adds 0
-                        w, _, info = sbevd(band, compute_v=0, lower=1)
-                        if info != 0:
-                            raise np.linalg.LinAlgError(f"sbevd failed with info={info}")
-                        eigs.append(w)
-                    if eigs:  # else both sectors factored and the side keeps its 0
-                        spectrum = np.concatenate(eigs)
-                        values[row, side] = float(-spectrum[spectrum < NEGATIVITY_CUTOFF].sum()) + 0.0  # not -0.0
+            for row, n, sides, zero in rows:  # each row writes only its own values
+                for side in [s for s in (0, 1) if not zero[s]]:  # a certified side keeps its 0
+                    spectra, infos = zip(*[sbevd(band) for band in sides[side, ..., : n + 1]])
+                    if any(infos):
+                        raise np.linalg.LinAlgError(f"sbevd failed with info={max(infos, key=abs)}")
+                    spectrum = np.concatenate(spectra)
+                    values[row, side] = float(-spectrum[spectrum < NEGATIVITY_CUTOFF].sum()) + 0.0  # not -0.0
         except BaseException as exc:  # raised again by the calling thread once every thread has joined
             errors.append(exc)
 
@@ -329,7 +324,7 @@ def _principal_negativities(r: np.ndarray, n_max: list[int], abs_r: float, abs_l
         bands = _sector_bands(r[start : start + step], abs_r, abs_l, max(levels))
         if not np.isfinite(bands).all():
             raise ValueError("array must not contain infs or NaNs")
-        rows, errors, k = list(zip(range(start, r.size), levels, bands)), [], min(cpus, len(levels))
+        rows, errors, k = list(zip(range(start, r.size), levels, bands, zeros[start:])), [], min(cpus, len(levels))
         workers = [threading.Thread(target=solve, args=(rows[j::k], errors)) for j in range(1, k)]
         for worker in workers:
             worker.start()
@@ -365,10 +360,10 @@ def _dense_pairs(r: np.ndarray, weights: UnruhWeights) -> Iterator[NegativityPai
     """The dense route on a squeezing grid, each row solved at its own truncation level.
 
     Each row takes the first n of the ladder 1, 2, 4, ..., N_MAX_CAP at which
-    both bracket widths are at most 0.1 DELTA_TOL, the floor that certifies
-    any value, 0 included; rows that reach the cap keep its widths.  Both
-    widths fall strictly with n, so bisection finds that level in at most 4
-    width evaluations.
+    both bracket widths are at most 0.1 DELTA_TOL, which certifies any value,
+    or the cap, and then the width 0 on a side that ``_zero_sides``
+    certifies.  Both widths fall strictly with n, so bisection finds that
+    level in at most 4 width evaluations.
     """
     abs_r, abs_l = weights.abs_r, weights.abs_l
     ladder = [min(1 << i, N_MAX_CAP) for i in range((N_MAX_CAP - 1).bit_length() + 1)]
@@ -384,7 +379,8 @@ def _dense_pairs(r: np.ndarray, weights: UnruhWeights) -> Iterator[NegativityPai
             mid = (lo + hi) // 2
             widths[mid] = _bracket_widths(x, abs_r, abs_l, ladder[mid])
             lo, hi = (lo, mid) if max(widths[mid]) <= 0.1 * DELTA_TOL else (mid + 1, hi)
-        levels.append((ladder[lo], widths.get(lo) or _bracket_widths(x, abs_r, abs_l, ladder[lo])))
+        widths = widths.get(lo) or _bracket_widths(x, abs_r, abs_l, ladder[lo])
+        levels.append((ladder[lo], tuple(0.0 if z else w for w, z in zip(widths, _zero_sides(x, abs_r, abs_l)))))
     rows = [i for i, (_, widths) in enumerate(levels) if widths[0] < math.inf]  # the others stay 0
     values = np.zeros((r.size, 2))
     values[rows] = _principal_negativities(r[rows], [levels[i][0] for i in rows], abs_r, abs_l)
@@ -527,11 +523,9 @@ def _pair_blocks(r: float, weights: UnruhWeights) -> NegativityPair:
 def bosonic_negativity_pair(r: float, weights: UnruhWeights) -> NegativityPair:
     """Alice-Rob and Alice-AntiRob negativities with a convergence report.
 
-    An extremal weight takes the block series; any other weight takes the
-    dense engine, whose truncation, found by bisection, is the first level
-    of 1, 2, 4, ..., ``N_MAX_CAP`` with both bracket widths at most 0.1
-    ``DELTA_TOL``.  The report carries both values' ends, and an unconverged
-    pair is returned with ``report.converged`` false.
+    An extremal weight takes the block series, any other the dense engine
+    (``_dense_pairs``).  The report carries both values' ends, and an
+    unconverged pair is returned with ``report.converged`` false.
     """
     _check_r(r)
     if weights.minor_weight() <= EXTREMAL_TOL:

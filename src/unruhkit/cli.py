@@ -299,12 +299,15 @@ def _packet_json(args, fields: list[tuple[str, str]], sma_valid: bool, table: li
 
 
 def _write(path: str, text: str) -> None:
-    """``text`` as UTF-8 by ``os.open``, ``os.write`` and ``os.close``; new files get 0o666 less the umask."""
+    """``text`` as UTF-8 over any old bytes, then cut to its length; a crash mid-write leaves a mix of both."""
     data = memoryview(text.encode())
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    # no O_TRUNC, which can wait for the old bytes to reach the disk; a new file gets 0o666 less the umask
+    size, fd = len(data), os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         while data:
             data = data[os.write(fd, data):]
+        if os.fstat(fd).st_size > size:  # only an old regular file: ftruncate fails on /dev/null and pipes
+            os.ftruncate(fd, size)
     finally:
         os.close(fd)
 

@@ -10,6 +10,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -456,7 +457,7 @@ class TestNegativityPair:
         assert rep.converged
         widths = _bracket_widths(r, w.abs_r, w.abs_l, rep.n_max_used)
         assert rep.lo == (pair.n_ar, pair.n_aar)
-        assert rep.hi == (pair.n_ar + widths[0], pair.n_aar + widths[1])
+        assert rep.hi == upper_ends(r, w, (pair.n_ar, pair.n_aar), widths)
         assert rep.tail_weight == max(rep.hi[0] - pair.n_ar, rep.hi[1] - pair.n_aar) <= 1e-7
 
     @pytest.mark.parametrize("r", [400.0, 800.0, 1e4])
@@ -542,10 +543,7 @@ class TestCurve:
         # 4000 rows at n = 120 would need 46 MB for both sides' bands at once;
         # past r ~ 1.35 every row of q = 0.9 reaches the cap.
         # LAPACK is stubbed out: the memory in question is the band build's.
-        monkeypatch.setattr(bosonic, "_lapack", lambda: (
-            lambda band, **kwargs: (band, 0),
-            lambda band, **kwargs: (np.zeros(band.shape[1]), None, 0),
-        ))
+        monkeypatch.setattr(bosonic, "_lapack", lambda: lambda band: (np.zeros(band.shape[1]), 0))
         grid = np.linspace(1.5, 3.0, 4000)
         tracemalloc.start()
         try:
@@ -960,39 +958,43 @@ def bracket(r, q_abs, n_max):
     return _dense_pair(r, w, n_max), _bracket_widths(r, w.abs_r, w.abs_l, n_max)
 
 
-class EigCounter:
-    """Records the sizes of the banded eigensolves and Cholesky attempts (size, success).
+def upper_ends(r, w, values, widths):
+    """A dense row's upper ends: value + width, or 0 on a side that ``_zero_sides`` certifies."""
+    zero = bosonic._zero_sides(r, w.abs_r, w.abs_l)
+    return tuple(0.0 if z else v + width for v, width, z in zip(values, widths, zero))
 
-    It wraps the LAPACK routines the dense engine gets from ``bosonic._lapack``.
-    """
+
+class EigCounter:
+    """Records the sizes of the banded eigensolves, wrapping the routine ``bosonic._lapack`` gives."""
 
     def __init__(self, monkeypatch):
-        self.eig, self.cholesky = [], []
-        pbtrf, sbevd = bosonic._lapack()
+        self.eig = []
+        sbevd = bosonic._lapack()
 
-        def cholesky(band, *args, **kwargs):
-            factor, info = pbtrf(band, *args, **kwargs)
-            self.cholesky.append((band.shape[1], info == 0))
-            return factor, info
-
-        def eig(band, *args, **kwargs):
+        def eig(band):
             self.eig.append(band.shape[1])
-            return sbevd(band, *args, **kwargs)
+            return sbevd(band)
 
-        monkeypatch.setattr(bosonic, "_lapack", lambda: (cholesky, eig))
+        monkeypatch.setattr(bosonic, "_lapack", lambda: eig)
 
 
-def lapack_results(pbtrf, sbevd):
-    """Cholesky factors and eigenvalues of random bands of sizes 1, 2, 3, 17, 121 and 500."""
+def scipy_sbevd():
+    """``get_lapack_funcs``' ?sbevd with the engine routine's call and return: eigenvalues and info."""
+    from scipy.linalg import get_lapack_funcs
+
+    sbevd, = get_lapack_funcs(("sbevd",), dtype=np.float64)
+    return lambda band: sbevd(band, compute_v=0, lower=1)[::2]
+
+
+def lapack_results(sbevd):
+    """Eigenvalues and info of random bands of sizes 1, 2, 3, 17, 121 and 500."""
     rng = np.random.default_rng(12)
     out = {}
     for d in (1, 2, 3, 17, 121, 500):
         band = rng.standard_normal((3, d))
-        # the raw band is indefinite (pbtrf fails), the shifted one positive definite
+        # the raw band is indefinite, the shifted one positive definite
         for name, b in (("raw", band), ("shifted", band + [[8.0], [0.0], [0.0]])):
-            factor, info = pbtrf(b, lower=1)
-            w, _, eig_info = sbevd(b, compute_v=0, lower=1)
-            out[f"{name}{d}"] = np.concatenate([factor.ravel(), w, [info, eig_info]])
+            out[f"{name}{d}"] = np.append(*sbevd(b))
     return out
 
 
@@ -1000,35 +1002,31 @@ class TestLapackLoader:
     def test_path_loaded_routines_match_get_lapack_funcs(self, tmp_path):
         # a child loads the extension by path before anything imports scipy.linalg
         code = ("import sys, numpy as np, test_bosonic as t; from unruhkit import bosonic; "
-                "funcs = bosonic._lapack(); assert 'scipy.linalg' not in sys.modules; "
-                f"np.savez({str(tmp_path / 'path.npz')!r}, **t.lapack_results(*funcs))")
+                "sbevd = bosonic._lapack(); assert 'scipy.linalg' not in sys.modules; "
+                f"np.savez({str(tmp_path / 'path.npz')!r}, **t.lapack_results(sbevd))")
         tests = Path(__file__).resolve().parent
         path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
                                              os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
         subprocess.run([sys.executable, "-c", code], env=env, timeout=60, check=True)
-        from scipy.linalg import get_lapack_funcs
-
-        expected = lapack_results(*get_lapack_funcs(("pbtrf", "sbevd"), dtype=np.float64))
+        expected = lapack_results(scipy_sbevd())
         with np.load(tmp_path / "path.npz") as loaded:
             assert sorted(loaded) == sorted(expected)
             for key, value in expected.items():
                 assert np.array_equal(loaded[key], value), key
 
     def test_missing_extension_file_falls_back_to_get_lapack_funcs(self, monkeypatch):
-        from scipy.linalg import get_lapack_funcs
-
         lookups = []
         monkeypatch.setattr(bosonic, "_flapack_path", lambda: lookups.append(1))
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
         bosonic._lapack.cache_clear()
         try:
-            pbtrf, sbevd = bosonic._lapack()
+            sbevd = bosonic._lapack()
         finally:
             bosonic._lapack.cache_clear()
-        # the ctypes routines taken from the objects get_lapack_funcs returns
-        expected = lapack_results(*get_lapack_funcs(("pbtrf", "sbevd"), dtype=np.float64))
-        results = lapack_results(pbtrf, sbevd)
+        # the ctypes routine taken from the object get_lapack_funcs returns
+        expected = lapack_results(scipy_sbevd())
+        results = lapack_results(sbevd)
         assert lookups == [1] and sorted(results) == sorted(expected)
         for key, value in expected.items():
             assert np.array_equal(results[key], value), key
@@ -1047,22 +1045,20 @@ class TestRowSplit:
     """A chunk's rows solved on the calling thread and min(CPUs, rows) - 1 worker threads."""
 
     def record_threads(self, monkeypatch, fail=None):
-        # both routines as _lapack gives them, recording the thread of each call;
-        # fail=(routine, size, info) makes that routine return info at that size
-        pbtrf, sbevd = bosonic._lapack()
+        # the routine as _lapack gives it, recording the thread of each call;
+        # fail=(size, info) makes it return that info at that size
+        sbevd = bosonic._lapack()
         names, failed = [], []
 
-        def stub(routine, name):
-            def call(band, *args, **kwargs):
-                names.append(threading.current_thread().name)
-                out = routine(band, *args, **kwargs)
-                if fail and fail[:2] == (name, band.shape[1]):
-                    failed.append(threading.current_thread().name)
-                    return (*out[:-1], fail[2])
-                return out
-            return call
+        def call(band):
+            names.append(threading.current_thread().name)
+            w, info = sbevd(band)
+            if fail and fail[0] == band.shape[1]:
+                failed.append(threading.current_thread().name)
+                return w, fail[1]
+            return w, info
 
-        monkeypatch.setattr(bosonic, "_lapack", lambda: (stub(pbtrf, "pbtrf"), stub(sbevd, "sbevd")))
+        monkeypatch.setattr(bosonic, "_lapack", lambda: call)
         return names, failed
 
     def test_no_thread_outlives_a_curve(self, monkeypatch):
@@ -1074,19 +1070,15 @@ class TestRowSplit:
         assert threading.active_count() == before
         assert len(set(names)) == 3 and threading.current_thread().name in names
 
-    @pytest.mark.parametrize("fail, error, message", [
-        (("sbevd", N_MAX_CAP + 1, 1), np.linalg.LinAlgError, "sbevd failed with info=1"),
-        (("pbtrf", N_MAX_CAP + 1, -3), ValueError, "illegal value in argument 3 of pbtrf"),
-    ])
-    def test_a_worker_error_is_raised_after_every_thread_joins(self, monkeypatch, fail, error, message):
+    def test_a_worker_error_is_raised_after_every_thread_joins(self, monkeypatch):
         # with 2 CPUs row 0 (a low level) is the calling thread's and row 1 (the cap) the worker's,
         # so only the worker meets the failing size
         grid = [0.05, 2.0]
         levels = [row.report.n_max_used for row in bosonic_curve(0.9, grid)]
         assert levels[0] < N_MAX_CAP == levels[1]
-        names, failed = self.record_threads(monkeypatch, fail)
+        names, failed = self.record_threads(monkeypatch, (N_MAX_CAP + 1, 1))
         before = threading.active_count()
-        with cpus(2), pytest.raises(error, match=re.escape(message)):
+        with cpus(2), pytest.raises(np.linalg.LinAlgError, match=re.escape("sbevd failed with info=1")):
             bosonic_curve(0.9, grid)
         assert threading.active_count() == before
         caller = threading.current_thread().name
@@ -1094,19 +1086,14 @@ class TestRowSplit:
 
     def test_threads_solving_the_same_bands_match_the_serial_results(self):
         # 4 threads (more than the cores of a small host) solve the same 200 bands at once,
-        # with a short switch interval; every factor and spectrum must keep its serial bits
-        pbtrf, sbevd = bosonic._lapack()
+        # with a short switch interval; every spectrum must keep its serial bits
+        sbevd = bosonic._lapack()
         rng = np.random.default_rng(40)
         bands = [rng.standard_normal((3, d)) + [[s], [0.0], [0.0]]
                  for d, s in zip(rng.integers(1, 200, 200), rng.choice([0.0, 8.0], 200))]
 
         def solve_all():
-            out = []
-            for band in bands:
-                factor, info = pbtrf(band, lower=1)
-                w, _, eig_info = sbevd(band, compute_v=0, lower=1)
-                out.append(np.concatenate([factor.ravel(), w, [info, eig_info]]))
-            return out
+            return [np.append(*sbevd(band)) for band in bands]
 
         serial, results = solve_all(), [None] * 4
         start = threading.Barrier(4, timeout=60)
@@ -1181,14 +1168,14 @@ class TestPrincipalBlockBracket:
             assert np.all(np.diff(values.max(axis=1)) > 0.0)
 
     @pytest.mark.parametrize("r", [1.5, 3.0])
-    def test_minor_side_is_certified_zero_by_cholesky(self, r, monkeypatch):
+    def test_minor_side_is_certified_zero_by_the_closed_form(self, r, monkeypatch):
         counter = EigCounter(monkeypatch)
         pair = bosonic_negativity_pair(*point(r, 0.9))
         d = pair.report.n_max_used + 1
         assert pair.n_aar == 0.0 and pair.n_ar > 0.0
-        # both minor-side sectors factor, so only the two major-side sectors
-        # are eigensolved, once each and at n_max_used only
-        assert counter.cholesky == [(d, True), (d, True)]
+        # tanh r >= |q_L|/|q_R| = 0.484, so the minor side is 0 with ends (0, 0), unsolved:
+        # only the two major-side sectors are eigensolved, once each and at n_max_used only
+        assert (pair.report.lo[1], pair.report.hi[1]) == (0.0, 0.0)
         assert counter.eig == [d, d]
 
     def test_one_solve_per_sector_at_n_max_used(self, monkeypatch):
@@ -1196,9 +1183,8 @@ class TestPrincipalBlockBracket:
         pair = bosonic_negativity_pair(*point(0.2, 0.6))  # both sides entangled at small r
         d = pair.report.n_max_used + 1
         assert pair.n_ar > 0.0 and pair.n_aar > 0.0
-        # the minor side (|q_R| < |q_L|) is entangled here: both its Cholesky
-        # attempts fail and each sector falls back to one eigensolve
-        assert counter.cholesky == [(d, False), (d, False)]
+        # the minor side (|q_R| < |q_L|) is entangled here (tanh r < 0.75), so
+        # the closed form certifies nothing and each of the four sectors is solved
         assert counter.eig == [d] * 4
 
     @settings(max_examples=40, deadline=None)
@@ -1241,7 +1227,7 @@ class TestPrincipalBlockBracket:
             widths = bracket(r, q_abs, n)[1]
             assert n == N_MAX_CAP or max(widths) <= 1e-7
             values = (pair.n_ar, pair.n_aar)
-            assert rep.lo == values and rep.hi == tuple(v + w for v, w in zip(values, widths))
+            assert rep.lo == values and rep.hi == upper_ends(r, point(r, q_abs)[1], values, widths)
             assert rep.converged == all(
                 hi - v <= 1e-6 * max(v, 0.1) for v, hi in zip(values, rep.hi))
         assert {1, N_MAX_CAP} < levels
@@ -1259,7 +1245,7 @@ class TestPrincipalBlockBracket:
                 assert (rep.n_max_used, rep.hi, rep.converged) == (N_MAX_CAP, (math.inf, math.inf), False)
             else:
                 n, widths = linear_ladder_level(x, w)
-                assert (rep.n_max_used, rep.hi) == (n, (pair.n_ar + widths[0], pair.n_aar + widths[1]))
+                assert (rep.n_max_used, rep.hi) == (n, upper_ends(x, w, (pair.n_ar, pair.n_aar), widths))
 
     def test_tanh_one_examples_straddle_the_threshold(self):
         assert math.tanh(TANH_ONE_BELOW) < 1.0 == math.tanh(TANH_ONE)
@@ -1283,15 +1269,19 @@ class TestPrincipalBlockBracket:
         assert all(n == 0 for x, n in zip(grid.tolist(), per_row) if math.tanh(x) == 1.0)
 
     def test_converged_zero_is_certified_by_the_absolute_floor(self, monkeypatch):
-        pair = bosonic_negativity_pair(*point(1.5, 0.9))
+        # 400 ulps below tanh r = |q_L|/|q_R| the minor side is not certified by the closed
+        # form: its principal value reads 0 (no eigenvalue below the cutoff), with the width
+        r, w = point(0.0, 0.74)
+        r = math.atanh(w.abs_l / w.abs_r) - 400 * math.ulp(1.5)
+        pair = bosonic_negativity_pair(r, w)
         rep = pair.report
-        assert rep.converged and pair.n_aar == 0.0
+        assert rep.converged and pair.n_aar == 0.0 and bosonic._zero_sides(r, w.abs_r, w.abs_l) == (False, False)
         assert rep.lo[1] == 0.0 < rep.hi[1] <= 1e-7
         # the point sits at the cap, so a tighter floor buys no deeper level:
         # the same 0 is judged against it and fails
         assert rep.n_max_used == N_MAX_CAP
         monkeypatch.setattr(bosonic, "DELTA_TOL", 0.5 * rep.hi[1] / 0.1)
-        tight = bosonic_negativity_pair(*point(1.5, 0.9))
+        tight = bosonic_negativity_pair(r, w)
         assert (tight.n_ar, tight.n_aar) == (pair.n_ar, pair.n_aar)
         assert not tight.report.converged
 
@@ -1304,9 +1294,78 @@ class TestPrincipalBlockBracket:
         rep = pair.report
         assert not rep.converged
         assert rep.n_max_used == N_MAX_CAP
-        assert max(counter.eig + [size for size, _ in counter.cholesky]) == N_MAX_CAP + 1
+        assert max(counter.eig) == N_MAX_CAP + 1
         assert 0.0 <= pair.n_ar <= 0.5 and 0.0 <= pair.n_aar <= 0.5
         assert rep.lo == (pair.n_ar, pair.n_aar) and all(map(math.isfinite, rep.hi))
+
+
+class TestSchurZeros:
+    """A side is exactly 0 iff |q_major|^2 tanh^2 r >= |q_minor|^2; ``_zero_sides`` certifies it with a margin."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(q_abs=st.floats(0.05, 0.95), r=st.floats(0.0, 3.0))
+    @example(q_abs=0.9, r=0.0)
+    @example(q_abs=math.sqrt(0.5), r=2.0)
+    @example(q_abs=0.9, r=0.4)  # tanh r in place of tanh^2 r would certify this nonzero minor side
+    @example(q_abs=0.9, r=3.0)
+    def test_a_side_is_zero_with_ends_zero_iff_the_closed_form_test_holds(self, q_abs, r):
+        r, w = point(r, q_abs)
+        pair = bosonic_negativity_pair(r, w)
+        rep, values, weights = pair.report, (pair.n_ar, pair.n_aar), (w.abs_r, w.abs_l)
+        # the principal blocks with every side solved by ?sbevd, as before the closed form
+        with mock.patch.object(bosonic, "_zero_sides", lambda *args: (False, False)):
+            solved = _dense_pair(r, w, rep.n_max_used)
+        widths = _bracket_widths(r, w.abs_r, w.abs_l, rep.n_max_used)
+        oracle = _qops_pair(r, w, rep.n_max_used)
+        for side, zero in enumerate(bosonic._zero_sides(r, w.abs_r, w.abs_l)):
+            row = (values[side], rep.lo[side], rep.hi[side])
+            if zero:  # only a minor side, and one that ?sbevd reads as 0 too
+                assert weights[side] < weights[1 - side]
+                assert row == (0.0, 0.0, 0.0) and solved[side] == 0.0
+            else:
+                assert row == (solved[side], solved[side], solved[side] + widths[side])
+            assert abs(values[side] - oracle[side]) <= 1e-12
+
+    @pytest.mark.parametrize("q_abs", [0.05, 0.3, 0.6, 0.8, 0.9, 0.95])
+    def test_rows_either_side_of_the_float_threshold(self, q_abs):
+        # 121 rows within 60 ulps of artanh(|q_minor|/|q_major|): the minor side reads 0 on each,
+        # and is certified only where fl(y^2 t^2) clears fl(x^2) by the margin, which leaves
+        # y^2 t^2 > x^2 (1 + 2^-49) in exact arithmetic on the float t = math.tanh(r)
+        w = UnruhWeights.from_abs(q_abs)
+        minor = 0 if w.abs_r < w.abs_l else 1
+        x, y = (w.abs_r, w.abs_l)[minor], (w.abs_r, w.abs_l)[1 - minor]
+        threshold = math.atanh(x / y)
+        grid = [threshold + k * math.ulp(threshold) for k in range(-60, 61)]
+        certified = []
+        for r, row in zip(grid, bosonic_curve(q_abs, grid)):
+            value, lo, hi = (row.n_ar, row.n_aar)[minor], row.report.lo[minor], row.report.hi[minor]
+            assert value == lo == 0.0 < row.report.hi[1 - minor]
+            if hi == 0.0:
+                certified.append(r)
+                t = Fraction(math.tanh(r))
+                assert Fraction(y) ** 2 * t * t > Fraction(x) ** 2 * (1 + Fraction(1, 2**49))
+        # the cut lies inside the window, with the rows past it certified and none before
+        assert 0 < len(certified) < len(grid) and certified == grid[len(grid) - len(certified):]
+
+    def test_rows_that_need_no_rule_of_their_own(self):
+        # r = 0: T = 0, so the test fails for every weight the dense engine takes
+        for q_abs in (0.05, 0.3, 0.9, 0.95):
+            r, w = point(0.0, q_abs)
+            pair = bosonic_negativity_pair(r, w)
+            assert bosonic._zero_sides(r, w.abs_r, w.abs_l) == (False, False)
+            assert pair.report.hi == (pair.n_ar, pair.n_aar) and min(pair.n_ar, pair.n_aar) > 0.0
+        # |q_R| = |q_L|: neither side is minor, and fl(t t) <= 1 fails the test up to tanh r = 1
+        grid = np.append(np.linspace(0.0, 3.0, 31), TANH_ONE_BELOW)
+        w = UnruhWeights(math.sqrt(0.5), math.sqrt(0.5))
+        for r, pair in zip(grid.tolist(), bosonic._dense_pairs(grid, w)):
+            assert bosonic._zero_sides(r, w.abs_r, w.abs_l) == (False, False)
+            assert pair.n_ar == pair.n_aar and pair.report.hi[0] == pair.report.hi[1] >= pair.n_ar
+        # past tanh r = 1 the test would certify the minor side, but the row stays unevaluated
+        for r in (TANH_ONE, 25.0):
+            r, w = point(r, 0.9)
+            assert bosonic._zero_sides(r, w.abs_r, w.abs_l) == (False, True)
+            rep = bosonic_negativity_pair(r, w).report
+            assert (rep.lo, rep.hi, rep.converged) == ((0.0, 0.0), (math.inf, math.inf), False)
 
 
 @settings(max_examples=30, deadline=None)

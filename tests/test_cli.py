@@ -1,6 +1,7 @@
 """Command-line interface: determinism, schemas, exit codes, config merging."""
 
 import contextlib
+import errno
 import io
 import json
 import math
@@ -946,6 +947,54 @@ def test_write_finishes_a_short_write_with_the_mode_of_open(tmp_path, monkeypatc
     assert os.stat(tmp_path / "low.txt").st_mode == os.stat(tmp_path / "high.txt").st_mode
     cli._write(str(tmp_path / "low.txt"), "short")  # an existing file is truncated
     assert (tmp_path / "low.txt").read_bytes() == b"short"
+
+
+FERMION = ["fermion", "--q", "0.9", "--steps"]
+
+
+def test_rewriting_an_output_in_place_leaves_no_stale_tail(tmp_path):
+    # a long table written over by a short one is cut to the short one's bytes, in the same file
+    out, fresh = tmp_path / "x.csv", tmp_path / "fresh.csv"
+    assert main([*FERMION, "40", "--out", str(out)]) == EXIT_OK
+    inode, long_size = os.stat(out).st_ino, os.stat(out).st_size
+    assert main([*FERMION, "3", "--out", str(out)]) == main([*FERMION, "3", "--out", str(fresh)]) == EXIT_OK
+    assert out.read_bytes() == fresh.read_bytes() and len(fresh.read_bytes()) < long_size
+    assert os.stat(out).st_ino == inode
+
+
+@pytest.mark.parametrize("argv", [
+    [*FERMION, "3"], ["boson", "--q", "0.9", "--steps", "3"], ["packet", "--lam", "1"],
+])
+def test_out_may_be_dev_null(argv, capsys):
+    # not a regular file: nothing is cut, as ftruncate would fail there
+    assert main([*argv, "--out", os.devnull]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_a_symlinked_out_rewrites_its_target_and_keeps_the_link(tmp_path):
+    target, link, fresh = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "fresh.csv"
+    target.write_text("an older, longer file\n" * 500)
+    link.symlink_to(target)
+    assert main([*FERMION, "3", "--out", str(link)]) == main([*FERMION, "3", "--out", str(fresh)]) == EXIT_OK
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_an_unwritable_out_is_a_numeric_failure_that_keeps_the_old_file(tmp_path, monkeypatch, capsys):
+    # the open of a read-only file fails with EACCES (a root user is not refused, so the refusal is stubbed)
+    out = tmp_path / "x.csv"
+    out.write_text("old\n")
+    out.chmod(0o444)
+    real_open = os.open
+
+    def refusing(path, flags, *args):
+        if path == str(out):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return real_open(path, flags, *args)
+
+    monkeypatch.setattr(os, "open", refusing)
+    assert main([*FERMION, "3", "--out", str(out)]) == EXIT_NUMERIC
+    assert "Permission denied" in capsys.readouterr().err and out.read_text() == "old\n"
 
 
 @pytest.mark.parametrize("argv, work", [
