@@ -191,7 +191,11 @@ def _invariants(r: np.ndarray, weights: UnruhWeights) -> tuple[np.ndarray, np.nd
 
     and the "AAR" blocks are these with a and b exchanged.  aC -+ bS is
     cos(theta +- r) with theta = atan2(b, a).  So det <= 0 <= t: each block has
-    at most one negative eigenvalue.
+    at most one negative eigenvalue.  Block 2's cubic is (2x + C^2 S^2)/8 times
+    4x^2 - 2 (C^4 + C^2 S^2 + S^4) x + C^2 S^2 (a^2 C^2 + b^2 S^2), whose roots are >= 0,
+    so its negative eigenvalue is -C^2 S^2/2 = -sin^2(2r)/8 for any weights and
+    phases: past the cutoff block 2 adds sin^2(2r)/8 to N_AR and to N_AAR, and only
+    block 1 depends on the weights (derived here; the route still takes the root).
 
     The error is from the exact r and normalized weights: with cos r and sin r
     within an ulp, a and b within 3 eps and eps/2 per rounding, products of

@@ -674,6 +674,32 @@ def test_closed_form_blocks_match_their_eigensolve(q_abs, phases, grid):
 
 
 @settings(max_examples=60, deadline=None)
+@given(q_abs=Q_ABS, phases=PHASES, grid=st.lists(st.floats(0.0, R_MAX), min_size=1, max_size=8))
+@example(q_abs=0.0, phases=(0.0, 0.0), grid=[0.0, R_MAX])
+@example(q_abs=1.0, phases=(0.0, 0.0), grid=[0.0, R_MAX])
+@example(q_abs=SWAP_POINT, phases=(0.3, -1.2), grid=[0.0, R_MAX])
+@example(q_abs=0.8, phases=(1.1, 2.0), grid=HARD_R[:-1])
+def test_block_two_eigenvalue_is_minus_sin_squared_two_r_over_eight(q_abs, phases, grid):
+    # block 2's cubic is (2x + C^2 S^2)(a quadratic with nonnegative roots)/8 for every normalized
+    # weight, so its negative eigenvalue is -C^2 S^2/2 = -sin^2(2r)/8 on both bipartitions
+    weights = phased_weights(q_abs, *phases)
+    grid = np.array(grid)
+    closed = -np.sin(2.0 * grid) ** 2 / 8.0
+    eigs = hermitian_eigenvalues(pt_blocks(grid, weights))[..., 1, 0]  # (rows, bipartition)
+    assert np.abs(eigs - closed[:, None]).max() <= 1e-15
+    # the route's block-2 value lies within the bound it certifies for that block, up to the
+    # rounding of the closed form itself
+    inv, err = fermionic._invariants(grid, weights)
+    lam = fermionic._lowest_root(*inv)
+    norm = math.hypot(weights.abs_r, weights.abs_l)
+    bounds = fermionic._block_bounds(inv, err, lam, fermionic._half_width(inv, err, lam), norm)
+    route = fermionic._negativities(lam[..., 1, None])
+    exact = fermionic._negativities(closed[:, None])[:, None]
+    assert np.isfinite(bounds[..., 1]).all()
+    assert (np.abs(route - exact) <= bounds[..., 1] + 4.0 * EPS * exact).all()
+
+
+@settings(max_examples=60, deadline=None)
 @given(q_abs=Q_ABS, phases=PHASES, grid=R_GRID)
 @example(q_abs=0.0, phases=(0.0, 0.0), grid=HARD_R)
 @example(q_abs=1.0, phases=(0.0, 0.0), grid=HARD_R)

@@ -20,7 +20,6 @@ from unruhkit.wavepacket import (
     f_log_gaussian,
     g_from_f,
     parseval_residual,
-    peaking_report,
     peaking_report_from_pair,
     rapidity_gaussian,
     _auto_x_grid,
@@ -123,7 +122,7 @@ class TestBogoliubovKernel:
         assert f.l2_distance(f_from_g(pair, f.x)) < 1e-6
         # the left-mover image is the right-mover one with its sectors exchanged, and the
         # signed variable with them: one report
-        report, right = peaking_report_from_pair(f, pair), peaking_report(f)
+        report, right = peaking_report_from_pair(f, pair), peaking_report_from_pair(f, g_from_f(f))
         assert report.sma_valid == right.sma_valid and report.peak_omega == right.peak_omega
         assert np.allclose(report[1:5], right[1:5], rtol=1e-12, atol=1e-15)
 
@@ -429,6 +428,19 @@ class TestClosedFormProperties:
         spread = math.sqrt(float(np.sum((grid - mean) ** 2 * dens) / dens.sum()))
         assert abs(spread - math.sqrt(params.lam / 2.0)) < 1e-3
 
+    @settings(max_examples=40, deadline=None)
+    @given(lam=st.floats(0.05, 50.0), mu=st.floats(-20.0, 20.0), omega0=st.floats(0.1, 10.0),
+           given_grid=st.booleans())
+    @example(lam=1.0, mu=4.0, omega0=2.0, given_grid=False)
+    @example(lam=1.0, mu=4.0, omega0=2.0, given_grid=True)
+    def test_left_movers_exchange_the_sectors(self, lam, mu, omega0, given_grid):
+        # one expression over s = +-1: g_R at eps = -1 is g_L at eps = +1 bit for bit, and the reverse
+        params = LogGaussianParams(lam, mu, omega0)
+        grid = np.linspace(0.0, 30.0, 257) if given_grid else None
+        right, left = (closed_form_g(params, BogoliubovKernel(eps), grid) for eps in (1, -1))
+        assert left.omega_grid.tobytes() == right.omega_grid.tobytes()
+        assert left.g_r.tobytes() == right.g_l.tobytes() and left.g_l.tobytes() == right.g_r.tobytes()
+
     def test_no_chirp_symmetry(self):
         pair = closed_form_g(LogGaussianParams(1.0, 0.0))
         assert np.max(np.abs(np.abs(pair.g_r) - np.abs(pair.g_l))) < 1e-14
@@ -464,7 +476,7 @@ class TestAlternatePackets:
     @pytest.mark.parametrize("kind", ["gamma", "bessel"])
     def test_sma_valid_when_chirped(self, kind):
         f = alternate_packets(kind, LogGaussianParams(1.0, 5.0))
-        report = peaking_report(f)
+        report = peaking_report_from_pair(f, g_from_f(f))
         assert report.sma_valid
         assert report.leakage < 1e-2
 
@@ -626,7 +638,8 @@ class TestSpecialFunctions:
 
 class TestPeakingReport:
     def test_peaked_regime_saturates_uncertainty(self):
-        report = peaking_report(f_log_gaussian(LogGaussianParams(1.0, 8.0)))
+        f = f_log_gaussian(LogGaussianParams(1.0, 8.0))
+        report = peaking_report_from_pair(f, g_from_f(f))
         assert abs(report.uncertainty_product - 0.5) < 0.01
         assert report.sma_valid
         assert abs(report.peak_omega - 8.0) < 0.1
@@ -642,11 +655,12 @@ class TestPeakingReport:
         ],
     )
     def test_uncertainty_bound(self, packet):
-        report = peaking_report(packet)
+        report = peaking_report_from_pair(packet, g_from_f(packet))
         assert report.uncertainty_product >= 0.5 - 1e-3
 
     def test_balanced_packet_fails_sma(self):
-        report = peaking_report(f_log_gaussian(LogGaussianParams(1.0, 0.0)))
+        f = f_log_gaussian(LogGaussianParams(1.0, 0.0))
+        report = peaking_report_from_pair(f, g_from_f(f))
         assert abs(report.leakage - 0.5) < 1e-10
         assert not report.sma_valid
 
@@ -781,6 +795,17 @@ class TestMassive:
         assert np.max(np.abs(pair_a.g_r - pair_b.g_r)) < 1e-6
         assert np.max(np.abs(pair_a.g_l - pair_b.g_l)) < 1e-6
 
+    @settings(max_examples=40, deadline=None)
+    @given(lam=st.floats(0.01, 100.0), mu=st.floats(-20.0, 20.0), mass=st.floats(1e-3, 1e3))
+    @example(lam=1.0, mu=5.0, mass=1.0)
+    def test_rapidity_gaussian_is_the_log_gaussian_with_a_mass(self, lam, mu, mass):
+        # one Gaussian builder serves both fields: the same grid and weight bit for bit, only the mass differs
+        massive = rapidity_gaussian(lam, mu, mass)
+        massless = f_log_gaussian(LogGaussianParams(lam, mu))
+        assert (massive.mass, massless.mass) == (mass, None)
+        assert massive.x.tobytes() == massless.x.tobytes()
+        assert massive.weight.tobytes() == massless.weight.tobytes()
+
     def test_parseval_and_round_trip(self):
         f = rapidity_gaussian(1.0, 4.0, 2.0)
         pair = g_from_f(f)
@@ -789,7 +814,8 @@ class TestMassive:
         assert f.l2_distance(back) < 1e-6
 
     def test_peaked_at_chirp_frequency(self):
-        report = peaking_report(rapidity_gaussian(1.0, 6.0, 1.0))
+        f = rapidity_gaussian(1.0, 6.0, 1.0)
+        report = peaking_report_from_pair(f, g_from_f(f))
         assert abs(report.peak_omega - 6.0) < 0.1
         assert report.sma_valid
 
