@@ -30,11 +30,11 @@ Two evaluation routes are provided:
 * ``blocks``: for the extremal weights |q_R| in {0, 1} the partial
   transpose is block diagonal in 2x2 sectors and the negativity is an
   explicit series over analytic block eigenvalues in the untruncated
-  space: a pairwise sum of at most 4096 terms plus an Euler-Maclaurin
-  integral tail, which has no panels once the head reaches e^-60, all from
-  one pass of the term kernel (``_series_terms``), O(1) work at any
-  squeezing, with a bound on the error (from the convexity of the terms)
-  that sets the ends either side of the value.
+  space: a pairwise sum of the terms down to e^-60, or of 64 terms where
+  that would pass 4096 (r > 2.81), plus an Euler-Maclaurin integral tail
+  on panels, all from one pass of the term kernel (``_series_terms``),
+  O(1) work at any squeezing, with a bound on the error (from the signs of
+  the terms' derivatives) that sets the ends either side of the value.
 
 Every function takes the squeezing r (``squeezing_from_acceleration``
 gives it from Omega_a and a) and the ``UnruhWeights``;
@@ -75,8 +75,8 @@ REGION_II = "II"
 #: the input state never populates Minkowski occupations above 1
 ALICE_DIM = 2
 
-#: the block series sums this many terms directly and integrates the rest
-_SERIES_HEAD = 4096
+#: a block-series row whose head would pass this many terms sums _TAIL_HEAD and integrates the rest
+_SERIES_HEAD, _TAIL_HEAD = 4096, 64
 #: its head and tail follow the terms down to e^-60 < 1e-26 of the first
 _SERIES_DECAY = 60.0
 
@@ -429,17 +429,16 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return leggauss(20)
 
 
-def _panel_edges(n_head: int, k: float) -> np.ndarray:
-    """Tail panel edges: from N doubling while below 1/k, then steps of 1/k, to the first k e >= 60."""
-    e, doubled = float(n_head), []
-    while e < 1.0 / k and k * e < _SERIES_DECAY:
-        doubled.append(e)
-        e += e
-    # cumsum adds in sequence, so each edge is the previous one plus 1/k, rounded once; in halves
-    # no sum overflows, and an edge past the float range is the largest float, where k e >= 60
-    run = np.cumsum([0.5 * e] + [0.5 / k] * (int(_SERIES_DECAY - k * e) + 2))
-    run = 2.0 * np.minimum(run, 0.5 * sys.float_info.max)
-    return np.concatenate([doubled, run[: np.argmax(k * run >= _SERIES_DECAY) + 1]])
+def _panel_edges(n_head: int, k: float, s2: float) -> np.ndarray:
+    """Tail panel edges: from N, each panel min(e + s^2, 4/k) long, to the first k e >= 60.
+
+    An edge past the float range is the largest float, where k e >= 60.
+    """
+    e, edges, step = float(n_head), [float(n_head)], 4.0 / k
+    while k * e < _SERIES_DECAY:
+        e = min(e + min(e + s2, step), sys.float_info.max)
+        edges.append(e)
+    return np.array(edges)
 
 
 def _series_terms(x: np.ndarray, s: float, k: float) -> np.ndarray:
@@ -462,25 +461,34 @@ def _block_series(r: float) -> tuple[float, float, int]:
     eigenvalue; the determinant over the larger eigenvalue gives it without
     cancellation as h(n) = e^{-kn} / (2 cosh^3(r) nu(n)), with
     nu(x) = m + sqrt(m^2 + 1), m = (s + x/s)/2, s = sinh(r) tanh(r) and
-    k = -ln T.  The first N = min(4096, 60/k) terms are summed pairwise
-    (np.sum); the rest is int_N^X h + h(N)/2 - h'(N)/12, with e^{-kX} <=
-    e^{-60}, on 20-point Gauss-Legendre panels that double from N (the
-    scale x) up to the length 1/k (the scale of e^{-kx}); where k N >= 60
-    already there are none, and X = N.
+    k = -ln T.  The first N = 60/k terms are summed pairwise (np.sum), or
+    the first 64 where N would pass 4096 (k 4096 < 60, r > 2.81); the rest
+    is int_N^X h + h(N)/2 - h'(N)/12, plus h'''(N)/720 after 64 terms, with
+    e^{-kX} <= e^{-60}, on 20-point Gauss-Legendre panels from N, each as
+    long as its left edge e lies right of -s^2 (so e + s^2 doubles) up to
+    the length 4/k; where k N >= 60 already there are none, and X = N.
 
-    Bound: 1/nu = sqrt(m^2 + 1) - m is convex, decreasing and tends to 0 in
-    m, which is linear in x, so 1/nu and h are positive, decreasing and
-    convex.  Then the Euler-Maclaurin remainder -1/2 int_N^inf B2({x}) h''
-    dx, with B2 in [-1/12, 1/6], lies in [h'(N)/12, -h'(N)/24], and the cut
-    at X adds at most h(X)/k.  The bound returned is |h'(N)|/12 + h(X)/k +
-    (16 + n) eps value, n the count of terms and nodes summed: 16 eps for
-    the terms' rounding and n eps for gamma_{n-1}, which bounds a sum of n
-    positive terms in any order (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, sec. 4.2).  The roots -s^2 +- 2is of m^2 + 1 lie a
-    panel length or more left of each panel, so the quadrature error,
-    ~(3 + sqrt 8)^-40, is far below it.  Below T = 1e-300 the value is 1/2
-    with bound s; past r ~ 353, where 60/k overflows and the value (about
-    0.3 k) is below 1e-306, it is 0 with bound k.  Returns (value, bound, N).
+    Bound: with q = sqrt(m^2 + 1), g = 1/nu = q - m has g' = -g/q, g'' =
+    q^-3, g''' = -3m q^-5 and g'''' = (12 m^2 - 3) q^-7, and m >= sqrt(x) is
+    linear in x, so (-1)^j g^(j) >= 0 for j <= 4 once m >= 1/2; e^{-kx}
+    alternates too, so h'' >= 0 everywhere and h'''' >= 0 from N = 64.  The
+    Euler-Maclaurin remainder after the h^(2p-1)(N) term is then at most
+    |B_2p|/(2p)! int_N^inf |h^(2p)| = |h^(2p-1)(N)| |B_2p|/(2p)!, that is
+    |h'(N)|/12, or |h'''(N)|/720 after 64 terms (Davis & Rabinowitz,
+    Methods of Numerical Integration, 1984, ch. 2; DLMF 2.10.1), with -h'/h
+    = k + u and -h'''/h = k^3 + 3k^2 u + 3k u^2 (1 + p) + 3u^3 p (1 + p),
+    u = 1/(2sq) and p = m/q.  The cut at X adds at most h(X)/k.  The bound
+    returned is that remainder + h(X)/k + (16 + n) eps value, n the count
+    of terms and nodes summed: 16 eps for the terms' rounding and n eps for
+    gamma_{n-1}, which bounds a sum of n positive terms in any order
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec.
+    4.2).  The roots -s^2 +- 2is of m^2 + 1 lie a panel length L or more
+    left of each panel [e, e + L], so on its rho = 2 + sqrt 3 ellipse, where
+    Re z >= e - L/2, |e^{-kz}| <= e^2 e^{-ke} and |1/nu| <= 1/Re m <=
+    2/m(e): the quadrature error, ~1e-20 of the panel, is far below the
+    bound.  Below T = 1e-300 the value is 1/2 with bound s; past r ~ 353,
+    where 60/k overflows and the value (about 0.3 k) is below 1e-306, it is
+    0 with bound k.  Returns (value, bound, N).
     """
     t = math.tanh(r)
     if t * t < 1e-300:  # N = 1/2 - s (1 + O(r^2)), where n/s would overflow
@@ -489,10 +497,11 @@ def _block_series(r: float) -> tuple[float, float, int]:
     if k * sys.float_info.max < _SERIES_DECAY:  # 60/k overflows; the value is about 0.3 k
         return 0.0, k, 0
     c, s = math.cosh(r), math.sinh(r) * t
-    n_head = min(_SERIES_HEAD, math.ceil(_SERIES_DECAY / k))
+    long_head = k * _SERIES_HEAD < _SERIES_DECAY
+    n_head = _TAIL_HEAD if long_head else min(_SERIES_HEAD, math.ceil(_SERIES_DECAY / k))
     points, scale = np.arange(n_head + 1.0), np.empty(0)  # one kernel pass: the head 0..N-1, N, the nodes, X
     if k * float(n_head) < _SERIES_DECAY:  # else _panel_edges's first test gives one edge, N
-        edges = _panel_edges(n_head, k)
+        edges = _panel_edges(n_head, k, s * s)
         lo, hi = edges[:-1, None], edges[1:, None]
         nodes, weights = _gauss_legendre()
         nodes = 0.5 * (hi - lo) * nodes + (0.5 * hi + 0.5 * lo)  # 0.5 (hi + lo) may overflow
@@ -500,13 +509,16 @@ def _block_series(r: float) -> tuple[float, float, int]:
     h = _series_terms(points, s, k)
     weighted = h[n_head + 1 : -1] * scale  # the weighted nodes: none without panels, where X = N
     h_n, h_x, nodes_sum = float(h[n_head]), float(h[-1]), float(np.sum(weighted))
-    # -h'/h = k + nu'/nu = k + 1/(2w), with s nu = s m + w, w = s sqrt(m^2 + 1) and (s m)' = 1/2
+    # -h'/h and -h'''/h in u = 1/(2w), w = s sqrt(m^2 + 1), and p = s m / w <= 1, so that no factor overflows
     w = math.hypot(0.5 * (s * s - n_head), s * math.sqrt(n_head + 1.0))
-    slope = h_n * (k + 0.5 / w)
-    tail = nodes_sum + 0.5 * h_n + slope / 12.0
-    total = float(np.sum(h[:n_head])) + tail
+    u, p = 0.5 / w, 0.5 * (s * s + n_head) / w
+    correction = rest = h_n * (k + u) / 12.0  # -h'(N)/12, and the remainder it leaves
+    if long_head:  # h'''(N)/720 too, with the remainder |h'''(N)|/720
+        rest = h_n * (k * k * k + 3.0 * u * (k * k + k * u * (1.0 + p) + u * u * p * (1.0 + p))) / 720.0
+        correction -= rest
+    total = float(np.sum(h[:n_head])) + (nodes_sum + 0.5 * h_n + correction)
     # divided one factor at a time, so that no intermediate overflows
-    value, bound = (x / (2.0 * s) / c / c / c for x in (total, slope / 12.0 + h_x / k))
+    value, bound = (x / (2.0 * s) / c / c / c for x in (total, rest + h_x / k))
     bound += (16 + n_head + weighted.size) * sys.float_info.epsilon * value
     return value, bound, n_head
 

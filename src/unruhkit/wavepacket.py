@@ -295,9 +295,9 @@ def _k0e(z: float) -> float:
     return h * math.fsum([0.5, *terms])
 
 
-def _auto_x_grid(weight, center: float, half: float, dx: float, mass) -> tuple[np.ndarray, np.ndarray]:
+def _auto_x_grid(weight, center: float, half: float, dx: float, mass) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Widen [center - half, center + half] until the edge density is negligible;
-    return the grid and the weight sampled on it."""
+    return the grid, the weight sampled on it and its ``_squares``."""
     for _ in range(60):
         grid = (f"the grid on [{center - half:.4g}, {center + half:.4g}] needs "
                 f"{2.0 * half / dx + 1.0:.3g} points of spacing {dx:.3g}")
@@ -305,9 +305,10 @@ def _auto_x_grid(weight, center: float, half: float, dx: float, mass) -> tuple[n
         try:  # nor is a count past what numpy can index or allocate
             x = np.linspace(center - half, center + half, math.ceil(2.0 * half / dx) + 1)
             samples = weight(x)
-            values = _squares(samples)[1]
+            held = _squares(samples)
         except (OverflowError, ValueError, MemoryError) as exc:
             raise GridError(f"{grid}, more than can be allocated") from exc
+        values = held[1]
         total = float(values.sum())
         if not math.isfinite(total):  # widening cannot mend an inf or NaN, and each step costs 1.5x the memory
             raise GridError(f"the profile is not finite on [{x[0]:.4g}, {x[-1]:.4g}]; "
@@ -315,7 +316,7 @@ def _auto_x_grid(weight, center: float, half: float, dx: float, mass) -> tuple[n
         if total > 0.0:
             edge = float(values[:3].sum() + values[-3:].sum())
             if edge <= _EDGE_DENSITY_TOL * total:
-                return x, samples
+                return x, samples, held
         half *= 1.5
     raise GridError("could not find a wide enough grid for the requested profile")
 
@@ -345,13 +346,16 @@ def _packet_from_weight(weight, x_grid, center, half, dx, mass=None) -> Minkowsk
     # finiteness checks turn that into a GridError, so numpy need not warn first
     with np.errstate(all="ignore"):
         if x_grid is None:
-            x, samples = _auto_x_grid(weight, center, half, dx, mass)
+            x, samples, held = _auto_x_grid(weight, center, half, dx, mass)
         else:
             x = _given_grid(x_grid)
             grid = f"the given grid [{x[0]:.4g}, {x[-1]:.4g}] has {x.size} points"
             _check_omega_range(x[0], x[-1], mass, grid)
-            samples = weight(x)
-        return _check_unit_norm(MinkowskiSmearing(x, samples, mass))
+            samples, held = weight(x), None
+        f = MinkowskiSmearing(x, samples, mass)
+        if held is not None:  # the grid search's squares of the same values: |z| of a real z is that of z + 0j
+            f.__dict__["_density"] = held
+        return _check_unit_norm(f)
 
 
 def _gaussian_packet(params: LogGaussianParams, x0: float, x_grid, mass=None) -> MinkowskiSmearing:

@@ -642,11 +642,16 @@ def series_rate(r):
     return -2.0 * math.log(math.tanh(r)) if r < 0.5 else 4.0 * math.atanh(math.exp(-2.0 * r))
 
 
-def loop_panel_edges(n_head, k):
-    """The tail panel edges built one at a time: e + min(e, 1/k) until k e >= 60, at most the largest float."""
+def series_head(k):
+    """N as the block series takes it: 64 where a head of 4096 would not reach k N >= 60, else min(4096, 60/k)."""
+    return 64 if k * 4096 < 60.0 else min(4096, math.ceil(60.0 / k))
+
+
+def loop_panel_edges(n_head, k, s2):
+    """The tail panel edges built one at a time: e + min(e + s2, 4/k) until k e >= 60, at most the largest float."""
     edges = [float(n_head)]
     while k * edges[-1] < 60.0:
-        edges.append(min(edges[-1] + min(edges[-1], 1.0 / k), sys.float_info.max))
+        edges.append(min(edges[-1] + min(edges[-1] + s2, 4.0 / k), sys.float_info.max))
     return np.array(edges)
 
 
@@ -660,21 +665,39 @@ def fsum_block_series(r):
     """The block series with its head and tail nodes summed by math.fsum, its edges by the loop.
 
     Returns (value, N, count of tail nodes), from the same terms
-    (``_series_terms``), panels and nodes as ``_block_series``.
+    (``_series_terms``), panels and nodes as ``_block_series``, and the end
+    terms h(N)/2 - h'(N)/12, plus h'''(N)/720 (``third_derivative``) after
+    a 64-term head.
     """
     t, k = math.tanh(r), series_rate(r)
     c, s = math.cosh(r), math.sinh(r) * t
-    n_head = min(4096, math.ceil(60.0 / k))
-    edges = loop_panel_edges(n_head, k)
+    n_head = series_head(k)
+    edges = loop_panel_edges(n_head, k, s * s)
     lo, hi = edges[:-1, None], edges[1:, None]
     nodes, weights = _gauss_legendre()
     h = _series_terms(0.5 * (hi - lo) * nodes + (0.5 * hi + 0.5 * lo), s, k) * (0.5 * (hi - lo) * weights)
     w = math.hypot(0.5 * (s * s - n_head), s * math.sqrt(n_head + 1.0))
     h_n = float(_series_terms(np.array([float(n_head)]), s, k)[0])
     slope = h_n * (k + 0.5 / w)
-    tail = math.fsum(h.ravel().tolist()) + 0.5 * h_n + slope / 12.0
+    third = third_derivative(r, n_head) if n_head == 64 else 0.0
+    tail = math.fsum(h.ravel().tolist()) + 0.5 * h_n + slope / 12.0 + third / 720.0
     total = math.fsum(_series_terms(np.arange(n_head, dtype=float), s, k).tolist() + [tail])
     return total / (2.0 * s) / c / c / c, n_head, h.size
+
+
+def third_derivative(r, x):
+    """h'''(x) of the block series' terms h = s e^{-kx} g(m), g = sqrt(m^2 + 1) - m = 1/nu, m = (s + x/s)/2.
+
+    With a = m' = 1/(2s), q = sqrt(m^2 + 1), g' = -g/q, g'' = q^-3 and
+    g''' = -3m q^-5: h''' = s e^{-kx} (-k^3 g + 3k^2 a g' - 3k a^2 g'' + a^3 g'''),
+    each term <= 0, formed with 1/q so that no power overflows.
+    """
+    k, s = series_rate(r), math.sinh(r) * math.tanh(r)
+    m, a = 0.5 * (s + x / s), 0.5 / s
+    inv_q = 1.0 / math.sqrt(m * m + 1.0)
+    g = 1.0 / (m + 1.0 / inv_q)
+    inner = k**3 * g + 3.0 * k * k * a * g * inv_q + 3.0 * k * a * a * inv_q**3 + 3.0 * a**3 * m * inv_q**5
+    return -s * math.exp(-k * x) * inner
 
 
 class TestBlockSeries:
@@ -686,7 +709,7 @@ class TestBlockSeries:
         value = _block_series(r)[0]
         assert abs(value - direct) <= 1e-14 * direct
 
-    # the 4096-term cap binds from r ~ 2.81
+    # a 4096-term head stops short of e^-60 from r ~ 2.81, and the row sums 64 terms
     @pytest.mark.parametrize("r", [3.5, 4.5, 6.0, 8.0, 10.0])
     def test_bound_covers_long_sum_reference(self, r):
         pair = bosonic_negativity_pair(*point(r, 1.0))
@@ -699,24 +722,26 @@ class TestBlockSeries:
     @given(st.floats(0.5, 25.0))
     @settings(max_examples=200, deadline=None)
     def test_panel_edges_have_the_bits_of_the_loop(self, r):
-        k = series_rate(r)
-        n_head = min(4096, math.ceil(60.0 / k))
-        assert np.array_equal(_panel_edges(n_head, k), loop_panel_edges(n_head, k))
+        k, s = series_rate(r), math.sinh(r) * math.tanh(r)
+        n_head = series_head(k)
+        assert np.array_equal(_panel_edges(n_head, k, s * s), loop_panel_edges(n_head, k, s * s))
 
     @pytest.mark.parametrize("n_head", [1, 7, 4096])
     @pytest.mark.parametrize("j", [0, 1, 5, 13, 40])
     def test_panel_edges_at_exact_powers_and_at_60(self, n_head, j):
-        # 1/k = N 2^j: doubling lands on 1/k itself, then the steps of 1/k on
-        # k e = 60; k = 60/(N 2^j): doubling lands on k e = 60
-        for k in (1.0 / (n_head * 2.0**j), 60.0 / (n_head * 2.0**j)):
-            edges = _panel_edges(n_head, k)
-            assert np.array_equal(edges, loop_panel_edges(n_head, k))
-            assert k * edges[-1] >= 60.0 and (edges.size == 1 or k * edges[-2] < 60.0)
+        # with s^2 = 0 the panels double: 4/k = N 2^j lands on 4/k itself, then the
+        # steps of 4/k on k e = 60; k = 60/(N 2^j) lands on k e = 60.  With s^2 = 1/k,
+        # as on the series' tail rows, e + s^2 doubles instead
+        for k in (4.0 / (n_head * 2.0**j), 60.0 / (n_head * 2.0**j)):
+            for s2 in (0.0, 1.0 / k):
+                edges = _panel_edges(n_head, k, s2)
+                assert np.array_equal(edges, loop_panel_edges(n_head, k, s2))
+                assert k * edges[-1] >= 60.0 and (edges.size == 1 or k * edges[-2] < 60.0)
 
-    @given(st.floats(1e-12, 2.0), st.integers(1, 4096))
+    @given(st.floats(1e-12, 2.0), st.integers(1, 4096), st.floats(0.0, 1e30))
     @settings(max_examples=200, deadline=None)
-    def test_panel_edges_for_any_rate(self, k, n_head):
-        assert np.array_equal(_panel_edges(n_head, k), loop_panel_edges(n_head, k))
+    def test_panel_edges_for_any_rate(self, k, n_head, s2):
+        assert np.array_equal(_panel_edges(n_head, k, s2), loop_panel_edges(n_head, k, s2))
 
     @given(st.floats(0.01, 25.0))
     @example(0.5)
@@ -738,7 +763,7 @@ class TestBlockSeries:
 
         monkeypatch.setattr(math, "fsum", fsum)
         value, bound, n_used = _block_series(7.0)
-        assert n_used == 4096 and 0.0 < bound <= 1e-6 * value
+        assert n_used == 64 and 0.0 < bound <= 1e-9 * value
 
     @given(st.floats(1e-3, 3.0))
     @example(2.81)
@@ -747,7 +772,7 @@ class TestBlockSeries:
         # k N >= 60: _panel_edges would return the single edge N, so no panel
         # or node is made, and h(X) is h(N)
         k = series_rate(r)
-        n_head = min(4096, math.ceil(60.0 / k))
+        n_head = series_head(k)
 
         def tail_machinery(*args):
             raise AssertionError("tail panels built for a head that reaches e^-60")
@@ -813,8 +838,8 @@ class TestBlockSeries:
         with mock.patch.object(bosonic, "_series_terms", spy):
             _block_series(r)
         (x, s, k, h), = calls
-        n_head = min(4096, math.ceil(60.0 / k))
-        edges = loop_panel_edges(n_head, k)
+        n_head = series_head(k)
+        edges = loop_panel_edges(n_head, k, s * s)
         lo, hi = edges[:-1, None], edges[1:, None]
         nodes = (0.5 * (hi - lo) * _gauss_legendre()[0] + (0.5 * hi + 0.5 * lo)).ravel()
         assert np.array_equal(x[: n_head + 1], np.arange(n_head + 1.0)) and x[-1] == edges[-1]
@@ -837,21 +862,87 @@ class TestBlockSeries:
         monkeypatch.setattr(np, "exp", counted_exp)
         monkeypatch.setattr(np, "hypot", hypot)
         value, bound, n_used = _block_series(r)
-        assert len(calls) == 1 and calls[0] > n_used == min(4096, math.ceil(60.0 / series_rate(r)))
+        assert len(calls) == 1 and calls[0] > n_used == series_head(series_rate(r))
         assert 0.0 < bound <= 1e-6 * value
 
     @pytest.mark.parametrize("r", [353.2, 353.3, 353.5, 353.53, 353.537])
     def test_rows_at_the_float_range_edge(self, r):
-        # from r = 353.19 the last panel's hi + lo passes the float range, and from
-        # 353.522 the last edge 60/k + O(1/k) does; the early return starts at 353.538
-        k = series_rate(r)
-        edges = _panel_edges(4096, k)
-        assert np.isfinite(edges).all() and np.array_equal(edges, loop_panel_edges(4096, k))
+        # from r = 353.183 the last panel's hi + lo passes the float range, and from
+        # 353.513 the last edge 60/k + O(4/k) does; the early return starts at 353.538
+        k, s = series_rate(r), math.sinh(r) * math.tanh(r)
+        edges = _panel_edges(64, k, s * s)
+        assert np.isfinite(edges).all() and np.array_equal(edges, loop_panel_edges(64, k, s * s))
         pair = bosonic_negativity_pair(*point(r, 1.0))  # warnings are errors in this suite
         assert math.isfinite(pair.n_ar) and pair.report.lo[0] < pair.n_ar < pair.report.hi[0]
         assert pair.report.converged
         value, bound, _ = _block_series(r)
         assert abs(value - fsum_block_series(r)[0]) <= bound
+
+    @pytest.mark.parametrize("r", [19.5, 25.0, 150.0, 353.4, 353.6, 400.0, 1e300])
+    def test_rows_near_and_past_the_float_range_edge_are_quiet(self, r):
+        # warnings are errors in this suite: no h' or h''' factor overflows or warns.
+        # Past r ~ 353.538 the series is 0 with bound k (k = 0 once tanh r = 1), as before
+        pair = bosonic_negativity_pair(*point(r, 1.0))
+        value, bound, n_used = _block_series(r)
+        assert (pair.n_ar, pair.report.lo[0], pair.report.hi[0]) == (value, value - bound, value + bound)
+        assert pair.report.converged and (pair.n_aar, pair.report.lo[1], pair.report.hi[1]) == (0.0, 0.0, 0.0)
+        if series_rate(r) * sys.float_info.max < 60.0:
+            assert (value, bound, n_used) == (0.0, series_rate(r), 0)
+        else:
+            assert n_used == 64 and 0.0 < bound <= 1e-9 * value
+            assert abs(value - fsum_block_series(r)[0]) <= bound
+
+    @given(st.floats(2.81, 30.0))
+    @example(2.81)
+    @example(3.0)
+    @example(30.0)
+    @settings(max_examples=30, deadline=None)
+    def test_tail_rows_lie_within_their_bound_of_the_long_sum(self, r):
+        # the reference's head stops by 40/k, before its terms' squares underflow
+        head = min(1 << 16, 1 << int(math.log2(40.0 / series_rate(r))))
+        value, bound, n_used = _block_series(r)
+        assert n_used == 64 and abs(value - long_sum_reference(r, head=head)) <= bound
+
+    @pytest.mark.parametrize("r", [2.81, 3.0, 3.25, 3.5])
+    def test_two_term_tail_from_64_matches_a_direct_sum(self, r):
+        # sum_{n >= N} h(n) = int_N^X h + h(N)/2 - h'(N)/12 + h'''(N)/720 + R, |R| <= |h'''(N)|/720,
+        # against an fsum of 2^20 terms from N = 64 (past 60/k the rest is below e^-60)
+        k, s = series_rate(r), math.sinh(r) * math.tanh(r)
+        edges = loop_panel_edges(64, k, s * s)
+        lo, hi = edges[:-1, None], edges[1:, None]
+        nodes, weights = _gauss_legendre()
+        integral = _series_terms(0.5 * (hi - lo) * nodes + (0.5 * hi + 0.5 * lo), s, k) * (0.5 * (hi - lo) * weights)
+        h_n = float(_series_terms(np.array([64.0]), s, k)[0])
+        m = 0.5 * (s + 64.0 / s)
+        slope = -h_n * (k + 0.5 / (s * math.sqrt(m * m + 1.0)))  # h'(N) = -h (k + a/q)
+        one_term = math.fsum(integral.ravel().tolist() + [0.5 * h_n, -slope / 12.0])
+        rest = third_derivative(r, 64.0) / 720.0
+        direct = math.fsum(_series_terms(np.arange(64.0, 64.0 + (1 << 20)), s, k).tolist())
+        rounding = 20 * sys.float_info.epsilon * direct  # 8 eps a term (the hypot test), 10 a weighted node
+        assert k * (1 << 20) > 60.0 and abs(direct - (one_term + rest)) <= abs(rest) + rounding
+        assert abs(direct - one_term) > rounding  # the h''' term is resolved: it is not below the rounding
+
+    @given(st.floats(2.81, 353.5))
+    @example(2.81)
+    @example(10.0)
+    @example(19.5)
+    @example(353.5)
+    @settings(max_examples=60, deadline=None)
+    def test_tail_rows_evaluate_at_most_1024_points(self, r):
+        # k 4096 < 60 from r = 2.81 on: each such row sums a 64-term head, and
+        # its panels grow with the distance to the roots at -s^2, so a return
+        # of the 4096-term head, or of panels that double from N, fails here
+        calls = []
+
+        def spy(x, s, k):
+            calls.append(x.size)
+            return _series_terms(x, s, k)
+
+        with mock.patch.object(bosonic, "_series_terms", spy):
+            value, bound, n_used = _block_series(r)
+        assert series_rate(r) * 4096 < 60.0 and n_used == 64
+        assert calls[0] <= 1024 and len(calls) == 1
+        assert 0.0 < bound <= 1e-9 * value
 
 
 #: the first r whose tanh rounds to 1, and the r one ulp below it

@@ -117,6 +117,15 @@ class TestBosonCommand:
         assert [row["converged"] for row in rows] == ["true", "true"]
         assert all(0.0 < float(row["n_ar"]) < 1e-306 for row in rows)
 
+    @pytest.mark.parametrize("r", ["19.5", "25", "150", "353.4", "353.6", "400", "1e300"])
+    def test_extremal_rows_near_and_past_the_float_range_edge_exit_zero(self, r, tmp_path):
+        # warnings are errors in this suite; past r ~ 353.538 the series prints 0 with 0 terms
+        out = tmp_path / "edge.csv"
+        assert main(["boson", "--q", "1,0", "--r-min", r, "--r-max", r, "--steps", "2", "--out", str(out)]) == EXIT_OK
+        _, rows = read_csv(out)
+        assert [row["converged"] for row in rows] == ["true"] * 4
+        assert {row["n_max_used"] for row in rows} == ({"64"} if float(r) < 353.5 else {"0"})
+
     def test_ordering_across_weights_at_fixed_squeezing(self, tmp_path):
         out = tmp_path / "order.csv"
         code = main(

@@ -51,7 +51,7 @@ CASES = {
     # extremal weights: the block series
     "boson_extremal.csv": (["boson", "--q", "1,0", "--r-min", "4", "--r-max", "10", "--steps", "4"], "",
                            EXIT_OK),
-    # the series from r = 0 (t^2 < 1e-300), rows whose head reaches e^-60 with no tail, to the 4096 cap
+    # the series from r = 0 (t^2 < 1e-300), rows whose head reaches e^-60 with no tail, then 64-term heads
     "boson_extremal_small_r.csv": (["boson", "--q", "1,0", "--r-min", "0", "--r-max", "3", "--steps", "31"],
                                    "", EXIT_OK),
     # 150 dense rows per curve at mixed levels: two band chunks, rows at the cap, tanh r = 1 rows

@@ -704,9 +704,29 @@ class TestDerivedArrays:
         counted.__set_name__(owner, name)
         monkeypatch.setattr(owner, name, counted)
         assert main(["packet", "--family", "gamma", "--out", str(tmp_path / "p.json")]) == 0
-        assert calls and len(calls) == len(set(map(id, calls)))
-        if owner is MinkowskiSmearing:  # the profile; the round trip's profile needs none
-            assert len(calls) == 1
+        if owner is MinkowskiSmearing:  # the grid search hands the profile its squares; the round trip's needs none
+            assert calls == []
+        else:
+            assert calls and len(calls) == len(set(map(id, calls)))
+
+    @pytest.mark.parametrize("family", ["log-gaussian", "gamma", "bessel", "rapidity-gaussian"])
+    def test_the_grid_search_hands_the_profile_its_squares(self, family, monkeypatch):
+        # the last squares the default-grid search takes are the profile's |F|^2, bit for bit
+        # as the profile would take them from its own weight, and the profile takes none
+        held, args, squares = [], [], wavepacket._squares
+        monkeypatch.setattr(wavepacket, "_squares", lambda *a: args.append(a) or held.append(squares(*a)) or held[-1])
+        params = LogGaussianParams(0.3, -2.5, 2.0)
+        if family == "log-gaussian":
+            f = f_log_gaussian(params)
+        elif family == "rapidity-gaussian":
+            f = rapidity_gaussian(params.lam, params.mu, 0.5)
+        else:
+            f = alternate_packets(family, params)
+        last, count = held[-1], len(held)
+        assert f._density is last and f.norm_squared() > 0.0 and len(held) == count
+        assert all(a[0] is not f.weight for a in args)  # taken from the samples, never from the profile
+        scale, density = squares(f.weight)
+        assert scale == f._density[0] and density.tobytes() == f._density[1].tobytes()
 
     def test_held_arrays_are_read_only(self):
         f = f_log_gaussian(LogGaussianParams(1.0, 8.0))
